@@ -125,6 +125,18 @@ class ViewState:
         if len(keys):
             self.reference.update(self._codes(keys), aggregated, counts)
 
+    def _normalized(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """``(mask, p, q)``: slots present on either side, and both sides
+        normalized over them — ``None`` while a side is still empty."""
+        target_present = self.target.present()
+        reference_present = self.reference.present()
+        mask = target_present | reference_present
+        if not target_present.any() or not reference_present.any():
+            return mask, None, None
+        p = normalize_distribution(self.target.values()[mask])
+        q = normalize_distribution(self.reference.values()[mask])
+        return mask, p, q
+
     def utility(self, metric: DistanceFunction) -> tuple[float, ViewDistributions]:
         """Utility from everything accumulated so far (paper §2).
 
@@ -133,19 +145,19 @@ class ViewState:
         the metric.  A view with an empty side has utility 0 — no evidence
         of deviation yet.
         """
-        mask = self.target.present() | self.reference.present()
-        if not self.target.present().any() or not self.reference.present().any():
-            keys = tuple(self.categories[mask]) or ("?",)
-            flat = np.full(max(len(keys), 1), 1.0 / max(len(keys), 1))
-            return 0.0, ViewDistributions(keys, flat, flat.copy())
+        mask, p, q = self._normalized()
         keys = tuple(self.categories[mask])
-        p = normalize_distribution(self.target.values()[mask])
-        q = normalize_distribution(self.reference.values()[mask])
+        if p is None or q is None:
+            keys = keys or ("?",)
+            flat = np.full(len(keys), 1.0 / len(keys))
+            return 0.0, ViewDistributions(keys, flat, flat.copy())
         return metric(p, q), ViewDistributions(keys, p, q)
 
     def record_estimate(self, metric: DistanceFunction) -> float:
-        """Compute the current utility estimate and append it to history."""
-        value, _ = self.utility(metric)
+        """Append :meth:`utility`'s current value to history and return it
+        (no key tuple, no distributions: a phase estimate shows neither)."""
+        _, p, q = self._normalized()
+        value = 0.0 if p is None or q is None else metric(p, q)
         self.estimates.append(value)
         return value
 

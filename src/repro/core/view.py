@@ -9,6 +9,7 @@ analyst-chosen attributes (the front end lets users steer, §3).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Sequence
 
 from repro.db.catalog import TableMeta
@@ -27,11 +28,11 @@ class AggregateView:
     measure: str
     func: AggregateFunction = AggregateFunction.AVG
 
-    @property
+    @cached_property
     def key(self) -> ViewKey:
         return (self.dimension, self.measure, self.func.value)
 
-    @property
+    @cached_property
     def agg_alias(self) -> str:
         """Output-column alias this view's aggregate uses in shared queries."""
         return f"{self.func.value.lower()}__{self.measure}"

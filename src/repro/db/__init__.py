@@ -5,7 +5,7 @@ that DBMS: typed tables (:mod:`repro.db.table`), two physical storage engines
 with paged I/O accounting (:mod:`repro.db.storage`), a buffer pool
 (:mod:`repro.db.buffer`), vectorized expression evaluation
 (:mod:`repro.db.expressions`), hash aggregation with a memory budget and
-multi-pass spill (:mod:`repro.db.groupby`), a query executor
+a charged spill (:mod:`repro.db.groupby`), a query executor
 (:mod:`repro.db.executor`), a shared-scan batch executor serving whole
 phase batches from one pass (:mod:`repro.db.shared_scan`), a SQL subset
 front end (:mod:`repro.db.sql`),

@@ -27,27 +27,29 @@ def compute_group_aggregate(
     group_ids: np.ndarray,
     n_groups: int,
     values: np.ndarray | None,
+    counts: np.ndarray | None = None,
 ) -> np.ndarray:
     """One aggregate value per group.
 
     ``group_ids`` are dense ids in ``range(n_groups)``; ``values`` is the
     row-aligned measure array (``None`` only for COUNT).  Empty groups get 0
-    for COUNT/SUM and NaN for AVG/MIN/MAX.
+    for COUNT/SUM and NaN for AVG/MIN/MAX.  ``counts`` is the per-group row
+    count, ``np.bincount(group_ids, minlength=n_groups)``, for callers that
+    already hold it: every aggregate over one key set shares that pass.
     """
-    if func is AggregateFunction.COUNT and values is None:
-        return np.bincount(group_ids, minlength=n_groups).astype(np.float64)
-    if values is None:
+    if values is not None:
+        values = np.asarray(values, dtype=np.float64)
+    elif func is not AggregateFunction.COUNT:
         raise QueryError(f"{func.value} requires a value array")
-    values = np.asarray(values, dtype=np.float64)
+    if counts is None and func in (AggregateFunction.COUNT, AggregateFunction.AVG):
+        counts = np.bincount(group_ids, minlength=n_groups)
     if func is AggregateFunction.COUNT:
-        return np.bincount(group_ids, minlength=n_groups).astype(np.float64)
+        return counts.astype(np.float64)
     if func is AggregateFunction.SUM:
         return np.bincount(group_ids, weights=values, minlength=n_groups)
     if func is AggregateFunction.AVG:
         sums = np.bincount(group_ids, weights=values, minlength=n_groups)
-        counts = np.bincount(group_ids, minlength=n_groups)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
     if func is AggregateFunction.MIN:
         out = np.full(n_groups, np.inf)
         np.minimum.at(out, group_ids, values)

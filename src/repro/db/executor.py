@@ -22,6 +22,7 @@ import time
 import numpy as np
 
 from repro.config import ExecutionStats
+from repro.db.expressions import Dictionaries, Expression
 from repro.db.groupby import GroupKeyColumn, GroupResult, group_aggregate
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
@@ -98,10 +99,151 @@ def global_group_key(n_rows: int) -> GroupKeyColumn:
     )
 
 
+#: Largest flag value :func:`factorize_key` remaps without sorting.
+_FACTORIZE_DENSE_LIMIT = 1 << 10
+
+
+def factorize_key(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` as ``(int32 codes, categories)``.
+
+    A derived group-by key is nearly always the 0/1(/2/3) target/reference
+    flag, which a presence count remaps in O(n) where ``np.unique`` sorts
+    every row; anything but small non-negative integers takes the sort.
+    """
+    if values.dtype.kind in "bi" and values.ndim == 1 and values.size:
+        small = values.view(np.uint8) if values.dtype.kind == "b" else values
+        if small.min() >= 0 and small.max() < _FACTORIZE_DENSE_LIMIT:
+            present = np.bincount(small) > 0
+            remap = (np.cumsum(present) - 1).astype(np.int32)
+            return remap[small], np.flatnonzero(present).astype(values.dtype)
+    categories, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int32), categories
+
+
+def group_key_columns(
+    store: StorageEngine,
+    query: AggregateQuery,
+    arrays: dict[str, np.ndarray],
+    dictionaries: dict[str, tuple[np.ndarray, np.ndarray]],
+    start: int,
+    stop: int,
+    selector: np.ndarray | None,
+    shared_exprs: dict[str, Expression],
+    pred_token: object,
+    filtered_codes: dict[tuple[str, object], np.ndarray],
+    derived_keys: dict[tuple[object, object], tuple[np.ndarray, np.ndarray]],
+) -> list[GroupKeyColumn]:
+    """Dictionary-encoded key columns, filtered to the selected rows.
+
+    Physical dimension columns reuse the table's global dictionary (codes
+    are stable across phases, so partial results merge on category values);
+    derived columns are factorized on the fly.  The last four arguments are
+    the shared-scan batch's caches; the per-query executor passes empty ones.
+    """
+    key_columns: list[GroupKeyColumn] = []
+    for name in query.group_by:
+        if name in query.derived_aliases:
+            expr = shared_exprs.get(name)
+            cache_key = (expr, pred_token) if expr is not None else None
+            cached = derived_keys.get(cache_key) if cache_key else None
+            if cached is None:
+                values = arrays[name]
+                if selector is not None:
+                    values = values[selector]
+                cached = factorize_key(values)
+                if cache_key is not None:
+                    derived_keys[cache_key] = cached
+            key_columns.append(GroupKeyColumn(name, *cached))
+        else:
+            codes, categories = dictionaries.get(name) or store.dictionary_slice(
+                name, start, stop, values=arrays.get(name)
+            )
+            if selector is not None:
+                filtered = filtered_codes.get((name, pred_token))
+                if filtered is None:
+                    filtered = filtered_codes[(name, pred_token)] = codes[selector]
+                codes = filtered
+            key_columns.append(GroupKeyColumn(name, codes, categories))
+    if not key_columns:
+        # Global aggregate: a single synthetic group.
+        n = len(selector) if selector is not None else (stop - start)
+        key_columns.append(global_group_key(n))
+    return key_columns
+
+
+def hashable(obj: object) -> bool:
+    try:
+        hash(obj)
+    except TypeError:
+        return False
+    return True
+
+
+def aggregate_inputs_of(
+    query: AggregateQuery,
+    arrays: dict[str, np.ndarray],
+    q_base: frozenset[str],
+    dictionaries: Dictionaries,
+    shared_exprs: dict[str, Expression],
+    selector: np.ndarray | None,
+    pred_token: object,
+    arg_values: dict[Expression, np.ndarray],
+    filtered_args: dict[tuple[object, object], np.ndarray],
+) -> list[tuple[object, np.ndarray | None]]:
+    """Row-aligned ``(func, values)`` aggregate inputs, filtered to the selection.
+
+    Like :func:`group_key_columns`, takes the shared-scan batch's caches
+    (evaluated expression arguments, filtered arrays); the per-query
+    executor passes empty ones and an empty ``q_base``: nothing is shared.
+    """
+    # Cache tokens are type-tagged: a bare column, a derived alias (keyed
+    # by its *expression* — two queries may reuse one alias for different
+    # expressions), and an expression argument (cached as float64) must
+    # never share a filtered-array cache slot.  ``None`` = private.
+    # ``q_base`` excludes this query's derived aliases, so an alias
+    # shadowing a base column is routed to its expression token, never to
+    # the base column's slot.
+    inputs: list[tuple[object, np.ndarray | None]] = []
+    for spec in query.aggregates:
+        token: object = None
+        if spec.argument is None:
+            inputs.append((spec.func, None))
+            continue
+        if isinstance(spec.argument, str):
+            values = arrays[spec.argument]
+            if spec.argument in query.derived_aliases:
+                shared = shared_exprs.get(spec.argument)
+                if shared is not None:
+                    token = ("derived", shared)
+            elif spec.argument in q_base:
+                token = ("col", spec.argument)
+        else:
+            expr = spec.argument
+            if expr.referenced_columns() <= q_base and hashable(expr):
+                values = arg_values.get(expr)
+                if values is None:
+                    values = np.asarray(expr.evaluate(arrays, dictionaries), dtype=np.float64)
+                    arg_values[expr] = values
+                token = ("expr", expr)
+            else:
+                values = np.asarray(expr.evaluate(arrays, dictionaries), dtype=np.float64)
+        if selector is not None:
+            if token is not None:
+                filtered = filtered_args.get((token, pred_token))
+                if filtered is None:
+                    filtered = filtered_args[(token, pred_token)] = values[selector]
+                values = filtered
+            else:
+                values = values[selector]
+        inputs.append((spec.func, values))
+    return inputs
+
+
 def dict_key_only_columns(
     table, base_columns, value_columns
 ) -> frozenset[str]:
-    """Dictionary-encoded columns needed only as group-by keys.
+    """Dictionary-encoded columns never read as values: group-by keys and
+    columns only tested against literals.
 
     These are scanned (pages charged — the physical read *is* the 4-byte
     codes) but never decoded: the executors fetch their codes via
@@ -149,95 +291,60 @@ class QueryExecutor:
         if self.delta_cache is not None and start == 0 and stop > 0:
             result, n_filtered = self._execute_delta(query, stop, stats)
         elif len(ranges) > 1:
-            result, n_filtered = self._execute_streaming(query, ranges, stats)
+            # Chunk-at-a-time: O(chunk + groups) memory, and the exact
+            # one-shot result (see :mod:`repro.db.streaming`).
+            aggregator = self._new_aggregator(query)
+            for sub_start, sub_stop in ranges:
+                aggregator.update(*self._prepare(query, sub_start, sub_stop, stats))
+            result, n_filtered = aggregator.finalize(), aggregator.total_rows
         else:
-            base_columns = sorted(query.base_columns_needed())
-            skip = dict_key_only_columns(
-                self.store.table, base_columns, query.value_columns_needed()
-            )
-            arrays = dict(
-                self.store.scan(
-                    base_columns, start, stop, stats, skip_materialize=skip
-                )
-            )
-
-            for derived in query.derived:
-                arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays))
-
-            if query.predicate is not None:
-                mask = query.predicate.evaluate(arrays).astype(bool)
-                selector = np.flatnonzero(mask)
-            else:
-                selector = None
-
-            key_columns = self._group_key_columns(query, arrays, start, stop, selector)
-            aggregate_inputs = self._aggregate_inputs(query, arrays, selector)
-
+            key_columns, aggregate_inputs = self._prepare(query, start, stop, stats)
             result = group_aggregate(
                 key_columns,
                 aggregate_inputs,
                 query.group_budget,
                 dense_limit=self.store.dense_group_limit,
             )
-            n_filtered = len(selector) if selector is not None else (stop - start)
+            n_filtered = len(key_columns[0].codes)
 
         tally_aggregation(stats, self.store.table.schema, query, result, n_filtered)
         stats.wall_seconds = time.perf_counter() - started
         return build_query_result(query, result, n_filtered), stats
 
-    def _execute_streaming(
-        self,
-        query: AggregateQuery,
-        ranges: list[tuple[int, int]],
-        stats: ExecutionStats,
-    ) -> tuple[GroupResult, int]:
-        """Chunk-at-a-time execution with exact partial-state merge.
-
-        Runs the same scan → derive → filter → key/input preparation as the
-        one-shot path, one chunk-aligned subrange at a time, folding each
-        chunk into a :class:`~repro.db.streaming.StreamingGroupAggregator`.
-        Peak memory is O(chunk + groups) while the finalized result is
-        value-identical to the one-shot computation (see
-        :mod:`repro.db.streaming` for why, including the float ordering).
-        """
-        aggregator = StreamingGroupAggregator(
+    def _new_aggregator(self, query: AggregateQuery) -> StreamingGroupAggregator:
+        return StreamingGroupAggregator(
             [spec.func for spec in query.aggregates],
             query.group_budget,
             self.store.dense_group_limit,
         )
-        self._stream_into(aggregator, query, ranges, stats)
-        return aggregator.finalize(), aggregator.total_rows
 
-    def _stream_into(
-        self,
-        aggregator: StreamingGroupAggregator,
-        query: AggregateQuery,
-        ranges: list[tuple[int, int]],
-        stats: ExecutionStats,
-    ) -> None:
-        """Fold ``ranges`` chunk-at-a-time into ``aggregator``."""
+    def _prepare(
+        self, query: AggregateQuery, start: int, stop: int, stats: ExecutionStats
+    ) -> tuple[list[GroupKeyColumn], list]:
+        """Scan → derive → filter rows ``[start, stop)`` into the row-aligned
+        key columns and aggregate inputs that grouping takes."""
         base_columns = sorted(query.base_columns_needed())
-        skip = dict_key_only_columns(
-            self.store.table, base_columns, query.value_columns_needed()
+        dictionaries = query.base_dictionaries(
+            self.store.table.dictionaries(base_columns, start, stop)
         )
-        for sub_start, sub_stop in ranges:
-            arrays = dict(
-                self.store.scan(
-                    base_columns, sub_start, sub_stop, stats, skip_materialize=skip
-                )
-            )
-            for derived in query.derived:
-                arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays))
-            if query.predicate is not None:
-                mask = query.predicate.evaluate(arrays).astype(bool)
-                selector = np.flatnonzero(mask)
-            else:
-                selector = None
-            key_columns = self._group_key_columns(
-                query, arrays, sub_start, sub_stop, selector
-            )
-            aggregate_inputs = self._aggregate_inputs(query, arrays, selector)
-            aggregator.update(key_columns, aggregate_inputs)
+        skip = dict_key_only_columns(
+            self.store.table, base_columns, query.value_columns_needed(dictionaries)
+        )
+        arrays = self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
+        for derived in query.derived:
+            arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays, dictionaries))
+        selector = None
+        if query.predicate is not None:
+            mask = query.predicate.evaluate(arrays, dictionaries).astype(bool)
+            selector = np.flatnonzero(mask)
+        # Same builders as a shared-scan batch, with nothing to share.
+        key_columns = group_key_columns(
+            self.store, query, arrays, dictionaries, start, stop, selector, {}, None, {}, {}
+        )
+        inputs = aggregate_inputs_of(
+            query, arrays, frozenset(), dictionaries, {}, selector, None, {}, {}
+        )
+        return key_columns, inputs
 
     def _execute_delta(
         self, query: AggregateQuery, stop: int, stats: ExecutionStats
@@ -270,14 +377,10 @@ class QueryExecutor:
                 scan_from = entry.rows
                 stats.delta_hits += 1
         if aggregator is None:
-            aggregator = StreamingGroupAggregator(
-                [spec.func for spec in query.aggregates],
-                query.group_budget,
-                self.store.dense_group_limit,
-            )
+            aggregator = self._new_aggregator(query)
         if scan_from < stop:
-            ranges = self.store.stream_ranges(scan_from, stop)
-            self._stream_into(aggregator, query, ranges, stats)
+            for sub_start, sub_stop in self.store.stream_ranges(scan_from, stop):
+                aggregator.update(*self._prepare(query, sub_start, sub_stop, stats))
         if stop == self.store.nrows:
             self.delta_cache.put(
                 key,
@@ -287,63 +390,3 @@ class QueryExecutor:
                 aggregator.snapshot_nbytes(),
             )
         return aggregator.finalize(), aggregator.total_rows
-
-    # ------------------------------------------------------------------ #
-    # helpers
-    # ------------------------------------------------------------------ #
-
-    def _group_key_columns(
-        self,
-        query: AggregateQuery,
-        arrays: dict[str, np.ndarray],
-        start: int,
-        stop: int,
-        selector: np.ndarray | None,
-    ) -> list[GroupKeyColumn]:
-        """Dictionary-encoded key columns, filtered to selected rows.
-
-        Physical dimension columns reuse the table's cached global
-        dictionary (codes are stable across phases, so partial results merge
-        on category values); derived columns are factorized on the fly.
-        """
-        key_columns: list[GroupKeyColumn] = []
-        for name in query.group_by:
-            if name in query.derived_aliases:
-                values = arrays[name]
-                if selector is not None:
-                    values = values[selector]
-                categories, codes = np.unique(values, return_inverse=True)
-                key_columns.append(
-                    GroupKeyColumn(name, codes.astype(np.int32), categories)
-                )
-            else:
-                sliced, categories = self.store.dictionary_slice(
-                    name, start, stop, values=arrays.get(name)
-                )
-                if selector is not None:
-                    sliced = sliced[selector]
-                key_columns.append(GroupKeyColumn(name, sliced, categories))
-        if not key_columns:
-            # Global aggregate: a single synthetic group.
-            n = len(selector) if selector is not None else (stop - start)
-            key_columns.append(global_group_key(n))
-        return key_columns
-
-    @staticmethod
-    def _aggregate_inputs(
-        query: AggregateQuery,
-        arrays: dict[str, np.ndarray],
-        selector: np.ndarray | None,
-    ):
-        inputs = []
-        for spec in query.aggregates:
-            if spec.argument is None:
-                values = None
-            elif isinstance(spec.argument, str):
-                values = arrays[spec.argument]
-            else:
-                values = np.asarray(spec.argument.evaluate(arrays), dtype=np.float64)
-            if values is not None and selector is not None:
-                values = values[selector]
-            inputs.append((spec.func, values))
-        return inputs

@@ -9,6 +9,13 @@ target/reference queries.  Every node can
 
 The tree is deliberately small: column/literal leaves, comparisons, boolean
 connectives, IN, arithmetic, and CASE WHEN.
+
+Given the *dictionaries* of dictionary-backed columns, a comparison or IN
+between such a column and literals is decided once per category and carried
+to the rows through the codes — ``carrier = 'X'`` becomes ``codes == code``
+instead of a string comparison per row — with the same result bit for bit,
+since ``values`` is ``categories[codes]``.  :meth:`Expression.value_columns`
+names the columns whose decoded values are still read.
 """
 
 from __future__ import annotations
@@ -23,6 +30,8 @@ import numpy as np
 from repro.exceptions import QueryError
 
 ColumnValues = Mapping[str, np.ndarray]
+#: Dictionary-backed column -> (row-aligned codes, sorted categories).
+Dictionaries = Mapping[str, tuple[np.ndarray, np.ndarray]] | None
 
 _COMPARISON_OPS = {
     "=": lambda a, b: a == b,
@@ -65,12 +74,57 @@ class Expression(abc.ABC):
     """Base class for all expression nodes."""
 
     @abc.abstractmethod
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        """Vectorized evaluation over column arrays."""
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        """Vectorized evaluation over column arrays (those :meth:`value_columns`
+        lists suffice), testing literals on ``dictionaries``' codes."""
 
-    @abc.abstractmethod
+    def children(self) -> tuple["Expression", ...]:
+        """Direct sub-expressions (leaves have none)."""
+        return ()
+
     def referenced_columns(self) -> frozenset[str]:
         """Names of all columns this expression reads."""
+        return frozenset().union(*(c.referenced_columns() for c in self.children()))
+
+    def value_columns(self, dictionaries: Dictionaries = None) -> frozenset[str]:
+        """The referenced columns whose decoded values ``evaluate`` reads:
+        all of them, less those only met in tests that run on codes."""
+        if self._dictionary(dictionaries) is not None:
+            return frozenset()
+        children = self.children()
+        if not children:
+            return self.referenced_columns()
+        return frozenset().union(*(c.value_columns(dictionaries) for c in children))
+
+    def _literal_test(self) -> tuple[str, Sequence[object]] | None:
+        """``(column, literals)`` if this node tests one against the other."""
+        return None
+
+    def _dictionary(self, dictionaries: Dictionaries) -> tuple[str, np.ndarray, np.ndarray] | None:
+        """``(column, codes, categories)`` if this node can run on codes.
+
+        It must test a dictionary-backed column against literals of its
+        categories' type: how numpy compares a string array with a number
+        (or the reverse) is left to value evaluation.
+        """
+        test = self._literal_test()
+        entry = dictionaries.get(test[0]) if dictionaries and test else None
+        if entry is None or entry[1].dtype.kind not in "Uiuf":
+            return None
+        wanted = (str,) if entry[1].dtype.kind == "U" else (int, float, np.integer, np.floating)
+        if all(isinstance(v, wanted) and not isinstance(v, bool) for v in test[1]):
+            return test[0], *entry
+        return None
+
+    def _on_codes(self, dictionaries: Dictionaries) -> np.ndarray | None:
+        """This test decided per category, carried to the rows by the codes."""
+        coded = self._dictionary(dictionaries)
+        if coded is None:
+            return None
+        name, codes, categories = coded
+        truth = self.evaluate({name: categories})
+        hits = np.flatnonzero(truth)
+        return codes == hits[0] if len(hits) == 1 else truth.take(codes)
 
     @abc.abstractmethod
     def to_sql(self) -> str:
@@ -97,7 +151,7 @@ class Col(Expression):
 
     name: str
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
         try:
             return columns[self.name]
         except KeyError:
@@ -116,11 +170,8 @@ class Lit(Expression):
 
     value: object
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
         return np.asarray(self.value)
-
-    def referenced_columns(self) -> frozenset[str]:
-        return frozenset()
 
     def to_sql(self) -> str:
         return _sql_literal(self.value)
@@ -138,14 +189,23 @@ class Comparison(Expression):
         if self.op not in _COMPARISON_OPS:
             raise QueryError(f"unknown comparison operator {self.op!r}")
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
+    def _literal_test(self) -> tuple[str, Sequence[object]] | None:
+        if isinstance(self.left, Col) and isinstance(self.right, Lit):
+            return self.left.name, (self.right.value,)
+        return None
+
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        coded = self._on_codes(dictionaries)
+        if coded is not None:
+            return coded
         result = _COMPARISON_OPS[self.op](
-            self.left.evaluate(columns), self.right.evaluate(columns)
+            self.left.evaluate(columns, dictionaries),
+            self.right.evaluate(columns, dictionaries),
         )
         return np.asarray(result, dtype=bool)
 
-    def referenced_columns(self) -> frozenset[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
     def to_sql(self) -> str:
         return f"{self.left.to_sql()} {self.op} {self.right.to_sql()}"
@@ -163,13 +223,14 @@ class Arithmetic(Expression):
         if self.op not in _ARITHMETIC_OPS:
             raise QueryError(f"unknown arithmetic operator {self.op!r}")
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
         return _ARITHMETIC_OPS[self.op](
-            self.left.evaluate(columns), self.right.evaluate(columns)
+            self.left.evaluate(columns, dictionaries),
+            self.right.evaluate(columns, dictionaries),
         )
 
-    def referenced_columns(self) -> frozenset[str]:
-        return self.left.referenced_columns() | self.right.referenced_columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.left, self.right)
 
     def to_sql(self) -> str:
         return f"({self.left.to_sql()} {self.op} {self.right.to_sql()})"
@@ -185,14 +246,14 @@ class And(Expression):
         if len(self.operands) < 2:
             raise QueryError("AND requires at least two operands")
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        result = self.operands[0].evaluate(columns).astype(bool)
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        result = self.operands[0].evaluate(columns, dictionaries).astype(bool)
         for operand in self.operands[1:]:
-            result = result & operand.evaluate(columns)
+            result = result & operand.evaluate(columns, dictionaries)
         return result
 
-    def referenced_columns(self) -> frozenset[str]:
-        return frozenset().union(*(o.referenced_columns() for o in self.operands))
+    def children(self) -> tuple[Expression, ...]:
+        return self.operands
 
     def to_sql(self) -> str:
         return "(" + " AND ".join(o.to_sql() for o in self.operands) + ")"
@@ -208,14 +269,14 @@ class Or(Expression):
         if len(self.operands) < 2:
             raise QueryError("OR requires at least two operands")
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        result = self.operands[0].evaluate(columns).astype(bool)
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        result = self.operands[0].evaluate(columns, dictionaries).astype(bool)
         for operand in self.operands[1:]:
-            result = result | operand.evaluate(columns)
+            result = result | operand.evaluate(columns, dictionaries)
         return result
 
-    def referenced_columns(self) -> frozenset[str]:
-        return frozenset().union(*(o.referenced_columns() for o in self.operands))
+    def children(self) -> tuple[Expression, ...]:
+        return self.operands
 
     def to_sql(self) -> str:
         return "(" + " OR ".join(o.to_sql() for o in self.operands) + ")"
@@ -227,11 +288,11 @@ class Not(Expression):
 
     operand: Expression
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        return ~self.operand.evaluate(columns).astype(bool)
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        return ~self.operand.evaluate(columns, dictionaries).astype(bool)
 
-    def referenced_columns(self) -> frozenset[str]:
-        return self.operand.referenced_columns()
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
     def to_sql(self) -> str:
         return f"NOT ({self.operand.to_sql()})"
@@ -248,12 +309,18 @@ class In(Expression):
         if not self.values:
             raise QueryError("IN requires at least one value")
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        arr = self.operand.evaluate(columns)
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        coded = self._on_codes(dictionaries)
+        if coded is not None:
+            return coded
+        arr = self.operand.evaluate(columns, dictionaries)
         return np.isin(arr, np.asarray(self.values))
 
-    def referenced_columns(self) -> frozenset[str]:
-        return self.operand.referenced_columns()
+    def _literal_test(self) -> tuple[str, Sequence[object]] | None:
+        return (self.operand.name, self.values) if isinstance(self.operand, Col) else None
+
+    def children(self) -> tuple[Expression, ...]:
+        return (self.operand,)
 
     def to_sql(self) -> str:
         rendered = ", ".join(_sql_literal(v) for v in self.values)
@@ -272,16 +339,16 @@ class CaseWhen(Expression):
     then: Expression
     otherwise: Expression
 
-    def evaluate(self, columns: ColumnValues) -> np.ndarray:
-        cond = self.condition.evaluate(columns).astype(bool)
-        return np.where(cond, self.then.evaluate(columns), self.otherwise.evaluate(columns))
-
-    def referenced_columns(self) -> frozenset[str]:
-        return (
-            self.condition.referenced_columns()
-            | self.then.referenced_columns()
-            | self.otherwise.referenced_columns()
+    def evaluate(self, columns: ColumnValues, dictionaries: Dictionaries = None) -> np.ndarray:
+        cond = self.condition.evaluate(columns, dictionaries).astype(bool)
+        return np.where(
+            cond,
+            self.then.evaluate(columns, dictionaries),
+            self.otherwise.evaluate(columns, dictionaries),
         )
+
+    def children(self) -> tuple[Expression, ...]:
+        return (self.condition, self.then, self.otherwise)
 
     def to_sql(self) -> str:
         return (

@@ -1,15 +1,18 @@
-"""Hash aggregation with a distinct-group memory budget and multi-pass spill.
+"""Hash aggregation with a distinct-group memory budget and a charged spill.
 
 The paper's "Combine Multiple GROUP BYs" optimization (§4.1) hinges on a
 property of real aggregation engines: grouping is fast while the hash table
 fits in memory and degrades sharply once it does not (Figure 8a shows the
 cliff at ~10^4 distinct groups for their row store and ~10^2 for the column
-store).  This module reproduces that mechanism: when the *estimated* group
-cardinality (product of per-attribute distinct counts, capped at the row
-count — the same upper bound the paper uses) exceeds the budget, aggregation
-falls back to multi-pass range partitioning, each pass re-reading its share
-of the input.  The executor charges the extra passes as additional scan
-bytes, which is what produces the latency cliff.
+store).  This module reproduces that cliff as a *cost*, not as work: when
+the estimated group cardinality (product of per-attribute distinct counts,
+capped at the row count — the same upper bound the paper uses) exceeds the
+budget, the result reports the passes a Grace-style spill would re-read
+(``spill_passes``), the executor charges them as scan bytes, and the cost
+model's latency shows the cliff.  The aggregation itself always runs once:
+range partitions keep key order and each group's row order, so partitioning
+for real would return the same arrays bit for bit, only later.
+:class:`~repro.db.streaming.StreamingGroupAggregator` charges the same way.
 """
 
 from __future__ import annotations
@@ -27,16 +30,16 @@ from repro.exceptions import QueryError
 #: product fits comfortably in int64.
 _MAX_STRIDE_PRODUCT = 2**62
 
-#: Partitioning fan-out of the simulated Grace-style spill: each recursion
+#: Partitioning fan-out of the modelled Grace-style spill: each recursion
 #: level splits the key space 32 ways and re-reads its input once (write +
 #: read charged as two data passes per level).
 _SPILL_FANOUT = 32
 
 #: Cap on the dense-grouping fast path: when the stride-encoded composite
-#: key space has at most this many slots (and fits the group budget), rows
-#: are aggregated with O(n) ``np.bincount`` over the full dense domain
-#: instead of the O(n log n) ``np.unique`` sort.  The low-cardinality
-#: dimensions of the SeeDB view space land here almost always.
+#: key space has at most this many slots (and an in-core table fits the
+#: group budget), rows are aggregated with O(n) ``np.bincount`` over the
+#: dense domain instead of the O(n log n) ``np.unique`` sort.  The
+#: low-cardinality dimensions of the SeeDB view space land here almost always.
 _DENSE_GROUP_LIMIT = 1 << 16
 
 
@@ -51,6 +54,14 @@ def spill_data_passes(n_partitions: int) -> int:
         return 0
     levels = math.ceil(math.log(n_partitions) / math.log(_SPILL_FANOUT))
     return 2 * max(levels, 1)
+
+
+def charged_spill_passes(estimate: int, budget: int | None) -> int:
+    """Extra input passes charged for grouping ``estimate`` groups under
+    ``budget``: those of a spill into ``ceil(estimate / budget)`` partitions."""
+    if budget is None or budget <= 0:
+        return 0
+    return spill_data_passes(math.ceil(estimate / budget))
 
 
 @dataclass(frozen=True)
@@ -80,8 +91,6 @@ class GroupResult:
     #: Extra input passes charged for the budget-forced spill (0 = in-core;
     #: logarithmic in the partition count, see :func:`spill_data_passes`).
     spill_passes: int
-    #: Number of physical partitions the input was processed in.
-    n_partitions: int
     #: Estimated distinct-group cardinality used for the budget decision.
     estimated_groups: int
 
@@ -130,6 +139,7 @@ def _dense_group_result(
     composite: np.ndarray,
     product: int,
     estimate: int,
+    spill_passes: int,
 ) -> GroupResult:
     """O(n) dense aggregation over the full stride-encoded key domain.
 
@@ -150,13 +160,14 @@ def _dense_group_result(
     return GroupResult(
         key_values=key_values,
         aggregate_values=[
-            compute_group_aggregate(func, composite, product, values)[occupied]
+            compute_group_aggregate(func, composite, product, values, counts_full)[
+                occupied
+            ]
             for func, values in aggregate_inputs
         ],
         group_counts=counts_full[occupied],
         n_groups=len(occupied),
-        spill_passes=0,
-        n_partitions=1,
+        spill_passes=spill_passes,
         estimated_groups=estimate,
     )
 
@@ -173,13 +184,14 @@ def group_aggregate(
 
     All input arrays must be row-aligned (the executor filters them by the
     WHERE mask first).  ``budget`` is the distinct-group memory budget; when
-    the estimated cardinality exceeds it, input is processed in
-    ``ceil(estimate / budget)`` range partitions of the composite key space,
-    and the number of *extra* passes is reported in ``spill_passes``.
+    the estimated cardinality exceeds it, ``spill_passes`` reports the extra
+    input passes a spill into ``ceil(estimate / budget)`` partitions is
+    charged (see the module docstring) — the arrays returned are those of
+    the unbudgeted call.
 
-    In-core aggregation picks between two equivalent plans: when the
-    stride-encoded composite key space fits the group budget (capped at
-    ``dense_limit``, defaulting to the static ``_DENSE_GROUP_LIMIT``) rows
+    Aggregation picks between two equivalent plans: when the stride-encoded
+    composite key space has at most ``dense_limit`` slots (default
+    ``_DENSE_GROUP_LIMIT``; an in-core table must also fit the budget) rows
     are aggregated densely in O(n) with ``np.bincount`` — the common SeeDB
     case of low-cardinality dimensions — otherwise the sparse ``np.unique``
     sort path runs.  The two plans are bitwise-equal, so the workload
@@ -207,93 +219,31 @@ def group_aggregate(
             group_counts=np.empty(0, dtype=np.int64),
             n_groups=0,
             spill_passes=0,
-            n_partitions=1,
             estimated_groups=0,
         )
 
     composite = _encode_composite(key_columns)
-    if budget is not None and budget > 0 and estimate > budget:
-        n_passes = math.ceil(estimate / budget)
-    else:
-        n_passes = 1
-
-    if n_passes == 1:
-        product = math.prod(max(kc.n_categories, 1) for kc in key_columns)
-        limit = dense_limit if dense_limit is not None and dense_limit > 0 else _DENSE_GROUP_LIMIT
-        dense_cap = min(budget, limit) if budget is not None and budget > 0 else limit
-        if allow_dense and product <= dense_cap:
-            return _dense_group_result(
-                key_columns, aggregate_inputs, composite, product, estimate
-            )
-        # Sparse single-partition path: np.unique output is already sorted
-        # by composite key, so the multi-pass argsort + concatenate below
-        # would be an identity permutation — skip it (and the fancy-indexed
-        # copies a one-element partition list would force).
-        uniq, rep_rows, inverse = np.unique(
-            composite, return_index=True, return_inverse=True
+    spill_passes = charged_spill_passes(estimate, budget)
+    product = math.prod(max(kc.n_categories, 1) for kc in key_columns)
+    dense_cap = dense_limit if dense_limit is not None and dense_limit > 0 else _DENSE_GROUP_LIMIT
+    if budget is not None and budget > 0 and not spill_passes:
+        # An in-core table has to fit the budget; a spilled one is charged for.
+        dense_cap = min(dense_cap, budget)
+    if allow_dense and product <= dense_cap:
+        return _dense_group_result(
+            key_columns, aggregate_inputs, composite, product, estimate, spill_passes
         )
-        n_groups = len(uniq)
-        return GroupResult(
-            key_values={
-                kc.name: kc.categories[kc.codes[rep_rows]] for kc in key_columns
-            },
-            aggregate_values=[
-                compute_group_aggregate(func, inverse, n_groups, values)
-                for func, values in aggregate_inputs
-            ],
-            group_counts=np.bincount(inverse, minlength=n_groups),
-            n_groups=n_groups,
-            spill_passes=0,
-            n_partitions=1,
-            estimated_groups=estimate,
-        )
-
-    # Range-partition the composite key space so each pass's hash table
-    # stays within budget (real systems hash-partition; range keeps the
-    # final output globally sorted for free).
-    lo, hi = int(composite.min()), int(composite.max())
-    span = hi - lo + 1
-    width = max(1, math.ceil(span / n_passes))
-    bucket = (composite - lo) // width
-    order = np.argsort(bucket, kind="stable")
-    boundaries = np.searchsorted(bucket[order], np.arange(1, n_passes))
-    partitions = [p for p in np.split(order, boundaries) if len(p)]
-
-    key_value_parts: dict[str, list[np.ndarray]] = {kc.name: [] for kc in key_columns}
-    agg_parts: list[list[np.ndarray]] = [[] for _ in aggregate_inputs]
-    count_parts: list[np.ndarray] = []
-    composite_parts: list[np.ndarray] = []
-    total_groups = 0
-
-    for part in partitions:
-        comp_part = composite[part]
-        uniq, rep_local, inverse = np.unique(
-            comp_part, return_index=True, return_inverse=True
-        )
-        n_groups = len(uniq)
-        total_groups += n_groups
-        rep_rows = part[rep_local]
-        for kc in key_columns:
-            key_value_parts[kc.name].append(kc.categories[kc.codes[rep_rows]])
-        counts = np.bincount(inverse, minlength=n_groups)
-        count_parts.append(counts)
-        composite_parts.append(uniq)
-        for j, (func, values) in enumerate(aggregate_inputs):
-            part_values = values[part] if values is not None else None
-            agg_parts[j].append(
-                compute_group_aggregate(func, inverse, n_groups, part_values)
-            )
-
-    all_composites = np.concatenate(composite_parts)
-    order = np.argsort(all_composites, kind="stable")
+    uniq, rep_rows, inverse = np.unique(composite, return_index=True, return_inverse=True)
+    n_groups = len(uniq)
+    counts = np.bincount(inverse, minlength=n_groups)
     return GroupResult(
-        key_values={
-            name: np.concatenate(parts)[order] for name, parts in key_value_parts.items()
-        },
-        aggregate_values=[np.concatenate(parts)[order] for parts in agg_parts],
-        group_counts=np.concatenate(count_parts)[order],
-        n_groups=total_groups,
-        spill_passes=spill_data_passes(n_passes),
-        n_partitions=len(partitions),
+        key_values={kc.name: kc.categories[kc.codes[rep_rows]] for kc in key_columns},
+        aggregate_values=[
+            compute_group_aggregate(func, inverse, n_groups, values, counts)
+            for func, values in aggregate_inputs
+        ],
+        group_counts=counts,
+        n_groups=n_groups,
+        spill_passes=spill_passes,
         estimated_groups=estimate,
     )

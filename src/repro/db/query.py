@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 
-from repro.db.expressions import Expression
+from repro.db.expressions import Dictionaries, Expression
 from repro.exceptions import QueryError
 
 
@@ -121,9 +122,19 @@ class AggregateQuery:
             if start < 0 or stop < start:
                 raise QueryError(f"bad row range: {self.row_range}")
 
-    @property
+    @cached_property
     def derived_aliases(self) -> frozenset[str]:
         return frozenset(d.alias for d in self.derived)
+
+    def base_dictionaries(self, dictionaries: Dictionaries) -> Dictionaries:
+        """``dictionaries`` less the columns a derived alias shadows.
+
+        A name this query redefines may mean the derived values, so none of
+        its expressions may read that name's base-column codes.
+        """
+        if not dictionaries or self.derived_aliases.isdisjoint(dictionaries):
+            return dictionaries
+        return {n: d for n, d in dictionaries.items() if n not in self.derived_aliases}
 
     def base_columns_needed(self) -> frozenset[str]:
         """Physical table columns the executor must scan for this query."""
@@ -133,22 +144,27 @@ class AggregateQuery:
                 needed.add(name)
         return frozenset(needed | self.value_columns_needed())
 
-    def value_columns_needed(self) -> frozenset[str]:
+    def value_columns_needed(self, dictionaries: Dictionaries = None) -> frozenset[str]:
         """Base columns whose *values* feed expressions or aggregates.
 
         The complement of this within :meth:`base_columns_needed` is the
-        pure group-by keys — columns the executor only ever consumes as
-        dictionary codes, which dictionary-encoded storage serves without
-        decoding a single value (see ``StorageEngine.scan``'s
-        ``skip_materialize``).
+        columns the executor only ever consumes as dictionary codes — pure
+        group-by keys and, given the ``dictionaries`` of the
+        dictionary-backed columns, those only tested against literals —
+        which dictionary-encoded storage serves without decoding a single
+        value (see ``StorageEngine.scan``'s ``skip_materialize``).
         """
+        dictionaries = self.base_dictionaries(dictionaries)
         needed: set[str] = set()
         for spec in self.aggregates:
-            needed |= spec.referenced_columns() - self.derived_aliases
+            if isinstance(spec.argument, Expression):
+                needed |= spec.argument.value_columns(dictionaries) - self.derived_aliases
+            else:
+                needed |= spec.referenced_columns() - self.derived_aliases
         if self.predicate is not None:
-            needed |= self.predicate.referenced_columns() - self.derived_aliases
+            needed |= self.predicate.value_columns(dictionaries) - self.derived_aliases
         for d in self.derived:
-            needed |= d.expression.referenced_columns()
+            needed |= d.expression.value_columns(dictionaries)
         return frozenset(needed)
 
     def with_range(self, start: int, stop: int) -> "AggregateQuery":

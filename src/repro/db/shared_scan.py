@@ -40,9 +40,11 @@ import numpy as np
 
 from repro.config import ExecutionStats
 from repro.db.executor import (
+    aggregate_inputs_of,
     build_query_result,
     dict_key_only_columns,
-    global_group_key,
+    group_key_columns,
+    hashable,
     tally_aggregation,
 )
 from repro.db.expressions import Expression
@@ -55,14 +57,6 @@ from repro.exceptions import QueryError
 #: Runs ``fn`` over ``items`` concurrently, preserving order — the shape the
 #: parallel dispatcher hands in so grouping fans out onto its pool.
 Fanout = Callable[[Callable[[object], object], Sequence[object]], list[object]]
-
-
-def _hashable(obj: object) -> bool:
-    try:
-        hash(obj)
-    except TypeError:
-        return False
-    return True
 
 
 def _spread_scan_stats(scan: ExecutionStats, targets: list[ExecutionStats]) -> None:
@@ -255,13 +249,14 @@ class SharedScanExecutor:
         base_columns = sorted(
             set().union(*(queries[i].base_columns_needed() for i in indices))
         )
-        value_columns = frozenset(
-            set().union(*(queries[i].value_columns_needed() for i in indices))
+        # Literal tests on dictionary-backed columns run on these codes: a
+        # column read no other way is charged for its pages but never decoded.
+        dictionaries = self.store.table.dictionaries(base_columns, start, stop)
+        value_columns = frozenset().union(
+            *(queries[i].value_columns_needed(dictionaries) for i in indices)
         )
         skip = dict_key_only_columns(self.store.table, base_columns, value_columns)
-        arrays = dict(
-            self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
-        )
+        arrays = self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
         # Skipped dict-encoded key columns still count as base names: they
         # were scanned (codes), just never decoded into value arrays.
         base_names = frozenset(arrays) | skip
@@ -283,6 +278,7 @@ class SharedScanExecutor:
             q_base = (
                 base_names - query.derived_aliases if query.derived else base_names
             )
+            q_dictionaries = query.base_dictionaries(dictionaries)
 
             # Derived columns: one evaluation per distinct expression over
             # base columns; expressions chaining off derived aliases (or
@@ -295,16 +291,16 @@ class SharedScanExecutor:
                 for derived in query.derived:
                     expr = derived.expression
                     shareable = (
-                        expr.referenced_columns() <= q_base and _hashable(expr)
+                        expr.referenced_columns() <= q_base and hashable(expr)
                     )
                     if shareable:
                         values = derived_values.get(expr)
                         if values is None:
-                            values = np.asarray(expr.evaluate(arrays))
+                            values = np.asarray(expr.evaluate(arrays, dictionaries))
                             derived_values[expr] = values
                         shared_exprs[derived.alias] = expr
                     else:
-                        values = np.asarray(expr.evaluate(q_arrays))
+                        values = np.asarray(expr.evaluate(q_arrays, q_dictionaries))
                     q_arrays[derived.alias] = values
 
             # WHERE selector: one evaluation per distinct base-only predicate.
@@ -312,34 +308,37 @@ class SharedScanExecutor:
             if predicate is None:
                 selector = None
                 pred_token: object = None
-            elif predicate.referenced_columns() <= q_base and _hashable(predicate):
+            elif predicate.referenced_columns() <= q_base and hashable(predicate):
                 pred_token = predicate
                 selector = selectors.get(predicate)
                 if selector is None:
-                    mask = predicate.evaluate(arrays).astype(bool)
+                    mask = predicate.evaluate(arrays, dictionaries).astype(bool)
                     selector = np.flatnonzero(mask)
                     selectors[predicate] = selector
             else:
                 pred_token = object()  # unique token: no cross-query sharing
-                mask = predicate.evaluate(q_arrays).astype(bool)
+                mask = predicate.evaluate(q_arrays, q_dictionaries).astype(bool)
                 selector = np.flatnonzero(mask)
             n_filtered = len(selector) if selector is not None else (stop - start)
 
-            key_columns = self._key_columns(
+            key_columns = group_key_columns(
+                self.store,
                 query,
                 q_arrays,
-                shared_exprs,
+                dictionaries,
                 start,
                 stop,
                 selector,
+                shared_exprs,
                 pred_token,
                 filtered_codes,
                 derived_keys,
             )
-            aggregate_inputs = self._aggregate_inputs(
+            aggregate_inputs = aggregate_inputs_of(
                 query,
                 q_arrays,
                 q_base,
+                q_dictionaries,
                 shared_exprs,
                 selector,
                 pred_token,
@@ -347,104 +346,6 @@ class SharedScanExecutor:
                 filtered_args,
             )
             prepared[i] = _PreparedQuery(query, key_columns, aggregate_inputs, n_filtered)
-
-    def _key_columns(
-        self,
-        query: AggregateQuery,
-        arrays: dict[str, np.ndarray],
-        shared_exprs: dict[str, Expression],
-        start: int,
-        stop: int,
-        selector: np.ndarray | None,
-        pred_token: object,
-        filtered_codes: dict[tuple[str, object], np.ndarray],
-        derived_keys: dict[tuple[object, object], tuple[np.ndarray, np.ndarray]],
-    ) -> list[GroupKeyColumn]:
-        key_columns: list[GroupKeyColumn] = []
-        for name in query.group_by:
-            if name in query.derived_aliases:
-                expr = shared_exprs.get(name)
-                cache_key = (expr, pred_token) if expr is not None else None
-                cached = derived_keys.get(cache_key) if cache_key else None
-                if cached is None:
-                    values = arrays[name]
-                    if selector is not None:
-                        values = values[selector]
-                    categories, codes = np.unique(values, return_inverse=True)
-                    cached = (codes.astype(np.int32), categories)
-                    if cache_key is not None:
-                        derived_keys[cache_key] = cached
-                key_columns.append(GroupKeyColumn(name, cached[0], cached[1]))
-            else:
-                sliced, categories = self.store.dictionary_slice(
-                    name, start, stop, values=arrays.get(name)
-                )
-                if selector is not None:
-                    codes = filtered_codes.get((name, pred_token))
-                    if codes is None:
-                        codes = sliced[selector]
-                        filtered_codes[(name, pred_token)] = codes
-                    sliced = codes
-                key_columns.append(GroupKeyColumn(name, sliced, categories))
-        if not key_columns:
-            # Global aggregate: a single synthetic group.
-            n = len(selector) if selector is not None else (stop - start)
-            key_columns.append(global_group_key(n))
-        return key_columns
-
-    def _aggregate_inputs(
-        self,
-        query: AggregateQuery,
-        arrays: dict[str, np.ndarray],
-        q_base: frozenset[str],
-        shared_exprs: dict[str, Expression],
-        selector: np.ndarray | None,
-        pred_token: object,
-        arg_values: dict[Expression, np.ndarray],
-        filtered_args: dict[tuple[object, object], np.ndarray],
-    ) -> list[tuple[object, np.ndarray | None]]:
-        # Cache tokens are type-tagged: a bare column, a derived alias (keyed
-        # by its *expression* — two queries may reuse one alias for different
-        # expressions), and an expression argument (cached as float64) must
-        # never share a filtered-array cache slot.  ``None`` = private.
-        # ``q_base`` excludes this query's derived aliases, so an alias
-        # shadowing a base column is routed to its expression token, never to
-        # the base column's slot.
-        inputs: list[tuple[object, np.ndarray | None]] = []
-        for spec in query.aggregates:
-            token: object = None
-            if spec.argument is None:
-                inputs.append((spec.func, None))
-                continue
-            if isinstance(spec.argument, str):
-                values = arrays[spec.argument]
-                if spec.argument in query.derived_aliases:
-                    shared = shared_exprs.get(spec.argument)
-                    if shared is not None:
-                        token = ("derived", shared)
-                elif spec.argument in q_base:
-                    token = ("col", spec.argument)
-            else:
-                expr = spec.argument
-                if expr.referenced_columns() <= q_base and _hashable(expr):
-                    values = arg_values.get(expr)
-                    if values is None:
-                        values = np.asarray(expr.evaluate(arrays), dtype=np.float64)
-                        arg_values[expr] = values
-                    token = ("expr", expr)
-                else:
-                    values = np.asarray(expr.evaluate(arrays), dtype=np.float64)
-            if selector is not None:
-                if token is not None:
-                    filtered = filtered_args.get((token, pred_token))
-                    if filtered is None:
-                        filtered = values[selector]
-                        filtered_args[(token, pred_token)] = filtered
-                    values = filtered
-                else:
-                    values = values[selector]
-            inputs.append((spec.func, values))
-        return inputs
 
     # ------------------------------------------------------------------ #
     # per-query job (read-only over shared state; safe to fan out)

@@ -57,8 +57,8 @@ from repro.db.groupby import (
     GroupKeyColumn,
     GroupResult,
     _encode_composite,
+    charged_spill_passes,
     estimate_group_cardinality,
-    spill_data_passes,
 )
 from repro.db.query import AggregateFunction
 from repro.exceptions import QueryError
@@ -561,24 +561,18 @@ class StreamingGroupAggregator:
                 group_counts=np.empty(0, dtype=np.int64),
                 n_groups=0,
                 spill_passes=0,
-                n_partitions=1,
                 estimated_groups=0,
             )
         # Accounting parity with the one-shot path: same cardinality
         # estimate (global counts for physical dims, the range's distinct
         # set for derived keys), hence the same spill-pass charge.
         estimate = estimate_group_cardinality(self._category_counts, self.total_rows)
-        if self.budget is not None and self.budget > 0 and estimate > self.budget:
-            n_passes = math.ceil(estimate / self.budget)
-        else:
-            n_passes = 1
         return GroupResult(
             key_values=key_values,
             aggregate_values=self._finalize_aggregates(counts, partials),
             group_counts=counts,
             n_groups=n_groups,
-            spill_passes=spill_data_passes(n_passes) if n_passes > 1 else 0,
-            n_partitions=n_passes,
+            spill_passes=charged_spill_passes(estimate, self.budget),
             estimated_groups=estimate,
         )
 

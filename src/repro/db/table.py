@@ -595,6 +595,19 @@ class Table:
         codes = np.searchsorted(categories, values).astype(np.int32, copy=False)
         return codes, categories
 
+    def dictionaries(
+        self, names: Iterable[str], start: int, stop: int
+    ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+        """:meth:`codes_range` of each *dictionary-backed* column in ``names``:
+        stored as codes, or its global dictionary already cached — a slice,
+        not an encoding.  Expressions test literals on these, not on values."""
+        return {
+            name: self.codes_range(name, start, stop)
+            for name in names
+            if name in self._dictionaries
+            or (name in self._columns and self._columns[name].is_dict_encoded)
+        }
+
     def distinct_count(self, name: str) -> int:
         """Number of distinct values in a column (via the dictionary)."""
         return len(self.categories(name))

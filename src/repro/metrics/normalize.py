@@ -22,13 +22,12 @@ def normalize_distribution(values: np.ndarray) -> np.ndarray:
     every entry is zero the result is uniform — two all-zero summaries are
     indistinguishable, and uniform keeps every metric finite.
     """
-    arr = np.asarray(values, dtype=np.float64).copy()
+    arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise MetricError(f"distribution must be 1-D, got shape {arr.shape}")
     if arr.size == 0:
         raise MetricError("cannot normalize an empty summary")
-    arr[~np.isfinite(arr)] = 0.0
-    np.clip(arr, 0.0, None, out=arr)
+    arr = np.maximum(np.where(np.isfinite(arr), arr, 0.0), 0.0)
     total = arr.sum()
     if total <= 0.0:
         return np.full(arr.shape, 1.0 / arr.size)

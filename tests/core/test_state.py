@@ -9,7 +9,7 @@ from repro.core.state import SidePartial, ViewState
 from repro.core.view import AggregateView
 from repro.db.query import AggregateFunction
 from repro.exceptions import RecommendationError
-from repro.metrics import get_metric
+from repro.metrics import get_metric, list_metrics
 
 EMD = get_metric("emd")
 CATS = np.array(["a", "b", "c"])
@@ -88,6 +88,27 @@ class TestViewState:
         first = state.record_estimate(EMD)
         second = state.record_estimate(EMD)
         assert state.estimates == [first, second]
+
+    @pytest.mark.parametrize("metric_name", list_metrics())
+    @pytest.mark.parametrize("func", list(AggregateFunction))
+    def test_estimate_is_the_utility_value_bitwise(self, metric_name, func):
+        """record_estimate skips the distributions, not a bit of the value."""
+        metric = get_metric(metric_name)
+        rng = np.random.default_rng(11)
+        state = _state(func)
+        assert state.record_estimate(metric) == state.utility(metric)[0] == 0.0
+        for phase in range(4):
+            keys = CATS[rng.random(3) < 0.7]
+            n = len(keys)
+            state.update_target(keys, rng.normal(2.0, 3.0, n), rng.integers(1, 9, n))
+            if phase:  # the reference side stays empty for one phase
+                state.update_reference(CATS, rng.normal(2.0, 3.0, 3), rng.integers(1, 9, 3))
+            estimate = state.record_estimate(metric)
+            value, dists = state.utility(metric)
+            assert np.float64(estimate).tobytes() == np.float64(value).tobytes()
+            assert (estimate == 0.0) or phase
+            assert len(dists.keys) == len(dists.target) == len(dists.reference)
+        assert len(state.estimates) == 5
 
     def test_keys_map_through_dictionary(self):
         state = _state(AggregateFunction.SUM)

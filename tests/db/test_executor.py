@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.db import expressions as E
-from repro.db.executor import QueryExecutor
+from repro.db.executor import QueryExecutor, factorize_key
 from repro.db.query import (
     AggregateFunction,
     AggregateQuery,
@@ -297,6 +297,32 @@ class TestSpillPath:
 
 class TestDerivedGroupKeys:
     """Derived (computed) columns used as GROUP BY keys."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.array([0, 1, 1, 0, 1]),
+            np.array([1, 1, 1]),  # a flag every row of the range shares
+            np.array([3, 0, 2, 2, 0], dtype=np.int32),  # two-bit flag, gap at 1
+            np.array([True, False, True]),
+            np.array([False, False]),
+            np.array([5, 1023, 7]),  # the largest value still remapped
+            np.array([5, 1024, 7]),  # too wide, negative, non-integer,
+            np.array([-1, 0, 1]),  # empty and scalar inputs take the sort
+            np.array([0.5, 0.25, 0.5]),
+            np.array(["b", "a", "b"]),
+            np.array([], dtype=np.int64),
+            np.asarray(1),
+        ],
+        ids=repr,
+    )
+    def test_factorize_key_is_np_unique(self, values):
+        categories, codes = np.unique(values, return_inverse=True)
+        got_codes, got_categories = factorize_key(values)
+        assert got_codes.dtype == np.int32
+        assert got_codes.tolist() == codes.tolist()
+        assert got_categories.dtype == categories.dtype
+        assert got_categories.tolist() == categories.tolist()
 
     @staticmethod
     def _age_bucket():

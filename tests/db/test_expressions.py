@@ -158,3 +158,108 @@ def test_between_is_conjunction_of_bounds(values, low, high):
     result = E.between("v", low, high).evaluate(cols)
     expected = (np.asarray(values) >= low) & (np.asarray(values) <= high)
     np.testing.assert_array_equal(result, expected)
+
+
+# --------------------------------------------------------------------------- #
+# code-space evaluation: dictionaries change the route, never the result
+# --------------------------------------------------------------------------- #
+
+
+def _coded_table(tmp_path=None):
+    """A table with string, int and float columns; memmap-backed if a path."""
+    from repro.db import chunks
+    from repro.db.table import Table
+
+    rng = np.random.default_rng(5)
+    n = 400
+    table = Table(
+        "t",
+        {
+            "s": rng.choice(["x", "y", "it's", "zz"], n),
+            "t": rng.choice(["p", "q"], n),
+            "i": rng.integers(0, 7, n),
+            "f": rng.normal(size=n),
+        },
+    )
+    if tmp_path is None:
+        for name in ("s", "t", "i"):
+            table.dictionary(name)  # what grouping on a dimension leaves cached
+        return table
+    chunks.write_table(table, tmp_path / "ds", chunk_rows=64)
+    return chunks.open_table(tmp_path / "ds")
+
+
+_SHAPES = {
+    "eq present": E.eq("s", "x"),
+    "eq absent": E.eq("s", "nope"),
+    "neq present": E.neq("s", "it's"),
+    "neq absent": E.neq("s", "nope"),
+    "eq wrong type": E.eq("s", 3),
+    "int eq": E.eq("i", 3),
+    "int eq float literal": E.eq("i", 3.0),
+    "int eq wrong type": E.eq("i", "3"),
+    "int eq bool literal": E.eq("i", True),
+    "ordering on codes": E.Comparison("<", E.col("s"), E.lit("y")),
+    "literal on the left": E.between("i", 2, 4),
+    "in present and absent": E.isin("s", ["x", "nope", "zz"]),
+    "in all absent": E.isin("s", ["nope"]),
+    "in mixed types": E.isin("s", ["x", 3]),
+    "in ints": E.isin("i", [0, 6, 9]),
+    "float column": E.Comparison(">", E.col("f"), E.lit(0.0)),
+    "column vs column": E.Comparison("=", E.col("s"), E.col("t")),
+    "and": E.And((E.eq("s", "x"), E.eq("t", "p"), E.Comparison(">", E.col("f"), E.lit(0.0)))),
+    "or": E.Or((E.eq("s", "x"), E.eq("t", "nope"))),
+    "not": E.Not(E.isin("s", ["y", "zz"])),
+    "case flag": E.CaseWhen(E.eq("s", "x"), E.lit(1), E.lit(0)),
+    "case value": E.CaseWhen(E.eq("t", "p"), E.col("f"), E.lit(0.0)),
+    "nested case": E.CaseWhen(
+        E.eq("s", "x"),
+        E.CaseWhen(E.neq("t", "p"), E.lit(2), E.lit(1)),
+        E.CaseWhen(E.isin("i", [1, 2]), E.col("i"), E.lit(-1)),
+    ),
+    "two-bit flag": E.Arithmetic(
+        "+",
+        E.Arithmetic("*", E.lit(2), E.CaseWhen(E.eq("s", "x"), E.lit(1), E.lit(0))),
+        E.CaseWhen(E.eq("t", "q"), E.lit(1), E.lit(0)),
+    ),
+    "constant": E.true(),
+}
+
+
+@pytest.mark.parametrize("backing", ["resident", "memmap"])
+@pytest.mark.parametrize("shape", list(_SHAPES))
+def test_code_space_equals_value_evaluation(shape, backing, tmp_path):
+    from repro.db.storage import make_store
+
+    expr = _SHAPES[shape]
+    table = _coded_table(tmp_path if backing == "memmap" else None)
+    store = make_store("col", table)
+    start, stop = 37, 311
+    values = store.scan(list(table.column_names), start, stop)
+    dictionaries = table.dictionaries(table.column_names, start, stop)
+    # The float column is never dictionary-backed; the int one only where a
+    # dictionary is already cached (the chunk store encodes strings only).
+    assert set(dictionaries) == ({"s", "t", "i"} if backing == "resident" else {"s", "t"})
+
+    expected = np.asarray(expr.evaluate(values))
+    needed = expr.value_columns(dictionaries)
+    assert needed <= expr.referenced_columns()
+    assert expr.value_columns() == expr.referenced_columns()
+    # Only the columns value_columns() names are handed over decoded.
+    got = np.asarray(expr.evaluate({name: values[name] for name in needed}, dictionaries))
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_code_space_skips_decoding_where_it_can():
+    dictionaries = {"s": (np.array([0, 1, 0], np.int32), np.array(["x", "y"]))}
+    assert E.eq("s", "x").value_columns(dictionaries) == frozenset()
+    assert E.isin("s", ["x"]).value_columns(dictionaries) == frozenset()
+    assert E.CaseWhen(E.eq("s", "x"), E.col("m"), E.lit(0)).value_columns(dictionaries) == {"m"}
+    # A literal of another type, or a second use as a value, needs the values.
+    assert E.eq("s", 1).value_columns(dictionaries) == {"s"}
+    both = E.And((E.eq("s", "x"), E.Comparison("=", E.col("s"), E.col("u"))))
+    assert both.value_columns(dictionaries) == {"s", "u"}
+    assert E.eq("s", "x").evaluate({}, dictionaries).tolist() == [True, False, True]
+    with pytest.raises(QueryError):
+        E.eq("s", 1).evaluate({}, dictionaries)

@@ -1,5 +1,7 @@
 """Tests for hash aggregation with memory budget and spill."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +84,6 @@ class TestBudgetAndSpill:
         unbounded = group_aggregate([key], [(AggregateFunction.SUM, vals)], budget=None)
         spilled = group_aggregate([key], [(AggregateFunction.SUM, vals)], budget=7)
         assert spilled.spill_passes > 0
-        assert spilled.n_partitions > 1
         assert unbounded.key_values["k"].tolist() == spilled.key_values["k"].tolist()
         np.testing.assert_allclose(
             unbounded.aggregate_values[0], spilled.aggregate_values[0]
@@ -92,7 +93,6 @@ class TestBudgetAndSpill:
         key = _key("k", ["a", "b", "c"])
         result = group_aggregate([key], [(AggregateFunction.COUNT, None)], budget=10)
         assert result.spill_passes == 0
-        assert result.n_partitions == 1
 
     def test_estimate_capped_by_rows(self):
         assert estimate_group_cardinality([1000, 1000], n_rows=500) == 500
@@ -134,7 +134,6 @@ class TestDenseFastPath:
         dense = group_aggregate(keys, inputs, budget=10_000)
         sparse = group_aggregate(keys, inputs, budget=10_000, allow_dense=False)
         assert dense.n_groups == sparse.n_groups
-        assert dense.n_partitions == sparse.n_partitions == 1
         assert dense.spill_passes == sparse.spill_passes == 0
         for name in sparse.key_values:
             assert (
@@ -145,11 +144,11 @@ class TestDenseFastPath:
         np.testing.assert_array_equal(dense.group_counts, sparse.group_counts)
 
     def test_dense_skipped_when_key_space_exceeds_budget_cap(self):
-        """product > budget means spill, never a dense table over budget."""
+        """product > budget is charged as a spill, whichever plan computes it."""
         rng = np.random.default_rng(0)
         keys = [_key("k", rng.integers(0, 50, 1_000).astype(str))]
         result = group_aggregate(keys, [(AggregateFunction.COUNT, None)], budget=10)
-        assert result.n_partitions > 1  # spilled, not densified
+        assert result.spill_passes > 0
 
     def test_dense_handles_absent_categories(self):
         """Dictionary categories missing from the slice produce no group."""
@@ -163,7 +162,7 @@ class TestDenseFastPath:
 
 
 class TestSinglePartitionOrder:
-    """Sparse single-partition results skip the argsort; order must hold."""
+    """Sparse results come out of ``np.unique`` sorted; order must hold."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_single_partition_sorted_by_composite_key(self, seed):
@@ -176,14 +175,14 @@ class TestSinglePartitionOrder:
         result = group_aggregate(
             keys, [(AggregateFunction.SUM, vals)], allow_dense=False
         )
-        assert result.n_partitions == 1
+        assert result.spill_passes == 0
         pairs = list(zip(result.key_values["x"], result.key_values["y"]))
         assert pairs == sorted(pairs)
-        # And it matches the multi-pass (spilling) path group for group.
+        # And a budget that charges a spill changes no group.
         spilled = group_aggregate(
             keys, [(AggregateFunction.SUM, vals)], budget=3, allow_dense=False
         )
-        assert spilled.n_partitions > 1
+        assert spilled.spill_passes > 0
         assert pairs == list(
             zip(spilled.key_values["x"], spilled.key_values["y"])
         )
@@ -192,24 +191,41 @@ class TestSinglePartitionOrder:
         )
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(1, 300),
     n_keys=st.integers(1, 3),
     budget=st.one_of(st.none(), st.integers(1, 20)),
+    allow_dense=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_property_budget_never_changes_results(n, n_keys, budget, seed):
-    """Property: any budget yields the same groups and aggregates."""
+def test_property_budget_never_changes_results(n, n_keys, budget, allow_dense, seed):
+    """Property: a budget only ever changes what the result is charged.
+
+    Under either plan every array equals the unbudgeted call's bit for bit,
+    and ``spill_passes`` is the charge for ``ceil(estimate / budget)``
+    partitions exactly when the estimate exceeds the budget.
+    """
     rng = np.random.default_rng(seed)
     keys = [
         _key(f"k{i}", rng.integers(0, 6, n).astype(str)) for i in range(n_keys)
     ]
-    vals = rng.random(n)
-    base = group_aggregate(keys, [(AggregateFunction.AVG, vals)], budget=None)
-    other = group_aggregate(keys, [(AggregateFunction.AVG, vals)], budget=budget)
+    vals = rng.normal(size=n)
+    inputs = [
+        (func, vals if func.needs_argument else None) for func in AggregateFunction
+    ]
+    base = group_aggregate(keys, inputs, budget=None, allow_dense=allow_dense)
+    other = group_aggregate(keys, inputs, budget=budget, allow_dense=allow_dense)
     assert base.n_groups == other.n_groups
     for name in base.key_values:
-        assert base.key_values[name].tolist() == other.key_values[name].tolist()
-    np.testing.assert_allclose(base.aggregate_values[0], other.aggregate_values[0])
-    np.testing.assert_array_equal(base.group_counts, other.group_counts)
+        np.testing.assert_array_equal(base.key_values[name], other.key_values[name])
+    for expected, got in zip(base.aggregate_values, other.aggregate_values):
+        assert expected.tobytes() == got.tobytes()
+    assert base.group_counts.tobytes() == other.group_counts.tobytes()
+    estimate = estimate_group_cardinality([kc.n_categories for kc in keys], n)
+    assert base.estimated_groups == other.estimated_groups == estimate
+    assert base.spill_passes == 0
+    if budget is not None and estimate > budget:
+        assert other.spill_passes == spill_data_passes(math.ceil(estimate / budget))
+    else:
+        assert other.spill_passes == 0

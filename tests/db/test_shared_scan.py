@@ -271,6 +271,103 @@ class TestEquivalence:
         assert outcomes[0][0].values["s"].tolist() == [7.0]  # only group 'b'
         assert outcomes[1][0].values["s"].tolist() == [18.0, 18.0]
 
+    def test_alias_shadowing_a_dictionary_backed_column(self, assert_backends_agree):
+        """A shadowing alias is never tested on the base column's codes.
+
+        ``k`` is dictionary-backed (grouping caches its dictionary), and the
+        derived ``k`` has the same type as its categories: only dropping the
+        shadowed dictionary keeps ``k = 'a'`` on the derived values.
+        """
+        from repro.db.table import Table
+
+        table = Table(
+            "shadow",
+            {"k": ["a", "a", "b", "b"], "g": ["u", "v", "u", "v"], "m": [1.0, 2.0, 3.0, 4.0]},
+        )
+        table.dictionary("k")
+        store = make_store("col", table)
+        swapped = DerivedColumn(
+            "k", CaseWhen(Comparison(">", Col("m"), Lit(1.0)), Lit("a"), Lit("b"))
+        )
+        shadowed = AggregateQuery(
+            table="shadow",
+            group_by=("g",),
+            aggregates=(AggregateSpec(SUM, "m", "s"),),
+            derived=(swapped,),
+            predicate=eq("k", "a"),  # the DERIVED k: rows with m > 1
+        )
+        plain = _query(
+            "shadow", group_by=("g",), aggregates=(AggregateSpec(SUM, "m", "s"),),
+            predicate=eq("k", "a"),  # the base k, on its codes
+        )
+        outcomes = _assert_batch_matches_serial(
+            store, [shadowed, plain], assert_backends_agree
+        )
+        assert outcomes[0][0].values["s"].tolist() == [3.0, 6.0]
+        assert outcomes[1][0].values["s"].tolist() == [1.0, 2.0]
+
+    def test_literal_tests_never_decode_a_dictionary_column(
+        self, tmp_path, monkeypatch, assert_backends_agree
+    ):
+        """A column only compared with literals is served from its codes."""
+        import numpy as np
+
+        from repro.db import chunks
+        from repro.db.table import Table
+
+        rng = np.random.default_rng(3)
+        n = 300
+        table = Table(
+            "enc",
+            {
+                "who": rng.choice(["ann", "bob", "cy"], n),
+                "where": rng.choice(["north", "south"], n),
+                "tag": rng.choice(["p", "q"], n),
+                "m": rng.random(n),
+            },
+        )
+        chunks.write_table(table, tmp_path / "ds", chunk_rows=128)
+        stored = chunks.open_table(tmp_path / "ds")
+        decoded: list[str] = []
+        materialize = chunks.DictEncodedColumn.materialize
+        monkeypatch.setattr(
+            chunks.DictEncodedColumn,
+            "materialize",
+            lambda self, start, stop: decoded.append(self.name) or materialize(self, start, stop),
+        )
+        flag = DerivedColumn("flag", CaseWhen(eq("who", "bob"), Lit(1), Lit(0)))
+        queries = [
+            _query(
+                "enc", group_by=("where", "flag"), derived=(flag,),
+                aggregates=(AggregateSpec(AVG, "m", "a"),), predicate=eq("tag", "p"),
+            ),
+            # ``tag`` as a value (compared with a column): this one decodes.
+            _query(
+                "enc", group_by=("where",), aggregates=(AggregateSpec(COUNT, None, "n"),),
+                predicate=Comparison("!=", Col("tag"), Col("where")),
+            ),
+        ]
+        expected = SharedScanExecutor(make_store("col", table)).execute_batch(queries)
+        for executor in (QueryExecutor, SharedScanExecutor):
+            decoded.clear()
+            # Pages align with chunks, so each is touched (and charged) once.
+            store = make_store("col", stored, page_rows=64)
+            if executor is QueryExecutor:
+                result, stats = executor(store).execute(queries[0])
+            else:
+                (result, stats), = executor(store).execute_batch(queries[:1])
+            assert decoded == []
+            assert_backends_agree(expected[0][0], result)
+            # Undecoded columns are charged all the same.
+            assert stats.bytes_scanned_miss == store.layout.scan_bytes(
+                ["m", "tag", "where", "who"], 0, n
+            )
+        decoded.clear()
+        got = SharedScanExecutor(make_store("col", stored)).execute_batch(queries)
+        assert set(decoded) == {"tag", "where"}
+        for (want, _), (have, _) in zip(expected, got):
+            assert_backends_agree(want, have)
+
     def test_empty_batch_and_wrong_table(self, tiny_table):
         store = make_store("col", tiny_table)
         shared = SharedScanExecutor(store)

@@ -228,6 +228,52 @@ class TestSharedScanStreaming:
         assert sum(s.bytes_scanned_hit for _, s in outcomes) == 0
 
 
+class TestSpillAccountingParity:
+    """Both paths charge a budget-forced spill; neither partitions for it."""
+
+    @pytest.mark.parametrize("chunk_rows", (7, 250))
+    def test_aggregator_charges_what_group_aggregate_charges(self, chunk_rows):
+        from repro.db.groupby import GroupKeyColumn, group_aggregate
+
+        rng = np.random.default_rng(chunk_rows)
+        n = 997
+        keys = [
+            GroupKeyColumn(f"k{i}", rng.integers(0, 6, n).astype(np.int32), np.arange(6))
+            for i in range(2)
+        ]
+        inputs = [(AggregateFunction.AVG, rng.random(n)), (AggregateFunction.COUNT, None)]
+        for budget in (None, 5, 36, 1000):
+            resident = group_aggregate(keys, inputs, budget)
+            aggregator = StreamingGroupAggregator([f for f, _ in inputs], budget)
+            for start in range(0, n, chunk_rows):
+                rows = slice(start, start + chunk_rows)
+                aggregator.update(
+                    [GroupKeyColumn(kc.name, kc.codes[rows], kc.categories) for kc in keys],
+                    [(f, None if v is None else v[rows]) for f, v in inputs],
+                )
+            streamed = aggregator.finalize()
+            assert streamed.spill_passes == resident.spill_passes
+            assert (streamed.spill_passes > 0) == (budget == 5)
+            assert streamed.estimated_groups == resident.estimated_groups == 36
+            assert streamed.group_counts.tobytes() == resident.group_counts.tobytes()
+            for a, b in zip(resident.aggregate_values, streamed.aggregate_values):
+                assert a.tobytes() == b.tobytes()
+
+    def test_executors_charge_the_same_spill_bytes(self):
+        table = _table(seed=17)
+        spilling = _queries()[3]
+        assert spilling.group_budget == 3
+        store = make_store("col", table)
+        store.stream_chunk_rows = 64
+        _, resident = QueryExecutor(make_store("col", table)).execute(spilling)
+        _, streamed = QueryExecutor(store).execute(spilling)
+        (_, shared), = SharedScanExecutor(make_store("col", table)).execute_batch([spilling])
+        assert resident.spill_passes > 0
+        for stats in (streamed, shared):
+            assert stats.spill_passes == resident.spill_passes
+            assert stats.bytes_scanned_miss == resident.bytes_scanned_miss
+
+
 class TestAggregatorContract:
     def test_finalize_before_update_raises(self):
         aggregator = StreamingGroupAggregator([AggregateFunction.COUNT])

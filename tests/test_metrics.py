@@ -38,6 +38,31 @@ class TestNormalize:
         with pytest.raises(MetricError):
             normalize_distribution(np.zeros((2, 2)))
 
+    @given(
+        st.lists(
+            st.one_of(st.floats(allow_nan=True, allow_infinity=True), st.just(-0.0)),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_the_copy_and_mask_reference_bitwise(self, raw):
+        """Out-of-place cleaning gives what clean-a-copy-in-place gave."""
+        values = np.array(raw, dtype=np.float64)
+        kept = values.copy()
+        reference = values.copy()
+        reference[~np.isfinite(reference)] = 0.0
+        np.clip(reference, 0.0, None, out=reference)
+        with np.errstate(over="ignore", invalid="ignore"):  # sums of huge floats
+            total = reference.sum()
+            expected = (
+                np.full(reference.shape, 1.0 / reference.size)
+                if total <= 0.0
+                else reference / total
+            )
+            got = normalize_distribution(values)
+        assert got.tobytes() == expected.tobytes()
+        assert values.tobytes() == kept.tobytes()  # the input is left alone
+
 
 class TestAlign:
     def test_union_of_keys_with_zero_fill(self):
