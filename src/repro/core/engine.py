@@ -45,7 +45,7 @@ from repro.core.sharing import (
 )
 from repro.core.state import ViewState
 from repro.core.view import AggregateView, ViewKey
-from repro.db.backends import Backend, make_backend
+from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
 from repro.db.expressions import Expression
@@ -215,11 +215,6 @@ class ExecutionEngine:
             )
         else:
             self.result_cache = None
-        # Delta-aware view maintenance: attach a DeltaStateCache to the
-        # native executor so full-prefix queries run through the streaming
-        # aggregator, snapshot their partial state, and — after an append —
-        # restore it and scan only the new chunks.  Only the native backend
-        # owns a QueryExecutor; external backends (sqlite) ignore the knob.
         #: Lifetime executed-work counters (queries actually dispatched,
         #: rows/bytes actually scanned — cache hits and coalesced shares
         #: excluded).  Unlike per-run stats these count each execution
@@ -230,14 +225,14 @@ class ExecutionEngine:
             "rows_scanned": 0,
             "bytes_scanned": 0,
         }
+        # Delta-aware view maintenance: hand a DeltaStateCache to the native
+        # pipeline so full-prefix queries snapshot their partial state and —
+        # after an append — restore it and scan only the new chunks.
+        # External backends (sqlite) ignore the knob.
         self.delta_cache: DeltaStateCache | None = None
-        if config.result_cache and config.delta_cache:
-            executor = getattr(self.backend, "executor", None)
-            if executor is not None:
-                self.delta_cache = (
-                    delta_cache if delta_cache is not None else DeltaStateCache()
-                )
-                executor.delta_cache = self.delta_cache
+        if config.result_cache and config.delta_cache and isinstance(self.backend, NativeBackend):
+            self.delta_cache = delta_cache if delta_cache is not None else DeltaStateCache()
+            self.backend.pipeline.delta_cache = self.delta_cache
 
     # ------------------------------------------------------------------ #
     # public API

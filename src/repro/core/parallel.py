@@ -69,8 +69,11 @@ class ParallelDispatcher:
     ``execute_batch`` in one call: the backend does its shared work (the
     native backend's single scan) on the calling thread and fans the
     per-query remainder back out through the dispatcher's pool via the
-    ``fanout`` callable.  Submission-order gathering — the determinism
-    barrier — is preserved on both paths.
+    ``fanout`` callable.  Otherwise (or when the executor has no
+    ``execute_batch``) each query is its own ``execute`` call — on the
+    native backend the same pipeline on a batch of one, nothing shared.
+    Submission-order gathering — the determinism barrier — is preserved
+    either way.
     """
 
     def __init__(

@@ -12,9 +12,10 @@ back — column data is never pickled.
 
 **Bitwise identity** (the hard requirement shared with the thread
 dispatcher) is preserved by fanning out *whole queries*, not chunk
-partials.  Each worker executes a complete :class:`AggregateQuery` with
-the standard executor, which internally streams chunk-at-a-time through
-the carry-seeded :class:`~repro.db.streaming.StreamingGroupAggregator` —
+partials.  Each worker executes complete :class:`AggregateQuery` objects
+with the chunk pipeline (:mod:`repro.db.shared_scan`), which streams
+chunk-at-a-time through the carry-seeded
+:class:`~repro.db.streaming.StreamingGroupAggregator` —
 so its per-query result is the exact one-shot left-to-right accumulation,
 byte-identical to serial execution no matter which process runs it.
 Merging *independently computed* chunk partials instead would
@@ -22,8 +23,9 @@ re-parenthesize the floating-point sums and drift in the last ulp (see
 :mod:`repro.db.streaming`).  The parent gathers results in submission
 order, the same determinism barrier the thread dispatcher uses.
 
-Shared-scan batches are split into contiguous per-worker slices, each
-served by one shared scan inside its worker.  Per-query results are
+There is one worker entry point, a slice of the batch: shared-scan batches
+are split into contiguous per-worker slices, each served by one shared scan
+inside its worker, and per-query dispatch ships slices of one.  Results are
 independent of batch composition (every query owns its aggregator; the
 scan is shared, the grouping is not), so slicing changes only the I/O
 accounting: each slice pays for its own scan, so ``bytes_scanned`` /
@@ -200,20 +202,6 @@ def _apply_store_overrides(
     backend.store.dense_group_limit = dense_group_limit
 
 
-def _worker_execute(
-    store_path: str,
-    store_kind: str,
-    query: AggregateQuery,
-    stream_chunk_rows: int | None = None,
-    dense_group_limit: int | None = None,
-) -> tuple[QueryResult, ExecutionStats]:
-    """Execute one whole query in the worker (module-level for pickling)."""
-    faults.maybe_exit("break_pool_worker", store_path)
-    backend = _worker_backend(store_path, store_kind)
-    _apply_store_overrides(backend, stream_chunk_rows, dense_group_limit)
-    return backend.execute(query)
-
-
 def _worker_execute_batch(
     store_path: str,
     store_kind: str,
@@ -221,7 +209,10 @@ def _worker_execute_batch(
     stream_chunk_rows: int | None = None,
     dense_group_limit: int | None = None,
 ) -> list[tuple[QueryResult, ExecutionStats]]:
-    """Execute one shared-scan slice in the worker (one scan per slice)."""
+    """Execute one slice of a batch in the worker (module-level for pickling).
+
+    One scan per slice; per-query fan-out ships slices of one.
+    """
     faults.maybe_exit("break_pool_worker", store_path)
     backend = _worker_backend(store_path, store_kind)
     _apply_store_overrides(backend, stream_chunk_rows, dense_group_limit)
@@ -251,9 +242,9 @@ class ProcessPoolDispatcher(ParallelDispatcher):
 
     Inherits the cache-probe/splice logic unchanged (the view-result cache
     lives in the parent; only misses are dispatched) and overrides the
-    uncached path: per-query fan-out to the shared process pool, or — for
-    shared-scan batches — contiguous per-worker slices each served by one
-    scan inside its worker.  Results are gathered in submission order.
+    uncached path: slices of the batch go to the shared process pool — one
+    query each, or for shared-scan batches one contiguous slice per worker,
+    served by one scan inside it.  Results are gathered in submission order.
 
     ``close()`` intentionally does **not** shut the process pool down: the
     pool is shared and persistent (see :func:`get_pool`); use
@@ -298,34 +289,24 @@ class ProcessPoolDispatcher(ParallelDispatcher):
         store = getattr(self.executor, "store", None)
         chunk_rows = getattr(store, "stream_chunk_rows", None)
         dense_limit = getattr(store, "dense_group_limit", None)
-        if self.use_batch and hasattr(self.executor, "execute_batch"):
-            outcomes: list[tuple[QueryResult, ExecutionStats]] = []
-            futures = [
-                pool.submit(
-                    _worker_execute_batch,
-                    self._store_path,
-                    self._store_kind,
-                    part,
-                    chunk_rows,
-                    dense_limit,
-                )
-                for part in _partition(batch, self.n_workers)
-            ]
-            for future in futures:
-                outcomes.extend(future.result())
-            return outcomes
+        # Shared-scan batches go out as one contiguous slice per worker;
+        # per-query dispatch is the same call on slices of one.
+        n_slices = self.n_workers if self.use_batch else len(batch)
         futures = [
             pool.submit(
-                _worker_execute,
+                _worker_execute_batch,
                 self._store_path,
                 self._store_kind,
-                query,
+                part,
                 chunk_rows,
                 dense_limit,
             )
-            for query in batch
+            for part in _partition(batch, n_slices)
         ]
-        return [future.result() for future in futures]
+        outcomes: list[tuple[QueryResult, ExecutionStats]] = []
+        for future in futures:
+            outcomes.extend(future.result())
+        return outcomes
 
     def _run_batch_uncached(
         self, queries: Sequence[AggregateQuery]

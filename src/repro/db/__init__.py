@@ -5,10 +5,10 @@ that DBMS: typed tables (:mod:`repro.db.table`), two physical storage engines
 with paged I/O accounting (:mod:`repro.db.storage`), a buffer pool
 (:mod:`repro.db.buffer`), vectorized expression evaluation
 (:mod:`repro.db.expressions`), hash aggregation with a memory budget and
-a charged spill (:mod:`repro.db.groupby`), a query executor
-(:mod:`repro.db.executor`), a shared-scan batch executor serving whole
-phase batches from one pass (:mod:`repro.db.shared_scan`), a SQL subset
-front end (:mod:`repro.db.sql`),
+a charged spill (:mod:`repro.db.groupby`), one chunk pipeline serving
+whole phase batches from one pass (:mod:`repro.db.shared_scan`) with a
+per-query entry point (:mod:`repro.db.executor`), a SQL subset front end
+(:mod:`repro.db.sql`),
 pluggable execution backends including a real second SQL engine
 (:mod:`repro.db.backends`), and a deterministic cost model
 (:mod:`repro.db.cost`) that converts I/O and CPU accounting into simulated

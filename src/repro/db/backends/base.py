@@ -50,17 +50,12 @@ class BackendCapabilities:
     simulate the group-by memory cliff the cost model charges for.
     """
 
-    #: Honors ``AggregateQuery.row_range`` (required by phased execution).
-    supports_row_range: bool = True
     #: Simulates the distinct-group memory budget (spill passes in stats).
     supports_group_budget: bool = False
     #: Fills byte/page counters so the cost model's latency is meaningful.
     accounts_io: bool = False
     #: Safe for concurrent execute() calls from the real-parallel dispatcher.
     parallel_safe: bool = True
-    #: ``execute_batch`` genuinely shares work across a batch (one scan
-    #: serving many queries) rather than falling back to a per-query loop.
-    shares_batch_scans: bool = False
     #: Versioned identity of this backend's result *semantics*, embedded in
     #: every :class:`~repro.core.cache.ViewResultCache` key: results cached
     #: under one fingerprint are never replayed for a backend with another.
@@ -79,7 +74,7 @@ class Backend(abc.ABC):
     per-query :class:`~repro.config.ExecutionStats` out) and
     :meth:`capabilities`; they may override :meth:`execute_batch` when
     they can genuinely share work across a phase batch, and
-    :meth:`cost_hint`/:meth:`close` as appropriate.
+    :meth:`close` as appropriate.
 
     Example — registering a custom backend (see also "Adding a backend"
     in ``docs/architecture.md``)::
@@ -123,8 +118,7 @@ class Backend(abc.ABC):
         that cannot share work across queries — SQLite ships each statement
         independently — need not override anything.  Backends that *can*
         share (the native backend serves the batch from one shared scan,
-        see :mod:`repro.db.shared_scan`) override this and advertise it via
-        ``capabilities().shares_batch_scans``.
+        see :mod:`repro.db.shared_scan`) override this.
 
         ``fanout(fn, items)`` must run ``fn`` over ``items`` concurrently
         and return results in item order.
@@ -137,14 +131,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def capabilities(self) -> BackendCapabilities:
         """Static description of what this backend models."""
-
-    def cost_hint(self, query: AggregateQuery) -> float | None:
-        """Estimated relative cost of ``query`` (bytes to scan), if known.
-
-        The engine may use this to order or batch queries; ``None`` means
-        "no idea", which every caller must tolerate.
-        """
-        return None
 
     def close(self) -> None:
         """Release backend resources (connections, pools).  Idempotent."""

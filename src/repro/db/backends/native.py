@@ -1,18 +1,18 @@
 """The native backend: this package's own columnar executor.
 
-A thin :class:`~repro.db.backends.base.Backend` adapter around
-:class:`~repro.db.executor.QueryExecutor` — the storage engine, buffer
-pool, spill simulation, and cost accounting all live below it, so this is
-the only backend whose :class:`ExecutionStats` drive a meaningful modeled
-latency.
+A thin :class:`~repro.db.backends.base.Backend` adapter around the chunk
+pipeline (:class:`~repro.db.shared_scan.SharedScanExecutor`) — the storage
+engine, buffer pool, spill simulation, and cost accounting all live below
+it, so this is the only backend whose :class:`ExecutionStats` drive a
+meaningful modeled latency.
 
-It is also the only backend with a true batch path:
-:meth:`NativeBackend.execute_batch` hands the whole batch to a
-:class:`~repro.db.shared_scan.SharedScanExecutor`, which serves every query
-in it from **one** scan (shared pages charged once, shared expressions
-evaluated once) and fans only the per-query grouping out to the
-dispatcher's pool.  Per-query ``execute`` stays on the classic executor, so
-``EngineConfig(shared_scan=False)`` is an exact ablation baseline.
+It is also the only backend that shares work across a batch:
+:meth:`NativeBackend.execute_batch` serves every query of a row range from
+**one** scan (shared pages charged once, shared expressions evaluated once)
+and fans only the per-query aggregation out to the dispatcher's pool.
+``execute`` is the same pipeline on a batch of one — the query pays for its
+whole scan — so ``EngineConfig(shared_scan=False)`` is an exact ablation
+baseline.
 """
 
 from __future__ import annotations
@@ -21,17 +21,14 @@ from typing import Sequence
 
 from repro.config import ExecutionStats
 from repro.db.backends.base import Backend, BackendCapabilities, register_backend
-from repro.db.executor import QueryExecutor
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.shared_scan import Fanout, SharedScanExecutor
 from repro.db.storage import StorageEngine
 
 _CAPABILITIES = BackendCapabilities(
-    supports_row_range=True,
     supports_group_budget=True,
     accounts_io=True,
     parallel_safe=True,
-    shares_batch_scans=True,
     result_fingerprint="native-v1",
     notes="in-process numpy executor; stats feed the paper's cost model",
 )
@@ -44,37 +41,20 @@ class NativeBackend(Backend):
 
     def __init__(self, store: StorageEngine) -> None:
         self.store = store
-        self.executor = QueryExecutor(store)
-        self.shared_executor = SharedScanExecutor(store)
+        self.pipeline = SharedScanExecutor(store)
 
     def execute(self, query: AggregateQuery) -> tuple[QueryResult, ExecutionStats]:
-        return self.executor.execute(query)
+        return self.pipeline.execute_batch([query])[0]
 
     def execute_batch(
         self,
         queries: Sequence[AggregateQuery],
         fanout: Fanout | None = None,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
-        if self.executor.delta_cache is not None:
-            # Delta-aware mode: route per-query so every execution passes
-            # the append-aware path (snapshot capture + carry-merge on
-            # refresh).  Results are bitwise-identical to the shared-scan
-            # path — the differential oracle enforces that equality — and
-            # after an append each query scans only the new chunks, which
-            # is the latency the serving layer cares about.
-            if fanout is not None and len(queries) > 1:
-                return list(fanout(self.executor.execute, list(queries)))
-            return [self.executor.execute(query) for query in queries]
-        return self.shared_executor.execute_batch(queries, fanout=fanout)
+        return self.pipeline.execute_batch(queries, fanout=fanout)
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES
-
-    def cost_hint(self, query: AggregateQuery) -> float | None:
-        start, stop = query.row_range or (0, self.store.nrows)
-        return float(
-            self.store.scan_bytes(sorted(query.base_columns_needed()), start, stop)
-        )
 
 
 register_backend(NativeBackend.name, NativeBackend)

@@ -85,7 +85,6 @@ _SQLITE_TYPES = {
 }
 
 _CAPABILITIES = BackendCapabilities(
-    supports_row_range=True,
     supports_group_budget=False,
     accounts_io=False,
     parallel_safe=True,

@@ -4,11 +4,11 @@ Every :class:`~repro.db.table.Table` is a facade over one
 :class:`ChunkedColumn` per column.  A column is a single backing array —
 resident numpy for in-memory tables, ``np.memmap`` for tables opened from
 an on-disk dataset directory — sliced into fixed-size row chunks.  The
-streaming executors (:mod:`repro.db.executor`,
-:mod:`repro.db.shared_scan`) materialize one chunk at a time and merge
-per-chunk partial aggregation state, so peak memory is O(chunk + groups)
-instead of O(table); in-memory tables are the single-chunk special case,
-which keeps every existing caller working unchanged.
+chunk pipeline (:mod:`repro.db.shared_scan`) materializes one chunk at a
+time and merges per-chunk partial aggregation state, so peak memory is
+O(chunk + groups) instead of O(table); in-memory tables are the
+single-chunk special case, which keeps every existing caller working
+unchanged.
 
 The on-disk layout (a *chunk store*) is deliberately boring::
 

@@ -1,34 +1,31 @@
-"""The query executor: scan → derive → filter → group → aggregate.
+"""The operators of the chunk pipeline, and its per-query entry point.
 
-One :class:`QueryExecutor` wraps one storage engine.  Each
-:meth:`~QueryExecutor.execute` call runs a single logical
-:class:`~repro.db.query.AggregateQuery` and returns the result together with
-a fresh :class:`~repro.config.ExecutionStats` describing exactly the work
-that query did — callers (the SeeDB engine) merge those into run-level stats
-and group them into parallel batches for the cost model.
+The pipeline itself — scan → derive → filter → key → aggregate over a query
+batch — is :meth:`repro.db.shared_scan.SharedScanExecutor.execute_batch`.
+This module holds the steps it is built from (key columns, aggregate
+inputs, the accounting tally, the result adapter) and
+:class:`QueryExecutor`, which runs one logical
+:class:`~repro.db.query.AggregateQuery` as a batch of one and returns the
+result together with a fresh :class:`~repro.config.ExecutionStats`
+describing exactly the work that query did — callers (the SeeDB engine)
+merge those into run-level stats and group them into parallel batches for
+the cost model.
 
-``execute`` is **stateless per call**: it keeps no mutable state on the
-instance, allocates its working arrays and stats record locally, and only
-touches shared structures that are themselves thread-safe (the storage
-engine's locked buffer pool and the table's locked dictionary cache).  The
+``execute`` is **stateless per call**, like the pipeline under it: the
 parallel dispatcher (:mod:`repro.core.parallel`) relies on this to run many
 ``execute`` calls concurrently against one executor.
 """
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.config import ExecutionStats
 from repro.db.expressions import Dictionaries, Expression
-from repro.db.groupby import GroupKeyColumn, GroupResult, group_aggregate
+from repro.db.groupby import GroupKeyColumn, GroupResult
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
-from repro.db.streaming import StreamingGroupAggregator
 from repro.db.types import Schema
-from repro.exceptions import QueryError
 
 
 def spill_bytes(
@@ -38,7 +35,7 @@ def spill_bytes(
 
     Each extra pass re-reads the filtered rows' group-by and aggregate
     columns once (spill files bypass the buffer pool, so these are charged
-    at miss rate).  Shared by the per-query and shared-scan executors.
+    at miss rate).
     """
     width = 0
     for name in query.group_by:
@@ -59,8 +56,9 @@ def tally_aggregation(
 ) -> None:
     """Fold one query's grouping work into its stats record.
 
-    Shared by the per-query and shared-scan executors so the two paths stay
-    in accounting lockstep (the differential oracle compares them).
+    ``n_filtered`` is the rows aggregated in this execution: a query seeded
+    from the delta cache is not charged again for the rows its restored
+    state had already folded.
     """
     stats.queries_issued += 1
     stats.agg_rows_processed += n_filtered * len(query.aggregates)
@@ -76,8 +74,7 @@ def build_query_result(
     """Adapt a :class:`GroupResult` into the backend result contract.
 
     Per-aggregate arrays keyed by alias plus the hidden ``__group_count__``
-    per-group row count the phased AVG merge needs.  Shared by both
-    executors.
+    per-group row count the phased AVG merge needs.
     """
     values = {
         spec.alias: result.aggregate_values[i]
@@ -138,7 +135,7 @@ def group_key_columns(
     Physical dimension columns reuse the table's global dictionary (codes
     are stable across phases, so partial results merge on category values);
     derived columns are factorized on the fly.  The last four arguments are
-    the shared-scan batch's caches; the per-query executor passes empty ones.
+    the caches the queries sharing this scan have in common.
     """
     key_columns: list[GroupKeyColumn] = []
     for name in query.group_by:
@@ -171,9 +168,17 @@ def group_key_columns(
     return key_columns
 
 
-def hashable(obj: object) -> bool:
+def shareable(expr: Expression, q_base: frozenset[str]) -> bool:
+    """Whether queries sharing a scan may share one evaluation of ``expr``.
+
+    It must read base columns only (``q_base``: none of the query's derived
+    aliases) and be hashable, to key the scan's caches.  An empty ``q_base``
+    — a scan with a single consumer — shares nothing and hashes nothing.
+    """
+    if not q_base or not expr.referenced_columns() <= q_base:
+        return False
     try:
-        hash(obj)
+        hash(expr)
     except TypeError:
         return False
     return True
@@ -192,9 +197,8 @@ def aggregate_inputs_of(
 ) -> list[tuple[object, np.ndarray | None]]:
     """Row-aligned ``(func, values)`` aggregate inputs, filtered to the selection.
 
-    Like :func:`group_key_columns`, takes the shared-scan batch's caches
-    (evaluated expression arguments, filtered arrays); the per-query
-    executor passes empty ones and an empty ``q_base``: nothing is shared.
+    Like :func:`group_key_columns`, takes the caches of the queries sharing
+    this scan (evaluated expression arguments, filtered arrays).
     """
     # Cache tokens are type-tagged: a bare column, a derived alias (keyed
     # by its *expression* — two queries may reuse one alias for different
@@ -219,7 +223,7 @@ def aggregate_inputs_of(
                 token = ("col", spec.argument)
         else:
             expr = spec.argument
-            if expr.referenced_columns() <= q_base and hashable(expr):
+            if shareable(expr, q_base):
                 values = arg_values.get(expr)
                 if values is None:
                     values = np.asarray(expr.evaluate(arrays, dictionaries), dtype=np.float64)
@@ -246,9 +250,9 @@ def dict_key_only_columns(
     columns only tested against literals.
 
     These are scanned (pages charged — the physical read *is* the 4-byte
-    codes) but never decoded: the executors fetch their codes via
+    codes) but never decoded: the pipeline fetches their codes via
     ``dictionary_slice``, so materializing string values would be pure
-    waste.  Shared by the per-query and shared-scan executors.
+    waste.
     """
     return frozenset(
         name
@@ -259,134 +263,21 @@ def dict_key_only_columns(
 
 
 class QueryExecutor:
-    """Executes logical aggregate queries against one storage engine.
+    """Executes logical aggregate queries, one at a time, on one storage engine.
 
-    Safe for concurrent use from multiple threads: every call works on
-    locals only (see module docstring).
+    A batch of one through the chunk pipeline: nothing is shared, so the
+    query's stats charge its whole scan — the per-query baseline that
+    ``EngineConfig(shared_scan=False)`` and NO_OPT measure.  Safe for
+    concurrent use from multiple threads (see module docstring).
     """
 
     def __init__(self, store: StorageEngine, delta_cache=None) -> None:
-        self.store = store
-        #: Optional :class:`~repro.core.cache.DeltaStateCache` enabling the
-        #: append-aware execution path (attached by the engine when
-        #: ``EngineConfig.delta_cache`` is on).
-        self.delta_cache = delta_cache
+        # Deferred import: the pipeline is built from this module's operators.
+        from repro.db.shared_scan import SharedScanExecutor
 
-    @property
-    def table_name(self) -> str:
-        return self.store.table.name
+        self.store = store
+        self._pipeline = SharedScanExecutor(store, delta_cache)
 
     def execute(self, query: AggregateQuery) -> tuple[QueryResult, ExecutionStats]:
         """Run ``query``; return its result and per-query accounting."""
-        if query.table != self.store.table.name:
-            raise QueryError(
-                f"query targets table {query.table!r} but executor holds "
-                f"{self.store.table.name!r}"
-            )
-        stats = ExecutionStats()
-        started = time.perf_counter()
-
-        start, stop = query.row_range or (0, self.store.nrows)
-        ranges = self.store.stream_ranges(start, stop)
-        if self.delta_cache is not None and start == 0 and stop > 0:
-            result, n_filtered = self._execute_delta(query, stop, stats)
-        elif len(ranges) > 1:
-            # Chunk-at-a-time: O(chunk + groups) memory, and the exact
-            # one-shot result (see :mod:`repro.db.streaming`).
-            aggregator = self._new_aggregator(query)
-            for sub_start, sub_stop in ranges:
-                aggregator.update(*self._prepare(query, sub_start, sub_stop, stats))
-            result, n_filtered = aggregator.finalize(), aggregator.total_rows
-        else:
-            key_columns, aggregate_inputs = self._prepare(query, start, stop, stats)
-            result = group_aggregate(
-                key_columns,
-                aggregate_inputs,
-                query.group_budget,
-                dense_limit=self.store.dense_group_limit,
-            )
-            n_filtered = len(key_columns[0].codes)
-
-        tally_aggregation(stats, self.store.table.schema, query, result, n_filtered)
-        stats.wall_seconds = time.perf_counter() - started
-        return build_query_result(query, result, n_filtered), stats
-
-    def _new_aggregator(self, query: AggregateQuery) -> StreamingGroupAggregator:
-        return StreamingGroupAggregator(
-            [spec.func for spec in query.aggregates],
-            query.group_budget,
-            self.store.dense_group_limit,
-        )
-
-    def _prepare(
-        self, query: AggregateQuery, start: int, stop: int, stats: ExecutionStats
-    ) -> tuple[list[GroupKeyColumn], list]:
-        """Scan → derive → filter rows ``[start, stop)`` into the row-aligned
-        key columns and aggregate inputs that grouping takes."""
-        base_columns = sorted(query.base_columns_needed())
-        dictionaries = query.base_dictionaries(
-            self.store.table.dictionaries(base_columns, start, stop)
-        )
-        skip = dict_key_only_columns(
-            self.store.table, base_columns, query.value_columns_needed(dictionaries)
-        )
-        arrays = self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
-        for derived in query.derived:
-            arrays[derived.alias] = np.asarray(derived.expression.evaluate(arrays, dictionaries))
-        selector = None
-        if query.predicate is not None:
-            mask = query.predicate.evaluate(arrays, dictionaries).astype(bool)
-            selector = np.flatnonzero(mask)
-        # Same builders as a shared-scan batch, with nothing to share.
-        key_columns = group_key_columns(
-            self.store, query, arrays, dictionaries, start, stop, selector, {}, None, {}, {}
-        )
-        inputs = aggregate_inputs_of(
-            query, arrays, frozenset(), dictionaries, {}, selector, None, {}, {}
-        )
-        return key_columns, inputs
-
-    def _execute_delta(
-        self, query: AggregateQuery, stop: int, stats: ExecutionStats
-    ) -> tuple[GroupResult, int]:
-        """Append-aware execution: seed from cached state, scan the delta.
-
-        Looks up the query's partial-aggregation state in the delta cache.
-        A cached entry is usable when the current table either *is* the
-        table it was captured over or append-extends it (checked via
-        :attr:`~repro.db.table.Table.append_lineage`) — then the
-        aggregator restores the snapshot and streams only rows past the
-        cached prefix, which is exactly the carry-seeded continuation of
-        the one-shot accumulation (bitwise-identical results; the oracle's
-        append leg enforces this).  Otherwise the full range streams into
-        a fresh aggregator.  Full-table executions snapshot their final
-        state back into the cache for the next append.
-        """
-        from repro.core.cache import delta_state_key
-
-        table = self.store.table
-        key = delta_state_key(self.store, query)
-        entry = self.delta_cache.get(key)
-        aggregator: StreamingGroupAggregator | None = None
-        scan_from = 0
-        if entry is not None and entry.rows <= stop:
-            current = entry.fingerprint == table.fingerprint() and entry.rows <= table.nrows
-            extends = table.append_lineage.get(entry.fingerprint) == entry.rows
-            if current or extends:
-                aggregator = StreamingGroupAggregator.from_snapshot(entry.state)
-                scan_from = entry.rows
-                stats.delta_hits += 1
-        if aggregator is None:
-            aggregator = self._new_aggregator(query)
-        if scan_from < stop:
-            for sub_start, sub_stop in self.store.stream_ranges(scan_from, stop):
-                aggregator.update(*self._prepare(query, sub_start, sub_stop, stats))
-        if stop == self.store.nrows:
-            self.delta_cache.put(
-                key,
-                aggregator.snapshot(),
-                stop,
-                table.fingerprint(),
-                aggregator.snapshot_nbytes(),
-            )
-        return aggregator.finalize(), aggregator.total_rows
+        return self._pipeline.execute_batch([query])[0]

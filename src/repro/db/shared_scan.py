@@ -1,39 +1,55 @@
-"""Shared-scan batch execution: one pass serves a whole phase batch.
+"""The chunk pipeline: one loop behind every native aggregate query.
 
-SeeDB's core contribution (§4.1) is sharing work across the view space, but
-the per-query :class:`~repro.db.executor.QueryExecutor` still re-did the
-*physical* share of that work once per query: every ``execute`` call
-re-charged the same pages to the buffer pool, re-evaluated the same derived
-``CASE WHEN <target>`` flag and WHERE predicate over the same rows,
-re-sliced the same dictionary codes, and re-copied the same filtered
-measure arrays.  :class:`SharedScanExecutor` hoists all of it to batch
-scope:
+SeeDB's core contribution (§4.1) is sharing work across the view space.
+:meth:`SharedScanExecutor.execute_batch` is the one physical pipeline that
+does it — scan → derive → filter → key → aggregate over *(row-range groups
+× query batch × optional seed state)* — and every way the middleware runs a
+query is a parameter value of it, not a path of its own (the table is in
+``docs/architecture.md``, "The chunk pipeline"): a phase batch, a batch of
+one (:meth:`~repro.db.executor.QueryExecutor.execute`,
+``EngineConfig(shared_scan=False)``), a process-pool slice, a range that
+streams chunk by chunk, a query seeded from the delta cache.
+
+The batch is grouped by row range and each group's rows are read once:
 
 * each distinct base column is scanned **once** per ``(column, start,
-  stop)`` — the buffer pool is charged once for pages the whole batch
-  shares, so :class:`~repro.config.ExecutionStats` reflect what a shared
-  scan actually reads (the charge lands on the batch's first query);
+  stop)`` — the buffer pool is charged once for pages the group shares and
+  the charge is split over the group's queries, so summed
+  :class:`~repro.config.ExecutionStats` reflect what a shared scan actually
+  reads (a group of one charges its scan to its one consumer);
 * each distinct derived / predicate / aggregate-argument expression is
   evaluated once, and its selector, filtered code slices, filtered value
   arrays, and factorized derived group keys are cached and shared by every
-  query in the batch that uses them;
-* per-query grouping and aggregation — the only genuinely per-query work —
-  run over the shared arrays, optionally fanned out onto the parallel
-  dispatcher's thread pool.
+  query in the group that uses them;
+* grouping and aggregation — the only genuinely per-query work — run over
+  the shared arrays, optionally fanned out onto the parallel dispatcher's
+  thread pool.
 
-Preparation is eager and single-threaded (it runs on the dispatching
-thread); the per-query jobs only *read* the prepared state, so fanning them
-out needs no locking.  Results and per-query accounting match the
-per-query executor exactly — group order, float64 aggregate arrays, the
-hidden ``__group_count__`` column, spill charging — which the differential
-suite (`tests/test_backends_differential.py`) enforces against both the
-per-query path and the SQLite oracle.
+A range the store streams (``StorageEngine.stream_ranges``) repeats that
+preparation per chunk-aligned sub-range and folds each into the queries'
+:class:`~repro.db.streaming.StreamingGroupAggregator`: peak memory is
+O(chunk + groups) and the result value-identical to the one-shot
+:func:`~repro.db.groupby.group_aggregate`, which stays as the measured
+specialization for one range with no seed.  With a delta cache attached, a
+query over a table prefix ``[0, stop)`` starts from its cached aggregator
+state and scans only the rows past it; it reads a range of its own, so it
+is a group of one.
+
+``execute_batch`` is **stateless per call**: it keeps no mutable state on
+the instance and touches only shared structures that are themselves
+thread-safe (the locked buffer pool, dictionary cache and delta cache), so
+any number of calls may run concurrently on one executor — the parallel
+dispatcher and the serving tier both do.  Scans of shared groups run on the
+calling thread; the jobs handed to ``fanout`` only read what they prepared.
+The differential suite (`tests/test_backends_differential.py`) holds every
+parameter value to the others bit for bit, and to the SQLite oracle.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -44,7 +60,7 @@ from repro.db.executor import (
     build_query_result,
     dict_key_only_columns,
     group_key_columns,
-    hashable,
+    shareable,
     tally_aggregation,
 )
 from repro.db.expressions import Expression
@@ -53,6 +69,8 @@ from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
 from repro.db.streaming import StreamingGroupAggregator
 from repro.exceptions import QueryError
+
+Outcome = tuple[QueryResult, ExecutionStats]
 
 #: Runs ``fn`` over ``items`` concurrently, preserving order — the shape the
 #: parallel dispatcher hands in so grouping fans out onto its pool.
@@ -69,42 +87,54 @@ def _spread_scan_stats(scan: ExecutionStats, targets: list[ExecutionStats]) -> N
     query.  Preparation wall time lands on the first consumer.
     """
     n = len(targets)
-    for field in (
+    for name in (
         "bytes_scanned_miss",
         "bytes_scanned_hit",
         "pages_hit",
         "pages_missed",
         "rows_scanned",
     ):
-        total = getattr(scan, field)
+        total = getattr(scan, name)
         share, remainder = divmod(total, n)
         for j, stats in enumerate(targets):
             setattr(
                 stats,
-                field,
-                getattr(stats, field) + share + (remainder if j == 0 else 0),
+                name,
+                getattr(stats, name) + share + (remainder if j == 0 else 0),
             )
     targets[0].wall_seconds += scan.wall_seconds
 
 
+def _run_job(job: Callable[[], Outcome]) -> Outcome:
+    return job()
+
+
+#: One range's row-aligned ``(key columns, aggregate inputs)`` for one query.
+_Prepared = tuple[list[GroupKeyColumn], list[tuple[object, np.ndarray | None]]]
+
+
 @dataclass
-class _PreparedQuery:
-    """Everything one query needs after the shared preparation pass."""
+class _Pending:
+    """One query between its group's scan and its result."""
 
     query: AggregateQuery
-    key_columns: list[GroupKeyColumn]
-    aggregate_inputs: list[tuple[object, np.ndarray | None]]
-    n_filtered: int
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
+    #: One range, no seed: that range, aggregated by ``group_aggregate``.
+    prepared: _Prepared | None = None
+    #: Otherwise: the running state each sub-range was folded into.
+    aggregator: StreamingGroupAggregator | None = None
+    #: Filtered rows a restored aggregator had folded before this execution.
+    restored_rows: int = 0
 
 
 class SharedScanExecutor:
-    """Executes whole query batches against one storage engine.
+    """Executes query batches against one storage engine: the chunk pipeline.
 
-    Semantically equivalent to looping :meth:`QueryExecutor.execute`, but
-    every piece of work two queries in the batch have in common is done
-    once (see module docstring).  Safe for one ``execute_batch`` call at a
-    time per instance; the per-query jobs it hands to ``fanout`` are
-    read-only over shared state and may run concurrently.
+    Every piece of work two queries of a batch have in common is done once
+    (see module docstring); a batch of one is the per-query baseline.
+    ``delta_cache`` (a :class:`~repro.core.cache.DeltaStateCache`, attached
+    by the engine when ``EngineConfig.delta_cache`` is on) makes prefix
+    queries append-aware.  Safe for concurrent ``execute_batch`` calls.
 
     Example::
 
@@ -113,153 +143,190 @@ class SharedScanExecutor:
         (result_a, stats_a), (result_b, stats_b) = outcomes
         # stats_a + stats_b charge each page the batch shares exactly once
 
-    Engines normally reach this through
-    ``EngineConfig(shared_scan=True)`` → the dispatcher's batch path →
-    :meth:`NativeBackend.execute_batch`, not directly.
+    Engines reach this through the dispatcher →
+    :meth:`NativeBackend.execute_batch` (whole phase batches under
+    ``EngineConfig(shared_scan=True)``, batches of one otherwise).
     """
 
-    def __init__(self, store: StorageEngine) -> None:
+    def __init__(self, store: StorageEngine, delta_cache=None) -> None:
         self.store = store
+        self.delta_cache = delta_cache
 
     def execute_batch(
         self,
         queries: Sequence[AggregateQuery],
         fanout: Fanout | None = None,
-    ) -> list[tuple[QueryResult, ExecutionStats]]:
+    ) -> list[Outcome]:
         """Run ``queries``; results in submission order.
 
         Queries are grouped by row range (one shared scan per distinct
-        range); each range's scan I/O is split evenly over its queries'
+        range); each group's scan I/O is split evenly over its queries'
         stats, so summing the batch's stats charges every shared page
         exactly once while the cost model still sees the scan as pipelined
-        across its consumers (not serialized into one query's cost).
+        across its consumers (not serialized into one query's cost).  A
+        batch of one charges its query the whole scan.
         """
         queries = list(queries)
-        if not queries:
-            return []
         table_name = self.store.table.name
-        for query in queries:
+        # A query the delta cache may seed scans from its own cached prefix:
+        # a group of one, keyed by its position.
+        groups: dict[tuple[int, int, int], list[int]] = {}
+        for i, query in enumerate(queries):
             if query.table != table_name:
                 raise QueryError(
                     f"query targets table {query.table!r} but executor holds "
                     f"{table_name!r}"
                 )
+            start, stop = query.row_range or (0, self.store.nrows)
+            seeded = self.delta_cache is not None and start == 0 and stop > 0
+            groups.setdefault((start, stop, i if seeded else -1), []).append(i)
 
-        by_range: dict[tuple[int, int], list[int]] = {}
-        for i, query in enumerate(queries):
-            by_range.setdefault(query.row_range or (0, self.store.nrows), []).append(i)
-
-        prepared: list[_PreparedQuery | None] = [None] * len(queries)
-        streamed: dict[int, tuple[QueryResult, ExecutionStats]] = {}
-        shared_stats: list[tuple[list[int], ExecutionStats]] = []
-        for (start, stop), indices in by_range.items():
-            ranges = self.store.stream_ranges(start, stop)
-            prep_started = time.perf_counter()
-            scan_stats = ExecutionStats()
-            if len(ranges) > 1:
-                for i, outcome in zip(
-                    indices,
-                    self._execute_streaming_range(queries, indices, ranges, scan_stats),
-                ):
-                    streamed[i] = outcome
-            else:
-                self._prepare_range(queries, indices, start, stop, scan_stats, prepared)
-            scan_stats.wall_seconds = time.perf_counter() - prep_started
-            shared_stats.append((indices, scan_stats))
-
-        pending = [i for i in range(len(queries)) if i not in streamed]
-        if fanout is not None and len(pending) > 1:
-            ran = fanout(self._run_prepared, [prepared[i] for i in pending])
-        else:
-            ran = [self._run_prepared(prepared[i]) for i in pending]
-        outcomes: list[tuple[QueryResult, ExecutionStats]] = [None] * len(queries)  # type: ignore[list-item]
-        for i, outcome in zip(pending, ran):
-            outcomes[i] = outcome
-        for i, outcome in streamed.items():
-            outcomes[i] = outcome
-        for indices, scan_stats in shared_stats:
-            _spread_scan_stats(scan_stats, [outcomes[i][1] for i in indices])
-        return outcomes
-
-    def _execute_streaming_range(
-        self,
-        queries: list[AggregateQuery],
-        indices: list[int],
-        ranges: Sequence[tuple[int, int]],
-        scan_stats: ExecutionStats,
-    ) -> list[tuple[QueryResult, ExecutionStats]]:
-        """Serve one row range's batch by streaming chunk-aligned subranges.
-
-        Each subrange goes through the *same* shared preparation as the
-        one-shot path — union scan charged once into ``scan_stats``, shared
-        derived/predicate/argument expressions evaluated once per chunk —
-        and every query folds its chunk-local prepared state into a
-        :class:`~repro.db.streaming.StreamingGroupAggregator`.  Peak memory
-        is O(chunk + per-query groups); finalized results are
-        value-identical to the one-shot batch (and therefore to the
-        per-query executor), which the differential oracle enforces.
-        Returns outcomes aligned with ``indices``.
-        """
-        aggregators = {
-            i: StreamingGroupAggregator(
-                [spec.func for spec in queries[i].aggregates],
-                queries[i].group_budget,
-                self.store.dense_group_limit,
-            )
-            for i in indices
-        }
-        for sub_start, sub_stop in ranges:
-            chunk_prepared: list[_PreparedQuery | None] = [None] * len(queries)
-            self._prepare_range(
-                queries, indices, sub_start, sub_stop, scan_stats, chunk_prepared
-            )
+        # Shared groups scan here, on the calling thread, leaving only each
+        # query's aggregation to fan out; a seeded group of one is a
+        # whole-query job.
+        pending = [_Pending(query) for query in queries]
+        jobs: list[Callable[[], Outcome]] = [None] * len(pending)  # type: ignore[list-item]
+        for (start, stop, own), indices in groups.items():
+            if own >= 0:
+                jobs[own] = partial(self._run_seeded, pending[own], stop)
+                continue
+            self._scan_group([pending[i] for i in indices], start, stop)
             for i in indices:
-                prep = chunk_prepared[i]
-                assert prep is not None
-                aggregators[i].update(prep.key_columns, prep.aggregate_inputs)
-        outcomes: list[tuple[QueryResult, ExecutionStats]] = []
-        for i in indices:
-            stats = ExecutionStats()
-            started = time.perf_counter()
-            aggregator = aggregators[i]
-            result = aggregator.finalize()
-            tally_aggregation(
-                stats, self.store.table.schema, queries[i], result, aggregator.total_rows
-            )
-            stats.wall_seconds = time.perf_counter() - started
-            outcomes.append(
-                (build_query_result(queries[i], result, aggregator.total_rows), stats)
-            )
-        return outcomes
+                jobs[i] = partial(self._finish, pending[i])
+        if fanout is not None and len(jobs) > 1:
+            return fanout(_run_job, jobs)  # type: ignore[return-value]
+        return [job() for job in jobs]
 
-    # ------------------------------------------------------------------ #
-    # shared preparation (single-threaded, on the dispatching thread)
-    # ------------------------------------------------------------------ #
+    def _run_seeded(self, entry: _Pending, stop: int) -> Outcome:
+        """A seeded group of one, whole: restore, scan the tail, fold, snapshot."""
+        self._scan_group([entry], 0, stop, seeded=True)
+        return self._finish(entry)
+
+    def _scan_group(
+        self, group: list[_Pending], start: int, stop: int, seeded: bool = False
+    ) -> None:
+        """Read rows ``[start, stop)`` once for every query of ``group``.
+
+        One range and no seed leaves each query its prepared range for the
+        one-shot ``group_aggregate``.  Otherwise every chunk-aligned
+        sub-range goes through the same shared preparation and is folded,
+        in row order, into the query's aggregator — a fresh one, or for a
+        ``seeded`` group of one the state the delta cache holds for a
+        prefix of the range, in which case only the rows past that prefix
+        are scanned: the carry-seeded continuation of the one-shot
+        accumulation, bitwise-identical to it.  Full-table seeded scans
+        snapshot their state back into the cache for the next append.
+        """
+        started = time.perf_counter()
+        scan_stats = ExecutionStats()
+        queries = [entry.query for entry in group]
+        if seeded:
+            cache_key, start = self._restore(group[0], stop)
+        if seeded and start == stop:
+            ranges = []  # the restored state already covers the range
+        else:
+            ranges = self.store.stream_ranges(start, stop)
+        if len(ranges) == 1 and not seeded:
+            for entry, prepared in zip(
+                group, self._prepare_range(queries, start, stop, scan_stats)
+            ):
+                entry.prepared = prepared
+        else:
+            for entry in group:
+                if entry.aggregator is None:
+                    entry.aggregator = StreamingGroupAggregator(
+                        [spec.func for spec in entry.query.aggregates],
+                        entry.query.group_budget,
+                        self.store.dense_group_limit,
+                    )
+            for sub_start, sub_stop in ranges:
+                for entry, prepared in zip(
+                    group, self._prepare_range(queries, sub_start, sub_stop, scan_stats)
+                ):
+                    entry.aggregator.update(*prepared)
+            if seeded and stop == self.store.nrows:
+                aggregator = group[0].aggregator
+                self.delta_cache.put(
+                    cache_key,
+                    aggregator.snapshot(),
+                    stop,
+                    self.store.table.fingerprint(),
+                    aggregator.snapshot_nbytes(),
+                )
+        scan_stats.wall_seconds = time.perf_counter() - started
+        _spread_scan_stats(scan_stats, [entry.stats for entry in group])
+
+    def _restore(self, entry: _Pending, stop: int) -> tuple[str, int]:
+        """Seed ``entry`` from the delta cache; ``(cache key, rows covered)``.
+
+        A cached state is usable when the current table either *is* the
+        table it was captured over or append-extends it (checked via
+        :attr:`~repro.db.table.Table.append_lineage`).
+        """
+        from repro.core.cache import delta_state_key
+
+        table = self.store.table
+        key = delta_state_key(self.store, entry.query)
+        cached = self.delta_cache.get(key)
+        if cached is not None and cached.rows <= stop:
+            current = cached.fingerprint == table.fingerprint() and cached.rows <= table.nrows
+            extends = table.append_lineage.get(cached.fingerprint) == cached.rows
+            if current or extends:
+                entry.aggregator = StreamingGroupAggregator.from_snapshot(cached.state)
+                entry.restored_rows = entry.aggregator.total_rows
+                entry.stats.delta_hits += 1
+                return key, cached.rows
+        return key, 0
+
+    def _finish(self, entry: _Pending) -> Outcome:
+        """Aggregate what the scan left ``entry``; tally it; adapt the result.
+
+        ``agg_rows_processed`` and spill bytes charge the rows folded in
+        *this* execution; ``QueryResult.input_rows`` stays cumulative.
+        """
+        query, stats = entry.query, entry.stats
+        started = time.perf_counter()
+        if entry.aggregator is None:
+            key_columns, aggregate_inputs = entry.prepared
+            result = group_aggregate(
+                key_columns,
+                aggregate_inputs,
+                query.group_budget,
+                dense_limit=self.store.dense_group_limit,
+            )
+            input_rows = len(key_columns[0].codes)
+        else:
+            result = entry.aggregator.finalize()
+            input_rows = entry.aggregator.total_rows
+        tally_aggregation(
+            stats, self.store.table.schema, query, result, input_rows - entry.restored_rows
+        )
+        stats.wall_seconds += time.perf_counter() - started
+        return build_query_result(query, result, input_rows), stats
 
     def _prepare_range(
         self,
         queries: list[AggregateQuery],
-        indices: list[int],
         start: int,
         stop: int,
         stats: ExecutionStats,
-        prepared: list[_PreparedQuery | None],
-    ) -> None:
+    ) -> list[_Prepared]:
         """Scan once, evaluate shared expressions once, prepare each query."""
         base_columns = sorted(
-            set().union(*(queries[i].base_columns_needed() for i in indices))
+            set().union(*(query.base_columns_needed() for query in queries))
         )
         # Literal tests on dictionary-backed columns run on these codes: a
         # column read no other way is charged for its pages but never decoded.
         dictionaries = self.store.table.dictionaries(base_columns, start, stop)
         value_columns = frozenset().union(
-            *(queries[i].value_columns_needed(dictionaries) for i in indices)
+            *(query.value_columns_needed(dictionaries) for query in queries)
         )
         skip = dict_key_only_columns(self.store.table, base_columns, value_columns)
         arrays = self.store.scan(base_columns, start, stop, stats, skip_materialize=skip)
         # Skipped dict-encoded key columns still count as base names: they
-        # were scanned (codes), just never decoded into value arrays.
-        base_names = frozenset(arrays) | skip
+        # were scanned (codes), just never decoded into value arrays.  A scan
+        # with one consumer has nothing to share: no names, no cache keys.
+        base_names = frozenset(arrays) | skip if len(queries) > 1 else frozenset()
 
         derived_values: dict[Expression, np.ndarray] = {}
         arg_values: dict[Expression, np.ndarray] = {}
@@ -268,8 +335,8 @@ class SharedScanExecutor:
         derived_keys: dict[tuple[object, object], tuple[np.ndarray, np.ndarray]] = {}
         filtered_args: dict[tuple[object, object], np.ndarray] = {}
 
-        for i in indices:
-            query = queries[i]
+        prepared: list[_Prepared] = []
+        for query in queries:
             # Names that are genuinely *base* for THIS query: its derived
             # aliases never count, even when they collide with a base column
             # another query in the batch had scanned — treating such a
@@ -290,10 +357,7 @@ class SharedScanExecutor:
                 q_arrays = dict(arrays)
                 for derived in query.derived:
                     expr = derived.expression
-                    shareable = (
-                        expr.referenced_columns() <= q_base and hashable(expr)
-                    )
-                    if shareable:
+                    if shareable(expr, q_base):
                         values = derived_values.get(expr)
                         if values is None:
                             values = np.asarray(expr.evaluate(arrays, dictionaries))
@@ -308,7 +372,7 @@ class SharedScanExecutor:
             if predicate is None:
                 selector = None
                 pred_token: object = None
-            elif predicate.referenced_columns() <= q_base and hashable(predicate):
+            elif shareable(predicate, q_base):
                 pred_token = predicate
                 selector = selectors.get(predicate)
                 if selector is None:
@@ -319,7 +383,6 @@ class SharedScanExecutor:
                 pred_token = object()  # unique token: no cross-query sharing
                 mask = predicate.evaluate(q_arrays, q_dictionaries).astype(bool)
                 selector = np.flatnonzero(mask)
-            n_filtered = len(selector) if selector is not None else (stop - start)
 
             key_columns = group_key_columns(
                 self.store,
@@ -345,26 +408,5 @@ class SharedScanExecutor:
                 arg_values,
                 filtered_args,
             )
-            prepared[i] = _PreparedQuery(query, key_columns, aggregate_inputs, n_filtered)
-
-    # ------------------------------------------------------------------ #
-    # per-query job (read-only over shared state; safe to fan out)
-    # ------------------------------------------------------------------ #
-
-    def _run_prepared(
-        self, prep: _PreparedQuery
-    ) -> tuple[QueryResult, ExecutionStats]:
-        query = prep.query
-        stats = ExecutionStats()
-        started = time.perf_counter()
-        result = group_aggregate(
-            prep.key_columns,
-            prep.aggregate_inputs,
-            query.group_budget,
-            dense_limit=self.store.dense_group_limit,
-        )
-        tally_aggregation(
-            stats, self.store.table.schema, query, result, prep.n_filtered
-        )
-        stats.wall_seconds = time.perf_counter() - started
-        return build_query_result(query, result, prep.n_filtered), stats
+            prepared.append((key_columns, aggregate_inputs))
+        return prepared

@@ -91,8 +91,8 @@ class StorageEngine(abc.ABC):
         Charges the touched pages to the buffer pool and records bytes/rows
         into ``stats``.  Raises :class:`StorageError` for bad ranges or
         unknown columns.  Columns listed in ``skip_materialize`` are
-        charged but omitted from the returned dict — the executors name
-        dictionary-encoded pure group-by keys here, whose codes they fetch
+        charged but omitted from the returned dict — the pipeline names
+        dictionary-encoded pure group-by keys here, whose codes it fetches
         via :meth:`dictionary_slice` instead of ever decoding values (the
         read the pages charge for *is* the 4-byte-code read).
         """
@@ -128,12 +128,12 @@ class StorageEngine(abc.ABC):
         return min(candidates) if candidates else None
 
     def stream_ranges(self, start: int = 0, stop: int | None = None) -> list[tuple[int, int]]:
-        """Chunk-aligned subranges the streaming executors scan one at a time.
+        """Chunk-aligned subranges the chunk pipeline scans one at a time.
 
         The effective granularity is the smaller of :attr:`stream_chunk_rows`
         (the engine's memory-budget-derived override) and the table's own
-        chunk size; a single-element list means "run the classic one-shot
-        path" — which is what every in-memory single-chunk table without an
+        chunk size; a single-element list means "aggregate in one shot" —
+        which is what every in-memory single-chunk table without an
         override gets, keeping the resident fast path byte-for-byte intact.
         """
         stop = self.table.nrows if stop is None else stop
@@ -141,21 +141,6 @@ class StorageEngine(abc.ABC):
         if effective is None or effective >= stop - start:
             return [(start, stop)]
         return list(self.table.chunk_ranges(start, stop, chunk_rows=effective))
-
-    def scan_dictionary(
-        self,
-        column: str,
-        start: int = 0,
-        stop: int | None = None,
-        stats: ExecutionStats | None = None,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Like :meth:`scan` for one column, returning dictionary codes.
-
-        Returns ``(codes_slice, categories)``.  Charges the same page I/O as
-        a value scan of the column; the dictionary itself is metadata.
-        """
-        self.scan([column], start, stop, stats)
-        return self.dictionary_slice(column, start, stop)
 
     def dictionary_slice(
         self,
@@ -166,13 +151,12 @@ class StorageEngine(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """``(codes[start:stop], categories)`` with **no I/O accounting**.
 
-        For callers that already charged a value scan of ``column`` — both
-        executors scan a query's base columns first and then group on the
+        For callers that already charged a value scan of ``column`` — the
+        pipeline scans a query's base columns first and then groups on the
         table's global dictionary, so charging the codes again would
-        double-count the page.  Use :meth:`scan_dictionary` when the
-        dictionary read is the only access to the column.  ``values``
-        optionally passes the already-scanned value slice so chunked tables
-        encode it directly instead of re-touching the backing memmap.
+        double-count the page.  ``values`` optionally passes the
+        already-scanned value slice so chunked tables encode it directly
+        instead of re-touching the backing memmap.
         """
         stop = self.table.nrows if stop is None else stop
         return self.table.codes_range(column, start, stop, values=values)

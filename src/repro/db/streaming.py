@@ -1,8 +1,9 @@
 """Chunk-at-a-time group aggregation with exact partial-state merge.
 
-The streaming executors feed one chunk of (key codes, aggregate inputs) at
-a time into a :class:`StreamingGroupAggregator`; after the last chunk,
-:meth:`~StreamingGroupAggregator.finalize` yields a
+When a range streams, or continues from a delta-cache snapshot, the chunk
+pipeline (:mod:`repro.db.shared_scan`) feeds one chunk of (key codes,
+aggregate inputs) at a time into a :class:`StreamingGroupAggregator`; after
+the last chunk, :meth:`~StreamingGroupAggregator.finalize` yields a
 :class:`~repro.db.groupby.GroupResult` **value-identical** to running
 :func:`~repro.db.groupby.group_aggregate` over the whole range at once.
 Peak memory is O(chunk + groups), never O(range).
@@ -73,6 +74,45 @@ def _chunk_weights(
     if func is AggregateFunction.COUNT:
         return np.ones(n_chunk, dtype=np.float64)
     return np.asarray(values, dtype=np.float64)
+
+
+def _copy_state(state: dict[str, object]) -> dict[str, object]:
+    """Copy of an aggregator's attributes that shares no array with them.
+
+    Each attribute is a scalar (or enum member), an array, or a flat list
+    or dict of those — ``tests/db/test_streaming.py`` holds every field of
+    every mode to that shape by checking a restored copy for aliasing.
+    """
+    array = np.ndarray
+    copied: dict[str, object] = {}
+    for name, value in state.items():
+        kind = type(value)
+        if kind is array:
+            value = value.copy()
+        elif kind is list:
+            value = [item.copy() if type(item) is array else item for item in value]
+        elif kind is dict:
+            value = {
+                key: item.copy() if type(item) is array else item
+                for key, item in value.items()
+            }
+        copied[name] = value
+    return copied
+
+
+def _state_nbytes(state: dict[str, object]) -> int:
+    """Bytes held in the arrays of an aggregator's attributes."""
+    array = np.ndarray
+    total = 0
+    for value in state.values():
+        kind = type(value)
+        if kind is array:
+            total += value.nbytes
+        elif kind is list or kind is dict:
+            for item in value.values() if kind is dict else value:
+                if type(item) is array:
+                    total += item.nbytes
+    return total
 
 
 class StreamingGroupAggregator:
@@ -445,70 +485,27 @@ class StreamingGroupAggregator:
     def snapshot(self) -> dict[str, object]:
         """Deep copy of the running state, for the delta cache.
 
-        The returned mapping captures everything :meth:`update` mutates —
-        restoring it via :meth:`from_snapshot` and feeding the *next*
-        chunks produces bitwise the same state as one aggregator that saw
-        every chunk, because carry-seeding already makes accumulated
-        partials order-exact prefixes of the one-shot sequence.  Arrays
-        are copied on capture (and again on restore), so a cached snapshot
-        is immune to later updates on either side.
+        The state is the instance's attributes — everything :meth:`update`
+        mutates — captured generically, so a field added to ``update``
+        cannot be forgotten here.  Restoring it via :meth:`from_snapshot`
+        and feeding the *next* chunks produces bitwise the same state as
+        one aggregator that saw every chunk, because carry-seeding already
+        makes accumulated partials order-exact prefixes of the one-shot
+        sequence.  Arrays are copied on capture (and again on restore), so
+        a cached snapshot is immune to later updates on either side.
         """
-        return {
-            "funcs": list(self.funcs),
-            "budget": self.budget,
-            "dense_limit": self.dense_limit,
-            "total_rows": self.total_rows,
-            "key_names": None if self._key_names is None else list(self._key_names),
-            "mode": self._mode,
-            "category_counts": list(self._category_counts),
-            "last_categories": [c.copy() for c in self._last_categories],
-            "n_groups": self._n_groups,
-            "key_values": {k: v.copy() for k, v in self._key_values.items()},
-            "partials": [p.copy() for p in self._partials],
-            "counts": self._counts.copy(),
-            "dense_cats": [c.copy() for c in self._dense_cats],
-            "dense_sizes": list(self._dense_sizes),
-            "dense_product": self._dense_product,
-            "dense_counts": self._dense_counts.copy(),
-            "dense_partials": [p.copy() for p in self._dense_partials],
-        }
+        return _copy_state(vars(self))
 
     @classmethod
     def from_snapshot(cls, state: dict[str, object]) -> "StreamingGroupAggregator":
         """Rebuild an aggregator mid-stream from a :meth:`snapshot`."""
-        agg = cls(
-            list(state["funcs"]),  # type: ignore[arg-type]
-            state["budget"],  # type: ignore[arg-type]
-            state.get("dense_limit"),  # type: ignore[arg-type]
-        )
-        agg.total_rows = int(state["total_rows"])  # type: ignore[arg-type]
-        key_names = state["key_names"]
-        agg._key_names = None if key_names is None else list(key_names)  # type: ignore[arg-type]
-        agg._mode = state["mode"]  # type: ignore[assignment]
-        agg._category_counts = list(state["category_counts"])  # type: ignore[arg-type]
-        agg._last_categories = [c.copy() for c in state["last_categories"]]  # type: ignore[union-attr]
-        agg._n_groups = int(state["n_groups"])  # type: ignore[arg-type]
-        agg._key_values = {k: v.copy() for k, v in state["key_values"].items()}  # type: ignore[union-attr]
-        agg._partials = [p.copy() for p in state["partials"]]  # type: ignore[union-attr]
-        agg._counts = state["counts"].copy()  # type: ignore[union-attr]
-        agg._dense_cats = [c.copy() for c in state["dense_cats"]]  # type: ignore[union-attr]
-        agg._dense_sizes = list(state["dense_sizes"])  # type: ignore[arg-type]
-        agg._dense_product = int(state["dense_product"])  # type: ignore[arg-type]
-        agg._dense_counts = state["dense_counts"].copy()  # type: ignore[union-attr]
-        agg._dense_partials = [p.copy() for p in state["dense_partials"]]  # type: ignore[union-attr]
+        agg = cls.__new__(cls)
+        vars(agg).update(_copy_state(state))
         return agg
 
     def snapshot_nbytes(self) -> int:
         """Approximate resident bytes of a snapshot (cache budgeting)."""
-        arrays = (
-            list(self._last_categories)
-            + list(self._key_values.values())
-            + list(self._partials)
-            + [self._counts, self._dense_counts]
-            + list(self._dense_cats)
-            + list(self._dense_partials)
-        )
-        return sum(arr.nbytes for arr in arrays)
+        return _state_nbytes(vars(self))
 
     # ------------------------------------------------------------------ #
     # finalize

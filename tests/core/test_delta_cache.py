@@ -29,6 +29,7 @@ from repro.db import expressions as E
 from repro.db.catalog import TableMeta
 from repro.db.chunks import append_rows, open_table, write_table
 from repro.db.cost import CostModel
+from repro.db.executor import QueryExecutor
 from repro.db.query import (
     AggregateFunction,
     AggregateQuery,
@@ -172,6 +173,88 @@ class TestFileTierTmpSweep:
 
 
 # --------------------------------------------------------------------------- #
+# the seeded parameter value of the chunk pipeline
+# --------------------------------------------------------------------------- #
+
+
+class TestSeededExecution:
+    def _filtered_query(self) -> AggregateQuery:
+        return AggregateQuery(
+            table="deltas",
+            group_by=("d0",),
+            aggregates=(
+                AggregateSpec(AggregateFunction.AVG, "m0", "a"),
+                AggregateSpec(AggregateFunction.COUNT, None, "n"),
+            ),
+            predicate=E.eq("part", "t"),
+            group_budget=2,  # spills: its bytes follow the rows folded too
+        )
+
+    def test_aggregation_charges_the_rows_folded_in_this_execution(self):
+        """agg_rows_processed == predicate rows in [scan_from, stop) × aggregates.
+
+        Cold, refresh after an append, and a repeat with no new rows: the
+        restored prefix was charged to the execution that folded it.
+        """
+        full = _full_table(n=330, seed=4)
+        passing = np.asarray(full.column("part")) == "t"
+        table = full.slice_rows(0, 300)
+        store = make_store("col", table)
+        executor = QueryExecutor(store, DeltaStateCache())
+        query = self._filtered_query()
+
+        def execute(scan_from: int, stop: int):
+            result, stats = executor.execute(query)
+            n_new = int(passing[scan_from:stop].sum())
+            assert stats.rows_scanned == stop - scan_from
+            assert stats.agg_rows_processed == n_new * len(query.aggregates)
+            assert result.input_rows == int(passing[:stop].sum())  # cumulative
+            assert stats.delta_hits == (1 if scan_from else 0)
+            return stats
+
+        cold = execute(0, 300)
+        table.append(_columns(full, 300, 330))
+        store.sync_layout()
+        refresh = execute(300, 330)
+        repeat = execute(330, 330)
+        assert cold.spill_passes == refresh.spill_passes == repeat.spill_passes > 0
+        assert 0 == repeat.bytes_scanned_miss < refresh.bytes_scanned_miss < cold.bytes_scanned_miss
+
+    def test_concurrent_execute_matches_serial_bitwise(self):
+        """Stateless per call: eight threads share one seeded executor."""
+        import sys
+        from concurrent.futures import ThreadPoolExecutor
+
+        table = _full_table(n=400, seed=5)
+        queries = [_query(), self._filtered_query(), _query().with_range(50, 350)]
+        plain = QueryExecutor(make_store("col", table))
+        serial = [plain.execute(query)[0] for query in queries]
+        cache = DeltaStateCache()
+        executor = QueryExecutor(make_store("col", table), cache)
+
+        def worker(_):
+            return [[executor.execute(query)[0] for query in queries] for _ in range(5)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rounds = [r for rs in pool.map(worker, range(8), timeout=60) for r in rs]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rounds) == 40 and len(cache) == 2  # the two full-table queries
+        for results in rounds:
+            for want, got in zip(serial, results):
+                assert got.input_rows == want.input_rows
+                for name in want.groups:
+                    assert np.array_equal(want.groups[name], got.groups[name])
+                for name in want.values:
+                    assert np.asarray(want.values[name]).tobytes() == (
+                        np.asarray(got.values[name]).tobytes()
+                    )
+
+
+# --------------------------------------------------------------------------- #
 # engine-level refresh behaviour
 # --------------------------------------------------------------------------- #
 
@@ -241,6 +324,59 @@ class TestEngineDeltaRefresh:
             assert np.array_equal(dists.target, other.target, equal_nan=True)
             assert np.array_equal(
                 dists.reference, other.reference, equal_nan=True
+            )
+
+    def test_delta_cache_keeps_one_shared_scan_per_phase(self, tmp_path, monkeypatch):
+        """The delta fork used to switch sharing off: every query ran alone.
+
+        With a delta cache attached a ``comb`` run still issues one
+        ``execute_batch`` per phase; phases past the first (``start > 0``,
+        never seedable) charge their row range once, the first phase's
+        queries are seeded groups of one — and nothing differs from a run
+        without the delta cache except that accounting.
+        """
+        from repro.db.shared_scan import SharedScanExecutor
+
+        full = _full_table(n=400, seed=6)
+        write_table(full, tmp_path / "ds", chunk_rows=64)
+        chunked = open_table(tmp_path / "ds")
+        batches: list[tuple[tuple[int, int], int, int]] = []
+        execute_batch = SharedScanExecutor.execute_batch
+
+        def spy(self, queries, fanout=None):
+            outcomes = execute_batch(self, queries, fanout=fanout)
+            (row_range,) = {query.row_range for query in queries}
+            scanned = sum(stats.rows_scanned for _, stats in outcomes)
+            batches.append((row_range, len(queries), scanned))
+            return outcomes
+
+        monkeypatch.setattr(SharedScanExecutor, "execute_batch", spy)
+        views = list(ViewSpace.enumerate(TableMeta.of(chunked)))
+
+        def run(delta_cache: bool):
+            config = EngineConfig(store="col", n_phases=4, n_parallel_queries=4).with_(
+                result_cache=True, delta_cache=delta_cache
+            )
+            engine = ExecutionEngine(
+                make_store("col", chunked), get_metric("emd"), config, CostModel()
+            )
+            return engine.run(views, E.eq("part", "t"), k=3, strategy="comb", pruner="none")
+
+        seeded = run(delta_cache=True)
+        seeded_batches, batches[:] = list(batches), []
+        plain = run(delta_cache=False)
+
+        assert len(seeded_batches) == seeded.phases_executed == 4
+        for (start, stop), n_queries, scanned in seeded_batches:
+            assert scanned == (stop - start) * (n_queries if start == 0 else 1)
+        assert [b[:2] for b in batches] == [b[:2] for b in seeded_batches]
+        assert all(scanned == stop - start for (start, stop), _, scanned in batches)
+        assert seeded.selected == plain.selected
+        assert seeded.utilities == plain.utilities  # exact, not approx
+        for key, dists in plain.distributions.items():
+            assert np.array_equal(dists.target, seeded.distributions[key].target, equal_nan=True)
+            assert np.array_equal(
+                dists.reference, seeded.distributions[key].reference, equal_nan=True
             )
 
     def test_result_cache_stays_warm_across_the_append(self, tmp_path):

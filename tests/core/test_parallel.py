@@ -564,7 +564,7 @@ class TestPoolPlumbing:
     def test_worker_applies_and_resets_store_overrides(self, chunked_census):
         """The optimizer's tuning overrides ride every shipped task.
 
-        ``_worker_execute`` runs in-process here (it only needs the store
+        ``_worker_execute_batch`` runs in-process here (it only needs the store
         path), exercising the exact override plumbing a worker process
         runs: explicit values apply to the re-opened store, and a later
         task without overrides resets a reused worker back to static.
@@ -573,17 +573,17 @@ class TestPoolPlumbing:
 
         path = str(chunked_census.source_path)
         query = _count_query("census_like", "sex", 0, 2000)
-        baseline, _ = procpool._worker_execute(path, "col", query)
+        ((baseline, _),) = procpool._worker_execute_batch(path, "col", [query])
 
-        tuned, _ = procpool._worker_execute(
-            path, "col", query, stream_chunk_rows=64, dense_group_limit=123
+        ((tuned, _),) = procpool._worker_execute_batch(
+            path, "col", [query], stream_chunk_rows=64, dense_group_limit=123
         )
         backend = procpool._worker_backends[(path, "col")]
         assert backend.store.stream_chunk_rows == 64
         assert backend.store.dense_group_limit == 123
         assert tuned.to_rows() == baseline.to_rows()
 
-        again, _ = procpool._worker_execute(path, "col", query)
+        ((again, _),) = procpool._worker_execute_batch(path, "col", [query])
         assert backend.store.stream_chunk_rows is None
         assert backend.store.dense_group_limit is None
         assert again.to_rows() == baseline.to_rows()

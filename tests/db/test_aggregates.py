@@ -1,11 +1,13 @@
-"""Tests for per-group aggregate computation and mergeable partials."""
+"""Tests for per-group aggregate computation and its chunk-split invariance."""
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.db.aggregates import PartialAggregate, compute_group_aggregate
+from repro.db.aggregates import compute_group_aggregate
+from repro.db.groupby import GroupKeyColumn, group_aggregate
 from repro.db.query import AggregateFunction
+from repro.db.streaming import StreamingGroupAggregator
 from repro.exceptions import QueryError
 
 IDS = np.array([0, 1, 0, 2, 1, 0])
@@ -46,72 +48,6 @@ class TestComputeGroupAggregate:
             compute_group_aggregate(AggregateFunction.SUM, IDS, 3, None)
 
 
-class TestPartialAggregate:
-    def _split_merge(self, func: AggregateFunction) -> tuple[dict, dict]:
-        """Aggregate in one shot vs. two phase-chunks merged."""
-        keys = np.array(["a", "b", "a", "c", "b", "a"])
-        whole = PartialAggregate.empty(func)
-        w_ids, w_vals = IDS, VALS
-        agg = compute_group_aggregate(func, w_ids, 3, w_vals if func.needs_argument else None)
-        counts = compute_group_aggregate(AggregateFunction.COUNT, w_ids, 3, None)
-        whole.update(np.array(["a", "b", "c"]), agg, counts)
-
-        merged = PartialAggregate.empty(func)
-        for lo, hi in ((0, 3), (3, 6)):
-            ids, vals = w_ids[lo:hi], w_vals[lo:hi]
-            remap = {old: new for new, old in enumerate(sorted(set(ids)))}
-            dense = np.array([remap[i] for i in ids])
-            labels = np.array(["abc"[i] for i in sorted(set(ids))])
-            part_agg = compute_group_aggregate(
-                func, dense, len(remap), vals if func.needs_argument else None
-            )
-            part_counts = compute_group_aggregate(
-                AggregateFunction.COUNT, dense, len(remap), None
-            )
-            merged.update(labels, part_agg, part_counts)
-        del keys
-        return whole.finalize(), merged.finalize()
-
-    @pytest.mark.parametrize(
-        "func",
-        [
-            AggregateFunction.COUNT,
-            AggregateFunction.SUM,
-            AggregateFunction.AVG,
-            AggregateFunction.MIN,
-            AggregateFunction.MAX,
-        ],
-    )
-    def test_phased_merge_equals_single_pass(self, func):
-        whole, merged = self._split_merge(func)
-        assert set(whole) == set(merged)
-        for key in whole:
-            assert whole[key] == pytest.approx(merged[key])
-
-    def test_merge_two_partials(self):
-        a = PartialAggregate.empty(AggregateFunction.SUM)
-        b = PartialAggregate.empty(AggregateFunction.SUM)
-        a.update(np.array(["x"]), np.array([5.0]), np.array([2]))
-        b.update(np.array(["x", "y"]), np.array([3.0, 1.0]), np.array([1, 1]))
-        a.merge(b)
-        assert a.finalize() == {"x": 8.0, "y": 1.0}
-        assert a.total_rows() == 4
-
-    def test_merge_function_mismatch(self):
-        a = PartialAggregate.empty(AggregateFunction.SUM)
-        b = PartialAggregate.empty(AggregateFunction.MIN)
-        with pytest.raises(QueryError):
-            a.merge(b)
-
-    def test_min_merge_takes_minimum(self):
-        a = PartialAggregate.empty(AggregateFunction.MIN)
-        b = PartialAggregate.empty(AggregateFunction.MIN)
-        a.update(np.array(["x"]), np.array([5.0]), np.array([1]))
-        b.update(np.array(["x"]), np.array([3.0]), np.array([1]))
-        a.merge(b)
-        assert a.finalize() == {"x": 3.0}
-
-
 @given(
     data=st.lists(
         st.tuples(st.integers(0, 4), st.floats(0, 100, allow_nan=False)),
@@ -126,32 +62,21 @@ class TestPartialAggregate:
 def test_property_split_invariance(func, data, split):
     """Property: aggregating chunk-by-chunk equals aggregating everything.
 
-    This is the invariant the phased execution framework depends on.
+    This is the invariant streamed and delta-seeded execution depend on,
+    held bit for bit: the carry-seeded aggregator continues the one-shot
+    accumulation wherever the rows are split.
     """
     split = min(split, len(data))
-    chunks = [data[:split], data[split:]]
-    merged = PartialAggregate.empty(func)
-    for chunk in chunks:
-        if not chunk:
-            continue
-        ids = np.array([g for g, _ in chunk])
-        vals = np.array([v for _, v in chunk])
-        uniq = sorted(set(ids))
-        remap = {g: i for i, g in enumerate(uniq)}
-        dense = np.array([remap[g] for g in ids])
-        agg = compute_group_aggregate(func, dense, len(uniq), vals)
-        counts = compute_group_aggregate(AggregateFunction.COUNT, dense, len(uniq), None)
-        merged.update(np.array(uniq), agg, counts)
-
-    ids = np.array([g for g, _ in data])
+    codes = np.array([g for g, _ in data], dtype=np.int32)
     vals = np.array([v for _, v in data])
-    uniq = sorted(set(ids))
-    remap = {g: i for i, g in enumerate(uniq)}
-    dense = np.array([remap[g] for g in ids])
-    expected_agg = compute_group_aggregate(func, dense, len(uniq), vals)
-    expected = dict(zip(uniq, expected_agg.tolist()))
+    categories = np.arange(5)
+    expected = group_aggregate([GroupKeyColumn("g", codes, categories)], [(func, vals)])
 
+    merged = StreamingGroupAggregator([func])
+    for rows in (slice(0, split), slice(split, None)):
+        merged.update([GroupKeyColumn("g", codes[rows], categories)], [(func, vals[rows])])
     got = merged.finalize()
-    assert set(got) == set(expected)
-    for key in expected:
-        assert got[key] == pytest.approx(expected[key], rel=1e-9, abs=1e-9)
+
+    assert got.key_values["g"].tolist() == expected.key_values["g"].tolist()
+    assert got.group_counts.tolist() == expected.group_counts.tolist()
+    assert got.aggregate_values[0].tobytes() == expected.aggregate_values[0].tobytes()

@@ -103,13 +103,6 @@ class TestRegistry:
         assert sqlite.capabilities().parallel_safe
         sqlite.close()
 
-    def test_cost_hint(self, tiny_table):
-        store = make_store("col", tiny_table)
-        query = AggregateQuery("tiny", ("color",), (_avg(),))
-        assert make_backend("native", store).cost_hint(query) > 0
-        with make_backend("sqlite", store) as sqlite:
-            assert sqlite.cost_hint(query) is None
-
 
 class TestSQLiteSemantics:
     @pytest.fixture(scope="class")

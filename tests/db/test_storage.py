@@ -60,16 +60,10 @@ class TestScans:
 class TestDictionaryScan:
     def test_codes_align_with_values(self, tiny_table):
         store = make_store("col", tiny_table)
-        codes, categories = store.scan_dictionary("color", 2, 6)
+        codes, categories = store.dictionary_slice("color", 2, 6)
         np.testing.assert_array_equal(
             categories[codes], tiny_table.column("color")[2:6]
         )
-
-    def test_dictionary_scan_charges_io(self, tiny_table):
-        store = make_store("col", tiny_table)
-        stats = ExecutionStats()
-        store.scan_dictionary("color", stats=stats)
-        assert stats.pages_missed > 0
 
 
 class TestFactory:

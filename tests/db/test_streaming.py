@@ -109,9 +109,7 @@ def _queries() -> list[AggregateQuery]:
     ]
 
 
-def _assert_bitwise(one_shot, streamed, label: str) -> None:
-    r0, s0 = one_shot
-    r1, s1 = streamed
+def _assert_same_result(r0, r1, label: str) -> None:
     assert r1.n_groups == r0.n_groups, label
     assert r1.input_rows == r0.input_rows, label
     assert set(r1.groups) == set(r0.groups) and set(r1.values) == set(r0.values)
@@ -121,6 +119,12 @@ def _assert_bitwise(one_shot, streamed, label: str) -> None:
     for key in r0.values:
         a, b = np.asarray(r0.values[key]), np.asarray(r1.values[key])
         assert a.tobytes() == b.tobytes(), (label, key)
+
+
+def _assert_bitwise(one_shot, streamed, label: str) -> None:
+    r0, s0 = one_shot
+    r1, s1 = streamed
+    _assert_same_result(r0, r1, label)
     # Accounting parity where streaming promises it.
     assert s1.queries_issued == s0.queries_issued
     assert s1.spill_passes == s0.spill_passes, label
@@ -228,6 +232,115 @@ class TestSharedScanStreaming:
         assert sum(s.bytes_scanned_hit for _, s in outcomes) == 0
 
 
+def _columns(table: Table, start: int, stop: int) -> dict[str, np.ndarray]:
+    return {name: np.asarray(table.column(name))[start:stop] for name in table.column_names}
+
+
+def _thread_fanout(fn, items):
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return list(pool.map(fn, items, timeout=60))
+
+
+class TestPipelineParameterValues:
+    """Every way of running a batch is one pipeline with other parameters.
+
+    The same six queries — five over the whole table, one over rows
+    [100, 900) — through each parameter value of ``execute_batch`` give
+    byte-identical results, and the scan counters conserve: a batch charges
+    each distinct range once, batches of one charge every query its own.
+    """
+
+    N = 997
+    BASE = 800  # rows in the store before the refresh case appends the rest
+    RANGE = (100, 900)
+
+    def _run(self, case: str, tmp_path):
+        from repro.core.cache import DeltaStateCache
+
+        table, queries = _table(seed=19, n=self.N), _queries()
+        store = make_store("col", table)
+        if case == "batches_of_one":
+            pipeline = SharedScanExecutor(store)
+            return [pipeline.execute_batch([query])[0] for query in queries]
+        if case == "per_query_executor":
+            executor = QueryExecutor(store)
+            return [executor.execute(query) for query in queries]
+        if case == "many_ranges":
+            store.stream_chunk_rows = 64
+        elif case == "memmap":
+            C.write_table(table, tmp_path / "ds", chunk_rows=83)
+            store = make_store("col", C.open_table(tmp_path / "ds"))
+        elif case == "delta_refresh":
+            C.write_table(table.slice_rows(0, self.BASE), tmp_path / "ds", chunk_rows=128)
+            store = make_store("col", C.open_table(tmp_path / "ds"))
+            pipeline = SharedScanExecutor(store, DeltaStateCache())
+            cold = pipeline.execute_batch([q for q in queries if q.row_range is None])
+            assert all(stats.delta_hits == 0 for _, stats in cold)
+            C.append_rows(tmp_path / "ds", _columns(table, self.BASE, self.N))
+            assert store.table.refresh_from_disk()
+            store.sync_layout()
+            return pipeline.execute_batch(queries)
+        delta_cache = DeltaStateCache() if case == "delta_cold" else None
+        fanout = _thread_fanout if case == "thread_fanout" else None
+        return SharedScanExecutor(store, delta_cache).execute_batch(queries, fanout=fanout)
+
+    @pytest.mark.parametrize(
+        "case, scans_per_query",
+        [
+            ("one_batch", False),
+            ("batches_of_one", True),
+            ("per_query_executor", True),
+            ("many_ranges", False),
+            ("memmap", False),
+            ("thread_fanout", False),
+            ("delta_cold", True),  # seeded groups of one: each scans its own rows
+            ("delta_refresh", True),
+        ],
+    )
+    def test_same_bytes_and_conserved_scans(self, case, scans_per_query, tmp_path):
+        queries = _queries()
+        reference = SharedScanExecutor(
+            make_store("col", _table(seed=19, n=self.N))
+        ).execute_batch(queries)
+        outcomes = self._run(case, tmp_path)
+        assert len(outcomes) == len(queries)
+        for i, ((want, want_stats), (got, stats)) in enumerate(zip(reference, outcomes)):
+            _assert_same_result(want, got, f"{case} q={i}")
+            assert stats.queries_issued == 1
+            assert stats.spill_passes == want_stats.spill_passes
+            assert stats.groups_maintained == want_stats.groups_maintained
+            if case != "delta_refresh":  # a refresh folds (and charges) only new rows
+                assert stats.agg_rows_processed == want_stats.agg_rows_processed
+
+        full = self.N - self.BASE if case == "delta_refresh" else self.N
+        part = self.RANGE[1] - self.RANGE[0]
+        n_full = sum(query.row_range is None for query in queries)
+        assert n_full == 5 and queries[3].row_range == self.RANGE
+        scanned = sum(stats.rows_scanned for _, stats in outcomes)
+        assert scanned == (n_full * full if scans_per_query else full) + part
+        if case == "delta_refresh":
+            assert [stats.delta_hits for _, stats in outcomes] == [1, 1, 1, 0, 1, 1]
+
+    def test_batch_bytes_equal_one_scan_and_a_loop_n_scans(self):
+        """Bytes conserve like rows: one union scan per range, or one per query."""
+        table, queries = _table(seed=19, n=self.N), _queries()[:3]
+        store = make_store("col", table)
+        batch = SharedScanExecutor(store).execute_batch(queries)
+        loop_store = make_store("col", table)
+        loop = [QueryExecutor(loop_store).execute(query) for query in queries]
+
+        def total(outcomes):
+            return sum(s.bytes_scanned_miss + s.bytes_scanned_hit for _, s in outcomes)
+
+        union = sorted(set().union(*(q.base_columns_needed() for q in queries)))
+        assert total(batch) == store.scan_bytes(union, 0, self.N)
+        assert total(loop) == sum(
+            store.scan_bytes(sorted(q.base_columns_needed()), 0, self.N) for q in queries
+        )
+
+
 class TestSpillAccountingParity:
     """Both paths charge a budget-forced spill; neither partitions for it."""
 
@@ -272,6 +385,81 @@ class TestSpillAccountingParity:
         for stats in (streamed, shared):
             assert stats.spill_passes == resident.spill_passes
             assert stats.bytes_scanned_miss == resident.bytes_scanned_miss
+
+
+def _assert_equal_unaliased(want, got, where: str) -> None:
+    """Same value at every level, and no array or container shared."""
+    assert type(got) is type(want), where
+    if isinstance(want, np.ndarray):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), where
+        assert not np.shares_memory(want, got), where
+    elif isinstance(want, (list, dict)):
+        assert got is not want and len(got) == len(want), where
+        pairs = want.items() if isinstance(want, dict) else enumerate(want)
+        for key, item in pairs:
+            _assert_equal_unaliased(item, got[key], f"{where}[{key!r}]")
+    else:
+        assert got == want, where
+
+
+class TestSnapshotRoundTrip:
+    """The delta cache's contract: a snapshot is the whole running state."""
+
+    FUNCS = [
+        AggregateFunction.AVG,
+        AggregateFunction.MIN,
+        AggregateFunction.MAX,
+        AggregateFunction.COUNT,
+    ]
+
+    def _chunk(self, rng, n_categories: int, n: int = 40):
+        from repro.db.groupby import GroupKeyColumn
+
+        keys = [
+            GroupKeyColumn("a", rng.integers(0, n_categories, n).astype(np.int32),
+                           np.arange(n_categories)),
+            GroupKeyColumn("b", rng.integers(0, 2, n).astype(np.int32), np.asarray(["x", "y"])),
+        ]
+        inputs = [(f, None if f is AggregateFunction.COUNT else rng.random(n)) for f in self.FUNCS]
+        return keys, inputs
+
+    @pytest.mark.parametrize(
+        "mode, dense_limit, categories",
+        [
+            ("dense", None, (3, 3)),
+            ("sparse", 4, (3, 3)),  # 3 x 2 keys never fit a 4-slot domain
+            ("sparse", 8, (3, 6)),  # fits, then the second chunk outgrows it
+        ],
+        ids=["dense", "sparse", "converted"],
+    )
+    def test_restored_state_equals_the_original_field_by_field(
+        self, mode, dense_limit, categories
+    ):
+        rng = np.random.default_rng(23)
+        aggregator = StreamingGroupAggregator(self.FUNCS, budget=3, dense_limit=dense_limit)
+        for n_categories in categories:
+            aggregator.update(*self._chunk(rng, n_categories))
+        assert aggregator._mode == mode
+
+        snapshot = aggregator.snapshot()
+        restored = StreamingGroupAggregator.from_snapshot(snapshot)
+        assert set(vars(restored)) == set(vars(aggregator))
+        for name, value in vars(aggregator).items():
+            _assert_equal_unaliased(value, vars(restored)[name], name)
+            _assert_equal_unaliased(value, snapshot[name], f"snapshot {name}")
+        assert restored.snapshot_nbytes() == aggregator.snapshot_nbytes() > 0
+
+        # Copy-on-restore: folding into one restored copy leaves the
+        # snapshot (and a second copy made from it) where the original is.
+        restored.update(*self._chunk(rng, categories[-1]))
+        assert restored.total_rows == aggregator.total_rows + 40
+        again = StreamingGroupAggregator.from_snapshot(snapshot)
+        for name, value in vars(aggregator).items():
+            _assert_equal_unaliased(value, vars(again)[name], f"again {name}")
+        want, got = aggregator.finalize(), again.finalize()
+        assert want.group_counts.tobytes() == got.group_counts.tobytes()
+        for a, b in zip(want.aggregate_values, got.aggregate_values):
+            assert a.tobytes() == b.tobytes()
 
 
 class TestAggregatorContract:
