@@ -13,22 +13,31 @@ unchanged.
 The on-disk layout (a *chunk store*) is deliberately boring::
 
     dataset_dir/
-      manifest.json          # schema, roles, chunking, per-file sha256, digest
+      manifest.json          # schema, roles, chunking, per-chunk sha256s, digest
       columns/<name>.bin     # raw little-endian C-order values, one per column
 
-``manifest.json`` carries a content ``digest`` computed from the column
-checksums while they are written; :meth:`Table.fingerprint` hashes that
-digest instead of re-reading gigabytes of column data, so result-cache
-identity survives process restarts (two processes opening the same
-dataset directory agree on every cache key).
+``manifest.json`` lists, per column, one sha256 for every ``chunk_rows``
+stored values (``chunk_sha256``; the last entry covers the partial tail)
+and a column ``sha256`` over those digests (plus the category sidecar for
+dictionary columns), all cut by :class:`_ChunkDigests` while the bytes are
+written.  The store ``digest`` is a hash of the canonical manifest;
+:meth:`Table.fingerprint` hashes that digest instead of re-reading
+gigabytes of column data, so result-cache identity survives process
+restarts (two processes opening the same dataset directory agree on every
+cache key).
 
 Stores are append-only: :func:`append_rows` / :func:`append_table` extend
 the column files in place and land a fresh ``manifest.json`` (with a new
 digest) atomically via tmp+rename as the *last* step.  Readers that opened
 the store earlier keep a consistent view — their memmaps were sized by the
-old manifest — while new opens see the extended table.  ``k`` sequential
-appends produce byte-identical files (and the same digest) as one bulk
-write of all rows, so content-addressed cache keys stay honest.
+old manifest — while new opens see the extended table.  An append hashes
+from the first chunk that has no valid recorded digest — the partial tail
+chunk plus the new rows, O(chunk + delta) — and carries every earlier
+digest over, so ``k`` sequential appends produce byte-identical files and
+the same manifest as one bulk write of all rows and content-addressed
+cache keys stay honest.  (A column whose dictionary grew, or one from a
+``seedb-chunks-v1`` manifest, which records no chunk digests, is hashed
+from chunk 0 by the same rule.)
 
 :class:`ResidencyTracker` measures what the streaming path actually
 materializes: every chunk copied out of a memmap registers its bytes and
@@ -44,7 +53,7 @@ import json
 import os
 import threading
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator, Mapping
 
@@ -63,7 +72,10 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 DEFAULT_CHUNK_ROWS = 1 << 16
 
 #: Manifest format identifier; bump on incompatible layout changes.
-MANIFEST_FORMAT = "seedb-chunks-v1"
+MANIFEST_FORMAT = "seedb-chunks-v2"
+#: Formats :func:`read_manifest` accepts: v1 records no per-chunk digests
+#: and becomes v2 on its first append.
+_READABLE_FORMATS = (MANIFEST_FORMAT, "seedb-chunks-v1")
 
 _MANIFEST_NAME = "manifest.json"
 _COLUMN_DIR = "columns"
@@ -327,6 +339,9 @@ class ColumnManifest:
     ``categories_file`` — the layout used for string columns, matching the
     cost model's premise that strings are dictionary-encoded and charged
     32-bit codes).  ``dtype`` is always the *logical* value dtype.
+    ``chunk_sha256`` holds one digest per chunk of stored values and
+    ``sha256`` hashes those digests, then the categories (see
+    :class:`_ChunkDigests`).
     """
 
     name: str
@@ -338,6 +353,7 @@ class ColumnManifest:
     encoding: str = "raw"
     categories_file: str | None = None
     n_categories: int = 0
+    chunk_sha256: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -374,6 +390,27 @@ def _canonical_manifest_payload(payload: dict[str, object]) -> bytes:
     return json.dumps(scrubbed, sort_keys=True, separators=(",", ":")).encode()
 
 
+def _manifest_payload(
+    meta: ChunkStoreWriter | ChunkManifest, n_rows: int, columns: list[ColumnManifest]
+) -> dict[str, object]:
+    """The ``manifest.json`` body for ``columns``, content digest included."""
+    payload: dict[str, object] = {
+        "format": MANIFEST_FORMAT,
+        "name": meta.name,
+        "n_rows": n_rows,
+        "chunk_rows": meta.chunk_rows,
+        "description": meta.description,
+        "split_column": meta.split_column,
+        "target_value": meta.target_value,
+        "other_value": meta.other_value,
+        "columns": [vars(col) for col in columns],
+    }
+    payload["digest"] = hashlib.sha256(
+        _canonical_manifest_payload(payload)
+    ).hexdigest()
+    return payload
+
+
 def _column_filename(name: str) -> str:
     return f"{name}.bin"
 
@@ -383,30 +420,58 @@ def _write_manifest_atomic(root: Path, payload: dict[str, object]) -> None:
 
     Readers opening the store concurrently see either the old or the new
     manifest, never a torn one — the append path relies on this so an
-    in-flight append is invisible until its last step.
+    in-flight append is invisible until its last step.  Written compact:
+    with a digest per chunk an indented manifest is what an append to a
+    large store spends its time encoding (``python -m json.tool`` reads it).
     """
     target = root / _MANIFEST_NAME
     tmp = target.with_name(f"{_MANIFEST_NAME}.tmp-{os.getpid()}")
-    tmp.write_text(json.dumps(payload, indent=2))
+    tmp.write_text(json.dumps(payload))
     os.replace(tmp, target)
 
 
-def _hash_file(path: Path, sha: "hashlib._Hash", limit: int | None = None) -> None:
-    """Fold ``path``'s bytes (up to ``limit``) into ``sha``, streamed."""
-    remaining = limit
-    with open(path, "rb") as handle:
-        while True:
-            step = _WRITE_CHUNK_BYTES
-            if remaining is not None:
-                if remaining <= 0:
-                    break
-                step = min(step, remaining)
-            blob = handle.read(step)
-            if not blob:
-                break
-            sha.update(blob)
-            if remaining is not None:
-                remaining -= len(blob)
+class _ChunkDigests:
+    """Cuts a column's stored bytes into one sha256 per chunk.
+
+    The one place chunk digests are made.  Feed it the column's bytes in
+    order from the first chunk that has no valid recorded digest, seeded
+    with the digests of the complete chunks before it: the bulk writer
+    starts at row 0 with none, an append carries ``old_rows // chunk_rows``
+    digests over and feeds the partial tail chunk plus the new rows, and a
+    dictionary rewrite (or a v1 column, which recorded none) starts at 0
+    again.  Cuts fall on the chunk grid whatever the batch sizes.
+    """
+
+    def __init__(self, chunk_bytes: int, carried: tuple[str, ...] = ()) -> None:
+        self._digests = list(carried)
+        self._chunk_bytes = chunk_bytes
+        self._sha = hashlib.sha256()
+        self._room = chunk_bytes
+
+    def update(self, blob: bytes) -> None:
+        view = memoryview(blob)
+        while len(view):
+            head, view = view[: self._room], view[self._room :]
+            self._sha.update(head)
+            self._room -= len(head)
+            if not self._room:
+                self._cut()
+
+    def _cut(self) -> None:
+        self._digests.append(self._sha.hexdigest())
+        self._sha = hashlib.sha256()
+        self._room = self._chunk_bytes
+
+    def finish(self, categories_blob: bytes = b"") -> tuple[tuple[str, ...], str]:
+        """``(chunk digests, column sha256)``; closes the partial tail chunk.
+
+        The column digest hashes the chunk digests, then the category
+        sidecar — it covers codes AND categories.
+        """
+        if self._room < self._chunk_bytes:
+            self._cut()
+        column = hashlib.sha256("".join(self._digests).encode() + categories_blob)
+        return tuple(self._digests), column.hexdigest()
 
 
 class ColumnStreamWriter:
@@ -425,6 +490,7 @@ class ColumnStreamWriter:
         name: str,
         dtype: np.dtype,
         role: ColumnRole,
+        chunk_rows: int,
         categories: np.ndarray | None = None,
     ) -> None:
         if np.dtype(dtype).hasobject:
@@ -441,7 +507,7 @@ class ColumnStreamWriter:
         self.rows_written = 0
         self._root = root
         self._filename = _column_filename(name)
-        self._sha = hashlib.sha256()
+        self._digests = _ChunkDigests(chunk_rows * self._storage_dtype.itemsize)
         self._nbytes = 0
         self._handle = open(root / _COLUMN_DIR / self._filename, "wb")
 
@@ -453,7 +519,7 @@ class ColumnStreamWriter:
         """Write one batch (values, or int32 codes for dict columns)."""
         arr = np.ascontiguousarray(np.asarray(values, dtype=self._storage_dtype))
         blob = arr.tobytes()
-        self._sha.update(blob)
+        self._digests.update(blob)
         self._handle.write(blob)
         self._nbytes += len(blob)
         self.rows_written += len(arr)
@@ -462,30 +528,33 @@ class ColumnStreamWriter:
         """Close the file(s) and return the manifest entry."""
         self._handle.close()
         if self.categories is None:
+            chunk_sha256, sha256 = self._digests.finish()
             return ColumnManifest(
                 name=self.name,
                 dtype=self.dtype.str,
                 role=self.role.value,
                 file=f"{_COLUMN_DIR}/{self._filename}",
                 nbytes=self._nbytes,
-                sha256=self._sha.hexdigest(),
+                sha256=sha256,
+                chunk_sha256=chunk_sha256,
             )
         cats_name = f"{self.name}.cats.bin"
         cats_blob = np.ascontiguousarray(
             self.categories.astype(self.dtype, copy=False)
         ).tobytes()
         (self._root / _COLUMN_DIR / cats_name).write_bytes(cats_blob)
-        self._sha.update(cats_blob)  # digest covers codes AND categories
+        chunk_sha256, sha256 = self._digests.finish(cats_blob)
         return ColumnManifest(
             name=self.name,
             dtype=self.dtype.str,
             role=self.role.value,
             file=f"{_COLUMN_DIR}/{self._filename}",
             nbytes=self._nbytes + len(cats_blob),
-            sha256=self._sha.hexdigest(),
+            sha256=sha256,
             encoding="dict32",
             categories_file=f"{_COLUMN_DIR}/{cats_name}",
             n_categories=len(self.categories),
+            chunk_sha256=chunk_sha256,
         )
 
 
@@ -536,7 +605,9 @@ class ChunkStoreWriter:
         """
         if any(w.name == name for w in self._writers):
             raise StorageError(f"duplicate column {name!r}")
-        writer = ColumnStreamWriter(self.root, name, np.dtype(dtype), role, categories)
+        writer = ColumnStreamWriter(
+            self.root, name, np.dtype(dtype), role, self.chunk_rows, categories
+        )
         self._writers.append(writer)
         return writer
 
@@ -551,20 +622,7 @@ class ChunkStoreWriter:
                 f"columns disagree on row count: "
                 f"{ {w.name: w.rows_written for w in self._writers} }"
             )
-        payload: dict[str, object] = {
-            "format": MANIFEST_FORMAT,
-            "name": self.name,
-            "n_rows": n_rows.pop(),
-            "chunk_rows": self.chunk_rows,
-            "description": self.description,
-            "split_column": self.split_column,
-            "target_value": self.target_value,
-            "other_value": self.other_value,
-            "columns": [vars(col) for col in columns],
-        }
-        payload["digest"] = hashlib.sha256(
-            _canonical_manifest_payload(payload)
-        ).hexdigest()
+        payload = _manifest_payload(self, n_rows.pop(), columns)
         _write_manifest_atomic(self.root, payload)
         return read_manifest(self.root)
 
@@ -642,75 +700,81 @@ def _append_at(path: Path, offset: int, blob: bytes) -> None:
         handle.truncate()
 
 
-def _append_raw_column(
-    root: Path, col: ColumnManifest, values: np.ndarray, old_rows: int, n_new: int
-) -> ColumnManifest:
-    value_dtype = np.dtype(col.dtype)
+def _encode_appended(
+    root: Path, col: ColumnManifest, values: np.ndarray
+) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
+    """Coerce one column's appended values to stored bytes; writes nothing.
+
+    Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
+    holds int32 codes into ``categories`` (the sorted union of the stored
+    categories and the new values) and ``remap`` translates stored codes to
+    union codes — ``None`` when the dictionary is the one the manifest
+    recorded.  (A sidecar that differs from the manifest is what an append
+    that died after its rewrite leaves; remapping again re-hashes it.)
+    """
+    if col.encoding not in ("raw", "dict32"):
+        raise StorageError(
+            f"unknown column encoding {col.encoding!r} for {col.name!r}"
+        )
+    if not (root / col.file).is_file():
+        raise StorageError(f"chunk store {root} is missing column file {col.file}")
     try:
-        arr = np.ascontiguousarray(np.asarray(values, dtype=value_dtype))
+        if col.encoding == "raw":
+            return np.asarray(values, dtype=np.dtype(col.dtype)).tobytes(), None, None
+        if not col.categories_file:
+            raise StorageError(
+                f"dict-encoded column {col.name!r} declares no categories file"
+            )
+        old_cats = np.fromfile(root / col.categories_file, dtype=np.dtype(col.dtype))
+        vals = np.asarray(values)
+        if vals.dtype.kind != old_cats.dtype.kind:
+            vals = vals.astype(str if old_cats.dtype.kind == "U" else old_cats.dtype)
+        cats = np.unique(np.concatenate([old_cats, np.unique(vals)]))
     except (TypeError, ValueError) as exc:
         raise StorageError(
             f"column {col.name!r} rejects appended values: {exc}"
         ) from None
-    backing = root / col.file
-    if not backing.is_file():
-        raise StorageError(f"chunk store {root} is missing column file {col.file}")
-    _append_at(backing, old_rows * value_dtype.itemsize, arr.tobytes())
-    sha = hashlib.sha256()
-    nbytes = (old_rows + n_new) * value_dtype.itemsize
-    _hash_file(backing, sha, limit=nbytes)
-    return ColumnManifest(
-        name=col.name,
-        dtype=col.dtype,
-        role=col.role,
-        file=col.file,
-        nbytes=nbytes,
-        sha256=sha.hexdigest(),
-    )
+    blob = np.searchsorted(cats, vals).astype(np.int32).tobytes()
+    if len(cats) == len(old_cats) == col.n_categories and cats.dtype == old_cats.dtype:
+        return blob, old_cats, None
+    return blob, cats, np.searchsorted(cats, old_cats).astype(np.int32)
 
 
-def _append_dict_column(
-    root: Path, col: ColumnManifest, values: np.ndarray, old_rows: int, n_new: int
+def _append_column(
+    root: Path,
+    col: ColumnManifest,
+    chunk_rows: int,
+    old_rows: int,
+    blob: bytes,
+    cats: np.ndarray | None,
+    remap: np.ndarray | None,
 ) -> ColumnManifest:
-    """Append to a dict32 column, growing (and re-sorting) categories.
+    """Land one column's encoded ``blob`` after ``old_rows`` stored values.
 
-    New values outside the existing category set force the category array
-    to be re-unioned; since categories are stored *sorted* and every code
-    indexes into them, the whole code file is then rewritten (streamed
-    through a remap table) into a temp file that lands via ``os.replace``.
-    This keeps the final bytes identical to a one-shot bulk write of the
-    same rows — k sequential appends produce the same digest as one
-    ingest — while readers holding the old memmap keep the old inode.
+    Hashing starts at the first chunk with no valid recorded digest.  In
+    place (raw columns, unchanged dictionaries) that is the partial tail
+    chunk — re-read from the file, the only read-back — or chunk 0 for a
+    column whose manifest recorded none (v1).  A grown dictionary re-sorts
+    its categories, so every stored code is streamed through ``remap``
+    into a temp file, hashed from chunk 0 on the way, and swapped in with
+    ``os.replace`` — O(column), but the bytes equal a bulk write of the
+    same rows and readers holding the old memmap keep the old inode.
     """
     backing = root / col.file
-    if not backing.is_file():
-        raise StorageError(f"chunk store {root} is missing column file {col.file}")
-    if not col.categories_file:
-        raise StorageError(
-            f"dict-encoded column {col.name!r} declares no categories file"
-        )
-    cats_path = root / col.categories_file
-    old_cats = np.fromfile(cats_path, dtype=np.dtype(col.dtype))
-    vals = np.asarray(values)
-    if vals.dtype.kind != old_cats.dtype.kind:
-        vals = vals.astype(str) if old_cats.dtype.kind == "U" else vals.astype(
-            old_cats.dtype
-        )
-    new_unique = np.unique(vals) if n_new else old_cats[:0]
-    union = np.unique(np.concatenate([old_cats, new_unique]))
-    unchanged = (
-        len(union) == len(old_cats)
-        and union.dtype == old_cats.dtype
-        and bool(np.array_equal(union, old_cats))
-    )
-    code_offset = old_rows * np.dtype(np.int32).itemsize
-    if unchanged:
-        codes = np.searchsorted(old_cats, vals).astype(np.int32)
-        _append_at(backing, code_offset, np.ascontiguousarray(codes).tobytes())
-        cats = old_cats
+    itemsize = np.dtype(np.int32 if cats is not None else col.dtype).itemsize
+    chunk_bytes = chunk_rows * itemsize
+    cats_blob = b"" if cats is None else cats.tobytes()
+    if remap is None:
+        first = min(len(col.chunk_sha256), old_rows // chunk_rows)
+        digests = _ChunkDigests(chunk_bytes, col.chunk_sha256[:first])
+        _append_at(backing, old_rows * itemsize, blob)
+        with open(backing, "rb") as handle:
+            handle.seek(first * chunk_bytes)
+            end = old_rows * itemsize
+            for at in range(first * chunk_bytes, end, _WRITE_CHUNK_BYTES):
+                digests.update(handle.read(min(_WRITE_CHUNK_BYTES, end - at)))
     else:
-        remap = np.searchsorted(union, old_cats)
-        new_codes = np.searchsorted(union, vals).astype(np.int32)
+        digests = _ChunkDigests(chunk_bytes)
         tmp = backing.with_name(f"{backing.name}.tmp-{os.getpid()}")
         with open(tmp, "wb") as out:
             if old_rows:
@@ -719,32 +783,29 @@ def _append_dict_column(
                 )
                 step = max(1, _WRITE_CHUNK_BYTES // 4)
                 for start in range(0, old_rows, step):
-                    translated = remap[np.asarray(old_codes[start : start + step])]
-                    out.write(
-                        np.ascontiguousarray(translated.astype(np.int32)).tobytes()
-                    )
+                    piece = remap[old_codes[start : start + step]].tobytes()
+                    digests.update(piece)
+                    out.write(piece)
                 del old_codes
-            out.write(np.ascontiguousarray(new_codes).tobytes())
+            out.write(blob)
         os.replace(tmp, backing)
-        cats = union
+        cats_path = root / str(col.categories_file)
         cats_tmp = cats_path.with_name(f"{cats_path.name}.tmp-{os.getpid()}")
-        cats_tmp.write_bytes(np.ascontiguousarray(cats).tobytes())
+        cats_tmp.write_bytes(cats_blob)
         os.replace(cats_tmp, cats_path)
-    code_nbytes = (old_rows + n_new) * np.dtype(np.int32).itemsize
-    cats_blob = np.ascontiguousarray(cats).tobytes()
-    sha = hashlib.sha256()
-    _hash_file(backing, sha, limit=code_nbytes)
-    sha.update(cats_blob)  # digest covers codes AND categories
+    digests.update(blob)
+    chunk_sha256, sha256 = digests.finish(cats_blob)
     return ColumnManifest(
         name=col.name,
-        dtype=cats.dtype.str,
+        dtype=col.dtype if cats is None else cats.dtype.str,
         role=col.role,
         file=col.file,
-        nbytes=code_nbytes + len(cats_blob),
-        sha256=sha.hexdigest(),
-        encoding="dict32",
+        nbytes=old_rows * itemsize + len(blob) + len(cats_blob),
+        sha256=sha256,
+        encoding=col.encoding,
         categories_file=col.categories_file,
-        n_categories=len(cats),
+        n_categories=0 if cats is None else len(cats),
+        chunk_sha256=chunk_sha256,
     )
 
 
@@ -754,8 +815,10 @@ def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
     ``data`` maps every manifest column name to a same-length 1-D
     array-like of *logical* values (strings for dict-encoded columns —
     encoding against the store's category set happens here).  Column files
-    are extended in place; the manifest is rewritten last via tmp+rename
-    with a fresh content ``digest``, so:
+    are extended in place — except a dictionary column the batch brings a
+    new category to, whose code file is remapped into a new inode — and
+    the manifest is rewritten last via tmp+rename with a fresh content
+    ``digest``, so:
 
     * a reader that opened the store before the append keeps a fully
       consistent view (its memmaps were sized by the old manifest and
@@ -798,35 +861,26 @@ def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
     if not n_new:
         raise StorageError("append of zero rows")
 
+    # Encode every column before the first byte is written: a value a later
+    # column rejects must not leave an earlier column already replaced.
     old_rows = manifest.n_rows
-    columns: list[ColumnManifest] = []
-    for col in manifest.columns:
-        values = converted[col.name]
-        if col.encoding == "dict32":
-            columns.append(_append_dict_column(root, col, values, old_rows, n_new))
-        elif col.encoding == "raw":
-            columns.append(_append_raw_column(root, col, values, old_rows, n_new))
-        else:
-            raise StorageError(
-                f"unknown column encoding {col.encoding!r} for {col.name!r}"
-            )
+    encoded = [
+        _encode_appended(root, col, converted[col.name]) for col in manifest.columns
+    ]
+    columns = [
+        _append_column(root, col, manifest.chunk_rows, old_rows, *parts)
+        for col, parts in zip(manifest.columns, encoded)
+    ]
 
-    payload: dict[str, object] = {
-        "format": MANIFEST_FORMAT,
-        "name": manifest.name,
-        "n_rows": old_rows + n_new,
-        "chunk_rows": manifest.chunk_rows,
-        "description": manifest.description,
-        "split_column": manifest.split_column,
-        "target_value": manifest.target_value,
-        "other_value": manifest.other_value,
-        "columns": [vars(col) for col in columns],
-    }
-    payload["digest"] = hashlib.sha256(
-        _canonical_manifest_payload(payload)
-    ).hexdigest()
+    payload = _manifest_payload(manifest, old_rows + n_new, columns)
     _write_manifest_atomic(root, payload)
-    return read_manifest(root)
+    return replace(
+        manifest,
+        n_rows=old_rows + n_new,
+        columns=tuple(columns),
+        digest=str(payload["digest"]),
+        extra={},
+    )
 
 
 def append_table(path: str | Path, table: "Table") -> ChunkManifest:
@@ -857,10 +911,10 @@ def read_manifest(path: str | Path) -> ChunkManifest:
         payload = json.loads(manifest_path.read_text())
     except ValueError as exc:
         raise StorageError(f"unreadable manifest {manifest_path}: {exc}") from None
-    if payload.get("format") != MANIFEST_FORMAT:
+    if payload.get("format") not in _READABLE_FORMATS:
         raise StorageError(
             f"unsupported chunk-store format {payload.get('format')!r} "
-            f"(expected {MANIFEST_FORMAT!r})"
+            f"(expected one of {_READABLE_FORMATS!r})"
         )
     known = {
         "format", "name", "n_rows", "chunk_rows", "description",
@@ -877,6 +931,7 @@ def read_manifest(path: str | Path) -> ChunkManifest:
             encoding=str(col.get("encoding") or "raw"),
             categories_file=col.get("categories_file"),
             n_categories=int(col.get("n_categories") or 0),
+            chunk_sha256=tuple(col.get("chunk_sha256") or ()),
         )
         for col in payload["columns"]
     )

@@ -266,6 +266,8 @@ class AppendResponse:
     appended: int
     digest: str
     engines_refreshed: int = 0
+    #: Dictionary columns whose code file the append had to remap.
+    columns_rewritten: int = 0
     raw: Mapping[str, Any] = field(default_factory=dict)
 
     @classmethod
@@ -277,6 +279,7 @@ class AppendResponse:
             appended=int(payload["appended"]),
             digest=str(payload.get("digest", "")),
             engines_refreshed=int(payload.get("engines_refreshed", 0)),
+            columns_rewritten=int(payload.get("columns_rewritten", 0)),
             raw=dict(payload),
         )
 

@@ -34,8 +34,9 @@ legacy unprefixed paths still answer for one release but carry a
   ``invalid_path``.
 * ``POST /v1/datasets/<id>/append`` — append rows to an on-disk dataset:
   ``{"rows": {"col": [...], ...}}`` (columnar JSON, or a list of row
-  objects) or ``{"csv": "col1,col2\\n..."}``.  Chunk bytes already on disk
-  are never rewritten and **no cache is invalidated** — the next
+  objects) or ``{"csv": "col1,col2\\n..."}``.  Only a dictionary column the
+  batch brings a new category to is rewritten (``columns_rewritten``)
+  and **no cache is invalidated** — the next
   recommend carry-merges cached per-group partials over only the new
   chunks (the delta-state cache), so warm-path latency scales with the
   delta, not the dataset.
@@ -746,8 +747,9 @@ class RecommendationService:
         The body carries either columnar JSON rows (``{"rows": {"col":
         [...], ...}}`` or a list of row objects) or a headered CSV batch
         (``{"csv": "col1,col2\\n..."}``).  The rows land in the dataset's
-        chunk store (:func:`repro.db.chunks.append_rows` — existing chunk
-        bytes are never rewritten, the manifest swap is atomic), the
+        chunk store (:func:`repro.db.chunks.append_rows` — column files grow
+        in place, a dictionary column that gains a category is rewritten and
+        counted in ``columns_rewritten``, the manifest swap is atomic), the
         registry entry picks up the new digest, and every loaded engine
         re-syncs its memory map.  Crucially, **no cache is invalidated**:
         view-result entries stay keyed under the old fingerprint (still
@@ -773,7 +775,8 @@ class RecommendationService:
             lock = self._append_locks.setdefault(dataset, threading.Lock())
         with lock:
             try:
-                chunk_append_rows(spec.path, data)
+                before = read_manifest(spec.path)
+                after = chunk_append_rows(spec.path, data)
             except StorageError as exc:
                 raise ServiceError(f"append rejected: {exc}") from None
             entry = registry.refresh_on_disk(dataset)
@@ -785,6 +788,12 @@ class RecommendationService:
             "digest": entry.digest,
             "engines_refreshed": refreshed,
             "on_disk": True,
+            # A dictionary that grew was re-sorted: that column's code file
+            # was remapped and replaced, O(column) instead of O(delta).
+            "columns_rewritten": sum(
+                new.n_categories > old.n_categories
+                for old, new in zip(before.columns, after.columns)
+            ),
         }
 
     def refresh_dataset(self, dataset: str) -> dict[str, object]:

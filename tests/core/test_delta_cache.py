@@ -259,12 +259,12 @@ class TestSeededExecution:
 # --------------------------------------------------------------------------- #
 
 
-def _engine(chunked, result_cache=None):
+def _engine(chunked, result_cache=None, page_rows=4096):
     config = EngineConfig(
         store="col", n_phases=4, backend="native", n_parallel_queries=4
     ).with_(result_cache=True, delta_cache=True)
     return ExecutionEngine(
-        make_store("col", chunked),
+        make_store("col", chunked, page_rows=page_rows),
         get_metric("emd"),
         config,
         CostModel(),
@@ -325,6 +325,37 @@ class TestEngineDeltaRefresh:
             assert np.array_equal(
                 dists.reference, other.reference, equal_nan=True
             )
+
+    def test_refresh_is_charged_for_the_tail_pages_only(self, tmp_path):
+        """Conservation: a delta refresh pays page-granular reads of the tail.
+
+        The appended rows [300, 330) straddle the chunk boundary at 320 and
+        touch three of the store's 21 sixteen-row pages; no query may be
+        charged more than those pages at full row width, however many rows
+        its restored aggregation state had folded before.
+        """
+        full = _full_table(n=330, seed=1)
+        write_table(full.slice_rows(0, 300), tmp_path / "ds", chunk_rows=64)
+        chunked = open_table(tmp_path / "ds")
+        engine = _engine(chunked, page_rows=16)
+        cold = _run(engine, chunked).stats
+
+        append_rows(tmp_path / "ds", _columns(full, 300, 330))
+        chunked.refresh_from_disk()
+        engine.store.sync_layout()
+        engine.meta = TableMeta.of(chunked)
+        stats = _run(engine, chunked).stats
+
+        assert stats.delta_hits == stats.queries_issued > 0
+        assert stats.rows_scanned == stats.queries_issued * 30
+        tail_pages = (330 - 1) // 16 - 300 // 16 + 1
+        page_bytes = 16 * chunked.schema.row_byte_width()
+        charged = stats.bytes_scanned_miss + stats.bytes_scanned_hit
+        assert 0 < charged <= tail_pages * page_bytes * stats.queries_issued
+        assert stats.pages_hit + stats.pages_missed <= (
+            tail_pages * len(chunked.schema) * stats.queries_issued
+        )
+        assert charged < (cold.bytes_scanned_miss + cold.bytes_scanned_hit) / 4
 
     def test_delta_cache_keeps_one_shared_scan_per_phase(self, tmp_path, monkeypatch):
         """The delta fork used to switch sharing off: every query ran alone.

@@ -10,8 +10,11 @@ fully consistent old view.
 
 from __future__ import annotations
 
+import hashlib
+import json
 import tempfile
 import threading
+import types
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,13 @@ from repro.db.types import ColumnRole
 from repro.exceptions import SchemaError, StorageError
 
 
+_ROLES = {
+    "dim": ColumnRole.DIMENSION,
+    "small_int": ColumnRole.DIMENSION,
+    "measure": ColumnRole.MEASURE,
+}
+
+
 def _table(n: int, seed: int = 0, name: str = "toy") -> Table:
     rng = np.random.default_rng(seed)
     return Table(
@@ -33,11 +43,27 @@ def _table(n: int, seed: int = 0, name: str = "toy") -> Table:
             "small_int": rng.integers(0, 4, n),
             "measure": rng.gamma(2.0, 10.0, n),
         },
-        roles={
-            "dim": ColumnRole.DIMENSION,
-            "small_int": ColumnRole.DIMENSION,
-            "measure": ColumnRole.MEASURE,
+        roles=_ROLES,
+    )
+
+
+def _growing_table(n: int, seed: int = 0) -> Table:
+    """Like :func:`_table`, but later rows draw ``dim`` from a wider pool.
+
+    The pool is unsorted, so a batch that reaches further into it brings
+    categories that land *between* stored ones and force a code remap.
+    """
+    rng = np.random.default_rng(seed)
+    pool = np.array(["m", "a", "z", "b'c", "O'Brien", "k", "zz", "B"])
+    reach = 1 + np.arange(n) * len(pool) // n
+    return Table(
+        "toy",
+        {
+            "dim": pool[rng.integers(0, reach)],
+            "small_int": rng.integers(0, 4, n),
+            "measure": rng.gamma(2.0, 10.0, n),
         },
+        roles=_ROLES,
     )
 
 
@@ -56,6 +82,7 @@ class TestAppendRows:
         extra = _table(30, seed=9)
         manifest = C.append_rows(tmp_path / "ds", _columns(extra, 0, 30))
         assert manifest.n_rows == 230
+        assert manifest == C.read_manifest(tmp_path / "ds")
         reopened = C.open_table(tmp_path / "ds")
         assert reopened.nrows == 230
         for name in ("dim", "small_int", "measure"):
@@ -105,6 +132,34 @@ class TestAppendRows:
                 tmp_path / "ds", {"dim": [], "small_int": [], "measure": []}
             )
 
+    def test_rejected_append_leaves_the_store_untouched(self, tmp_path):
+        """A value a later column rejects must not half-apply earlier ones.
+
+        ``dim`` would gain a category (a whole-column rewrite) before ``m``
+        refuses its batch; every column is encoded before any is written.
+        """
+        base = Table(
+            "toy",
+            {"dim": ["a", "b", "a"], "m": [1.0, 2.0, 3.0]},
+            roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
+        )
+        C.write_table(base, tmp_path / "ds", chunk_rows=2)
+        before = C.read_manifest(tmp_path / "ds")
+        with pytest.raises(StorageError, match="column 'm' rejects"):
+            C.append_rows(tmp_path / "ds", {"dim": ["Zed", "a"], "m": ["oops", 5.0]})
+        assert C.read_manifest(tmp_path / "ds") == before
+        reopened = C.open_table(tmp_path / "ds")
+        assert list(np.asarray(reopened.column("dim"))) == ["a", "b", "a"]
+        # The next valid append lands exactly what a bulk write would.
+        C.append_rows(tmp_path / "ds", {"dim": ["Zed", "a"], "m": [4.0, 5.0]})
+        bulk = Table(
+            "toy",
+            {"dim": ["a", "b", "a", "Zed", "a"], "m": [1.0, 2.0, 3.0, 4.0, 5.0]},
+            roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
+        )
+        C.write_table(bulk, tmp_path / "bulk", chunk_rows=2)
+        assert C.read_manifest(tmp_path / "ds") == C.read_manifest(tmp_path / "bulk")
+
     def test_append_table_helper_matches_append_rows(self, tmp_path):
         table = _table(120)
         extra = _table(12, seed=5)
@@ -119,16 +174,18 @@ class TestAppendRows:
 
 
 class TestAppendEquivalence:
-    """k sequential appends ≡ one bulk write, byte for byte."""
+    """k sequential appends ≡ one bulk write ≡ one streamed write."""
 
     @settings(max_examples=12, deadline=None)
     @given(
         seed=st.integers(0, 50),
         n=st.integers(10, 120),
+        chunk_rows=st.integers(1, 40),
         cuts=st.lists(st.integers(1, 119), min_size=1, max_size=4),
+        writer_cuts=st.lists(st.integers(1, 119), max_size=4),
     )
-    def test_property_appends_equal_bulk(self, seed, n, cuts):
-        full = _table(n, seed=seed)
+    def test_property_appends_equal_bulk(self, seed, n, chunk_rows, cuts, writer_cuts):
+        full = _growing_table(n, seed=seed)
         # Sorted unique cut points strictly inside [0, n) split the table
         # into 2..5 batches: batch 0 is the bulk write, the rest appends.
         points = sorted({c % (n - 1) + 1 for c in cuts})
@@ -136,24 +193,176 @@ class TestAppendEquivalence:
         with tempfile.TemporaryDirectory() as tmp:
             bulk_dir = Path(tmp) / "bulk"
             inc_dir = Path(tmp) / "inc"
-            C.write_table(full, bulk_dir, chunk_rows=16)
-            C.write_table(full.slice_rows(0, bounds[1]), inc_dir, chunk_rows=16)
+            streamed_dir = Path(tmp) / "streamed"
+            C.write_table(full, bulk_dir, chunk_rows=chunk_rows)
+            C.write_table(
+                full.slice_rows(0, bounds[1]), inc_dir, chunk_rows=chunk_rows
+            )
             for start, stop in zip(bounds[1:], bounds[2:]):
                 C.append_rows(inc_dir, _columns(full, start, stop))
+            # The ingester's path: a ChunkStoreWriter fed batches cut
+            # anywhere, independent of both the append cuts and the grid.
+            writer = C.ChunkStoreWriter(streamed_dir, full.name, chunk_rows)
+            batch_bounds = sorted({0, n, *(c % (n - 1) + 1 for c in writer_cuts)})
+            for column in full.schema:
+                values = np.asarray(full.column(column.name))
+                cats = np.unique(values) if values.dtype.kind == "U" else None
+                stored = values if cats is None else np.searchsorted(cats, values)
+                sink = writer.add_column(
+                    column.name, values.dtype, column.role, categories=cats
+                )
+                for start, stop in zip(batch_bounds, batch_bounds[1:]):
+                    sink.append(stored[start:stop])
+            writer.finish()
             bulk = C.read_manifest(bulk_dir)
-            inc = C.read_manifest(inc_dir)
-            assert inc.digest == bulk.digest
+            # Whole manifests: per-chunk digests, column sha256s, digest.
+            assert C.read_manifest(inc_dir) == bulk
+            assert C.read_manifest(streamed_dir) == bulk
+            assert all(
+                len(col.chunk_sha256) == -(-n // chunk_rows) for col in bulk.columns
+            )
             for col in bulk.columns:
                 assert (
                     (inc_dir / "columns" / f"{col.name}.bin").read_bytes()
                     == (bulk_dir / "columns" / f"{col.name}.bin").read_bytes()
+                    == (streamed_dir / "columns" / f"{col.name}.bin").read_bytes()
                 )
             # Content-addressed identity: every cache key derived from the
-            # fingerprint matches across the two construction histories.
+            # fingerprint matches across the construction histories.
             assert (
                 C.open_table(inc_dir).fingerprint()
                 == C.open_table(bulk_dir).fingerprint()
             )
+
+
+class _CountingSha256:
+    """``hashlib.sha256`` that adds every byte it is fed to ``fed[0]``."""
+
+    def __init__(self, fed: list[int], data: bytes = b"") -> None:
+        self._fed = fed
+        self._sha = hashlib.sha256()
+        self.update(data)
+
+    def update(self, data) -> None:
+        self._fed[0] += len(data)
+        self._sha.update(data)
+
+    def hexdigest(self) -> str:
+        return self._sha.hexdigest()
+
+
+class TestAppendHashesOnlyTheDelta:
+    """An append hashes the tail chunk and the delta, whatever the store size."""
+
+    CHUNK_ROWS = 256
+    DELTA = 50
+
+    def _hashed_by_append(self, path, n_chunks, monkeypatch):
+        """Bytes fed to sha256 by one 50-row append to an ``n_chunks`` store."""
+        # Nine rows into the last chunk: the append must re-read that tail.
+        base = _table(self.CHUNK_ROWS * (n_chunks - 1) + 9, seed=n_chunks)
+        C.write_table(base, path, chunk_rows=self.CHUNK_ROWS)
+        before = C.read_manifest(path)
+        fed = [0]
+        shim = types.SimpleNamespace(
+            sha256=lambda data=b"": _CountingSha256(fed, data)
+        )
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "hashlib", shim)
+            after = C.append_rows(path, _columns(_table(self.DELTA, seed=1), 0, self.DELTA))
+        assert [c.n_categories for c in after.columns] == [
+            c.n_categories for c in before.columns
+        ]  # no dictionary grew: every column took the in-place path
+        return fed[0], before, after
+
+    def test_hashed_bytes_do_not_grow_with_the_store(self, tmp_path, monkeypatch):
+        small, _, small_after = self._hashed_by_append(tmp_path / "s", 10, monkeypatch)
+        big, before, after = self._hashed_by_append(tmp_path / "b", 100, monkeypatch)
+        manifest_bytes = (tmp_path / "b" / "manifest.json").stat().st_size
+        # The store-sized terms are the manifest's own: the digest over its
+        # canonical form and each column's hash over its chunk digests.
+        assert abs(big - small) <= 2 * manifest_bytes
+        budget = 2 * manifest_bytes
+        for col in after.columns:
+            stored = np.dtype(np.int32 if col.encoding == "dict32" else col.dtype)
+            categories = col.n_categories * np.dtype(col.dtype).itemsize
+            budget += (self.CHUNK_ROWS + self.DELTA) * stored.itemsize + categories
+        assert big <= budget
+        assert big < after.dataset_bytes / 8  # nowhere near a full re-hash
+        # Chunks the append did not touch keep their recorded digests.
+        untouched = before.n_rows // self.CHUNK_ROWS
+        assert untouched == 99
+        for old, new in zip(before.columns, after.columns):
+            assert new.chunk_sha256[:untouched] == old.chunk_sha256[:untouched]
+            assert len(new.chunk_sha256) == -(-after.n_rows // self.CHUNK_ROWS)
+        assert small_after.n_rows == 9 * self.CHUNK_ROWS + 9 + self.DELTA
+
+
+class TestAppendRecovery:
+    """Failed manifest swaps and old-format stores converge on the bulk write."""
+
+    @pytest.mark.parametrize("new_category", [False, True])
+    def test_failed_manifest_swap_then_retry(self, tmp_path, monkeypatch, new_category):
+        full = _growing_table(100, seed=3) if new_category else _table(100, seed=3)
+        C.write_table(full.slice_rows(0, 70), tmp_path / "ds", chunk_rows=16)
+        C.write_table(full, tmp_path / "bulk", chunk_rows=16)
+        before = C.read_manifest(tmp_path / "ds")
+        delta = _columns(full, 70, 100)
+
+        def refuse(root, payload):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_write_manifest_atomic", refuse)
+            with pytest.raises(OSError, match="disk full"):
+                C.append_rows(tmp_path / "ds", delta)
+        assert C.read_manifest(tmp_path / "ds") == before
+        if not new_category:
+            # In-place growth is invisible until the manifest lands.  (A
+            # rewritten dictionary is the documented remaining window.)
+            reopened = C.open_table(tmp_path / "ds")
+            assert reopened.nrows == 70
+            assert np.array_equal(
+                np.asarray(reopened.column("measure")),
+                np.asarray(full.column("measure"))[:70],
+            )
+        C.append_rows(tmp_path / "ds", delta)
+        assert C.read_manifest(tmp_path / "ds") == C.read_manifest(tmp_path / "bulk")
+
+    def test_v1_manifest_opens_and_upgrades_on_first_append(self, tmp_path):
+        full = _table(100, seed=5)
+        C.write_table(full.slice_rows(0, 70), tmp_path / "ds", chunk_rows=16)
+        C.write_table(full, tmp_path / "bulk", chunk_rows=16)
+        # Rewrite the manifest the way the v1 writer produced it: no chunk
+        # digests, one sha256 over the column file (then the categories).
+        manifest_path = tmp_path / "ds" / "manifest.json"
+        payload = json.loads(manifest_path.read_text())
+        payload["format"] = "seedb-chunks-v1"
+        for col in payload["columns"]:
+            del col["chunk_sha256"]
+            whole = hashlib.sha256((tmp_path / "ds" / col["file"]).read_bytes())
+            if col["categories_file"]:
+                whole.update((tmp_path / "ds" / col["categories_file"]).read_bytes())
+            col["sha256"] = whole.hexdigest()
+        payload["digest"] = hashlib.sha256(
+            C._canonical_manifest_payload(payload)
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(payload, indent=2))
+
+        v1 = C.read_manifest(tmp_path / "ds")
+        assert v1.digest == payload["digest"]
+        assert all(col.chunk_sha256 == () for col in v1.columns)
+        opened = C.open_table(tmp_path / "ds")
+        assert opened.nrows == 70
+        assert np.array_equal(
+            np.asarray(opened.column("measure")),
+            np.asarray(full.column("measure"))[:70],
+        )
+        # The first append hashes each chunk once and lands a v2 manifest
+        # indistinguishable from a bulk v2 write of the same rows.
+        C.append_rows(tmp_path / "ds", _columns(full, 70, 100))
+        assert json.loads(manifest_path.read_text())["format"] == C.MANIFEST_FORMAT
+        assert C.read_manifest(tmp_path / "ds") == C.read_manifest(tmp_path / "bulk")
 
 
 class TestReaderConsistency:

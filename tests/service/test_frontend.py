@@ -235,7 +235,7 @@ class TestFrontendRouting:
 
         path = _toy_chunk_store(tmp_path)
         batch = {
-            "region": ["n"] * 5,
+            "region": ["n"] * 4 + ["up"],
             "flavor": ["a"] * 5,
             "sales": [1.5] * 5,
             "segment": ["t"] * 5,
@@ -245,6 +245,8 @@ class TestFrontendRouting:
             assert created["name"] == "toyapp"
             response = client.append("toyapp", AppendRequest(rows=batch))
             assert response.n_rows == 405 and response.appended == 5
+            # The owner's body passes through: "up" re-sorted one dictionary.
+            assert response.columns_rewritten == 1
             # The ring owner performed the append once against the shared
             # chunk store; the broadcast refresh re-synced the sibling, so
             # no worker serves a stale row count.

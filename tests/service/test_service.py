@@ -813,6 +813,45 @@ class TestAppendDatasets:
         with pytest.raises(ServiceError, match="append rejected"):
             svc.append_dataset("toy", {"rows": {"region": ["n"]}})
 
+    def test_rejected_append_is_a_400_that_changes_nothing(self, toy_service, tmp_path):
+        """``sales`` refuses its value after ``region`` would have been rewritten."""
+        import numpy as np
+
+        from repro.data import registry
+        from repro.db.chunks import open_table, read_manifest, write_table
+        from repro.db.table import Table
+
+        svc = toy_service
+        path = registry.spec("toy").path
+        before = read_manifest(path)
+        batch = {**_toy_batch(2), "region": ["Zed", "n"]}
+        with pytest.raises(ServiceError, match="append rejected") as excinfo:
+            svc.append_dataset("toy", {"rows": {**batch, "sales": ["oops", 5.0]}})
+        assert excinfo.value.status == 400
+        assert read_manifest(path) == before
+        base = open_table(path)
+        assert base.nrows == 400
+        # The same batch with a valid measure lands, reports the one
+        # dictionary it had to re-sort, and equals a bulk write.
+        result = svc.append_dataset("toy", {"rows": batch})
+        assert result["n_rows"] == 402 and result["columns_rewritten"] == 1
+        assert svc.append_dataset("toy", {"rows": batch})["columns_rewritten"] == 0
+        grown = Table(
+            "toy",
+            {
+                col.name: np.concatenate(
+                    [np.asarray(base.column(col.name)), batch[col.name], batch[col.name]]
+                )
+                for col in base.schema
+            },
+            roles={col.name: col.role for col in base.schema},
+        )
+        bulk = write_table(
+            grown, tmp_path / "bulk", chunk_rows=64,
+            split_column="segment", target_value="t", other_value="r",
+        )
+        assert read_manifest(path) == bulk
+
     def test_refresh_dataset_is_idempotent(self, toy_service):
         svc = toy_service
         svc.create_session({"dataset": "toy"})  # loads the engine
@@ -849,7 +888,7 @@ class TestAppendDatasets:
                 )
                 assert response.dataset == "toy"
                 assert response.n_rows == 408 and response.appended == 3
-                assert response.digest
+                assert response.digest and response.columns_rewritten == 0
                 refreshed = client.refresh_dataset("toy")
                 assert refreshed["n_rows"] == 408
             status, body = _call(
