@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Literal, Sequence
+from typing import Callable, Collection, Literal, Sequence
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from repro.core.sharing import (
     PlannedQuery,
     ReferenceMode,
     SharingPlan,
+    ViewRoute,
     plan_queries,
 )
 from repro.core.state import ViewState
@@ -317,10 +318,7 @@ class ExecutionEngine:
             pruner_obj = make_pruner("none")
         pruner_obj.initialize([v.key for v in views], k, len(ranges))
 
-        states: dict[ViewKey, ViewState] = {
-            v.key: ViewState(v, self.store.table.categories(v.dimension))
-            for v in views
-        }
+        states = self._make_states(views)
         active: dict[ViewKey, AggregateView] = {v.key: v for v in views}
         run_stats = ExecutionStats()
         sql_log: list[str] = []
@@ -385,9 +383,7 @@ class ExecutionEngine:
                 phases_executed += 1
 
                 if use_phases:
-                    estimates = {
-                        key: states[key].record_estimate(self.metric) for key in active
-                    }
+                    estimates = self._per_view(states, active, ViewState.record_estimate)
                     decision = pruner_obj.observe(
                         phase_index,
                         estimates,
@@ -580,10 +576,7 @@ class ExecutionEngine:
             for (request, optimizer, plan, ranged, _), request_slots in zip(
                 planned_requests, slots
             ):
-                states: dict[ViewKey, ViewState] = {
-                    v.key: ViewState(v, self.store.table.categories(v.dimension))
-                    for v in request.views
-                }
+                states = self._make_states(request.views)
                 run_stats = ExecutionStats()
                 sql_log: list[str] = []
                 for query in ranged:
@@ -771,6 +764,33 @@ class ExecutionEngine:
             run_stats.batch_costs.append(batch_costs)
         return outcomes
 
+    def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
+        """One state table per (dimension, function); every view's key maps
+        to the table that holds its row."""
+        grouped: dict[tuple, list[AggregateView]] = {}
+        for view in views:
+            grouped.setdefault((view.dimension, view.func), []).append(view)
+        states: dict[ViewKey, ViewState] = {}
+        for (dimension, _), group in grouped.items():
+            state = ViewState(group, self.store.table.categories(dimension))
+            states.update(dict.fromkeys(state.rows, state))
+        return states
+
+    def _per_view(
+        self, states: dict[ViewKey, ViewState], keys: Collection[ViewKey], evaluate: Callable
+    ) -> dict:
+        """``evaluate(state, metric, rows)`` once per state table, answered
+        per view in ``keys`` order — the order is part of the contract: the
+        pruners' and the ranking's stable sorts break exact ties by it."""
+        grouped: dict[ViewState, list[ViewKey]] = {}
+        for key in keys:
+            grouped.setdefault(states[key], []).append(key)
+        values: dict = {}
+        for state, group in grouped.items():
+            rows = [state.rows[key] for key in group]
+            values.update(zip(group, evaluate(state, self.metric, rows)))
+        return {key: values[key] for key in keys}
+
     def _route_result(
         self,
         planned: PlannedQuery,
@@ -778,41 +798,56 @@ class ExecutionEngine:
         states: dict[ViewKey, ViewState],
         reference_mode: ReferenceMode,
     ) -> None:
-        """Feed one query result into every view it serves."""
-        counts = np.asarray(result.values["__group_count__"])
+        """Feed one query result into every view it serves.
+
+        Routes are grouped by the state table they feed: the flags are read
+        once, a dimension's keys are decoded once, and a table's routed
+        aggregates are folded as one stack.
+        """
+        counts = np.asarray(result.values["__group_count__"], dtype=np.float64)
+        # Route side -> (state side, positions of the groups that feed it),
+        # ``None`` meaning every group.
+        feeds: dict[str, tuple] = {
+            "target": (("target", None),),
+            "reference": (("reference", None),),
+        }
         if planned.flag_alias is not None:
             flags = np.asarray(result.groups[planned.flag_alias]).astype(np.int64)
             if planned.flag_kind == "two_bit":
-                target_mask = flags >= 2
-                reference_mask = (flags % 2) == 1
+                target_groups = np.flatnonzero(flags >= 2)
+                reference_groups = np.flatnonzero((flags % 2) == 1)
             else:
-                target_mask = flags == 1
-                reference_mask = (
-                    np.ones_like(target_mask)
-                    if reference_mode == "all"
-                    else flags == 0
+                target_groups = np.flatnonzero(flags == 1)
+                reference_groups = (
+                    None if reference_mode == "all" else np.flatnonzero(flags == 0)
                 )
-        else:
-            target_mask = reference_mask = None
+            feeds["both"] = (("target", target_groups), ("reference", reference_groups))
 
+        grouped: dict[tuple[ViewState, str], list[ViewRoute]] = {}
         for route in planned.routes:
             state = states.get(route.view.key)
-            if state is None:
-                continue
-            keys = np.asarray(result.groups[route.dim_column])
-            agg = np.asarray(result.values[route.agg_alias])
-            if route.side == "target":
-                state.update_target(keys, agg, counts)
-            elif route.side == "reference":
-                state.update_reference(keys, agg, counts)
-            else:
-                assert target_mask is not None and reference_mask is not None
-                state.update_target(
-                    keys[target_mask], agg[target_mask], counts[target_mask]
-                )
-                state.update_reference(
-                    keys[reference_mask], agg[reference_mask], counts[reference_mask]
-                )
+            if state is not None:
+                grouped.setdefault((state, route.side), []).append(route)
+        codes: dict[str, np.ndarray] = {}
+        for (state, side), routes in grouped.items():
+            dimension = routes[0].dim_column
+            if dimension not in codes:
+                codes[dimension] = state.codes(np.asarray(result.groups[dimension]))
+            rows = np.array([state.rows[route.view.key] for route in routes])
+            agg = np.array(
+                [result.values[route.agg_alias] for route in routes], dtype=np.float64
+            )
+            for name, groups in feeds[side]:
+                partial = getattr(state, name)
+                if groups is None:
+                    partial.update(rows, codes[dimension], agg, counts)
+                else:
+                    partial.update(
+                        rows,
+                        codes[dimension][groups],
+                        np.take(agg, groups, axis=1),
+                        counts[groups],
+                    )
 
     @staticmethod
     def _top_k_identified(
@@ -842,20 +877,17 @@ class ExecutionEngine:
         pruner: Pruner,
         k: int,
     ) -> tuple[list[ViewKey], dict[ViewKey, float], dict[ViewKey, ViewDistributions]]:
-        candidates = set(active) | set(pruner.accepted)
-        utilities: dict[ViewKey, float] = {}
-        distributions: dict[ViewKey, ViewDistributions] = {}
-        for key in candidates:
-            value, dists = states[key].utility(self.metric)
-            utilities[key] = value
-            distributions[key] = dists
-        if pruner.name == "random":
-            selected = sorted(
-                pruner.accepted, key=lambda key: -utilities.get(key, 0.0)
-            )[:k]
-        else:
-            selected = [
-                key
-                for key, _ in sorted(utilities.items(), key=lambda kv: -kv[1])[:k]
-            ]
+        accepted = pruner.accepted
+        # View order, never a set's: exact ties must rank the same under any
+        # PYTHONHASHSEED.
+        candidates = list(active) + sorted(accepted.difference(active))
+        results = self._per_view(states, candidates, ViewState.utility)
+        utilities = {key: value for key, (value, _) in results.items()}
+        distributions = {key: dists for key, (_, dists) in results.items()}
+        ranked = (
+            [key for key in candidates if key in accepted]
+            if pruner.name == "random"
+            else candidates
+        )
+        selected = sorted(ranked, key=lambda key: -utilities[key])[:k]
         return selected, utilities, distributions

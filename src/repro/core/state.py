@@ -1,28 +1,42 @@
-"""Per-view partial-result state for the phased framework.
+"""Partial-result state for the phased framework: one table per dimension.
 
-Each candidate view owns one :class:`ViewState`: mergeable partial
-aggregates for its target and reference sides, updated after every phase,
-plus the history of utility estimates the pruners consume (one estimate per
-phase, computed from everything accumulated so far — "partial results for
-each aggregate view on the fractions from 1 through i are used to estimate
-the quality of each view", paper §3).
+Every candidate view that shares a dimension and an aggregate function —
+same categories, same group keys, same update rule — is one *row* of one
+:class:`ViewState`: mergeable partial aggregates for the target and the
+reference side, shape ``(n_views, n_slots)``, updated after every phase and
+read back as utility estimates ("partial results for each aggregate view on
+the fractions from 1 through i are used to estimate the quality of each
+view", paper §3).  A query result already carries all of a dimension's
+measures, so it is decoded, masked and folded once per table, and presence,
+the union mask, finalization and normalization are computed once per stack;
+only the metric still runs once per view, on that view's row.
 
-Partials are *array-backed*, indexed by the dimension's global dictionary
-code (stable across phases because :meth:`repro.db.table.Table.dictionary`
-is computed once over the whole table).  Updates are vectorized
-(``np.add.at`` / ``np.minimum.at``), which also makes marginalizing a
-multi-attribute group-by back down to the view's single dimension free:
-duplicate codes simply accumulate.
+Slot ``i`` is the dimension's i-th global dictionary code (stable across
+phases because :meth:`repro.db.table.Table.dictionary` is computed once over
+the whole table).  Updates are vectorized (``np.add.at`` /
+``np.minimum.at``), which also makes marginalizing a multi-attribute
+group-by back down to the view's single dimension free: duplicate codes
+simply accumulate, per row in group order.
+
+Each row keeps its own ``counts`` although live rows receive identical
+ones: a pruned view's row just stops being updated (and is never read
+again), so no row's presence depends on which of its neighbours survive.
+
+Row ``r`` of every stacked result equals, bit for bit, what a one-row table
+fed the same updates computes.  That rests on one layout rule: a stack is
+compacted to its present slots with ``np.take(..., axis=1)``, which returns
+C-contiguous rows.  ``values[:, mask]`` returns a transposed layout whose
+``sum(axis=1)`` adds in a different order than the 1-D pairwise sum.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from repro.core.difference import ViewDistributions
-from repro.core.view import AggregateView
+from repro.core.view import AggregateView, ViewKey
 from repro.db.query import AggregateFunction
 from repro.exceptions import RecommendationError
 from repro.metrics.base import DistanceFunction
@@ -30,136 +44,135 @@ from repro.metrics.normalize import normalize_distribution
 
 
 class SidePartial:
-    """Mergeable aggregate state for one side (target or reference).
+    """Mergeable aggregate state of one side (target or reference).
 
-    Slot ``i`` corresponds to the dimension's i-th dictionary category.
-    COUNT/SUM accumulate sums; AVG carries (weighted sum, count); MIN/MAX
-    keep running extrema.  ``counts`` doubles as the presence indicator.
+    One row per view, one slot per dictionary category.  COUNT/SUM
+    accumulate sums; AVG carries (weighted sum, count); MIN/MAX keep running
+    extrema.  ``counts`` doubles as the presence indicator.
     """
 
     __slots__ = ("func", "sums", "counts", "extrema")
 
-    def __init__(self, func: AggregateFunction, n_slots: int) -> None:
+    def __init__(self, func: AggregateFunction, n_views: int, n_slots: int) -> None:
         self.func = func
-        self.sums = np.zeros(n_slots)
-        self.counts = np.zeros(n_slots)
+        self.sums = np.zeros((n_views, n_slots))
+        self.counts = np.zeros((n_views, n_slots))
         if func is AggregateFunction.MIN:
-            self.extrema = np.full(n_slots, np.inf)
+            self.extrema = np.full((n_views, n_slots), np.inf)
         elif func is AggregateFunction.MAX:
-            self.extrema = np.full(n_slots, -np.inf)
+            self.extrema = np.full((n_views, n_slots), -np.inf)
         else:
             self.extrema = None  # type: ignore[assignment]
 
-    def update(self, codes: np.ndarray, aggregated: np.ndarray, counts: np.ndarray) -> None:
-        """Fold one phase's per-group results (aligned arrays) into state."""
+    def update(
+        self, rows: np.ndarray, codes: np.ndarray, aggregated: np.ndarray, counts: np.ndarray
+    ) -> None:
+        """Fold one query result into ``rows``: ``aggregated[i, g]`` is row
+        ``rows[i]``'s aggregate over group ``g``, which has dictionary code
+        ``codes[g]`` and ``counts[g]`` rows."""
         if len(codes) == 0:
             return
-        counts = np.asarray(counts, dtype=np.float64)
-        aggregated = np.asarray(aggregated, dtype=np.float64)
-        np.add.at(self.counts, codes, counts)
+        index = (rows[:, None], codes)
+        np.add.at(self.counts, index, counts)
         func = self.func
         if func in (AggregateFunction.SUM, AggregateFunction.COUNT):
-            np.add.at(self.sums, codes, aggregated)
+            np.add.at(self.sums, index, aggregated)
         elif func is AggregateFunction.AVG:
-            np.add.at(self.sums, codes, aggregated * counts)
+            np.add.at(self.sums, index, aggregated * counts)
         elif func is AggregateFunction.MIN:
-            np.minimum.at(self.extrema, codes, aggregated)
+            np.minimum.at(self.extrema, index, aggregated)
         elif func is AggregateFunction.MAX:
-            np.maximum.at(self.extrema, codes, aggregated)
+            np.maximum.at(self.extrema, index, aggregated)
 
-    def present(self) -> np.ndarray:
-        """Boolean mask of slots that received any rows."""
-        return self.counts > 0
-
-    def values(self) -> np.ndarray:
-        """Finalized per-slot aggregate values (0 where absent)."""
+    def values(self, rows: np.ndarray) -> np.ndarray:
+        """Finalized per-slot aggregates of ``rows`` (0 where absent)."""
         func = self.func
         if func in (AggregateFunction.SUM, AggregateFunction.COUNT):
-            return self.sums.copy()
+            return self.sums[rows]
         if func is AggregateFunction.AVG:
-            with np.errstate(invalid="ignore", divide="ignore"):
-                return np.where(self.counts > 0, self.sums / np.maximum(self.counts, 1), 0.0)
-        out = np.where(np.isfinite(self.extrema), self.extrema, 0.0)
-        return out
-
-    def total_rows(self) -> float:
-        return float(self.counts.sum())
-
-    def summary(self) -> dict[object, float]:
-        """Dict view (category index -> value) for present slots."""
-        mask = self.present()
-        values = self.values()
-        return {int(i): float(values[i]) for i in np.flatnonzero(mask)}
+            counts = self.counts[rows]
+            return np.where(counts > 0, self.sums[rows] / np.maximum(counts, 1), 0.0)
+        extrema = self.extrema[rows]
+        return np.where(np.isfinite(extrema), extrema, 0.0)
 
 
-@dataclass
 class ViewState:
-    """Running target/reference partials and estimate history for one view."""
+    """Running target/reference partials of the views that share one
+    dimension and one aggregate function; ``rows`` maps each to its row."""
 
-    view: AggregateView
-    categories: np.ndarray
-
-    def __post_init__(self) -> None:
-        if len(self.categories) == 0:
+    def __init__(self, views: Sequence[AggregateView], categories: np.ndarray) -> None:
+        if len({(view.dimension, view.func) for view in views}) != 1:
             raise RecommendationError(
-                f"view {self.view.describe()} has a dimension with no categories"
+                "a state table holds views of one dimension and one aggregate function"
             )
-        n = len(self.categories)
-        self.target = SidePartial(self.view.func, n)
-        self.reference = SidePartial(self.view.func, n)
-        self.estimates: list[float] = []
+        if len(categories) == 0:
+            raise RecommendationError(
+                f"view {views[0].describe()} has a dimension with no categories"
+            )
+        self.categories = categories
+        self.rows: dict[ViewKey, int] = {view.key: i for i, view in enumerate(views)}
+        self.target = SidePartial(views[0].func, len(views), len(categories))
+        self.reference = SidePartial(views[0].func, len(views), len(categories))
 
-    def _codes(self, keys: np.ndarray) -> np.ndarray:
+    def codes(self, keys: np.ndarray) -> np.ndarray:
         """Map group key values to dictionary codes (categories are sorted)."""
         return np.searchsorted(self.categories, keys)
 
-    def update_target(
-        self, keys: np.ndarray, aggregated: np.ndarray, counts: np.ndarray
-    ) -> None:
-        if len(keys):
-            self.target.update(self._codes(keys), aggregated, counts)
+    def _stacks(self, rows: Sequence[int]):
+        """``(positions, mask, p, q)`` per distinct presence pattern among
+        ``rows``: the positions in ``rows`` that share it, the slots present
+        on either side, and both sides finalized, compacted to those slots
+        and normalized as one stack — ``None`` while a side is still empty.
+        """
+        rows = np.asarray(rows)
+        target_present = self.target.counts[rows] > 0
+        reference_present = self.reference.counts[rows] > 0
+        patterns: dict[bytes, list[int]] = {}
+        for i in range(len(rows)):
+            pattern = target_present[i].tobytes() + reference_present[i].tobytes()
+            patterns.setdefault(pattern, []).append(i)
+        for positions in patterns.values():
+            first = positions[0]
+            mask = target_present[first] | reference_present[first]
+            if not target_present[first].any() or not reference_present[first].any():
+                yield positions, mask, None, None
+                continue
+            slots = np.flatnonzero(mask)
+            stack = rows[positions]
+            p = normalize_distribution(np.take(self.target.values(stack), slots, axis=1))
+            q = normalize_distribution(np.take(self.reference.values(stack), slots, axis=1))
+            yield positions, mask, p, q
 
-    def update_reference(
-        self, keys: np.ndarray, aggregated: np.ndarray, counts: np.ndarray
-    ) -> None:
-        if len(keys):
-            self.reference.update(self._codes(keys), aggregated, counts)
-
-    def _normalized(self) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """``(mask, p, q)``: slots present on either side, and both sides
-        normalized over them — ``None`` while a side is still empty."""
-        target_present = self.target.present()
-        reference_present = self.reference.present()
-        mask = target_present | reference_present
-        if not target_present.any() or not reference_present.any():
-            return mask, None, None
-        p = normalize_distribution(self.target.values()[mask])
-        q = normalize_distribution(self.reference.values()[mask])
-        return mask, p, q
-
-    def utility(self, metric: DistanceFunction) -> tuple[float, ViewDistributions]:
-        """Utility from everything accumulated so far (paper §2).
+    def utility(
+        self, metric: DistanceFunction, rows: Sequence[int]
+    ) -> list[tuple[float, ViewDistributions]]:
+        """Utility of each of ``rows`` from everything accumulated so far
+        (paper §2), with the distributions behind it.
 
         Slots present on either side are aligned by construction (both
         partials are indexed by the same dictionary), normalized, and fed to
         the metric.  A view with an empty side has utility 0 — no evidence
         of deviation yet.
         """
-        mask, p, q = self._normalized()
-        keys = tuple(self.categories[mask])
-        if p is None or q is None:
-            keys = keys or ("?",)
-            flat = np.full(len(keys), 1.0 / len(keys))
-            return 0.0, ViewDistributions(keys, flat, flat.copy())
-        return metric(p, q), ViewDistributions(keys, p, q)
+        out: list = [None] * len(rows)
+        for positions, mask, p, q in self._stacks(rows):
+            keys = tuple(self.categories[mask])
+            if p is None:
+                keys = keys or ("?",)
+                for position in positions:
+                    flat = np.full(len(keys), 1.0 / len(keys))
+                    out[position] = (0.0, ViewDistributions(keys, flat, flat.copy()))
+                continue
+            for i, position in enumerate(positions):
+                out[position] = (metric(p[i], q[i]), ViewDistributions(keys, p[i], q[i]))
+        return out
 
-    def record_estimate(self, metric: DistanceFunction) -> float:
-        """Append :meth:`utility`'s current value to history and return it
-        (no key tuple, no distributions: a phase estimate shows neither)."""
-        _, p, q = self._normalized()
-        value = 0.0 if p is None or q is None else metric(p, q)
-        self.estimates.append(value)
-        return value
-
-    def rows_seen(self) -> float:
-        return self.target.total_rows() + self.reference.total_rows()
+    def record_estimate(self, metric: DistanceFunction, rows: Sequence[int]) -> list[float]:
+        """:meth:`utility`'s current value for each of ``rows`` (no key
+        tuple, no distributions: a phase estimate shows neither)."""
+        out = [0.0] * len(rows)
+        for positions, _, p, q in self._stacks(rows):
+            if p is not None:
+                for i, position in enumerate(positions):
+                    out[position] = metric(p[i], q[i])
+        return out

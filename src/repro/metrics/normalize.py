@@ -16,22 +16,24 @@ from repro.exceptions import MetricError
 
 
 def normalize_distribution(values: np.ndarray) -> np.ndarray:
-    """Normalize a nonnegative vector to sum to 1.
+    """Normalize a nonnegative vector — or each row of a 2-D stack — to sum to 1.
 
     NaNs (empty groups) and negative values are treated as zero mass.  If
-    every entry is zero the result is uniform — two all-zero summaries are
-    indistinguishable, and uniform keeps every metric finite.
+    every entry of a row is zero the result is uniform — two all-zero
+    summaries are indistinguishable, and uniform keeps every metric finite.
+    A stack is made C-contiguous first: only then does each row's sum add in
+    the order of the 1-D pairwise sum, so row ``r`` of the result equals
+    ``normalize_distribution(values[r])`` bit for bit.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1:
-        raise MetricError(f"distribution must be 1-D, got shape {arr.shape}")
-    if arr.size == 0:
+    arr = np.asarray(values, dtype=np.float64, order="C")
+    if arr.ndim not in (1, 2):
+        raise MetricError(f"distribution must be 1-D or a 2-D stack, got shape {arr.shape}")
+    if arr.shape[-1] == 0:
         raise MetricError("cannot normalize an empty summary")
     arr = np.maximum(np.where(np.isfinite(arr), arr, 0.0), 0.0)
-    total = arr.sum()
-    if total <= 0.0:
-        return np.full(arr.shape, 1.0 / arr.size)
-    return arr / total
+    total = arr.sum(axis=-1, keepdims=True)
+    uniform = np.full(arr.shape, 1.0 / arr.shape[-1])
+    return np.divide(arr, total, out=uniform, where=total > 0.0)
 
 
 def align_distributions(

@@ -1,11 +1,19 @@
 """Tests for the execution engine: strategies, phases, routing, reference modes."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro import SeeDB
 from repro.config import EngineConfig
 from repro.core.engine import ExecutionEngine
 from repro.core.phases import phase_ranges
 from repro.core.view import AggregateView, ViewSpace
+from repro.data import build_info
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
 from repro.db.expressions import eq
@@ -188,6 +196,57 @@ class TestPruningIntegration:
     def test_unknown_strategy_rejected(self, engine, views):
         with pytest.raises(RecommendationError):
             engine.run(views, TARGET, k=1, strategy="warp")  # type: ignore[arg-type]
+
+
+_ALL_TIED = """
+import json
+from repro import SeeDB
+from repro.data import build_info
+from repro.db.catalog import TableMeta
+from repro.db.expressions import eq
+
+table, _ = build_info("census", scale="smoke", seed=7)
+target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
+out = {}
+with SeeDB.over_table(table, store="col") as seedb:
+    for strategy, pruner in (("sharing", "none"), ("comb", "random"), ("comb", "mab")):
+        run = seedb.run_engine(target, k=5, strategy=strategy, pruner=pruner)
+        assert set(run.utilities.values()) == {0.0}
+        out[pruner] = [run.selected, list(run.utilities), list(run.distributions)]
+print(json.dumps(out))
+"""
+
+
+class TestTiesRankInViewOrder:
+    """Exactly tied utilities resolve to the earlier view — never to the
+    iteration order of a set, which changes with ``PYTHONHASHSEED``."""
+
+    def test_all_tied_selects_the_first_k_views(self):
+        table, _ = build_info("census", scale="smoke", seed=7)
+        target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
+        with SeeDB.over_table(table, store="col") as seedb:
+            keys = [view.key for view in seedb.view_space()]
+            run = seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
+            assert set(run.utilities.values()) == {0.0}
+            assert run.selected == keys[:5]
+            assert list(run.utilities) == list(run.distributions) == keys
+            run = seedb.run_engine(target, k=5, strategy="comb", pruner="random")
+            assert run.selected == [key for key in keys if key in set(run.selected)]
+            assert list(run.utilities) == run.selected
+
+    def test_all_tied_is_the_same_under_any_hash_seed(self):
+        root = Path(__file__).resolve().parents[2]
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = {**os.environ, "PYTHONHASHSEED": hash_seed, "PYTHONPATH": str(root / "src")}
+            done = subprocess.run(
+                [sys.executable, "-c", _ALL_TIED],
+                env=env, capture_output=True, text=True, timeout=120,
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(json.loads(done.stdout))
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0]["none"][0]) == 5
 
 
 class TestSharedScan:

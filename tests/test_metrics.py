@@ -36,7 +36,32 @@ class TestNormalize:
 
     def test_multidim_rejected(self):
         with pytest.raises(MetricError):
-            normalize_distribution(np.zeros((2, 2)))
+            normalize_distribution(np.zeros((2, 2, 2)))
+        with pytest.raises(MetricError):
+            normalize_distribution(np.float64(1.0))
+
+    def test_empty_stack_rejected(self):
+        with pytest.raises(MetricError):
+            normalize_distribution(np.zeros((3, 0)))
+
+    def test_stack_equals_its_rows_one_by_one_bitwise(self):
+        rng = np.random.default_rng(3)
+        for n_slots in (1, 2, 7, 8, 9, 127, 128, 129, 400):
+            stack = rng.normal(1.0, 2.0, (6, n_slots)) * 10.0 ** rng.integers(-6, 7, (6, 1))
+            out = normalize_distribution(stack)
+            assert out.shape == stack.shape
+            for row, alone in zip(out, stack):
+                assert row.tobytes() == normalize_distribution(alone).tobytes()
+
+    def test_all_zero_row_becomes_uniform_beside_its_neighbours(self):
+        out = normalize_distribution(np.array([[1.0, 3.0], [0.0, 0.0], [0.0, 2.0]]))
+        assert out.tolist() == [[0.25, 0.75], [0.5, 0.5], [0.0, 1.0]]
+
+    def test_nan_and_negative_carry_zero_mass_per_row(self):
+        out = normalize_distribution(
+            np.array([[-5.0, np.nan, 2.0], [1.0, -1.0, 1.0], [np.nan, -2.0, np.inf]])
+        )
+        assert out.tolist() == [[0.0, 0.0, 1.0], [0.5, 0.0, 0.5], [1 / 3, 1 / 3, 1 / 3]]
 
     @given(
         st.lists(
