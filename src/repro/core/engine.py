@@ -13,6 +13,14 @@ families:
   returns approximate results from the partials accumulated so far
   (Figure 5's COMB_EARLY bars).
 
+All four are parameter values of ONE phase loop,
+:meth:`ExecutionEngine.run_union`, over N requests × P phase ranges: the
+strategy picks the config and the ranges, every request plans, routes,
+prunes and finalizes on its own state, and the requests of a phase share
+one dispatcher batch.  :meth:`ExecutionEngine.run` is that loop with one
+request — a solo run is a union of one — so the serving tier's coalesced
+path and the solo path are the same code behind the same tests.
+
 Every run returns an :class:`EngineRun` carrying the ranked views, their
 distributions, full execution accounting, and the cost model's latency.
 """
@@ -34,7 +42,7 @@ from repro.core.cache import (
 )
 from repro.core.difference import ViewDistributions
 from repro.core.optimizer import WorkloadOptimizer
-from repro.core.parallel import ParallelDispatcher, make_dispatcher
+from repro.core.parallel import make_dispatcher
 from repro.core.phases import phase_ranges
 from repro.core.pruning import Pruner, make_pruner
 from repro.core.sharing import (
@@ -66,6 +74,8 @@ Strategy = Literal["no_opt", "sharing", "comb", "comb_early"]
 #: an on-disk table only; see :mod:`repro.core.procpool`).
 Parallelism = Literal["modeled", "real", "process"]
 
+#: The strategies that execute in phases and prune between them.
+_PHASED = ("comb", "comb_early")
 #: How many generated SQL strings to retain on a run (introspection only).
 _MAX_RECORDED_SQL = 64
 
@@ -74,16 +84,40 @@ _MAX_RECORDED_SQL = 64
 class UnionRequest:
     """One request's inputs to :meth:`ExecutionEngine.run_union`.
 
-    A frozen snapshot of everything a SHARING-strategy :meth:`run` call
-    would take, so the serving tier's coalescing gateway can collect many
-    concurrent requests and execute their union as one workload.
+    A frozen snapshot of everything a :meth:`ExecutionEngine.run` call
+    takes per request, so the serving tier's coalescing gateway can collect
+    many concurrent requests and execute their union as one workload.
+    Strategy and parallelism are per call, not per request: they pick the
+    config, the phase ranges and the dispatcher the whole union shares.  A
+    :class:`~repro.core.pruning.Pruner` instance is stateful — pass one to
+    a single request only.
     """
 
     views: tuple[AggregateView, ...]
     target_predicate: Expression
     k: int
+    pruner: str | Pruner = "ci"
     reference_mode: ReferenceMode = "all"
     reference_predicate: Expression | None = None
+
+
+@dataclass
+class _LiveRequest:
+    """One request's mutable state across the phases of a union."""
+
+    request: UnionRequest
+    pruner: Pruner
+    optimizer: WorkloadOptimizer | None
+    states: dict[ViewKey, ViewState]
+    active: dict[ViewKey, AggregateView]
+    stats: ExecutionStats = field(default_factory=ExecutionStats)
+    sql: list[str] = field(default_factory=list)
+    #: Views still active entering each phase this request executed.
+    active_per_phase: list[int] = field(default_factory=list)
+    previous_top_k: frozenset[ViewKey] = frozenset()
+    stable_phases: int = 0
+    #: Early return fired: the request sits out the remaining phases.
+    finished: bool = False
 
 
 @dataclass
@@ -267,6 +301,9 @@ class ExecutionEngine:
     ) -> EngineRun:
         """Execute ``strategy`` and return the top-``k`` views.
 
+        A solo run is a union of one: this is :meth:`run_union` with a
+        single request, and a single request pays for no deduplication.
+
         ``parallelism="real"`` runs each batch of planned queries on a
         thread pool of ``n_parallel_queries`` workers;
         ``parallelism="process"`` fans them out to worker processes over
@@ -276,185 +313,35 @@ class ExecutionEngine:
         ``selected`` and ``utilities`` match a serial run exactly (see
         :mod:`repro.core.parallel`).
         """
-        if k <= 0:
-            raise RecommendationError(f"k must be positive, got {k}")
-        if not views:
-            raise RecommendationError("no candidate views to evaluate")
-        started = time.perf_counter()
-
-        config = self._strategy_config(strategy)
-        # Every run starts from the static tuning: a previous run's
-        # optimizer decisions must not leak into an ablation baseline.
-        self.store.stream_chunk_rows = self._static_chunk_rows
-        self.store.dense_group_limit = None
-        # The workload optimizer never touches NO_OPT: that strategy *is*
-        # the no-sharing baseline, and fusing its per-view queries would
-        # reintroduce exactly the sharing it exists to ablate.
-        optimizer: WorkloadOptimizer | None = None
-        if config.optimizer.enabled and strategy != "no_opt":
-            optimizer = WorkloadOptimizer(
-                config.optimizer,
-                self.store,
-                self.meta,
-                config.memory_budget_bytes,
-            )
-        use_phases = strategy in ("comb", "comb_early")
-        early = strategy == "comb_early" or config.early_return
-        align = None
-        if config.chunk_aligned_phases:
-            # The same grid stream_ranges() scans on — aligning to anything
-            # else would let a phase boundary split a streamed chunk.
-            align = self.store.effective_stream_chunk_rows()
-        ranges = (
-            phase_ranges(self.store.nrows, config.n_phases, align=align)
-            if use_phases
-            else [(0, self.store.nrows)]
+        request = UnionRequest(
+            tuple(views), target_predicate, k, pruner, reference_mode, reference_predicate
         )
-
-        pruner_obj: Pruner
-        if use_phases:
-            pruner_obj = pruner if isinstance(pruner, Pruner) else self._make_pruner(pruner)
-        else:
-            pruner_obj = make_pruner("none")
-        pruner_obj.initialize([v.key for v in views], k, len(ranges))
-
-        states = self._make_states(views)
-        active: dict[ViewKey, AggregateView] = {v.key: v for v in views}
-        run_stats = ExecutionStats()
-        sql_log: list[str] = []
-        active_per_phase: list[int] = []
-        phases_executed = 0
-
-        total_rows = max(self.store.nrows, 1)
-        previous_top_k: frozenset[ViewKey] = frozenset()
-        stable_phases = 0
-        # A backend that declares itself unsafe for concurrent execute()
-        # calls is driven serially even in "real" mode — results are
-        # identical by the dispatcher's determinism contract, just slower.
-        n_workers = (
-            config.n_parallel_queries
-            if self.backend.capabilities().parallel_safe
-            else 1
-        )
-        # One execution fingerprint per run: recomputed here (not cached on
-        # the engine) so a Table.bump_version() between runs reroutes every
-        # lookup away from stale entries.
-        cache = self.result_cache
-        cache_prefix = (
-            execution_fingerprint(self.store, self.backend)
-            if cache is not None
-            else None
-        )
-        with make_dispatcher(
-            self.backend,
-            parallelism,
-            n_workers,
-            use_batch=config.shared_scan,
-            pool_recovery=config.pool_recovery,
-        ) as dispatcher:
-            for phase_index, (start, stop) in enumerate(ranges):
-                active_per_phase.append(len(active))
-                plan = plan_queries(
-                    list(active.values()),
-                    self.meta,
-                    config,
-                    target_predicate,
-                    reference_mode,
-                    reference_predicate,
-                )
-                if optimizer is not None:
-                    plan = optimizer.transform(plan)
-                outcomes = self._execute_plan(
-                    plan,
-                    (start, stop),
-                    config,
-                    states,
-                    run_stats,
-                    sql_log,
-                    reference_mode,
-                    dispatcher,
-                    cache,
-                    cache_prefix,
-                )
-                if optimizer is not None:
-                    optimizer.observe_phase(
-                        plan, [result for result, _ in outcomes]
-                    )
-                phases_executed += 1
-
-                if use_phases:
-                    estimates = self._per_view(states, active, ViewState.record_estimate)
-                    decision = pruner_obj.observe(
-                        phase_index,
-                        estimates,
-                        rows_seen=max(stop, 1),
-                        total_rows=total_rows,
-                    )
-                    for key in decision.pruned:
-                        active.pop(key, None)
-                    if early:
-                        current_top_k = frozenset(
-                            sorted(estimates, key=lambda key: -estimates[key])[:k]
-                        )
-                        stable_phases = (
-                            stable_phases + 1 if current_top_k == previous_top_k else 0
-                        )
-                        previous_top_k = current_top_k
-                        if self._top_k_identified(
-                            pruner_obj, active, k, stable_phases, config
-                        ):
-                            break
-
-        selected, utilities, distributions = self._finalize(
-            states, active, pruner_obj, k
-        )
-        self._count_executed(run_stats)
-        run_stats.wall_seconds = time.perf_counter() - started
-        return EngineRun(
-            strategy=strategy,
-            pruner_name=pruner_obj.name,
-            k=k,
-            selected=selected,
-            utilities=utilities,
-            distributions=distributions,
-            stats=run_stats,
-            modeled_latency=self.cost_model.latency_seconds(run_stats),
-            wall_seconds=run_stats.wall_seconds,
-            phases_executed=phases_executed,
-            active_per_phase=active_per_phase,
-            sql=sql_log,
-            parallelism=parallelism,
-            n_workers=dispatcher.n_workers,
-            backend=self.backend.name,
-            shared_scan=config.shared_scan,
-            result_cache=cache is not None,
-            cache_hits=run_stats.cache_hits,
-            cache_misses=run_stats.queries_issued if cache is not None else 0,
-            cache_bytes_saved=run_stats.cache_bytes_saved,
-            optimizer_decisions=(
-                optimizer.decisions() if optimizer is not None else {}
-            ),
-        )
+        return self.run_union([request], strategy, parallelism)[0]
 
     def run_union(
         self,
         requests: Sequence[UnionRequest],
+        strategy: Strategy = "comb",
         parallelism: Parallelism = "modeled",
     ) -> list[EngineRun]:
-        """Execute many SHARING requests as ONE dispatcher batch.
+        """The phase loop: N requests × P phase ranges, one batch per phase.
 
-        The coalescing entry point (:mod:`repro.service.coalesce`): each
-        request is planned exactly as its own ``run(strategy="sharing")``
-        would plan it — single phase over the full row range, no pruning,
-        per-request optimizer transform — then every request's ranged
-        queries are concatenated into a single shared-scan batch, so the
-        backend does one pass over the table for the whole union.
+        Per phase every still-live request plans its active views exactly
+        as its own :meth:`run` would (own optimizer transform), the
+        requests' ranged queries are concatenated into one dispatcher
+        batch, and each request then routes its results, observes its own
+        pruner, checks early return and — after the last phase — finalizes
+        on its own state tables and stats.  The coalescing gateway
+        (:mod:`repro.service.coalesce`) calls this with the requests of one
+        window, so the backend does one pass per phase for the whole union.
 
-        Results are bitwise-identical to per-request serial runs: each
+        Results are bitwise-identical to per-request solo runs: each
         query's result is computed from the same frozen column data
         regardless of which batch carried it, and per-request routing
         happens on this thread in the request's own plan order — the same
-        floating-point accumulation sequence as an uncoalesced run.
+        floating-point accumulation sequence as an uncoalesced run, so
+        every request prunes, and therefore plans its next phase, exactly
+        as it would alone.
 
         Only the *accounting* moves.  Queries that appear in more than one
         request (same result-cache fingerprint) execute once: the first
@@ -475,73 +362,65 @@ class ExecutionEngine:
                 raise RecommendationError("no candidate views to evaluate")
         started = time.perf_counter()
 
-        config = self._strategy_config("sharing")
-        # Same per-run reset as run(): no tuning leaks between runs.
+        config = self._strategy_config(strategy)
+        # Every run starts from the static tuning: a previous run's
+        # optimizer decisions must not leak into an ablation baseline.
         self.store.stream_chunk_rows = self._static_chunk_rows
         self.store.dense_group_limit = None
-        nrows = self.store.nrows
-        cache = self.result_cache
-        cache_prefix = (
-            execution_fingerprint(self.store, self.backend)
-            if cache is not None
-            else None
+        use_phases = strategy in _PHASED
+        early = strategy == "comb_early" or config.early_return
+        align = None
+        if config.chunk_aligned_phases:
+            # The same grid stream_ranges() scans on — aligning to anything
+            # else would let a phase boundary split a streamed chunk.
+            align = self.store.effective_stream_chunk_rows()
+        ranges = (
+            phase_ranges(self.store.nrows, config.n_phases, align=align)
+            if use_phases
+            else [(0, self.store.nrows)]
         )
 
-        # Plan every request exactly as its solo run would.
-        planned_requests = []
+        live: list[_LiveRequest] = []
         for request in requests:
+            # The workload optimizer never touches NO_OPT: that strategy *is*
+            # the no-sharing baseline, and fusing its per-view queries would
+            # reintroduce exactly the sharing it exists to ablate.
             optimizer: WorkloadOptimizer | None = None
-            if config.optimizer.enabled:
+            if config.optimizer.enabled and strategy != "no_opt":
                 optimizer = WorkloadOptimizer(
                     config.optimizer,
                     self.store,
                     self.meta,
                     config.memory_budget_bytes,
                 )
-            plan = plan_queries(
-                list(request.views),
-                self.meta,
-                config,
-                request.target_predicate,
-                request.reference_mode,
-                request.reference_predicate,
+            pruner = self.make_pruner(strategy, request.pruner)
+            pruner.initialize([v.key for v in request.views], request.k, len(ranges))
+            live.append(
+                _LiveRequest(
+                    request,
+                    pruner,
+                    optimizer,
+                    self._make_states(request.views),
+                    {v.key: v for v in request.views},
+                )
             )
-            if optimizer is not None:
-                plan = optimizer.transform(plan)
-            ranged = [planned.query.with_range(0, nrows) for planned in plan.queries]
-            keys = [
-                f"{cache_prefix}|{query_fingerprint(query)}"
-                if cache is not None
-                else query_fingerprint(query)
-                for query in ranged
-            ]
-            planned_requests.append((request, optimizer, plan, ranged, keys))
 
-        # Deduplicate across requests before dispatch: run_batch probes the
-        # cache per query but only memoizes *after* the batch executes, so
-        # identical queries submitted together would each execute.  The
-        # first (request, position) to submit a fingerprint owns it.
-        union_queries: list = []
-        union_keys: list[str] = []
-        first_slot: dict[str, int] = {}
-        slots: list[list[tuple[int, bool]]] = []
-        for _, _, _, ranged, keys in planned_requests:
-            request_slots: list[tuple[int, bool]] = []
-            for query, key in zip(ranged, keys):
-                position = first_slot.get(key)
-                owner = position is None
-                if owner:
-                    position = len(union_queries)
-                    first_slot[key] = position
-                    union_queries.append(query)
-                    union_keys.append(key)
-                request_slots.append((position, owner))
-            slots.append(request_slots)
-
+        total_rows = max(self.store.nrows, 1)
+        # A backend that declares itself unsafe for concurrent execute()
+        # calls is driven serially even in "real" mode — results are
+        # identical by the dispatcher's determinism contract, just slower.
         n_workers = (
             config.n_parallel_queries
             if self.backend.capabilities().parallel_safe
             else 1
+        )
+        batch_size = max(config.n_parallel_queries, 1)
+        # One execution fingerprint per run: recomputed here (not cached on
+        # the engine) so a Table.bump_version() between runs reroutes every
+        # lookup away from stale entries.
+        cache = self.result_cache
+        cache_prefix = (
+            execution_fingerprint(self.store, self.backend) if cache is not None else ""
         )
         with make_dispatcher(
             self.backend,
@@ -550,125 +429,203 @@ class ExecutionEngine:
             use_batch=config.shared_scan,
             pool_recovery=config.pool_recovery,
         ) as dispatcher:
-            if config.shared_scan:
-                outcomes = dispatcher.run_batch(
-                    union_queries, cache, union_keys if cache is not None else None
-                )
-            else:
-                batch_size = max(config.n_parallel_queries, 1)
-                outcomes = []
-                for i in range(0, len(union_queries), batch_size):
+            for phase_index, (start, stop) in enumerate(ranges):
+                running = [entry for entry in live if not entry.finished]
+                if not running:
+                    break
+                # Fingerprints are computed only for a reader: the result
+                # cache, or — with more than one request in the phase —
+                # deduplication.  run_batch probes the cache per query but
+                # memoizes only *after* the batch executes, so identical
+                # queries submitted together would each execute; the first
+                # (request, position) to submit a fingerprint owns it.
+                dedupe = len(running) > 1
+                keyed = cache is not None or dedupe
+                union: list = []
+                union_keys: list[str | None] = []
+                first_slot: dict[str, int] = {}
+                submitted: list[tuple[_LiveRequest, SharingPlan, list[tuple[int, bool]]]] = []
+                for entry in running:
+                    request = entry.request
+                    entry.active_per_phase.append(len(entry.active))
+                    plan = plan_queries(
+                        list(entry.active.values()),
+                        self.meta,
+                        config,
+                        request.target_predicate,
+                        request.reference_mode,
+                        request.reference_predicate,
+                    )
+                    if entry.optimizer is not None:
+                        plan = entry.optimizer.transform(plan)
+                    slots: list[tuple[int, bool]] = []
+                    for planned in plan.queries:
+                        query = planned.query.with_range(start, stop)
+                        if len(entry.sql) < _MAX_RECORDED_SQL:
+                            # The log is introspection only: a query the
+                            # generator cannot print (e.g. a non-finite
+                            # literal in a predicate) must not abort a
+                            # backend that never ships SQL text.
+                            try:
+                                entry.sql.append(generate_sql(query))
+                            except QueryError as exc:
+                                entry.sql.append(f"-- unrenderable query: {exc}")
+                        key = f"{cache_prefix}|{query_fingerprint(query)}" if keyed else None
+                        position = first_slot.get(key) if dedupe else None
+                        owner = position is None
+                        if owner:
+                            position = len(union)
+                            union.append(query)
+                            union_keys.append(key)
+                            if dedupe:
+                                first_slot[key] = position
+                        slots.append((position, owner))
+                    submitted.append((entry, plan, slots))
+
+                # Each batch is a barrier: the dispatcher returns per-query
+                # outcomes in submission order.  With ``shared_scan`` the
+                # **whole phase** is one dispatcher batch, so the backend's
+                # shared-scan path does exactly one pass over the phase's
+                # row range; otherwise batches are ``n_parallel_queries``
+                # wide.  The dispatcher probes the cache first: hits never
+                # reach the backend (they are excluded before shared-scan
+                # batching), misses execute and are memoized; a hit outcome
+                # carries the memoized result with zeroed work counters.
+                width = max(len(union) if config.shared_scan else batch_size, 1)
+                outcomes: list[tuple[QueryResult, ExecutionStats]] = []
+                for i in range(0, len(union), width):
                     outcomes.extend(
                         dispatcher.run_batch(
-                            union_queries[i : i + batch_size],
-                            cache,
-                            union_keys[i : i + batch_size]
-                            if cache is not None
-                            else None,
+                            union[i : i + width], cache, union_keys[i : i + width]
                         )
                     )
-            # Each outcome is one unique execution — count it exactly once
-            # no matter how many requests share it below.
-            for _, executed_stats in outcomes:
-                self._count_executed(executed_stats)
-            runs: list[EngineRun] = []
-            batch_size = max(config.n_parallel_queries, 1)
-            for (request, optimizer, plan, ranged, _), request_slots in zip(
-                planned_requests, slots
-            ):
-                states = self._make_states(request.views)
-                run_stats = ExecutionStats()
-                sql_log: list[str] = []
-                for query in ranged:
-                    if len(sql_log) < _MAX_RECORDED_SQL:
-                        try:
-                            sql_log.append(generate_sql(query))
-                        except QueryError as exc:
-                            sql_log.append(f"-- unrenderable query: {exc}")
-                queries = list(plan.queries)
-                request_outcomes: list[tuple[QueryResult, ExecutionStats]] = []
-                for position, owner in request_slots:
-                    result, executed_stats = outcomes[position]
-                    if owner:
-                        request_outcomes.append((result, executed_stats))
-                    else:
-                        request_outcomes.append(
-                            (result, ExecutionStats(coalesced_queries=1))
-                        )
-                for i in range(0, len(queries), batch_size):
-                    batch_costs: list[float] = []
-                    for planned, (result, query_stats) in zip(
-                        queries[i : i + batch_size],
-                        request_outcomes[i : i + batch_size],
-                    ):
-                        batch_costs.append(self.cost_model.query_seconds(query_stats))
-                        run_stats.merge(query_stats)
-                        self._route_result(
-                            planned, result, states, request.reference_mode
-                        )
-                    run_stats.batch_costs.append(batch_costs)
-                if optimizer is not None:
-                    optimizer.observe_phase(
-                        plan, [result for result, _ in request_outcomes]
+                # Each outcome is one unique execution — fold its physical work
+                # into the lifetime totals exactly once, no matter how many
+                # requests share it below.
+                for _, executed in outcomes:
+                    self.executed_totals["queries_executed"] += executed.queries_issued
+                    self.executed_totals["rows_scanned"] += executed.rows_scanned
+                    self.executed_totals["bytes_scanned"] += (
+                        executed.bytes_scanned_miss + executed.bytes_scanned_hit
                     )
-                pruner_obj = make_pruner("none")
-                pruner_obj.initialize(
-                    [v.key for v in request.views], request.k, 1
-                )
-                active = {v.key: v for v in request.views}
-                selected, utilities, distributions = self._finalize(
-                    states, active, pruner_obj, request.k
-                )
-                run_stats.wall_seconds = time.perf_counter() - started
-                runs.append(
-                    EngineRun(
-                        strategy="sharing",
-                        pruner_name=pruner_obj.name,
-                        k=request.k,
-                        selected=selected,
-                        utilities=utilities,
-                        distributions=distributions,
-                        stats=run_stats,
-                        modeled_latency=self.cost_model.latency_seconds(run_stats),
-                        wall_seconds=run_stats.wall_seconds,
-                        phases_executed=1,
-                        active_per_phase=[len(request.views)],
-                        sql=sql_log,
-                        parallelism=parallelism,
-                        n_workers=dispatcher.n_workers,
-                        backend=self.backend.name,
-                        shared_scan=config.shared_scan,
-                        result_cache=cache is not None,
-                        cache_hits=run_stats.cache_hits,
-                        cache_misses=(
-                            run_stats.queries_issued if cache is not None else 0
-                        ),
-                        cache_bytes_saved=run_stats.cache_bytes_saved,
-                        optimizer_decisions=(
-                            optimizer.decisions() if optimizer is not None else {}
-                        ),
+
+                for entry, plan, slots in submitted:
+                    request = entry.request
+                    own = [
+                        outcomes[position]
+                        if owner
+                        else (outcomes[position][0], ExecutionStats(coalesced_queries=1))
+                        for position, owner in slots
+                    ]
+                    # Stats merging and per-view routing happen on this
+                    # thread in plan order — a parallel or coalesced run
+                    # therefore performs the exact floating-point
+                    # accumulation sequence of a serial solo one.  The cost
+                    # model sees concurrency groups of ``n_parallel_queries``
+                    # — the pool's actual width — whatever batch carried the
+                    # queries, so the modeled parallel structure is
+                    # unchanged; only the per-query work (shared pages
+                    # charged once, to the first query) gets cheaper.
+                    for i in range(0, len(own), batch_size):
+                        batch_costs: list[float] = []
+                        for planned, (result, query_stats) in zip(
+                            plan.queries[i : i + batch_size], own[i : i + batch_size]
+                        ):
+                            batch_costs.append(self.cost_model.query_seconds(query_stats))
+                            entry.stats.merge(query_stats)
+                            self._route_result(
+                                planned, result, entry.states, request.reference_mode
+                            )
+                        entry.stats.batch_costs.append(batch_costs)
+                    if entry.optimizer is not None:
+                        entry.optimizer.observe_phase(
+                            plan, [result for result, _ in own]
+                        )
+                    if not use_phases:
+                        continue
+                    estimates = self._per_view(
+                        entry.states, entry.active, ViewState.record_estimate
                     )
+                    decision = entry.pruner.observe(
+                        phase_index,
+                        estimates,
+                        rows_seen=max(stop, 1),
+                        total_rows=total_rows,
+                    )
+                    for key in decision.pruned:
+                        entry.active.pop(key, None)
+                    if early:
+                        current_top_k = frozenset(
+                            sorted(estimates, key=lambda key: -estimates[key])[: request.k]
+                        )
+                        entry.stable_phases = (
+                            entry.stable_phases + 1
+                            if current_top_k == entry.previous_top_k
+                            else 0
+                        )
+                        entry.previous_top_k = current_top_k
+                        entry.finished = self._top_k_identified(
+                            entry.pruner, entry.active, request.k, entry.stable_phases, config
+                        )
+
+        runs: list[EngineRun] = []
+        for entry in live:
+            selected, utilities, distributions = self._finalize(
+                entry.states, entry.active, entry.pruner, entry.request.k
+            )
+            stats = entry.stats
+            stats.wall_seconds = time.perf_counter() - started
+            runs.append(
+                EngineRun(
+                    strategy=strategy,
+                    pruner_name=entry.pruner.name,
+                    k=entry.request.k,
+                    selected=selected,
+                    utilities=utilities,
+                    distributions=distributions,
+                    stats=stats,
+                    modeled_latency=self.cost_model.latency_seconds(stats),
+                    wall_seconds=stats.wall_seconds,
+                    phases_executed=len(entry.active_per_phase),
+                    active_per_phase=entry.active_per_phase,
+                    sql=entry.sql,
+                    parallelism=parallelism,
+                    n_workers=dispatcher.n_workers,
+                    backend=self.backend.name,
+                    shared_scan=config.shared_scan,
+                    result_cache=cache is not None,
+                    cache_hits=stats.cache_hits,
+                    cache_misses=stats.queries_issued if cache is not None else 0,
+                    cache_bytes_saved=stats.cache_bytes_saved,
+                    optimizer_decisions=(
+                        entry.optimizer.decisions() if entry.optimizer is not None else {}
+                    ),
                 )
+            )
         return runs
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
 
-    def _count_executed(self, stats: ExecutionStats) -> None:
-        """Fold one execution's physical work into the lifetime totals."""
-        self.executed_totals["queries_executed"] += stats.queries_issued
-        self.executed_totals["rows_scanned"] += stats.rows_scanned
-        self.executed_totals["bytes_scanned"] += (
-            stats.bytes_scanned_miss + stats.bytes_scanned_hit
-        )
+    def make_pruner(self, strategy: Strategy, pruner: str | Pruner) -> Pruner:
+        """The pruner a ``strategy`` run observes with.
 
-    def _make_pruner(self, name: str) -> Pruner:
-        if name.lower() == "ci":
+        Unphased strategies never prune, whatever was asked for; a name
+        picks up the engine's ``ci_delta`` / ``seed``.  An unknown name
+        raises :class:`~repro.exceptions.PruningError` — the serving tier
+        calls this before a request joins a coalescing window, so a bad
+        name is that request's error, never its co-travellers'.
+        """
+        if strategy not in _PHASED:
+            return make_pruner("none")
+        if isinstance(pruner, Pruner):
+            return pruner
+        if pruner.lower() == "ci":
             return make_pruner("ci", delta=self.config.ci_delta)
-        if name.lower() == "random":
+        if pruner.lower() == "random":
             return make_pruner("random", seed=self.config.seed)
-        return make_pruner(name)
+        return make_pruner(pruner)
 
     def _strategy_config(self, strategy: Strategy) -> EngineConfig:
         """Per-strategy engine knobs, derived from the base config."""
@@ -684,85 +641,6 @@ class ExecutionEngine:
         if strategy in ("sharing", "comb", "comb_early"):
             return self.config
         raise RecommendationError(f"unknown strategy {strategy!r}")
-
-    def _execute_plan(
-        self,
-        plan: SharingPlan,
-        row_range: tuple[int, int],
-        config: EngineConfig,
-        states: dict[ViewKey, ViewState],
-        run_stats: ExecutionStats,
-        sql_log: list[str],
-        reference_mode: ReferenceMode,
-        dispatcher: ParallelDispatcher,
-        cache: ViewResultCache | None = None,
-        cache_prefix: str | None = None,
-    ) -> list[tuple[QueryResult, ExecutionStats]]:
-        """Run a phase's queries in parallel batches and route the results.
-
-        Returns the per-query outcomes in plan order so the workload
-        optimizer can fold measured statistics back into its tuning.
-
-        Each batch is a barrier: the dispatcher returns per-query results in
-        submission order, and stats merging plus per-view routing happen on
-        this thread in that same order — a parallel run therefore performs
-        the exact floating-point accumulation sequence of a serial one.
-
-        With ``config.shared_scan`` the **whole phase** is one dispatcher
-        batch, so the backend's shared-scan path does exactly one pass over
-        the phase's row range.  The cost model still sees concurrency groups
-        of ``n_parallel_queries`` — the pool's actual width — so the modeled
-        parallel structure is unchanged; only the per-query work (shared
-        pages charged once, to the first query) gets cheaper.
-
-        With ``cache`` the dispatcher probes the view-result cache first:
-        hits never reach the backend (they are excluded before shared-scan
-        batching), misses execute and are memoized.  Hit outcomes carry the
-        memoized result with zeroed work counters, so routing order — and
-        therefore every downstream floating-point accumulation — is
-        unchanged from an uncached run.
-        """
-        start, stop = row_range
-        batch_size = max(config.n_parallel_queries, 1)
-        queries = list(plan.queries)
-        ranged = [planned.query.with_range(start, stop) for planned in queries]
-        keys = (
-            [f"{cache_prefix}|{query_fingerprint(query)}" for query in ranged]
-            if cache is not None
-            else None
-        )
-        for query in ranged:
-            if len(sql_log) < _MAX_RECORDED_SQL:
-                # The log is introspection only: a query the generator
-                # cannot print (e.g. a non-finite literal in a
-                # predicate) must not abort a backend that never ships
-                # SQL text.
-                try:
-                    sql_log.append(generate_sql(query))
-                except QueryError as exc:
-                    sql_log.append(f"-- unrenderable query: {exc}")
-        if config.shared_scan:
-            outcomes = dispatcher.run_batch(ranged, cache, keys)
-        else:
-            outcomes = []
-            for i in range(0, len(ranged), batch_size):
-                outcomes.extend(
-                    dispatcher.run_batch(
-                        ranged[i : i + batch_size],
-                        cache,
-                        keys[i : i + batch_size] if keys is not None else None,
-                    )
-                )
-        for i in range(0, len(queries), batch_size):
-            batch_costs: list[float] = []
-            for planned, (result, query_stats) in zip(
-                queries[i : i + batch_size], outcomes[i : i + batch_size]
-            ):
-                batch_costs.append(self.cost_model.query_seconds(query_stats))
-                run_stats.merge(query_stats)
-                self._route_result(planned, result, states, reference_mode)
-            run_stats.batch_costs.append(batch_costs)
-        return outcomes
 
     def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
         """One state table per (dimension, function); every view's key maps

@@ -7,15 +7,18 @@ future; a per-(dataset, store, metric) collector thread drains the queue
 under a bounded window (``max_batch_size`` / ``max_wait_ms`` on
 :class:`~repro.config.CoalesceConfig`) and executes the union of all
 pending requests as ONE workload through
-:meth:`~repro.core.engine.ExecutionEngine.run_union` — one shared scan
-serves many users.
+:meth:`~repro.core.engine.ExecutionEngine.run_union` — the engine's one
+phase loop, the same code a solo ``run`` is — so one shared scan per phase
+serves many users, whatever the strategy.
 
 Two sharing layers compose here:
 
 * **Union batching** — concurrent *different* requests on the same engine
-  concatenate into a single shared-scan dispatcher batch: distinct base
-  columns are read once and buffer-pool pages are charged once per batch
-  (the split-charge scheme, extended across requests).
+  with the same strategy and parallelism concatenate, phase by phase, into
+  a single shared-scan dispatcher batch: distinct base columns are read
+  once and buffer-pool pages are charged once per batch (the split-charge
+  scheme, extended across requests).  Phased requests (``comb``,
+  ``comb_early``) share each phase's scan while each prunes on its own.
 * **Single-flight** — concurrent *identical* requests (same result-cache
   fingerprint) attach to one in-flight execution: one compute, N
   responses.  This is the thundering-herd case the result cache only
@@ -23,9 +26,10 @@ Two sharing layers compose here:
   execute before the first one's result lands in the cache.
 
 Results are bitwise-identical coalesced vs. not: each request is planned
-and routed exactly as its solo run would be (see ``run_union``); only the
-accounting moves.  The gateway is off by default and never constructed
-when disabled, so the uncoalesced path stays byte-for-byte the old one.
+and routed exactly as its solo run would be (see ``run_union``; asserted
+by ``tests/core/test_engine.py::test_union_equals_solo_and_conserves``);
+only the accounting moves.  The gateway is off by default and never
+constructed when disabled.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import Callable, Hashable
+from typing import Hashable
 
 from repro.config import CoalesceConfig
 from repro.core.engine import EngineRun, ExecutionEngine, UnionRequest
@@ -58,17 +62,16 @@ class CoalesceRequest:
     view-result cache keys on) plus every request parameter, so two
     requests share a flight only when their responses are guaranteed
     identical.  ``union`` is the request's
-    :class:`~repro.core.engine.UnionRequest` when it is union-eligible
-    (strategy ``sharing``); other strategies carry ``union=None`` and run
-    through ``run_solo`` on the collector thread instead (still batched
-    for single-flight purposes, just not physically shared).
+    :class:`~repro.core.engine.UnionRequest`; requests of one window that
+    agree on ``engine``, ``parallelism`` and ``strategy`` execute as one
+    ``run_union`` call.
     """
 
     fingerprint: str
     engine: ExecutionEngine
     parallelism: str
-    run_solo: Callable[[], EngineRun]
-    union: UnionRequest | None = None
+    strategy: str
+    union: UnionRequest
 
 
 @dataclass
@@ -149,9 +152,10 @@ class CoalescingGateway:
                 future = pending.future
                 if self.config.singleflight:
                     self._inflight[request.fingerprint] = future
-                work_queue = self._queue_for(key)
-        if attach is None:
-            work_queue.put(pending)
+                # Enqueued under the lock (the queue is unbounded, put cannot
+                # block): close() takes the same lock before it posts _STOP,
+                # so everything queued precedes the sentinel and is served.
+                self._queue_for(key).put(pending)
         return future.result()
 
     def _queue_for(self, key: Hashable) -> "queue.Queue[object]":
@@ -231,42 +235,33 @@ class CoalescingGateway:
             per_key["requests"] += len(batch)
             per_key["max_batch"] = max(per_key["max_batch"], len(batch))
 
-        # Union-eligible requests group by (engine, parallelism) — one
-        # run_union per group, i.e. one shared scan.  The rest (phased /
-        # no_opt strategies) run solo on this thread, in arrival order.
-        union_groups: dict[tuple[int, str], list[_Pending]] = {}
-        solos: list[_Pending] = []
+        # Requests group by (engine, parallelism, strategy) — what picks the
+        # config, the phase ranges and the dispatcher — and each group is
+        # one run_union: one shared scan per phase.
+        union_groups: dict[tuple[int, str, str], list[_Pending]] = {}
         for pending in batch:
             request = pending.request
-            if request.union is not None:
-                group_key = (id(request.engine), request.parallelism)
-                union_groups.setdefault(group_key, []).append(pending)
-            else:
-                solos.append(pending)
+            group_key = (id(request.engine), request.parallelism, request.strategy)
+            union_groups.setdefault(group_key, []).append(pending)
         for group in union_groups.values():
-            engine = group[0].request.engine
-            parallelism = group[0].request.parallelism
+            first = group[0].request
             if len(group) > 1:
                 with self._lock:
                     self._counters["unions"] += 1
             try:
-                runs = engine.run_union(
+                runs = first.engine.run_union(
                     [pending.request.union for pending in group],
-                    parallelism,  # type: ignore[arg-type]
+                    first.strategy,  # type: ignore[arg-type]
+                    first.parallelism,  # type: ignore[arg-type]
                 )
             except BaseException as exc:  # noqa: BLE001 - must reach submitters
                 for pending in group:
-                    self._resolve_exception(pending, exc)
+                    self._unregister(pending)
+                    pending.future.set_exception(exc)
             else:
                 for pending, run in zip(group, runs):
-                    self._resolve(pending, run)
-        for pending in solos:
-            try:
-                run = pending.request.run_solo()
-            except BaseException as exc:  # noqa: BLE001 - must reach submitters
-                self._resolve_exception(pending, exc)
-            else:
-                self._resolve(pending, run)
+                    self._unregister(pending)
+                    pending.future.set_result(run)
 
     def _unregister(self, pending: _Pending) -> None:
         """Drop the in-flight entry *before* resolving the future, so a
@@ -276,14 +271,6 @@ class CoalescingGateway:
             fingerprint = pending.request.fingerprint
             if self._inflight.get(fingerprint) is pending.future:
                 del self._inflight[fingerprint]
-
-    def _resolve(self, pending: _Pending, run: EngineRun) -> None:
-        self._unregister(pending)
-        pending.future.set_result(run)
-
-    def _resolve_exception(self, pending: _Pending, exc: BaseException) -> None:
-        self._unregister(pending)
-        pending.future.set_exception(exc)
 
     # -------------------------------------------------------------- #
     # stats + lifecycle

@@ -1054,17 +1054,6 @@ class FrontendServer(GracefulHTTPServer):
             "workers": rows,
         }
 
-    def _worker_get(self, worker: WorkerHandle, path: str) -> dict[str, Any]:
-        """One out-of-band GET to a worker (stats fan-out)."""
-        conn = HTTPConnection("127.0.0.1", worker.port, timeout=self.proxy_timeout)
-        try:
-            conn.request("GET", path)
-            response = conn.getresponse()
-            raw = response.read()
-            return json.loads(raw) if raw else {}
-        finally:
-            conn.close()
-
     def aggregate_stats(self) -> dict[str, Any]:
         """``GET /v1/stats``: front-end counters + merged worker stats."""
         with self._counter_lock:
@@ -1082,8 +1071,10 @@ class FrontendServer(GracefulHTTPServer):
         coalesce_blocks: list[dict[str, Any]] = []
         for worker in self.workers:
             try:
-                stats = self._worker_get(worker, "/v1/stats")
-            except (HTTPException, ConnectionError, OSError, ValueError):
+                stats = _worker_http(
+                    worker.port, "GET", "/v1/stats", None, timeout=self.proxy_timeout
+                )
+            except (RuntimeError, HTTPException, ConnectionError, OSError, ValueError):
                 stats = {"unreachable": True}
                 unreachable += 1
             stats["worker"] = worker.index
@@ -1182,17 +1173,6 @@ class FrontendServer(GracefulHTTPServer):
             body["deferred_workers"] = sorted(deferred)
         return status, body
 
-    def _worker_post(self, worker: WorkerHandle, path: str) -> dict[str, Any]:
-        """One out-of-band bodyless POST to a worker (refresh broadcast)."""
-        conn = HTTPConnection("127.0.0.1", worker.port, timeout=self.proxy_timeout)
-        try:
-            conn.request("POST", path)
-            response = conn.getresponse()
-            raw = response.read()
-            return json.loads(raw) if raw else {}
-        finally:
-            conn.close()
-
     def append_dataset(
         self, handler: _FrontendHandler, parts: list[str]
     ) -> tuple[int, dict[str, Any]]:
@@ -1204,7 +1184,9 @@ class FrontendServer(GracefulHTTPServer):
         the other workers then get a bodyless ``refresh`` broadcast — a
         manifest digest compare plus memmap re-sync — so every worker
         serves the extended table without the rows crossing the wire
-        again.  Workers that fail to refresh are reported in
+        again.  Workers that fail to refresh — unreachable, or answering
+        the broadcast with a 4xx/5xx (a draining 503, a 404 for a dataset
+        they never registered) — are reported in
         ``stale_workers``; they re-sync on the next append or refresh
         (and a supervisor-respawned worker re-opens the current manifest
         anyway).
@@ -1223,9 +1205,12 @@ class FrontendServer(GracefulHTTPServer):
                 stale.append(worker.index)
                 continue
             try:
-                self._worker_post(worker, f"/v1/datasets/{dataset}/refresh")
+                _worker_http(
+                    worker.port, "POST", f"/v1/datasets/{dataset}/refresh", None,
+                    timeout=self.proxy_timeout,
+                )
                 refreshed.append(worker.index)
-            except (HTTPException, ConnectionError, OSError, ValueError):
+            except (RuntimeError, HTTPException, ConnectionError, OSError, ValueError):
                 stale.append(worker.index)
         body["refreshed_workers"] = sorted(refreshed)
         if stale:

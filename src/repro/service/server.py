@@ -381,6 +381,14 @@ class RecommendationService:
         pruner = str(payload.get("pruner", "ci" if strategy.startswith("comb") else "none"))
         dimensions = payload.get("dimensions")
         measures = payload.get("measures")
+        for name, restriction in (("dimensions", dimensions), ("measures", measures)):
+            if restriction is not None and not (
+                isinstance(restriction, list)
+                and all(isinstance(column, str) for column in restriction)
+            ):
+                raise ServiceError(
+                    f"{name} must be a list of column names, got {restriction!r}"
+                )
         if self._gateway is not None:
             run = self._coalesced_run(
                 session, engine, clauses, k, strategy, pruner,
@@ -475,11 +483,10 @@ class RecommendationService:
         The single-flight fingerprint extends the result cache's execution
         fingerprint (table identity + version + backend semantics) with
         every request parameter, so two requests share a flight only when
-        their responses are guaranteed identical.  SHARING-strategy
-        requests carry a :class:`~repro.core.engine.UnionRequest` and
-        co-execute as one shared scan; other strategies still flow through
-        the gateway (for single-flight and window accounting) but execute
-        solo on the collector thread.
+        their responses are guaranteed identical.  Every strategy is
+        submitted as a :class:`~repro.core.engine.UnionRequest`; the
+        requests of one window with the same strategy and parallelism
+        co-execute as one shared scan per phase.
         """
         key = (session.dataset, session.store, session.metric)
         fingerprint = "|".join(
@@ -493,30 +500,13 @@ class RecommendationService:
                 parallelism,
                 str(k),
                 repr([(c, _json_scalar(v)) for c, v in clauses]),
-                repr(list(dimensions) if dimensions is not None else None),
-                repr(list(measures) if measures is not None else None),
+                repr(dimensions),
+                repr(measures),
             ]
         )
-        union = None
-        if strategy == "sharing":
-            views = tuple(seedb.view_space(dimensions, measures))
-            if not views:
-                raise ServiceError("empty view space")
-            union = UnionRequest(
-                views=views, target_predicate=_predicate(clauses), k=k
-            )
-
-        def run_solo() -> EngineRun:
-            return seedb.run_engine(
-                _predicate(clauses),
-                k=k,
-                strategy=strategy,  # type: ignore[arg-type]
-                pruner=pruner,
-                dimensions=dimensions,
-                measures=measures,
-                parallelism=parallelism,  # type: ignore[arg-type]
-            )
-
+        views = tuple(seedb.view_space(dimensions, measures))
+        if not views:
+            raise ServiceError("empty view space")
         assert self._gateway is not None
         return self._gateway.submit(
             key,
@@ -524,8 +514,15 @@ class RecommendationService:
                 fingerprint=fingerprint,
                 engine=seedb.engine,
                 parallelism=parallelism,
-                run_solo=run_solo,
-                union=union,
+                strategy=strategy,
+                union=UnionRequest(
+                    views=views,
+                    target_predicate=_predicate(clauses),
+                    k=k,
+                    # Resolved here, on the handler thread: a name the engine
+                    # rejects fails this request alone, not its whole window.
+                    pruner=seedb.engine.make_pruner(strategy, pruner),  # type: ignore[arg-type]
+                ),
             ),
         )
 

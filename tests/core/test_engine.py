@@ -6,11 +6,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro import SeeDB
-from repro.config import EngineConfig
-from repro.core.engine import ExecutionEngine
+from repro.config import EngineConfig, OptimizerConfig
+from repro.core.engine import ExecutionEngine, UnionRequest
 from repro.core.phases import phase_ranges
 from repro.core.view import AggregateView, ViewSpace
 from repro.data import build_info
@@ -302,3 +303,80 @@ class TestAggregateFunctions:
             assert phased.utilities[key] == pytest.approx(
                 shared.utilities[key], rel=1e-9, abs=1e-12
             )
+
+
+@pytest.mark.parametrize("optimizer", [False, True], ids=["static", "optimizer"])
+@pytest.mark.parametrize("result_cache", [False, True], ids=["nocache", "cache"])
+@pytest.mark.parametrize(
+    "strategy, pruner",
+    [
+        ("no_opt", "none"),
+        ("sharing", "none"),
+        ("comb", "ci"),
+        ("comb", "mab"),
+        ("comb_early", "ci"),
+    ],
+)
+def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimizer):
+    """The N-request phase loop under the solo path's oracle.
+
+    A union of [A, B, A again, A with another k] returns, per request, the
+    answer that request's own solo ``run`` returns — bit for bit — and the
+    per-request stats sum to the engine's lifetime executed counters: only
+    the accounting moves, and it moves without losing or double-charging.
+    """
+    table, spec = build_info("census", scale="smoke", seed=7)
+    config = EngineConfig(
+        result_cache=result_cache, optimizer=OptimizerConfig(enabled=optimizer)
+    )
+    target_a, target_b = spec.target_predicate(), eq("sex", "sex_0")
+    asks = [(target_a, 3), (target_b, 3), (target_a, 3), (target_a, 6)]
+    with SeeDB.over_table(table, store="col", config=config) as seedb, SeeDB.over_table(
+        table, store="col", config=config
+    ) as alone:
+        views = tuple(seedb.view_space())
+        before = dict(seedb.engine.executed_totals)
+        runs = seedb.engine.run_union(
+            [UnionRequest(views, target, k, pruner) for target, k in asks], strategy
+        )
+        executed = {
+            name: total - before[name]
+            for name, total in seedb.engine.executed_totals.items()
+        }
+
+        assert len(runs) == len(asks)
+        for run, (target, k) in zip(runs, asks):
+            solo = alone.engine.run(views, target, k, strategy=strategy, pruner=pruner)
+            assert run.selected == solo.selected
+            assert run.utilities == solo.utilities
+            assert list(run.utilities) == list(solo.utilities)
+            assert list(run.distributions) == list(solo.distributions)
+            for key, mine in run.distributions.items():
+                theirs = solo.distributions[key]
+                assert mine.keys == theirs.keys
+                assert np.array_equal(mine.target, theirs.target)
+                assert np.array_equal(mine.reference, theirs.reference)
+            assert run.phases_executed == solo.phases_executed
+            assert run.active_per_phase == solo.active_per_phase
+
+    # Conservation: every executed query and scanned row/byte is charged to
+    # exactly one request.
+    stats = [run.stats for run in runs]
+    assert executed == {
+        "queries_executed": sum(s.queries_issued for s in stats),
+        "rows_scanned": sum(s.rows_scanned for s in stats),
+        "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
+    }
+    assert executed["queries_executed"] > 0
+
+    # Coalescing exactly where requests overlap.  The first submitter owns;
+    # the repeat of A shares everything; A at another k shares at least the
+    # first phase (it prunes differently after); B's queries carry B's
+    # predicate — except under NO_OPT, whose reference queries are
+    # target-free and therefore A's.
+    first, other_target, repeat, other_k = stats
+    assert first.coalesced_queries == 0
+    assert (other_target.coalesced_queries > 0) == (strategy == "no_opt")
+    assert repeat.coalesced_queries > 0
+    assert repeat.queries_issued == repeat.cache_hits == 0
+    assert other_k.coalesced_queries > 0

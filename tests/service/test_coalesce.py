@@ -8,6 +8,7 @@ import time
 import pytest
 
 from repro.config import CoalesceConfig
+from repro.exceptions import ReproError
 from repro.service import (
     LatencyHistogram,
     RecommendationService,
@@ -149,6 +150,12 @@ class TestWindowEdges:
                 mine = svc.recommend(session["session_id"], {"k": k})
                 theirs = plain.recommend(baseline["session_id"], {"k": k})
                 assert _response_key(mine) == _response_key(theirs)
+            # What the engine would reject is refused on the handler thread:
+            # it never joins a window, so it cannot fail its co-travellers.
+            with pytest.raises(ReproError, match="unknown pruner"):
+                svc.recommend(
+                    session["session_id"], {"strategy": "comb", "pruner": "bogus"}
+                )
             block = svc.stats()["coalesce"]
             assert block["requests"] == 3
             assert block["batches"] == 3
@@ -158,9 +165,11 @@ class TestWindowEdges:
             svc.close()
             plain.close()
 
-    def test_full_batch_flushes_before_deadline(self):
-        # Distinct concurrent targets co-batch into one shared union; the
-        # full window flushes immediately instead of waiting out a
+    @pytest.mark.parametrize("strategy", ["sharing", "comb"])
+    def test_full_batch_flushes_before_deadline(self, strategy):
+        # Distinct concurrent targets co-batch into one shared union —
+        # whatever the strategy: phased requests share each phase's scan —
+        # and the full window flushes immediately instead of waiting out a
         # deliberately absurd deadline.
         targets = [
             [{"column": "marital_status", "value": "Unmarried"}],
@@ -179,7 +188,8 @@ class TestWindowEdges:
         try:
             started = time.monotonic()
             responses = _concurrent_recommends(
-                svc, [{"k": 4, "target": target} for target in targets]
+                svc,
+                [{"k": 4, "target": target, "strategy": strategy} for target in targets],
             )
             assert time.monotonic() - started < 30.0
             block = svc.stats()["coalesce"]
@@ -192,7 +202,8 @@ class TestWindowEdges:
             baseline = plain.create_session({"dataset": "census"})
             for target, response in zip(targets, responses):
                 solo = plain.recommend(
-                    baseline["session_id"], {"k": 4, "target": target}
+                    baseline["session_id"],
+                    {"k": 4, "target": target, "strategy": strategy},
                 )
                 assert _response_key(response) == _response_key(solo)
         finally:
@@ -257,26 +268,6 @@ class TestWindowEdges:
             svc.close()
             plain.close()
 
-    def test_non_sharing_strategies_run_solo_through_the_gateway(self):
-        svc = _make_service(
-            coalesce=CoalesceConfig(enabled=True, max_wait_ms=0.0)
-        )
-        plain = _make_service()
-        try:
-            mine = svc.recommend(
-                svc.create_session({"dataset": "census"})["session_id"],
-                {"k": 4, "strategy": "no_opt"},
-            )
-            theirs = plain.recommend(
-                plain.create_session({"dataset": "census"})["session_id"],
-                {"k": 4, "strategy": "no_opt"},
-            )
-            assert _response_key(mine) == _response_key(theirs)
-            assert svc.stats()["coalesce"]["requests"] == 1
-        finally:
-            svc.close()
-            plain.close()
-
 
 # --------------------------------------------------------------------------- #
 # deterministic shutdown
@@ -305,15 +296,66 @@ class TestClose:
 
     def test_close_joins_collectors_and_rejects_late_submissions(self):
         from repro.exceptions import ServiceError
+        from repro.service.api import ErrorCode
 
+        class SlowRelease:
+            """The gateway's lock, with the gap after a submitter releases
+            it held open long enough for ``close()`` to run inside it."""
+
+            def __init__(self, lock):
+                self.lock = lock
+                self.released = threading.Event()
+
+            def __enter__(self):
+                return self.lock.__enter__()
+
+            def __exit__(self, *exc_info):
+                self.lock.__exit__(*exc_info)
+                if threading.current_thread().name.startswith("racer"):
+                    self.released.set()
+                    time.sleep(0.05)
+
+        racers = 6
         svc = _make_service(coalesce=CoalesceConfig(enabled=True))
-        session = svc.create_session({"dataset": "census"})
+        sessions = [svc.create_session({"dataset": "census"}) for _ in range(racers)]
+        session = sessions[0]
         svc.recommend(session["session_id"], {"k": 3})
         assert any(
             t.name.startswith("seedb-coalesce")
             for t in threading.enumerate()
         )
+
+        # N submitters race one close(): each gets its run or shutting_down,
+        # none is stranded behind the stop sentinel.
+        lock = svc._gateway._lock = SlowRelease(svc._gateway._lock)
+        outcomes: list[object] = [None] * racers
+
+        def racer(index: int) -> None:
+            try:
+                outcomes[index] = svc.recommend(
+                    sessions[index]["session_id"], {"k": index + 1}
+                )
+            except ServiceError as exc:
+                outcomes[index] = exc
+
+        threads = [
+            threading.Thread(target=racer, args=(i,), name=f"racer-{i}", daemon=True)
+            for i in range(racers)
+        ]
+        for thread in threads:
+            thread.start()
+        # At least one submitter is past the closed check when close() runs.
+        assert lock.released.wait(timeout=10)
         svc.close()
+        for thread in threads:
+            thread.join(timeout=10)
+        assert not [t.name for t in threads if t.is_alive()]
+        served = [o for o in outcomes if isinstance(o, dict)]
+        rejected = [o for o in outcomes if isinstance(o, ServiceError)]
+        assert served and len(served) + len(rejected) == racers
+        assert all(o.code == ErrorCode.SHUTTING_DOWN for o in rejected)
+        assert all(len(o["views"]) == o["k"] for o in served)
+
         alive = [
             t.name
             for t in threading.enumerate()

@@ -258,6 +258,29 @@ class TestFrontendRouting:
             assert refreshed["refreshed_workers"] == [0, 1]
             assert refreshed["n_rows"] == 405
 
+    def test_worker_that_rejects_the_refresh_is_stale_not_refreshed(
+        self, frontend, tmp_path
+    ):
+        from repro.service.api import AppendRequest
+
+        # Registered on the ring owner alone (straight to its port, past the
+        # front-end's broadcast): the sibling answers the refresh with 404.
+        path = _toy_chunk_store(tmp_path)
+        owner = frontend.worker_for_dataset("toysolo")
+        status, _, _ = _raw_request(
+            ("127.0.0.1", owner.port),
+            "POST",
+            "/v1/datasets",
+            {"path": str(path), "name": "toysolo"},
+        )
+        assert status == 201
+        batch = {"region": ["n"], "flavor": ["a"], "sales": [1.5], "segment": ["t"]}
+        with ServiceClient(*_address(frontend)) as client:
+            response = client.append("toysolo", AppendRequest(rows=batch))
+        assert response.n_rows == 401
+        assert response.raw["refreshed_workers"] == [owner.index]
+        assert response.raw["stale_workers"] == [1 - owner.index]
+
     def test_invalid_dataset_path_rejected_through_proxy(self, frontend, tmp_path):
         with ServiceClient(*_address(frontend)) as client:
             with pytest.raises(ServiceError) as excinfo:

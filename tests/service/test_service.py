@@ -140,6 +140,10 @@ class TestServiceCore:
             {"k": True},
             {"strategy": "magic"},
             {"parallelism": "imaginary"},
+            {"dimensions": 5},
+            {"dimensions": "sex"},
+            {"measures": {"age": 1}},
+            {"measures": ["age", 7]},
         ):
             with pytest.raises(ServiceError) as excinfo:
                 service.recommend(sid, payload)
