@@ -133,7 +133,7 @@ def fig6_baseline(store_kinds: tuple[str, ...] = ("row", "col")) -> ResultTable:
         syn = synthetic.make_syn(n_rows=n_rows, n_dimensions=10, n_measures=5)
         for store in store_kinds:
             seedb = SeeDB.over_table(
-                syn, store=store, buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
+                syn, store=store, config=tuned_config(store), buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
             )
             space = list(seedb.view_space())[: views_fixed]
             run = seedb.run_engine(
@@ -156,7 +156,7 @@ def fig6_baseline(store_kinds: tuple[str, ...] = ("row", "col")) -> ResultTable:
     for n_views in _syn_views():
         for store in store_kinds:
             seedb = SeeDB.over_table(
-                syn, store=store, buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
+                syn, store=store, config=tuned_config(store), buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
             )
             space = list(seedb.view_space())[:n_views]
             run = seedb.run_engine(
@@ -465,7 +465,7 @@ def fig9_sharing_all(store_kinds: tuple[str, ...] = ("row", "col")) -> ResultTab
         target = eq(synthetic.SPLIT_COLUMN, synthetic.TARGET_VALUE)
         for store in store_kinds:
             seedb = SeeDB.over_table(
-                syn, store=store, buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
+                syn, store=store, config=tuned_config(store), buffer_pool=scaled_buffer_pool(syn)  # type: ignore[arg-type]
             )
             seedb.store.buffer_pool.clear()
             base = seedb.run_engine(target, k=10, strategy="no_opt", pruner="none")
@@ -665,7 +665,7 @@ def ablation_metrics(dataset: str = "bank") -> ResultTable:
     )
     baseline: list | None = None
     for metric in ("emd", "euclidean", "js", "maxdiff", "kl"):
-        seedb = SeeDB.over_table(ctx.table, store="col", metric=metric)
+        seedb = SeeDB.over_table(ctx.table, store="col", config=tuned_config("col"), metric=metric)
         run = seedb.true_top_k(ctx.target, k=10)
         if baseline is None:
             baseline = run.selected

@@ -260,7 +260,8 @@ class EngineConfig:
     col_group_budget: int = 100
     #: Use first-fit bin packing to combine group-bys under the budget.
     use_binpacking: bool = False
-    #: Combine target and reference view into one grouped query.
+    #: Combine target and reference view into one grouped query.  Off: target
+    #: queries only for reference "all" — the engine keeps that side as state.
     combine_target_reference: bool = True
     #: Number of view queries issued concurrently (paper finds ~n_cores best).
     n_parallel_queries: int = DEFAULT_N_CORES
@@ -334,6 +335,10 @@ class EngineConfig:
         """Distinct-group budget for the configured store."""
         return self.row_group_budget if self.store == "row" else self.col_group_budget
 
+    def keeps_delta_state(self) -> bool:
+        """Whether a (native) engine under this config attaches a delta cache."""
+        return self.result_cache and self.delta_cache
+
     def with_(self, **changes: object) -> "EngineConfig":
         """Return a copy with ``changes`` applied (convenience for sweeps)."""
         return replace(self, **changes)  # type: ignore[arg-type]
@@ -372,6 +377,8 @@ class ExecutionStats:
     #: sharer records only this marker — so summing per-request stats still
     #: charges each executed query (and each scanned page) exactly once.
     coalesced_queries: int = 0
+    #: (view, row range) reference rows read from engine state, not computed.
+    reference_views_reused: int = 0
     #: Filled in per batch: lists of per-query serial costs, used to model
     #: parallel execution (queries in one batch run concurrently).
     batch_costs: list[list[float]] = field(default_factory=list)
@@ -392,4 +399,5 @@ class ExecutionStats:
         self.cache_bytes_saved += other.cache_bytes_saved
         self.delta_hits += other.delta_hits
         self.coalesced_queries += other.coalesced_queries
+        self.reference_views_reused += other.reference_views_reused
         self.batch_costs.extend(other.batch_costs)

@@ -21,12 +21,20 @@ one dispatcher batch.  :meth:`ExecutionEngine.run` is that loop with one
 request — a solo run is a union of one — so the serving tier's coalesced
 path and the solo path are the same code behind the same tests.
 
+The reference side is table state: with the §4.1 target/reference rewrite off
+(:func:`~repro.core.recommender.serving_config`), reference "all" and any
+strategy but NO_OPT, a phase plans filter-first target queries only, folds the
+engine-held reference rows of its active views, and fills what is missing with
+one single-dimension query per dimension in the same batch (identity, bound
+and locking: ``docs/architecture.md``).
+
 Every run returns an :class:`EngineRun` carrying the ranked views, their
 distributions, full execution accounting, and the cost model's latency.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Collection, Literal, Sequence
@@ -51,6 +59,7 @@ from repro.core.sharing import (
     SharingPlan,
     ViewRoute,
     plan_queries,
+    plan_reference_fill,
 )
 from repro.core.state import ViewState
 from repro.core.view import AggregateView, ViewKey
@@ -78,6 +87,8 @@ Parallelism = Literal["modeled", "real", "process"]
 _PHASED = ("comb", "comb_early")
 #: How many generated SQL strings to retain on a run (introspection only).
 _MAX_RECORDED_SQL = 64
+#: Row ranges the reference state keeps (a run reads ≤ ``n_phases``); oldest out first.
+_MAX_REFERENCE_RANGES = 64
 
 
 @dataclass(frozen=True)
@@ -110,6 +121,8 @@ class _LiveRequest:
     optimizer: WorkloadOptimizer | None
     states: dict[ViewKey, ViewState]
     active: dict[ViewKey, AggregateView]
+    #: The request reads its reference side from the engine's table state.
+    held: bool
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     sql: list[str] = field(default_factory=list)
     #: Views still active entering each phase this request executed.
@@ -265,9 +278,16 @@ class ExecutionEngine:
         # after an append — restore it and scan only the new chunks.
         # External backends (sqlite) ignore the knob.
         self.delta_cache: DeltaStateCache | None = None
-        if config.result_cache and config.delta_cache and isinstance(self.backend, NativeBackend):
+        if config.keeps_delta_state() and isinstance(self.backend, NativeBackend):
             self.delta_cache = delta_cache if delta_cache is not None else DeltaStateCache()
             self.backend.pipeline.delta_cache = self.delta_cache
+        # The reference side as table state, for one table identity: row range ->
+        # dimension -> columns (``__codes__``, the group count, one per aggregate).
+        # The lock serialises fills and writes; held cells are read without it.
+        self._reference_lock = threading.Lock()
+        self._reference_identity: tuple | None = None
+        self._reference: dict[tuple[int, int], dict[str, dict[str, np.ndarray]]] = {}
+        self._reference_views_reused = 0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -380,6 +400,8 @@ class ExecutionEngine:
             else [(0, self.store.nrows)]
         )
 
+        # NO_OPT is two queries per view by definition: its reference is never held.
+        held = not config.combine_target_reference and strategy != "no_opt"
         live: list[_LiveRequest] = []
         for request in requests:
             # The workload optimizer never touches NO_OPT: that strategy *is*
@@ -402,6 +424,7 @@ class ExecutionEngine:
                     optimizer,
                     self._make_states(request.views),
                     {v.key: v for v in request.views},
+                    held=held and request.reference_mode == "all",
                 )
             )
 
@@ -444,61 +467,85 @@ class ExecutionEngine:
                 union: list = []
                 union_keys: list[str | None] = []
                 first_slot: dict[str, int] = {}
-                submitted: list[tuple[_LiveRequest, SharingPlan, list[tuple[int, bool]]]] = []
-                for entry in running:
-                    request = entry.request
-                    entry.active_per_phase.append(len(entry.active))
-                    plan = plan_queries(
-                        list(entry.active.values()),
-                        self.meta,
-                        config,
-                        request.target_predicate,
-                        request.reference_mode,
-                        request.reference_predicate,
-                    )
-                    if entry.optimizer is not None:
-                        plan = entry.optimizer.transform(plan)
-                    slots: list[tuple[int, bool]] = []
-                    for planned in plan.queries:
-                        query = planned.query.with_range(start, stop)
-                        if len(entry.sql) < _MAX_RECORDED_SQL:
-                            # The log is introspection only: a query the
-                            # generator cannot print (e.g. a non-finite
-                            # literal in a predicate) must not abort a
-                            # backend that never ships SQL text.
-                            try:
-                                entry.sql.append(generate_sql(query))
-                            except QueryError as exc:
-                                entry.sql.append(f"-- unrenderable query: {exc}")
-                        key = f"{cache_prefix}|{query_fingerprint(query)}" if keyed else None
-                        position = first_slot.get(key) if dedupe else None
-                        owner = position is None
-                        if owner:
-                            position = len(union)
-                            union.append(query)
-                            union_keys.append(key)
-                            if dedupe:
-                                first_slot[key] = position
-                        slots.append((position, owner))
-                    submitted.append((entry, plan, slots))
-
-                # Each batch is a barrier: the dispatcher returns per-query
-                # outcomes in submission order.  With ``shared_scan`` the
-                # **whole phase** is one dispatcher batch, so the backend's
-                # shared-scan path does exactly one pass over the phase's
-                # row range; otherwise batches are ``n_parallel_queries``
-                # wide.  The dispatcher probes the cache first: hits never
-                # reach the backend (they are excluded before shared-scan
-                # batching), misses execute and are memoized; a hit outcome
-                # carries the memoized result with zeroed work counters.
-                width = max(len(union) if config.shared_scan else batch_size, 1)
-                outcomes: list[tuple[QueryResult, ExecutionStats]] = []
-                for i in range(0, len(union), width):
-                    outcomes.extend(
-                        dispatcher.run_batch(
-                            union[i : i + width], cache, union_keys[i : i + width]
+                #: (request, its plan, the plan's queries + its fills, their slots)
+                submitted: list[tuple[_LiveRequest, SharingPlan, list, list]] = []
+                # The reference state's lock is held while a phase plans and,
+                # only if it has cells to fill, until the fills are stored.
+                claimed: set[tuple[str, str]] = set()
+                locked = any(entry.held for entry in running)
+                if locked:
+                    self._reference_lock.acquire()
+                try:
+                    held_range = self._held_range(start, stop) if locked else {}
+                    for entry in running:
+                        request = entry.request
+                        entry.active_per_phase.append(len(entry.active))
+                        plan = plan_queries(
+                            list(entry.active.values()),
+                            self.meta,
+                            config,
+                            request.target_predicate,
+                            request.reference_mode,
+                            request.reference_predicate,
+                            entry.held,
                         )
-                    )
+                        if entry.optimizer is not None:
+                            plan = entry.optimizer.transform(plan)
+                        # Fills join the batch past the optimizer: a cell's bits
+                        # must not depend on what one request could fuse it with.
+                        queries = list(plan.queries)
+                        if entry.held:
+                            queries += self._reference_fills(entry, held_range, claimed)
+                        slots: list[tuple[int, bool]] = []
+                        for planned in queries:
+                            query = planned.query.with_range(start, stop)
+                            if len(entry.sql) < _MAX_RECORDED_SQL:
+                                # The log is introspection only: a query the
+                                # generator cannot print (e.g. a non-finite
+                                # literal in a predicate) must not abort a
+                                # backend that never ships SQL text.
+                                try:
+                                    entry.sql.append(generate_sql(query))
+                                except QueryError as exc:
+                                    entry.sql.append(f"-- unrenderable query: {exc}")
+                            key = f"{cache_prefix}|{query_fingerprint(query)}" if keyed else None
+                            position = first_slot.get(key) if dedupe else None
+                            owner = position is None
+                            if owner:
+                                position = len(union)
+                                union.append(query)
+                                union_keys.append(key)
+                                if dedupe:
+                                    first_slot[key] = position
+                            slots.append((position, owner))
+                        submitted.append((entry, plan, queries, slots))
+                    if locked and not claimed:
+                        self._reference_lock.release()
+                        locked = False
+
+                    # Each batch is a barrier: the dispatcher returns per-query
+                    # outcomes in submission order.  With ``shared_scan`` the
+                    # **whole phase** is one dispatcher batch, so the backend's
+                    # shared-scan path does exactly one pass over the phase's
+                    # row range; otherwise batches are ``n_parallel_queries``
+                    # wide.  The dispatcher probes the cache first: hits never
+                    # reach the backend (they are excluded before shared-scan
+                    # batching), misses execute and are memoized; a hit outcome
+                    # carries the memoized result with zeroed work counters.
+                    width = max(len(union) if config.shared_scan else batch_size, 1)
+                    outcomes: list[tuple[QueryResult, ExecutionStats]] = []
+                    for i in range(0, len(union), width):
+                        outcomes.extend(
+                            dispatcher.run_batch(
+                                union[i : i + width], cache, union_keys[i : i + width]
+                            )
+                        )
+                    for _, plan, queries, slots in submitted:
+                        for planned, (position, _) in zip(queries[len(plan) :], slots[len(plan) :]):
+                            self._hold_reference(held_range, planned, outcomes[position][0])
+                finally:
+                    if locked:
+                        self._reference_lock.release()
                 # Each outcome is one unique execution — fold its physical work
                 # into the lifetime totals exactly once, no matter how many
                 # requests share it below.
@@ -509,7 +556,7 @@ class ExecutionEngine:
                         executed.bytes_scanned_miss + executed.bytes_scanned_hit
                     )
 
-                for entry, plan, slots in submitted:
+                for entry, plan, queries, slots in submitted:
                     request = entry.request
                     own = [
                         outcomes[position]
@@ -525,21 +572,22 @@ class ExecutionEngine:
                     # — the pool's actual width — whatever batch carried the
                     # queries, so the modeled parallel structure is
                     # unchanged; only the per-query work (shared pages
-                    # charged once, to the first query) gets cheaper.
+                    # charged once, to the first query) gets cheaper.  A fill
+                    # is charged to the request that asked for it, but routed
+                    # to the table state above: the zip ends with the plan.
                     for i in range(0, len(own), batch_size):
                         batch_costs: list[float] = []
-                        for planned, (result, query_stats) in zip(
-                            plan.queries[i : i + batch_size], own[i : i + batch_size]
-                        ):
+                        for _, query_stats in own[i : i + batch_size]:
                             batch_costs.append(self.cost_model.query_seconds(query_stats))
                             entry.stats.merge(query_stats)
-                            self._route_result(
-                                planned, result, entry.states, request.reference_mode
-                            )
                         entry.stats.batch_costs.append(batch_costs)
+                    for planned, (result, _) in zip(plan.queries, own):
+                        self._route_result(planned, result, entry.states, request.reference_mode)
+                    if entry.held:
+                        self._fold_reference(entry, held_range)
                     if entry.optimizer is not None:
                         entry.optimizer.observe_phase(
-                            plan, [result for result, _ in own]
+                            plan, [result for result, _ in own[: len(plan)]]
                         )
                     if not use_phases:
                         continue
@@ -641,6 +689,71 @@ class ExecutionEngine:
         if strategy in ("sharing", "comb", "comb_early"):
             return self.config
         raise RecommendationError(f"unknown strategy {strategy!r}")
+
+    def _held_range(self, start: int, stop: int) -> dict[str, dict[str, np.ndarray]]:
+        """State of rows ``[start, stop)`` (lock held); all is dropped first if
+        the table's identity moved.  Callers keep the dict: eviction-safe."""
+        table = self.store.table
+        identity = (table.version, table.nrows, table.source_digest)
+        if identity != self._reference_identity:
+            self._reference_identity, self._reference = identity, {}
+        held_range = self._reference.get((start, stop))
+        if held_range is None:
+            while len(self._reference) >= _MAX_REFERENCE_RANGES:
+                del self._reference[next(iter(self._reference))]
+            held_range = self._reference[(start, stop)] = {}
+        return held_range
+
+    def _reference_fills(self, entry: _LiveRequest, held_range: dict, claimed: set) -> list:
+        """One fill per dimension for the cells of ``entry``'s active views that
+        are neither held nor ``claimed`` earlier in this phase (lock held)."""
+        missing: dict[str, list[AggregateView]] = {}
+        for view in entry.active.values():
+            cell = (view.dimension, view.agg_alias)
+            if cell not in claimed and cell[1] not in held_range.get(cell[0], ()):
+                claimed.add(cell)
+                missing.setdefault(view.dimension, []).append(view)
+        reused = len(entry.active) - sum(map(len, missing.values()))
+        entry.stats.reference_views_reused += reused
+        self._reference_views_reused += reused
+        name, budget = self.meta.name, self.config.group_budget()
+        return [plan_reference_fill(views, name, budget) for views in missing.values()]
+
+    def _hold_reference(self, held_range: dict, fill: PlannedQuery, result: QueryResult) -> None:
+        """Keep one fill's columns (lock held); group keys are decoded once."""
+        (dimension,) = fill.query.group_by
+        columns = held_range.setdefault(dimension, {})
+        if not columns:
+            categories = self.store.table.categories(dimension)
+            columns["__codes__"] = np.searchsorted(categories, np.asarray(result.groups[dimension]))
+        for name, values in result.values.items():
+            columns[name] = np.asarray(values, dtype=np.float64)
+
+    def _fold_reference(self, entry: _LiveRequest, held_range: dict) -> None:
+        """The split path's reference update for ``entry``'s active views, one
+        stack per state table, from state instead of a query result."""
+        grouped: dict[ViewState, list[AggregateView]] = {}
+        for view in entry.active.values():
+            grouped.setdefault(entry.states[view.key], []).append(view)
+        for state, views in grouped.items():
+            columns = held_range[views[0].dimension]
+            state.reference.update(
+                np.array([state.rows[view.key] for view in views]),
+                columns["__codes__"],
+                np.array([columns[view.agg_alias] for view in views]),
+                columns["__group_count__"],
+            )
+
+    def reference_state(self) -> dict[str, int]:
+        """What the reference state holds and has saved (``GET /v1/stats``).
+        Lock-free — a fill holds the lock for a scan: each ``list`` is an atomic copy."""
+        ranges = list(self._reference.values())
+        held = [columns for held_range in ranges for columns in list(held_range.values())]
+        return {
+            "ranges": len(ranges),
+            "bytes": sum(column.nbytes for columns in held for column in list(columns.values())),
+            "views_reused": self._reference_views_reused,
+        }
 
     def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
         """One state table per (dimension, function); every view's key maps

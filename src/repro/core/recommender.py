@@ -15,6 +15,9 @@ Example::
     seedb = SeeDB.over_table(build("census"))
     result = seedb.recommend(target=eq("marital_status", "Unmarried"), k=5)
     print(result.describe())
+
+:func:`tuned_config` is the paper's §5.3 setup, which every figure passes
+explicitly; ``SeeDB(config=None)`` and the service run :func:`serving_config`.
 """
 
 from __future__ import annotations
@@ -49,6 +52,17 @@ def tuned_config(store: StoreKind) -> EngineConfig:
     if store == "row":
         return EngineConfig(store="row", use_binpacking=True)
     return EngineConfig(store="col", use_binpacking=False, max_group_bys_per_query=1)
+
+
+def serving_config(
+    store: StoreKind, result_cache: bool = False, delta_cache: bool = False
+) -> EngineConfig:
+    """:func:`tuned_config` as served — the one place that default is decided.
+    Here the group-by, not the scan, is the cost: the §4.1 rewrite is off (the
+    reference side is engine-held table state), except under a delta cache,
+    whose combined snapshots already maintain the reference half."""
+    config = tuned_config(store).with_(result_cache=result_cache, delta_cache=delta_cache)
+    return config.with_(combine_target_reference=config.keeps_delta_state())
 
 
 class SeeDB:
@@ -96,7 +110,7 @@ class SeeDB:
     ) -> None:
         self.database = database
         self.table = database.table(table_name)
-        self.config = config or tuned_config(store)
+        self.config = config or serving_config(store)
         if self.config.store != store:
             self.config = self.config.with_(store=store)
         self.metric = get_metric(metric) if isinstance(metric, str) else metric
@@ -154,6 +168,7 @@ class SeeDB:
         parallelism: Parallelism = "modeled",
     ) -> RecommendationSet:
         """Recommend the top-``k`` visualizations for target query ``target``."""
+        space = self.view_space(dimensions, measures)
         run = self.run_engine(
             target,
             k,
@@ -161,11 +176,10 @@ class SeeDB:
             reference_predicate=reference_predicate,
             strategy=strategy,
             pruner=pruner,
-            dimensions=dimensions,
-            measures=measures,
+            views=space.views,
             parallelism=parallelism,
         )
-        return self._to_recommendations(run)
+        return self._to_recommendations(run, space)
 
     def run_engine(
         self,
@@ -216,13 +230,12 @@ class SeeDB:
             measures=measures,
         )
 
-    def _to_recommendations(self, run: EngineRun) -> RecommendationSet:
-        space = {v.key: v for v in self.view_space()}
+    def _to_recommendations(self, run: EngineRun, space: ViewSpace) -> RecommendationSet:
         recommendations = []
         for rank, key in enumerate(run.selected, start=1):
             recommendations.append(
                 Recommendation(
-                    view=space.get(key) or AggregateView(key[0], key[1]),
+                    view=space.get(key),
                     utility=run.utilities[key],
                     distributions=run.distributions[key],
                     rank=rank,

@@ -16,7 +16,9 @@ sharing optimizations:
    sound because COUNT/SUM/AVG/MIN/MAX are all decomposable.
 3. **Combine target and reference**: instead of two predicated queries, one
    query adds a derived flag column (``CASE WHEN <target> THEN 1 ELSE 0
-   END``) and groups by it.
+   END``) and groups by it.  Off, each view set gets a filter-first target
+   query and a reference query — or the target query alone where the engine
+   holds the reference side as state, filled by :func:`plan_reference_fill`.
 4. **Parallelism** is not planned here — the engine batches the emitted
    queries ``n_parallel_queries`` at a time.
 
@@ -88,13 +90,15 @@ def plan_queries(
     target_predicate: Expression,
     reference_mode: ReferenceMode = "all",
     reference_predicate: Expression | None = None,
+    reference_held: bool = False,
 ) -> SharingPlan:
     """Plan the query set serving ``views`` under ``config``.
 
     ``reference_mode`` selects the paper's three reference options: the
     whole dataset ("all", the default D_R = D), the complement
     ("complement", D - D_Q), or an arbitrary query ("query", D_Q' — needs
-    ``reference_predicate``).
+    ``reference_predicate``).  ``reference_held`` plans the split path's
+    target queries only: the caller keeps the reference side as state.
     """
     if not views:
         return SharingPlan(())
@@ -123,9 +127,17 @@ def plan_queries(
                     target_predicate,
                     reference_mode,
                     reference_predicate,
+                    reference_held,
                 )
             )
     return SharingPlan(tuple(planned))
+
+
+def plan_reference_fill(views: Sequence[AggregateView], table: str, budget: int) -> PlannedQuery:
+    """The canonical reference query of ``views``' one dimension: target-free,
+    single group-by whatever the config would bin-pack.  Aggregate columns are
+    computed independently, so a cell's bits depend on table and range alone."""
+    return _split_query(views, [views[0].dimension], table, budget, None, "reference")
 
 
 # --------------------------------------------------------------------------- #
@@ -164,7 +176,7 @@ def _chunk_aggregates(
     return chunks
 
 
-def _aggregate_specs(chunk_views: list[AggregateView]) -> tuple[AggregateSpec, ...]:
+def _aggregate_specs(chunk_views: Sequence[AggregateView]) -> tuple[AggregateSpec, ...]:
     """Distinct aggregate output columns needed by the chunk's views."""
     specs: dict[str, AggregateSpec] = {}
     for view in chunk_views:
@@ -186,9 +198,8 @@ def _plan_one(
     target_predicate: Expression,
     reference_mode: ReferenceMode,
     reference_predicate: Expression | None,
+    reference_held: bool,
 ) -> list[PlannedQuery]:
-    aggregates = _aggregate_specs(chunk_views)
-
     if config.combine_target_reference:
         derived, predicate, flag_kind = _combined_flag(
             target_predicate, reference_mode, reference_predicate
@@ -196,7 +207,7 @@ def _plan_one(
         query = AggregateQuery(
             table=table_name,
             group_by=tuple(dim_group) + (FLAG_ALIAS,),
-            aggregates=aggregates,
+            aggregates=_aggregate_specs(chunk_views),
             predicate=predicate,
             derived=(derived,),
             group_budget=budget,
@@ -207,33 +218,31 @@ def _plan_one(
         )
         return [PlannedQuery(query, routes, FLAG_ALIAS, flag_kind)]
 
-    target_query = AggregateQuery(
+    target = _split_query(chunk_views, dim_group, table_name, budget, target_predicate, "target")
+    if reference_held:
+        return [target]
+    others = _reference_only_predicate(target_predicate, reference_mode, reference_predicate)
+    return [target, _split_query(chunk_views, dim_group, table_name, budget, others, "reference")]
+
+
+def _split_query(
+    views: Sequence[AggregateView],
+    dim_group: list[str],
+    table_name: str,
+    budget: int,
+    predicate: Expression | None,
+    side: Side,
+) -> PlannedQuery:
+    """One side of an uncombined pair: ``views`` grouped over ``predicate``'s rows."""
+    query = AggregateQuery(
         table=table_name,
         group_by=tuple(dim_group),
-        aggregates=aggregates,
-        predicate=target_predicate,
+        aggregates=_aggregate_specs(views),
+        predicate=predicate,
         group_budget=budget,
     )
-    reference_query = AggregateQuery(
-        table=table_name,
-        group_by=tuple(dim_group),
-        aggregates=aggregates,
-        predicate=_reference_only_predicate(
-            target_predicate, reference_mode, reference_predicate
-        ),
-        group_budget=budget,
-    )
-    t_routes = tuple(
-        ViewRoute(view, view.dimension, view.agg_alias, "target") for view in chunk_views
-    )
-    r_routes = tuple(
-        ViewRoute(view, view.dimension, view.agg_alias, "reference")
-        for view in chunk_views
-    )
-    return [
-        PlannedQuery(target_query, t_routes, None, None),
-        PlannedQuery(reference_query, r_routes, None, None),
-    ]
+    routes = tuple(ViewRoute(view, view.dimension, view.agg_alias, side) for view in views)
+    return PlannedQuery(query, routes, None, None)
 
 
 def _combined_flag(

@@ -31,9 +31,9 @@ preparation per chunk-aligned sub-range and folds each into the queries'
 O(chunk + groups) and the result value-identical to the one-shot
 :func:`~repro.db.groupby.group_aggregate`, which stays as the measured
 specialization for one range with no seed.  With a delta cache attached, a
-query over a table prefix ``[0, stop)`` starts from its cached aggregator
-state and scans only the rows past it; it reads a range of its own, so it
-is a group of one.
+query over the whole table starts from its cached aggregator state and
+scans only the rows past it; it reads a range of its own, so it is a group
+of one.
 
 ``execute_batch`` is **stateless per call**: it keeps no mutable state on
 the instance and touches only shared structures that are themselves
@@ -168,8 +168,9 @@ class SharedScanExecutor:
         """
         queries = list(queries)
         table_name = self.store.table.name
-        # A query the delta cache may seed scans from its own cached prefix:
-        # a group of one, keyed by its position.
+        # Under a delta cache a full-table query scans from its cached prefix
+        # and snapshots for the next append: a group of one, keyed by position.
+        # A shorter prefix (phase 0) is never snapshotted: it keeps its group.
         groups: dict[tuple[int, int, int], list[int]] = {}
         for i, query in enumerate(queries):
             if query.table != table_name:
@@ -178,7 +179,7 @@ class SharedScanExecutor:
                     f"{table_name!r}"
                 )
             start, stop = query.row_range or (0, self.store.nrows)
-            seeded = self.delta_cache is not None and start == 0 and stop > 0
+            seeded = self.delta_cache is not None and 0 == start < stop == self.store.nrows
             groups.setdefault((start, stop, i if seeded else -1), []).append(i)
 
         # Shared groups scan here, on the calling thread, leaving only each
@@ -214,8 +215,8 @@ class SharedScanExecutor:
         ``seeded`` group of one the state the delta cache holds for a
         prefix of the range, in which case only the rows past that prefix
         are scanned: the carry-seeded continuation of the one-shot
-        accumulation, bitwise-identical to it.  Full-table seeded scans
-        snapshot their state back into the cache for the next append.
+        accumulation, bitwise-identical to it.  A seeded scan ends at the
+        table's last row and snapshots its state for the next append.
         """
         started = time.perf_counter()
         scan_stats = ExecutionStats()
@@ -244,7 +245,7 @@ class SharedScanExecutor:
                     group, self._prepare_range(queries, sub_start, sub_stop, scan_stats)
                 ):
                     entry.aggregator.update(*prepared)
-            if seeded and stop == self.store.nrows:
+            if seeded:
                 aggregator = group[0].aggregator
                 self.delta_cache.put(
                     cache_key,

@@ -374,6 +374,8 @@ class StepStats:
     #: Queries this step shared with a co-batched request (coalescing
     #: gateway only; absent — 0 — on uncoalesced services).
     coalesced_queries: int = 0
+    #: (view, row range) reference rows read from engine state, not computed.
+    reference_views_reused: int = 0
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "StepStats":
@@ -390,6 +392,7 @@ class StepStats:
                 payload.get("modeled_latency_seconds", 0.0)
             ),
             coalesced_queries=int(payload.get("coalesced_queries", 0)),
+            reference_views_reused=int(payload.get("reference_views_reused", 0)),
         )
 
 

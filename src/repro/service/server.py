@@ -88,7 +88,7 @@ from repro.core.cache import (
 )
 from repro.core.engine import EngineRun, UnionRequest
 from repro.core.optimizer import plan_prefetch
-from repro.core.recommender import SeeDB, tuned_config
+from repro.core.recommender import SeeDB, serving_config
 from repro.data import registry
 from repro.data.ingest import strict_float, strict_int
 from repro.db.catalog import TableMeta
@@ -304,9 +304,8 @@ class RecommendationService:
                 table, _ = registry.build_info(
                     dataset, seed=self.seed, scale=self.scale
                 )
-                config = tuned_config(store).with_(  # type: ignore[arg-type]
-                    result_cache=self.result_cache_enabled,
-                    delta_cache=self.delta_cache_enabled,
+                config = serving_config(  # type: ignore[arg-type]
+                    store, self.result_cache_enabled, self.delta_cache_enabled
                 )
                 if self.optimizer_config is not None:
                     config = config.with_(optimizer=self.optimizer_config)
@@ -439,6 +438,7 @@ class RecommendationService:
             "cache_bytes_saved": run.cache_bytes_saved,
             "delta_hits": run.stats.delta_hits,
             "rows_scanned": run.stats.rows_scanned,
+            "reference_views_reused": run.stats.reference_views_reused,
             "wall_seconds": run.wall_seconds,
             "modeled_latency_seconds": run.modeled_latency,
         }
@@ -1022,6 +1022,9 @@ class RecommendationService:
                 executed[key] = executed.get(key, 0) + int(value)
         if executed:
             payload["executed"] = executed
+        payload["reference_state"] = {
+            "|".join(key): seedb.engine.reference_state() for key, seedb in engines.items()
+        }
         return payload
 
     # -------------------------------------------------------------- #

@@ -41,6 +41,14 @@ def assert_backends_agree():
 
 
 @pytest.fixture(scope="session")
+def air_300k() -> Table:
+    """The scoreboard's ``engine_resident`` table; ~4 s to build, so once."""
+    from repro.data import registry
+
+    return registry.build("air", n_rows=300_000)
+
+
+@pytest.fixture(scope="session")
 def tiny_table() -> Table:
     """Six rows, fully enumerable by hand in assertions."""
     return Table(

@@ -305,29 +305,54 @@ class TestAggregateFunctions:
             )
 
 
-@pytest.mark.parametrize("optimizer", [False, True], ids=["static", "optimizer"])
-@pytest.mark.parametrize("result_cache", [False, True], ids=["nocache", "cache"])
+HELD_LEGS = (("sharing", "none"), ("comb", "ci"))
+
+
 @pytest.mark.parametrize(
-    "strategy, pruner",
+    "strategy, pruner, result_cache, optimizer, rewrite",
     [
-        ("no_opt", "none"),
-        ("sharing", "none"),
-        ("comb", "ci"),
-        ("comb", "mab"),
-        ("comb_early", "ci"),
+        pytest.param(
+            strategy,
+            pruner,
+            result_cache,
+            optimizer,
+            rewrite,
+            id=f"{strategy}-{pruner}-{'cache' if result_cache else 'nocache'}-"
+            f"{'optimizer' if optimizer else 'static'}{'' if rewrite else '-held'}",
+        )
+        for strategy, pruner in [
+            ("no_opt", "none"),
+            ("sharing", "none"),
+            ("comb", "ci"),
+            ("comb", "mab"),
+            ("comb_early", "ci"),
+        ]
+        for optimizer in (False, True)
+        for result_cache in (False, True)
+        for rewrite in (True, False)
+        # Held legs (the suite has a ceiling): one unphased and one phased
+        # strategy — NO_OPT never is held, and test_reference_state.py holds
+        # comb+mab and comb_early unions to fresh solo runs — with cache x
+        # optimizer on its diagonal, so each value of both meets the path.
+        if rewrite or ((strategy, pruner) in HELD_LEGS and result_cache == optimizer)
     ],
 )
-def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimizer):
+def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimizer, rewrite):
     """The N-request phase loop under the solo path's oracle.
 
     A union of [A, B, A again, A with another k] returns, per request, the
     answer that request's own solo ``run`` returns — bit for bit — and the
     per-request stats sum to the engine's lifetime executed counters: only
     the accounting moves, and it moves without losing or double-charging.
+    With the rewrite off the reference side is table state: A's fills are
+    A's queries, charged once, and B and the repeats read what they left —
+    in the union, and solo on an engine other requests warmed.
     """
     table, spec = build_info("census", scale="smoke", seed=7)
     config = EngineConfig(
-        result_cache=result_cache, optimizer=OptimizerConfig(enabled=optimizer)
+        result_cache=result_cache,
+        optimizer=OptimizerConfig(enabled=optimizer),
+        combine_target_reference=rewrite,
     )
     target_a, target_b = spec.target_predicate(), eq("sex", "sex_0")
     asks = [(target_a, 3), (target_b, 3), (target_a, 3), (target_a, 6)]
@@ -375,6 +400,8 @@ def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimiz
     # predicate — except under NO_OPT, whose reference queries are
     # target-free and therefore A's.
     first, other_target, repeat, other_k = stats
+    held = not rewrite
+    assert [s.reference_views_reused > 0 for s in stats] == [False, held, held, held]
     assert first.coalesced_queries == 0
     assert (other_target.coalesced_queries > 0) == (strategy == "no_opt")
     assert repeat.coalesced_queries > 0

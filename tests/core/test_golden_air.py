@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import SeeDB
+from repro.core.recommender import tuned_config
 from repro.data import registry
 from repro.db.cost import CostModel
 from repro.db.expressions import eq
@@ -46,9 +47,8 @@ def _most_frequent(table, column: str) -> object:
     return categories[int(np.argmax(np.bincount(codes)))].item()
 
 
-def record() -> list[dict[str, object]]:
+def record(table) -> list[dict[str, object]]:
     """Run the six targets and reduce each run to its JSON record."""
-    table = registry.build("air", n_rows=N_ROWS)
     targets = [registry.spec("air").target_predicate()]
     targets += [eq(dim, _most_frequent(table, dim)) for dim in TARGET_DIMS]
 
@@ -62,7 +62,7 @@ def record() -> list[dict[str, object]]:
     records = []
     CostModel.query_seconds = spy
     try:
-        with SeeDB.over_table(table, store="col") as seedb:
+        with SeeDB.over_table(table, store="col", config=tuned_config("col")) as seedb:
             for target in targets:
                 per_query.clear()
                 run = seedb.run_engine(target, k=5, strategy="comb", pruner="ci")
@@ -95,9 +95,9 @@ def record() -> list[dict[str, object]]:
     return records
 
 
-def test_six_air_targets_match_the_recorded_runs():
+def test_six_air_targets_match_the_recorded_runs(air_300k):
     expected = json.loads(GOLDEN.read_text())
-    got = record()
+    got = record(air_300k)
     assert [r["target"] for r in got] == [r["target"] for r in expected]
     for want, have in zip(expected, got):
         assert have == want, want["target"]
@@ -106,4 +106,4 @@ def test_six_air_targets_match_the_recorded_runs():
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps(record(), indent=1) + "\n")
+    GOLDEN.write_text(json.dumps(record(registry.build("air", n_rows=N_ROWS)), indent=1) + "\n")

@@ -9,6 +9,10 @@ and target rotating so every value of each meets every config.  Per leg it
 holds digests of the utilities (float hex) and of the distributions, plus
 ``active_per_phase`` — all independent of ``PYTHONHASHSEED``; ``selected``
 is checked against the run's own utilities under the view-order tie rule.
+The eight ``row/split2`` legs with reference "all" that sharing or pruning
+runs were recorded again when the reference side became table state: their
+bin-packed reference queries became single-dimension fills, which moved
+last bits of the reference distributions and nothing else.
 Regenerate (only when a change is *meant* to move results) with
 ``PYTHONPATH=src python tests/core/test_golden_small_matrix.py``.
 """

@@ -5,8 +5,9 @@ import json
 import pytest
 
 from repro.config import EngineConfig
-from repro.core.recommender import SeeDB, tuned_config
+from repro.core.recommender import SeeDB, serving_config, tuned_config
 from repro.core.result import accuracy, utility_distance
+from repro.core.view import ViewSpace
 from repro.db.database import Database
 from repro.db.expressions import eq
 from repro.exceptions import RecommendationError
@@ -35,9 +36,18 @@ class TestFacade:
     def test_view_space_size(self, seedb):
         assert len(seedb.view_space()) == 2 * 2  # 2 dims x 2 measures x AVG
 
-    def test_restricted_dimensions(self, seedb):
+    def test_restricted_dimensions(self, seedb, monkeypatch):
+        enumerated = []
+        enumerate_views = ViewSpace.enumerate.__func__
+
+        def spy(cls, *args, **kwargs):
+            enumerated.append(args)
+            return enumerate_views(cls, *args, **kwargs)
+
+        monkeypatch.setattr(ViewSpace, "enumerate", classmethod(spy))
         result = seedb.recommend(TARGET, k=2, dimensions=["race"])
         assert all(rec.view.dimension == "race" for rec in result)
+        assert len(enumerated) == 1  # one view space per recommend, looked up in
 
     def test_true_top_k_is_exact(self, seedb):
         truth = seedb.true_top_k(TARGET, k=2)
@@ -49,9 +59,30 @@ class TestFacade:
         assert "top-2" in text
         assert "AVG(capital) BY sex" in text
 
-    def test_tuned_config_row_vs_col(self):
+    def test_tuned_config_row_vs_col(self, seedb):
         assert tuned_config("row").use_binpacking is True
         assert tuned_config("col").use_binpacking is False
+        # The paper's settings keep its rewrite; the default engine holds the
+        # reference side as table state instead.
+        assert tuned_config("col").combine_target_reference is True
+        assert seedb.config == tuned_config("col").with_(combine_target_reference=False)
+
+    @pytest.mark.parametrize("result_cache", [False, True])
+    @pytest.mark.parametrize("delta_cache", [False, True])
+    def test_serving_config_splits_exactly_where_no_delta_cache_is_kept(
+        self, census_like, result_cache, delta_cache
+    ):
+        # One rule, stated once and shared with the engine: the rewrite stays
+        # on iff the engine built from the config attaches a delta cache.
+        config = serving_config("col", result_cache, delta_cache)
+        assert config == tuned_config("col").with_(
+            result_cache=result_cache,
+            delta_cache=delta_cache,
+            combine_target_reference=result_cache and delta_cache,
+        )
+        with SeeDB.over_table(census_like, config=config) as built:
+            assert (built.engine.delta_cache is not None) == config.combine_target_reference
+        assert SeeDB.over_table(census_like).config == serving_config("col")
 
     def test_store_mismatch_corrected(self, census_like):
         seedb = SeeDB.over_table(

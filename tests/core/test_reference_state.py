@@ -1,0 +1,360 @@
+"""The reference side as engine-held table state, under the split path's oracle.
+
+``golden_reference_state.json`` was recorded at the commit *before* the
+engine kept any reference state, with ``combine_target_reference=False``
+passed explicitly — that commit's split path, one target-free reference
+query per request, phase and dimension, is the oracle: the six
+``engine_resident`` AIR targets at 300 000 rows (``comb`` + CI, k=5) and a
+census/bank matrix at smoke scale (col tuned; row without bin packing; AVG
+and all five functions; sharing, comb+ci, comb+mab, comb_early).  Per leg it
+holds ``selected``, the utilities as float hex (a digest of them for the
+matrix), a digest of the distributions and ``active_per_phase``.  The legs of
+one group share one ``SeeDB``, so at this commit all but the first read
+reference rows another target, strategy or pruning history filled.
+
+Recording it again at this commit would pin the engine to itself; the
+``__main__`` block is there to be run from a checkout of that parent.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from repro import SeeDB
+from repro.core import engine as engine_module
+from repro.core.engine import UnionRequest
+from repro.core.recommender import tuned_config
+from repro.core.sharing import plan_queries
+from repro.data import build_info, registry
+from repro.db.catalog import TableMeta
+from repro.db.chunks import append_rows, open_table, write_table
+from repro.db.expressions import eq
+from repro.db.query import AggregateFunction
+from repro.db.sql import generate_sql
+
+GOLDEN = Path(__file__).with_name("golden_reference_state.json")
+K = 5
+#: ``benchmarks/scoreboard/workloads.py``: ENGINE_TARGET_DIMS and its row count.
+AIR_TARGET_DIMS = ("carrier", "month", "dest_state", "day_of_week", "distance_group")
+AIR_ROWS = 300_000
+FUNCS = {"avg": (AggregateFunction.AVG,), "all5": tuple(AggregateFunction)}
+PAIRS = (("sharing", "none"), ("comb", "ci"), ("comb", "mab"), ("comb_early", "ci"))
+
+
+def split_config(store: str):
+    """The oracle's config: the split path, single-dimension on both stores."""
+    config = tuned_config(store).with_(combine_target_reference=False)
+    return config.with_(use_binpacking=False) if store == "row" else config
+
+
+def _most_frequent(table, column: str):
+    codes, categories = table.dictionary(column)
+    return eq(column, categories[int(np.argmax(np.bincount(codes)))].item())
+
+
+def _record(leg: str, run, hex_utilities: bool) -> dict[str, object]:
+    digest = hashlib.sha256()
+    for key in sorted(run.distributions):
+        dists = run.distributions[key]
+        digest.update(repr((key, tuple(map(str, dists.keys)))).encode())
+        digest.update(np.asarray(dists.target, dtype=np.float64).tobytes())
+        digest.update(np.asarray(dists.reference, dtype=np.float64).tobytes())
+    utilities = {
+        "|".join(key): float(value).hex() for key, value in sorted(run.utilities.items())
+    }
+    return {
+        "leg": leg,
+        "selected": [list(key) for key in run.selected],
+        "utilities": (
+            utilities
+            if hex_utilities
+            else hashlib.sha256(json.dumps(utilities).encode()).hexdigest()
+        ),
+        "distributions_sha256": digest.hexdigest(),
+        "active_per_phase": run.active_per_phase,
+    }
+
+
+def records(air_table, config_for) -> list[dict[str, object]]:
+    """Run every leg; ``config_for(store)`` is the config under test."""
+    out = []
+    targets = [registry.spec("air").target_predicate()]
+    targets += [_most_frequent(air_table, dim) for dim in AIR_TARGET_DIMS]
+    with SeeDB.over_table(air_table, store="col", config=config_for("col")) as seedb:
+        for target in targets:
+            run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
+            out.append(_record(f"air/{target.to_sql()}", run, hex_utilities=True))
+    for dataset in ("census", "bank"):
+        table, spec = build_info(dataset, scale="smoke", seed=7)
+        meta = TableMeta.of(table)
+        targets = (spec.target_predicate(), _most_frequent(table, meta.dimensions[0]))
+        for store in ("col", "row"):
+            for funcs_name, funcs in FUNCS.items():
+                # Five functions over three measures: 150-165 views, not 385.
+                measures = meta.measures[:3] if funcs_name == "all5" else None
+                with SeeDB.over_table(
+                    table, store=store, config=config_for(store), funcs=funcs
+                ) as seedb:
+                    for i, (strategy, pruner) in enumerate(PAIRS):
+                        run = seedb.run_engine(
+                            targets[i % 2], k=K, strategy=strategy, pruner=pruner,
+                            measures=measures,
+                        )
+                        leg = f"{dataset}/{store}/{funcs_name}/{strategy}/{pruner}/target{i % 2}"
+                        out.append(_record(leg, run, hex_utilities=False))
+    return out
+
+
+def test_the_default_matches_the_parents_split_path(air_300k):
+    """Col legs run the default config (``config=None``): held reference rows
+    folded from table state equal per-request reference queries bit for bit."""
+    expected = json.loads(GOLDEN.read_text())
+    got = records(air_300k, lambda store: None if store == "col" else split_config(store))
+    assert [r["leg"] for r in got] == [r["leg"] for r in expected]
+    for want, have in zip(expected, got):
+        assert have == want, want["leg"]
+
+
+# --------------------------------------------------------------------------- #
+# the state itself: history, threads, identity, bound, who may not touch it
+# --------------------------------------------------------------------------- #
+
+
+def _bits(run) -> tuple:
+    """Everything a request is answered with, down to the last bit."""
+    return (
+        run.selected,
+        [(key, float(value).hex()) for key, value in run.utilities.items()],
+        [
+            (key, dists.keys, dists.target.tobytes(), dists.reference.tobytes())
+            for key, dists in run.distributions.items()
+        ],
+        run.active_per_phase,
+    )
+
+
+@pytest.fixture(scope="module")
+def census():
+    return build_info("census", scale="smoke", seed=7)
+
+
+def _asks(table, spec):
+    """Requests differing in target, view subset, k, strategy and pruner."""
+    meta = TableMeta.of(table)
+    dims, measures = meta.dimensions, meta.measures
+    a, b = spec.target_predicate(), _most_frequent(table, dims[3])
+    return [
+        (a, None, None, 5, "comb", "ci"),
+        (b, dims[:4], measures[:2], 3, "comb", "ci"),
+        (a, dims[2:7], measures[1:], 4, "sharing", "none"),
+        (b, None, measures[:1], 2, "comb", "mab"),
+        (a, dims[5:], None, 3, "comb_early", "ci"),
+        (b, None, None, 6, "sharing", "none"),
+        (a, dims[:2], measures[2:], 2, "comb", "ci"),
+        (b, dims[1:5], None, 5, "comb", "ci"),
+    ]
+
+
+def _request(seedb, ask) -> UnionRequest:
+    target, dimensions, measures, k, _, pruner = ask
+    return UnionRequest(seedb.view_space(dimensions, measures).views, target, k, pruner)
+
+
+def _fresh_answer(table, ask, **seedb_kwargs):
+    with SeeDB.over_table(table, store="col", **seedb_kwargs) as fresh:
+        return _bits(fresh.engine.run_union([_request(fresh, ask)], ask[4])[0])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_answers_do_not_depend_on_request_history(census, seed):
+    """Any order, any mix of solo runs and unions, any view subsets: every
+    request gets the bits a fresh engine gives it, and whatever subset fills
+    built the state, its columns equal a full fill's."""
+    table, spec = census
+    asks = _asks(table, spec)
+    rng = random.Random(seed)
+    order = rng.sample(range(len(asks)), len(asks))
+    funcs = tuple(AggregateFunction) if seed == 2 else (AggregateFunction.AVG,)
+    with SeeDB.over_table(table, store="col", funcs=funcs) as seedb:
+        answers, reused = {}, 0
+        while order:
+            # A union shares one strategy; its size is part of the history.
+            first = order.pop(0)
+            group = [first] + [
+                i for i in order if asks[i][4] == asks[first][4] and rng.random() < 0.5
+            ]
+            order = [i for i in order if i not in group]
+            runs = seedb.engine.run_union(
+                [_request(seedb, asks[i]) for i in group], asks[first][4]
+            )
+            answers.update(zip(group, map(_bits, runs)))
+            reused += sum(run.stats.reference_views_reused for run in runs)
+        assert reused > 0
+        for i, ask in enumerate(asks):
+            assert answers[i] == _fresh_answer(table, ask, funcs=funcs), i
+
+        with SeeDB.over_table(table, store="col", funcs=funcs) as full:
+            for strategy in ("sharing", "comb"):
+                full.run_engine(asks[0][0], k=5, strategy=strategy, pruner="none")
+            for row_range, held_range in seedb.engine._reference.items():
+                for dimension, columns in held_range.items():
+                    whole = full.engine._reference[row_range][dimension]
+                    assert {"__codes__", "__group_count__"} < set(columns) <= set(whole)
+                    for name, column in columns.items():
+                        assert column.tobytes() == whole[name].tobytes(), (dimension, name)
+
+
+def test_eight_threads_match_serial_and_fill_each_cell_once(census):
+    table, spec = census
+    asks = _asks(table, spec)
+    serial = [_fresh_answer(table, ask) for ask in asks]
+    with SeeDB.over_table(table, store="col") as seedb:
+        filled: list[tuple] = []
+        hold = seedb.engine._hold_reference
+
+        snapshots: list[dict[str, int]] = []
+
+        def spy(held_range, fill, result):
+            filled.extend(
+                (id(held_range), fill.query.group_by, spec.alias) for spec in fill.query.aggregates
+            )
+            hold(held_range, fill, result)
+            # A fill in flight holds the lock for its whole scan; what
+            # ``GET /v1/stats`` reads must not wait for it (the lock is not
+            # re-entrant: waiting here would never return).
+            assert seedb.engine._reference_lock.locked()
+            snapshots.append(seedb.engine.reference_state())
+
+        seedb.engine._hold_reference = spy
+
+        def worker(offset: int):
+            mine = [(i + offset) % len(asks) for i in range(0, len(asks), 2)]
+            return [
+                (i, _bits(seedb.engine.run_union([_request(seedb, asks[i])], asks[i][4])[0]))
+                for i in mine
+            ]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                rounds = list(pool.map(worker, range(8), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(rounds) == 8
+        for answers in rounds:
+            for i, bits in answers:
+                assert bits == serial[i], i
+        assert len(filled) == len(set(filled)) > 0
+        held_bytes = [snapshot["bytes"] for snapshot in snapshots]
+        assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
+        assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]
+        # 40 views x (10 phase ranges + the full range), each filled once.
+        assert len(filled) <= 40 * 11
+
+
+def test_a_new_table_identity_drops_the_state(census, tmp_path):
+    table, spec = census
+    target = spec.target_predicate()
+
+    def run(seedb):
+        return seedb.run_engine(target, k=5, strategy="comb", pruner="ci")
+
+    with SeeDB.over_table(table.slice_rows(0, table.nrows), store="col") as seedb:
+        cold, warm = run(seedb), run(seedb)
+        assert cold.stats.reference_views_reused == 0 < warm.stats.reference_views_reused
+        assert warm.stats.queries_issued < cold.stats.queries_issued
+        seedb.table.bump_version()
+        again = run(seedb)
+        assert again.stats.reference_views_reused == 0
+        assert again.stats.queries_issued == cold.stats.queries_issued
+        assert _bits(again) == _bits(cold) == _bits(warm)
+
+    write_table(table.slice_rows(0, 2_500), tmp_path / "ds", chunk_rows=512)
+    with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as seedb:
+        run(seedb)
+        tail = {
+            column.name: table.materialize_range(column.name, 2_500, 3_000).tolist()
+            for column in table.schema
+        }
+        append_rows(tmp_path / "ds", tail)
+        assert seedb.table.refresh_from_disk()
+        seedb.store.sync_layout()
+        refreshed = run(seedb)
+        assert refreshed.stats.reference_views_reused == 0
+        with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as fresh:
+            assert _bits(refreshed) == _bits(run(fresh))
+        assert run(seedb).stats.reference_views_reused > 0
+
+
+def test_the_range_cap_evicts_and_refills(census, monkeypatch):
+    table, spec = census
+    target = spec.target_predicate()
+
+    def run(seedb, strategy, pruner):
+        return seedb.run_engine(target, k=5, strategy=strategy, pruner=pruner)
+
+    with SeeDB.over_table(table, store="col") as uncapped:
+        want = [_bits(run(uncapped, "comb", "ci")), _bits(run(uncapped, "sharing", "none"))]
+    monkeypatch.setattr(engine_module, "_MAX_REFERENCE_RANGES", 3)
+    with SeeDB.over_table(table, store="col") as seedb:
+        phased = [run(seedb, "comb", "ci") for _ in range(2)]
+        # Ten phase ranges through a cap of three, oldest first out: each is
+        # gone again before the next run reads it.
+        assert [r.stats.reference_views_reused for r in phased] == [0, 0]
+        assert seedb.engine.reference_state()["ranges"] == 3
+        whole = [run(seedb, "sharing", "none") for _ in range(2)]
+        assert [r.stats.reference_views_reused for r in whole] == [0, 40]
+        assert [_bits(phased[1]), _bits(whole[1])] == want
+
+
+def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
+    """Fig. 9's shape — NO_OPT, SHARING, NO_OPT on one ``SeeDB`` — and the
+    parent's plans for "complement" and "query"."""
+    table, spec = census
+    target = spec.target_predicate()
+    with SeeDB.over_table(table, store="col") as seedb:
+        n_views = len(seedb.view_space())
+
+        def no_opt():
+            run = seedb.run_engine(target, k=5, strategy="no_opt", pruner="none")
+            assert run.stats.queries_issued == 2 * n_views
+            assert run.stats.reference_views_reused == 0
+            return seedb.engine.reference_state()
+
+        assert no_opt() == {"ranges": 0, "bytes": 0, "views_reused": 0}
+        seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
+        held = seedb.engine.reference_state()
+        assert held["ranges"] == 1 and held["bytes"] > 0
+        assert no_opt() == held
+
+        reference = _most_frequent(table, seedb.meta.dimensions[1])
+        for mode, predicate in (("complement", None), ("query", reference)):
+            run = seedb.run_engine(
+                target, k=5, strategy="sharing", pruner="none",
+                reference=mode, reference_predicate=predicate,
+            )
+            plan = plan_queries(
+                seedb.view_space().views, seedb.meta, seedb.config, target, mode, predicate
+            )
+            assert [route.side for p in plan.queries for route in p.routes[:1]] == [
+                "target", "reference"
+            ] * (len(plan) // 2)
+            assert run.sql == [
+                generate_sql(p.query.with_range(0, table.nrows)) for p in plan.queries
+            ]
+            assert run.stats.reference_views_reused == 0
+        assert seedb.engine.reference_state() == held
+
+
+if __name__ == "__main__":
+    recorded = records(registry.build("air", n_rows=AIR_ROWS), split_config)
+    GOLDEN.write_text(",\n".join(json.dumps(r) for r in recorded).join(("[\n", "\n]\n")))

@@ -979,9 +979,9 @@ class TestOptimizerPrefetch:
         assert payload["prefetch"]["errors"] == 0
 
     def test_bitwise_identical_to_optimizer_off_service(self, optimizer_service):
-        plain_svc = RecommendationService(
-            datasets=("census",), scale="smoke", result_cache=False
-        )
+        # The same engine config but for the optimizer (the rewrite default
+        # follows the caches, and split vs combined differ in the last bit).
+        plain_svc = RecommendationService(datasets=("census",), scale="smoke")
         try:
             on = optimizer_service.recommend(
                 optimizer_service.create_session({"dataset": "census"})[
@@ -1005,6 +1005,37 @@ class TestOptimizerPrefetch:
                 assert mine["utility"] == theirs["utility"]
         finally:
             plain_svc.close()
+
+    def test_serving_defaults_agree_across_the_rewrite(self, service):
+        """The service picks the path per engine (``serving_config``): with the
+        result cache off the reference side is engine-held state, with the
+        default caches it is the combined rewrite — one answer, to the last
+        bits the two accumulation orders share."""
+        held_svc = RecommendationService(
+            datasets=("census",), scale="smoke", result_cache=False
+        )
+        try:
+            assert not held_svc.engine("census", "col", "emd").config.combine_target_reference
+            assert service.engine("census", "col", "emd").config.combine_target_reference
+            held, combined = (
+                svc.recommend(svc.create_session({"dataset": "census"})["session_id"], {"k": 5})
+                for svc in (held_svc, service)
+            )
+            # A first request fills every cell it reads; the repeat reads them all.
+            assert held["stats"]["reference_views_reused"] == 0
+            again = held_svc.recommend(
+                held_svc.create_session({"dataset": "census"})["session_id"], {"k": 5}
+            )
+            assert again["stats"]["reference_views_reused"] > 0
+            assert again["views"] == held["views"]
+            names = [[view[f] for f in ("dimension", "measure", "func")] for view in held["views"]]
+            assert names == [
+                [view[f] for f in ("dimension", "measure", "func")] for view in combined["views"]
+            ]
+            for mine, theirs in zip(held["views"], combined["views"]):
+                assert mine["utility"] == pytest.approx(theirs["utility"], rel=1e-9)
+        finally:
+            held_svc.close()
 
     def test_optimizer_off_service_has_no_prefetch_surface(self, service):
         payload = service.stats()
