@@ -1145,7 +1145,7 @@ def bench_append_refresh(
             offset += delta
             chunked.refresh_from_disk()
             seedb.store.sync_layout()
-            seedb.meta = TableMeta.of(chunked)
+            seedb.engine.meta = TableMeta.of(chunked)
 
             refresh = run()
             if refresh.stats.delta_hits != refresh.stats.queries_issued:

@@ -75,29 +75,36 @@ _ENTRY_OVERHEAD_BYTES = 512
 # --------------------------------------------------------------------------- #
 
 
-def _value_key(value: object) -> str:
+def _value_key(value: object, memo: dict | None = None) -> str:
     """Stable structural rendering of one field value.
 
     ``repr`` alone is not enough: expression nodes render via ``to_sql``,
     which rejects non-finite float literals the native executor happily
     evaluates — the fingerprint must never raise on a query the engine can
-    run.
+    run.  ``memo`` maps an expression node's id to (the node, its key): by
+    identity, as a literal may be unhashable or NaN; the kept node pins its id.
     """
     if value is None:
         return "-"
     if isinstance(value, (tuple, list)):
-        return "[" + ",".join(_value_key(v) for v in value) + "]"
+        return "[" + ",".join(_value_key(v, memo) for v in value) + "]"
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
+        known = memo.get(id(value)) if memo is not None else None
+        if known is not None and known[0] is value:
+            return known[1]
         parts = ",".join(
-            _value_key(getattr(value, f.name)) for f in dataclasses.fields(value)
+            _value_key(getattr(value, f.name), memo) for f in dataclasses.fields(value)
         )
-        return f"{type(value).__name__}({parts})"
-    if isinstance(value, float):
-        return repr(value)  # covers inf/nan deterministically
-    return repr(value)
+        key = f"{type(value).__name__}({parts})"
+        if memo is not None:
+            memo[id(value)] = (value, key)
+        return key
+    return repr(value)  # covers inf/nan floats deterministically
 
 
-def query_fingerprint(query: AggregateQuery, *, include_row_range: bool = True) -> str:
+def query_fingerprint(
+    query: AggregateQuery, *, include_row_range: bool = True, memo: dict | None = None
+) -> str:
     """Canonical fingerprint of one logical query plan, row range included.
 
     Structural, not textual: two queries get the same fingerprint iff every
@@ -110,20 +117,23 @@ def query_fingerprint(query: AggregateQuery, *, include_row_range: bool = True) 
     cache keys partial-aggregation state by the *logical* query so a
     refresh over a grown table (same plan, longer range) still finds the
     state captured over the shorter one.
+
+    ``memo`` is one request's: the queries of a request share their target
+    predicate and flag expression, which are then keyed once, to the same string.
     """
     aggs = ";".join(
         f"{spec.func.value}:{_value_key(spec.argument)}:{spec.alias}"
         for spec in query.aggregates
     )
     derived = ";".join(
-        f"{d.alias}={_value_key(d.expression)}" for d in query.derived
+        f"{d.alias}={_value_key(d.expression, memo)}" for d in query.derived
     )
     return "|".join(
         (
             query.table,
             ",".join(query.group_by),
             aggs,
-            _value_key(query.predicate),
+            _value_key(query.predicate, memo),
             derived,
             _value_key(query.row_range) if include_row_range else "*",
             _value_key(query.group_budget),
@@ -148,6 +158,32 @@ def execution_fingerprint(store: "StorageEngine", backend: "Backend") -> str:
             caps.result_fingerprint or "unversioned",
         )
     )
+
+
+class LruMemo:
+    """A bounded least-recently-used memo of pure values (view spaces, plan
+    skeletons).  Thread-safe: a racing build is wasted work, not a wrong value."""
+
+    def __init__(self, bound: int) -> None:
+        self.bound = bound
+        self._values: OrderedDict[object, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def get(self, key, build):
+        """The value kept under ``key``, or ``build()`` — kept, the oldest out."""
+        with self._lock:
+            if key in self._values:
+                self._values.move_to_end(key)
+                return self._values[key]
+        value = build()
+        with self._lock:
+            self._values[key] = value
+            while len(self._values) > self.bound:
+                self._values.popitem(last=False)
+        return value
 
 
 # --------------------------------------------------------------------------- #
@@ -841,6 +877,7 @@ __all__ = [
     "DeltaState",
     "DeltaStateCache",
     "FileCacheTier",
+    "LruMemo",
     "TieredViewResultCache",
     "ViewResultCache",
     "delta_state_key",

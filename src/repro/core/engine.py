@@ -37,6 +37,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Collection, Literal, Sequence
 
 import numpy as np
@@ -44,6 +45,7 @@ import numpy as np
 from repro.config import EngineConfig, ExecutionStats
 from repro.core.cache import (
     DeltaStateCache,
+    LruMemo,
     ViewResultCache,
     execution_fingerprint,
     query_fingerprint,
@@ -67,7 +69,7 @@ from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
 from repro.db.expressions import Expression
-from repro.db.query import QueryResult
+from repro.db.query import AggregateQuery, QueryResult
 from repro.db.sql import generate_sql
 from repro.db.storage import StorageEngine
 from repro.exceptions import QueryError, RecommendationError
@@ -85,8 +87,11 @@ Parallelism = Literal["modeled", "real", "process"]
 
 #: The strategies that execute in phases and prune between them.
 _PHASED = ("comb", "comb_early")
-#: How many generated SQL strings to retain on a run (introspection only).
+#: How many queries a run records for :attr:`EngineRun.sql` (introspection only).
 _MAX_RECORDED_SQL = 64
+#: Plan skeletons an engine keeps (least recently used out): the full view set of
+#: each restriction in use stays, a pruned active set nobody repeats ages out.
+_MAX_PLAN_SKELETONS = 32
 #: Row ranges the reference state keeps (a run reads ≤ ``n_phases``); oldest out first.
 _MAX_REFERENCE_RANGES = 64
 
@@ -124,7 +129,9 @@ class _LiveRequest:
     #: The request reads its reference side from the engine's table state.
     held: bool
     stats: ExecutionStats = field(default_factory=ExecutionStats)
-    sql: list[str] = field(default_factory=list)
+    queries: list[AggregateQuery] = field(default_factory=list)
+    #: The request's target predicate and flag expression, keyed once for all its queries.
+    keys: dict = field(default_factory=dict)
     #: Views still active entering each phase this request executed.
     active_per_phase: list[int] = field(default_factory=list)
     previous_top_k: frozenset[ViewKey] = frozenset()
@@ -168,7 +175,8 @@ class EngineRun:
     phases_executed: int
     #: Number of views still active entering each phase.
     active_per_phase: list[int]
-    sql: list[str] = field(default_factory=list)
+    #: The run's first ``_MAX_RECORDED_SQL`` ranged queries, in submission order.
+    queries: list[AggregateQuery] = field(default_factory=list, repr=False)
     #: Execution mode the run used ("modeled" = serial queries, parallel
     #: speedup in the cost model only; "real" = thread-pool execution).
     parallelism: Parallelism = "modeled"
@@ -200,6 +208,19 @@ class EngineRun:
         """Hits / (hits + misses) for this run; 0.0 when the cache was off."""
         lookups = self.cache_hits + self.cache_misses
         return self.cache_hits / lookups if lookups else 0.0
+
+    @cached_property
+    def sql(self) -> list[str]:
+        """:attr:`queries` as SQL text, rendered when first read.  A query the
+        generator cannot print (e.g. a non-finite literal in a predicate) must
+        not fail a backend that never ships SQL text: it reads as a comment."""
+        rendered = []
+        for query in self.queries:
+            try:
+                rendered.append(generate_sql(query))
+            except QueryError as exc:
+                rendered.append(f"-- unrenderable query: {exc}")
+        return rendered
 
     def top(self, n: int | None = None) -> list[tuple[ViewKey, float]]:
         ranked = sorted(self.utilities.items(), key=lambda kv: -kv[1])
@@ -302,6 +323,16 @@ class ExecutionEngine:
         """
         self.backend.close()
 
+    @property
+    def meta(self) -> TableMeta:
+        """The catalog entry plans and bin packing read; assign a new one when the
+        table grew.  The plan skeletons built from the old one go with it."""
+        return self._planning[0]
+
+    @meta.setter
+    def meta(self, meta: TableMeta) -> None:
+        self._planning = (meta, LruMemo(_MAX_PLAN_SKELETONS))
+
     def __enter__(self) -> "ExecutionEngine":
         return self
 
@@ -383,6 +414,7 @@ class ExecutionEngine:
         started = time.perf_counter()
 
         config = self._strategy_config(strategy)
+        meta, skeletons = self._planning
         # Every run starts from the static tuning: a previous run's
         # optimizer decisions must not leak into an ablation baseline.
         self.store.stream_chunk_rows = self._static_chunk_rows
@@ -412,7 +444,7 @@ class ExecutionEngine:
                 optimizer = WorkloadOptimizer(
                     config.optimizer,
                     self.store,
-                    self.meta,
+                    meta,
                     config.memory_budget_bytes,
                 )
             pruner = self.make_pruner(strategy, request.pruner)
@@ -482,12 +514,13 @@ class ExecutionEngine:
                         entry.active_per_phase.append(len(entry.active))
                         plan = plan_queries(
                             list(entry.active.values()),
-                            self.meta,
+                            meta,
                             config,
                             request.target_predicate,
                             request.reference_mode,
                             request.reference_predicate,
                             entry.held,
+                            skeletons,
                         )
                         if entry.optimizer is not None:
                             plan = entry.optimizer.transform(plan)
@@ -499,16 +532,11 @@ class ExecutionEngine:
                         slots: list[tuple[int, bool]] = []
                         for planned in queries:
                             query = planned.query.with_range(start, stop)
-                            if len(entry.sql) < _MAX_RECORDED_SQL:
-                                # The log is introspection only: a query the
-                                # generator cannot print (e.g. a non-finite
-                                # literal in a predicate) must not abort a
-                                # backend that never ships SQL text.
-                                try:
-                                    entry.sql.append(generate_sql(query))
-                                except QueryError as exc:
-                                    entry.sql.append(f"-- unrenderable query: {exc}")
-                            key = f"{cache_prefix}|{query_fingerprint(query)}" if keyed else None
+                            if len(entry.queries) < _MAX_RECORDED_SQL:
+                                entry.queries.append(query)
+                            key = None
+                            if keyed:
+                                key = f"{cache_prefix}|{query_fingerprint(query, memo=entry.keys)}"
                             position = first_slot.get(key) if dedupe else None
                             owner = position is None
                             if owner:
@@ -636,7 +664,7 @@ class ExecutionEngine:
                     wall_seconds=stats.wall_seconds,
                     phases_executed=len(entry.active_per_phase),
                     active_per_phase=entry.active_per_phase,
-                    sql=entry.sql,
+                    queries=entry.queries,
                     parallelism=parallelism,
                     n_workers=dispatcher.n_workers,
                     backend=self.backend.name,

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from repro.config import EngineConfig, StoreKind
-from repro.core.cache import ViewResultCache
+from repro.core.cache import LruMemo, ViewResultCache
 from repro.core.engine import EngineRun, ExecutionEngine, Parallelism, Strategy
 from repro.core.result import Recommendation, RecommendationSet
 from repro.core.sharing import ReferenceMode
@@ -40,6 +40,10 @@ from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.exceptions import RecommendationError
 from repro.metrics.base import DistanceFunction, get_metric
+
+
+#: View spaces a ``SeeDB`` keeps, one per ``(dimensions, measures)`` restriction in use.
+_MAX_VIEW_SPACES = 16
 
 
 def tuned_config(store: StoreKind) -> EngineConfig:
@@ -120,7 +124,7 @@ class SeeDB:
         self.engine = ExecutionEngine(
             self.store, self.metric, self.config, self.cost_model, result_cache
         )
-        self.meta = TableMeta.of(self.table)
+        self._view_spaces = (self.engine.meta, LruMemo(_MAX_VIEW_SPACES))
 
     @classmethod
     def over_table(cls, table: Table, **kwargs: object) -> "SeeDB":
@@ -143,13 +147,25 @@ class SeeDB:
     # view space
     # ------------------------------------------------------------------ #
 
+    @property
+    def meta(self) -> TableMeta:
+        """The one catalog entry: the engine's (assign a new one there after an append)."""
+        return self.engine.meta
+
     def view_space(
         self,
         dimensions: Sequence[str] | None = None,
         measures: Sequence[str] | None = None,
     ) -> ViewSpace:
-        """Candidate views (A x M x F), optionally analyst-restricted."""
-        return ViewSpace.enumerate(self.meta, self.funcs, dimensions, measures)
+        """Candidate views (A x M x F), optionally analyst-restricted.  The space
+        of a restriction is kept (bounded) for as long as ``meta`` is."""
+        meta = self.meta
+        known, spaces = self._view_spaces
+        if known is not meta:
+            spaces = LruMemo(_MAX_VIEW_SPACES)
+            self._view_spaces = (meta, spaces)
+        key = tuple(None if names is None else tuple(names) for names in (dimensions, measures))
+        return spaces.get(key, lambda: ViewSpace.enumerate(meta, self.funcs, dimensions, measures))
 
     # ------------------------------------------------------------------ #
     # recommendation

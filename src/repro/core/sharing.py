@@ -33,6 +33,7 @@ from typing import Literal, Sequence
 
 from repro.config import EngineConfig
 from repro.core.binpack import pack_dimensions
+from repro.core.cache import LruMemo
 from repro.core.view import AggregateView
 from repro.db.catalog import TableMeta
 from repro.db.expressions import Arithmetic, CaseWhen, Expression, Lit, Not, Or
@@ -91,6 +92,7 @@ def plan_queries(
     reference_mode: ReferenceMode = "all",
     reference_predicate: Expression | None = None,
     reference_held: bool = False,
+    skeletons: LruMemo | None = None,
 ) -> SharingPlan:
     """Plan the query set serving ``views`` under ``config``.
 
@@ -99,45 +101,98 @@ def plan_queries(
     ("complement", D - D_Q), or an arbitrary query ("query", D_Q' — needs
     ``reference_predicate``).  ``reference_held`` plans the split path's
     target queries only: the caller keeps the reference side as state.
+
+    ``skeletons`` keeps the target-free half of a plan (:func:`_skeleton`) per
+    (view keys, config, sides); the caller owns it and drops it with ``meta``.
     """
     if not views:
         return SharingPlan(())
     if reference_mode == "query" and reference_predicate is None:
         raise RecommendationError("reference_mode='query' requires reference_predicate")
+    sides: tuple[Side, ...] = ("target",) if reference_held else ("target", "reference")
+    if config.combine_target_reference:
+        sides = ("both",)
+    if skeletons is None:
+        skeleton = _skeleton(views, meta, config, sides)
+    else:
+        key = (tuple(view.key for view in views), config, sides)
+        skeleton = skeletons.get(key, lambda: _skeleton(views, meta, config, sides))
 
+    name, budget = meta.name, config.group_budget()
+    if config.combine_target_reference:
+        derived, where, flag_kind = _combined_flag(
+            target_predicate, reference_mode, reference_predicate
+        )
+        return SharingPlan(
+            tuple(
+                PlannedQuery(
+                    AggregateQuery(
+                        name,
+                        group_by + (FLAG_ALIAS,),
+                        aggregates,
+                        where,
+                        (derived,),
+                        group_budget=budget,
+                    ),
+                    routes,
+                    FLAG_ALIAS,
+                    flag_kind,
+                )
+                for group_by, aggregates, (routes,) in skeleton
+            )
+        )
+    predicates = [target_predicate]
+    if not reference_held:
+        predicates.append(
+            _reference_only_predicate(target_predicate, reference_mode, reference_predicate)
+        )
+    return SharingPlan(
+        tuple(
+            PlannedQuery(
+                AggregateQuery(name, group_by, aggregates, predicate, group_budget=budget),
+                routes,
+                None,
+                None,
+            )
+            for group_by, aggregates, routes_by_side in skeleton
+            for predicate, routes in zip(predicates, routes_by_side)
+        )
+    )
+
+
+def _skeleton(
+    views: Sequence[AggregateView], meta: TableMeta, config: EngineConfig, sides: tuple[Side, ...]
+) -> tuple[tuple, ...]:
+    """The target-free half of a plan: per dimension group and aggregate chunk,
+    the group-by, the aggregate columns and the routes of each of ``sides``."""
     views_by_dim: dict[str, list[AggregateView]] = {}
     for view in views:
         views_by_dim.setdefault(view.dimension, []).append(view)
-    dimensions = list(views_by_dim)
-
-    dim_groups = _group_dimensions(dimensions, meta, config)
-    budget = config.group_budget()
-
-    planned: list[PlannedQuery] = []
-    for dim_group in dim_groups:
-        group_views = [v for d in dim_group for v in views_by_dim[d]]
-        for chunk in _chunk_aggregates(group_views, config.max_aggregates_per_query):
-            planned.extend(
-                _plan_one(
-                    chunk,
-                    dim_group,
-                    meta.name,
-                    budget,
-                    config,
-                    target_predicate,
-                    reference_mode,
-                    reference_predicate,
-                    reference_held,
-                )
-            )
-    return SharingPlan(tuple(planned))
+    return tuple(
+        (
+            tuple(dim_group),
+            _aggregate_specs(chunk),
+            tuple(
+                tuple(ViewRoute(view, view.dimension, view.agg_alias, side) for view in chunk)
+                for side in sides
+            ),
+        )
+        for dim_group in _group_dimensions(list(views_by_dim), meta, config)
+        for chunk in _chunk_aggregates(
+            [v for d in dim_group for v in views_by_dim[d]], config.max_aggregates_per_query
+        )
+    )
 
 
 def plan_reference_fill(views: Sequence[AggregateView], table: str, budget: int) -> PlannedQuery:
     """The canonical reference query of ``views``' one dimension: target-free,
     single group-by whatever the config would bin-pack.  Aggregate columns are
     computed independently, so a cell's bits depend on table and range alone."""
-    return _split_query(views, [views[0].dimension], table, budget, None, "reference")
+    query = AggregateQuery(
+        table, (views[0].dimension,), _aggregate_specs(views), group_budget=budget
+    )
+    routes = tuple(ViewRoute(view, view.dimension, view.agg_alias, "reference") for view in views)
+    return PlannedQuery(query, routes, None, None)
 
 
 # --------------------------------------------------------------------------- #
@@ -187,62 +242,6 @@ def _aggregate_specs(chunk_views: Sequence[AggregateView]) -> tuple[AggregateSpe
         else:
             specs[view.agg_alias] = AggregateSpec(view.func, view.measure, view.agg_alias)
     return tuple(specs.values())
-
-
-def _plan_one(
-    chunk_views: list[AggregateView],
-    dim_group: list[str],
-    table_name: str,
-    budget: int,
-    config: EngineConfig,
-    target_predicate: Expression,
-    reference_mode: ReferenceMode,
-    reference_predicate: Expression | None,
-    reference_held: bool,
-) -> list[PlannedQuery]:
-    if config.combine_target_reference:
-        derived, predicate, flag_kind = _combined_flag(
-            target_predicate, reference_mode, reference_predicate
-        )
-        query = AggregateQuery(
-            table=table_name,
-            group_by=tuple(dim_group) + (FLAG_ALIAS,),
-            aggregates=_aggregate_specs(chunk_views),
-            predicate=predicate,
-            derived=(derived,),
-            group_budget=budget,
-        )
-        routes = tuple(
-            ViewRoute(view, view.dimension, view.agg_alias, "both")
-            for view in chunk_views
-        )
-        return [PlannedQuery(query, routes, FLAG_ALIAS, flag_kind)]
-
-    target = _split_query(chunk_views, dim_group, table_name, budget, target_predicate, "target")
-    if reference_held:
-        return [target]
-    others = _reference_only_predicate(target_predicate, reference_mode, reference_predicate)
-    return [target, _split_query(chunk_views, dim_group, table_name, budget, others, "reference")]
-
-
-def _split_query(
-    views: Sequence[AggregateView],
-    dim_group: list[str],
-    table_name: str,
-    budget: int,
-    predicate: Expression | None,
-    side: Side,
-) -> PlannedQuery:
-    """One side of an uncombined pair: ``views`` grouped over ``predicate``'s rows."""
-    query = AggregateQuery(
-        table=table_name,
-        group_by=tuple(dim_group),
-        aggregates=_aggregate_specs(views),
-        predicate=predicate,
-        group_budget=budget,
-    )
-    routes = tuple(ViewRoute(view, view.dimension, view.agg_alias, side) for view in views)
-    return PlannedQuery(query, routes, None, None)
 
 
 def _combined_flag(

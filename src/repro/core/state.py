@@ -8,8 +8,9 @@ read back as utility estimates ("partial results for each aggregate view on
 the fractions from 1 through i are used to estimate the quality of each
 view", paper §3).  A query result already carries all of a dimension's
 measures, so it is decoded, masked and folded once per table, and presence,
-the union mask, finalization and normalization are computed once per stack;
-only the metric still runs once per view, on that view's row.
+the union mask, finalization, normalization and the metric
+(:class:`~repro.metrics.base.DistanceFunction` takes the stack and validates
+it once) are computed once per stack.
 
 Slot ``i`` is the dimension's i-th global dictionary code (stable across
 phases because :meth:`repro.db.table.Table.dictionary` is computed once over
@@ -127,10 +128,13 @@ class ViewState:
         rows = np.asarray(rows)
         target_present = self.target.counts[rows] > 0
         reference_present = self.reference.counts[rows] > 0
+        present = np.concatenate((target_present, reference_present), axis=1)
         patterns: dict[bytes, list[int]] = {}
-        for i in range(len(rows)):
-            pattern = target_present[i].tobytes() + reference_present[i].tobytes()
-            patterns.setdefault(pattern, []).append(i)
+        if len(rows) and (present == present[0]).all():  # unless a table is half-empty
+            patterns[b""] = list(range(len(rows)))
+        else:
+            for i in range(len(rows)):
+                patterns.setdefault(present[i].tobytes(), []).append(i)
         for positions in patterns.values():
             first = positions[0]
             mask = target_present[first] | reference_present[first]
@@ -163,8 +167,8 @@ class ViewState:
                     flat = np.full(len(keys), 1.0 / len(keys))
                     out[position] = (0.0, ViewDistributions(keys, flat, flat.copy()))
                 continue
-            for i, position in enumerate(positions):
-                out[position] = (metric(p[i], q[i]), ViewDistributions(keys, p[i], q[i]))
+            for i, (position, value) in enumerate(zip(positions, metric(p, q).tolist())):
+                out[position] = (value, ViewDistributions(keys, p[i], q[i]))
         return out
 
     def record_estimate(self, metric: DistanceFunction, rows: Sequence[int]) -> list[float]:
@@ -173,6 +177,6 @@ class ViewState:
         out = [0.0] * len(rows)
         for positions, _, p, q in self._stacks(rows):
             if p is not None:
-                for i, position in enumerate(positions):
-                    out[position] = metric(p[i], q[i])
+                for position, value in zip(positions, metric(p, q).tolist()):
+                    out[position] = value
         return out

@@ -16,26 +16,42 @@ class DistanceFunction(abc.ABC):
 
     Subclasses set ``name`` (registry key) and ``bounded`` (True when the
     value is guaranteed in [0, 1], which CI pruning's Hoeffding–Serfling
-    intervals assume).
+    intervals assume) and implement :meth:`compute` over two 1-D vectors.
+
+    The engine hands a metric a whole state table — two ``(n_views, n_slots)``
+    stacks, validated once — for one distance per row.  Rows go through
+    ``compute`` one by one unless the metric sets ``stacked``: its ``compute`` is
+    then written over the last axis **and** row ``r`` of the stacked value equals
+    the 1-D value bit for bit (``cumsum``, elementwise arithmetic, ``max`` and
+    ``sum(axis=-1)`` do; BLAS reductions do not — ``tests/test_metrics.py``).
     """
 
     name: str = ""
     bounded: bool = True
+    stacked: bool = False
 
-    def __call__(self, p: np.ndarray, q: np.ndarray) -> float:
-        p = np.asarray(p, dtype=np.float64)
-        q = np.asarray(q, dtype=np.float64)
-        if p.shape != q.shape:
-            raise MetricError(f"shape mismatch: {p.shape} vs {q.shape}")
+    def __call__(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        # C order also repairs a ``values[:, mask]`` layout, whose row sums add
+        # in another order than the 1-D pairwise sum.
+        p = np.asarray(p, dtype=np.float64, order="C")
+        q = np.asarray(q, dtype=np.float64, order="C")
+        if p.shape != q.shape or p.ndim not in (1, 2):
+            raise MetricError(f"shape mismatch, or no vector or stack: {p.shape} vs {q.shape}")
         if p.size == 0:
             raise MetricError("empty distributions")
-        if not (np.all(p >= -1e-12) and np.all(q >= -1e-12)):
+        # The ``min`` of a NaN is NaN and fails the comparison: still rejected.
+        if not (p.min() >= -1e-12 and q.min() >= -1e-12):
             raise MetricError("distributions must be nonnegative")
-        return float(self.compute(p, q))
+        if p.ndim == 1:
+            return float(self.compute(p, q))
+        if self.stacked:
+            return self.compute(p, q)
+        return np.array([float(self.compute(row_p, row_q)) for row_p, row_q in zip(p, q)])
 
     @abc.abstractmethod
-    def compute(self, p: np.ndarray, q: np.ndarray) -> float:
-        """Distance between validated, same-shape distributions."""
+    def compute(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        """Distance between validated, same-shape distributions: two 1-D
+        vectors, or — only if ``stacked`` — two stacks, one value per row."""
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

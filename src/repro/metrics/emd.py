@@ -20,12 +20,15 @@ class EarthMoversDistance(DistanceFunction):
 
     name = "emd"
     bounded = True
+    #: ``cumsum`` is sequential; a row sum over the contiguous last axis is the 1-D sum.
+    stacked = True
 
-    def compute(self, p: np.ndarray, q: np.ndarray) -> float:
-        if p.size == 1:
-            return 0.0
-        cdf_gap = np.abs(np.cumsum(p - q))[:-1].sum()
-        return cdf_gap / (p.size - 1)
+    def compute(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        n_slots = p.shape[-1]
+        if n_slots == 1:
+            return np.zeros(p.shape[:-1])
+        cdf_gap = np.abs(np.cumsum(p - q, axis=-1))[..., :-1].sum(axis=-1)
+        return cdf_gap / (n_slots - 1)
 
 
 register_metric(EarthMoversDistance())

@@ -20,6 +20,8 @@ class EuclideanDistance(DistanceFunction):
 
     name = "euclidean"
     bounded = True
+    #: Not ``stacked``: ``np.linalg.norm`` over an axis adds in another order
+    #: than its 1-D BLAS path, so a stack is fed through row by row.
 
     def compute(self, p: np.ndarray, q: np.ndarray) -> float:
         return float(np.linalg.norm(p - q) / math.sqrt(2.0))

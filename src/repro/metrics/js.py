@@ -19,15 +19,16 @@ class JensenShannonDistance(DistanceFunction):
 
     name = "js"
     bounded = True
+    stacked = True
 
-    def compute(self, p: np.ndarray, q: np.ndarray) -> float:
-        p_s = (p + _EPSILON) / (p + _EPSILON).sum()
-        q_s = (q + _EPSILON) / (q + _EPSILON).sum()
+    def compute(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        p_s = (p + _EPSILON) / (p + _EPSILON).sum(axis=-1, keepdims=True)
+        q_s = (q + _EPSILON) / (q + _EPSILON).sum(axis=-1, keepdims=True)
         mid = 0.5 * (p_s + q_s)
-        divergence = 0.5 * np.sum(p_s * np.log2(p_s / mid)) + 0.5 * np.sum(
-            q_s * np.log2(q_s / mid)
+        divergence = 0.5 * np.sum(p_s * np.log2(p_s / mid), axis=-1) + 0.5 * np.sum(
+            q_s * np.log2(q_s / mid), axis=-1
         )
-        return float(np.sqrt(max(divergence, 0.0)))
+        return np.sqrt(np.maximum(divergence, 0.0))
 
 
 register_metric(JensenShannonDistance())

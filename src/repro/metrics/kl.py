@@ -22,11 +22,12 @@ class KullbackLeiblerDivergence(DistanceFunction):
 
     name = "kl"
     bounded = False
+    stacked = True
 
-    def compute(self, p: np.ndarray, q: np.ndarray) -> float:
-        p_s = (p + _EPSILON) / (p + _EPSILON).sum()
-        q_s = (q + _EPSILON) / (q + _EPSILON).sum()
-        return float(np.sum(p_s * np.log(p_s / q_s)))
+    def compute(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        p_s = (p + _EPSILON) / (p + _EPSILON).sum(axis=-1, keepdims=True)
+        q_s = (q + _EPSILON) / (q + _EPSILON).sum(axis=-1, keepdims=True)
+        return np.sum(p_s * np.log(p_s / q_s), axis=-1)
 
 
 register_metric(KullbackLeiblerDivergence())

@@ -17,9 +17,10 @@ class MaxDifference(DistanceFunction):
 
     name = "maxdiff"
     bounded = True
+    stacked = True
 
-    def compute(self, p: np.ndarray, q: np.ndarray) -> float:
-        return float(np.max(np.abs(p - q)))
+    def compute(self, p: np.ndarray, q: np.ndarray) -> float | np.ndarray:
+        return np.max(np.abs(p - q), axis=-1)
 
 
 register_metric(MaxDifference())

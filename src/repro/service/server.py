@@ -845,7 +845,7 @@ class RecommendationService:
                 continue
             if seedb.table.refresh_from_disk():
                 seedb.store.sync_layout()
-                seedb.meta = TableMeta.of(seedb.table)
+                seedb.engine.meta = TableMeta.of(seedb.table)
                 refreshed += 1
         return refreshed
 

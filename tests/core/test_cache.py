@@ -24,11 +24,12 @@ from repro.core.cache import (
     query_fingerprint,
 )
 from repro.core.engine import ExecutionEngine
+from repro.core.sharing import plan_queries
 from repro.core.view import ViewSpace
 from repro.db import expressions as E
 from repro.db.backends import make_backend
 from repro.db.catalog import TableMeta
-from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec
+from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec, DerivedColumn
 from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.metrics import get_metric
@@ -88,6 +89,63 @@ class TestFingerprints:
         """to_sql() rejects inf literals; the fingerprint must not."""
         query = _query(predicate=E.Comparison("<", E.col("price"), E.lit(float("inf"))))
         assert "inf" in query_fingerprint(query)
+
+    def test_a_requests_memo_never_changes_a_character(self, tiny_table):
+        """Keys outlive the process (the L2 tier): what a request's shared memo
+        returns is, character for character, the standalone function's string
+        — here also spelled out as the parent commit wrote it."""
+        three_clauses = E.And(
+            (
+                E.eq("color", "red"),
+                E.Comparison("<", E.col("price"), E.lit(float("inf"))),
+                E.isin("size", ("S", "L")),
+            )
+        )
+        unhashable = E.Comparison("=", E.col("size"), E.lit(["S", float("nan")]))
+        with pytest.raises(TypeError):
+            hash(unhashable)
+        meta = TableMeta.of(tiny_table)
+        views = ViewSpace.enumerate(meta).views
+        spelled_out = set()
+        for target in (three_clauses, unhashable):
+            for combine in (True, False):
+                for mode, reference in (("all", None), ("complement", None), ("query", unhashable)):
+                    config = EngineConfig(combine_target_reference=combine)
+                    memo: dict = {}
+                    for start in (0, 3):  # two phases plan twice: a new flag expression each
+                        plan = plan_queries(views, meta, config, target, mode, reference)
+                        for planned in plan.queries:
+                            query = planned.query.with_range(start, start + 3)
+                            standalone = query_fingerprint(query)
+                            assert query_fingerprint(query, memo=memo) == standalone
+                            assert query_fingerprint(query, memo=memo) == standalone
+                            spelled_out.add(standalone)
+                    assert any(kept is target for kept, _ in memo.values())
+        clauses = (
+            "And([Comparison('=',Col('color'),Lit('red')),Comparison('<',Col('price'),Lit(inf)),"
+            "In(Col('size'),['S','L'])])"
+        )
+        aggregates = "AVG:'price':avg__price;AVG:'weight':avg__weight"
+        assert {
+            f"tiny|size,seedb_flag|{aggregates}|-|"
+            f"seedb_flag=CaseWhen({clauses},Lit(1),Lit(0))|[0,3]|10000",
+            f"tiny|color|{aggregates}|{clauses}||[3,6]|10000",
+            f"tiny|color|{aggregates}|Not({clauses})||[0,3]|10000",
+        } <= spelled_out
+
+    def test_equal_predicates_in_distinct_objects_get_equal_keys(self):
+        def request_keys():
+            target = E.And((E.eq("color", "red"), E.eq("size", "S")))
+            memo: dict = {}
+            flagged = _query(
+                derived=(DerivedColumn("flag", E.CaseWhen(target, E.lit(1), E.lit(0))),),
+                group_by=("color", "flag"),
+            )
+            queries = (_query(predicate=target), _query(predicate=E.Not(target)), flagged)
+            return [query_fingerprint(query, memo=memo) for query in queries]
+
+        first, second = request_keys(), request_keys()
+        assert first == second and len(set(first)) == 3
 
     def test_execution_fingerprint_separates_context(self, tiny_table):
         row = make_store("row", tiny_table)
@@ -217,7 +275,7 @@ def _run(engine, table, **kwargs):
     views = list(ViewSpace.enumerate(TableMeta.of(table)))
     kwargs.setdefault("strategy", "sharing")
     kwargs.setdefault("pruner", "none")
-    return engine.run(views, E.eq("marital", "Unmarried"), k=3, **kwargs)
+    return engine.run(views, kwargs.pop("target", E.eq("marital", "Unmarried")), k=3, **kwargs)
 
 
 def _assert_bitwise_identical(run_a, run_b):
@@ -587,3 +645,56 @@ class TestTieredViewResultCache:
         assert warm.stats.queries_issued == 0
         assert warm.cache_misses == 0
         _assert_bitwise_identical(cold, warm)
+
+    @pytest.mark.parametrize("combine", [True, False], ids=["combined", "split"])
+    def test_an_l2_filled_under_standalone_keys_serves_every_request(
+        self, census_like, tmp_path, combine
+    ):
+        """An L2 directory written by the commit before requests shared their
+        keys must still hit: fill a file tier under ``execution_fingerprint |
+        query_fingerprint(query)`` — the standalone function, the oracle —
+        and replay the requests through an engine with zero misses."""
+        from repro.core.cache import FileCacheTier, TieredViewResultCache
+
+        requests = [
+            (E.eq("marital", "Unmarried"), "comb", "ci"),
+            (E.And((E.eq("sex", "F"), E.eq("marital", "Married"))), "sharing", "none"),
+            (E.eq("marital", "Unmarried"), "sharing", "none"),
+        ]
+        uncached = _engine(census_like, enabled=False, combine_target_reference=combine)
+        tier = FileCacheTier(tmp_path / "l2")
+        prefix = execution_fingerprint(uncached.store, uncached.backend)
+        cold = []
+        for target, strategy, pruner in requests:
+            run = _run(uncached, census_like, strategy=strategy, pruner=pruner, target=target)
+            assert 0 < len(run.queries) == run.stats.queries_issued  # all recorded
+            for query in run.queries:
+                tier.put(f"{prefix}|{query_fingerprint(query)}", *uncached.backend.execute(query))
+            cold.append(run)
+
+        cache = TieredViewResultCache(tmp_path / "l2")
+        served = _engine(census_like, cache=cache, combine_target_reference=combine)
+        for (target, strategy, pruner), want in zip(requests, cold):
+            run = _run(served, census_like, strategy=strategy, pruner=pruner, target=target)
+            assert run.stats.queries_issued == run.cache_misses == 0
+            assert run.cache_hits == want.stats.queries_issued
+            _assert_bitwise_identical(want, run)
+        counters = cache.tier_counters()
+        assert counters["l2_misses"] == 0 and counters["l2_hits"] == len(tier)
+
+
+class TestLruMemo:
+    def test_bound_recency_and_rebuild(self):
+        from repro.core.cache import LruMemo
+
+        memo, built = LruMemo(2), []
+
+        def get(key):
+            return memo.get(key, lambda: built.append(key) or key.upper())
+
+        assert [get("a"), get("b"), get("a"), get("c")] == ["A", "B", "A", "C"]
+        assert len(memo) == 2 and built == ["a", "b", "c"]  # "b" was the oldest
+        assert [get("a"), get("b")] == ["A", "B"] and built == ["a", "b", "c", "b"]
+        with pytest.raises(KeyError):
+            memo.get("z", lambda: {}["z"])  # a build that raises keeps nothing
+        assert len(memo) == 2

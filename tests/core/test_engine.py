@@ -1,5 +1,6 @@
 """Tests for the execution engine: strategies, phases, routing, reference modes."""
 
+import importlib.util
 import json
 import os
 import subprocess
@@ -11,6 +12,8 @@ import pytest
 
 from repro import SeeDB
 from repro.config import EngineConfig, OptimizerConfig
+from repro.core import engine as engine_module
+from repro.core import sharing as sharing_module
 from repro.core.engine import ExecutionEngine, UnionRequest
 from repro.core.phases import phase_ranges
 from repro.core.view import AggregateView, ViewSpace
@@ -21,7 +24,7 @@ from repro.db.expressions import eq
 from repro.db.query import AggregateFunction
 from repro.db.storage import make_store
 from repro.exceptions import QueryError, RecommendationError
-from repro.metrics import get_metric
+from repro.metrics import DistanceFunction, get_metric
 
 TARGET = eq("marital", "Unmarried")
 
@@ -185,6 +188,18 @@ class TestPruningIntegration:
         assert run.modeled_latency > 0
         assert run.sql
         assert all(sql.startswith("SELECT") for sql in run.sql)
+
+    def test_sql_is_rendered_when_read_not_when_run(self, engine, views, monkeypatch):
+        rendered: list[str] = []
+        generate = engine_module.generate_sql
+        monkeypatch.setattr(
+            engine_module, "generate_sql", lambda query: rendered.append(query) or generate(query)
+        )
+        run = engine.run(views, TARGET, k=2, strategy="comb", pruner="ci")
+        assert not rendered and 0 < len(run.queries) <= 64
+        assert run.sql == [generate(query) for query in run.queries] and rendered == run.queries
+        assert run.sql is run.sql and len(rendered) == len(run.queries)
+        assert {query.row_range for query in run.queries} > {(0, engine.store.nrows // 10)}
 
     def test_invalid_k_rejected(self, engine, views):
         with pytest.raises(RecommendationError):
@@ -407,3 +422,130 @@ def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimiz
     assert repeat.coalesced_queries > 0
     assert repeat.queries_issued == repeat.cache_hits == 0
     assert other_k.coalesced_queries > 0
+
+
+# --------------------------------------------------------------------------- #
+# what a request computes once: the kept plan skeletons, the stacked metric
+# --------------------------------------------------------------------------- #
+
+
+def _hex_utilities(run) -> list[tuple]:
+    return [(key, float(value).hex()) for key, value in run.utilities.items()]
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"store": "row", "use_binpacking": True},
+        {"combine_target_reference": False},
+        {"combine_target_reference": False, "max_aggregates_per_query": 2},
+        {"optimizer": OptimizerConfig(enabled=True)},
+    ],
+    ids=["combined", "row-binpacked", "held", "held-chunked", "optimizer"],
+)
+def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypatch):
+    """Every plan a run builds — whole view sets, the shrinking active sets of
+    a pruned run, plans the optimizer then transforms, each reference mode,
+    repeats that hit a kept skeleton — equals ``plan_queries`` with nothing
+    kept, ``==`` on the frozen dataclasses; the bound holds and evicts."""
+    table, spec = build_info("census", scale="smoke", seed=7)
+    monkeypatch.setattr(engine_module, "_MAX_PLAN_SKELETONS", 3)
+    plan, skeleton, planned, built = engine_module.plan_queries, sharing_module._skeleton, [], []
+
+    def counted(views, *args):
+        built.append(len(views))
+        return skeleton(views, *args)
+
+    def checked(*args):
+        *scratch, skeletons = args
+        assert isinstance(skeletons, engine_module.LruMemo)
+        got = plan(*args)
+        planned.append(len(scratch[0]))
+        assert got == plan(*scratch) and len(skeletons) <= 3
+        return got
+
+    monkeypatch.setattr(engine_module, "plan_queries", checked)
+    config = EngineConfig(**{"store": "col", **overrides})
+    targets = (spec.target_predicate(), eq("sex", "sex_0"))
+    with SeeDB.over_table(table, store=config.store, config=config) as seedb:
+        n_views = len(seedb.view_space())
+        monkeypatch.setattr(sharing_module, "_skeleton", counted)
+        for target in targets:
+            seedb.run_engine(target, k=3, strategy="sharing", pruner="none")
+        # Two plans, one kept skeleton (each check builds its own from scratch).
+        assert planned == [n_views] * 2 and built == [n_views] * 3
+        pruned = [seedb.run_engine(target, k=3, strategy="comb", pruner="ci") for target in targets]
+        assert any(len(set(run.active_per_phase)) > 2 for run in pruned)
+        assert len(seedb.engine._planning[1]) == 3 < len(set(built))
+        for mode, reference in (("complement", None), ("query", targets[1])):
+            seedb.run_engine(
+                targets[0], k=3, strategy="sharing", pruner="none",
+                reference=mode, reference_predicate=reference,
+                dimensions=seedb.meta.dimensions[:3],
+            )
+        kept = seedb.engine._planning[1]
+        seedb.engine.meta = TableMeta.of(table)
+        assert len(kept) == 3 and len(seedb.engine._planning[1]) == 0
+
+
+def _example_metric():
+    """``examples/custom_metric.py``'s metric: 1-D ``compute``, nothing declared."""
+    path = Path(__file__).resolve().parents[2] / "examples" / "custom_metric.py"
+    spec = importlib.util.spec_from_file_location("_example_custom_metric", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SurpriseDistance()
+
+
+class _OneCallPerView(DistanceFunction):
+    """How the engine called a metric before it took stacks: row by row,
+    each row validated on its own.  The oracle for the stacked entry point."""
+
+    def __init__(self, inner):
+        self.inner, self.name, self.bounded = inner, inner.name, inner.bounded
+
+    def __call__(self, p, q):
+        if np.ndim(p) == 1:
+            return self.inner(p, q)
+        return np.array([self.inner(p[r], q[r]) for r in range(len(p))])
+
+    def compute(self, p, q):
+        return self.inner.compute(p, q)
+
+
+@pytest.mark.parametrize("name", ["surprise", "emd", "euclidean", "js", "kl", "maxdiff"])
+def test_the_stacked_entry_point_answers_as_one_call_per_view(name):
+    """A user metric that declares nothing — and every registered one — ranks
+    the same views with the same utility bits whether the engine hands it a
+    state table at a time or one view at a time; and a table at a time is
+    what the engine does (one ``__call__`` per table, ``compute`` per view
+    only for a metric that did not declare the stacked form)."""
+    metric = _example_metric() if name == "surprise" else get_metric(name)
+    calls = {"stacks": 0, "rows": 0, "computes": 0}
+
+    class Counted(type(metric)):
+        def __call__(self, p, q):
+            calls["stacks"] += 1
+            calls["rows"] += len(p)
+            return super().__call__(p, q)
+
+        def compute(self, p, q):
+            calls["computes"] += 1
+            return super().compute(p, q)
+
+    table, spec = build_info("census", scale="smoke", seed=7)
+    for strategy, pruner in (("sharing", "none"), ("comb", "ci")):
+        runs = []
+        for candidate in (Counted(), _OneCallPerView(metric)):
+            with SeeDB.over_table(table, store="col", metric=candidate) as seedb:
+                runs.append(
+                    seedb.run_engine(spec.target_predicate(), k=5, strategy=strategy, pruner=pruner)
+                )
+        stacked, per_view = runs
+        assert stacked.selected == per_view.selected
+        assert _hex_utilities(stacked) == _hex_utilities(per_view)
+        assert stacked.active_per_phase == per_view.active_per_phase
+    n_dimensions = len(TableMeta.of(table).dimensions)
+    assert calls["stacks"] <= 2 * n_dimensions * 11 < calls["rows"]
+    assert calls["computes"] == (calls["stacks"] if metric.stacked else calls["rows"])

@@ -26,6 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import SeeDB
+from repro.core.cache import query_fingerprint
 from repro.core.recommender import tuned_config
 from repro.data import build_info
 from repro.db.catalog import TableMeta
@@ -147,6 +148,11 @@ def test_every_leg_matches_the_recorded_run():
     for name, pruner, run in legs():
         _check_selected(run, pruner)
         got.append(record(name, run))
+        # What the request's shared key memo returns for each recorded query
+        # is the standalone fingerprint, character for character.
+        memo: dict = {}
+        for query in run.queries:
+            assert query_fingerprint(query, memo=memo) == query_fingerprint(query), name
     assert [r["leg"] for r in got] == [r["leg"] for r in expected]
     for want, have in zip(expected, got):
         assert have == want, want["leg"]

@@ -1,13 +1,16 @@
 """Tests for the SeeDB facade and recommendation results."""
 
 import json
+from itertools import product
 
 import pytest
 
 from repro.config import EngineConfig
+from repro.core import recommender as recommender_module
 from repro.core.recommender import SeeDB, serving_config, tuned_config
 from repro.core.result import accuracy, utility_distance
 from repro.core.view import ViewSpace
+from repro.db.catalog import TableMeta
 from repro.db.database import Database
 from repro.db.expressions import eq
 from repro.exceptions import RecommendationError
@@ -48,6 +51,25 @@ class TestFacade:
         result = seedb.recommend(TARGET, k=2, dimensions=["race"])
         assert all(rec.view.dimension == "race" for rec in result)
         assert len(enumerated) == 1  # one view space per recommend, looked up in
+
+    def test_view_spaces_are_kept_per_restriction_bounded_and_dropped_with_meta(
+        self, seedb, monkeypatch
+    ):
+        whole, by_race = seedb.view_space(), seedb.view_space(["race"])
+        assert seedb.view_space() is whole and seedb.view_space(dimensions=("race",)) is by_race
+        assert [view.key[:2] for view in by_race] == [("race", "capital"), ("race", "age")]
+        assert seedb.view_space(measures=["age"]) is not seedb.view_space(["race"], ["age"])
+        with pytest.raises(RecommendationError):
+            seedb.view_space(["capital"])  # nothing is kept for a restriction that fails
+        assert len(seedb._view_spaces[1]) == 4
+        orders = lambda a, b: (None, [a], [b], [a, b], [b, a])  # noqa: E731
+        for dimensions, measures in product(orders("sex", "race"), orders("capital", "age")):
+            seedb.view_space(dimensions, measures)  # 25 restrictions through a bound of 16
+        assert len(seedb._view_spaces[1]) == recommender_module._MAX_VIEW_SPACES == 16
+        again = seedb.view_space()
+        assert again is not whole and again.views == whole.views  # evicted, enumerated again
+        seedb.engine.meta = TableMeta.of(seedb.table)
+        assert seedb.view_space() is not again and len(seedb._view_spaces[1]) == 1
 
     def test_true_top_k_is_exact(self, seedb):
         truth = seedb.true_top_k(TARGET, k=2)

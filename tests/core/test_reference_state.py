@@ -30,6 +30,7 @@ import pytest
 
 from repro import SeeDB
 from repro.core import engine as engine_module
+from repro.core import recommender as recommender_module
 from repro.core.engine import UnionRequest
 from repro.core.recommender import tuned_config
 from repro.core.sharing import plan_queries
@@ -212,10 +213,15 @@ def test_answers_do_not_depend_on_request_history(census, seed):
                         assert column.tobytes() == whole[name].tobytes(), (dimension, name)
 
 
-def test_eight_threads_match_serial_and_fill_each_cell_once(census):
+def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch):
     table, spec = census
     asks = _asks(table, spec)
     serial = [_fresh_answer(table, ask) for ask in asks]
+    # The other state requests share — kept view spaces and plan skeletons —
+    # at a bound the eight restrictions overrun, so threads evict and rebuild
+    # under each other.
+    monkeypatch.setattr(engine_module, "_MAX_PLAN_SKELETONS", 2)
+    monkeypatch.setattr(recommender_module, "_MAX_VIEW_SPACES", 2)
     with SeeDB.over_table(table, store="col") as seedb:
         filled: list[tuple] = []
         hold = seedb.engine._hold_reference
@@ -254,6 +260,7 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census):
             for i, bits in answers:
                 assert bits == serial[i], i
         assert len(filled) == len(set(filled)) > 0
+        assert len(seedb._view_spaces[1]) == len(seedb.engine._planning[1]) == 2
         held_bytes = [snapshot["bytes"] for snapshot in snapshots]
         assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
         assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]

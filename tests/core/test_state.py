@@ -126,26 +126,6 @@ class TestViewState:
         _feed(state, "reference", np.array(["a"]), [1.0], [1])
         assert state.record_estimate(EMD, [0]) != first
 
-    @pytest.mark.parametrize("metric_name", list_metrics())
-    @pytest.mark.parametrize("func", list(AggregateFunction))
-    def test_estimate_is_the_utility_value_bitwise(self, metric_name, func):
-        """record_estimate skips the distributions, not a bit of the value."""
-        metric = get_metric(metric_name)
-        rng = np.random.default_rng(11)
-        state = _state(func)
-        assert state.record_estimate(metric, [0])[0] == state.utility(metric, [0])[0][0] == 0.0
-        for phase in range(4):
-            keys = CATS[rng.random(3) < 0.7]
-            n = len(keys)
-            _feed(state, "target", keys, rng.normal(2.0, 3.0, n), rng.integers(1, 9, n))
-            if phase:  # the reference side stays empty for one phase
-                _feed(state, "reference", CATS, rng.normal(2.0, 3.0, 3), rng.integers(1, 9, 3))
-            [estimate] = state.record_estimate(metric, [0])
-            [(value, dists)] = state.utility(metric, [0])
-            assert np.float64(estimate).tobytes() == np.float64(value).tobytes()
-            assert (estimate == 0.0) or phase
-            assert len(dists.keys) == len(dists.target) == len(dists.reference)
-
     def test_keys_map_through_dictionary(self):
         state = _state(AggregateFunction.SUM)
         _feed(state, "target", np.array(["c", "a"]), [9.0, 1.0], [1, 1])
@@ -341,6 +321,34 @@ def test_rows_with_different_presence_patterns_in_one_call():
     assert got[0][1].target.tolist() == [0.25, 0.75] and got[0][1].reference.tolist() == [0, 1]
     assert got[1][1].target.tolist() == [0.8, 0.2] and got[3][1].reference.tolist() == [0.25, 0.75]
     assert got[1][0] == EMD(np.array([0.8, 0.2]), np.array([0.5, 0.5]))
+
+
+def test_one_metric_call_per_presence_pattern():
+    """The metric is handed each pattern's stack once — not once per view."""
+    calls: list[tuple] = []
+
+    class Spy(type(EMD)):
+        def __call__(self, p, q):
+            calls.append(np.shape(p))
+            return super().__call__(p, q)
+
+    state = _state(AggregateFunction.SUM, n_views=6)
+    everyone, rows = range(6), [4, 0, 5, 1, 3, 2]
+    _feed(state, "target", CATS, np.arange(1.0, 19.0).reshape(6, 3), [1, 1, 1], rows=everyone)
+    _feed(state, "reference", CATS[:2], np.ones((6, 2)), [1, 1], rows=everyone)
+    assert state.record_estimate(Spy(), rows) == [value for value, _ in state.utility(Spy(), rows)]
+    assert calls == [(6, 3), (6, 3)]
+    # Rows 1 and 3 are pruned before slot "c" reaches the others' reference
+    # side: two presence patterns, two calls.
+    del calls[:]
+    _feed(state, "reference", CATS[2:], np.ones((4, 1)), [1], rows=[0, 2, 4, 5])
+    estimates = state.record_estimate(Spy(), rows)
+    assert sorted(calls) == [(2, 3), (4, 3)]
+    p, q = (
+        normalize_distribution(side.values(np.array(rows)))
+        for side in (state.target, state.reference)
+    )
+    assert estimates == [EMD(p[i], q[i]) for i in range(6)]
 
 
 def test_stacked_normalization_survives_the_layout_trap():

@@ -777,6 +777,47 @@ class TestAppendDatasets:
         assert third["views"] == second["views"]
         assert svc.stats()["delta_cache"]["hits"] > 0
 
+    def test_append_with_unseen_categories_refreshes_the_catalog_plans_read(
+        self, toy_service, tmp_path
+    ):
+        """One catalog entry, the engine's: after an append that adds categories
+        bin packing budgets with today's distinct counts, the kept view spaces
+        and plan skeletons went with the old entry, and a ``sharing`` run
+        equals a freshly opened engine's bit for bit."""
+        from repro import SeeDB
+        from repro.db.catalog import TableMeta
+        from repro.db.chunks import open_table
+        from repro.db.expressions import eq
+
+        svc = toy_service
+        sid = svc.create_session({"dataset": "toy", "store": "row"})["session_id"]
+        svc.recommend(sid, {"k": 2})
+        seedb = svc.engine("toy", "row", "emd")
+        stale, space = seedb.meta, seedb.view_space()
+
+        # 4 x 3 groups become 164 x 100: past the row store's 10^4 budget, so a
+        # packer still reading the old counts would keep one two-attribute query.
+        rows = [
+            {"region": f"r{i:03d}", "flavor": f"f{i % 97:02d}", "sales": 5.0 + i, "segment": "t"}
+            for i in range(160)
+        ]
+        assert svc.append_dataset("toy", {"rows": rows})["columns_rewritten"] == 2
+        assert seedb.engine.meta.distinct_counts == TableMeta.of(seedb.table).distinct_counts
+        assert seedb.engine.meta.distinct_counts == {"region": 164, "flavor": 100}
+        assert seedb.engine.meta is seedb.meta is not stale
+        assert seedb.view_space() is not space and seedb.view_space() is seedb.view_space()
+        assert len(seedb.engine._planning[1]) == 0
+
+        served = svc.recommend(sid, {"k": 2})
+        with SeeDB.over_table(
+            open_table(tmp_path / "toy"), store="row", config=seedb.config
+        ) as fresh:
+            run = fresh.run_engine(eq("segment", "t"), k=2, strategy="sharing", pruner="none")
+        assert run.stats.queries_issued == served["stats"]["queries_issued"] == 2
+        assert [(v["dimension"], v["measure"], v["utility"].hex()) for v in served["views"]] == [
+            (key[0], key[1], float(run.utilities[key]).hex()) for key in run.selected
+        ]
+
     def test_append_row_objects_and_csv(self, toy_service):
         svc = toy_service
         rows = [

@@ -1,5 +1,7 @@
 """Tests for distance functions, normalization, and consistency."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -139,6 +141,126 @@ class TestKnownValues:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(MetricError):
             get_metric("emd")(np.array([1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("name", ALL)
+    def test_a_stack_is_validated_once_and_as_strictly(self, name):
+        """Whatever a metric is handed is checked whole: one bad entry in any
+        row of a stack is the same ``MetricError`` it is in a vector."""
+        metric = get_metric(name)
+        good = np.full((4, 3), 1.0 / 3.0)
+        assert metric(good, good.copy()).shape == (4,)
+        for row, value in ((0, -0.1), (3, np.nan), (2, -np.inf)):
+            bad = good.copy()
+            bad[row, 1] = value
+            for p, q in ((bad, good), (good, bad)):
+                with pytest.raises(MetricError, match="nonnegative"):
+                    metric(p, q)
+        for p, q in ((good, good[:3]), (good, good[:, :2]), (good, good[0])):
+            with pytest.raises(MetricError, match="shape mismatch"):
+                metric(p, q)
+        for empty in (np.zeros((0, 3)), np.zeros((4, 0)), np.zeros(0)):
+            with pytest.raises(MetricError, match="empty"):
+                metric(empty, empty.copy())
+        with pytest.raises(MetricError, match="no vector or stack"):
+            metric(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+
+
+def _emd_before(p, q):
+    return 0.0 if p.size == 1 else np.abs(np.cumsum(p - q))[:-1].sum() / (p.size - 1)
+
+
+def _js_before(p, q):
+    p_s = (p + 1e-12) / (p + 1e-12).sum()
+    q_s = (q + 1e-12) / (q + 1e-12).sum()
+    mid = 0.5 * (p_s + q_s)
+    divergence = 0.5 * np.sum(p_s * np.log2(p_s / mid)) + 0.5 * np.sum(q_s * np.log2(q_s / mid))
+    return float(np.sqrt(max(divergence, 0.0)))
+
+
+def _kl_before(p, q):
+    p_s = (p + 1e-9) / (p + 1e-9).sum()
+    q_s = (q + 1e-9) / (q + 1e-9).sum()
+    return float(np.sum(p_s * np.log(p_s / q_s)))
+
+
+#: The 1-D formulas of the commit before the metrics took stacks, kept as the
+#: oracle: writing ``compute`` over the last axis must not move a bit of them.
+_BEFORE_STACKS = {
+    "emd": _emd_before,
+    "euclidean": lambda p, q: float(np.linalg.norm(p - q) / math.sqrt(2.0)),
+    "js": _js_before,
+    "kl": _kl_before,
+    "maxdiff": lambda p, q: float(np.max(np.abs(p - q))),
+}
+
+
+def _stack_pairs(seed: int, n: int):
+    """Seeded ``(P, Q)`` stacks of 1-40 rows x 1-64 slots (every eighth up to
+    600: past the pairwise sum's 128-element blocks), normalized, with zeroed
+    entries, point masses, all-zero rows and denormals mixed in."""
+    rng = np.random.default_rng(seed)
+    for draw in range(n):
+        n_rows = int(rng.integers(1, 41))
+        n_slots = int(rng.integers(1, 601 if draw % 8 == 7 else 65))
+        p = rng.random((n_rows, n_slots)) * 10.0 ** rng.integers(-6, 7, (n_rows, 1))
+        q = rng.random((n_rows, n_slots))
+        kind = draw % 5
+        if kind == 1:
+            p[rng.random(p.shape) < 0.5] = 0.0
+            q[rng.random(q.shape) < 0.5] = 0.0
+        elif kind == 2:
+            p[:] = 0.0
+            p[np.arange(n_rows), rng.integers(0, n_slots, n_rows)] = 1.0
+        p, q = normalize_distribution(p), normalize_distribution(q)
+        if kind == 3:  # after normalizing: these rows do not sum to 1
+            p[0] = 0.0
+            q[-1] = 5e-324
+            p[n_rows // 2, ::2] = 2.5e-310
+        yield p, q
+
+
+def _hex(values) -> list[str]:
+    return [float(value).hex() for value in values]
+
+
+@pytest.mark.parametrize("name", ALL)
+def test_a_stacks_row_equals_the_vectors_value_bit_for_bit(name):
+    """``metric(P, Q)[r]`` is ``metric(P[r], Q[r])`` is the value before
+    stacks existed, as float hex — the rule a metric meets to set ``stacked``
+    (a metric that fails this sweep does not declare it and gets the loop)."""
+    metric, before = get_metric(name), _BEFORE_STACKS[name]
+    for p, q in _stack_pairs(sum(map(ord, name)), 160):
+        stacked = metric(p, q)
+        assert isinstance(stacked, np.ndarray) and stacked.shape == (len(p),)
+        assert stacked.dtype == np.float64
+        one_by_one = [metric(p[r], q[r]) for r in range(len(p))]
+        assert all(type(value) is float for value in one_by_one)
+        assert _hex(stacked) == _hex(one_by_one) == _hex(before(p[r], q[r]) for r in range(len(p)))
+
+
+def test_who_declares_the_stacked_form():
+    declared = {name for name in list_metrics() if get_metric(name).stacked}
+    assert {"emd", "js", "kl", "maxdiff"} <= declared
+    # np.linalg.norm over an axis is not its 1-D BLAS path: the loop keeps its bits.
+    assert "euclidean" not in declared
+
+
+def test_a_transposed_layout_is_made_contiguous_not_summed_in_another_order():
+    """``values[:, mask]`` hands back F-ordered memory, whose row sums add in
+    another order; a metric must answer as if given the C-contiguous copy."""
+    rng = np.random.default_rng(3)
+    for name in ALL:
+        metric = get_metric(name)
+        for _ in range(40):
+            n_rows, n_slots = int(rng.integers(2, 12)), int(rng.integers(130, 400))
+            mask = rng.random(n_slots) < 0.8
+            p = normalize_distribution(rng.random((n_rows, n_slots)))[:, mask]
+            q = normalize_distribution(rng.random((n_rows, n_slots)))[:, mask]
+            assert not p.flags.c_contiguous
+            want = metric(np.ascontiguousarray(p), np.ascontiguousarray(q))
+            assert _hex(metric(p, q)) == _hex(want)
+            rows = (metric(np.ascontiguousarray(p[r]), q[r]) for r in range(n_rows))
+            assert _hex(want) == _hex(rows)
 
     def test_unknown_metric(self):
         with pytest.raises(MetricError):
