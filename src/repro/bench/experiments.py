@@ -1422,12 +1422,12 @@ def _load_sessions(scale: str | None = None) -> int:
 
 
 def _spread_datasets(n_workers: int) -> tuple[str, ...]:
-    """Pick benchmark datasets that cover every front-end shard.
+    """Pick benchmark datasets whose ring owners cover every worker.
 
-    The front-end routes whole datasets to workers by consistent hashing,
-    so a single-dataset workload would land on one worker and measure
-    nothing but proxy overhead.  Walk a candidate list (heaviest first —
-    the synthetic tables scale with ``SEEDB_SCALE`` and carry the largest
+    The front-end places a built-in dataset's sessions by load and breaks
+    ties by the ring, so this only decides where an idle fleet's first
+    sessions start.  Walk a candidate list (heaviest first — the
+    synthetic tables scale with ``SEEDB_SCALE`` and carry the largest
     view spaces) and keep the first dataset seen for each distinct
     worker; the ring is deterministic, so the choice is reproducible.
     """
@@ -2228,8 +2228,9 @@ def bench_chaos(
         watcher.join(timeout=5)
         mid_stats = frontend.aggregate_stats()
 
-        # Phase 3: recovered. Ring preference pins this back on the victim
-        # slot — now a fresh process whose only cache state is the L2 dir.
+        # Phase 3: recovered. The respawned slot carries no load, so this
+        # session lands on it — a fresh process whose only cache state is
+        # the L2 dir.
         recovered_worker = frontend.worker_for_dataset(dataset).index
         recovered_started = time.perf_counter()
         recovered_latencies = sorted(

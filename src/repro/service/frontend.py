@@ -8,10 +8,20 @@ independent **processes**, each running a full
 server on an ephemeral loopback port, and a :class:`FrontendServer` that
 proxies the public ``/v1`` API to them:
 
-* **dataset sharding** — sessions are routed by consistent hashing of the
-  dataset id (:class:`HashRing`, virtual nodes), so one dataset's engines
-  and L1 cache entries live on one worker and adding workers does not
-  duplicate every dataset's memory in every process;
+* **session placement** — what is *owned* and what is *replicated*.  An
+  on-disk chunk store (``data_dirs``, ``POST /v1/datasets``) is owned by
+  one worker, found by consistent hashing of the dataset id
+  (:class:`HashRing`, virtual nodes): that worker writes its appends, holds
+  its delta cache and gets every session on it.  A registry built-in is
+  resident in every worker and never appended to, so a new session on one
+  goes to the live worker with the fewest proxied requests in flight, then
+  the fewest sessions pinned, then the ring's preference
+  (:meth:`FrontendServer.placement`) — two analysts on ``census`` use two
+  cores, at the price of the table being built in each worker that serves
+  it.  L1 cache entries are per worker; what a sibling's session hits is
+  the shared L2 tier.  With the coalescing gateway on, same-dataset
+  requests coalesce per worker, and load placement separates them only
+  while a slot is idle;
 * **session affinity** — the front-end records which worker answered each
   ``POST /v1/sessions`` and pins the session's later requests to it;
 * **shared L2 cache** — every worker gets the same ``l2_cache_dir``
@@ -75,12 +85,15 @@ import signal
 import tempfile
 import threading
 import time
+from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException
 from http.server import BaseHTTPRequestHandler
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.config import CoalesceConfig
+from repro.data import registry
 from repro.exceptions import ServiceError
 from repro.service.api import (
     ErrorCode,
@@ -95,6 +108,7 @@ from repro.service.server import (
     SeeDBHTTPServer,
     install_sigterm_handler,
 )
+from repro.service.sessions import MAX_SESSIONS
 from repro.testing import faults
 
 #: Virtual nodes per worker on the hash ring — enough that removing one
@@ -188,6 +202,14 @@ class WorkerHandle:
     #: generation N+1 answers there — the replacement process has no
     #: memory of the old session store.
     generation: int = 0
+    #: The front end's load on this process — proxied requests in flight
+    #: and sessions pinned here — read by session placement and written
+    #: only under ``FrontendServer._sessions_lock``.  They belong to the
+    #: handle, not the slot, so a respawned slot starts again from zero
+    #: and a request or session still counted on the dead process is
+    #: taken off the dead handle.
+    in_flight: int = 0
+    sessions_pinned: int = 0
 
     @property
     def pid(self) -> int:
@@ -288,13 +310,13 @@ class _SessionRecord:
     """Front-end bookkeeping for one external session id.
 
     Carries everything needed to transparently re-create the session on
-    another worker after its home died: where it lives now (slot +
-    generation + the worker's internal id) and how it was born (dataset
-    and the original ``POST /v1/sessions`` payload).
+    another worker after its home died: where it lives now (the handle
+    it is pinned to — and counted on — plus the worker's internal id) and
+    how it was born (dataset and the original ``POST /v1/sessions``
+    payload).
     """
 
-    worker_index: int
-    generation: int
+    worker: WorkerHandle
     internal_id: str
     dataset: str
     create_payload: dict[str, Any] = field(default_factory=dict)
@@ -546,36 +568,37 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         conns = getattr(self._local, "conns", None)
         if conns is None:
             conns = self._local.conns = {}
-        for attempt in (0, 1):
-            conn = conns.get(worker.port)
-            if conn is None:
-                conn = conns[worker.port] = HTTPConnection(
-                    "127.0.0.1", worker.port, timeout=self.server.proxy_timeout
-                )
-            try:
-                conn.request(
-                    "POST" if method == "POST" else "GET",
-                    path,
-                    body=self._body or None,
-                    headers={"Content-Type": "application/json"}
-                    if self._body
-                    else {},
-                )
-                response = conn.getresponse()
-                raw = response.read()
-                return response.status, (json.loads(raw) if raw else {})
-            except (HTTPException, ConnectionError, OSError, ValueError):
+        with self.server.in_flight_on(worker):
+            for attempt in (0, 1):
+                conn = conns.get(worker.port)
+                if conn is None:
+                    conn = conns[worker.port] = HTTPConnection(
+                        "127.0.0.1", worker.port, timeout=self.server.proxy_timeout
+                    )
                 try:
-                    conn.close()
-                finally:
-                    conns.pop(worker.port, None)
-                if attempt == 0 and worker.alive:
-                    continue
-                raise ServiceError(
-                    f"worker {worker.index} is unavailable",
-                    status=503,
-                    code=ErrorCode.NO_WORKER,
-                ) from None
+                    conn.request(
+                        "POST" if method == "POST" else "GET",
+                        path,
+                        body=self._body or None,
+                        headers={"Content-Type": "application/json"}
+                        if self._body
+                        else {},
+                    )
+                    response = conn.getresponse()
+                    raw = response.read()
+                    return response.status, (json.loads(raw) if raw else {})
+                except (HTTPException, ConnectionError, OSError, ValueError):
+                    try:
+                        conn.close()
+                    finally:
+                        conns.pop(worker.port, None)
+                    if attempt == 0 and worker.alive:
+                        continue
+                    raise ServiceError(
+                        f"worker {worker.index} is unavailable",
+                        status=503,
+                        code=ErrorCode.NO_WORKER,
+                    ) from None
         raise AssertionError("unreachable")  # pragma: no cover
 
     def _dispatch(self, method: str) -> None:
@@ -680,11 +703,11 @@ class _FrontendHandler(BaseHTTPRequestHandler):
             )
 
     def _create_session(self, parts: list[str]) -> None:
-        """Create a session on the dataset's ring-assigned worker.
+        """Create a session on the worker :meth:`FrontendServer.placement` picks.
 
-        Fails over along the ring's preference order when the owner is
-        down — a new session has no worker state yet, so any live worker
-        serves it equally well.
+        Fails over down the placement order when that worker turns out to
+        be dead — a new session has no worker state yet, so any live
+        worker serves it equally well.
         """
         server = self.server
         try:
@@ -695,7 +718,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         if isinstance(payload, dict):
             dataset = str(payload.get("dataset", "census"))
         deadline = time.monotonic() + server.request_deadline
-        for worker in server.live_workers_for(dataset):
+        for worker in server.placement(dataset):
             try:
                 status, body = self._forward(worker, "POST", parts)
             except ServiceError as exc:
@@ -782,10 +805,11 @@ class _FrontendHandler(BaseHTTPRequestHandler):
 class FrontendServer(GracefulHTTPServer):
     """The public-facing router over a set of worker processes.
 
-    Owns the hash ring, the session→worker affinity map, and the worker
-    handles; on :meth:`graceful_shutdown` it drains its own in-flight
-    proxied requests first (inherited), then SIGTERMs every worker and
-    joins them — each worker runs its own graceful drain.
+    Owns the hash ring, the session→worker affinity map (bounded: the
+    :data:`~repro.service.sessions.MAX_SESSIONS` most recently used), and
+    the worker handles; on :meth:`graceful_shutdown` it drains its own
+    in-flight proxied requests first (inherited), then SIGTERMs every
+    worker and joins them — each worker runs its own graceful drain.
 
     Fault-tolerance state lives here too: the down-slot set the
     supervisor and handlers maintain, the recorded dataset registrations
@@ -826,7 +850,9 @@ class FrontendServer(GracefulHTTPServer):
         self.retry_after_hint = retry_after_hint
         self.supervisor: WorkerSupervisor | None = None
         self._ring = HashRing(len(self.workers))
-        self._sessions: dict[str, _SessionRecord] = {}
+        #: Least recently used first.  The lock also guards every worker
+        #: handle's ``in_flight`` / ``sessions_pinned``.
+        self._sessions: OrderedDict[str, _SessionRecord] = OrderedDict()
         self._sessions_lock = threading.Lock()
         self._down: set[int] = set()
         self._down_lock = threading.Lock()
@@ -855,7 +881,11 @@ class FrontendServer(GracefulHTTPServer):
             self._down.add(index)
 
     def adopt_worker(self, handle: WorkerHandle) -> None:
-        """Swap a (re-synced) replacement into its slot and readmit it."""
+        """Swap a (re-synced) replacement into its slot and readmit it.
+
+        The fresh handle's load counters start at zero: sessions pinned to
+        the dead process stay counted on the dead handle until they move.
+        """
         self.workers[handle.index] = handle
         with self._down_lock:
             self._down.discard(handle.index)
@@ -870,14 +900,38 @@ class FrontendServer(GracefulHTTPServer):
         if not worker.alive:
             self.mark_worker_down(worker.index)
 
-    def live_workers_for(self, dataset: str) -> list[WorkerHandle]:
-        """Ring-preference-ordered live workers for ``dataset`` (bounded)."""
+    def placement(self, dataset: str) -> list[WorkerHandle]:
+        """Live workers to try for a new session on ``dataset``, best first.
+
+        A registry built-in is resident in every worker and never appended
+        to, so its sessions go where there is room: fewest proxied
+        requests in flight, then fewest sessions pinned, then the ring's
+        preference (an idle fleet still opens a dataset's first session on
+        its ring owner).  Anything else is an on-disk chunk store, or
+        unknown, and keeps the ring's order: one worker holds its delta
+        cache and writes its appends (:meth:`worker_for_dataset`).
+        Bounded by ``failover_attempts``.
+        """
         order = [
             self.workers[index]
             for index in self._ring.preference(dataset)
             if self.slot_up(index)
         ]
+        if dataset in registry.DATASETS:
+            with self._sessions_lock:
+                order.sort(key=lambda w: (w.in_flight, w.sessions_pinned))
         return order[: self.failover_attempts + 1]
+
+    @contextmanager
+    def in_flight_on(self, worker: WorkerHandle) -> Iterator[None]:
+        """Count one proxied request against ``worker`` while it runs."""
+        with self._sessions_lock:
+            worker.in_flight += 1
+        try:
+            yield
+        finally:
+            with self._sessions_lock:
+                worker.in_flight -= 1
 
     def first_live_worker(self) -> WorkerHandle:
         """Any live worker (for worker-agnostic reads like the registry)."""
@@ -913,21 +967,22 @@ class FrontendServer(GracefulHTTPServer):
                 status=404,
                 code=ErrorCode.UNKNOWN_SESSION,
             )
-        return self.workers[record.worker_index]
+        return self.workers[record.worker.index]
 
     def resolve_session(
         self, session_id: str, avoid: "set[int] | frozenset[int]" = frozenset()
     ) -> tuple[WorkerHandle, str]:
         """Where to send a session request: ``(worker, internal id)``.
 
-        The healthy path is a dict lookup.  When the pinned slot is down
-        — or its process was respawned (generation mismatch), which means
-        the in-memory session store is gone — the session is resurrected:
-        re-created from its recorded create payload on the first live
-        worker in the dataset's ring preference, under a fresh internal
-        id, with the external id unchanged.  Recorded step history
-        restarts from the resurrection point (worker-local state died
-        with the worker).
+        The healthy path is a dict lookup (which also marks the session
+        most recently used).  When the pinned slot is down — or its
+        process was respawned (another handle sits in the slot), which
+        means the in-memory session store is gone — the session is
+        resurrected: re-created from its recorded create payload on the
+        first live worker in the dataset's ring preference, under a fresh
+        internal id, with the external id unchanged.  Recorded step
+        history restarts from the resurrection point (worker-local state
+        died with the worker).
 
         ``avoid`` lists slots the caller already watched fail on this very
         request; they are skipped even if the process table still calls
@@ -936,17 +991,19 @@ class FrontendServer(GracefulHTTPServer):
         """
         with self._sessions_lock:
             record = self._sessions.get(session_id)
+            if record is not None:
+                self._sessions.move_to_end(session_id)
         if record is None:
             raise ServiceError(
                 f"unknown session {session_id!r}",
                 status=404,
                 code=ErrorCode.UNKNOWN_SESSION,
             )
-        pinned = self.workers[record.worker_index]
+        pinned = record.worker
         if (
-            record.worker_index not in avoid
-            and self.slot_up(record.worker_index)
-            and pinned.generation == record.generation
+            pinned.index not in avoid
+            and self.slot_up(pinned.index)
+            and self.workers[pinned.index] is pinned
         ):
             return pinned, record.internal_id
         for index in self._ring.preference(record.dataset):
@@ -967,8 +1024,11 @@ class FrontendServer(GracefulHTTPServer):
                 self.note_worker_failure(worker)
                 continue
             with self._sessions_lock:
-                record.worker_index = index
-                record.generation = worker.generation
+                # An evicted record is counted nowhere: keep it that way.
+                if self._sessions.get(session_id) is record:
+                    record.worker.sessions_pinned -= 1
+                    worker.sessions_pinned += 1
+                record.worker = worker
                 record.internal_id = internal
             with self._counter_lock:
                 self._resurrections += 1
@@ -990,18 +1050,25 @@ class FrontendServer(GracefulHTTPServer):
         """Pin ``session_id`` to the worker that created it.
 
         Also records how the session was created so it can be resurrected
-        elsewhere if that worker dies.
+        elsewhere if that worker dies.  Past
+        :data:`~repro.service.sessions.MAX_SESSIONS` records the least
+        recently used one is dropped — its id answers 404
+        ``unknown_session`` from then on.
         """
         if isinstance(worker, int):
             worker = self.workers[worker]
+        record = _SessionRecord(
+            worker=worker,
+            internal_id=session_id,
+            dataset=dataset,
+            create_payload=dict(create_payload or {}),
+        )
         with self._sessions_lock:
-            self._sessions[session_id] = _SessionRecord(
-                worker_index=worker.index,
-                generation=worker.generation,
-                internal_id=session_id,
-                dataset=dataset,
-                create_payload=dict(create_payload or {}),
-            )
+            self._sessions[session_id] = record
+            worker.sessions_pinned += 1
+            if len(self._sessions) > MAX_SESSIONS:
+                _, dropped = self._sessions.popitem(last=False)
+                dropped.worker.sessions_pinned -= 1
 
     def registered_datasets(self) -> list[dict[str, Any]]:
         """Recorded ``POST /v1/datasets`` payloads (for respawn re-sync)."""
@@ -1079,6 +1146,8 @@ class FrontendServer(GracefulHTTPServer):
                 unreachable += 1
             stats["worker"] = worker.index
             stats["pid"] = worker.pid
+            stats["in_flight"] = worker.in_flight
+            stats["sessions_pinned"] = worker.sessions_pinned
             per_worker.append(stats)
             tiers = stats.get("cache_tiers")
             if isinstance(tiers, dict):

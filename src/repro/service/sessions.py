@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 import time
 import uuid
+from collections import OrderedDict
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Sequence
 
@@ -37,6 +38,11 @@ from repro.study.sessions import (
     SEEDB_VIEWS_SD,
     bookmark_probability,
 )
+
+#: Sessions a worker's :class:`SessionStore` — and the front end's affinity
+#: map over it — keep: past this, the least recently used one is dropped
+#: and its id answers 404 ``unknown_session``.
+MAX_SESSIONS = 4096
 
 #: A conjunction of equality clauses, the JSON API's predicate shape.
 TargetClauses = tuple[tuple[str, object], ...]
@@ -166,11 +172,12 @@ class Session:
 
 
 class SessionStore:
-    """Thread-safe registry of live sessions."""
+    """Thread-safe registry of the :data:`MAX_SESSIONS` most recently used sessions."""
 
     def __init__(self) -> None:
         """Create an empty store."""
-        self._sessions: dict[str, Session] = {}
+        #: Least recently used first.
+        self._sessions: OrderedDict[str, Session] = OrderedDict()
         self._lock = threading.Lock()
 
     def create(
@@ -192,12 +199,16 @@ class SessionStore:
         )
         with self._lock:
             self._sessions[session.session_id] = session
+            if len(self._sessions) > MAX_SESSIONS:
+                self._sessions.popitem(last=False)
         return session
 
     def get(self, session_id: str) -> Session:
         """Look up a session; unknown ids raise :class:`ServiceError` (404)."""
         with self._lock:
             session = self._sessions.get(session_id)
+            if session is not None:
+                self._sessions.move_to_end(session_id)
         if session is None:
             raise ServiceError(
                 f"unknown session {session_id!r}",

@@ -4,7 +4,10 @@ The paper analyzes a balanced 2 (tool) x 2 (dataset) within-subjects design
 and reports e.g. "significant effect of tool on the number of bookmarks,
 F(1,1) = 18.609, p < 0.001".  This is a standard fixed-effects two-way
 ANOVA over a balanced table of observations; p-values come from scipy's F
-distribution.
+distribution.  scipy is imported by :func:`two_factor_anova`, not by this
+module: ``repro.core`` and ``repro.service`` import the §6.2 bookmark model
+from this package, and a serving process must not pay ~65 MB for an F-test
+only the Table 2 study runs (``pip install seedb-repro[study]``).
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from repro.exceptions import ReproError
 
@@ -45,6 +47,12 @@ def two_factor_anova(table: np.ndarray) -> TwoFactorAnova:
     ``table`` has shape ``(levels_a, levels_b, replicates)`` — e.g.
     ``(2 tools, 2 datasets, 16 participants)`` of bookmark counts.
     """
+    try:
+        from scipy import stats
+    except ImportError as exc:
+        raise ReproError(
+            "two_factor_anova needs scipy: pip install seedb-repro[study]"
+        ) from exc
     arr = np.asarray(table, dtype=np.float64)
     if arr.ndim != 3:
         raise ReproError(f"expected (a, b, n) observations, got shape {arr.shape}")

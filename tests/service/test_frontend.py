@@ -1,8 +1,9 @@
 """Tests for the sharded multi-worker front-end (`repro.service.frontend`).
 
-Covers the consistent-hash ring, dataset sharding + session affinity,
-the proxied ``/v1`` surface (typed client end to end), error envelopes
-originated by the front-end itself, the shared file-backed L2 cache
+Covers the consistent-hash ring, session placement (built-ins by load,
+on-disk stores by ring owner) + session affinity, the proxied ``/v1``
+surface (typed client end to end), error envelopes originated by the
+front-end itself, the shared file-backed L2 cache
 surviving a full worker restart, dataset broadcast registration, and
 graceful shutdown under concurrent load.
 
@@ -15,8 +16,12 @@ from __future__ import annotations
 
 import http.client
 import json
+import os
+import signal
 import threading
 import time
+from collections import Counter
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -129,13 +134,43 @@ class TestFrontendRouting:
         assert [w["index"] for w in health["workers"]] == [0, 1]
         assert all(w["alive"] and w["pid"] > 0 for w in health["workers"])
 
-    def test_sessions_route_by_dataset_and_pin_affinity(self, frontend):
+    def test_built_in_sessions_spread_by_load_and_stay_put(self, frontend):
+        """Runs first among the session-creating tests: the fleet is idle."""
+        n = 3
         with ServiceClient(*_address(frontend)) as client:
-            for dataset in ("census", "movies"):
-                session = client.create_session(dataset=dataset)
-                expected = frontend.worker_for_dataset(dataset)
-                pinned = frontend.worker_for_session(session.session_id)
-                assert pinned.index == expected.index
+            rows = client.stats()["workers"]
+            assert [(w["in_flight"], w["sessions_pinned"]) for w in rows] == [
+                (0, 0),
+                (0, 0),
+            ]
+            # Nothing to tell the slots apart: the ring's preference decides.
+            first = client.create_session(dataset="census")
+            owner = HashRing(2).lookup("census")
+            assert frontend.worker_for_session(first.session_id).index == owner
+            sessions = [first] + [
+                client.create_session(dataset="census") for _ in range(2 * n - 1)
+            ]
+            homes = {
+                s.session_id: frontend.worker_for_session(s.session_id)
+                for s in sessions
+            }
+            assert Counter(w.index for w in homes.values()) == {0: n, 1: n}
+            rows = client.stats()["workers"]
+            assert [w["sessions_pinned"] for w in rows] == [n, n]
+            # Affinity: a session id exists in one worker's store only, so
+            # the step is recorded where the session was created or nowhere.
+            for session_id in homes:
+                client.recommend(session_id, RecommendRequest(k=1))
+            for worker in frontend.workers:
+                with ServiceClient("127.0.0.1", worker.port) as direct:
+                    for session_id, home in homes.items():
+                        if worker is home:
+                            described = direct.describe_session(session_id)
+                            assert len(described["steps"]) == 1
+                        else:
+                            with pytest.raises(ServiceError) as excinfo:
+                                direct.describe_session(session_id)
+                            assert excinfo.value.code == ErrorCode.UNKNOWN_SESSION
 
     def test_typed_flow_through_proxy(self, frontend):
         with ServiceClient(*_address(frontend)) as client:
@@ -258,6 +293,28 @@ class TestFrontendRouting:
             assert refreshed["refreshed_workers"] == [0, 1]
             assert refreshed["n_rows"] == 405
 
+    def test_on_disk_sessions_stay_on_the_ring_owner_and_see_appends(
+        self, frontend, tmp_path
+    ):
+        """A chunk store has one writer and one delta cache: no load placement."""
+        from repro.service.api import AppendRequest
+
+        path = _toy_chunk_store(tmp_path)
+        batch = {"region": ["n"], "flavor": ["a"], "sales": [1.5], "segment": ["t"]}
+        with ServiceClient(*_address(frontend)) as client:
+            client.register_dataset(str(path), name="toydisk")
+            owner = frontend.worker_for_dataset("toydisk")
+            assert owner.index == HashRing(2).lookup("toydisk")
+            sessions = [client.create_session(dataset="toydisk") for _ in range(4)]
+            for session in sessions:
+                home = frontend.worker_for_session(session.session_id)
+                assert home.index == owner.index
+            client.append("toydisk", AppendRequest(rows=batch))
+            client.refresh_dataset("toydisk")
+            for session in sessions:
+                raw = client.recommend_raw(session.session_id, {"k": 1})
+                assert raw["data"] == {"n_rows": 401, "new_rows": 1, "changed": True}
+
     def test_worker_that_rejects_the_refresh_is_stale_not_refreshed(
         self, frontend, tmp_path
     ):
@@ -287,6 +344,42 @@ class TestFrontendRouting:
                 client.register_dataset(str(tmp_path / "missing"))
         assert excinfo.value.status == 400
         assert excinfo.value.code == ErrorCode.INVALID_PATH
+
+    def test_respawned_slot_counts_from_zero_and_nothing_goes_negative(
+        self, frontend
+    ):
+        """Runs last on the shared fleet: it kills one of its workers."""
+        with ServiceClient(*_address(frontend), retries=5, backoff=0.1) as client:
+            orphan = client.create_session(dataset="census")
+            victim = frontend.worker_for_session(orphan.session_id)
+            assert victim.sessions_pinned > 0
+            os.kill(victim.pid, signal.SIGKILL)
+            deadline = time.monotonic() + 60.0
+            while frontend.workers[victim.index] is victim or not frontend.slot_up(
+                victim.index
+            ):
+                assert time.monotonic() < deadline, "the slot was not respawned"
+                time.sleep(0.05)
+            replacement = frontend.workers[victim.index]
+            assert replacement.generation == victim.generation + 1
+            row = client.stats()["workers"][victim.index]
+            assert (row["in_flight"], row["sessions_pinned"]) == (0, 0)
+            # The orphan moves: off the dead handle, onto a live one.
+            before = victim.sessions_pinned
+            assert client.recommend(
+                orphan.session_id, RecommendRequest(k=1), idempotent=True
+            ).views
+            assert victim.sessions_pinned == before - 1
+            home = frontend.worker_for_session(orphan.session_id)
+            assert home is not victim and home.sessions_pinned >= 1
+            stats = client.stats()
+            assert stats["sessions_resurrected"] >= 1
+            for handle in (victim, *frontend.workers):
+                assert handle.in_flight == 0 and handle.sessions_pinned >= 0
+            assert (
+                sum(w["sessions_pinned"] for w in stats["workers"])
+                <= stats["sessions"]
+            )
 
 
 class TestFrontendLifecycle:
@@ -404,6 +497,8 @@ class _FakeWorker:
         self.exitcode = exitcode
         self.generation = generation
         self.port = port
+        self.in_flight = 0
+        self.sessions_pinned = 0
 
 
 class _FakeFrontend:
@@ -649,3 +744,128 @@ class TestFailoverAvoidsDyingWorkers:
             assert excinfo.value.code == ErrorCode.RETRY_LATER
         finally:
             server.server_close()
+
+
+class _StubWorkerHandler(BaseHTTPRequestHandler):
+    """Answers session creation at once; holds ``recommend`` on an event."""
+
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, format, *args):
+        pass
+
+    def do_POST(self):  # noqa: N802 - BaseHTTPRequestHandler contract
+        self.rfile.read(int(self.headers.get("Content-Length") or 0))
+        if self.path == "/v1/sessions":
+            status, payload = 201, {"session_id": os.urandom(8).hex()}
+        else:
+            self.server.entered.set()
+            self.server.release.wait(30)
+            status, payload = 200, {"views": []}
+        body = json.dumps(payload).encode()
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+@pytest.fixture
+def stub_fleet():
+    """A front end over two in-process stub workers (no worker processes)."""
+    from repro.service.frontend import FrontendServer
+
+    stubs = []
+    for _ in range(2):
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), _StubWorkerHandler)
+        stub.daemon_threads = True
+        stub.entered, stub.release = threading.Event(), threading.Event()
+        threading.Thread(target=stub.serve_forever, args=(0.02,), daemon=True).start()
+        stubs.append(stub)
+    workers = [
+        _FakeWorker(index, port=stub.server_address[1])
+        for index, stub in enumerate(stubs)
+    ]
+    server = FrontendServer(("127.0.0.1", 0), workers)
+    threading.Thread(target=server.serve_forever, args=(0.02,), daemon=True).start()
+    yield server, stubs
+    for stub in stubs:
+        stub.release.set()
+    for http_server in (server, *stubs):
+        http_server.shutdown()
+        http_server.server_close()
+
+
+class TestPlacementUnderLoad:
+    def test_new_session_avoids_the_slot_with_a_request_in_flight(
+        self, stub_fleet
+    ):
+        server, stubs = stub_fleet
+        address = _address(server)
+
+        def home(session_id):
+            return server.worker_for_session(session_id).index
+
+        def create():
+            _, _, body = _raw_request(
+                address, "POST", "/v1/sessions", {"dataset": "census"}
+            )
+            return body["session_id"]
+
+        owner = HashRing(2).lookup("census")
+        other = 1 - owner
+        a, b, c = create(), create(), create()
+        assert [home(a), home(b), home(c)] == [owner, other, owner]
+        # Pinned sessions alone would send the next one to ``other``.
+        held = threading.Thread(
+            target=_raw_request,
+            args=(address, "POST", f"/v1/sessions/{b}/recommend", {"k": 1}),
+        )
+        held.start()
+        try:
+            assert stubs[other].entered.wait(10)
+            assert server.workers[other].in_flight == 1
+            assert home(create()) == owner
+        finally:
+            stubs[other].release.set()
+            held.join(10)
+        assert not held.is_alive()
+        assert [w.in_flight for w in server.workers] == [0, 0]
+        # Idle again, the pinned counts decide: 3 on ``owner``, 1 on ``other``.
+        assert home(create()) == other
+
+
+def test_session_maps_keep_the_most_recently_used(monkeypatch):
+    """Both session maps are LRU-bounded by the one ``MAX_SESSIONS``."""
+    from repro.service import frontend as fe
+    from repro.service import sessions
+
+    monkeypatch.setattr(sessions, "MAX_SESSIONS", 3)
+    monkeypatch.setattr(fe, "MAX_SESSIONS", 3)
+
+    store = sessions.SessionStore()
+    ids = [store.create("census", "col", "emd").session_id for _ in range(3)]
+    store.get(ids[0])  # touch: ids[1] is now the least recently used
+    ids.append(store.create("census", "col", "emd").session_id)
+    assert len(store) == 3
+    with pytest.raises(ServiceError) as excinfo:
+        store.get(ids[1])
+    assert excinfo.value.code == ErrorCode.UNKNOWN_SESSION
+    assert store.get(ids[0]).session_id == ids[0]
+
+    workers = [_FakeWorker(0, port=1), _FakeWorker(1, port=2)]
+    server = fe.FrontendServer(("127.0.0.1", 0), workers)
+    try:
+        for i in range(3):
+            server.record_session(f"s{i}", workers[i % 2])
+        server.resolve_session("s0")  # touch: s1 (on worker 1) is the LRU
+        server.record_session("s3", workers[1])
+        assert [w.sessions_pinned for w in workers] == [2, 1]
+        with pytest.raises(ServiceError) as excinfo:
+            server.resolve_session("s1")
+        assert (excinfo.value.status, excinfo.value.code) == (
+            404,
+            ErrorCode.UNKNOWN_SESSION,
+        )
+        assert server.resolve_session("s0")[0] is workers[0]
+    finally:
+        server.server_close()

@@ -1,5 +1,8 @@
 """Tests for the user-study substrate: experts, ROC, sessions, ANOVA."""
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -112,6 +115,19 @@ class TestAnova:
             two_factor_anova(np.zeros((2, 2)))
         with pytest.raises(ReproError):
             two_factor_anova(np.zeros((1, 2, 5)))
+
+    def test_serving_imports_do_not_load_scipy(self):
+        """The F-test's dependency stays out of every serving process."""
+        code = (
+            "import repro, repro.service.frontend, repro.service.server, sys; "
+            "assert 'scipy' not in sys.modules"
+        )
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+    def test_missing_scipy_names_the_extra(self, monkeypatch):
+        monkeypatch.setitem(sys.modules, "scipy", None)
+        with pytest.raises(ReproError, match=r"seedb-repro\[study\]"):
+            two_factor_anova(np.zeros((2, 2, 4)))
 
 
 class TestSessions:
