@@ -379,6 +379,9 @@ class ExecutionStats:
     coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
+    #: (view, row range) target rows of a one-category target read from engine
+    #: state — a held (target column, dimension) group-by — not computed.
+    target_views_reused: int = 0
     #: Filled in per batch: lists of per-query serial costs, used to model
     #: parallel execution (queries in one batch run concurrently).
     batch_costs: list[list[float]] = field(default_factory=list)
@@ -400,4 +403,5 @@ class ExecutionStats:
         self.delta_hits += other.delta_hits
         self.coalesced_queries += other.coalesced_queries
         self.reference_views_reused += other.reference_views_reused
+        self.target_views_reused += other.target_views_reused
         self.batch_costs.extend(other.batch_costs)

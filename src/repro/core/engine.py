@@ -21,12 +21,14 @@ one dispatcher batch.  :meth:`ExecutionEngine.run` is that loop with one
 request — a solo run is a union of one — so the serving tier's coalesced
 path and the solo path are the same code behind the same tests.
 
-The reference side is table state: with the §4.1 target/reference rewrite off
+Held group-bys are table state: with the §4.1 target/reference rewrite off
 (:func:`~repro.core.recommender.serving_config`), reference "all" and any
-strategy but NO_OPT, a phase plans filter-first target queries only, folds the
-engine-held reference rows of its active views, and fills what is missing with
-one single-dimension query per dimension in the same batch (identity, bound
-and locking: ``docs/architecture.md``).
+strategy but NO_OPT, a phase folds the reference rows of its active views from
+an engine-held ``GROUP BY d`` and — for a target selecting one category ``x`` of
+a column ``X`` — their target rows from a held ``GROUP BY X, d`` sliced at
+``x``; it plans filter-first target queries only for what is left, and fills
+what is missing with one query per cell in the same batch (identity, bounds
+and locking: ``docs/architecture.md``, "Held group-bys").
 
 Every run returns an :class:`EngineRun` carrying the ranked views, their
 distributions, full execution accounting, and the cost model's latency.
@@ -60,8 +62,8 @@ from repro.core.sharing import (
     ReferenceMode,
     SharingPlan,
     ViewRoute,
+    plan_fill,
     plan_queries,
-    plan_reference_fill,
 )
 from repro.core.state import ViewState
 from repro.core.view import AggregateView, ViewKey
@@ -69,9 +71,11 @@ from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
 from repro.db.expressions import Expression
+from repro.db.groupby import _DENSE_GROUP_LIMIT
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.sql import generate_sql
 from repro.db.storage import StorageEngine
+from repro.db.types import ColumnType
 from repro.exceptions import QueryError, RecommendationError
 from repro.metrics.base import DistanceFunction
 
@@ -92,8 +96,18 @@ _MAX_RECORDED_SQL = 64
 #: Plan skeletons an engine keeps (least recently used out): the full view set of
 #: each restriction in use stays, a pruned active set nobody repeats ages out.
 _MAX_PLAN_SKELETONS = 32
-#: Row ranges the reference state keeps (a run reads ≤ ``n_phases``); oldest out first.
+#: Row ranges the held state keeps (a run reads ≤ ``n_phases``); oldest out first.
 _MAX_REFERENCE_RANGES = 64
+#: Bytes the held (target column, dimension) cells may take over every range;
+#: past it whole target columns go, least recently used first.  Columns a
+#: workload rotates through past it refill on every visit, slower than target
+#: queries: AIR's six scoreboard targets with nothing pruned hold 46 MB.
+_MAX_TARGET_BYTES = 64 << 20
+
+
+def _nbytes(columns: dict[str, np.ndarray]) -> int:
+    """Bytes of one held cell's columns (an atomic copy: readers take no lock)."""
+    return sum(column.nbytes for column in list(columns.values()))
 
 
 @dataclass(frozen=True)
@@ -128,6 +142,9 @@ class _LiveRequest:
     active: dict[ViewKey, AggregateView]
     #: The request reads its reference side from the engine's table state.
     held: bool
+    #: ``(X, code of x, |X|)`` when the target selects one category ``x`` of
+    #: ``X`` (code ``None``: none) and reads its target side from state too.
+    target: tuple[str, int | None, int] | None = None
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     queries: list[AggregateQuery] = field(default_factory=list)
     #: The request's target predicate and flag expression, keyed once for all its queries.
@@ -302,13 +319,17 @@ class ExecutionEngine:
         if config.keeps_delta_state() and isinstance(self.backend, NativeBackend):
             self.delta_cache = delta_cache if delta_cache is not None else DeltaStateCache()
             self.backend.pipeline.delta_cache = self.delta_cache
-        # The reference side as table state, for one table identity: row range ->
-        # dimension -> columns (``__codes__``, the group count, one per aggregate).
-        # The lock serialises fills and writes; held cells are read without it.
+        # Held group-bys, for one table identity: row range -> group-by columns
+        # (``(d,)`` or ``(X, d)``) -> columns (``__codes__`` of the last key,
+        # ``__offsets__`` of the first, the group count, one per aggregate).  The
+        # lock serialises fills and writes; held cells are read without it.
         self._reference_lock = threading.Lock()
         self._reference_identity: tuple | None = None
-        self._reference: dict[tuple[int, int], dict[str, dict[str, np.ndarray]]] = {}
+        self._reference: dict[tuple[int, int], dict[tuple[str, ...], dict[str, np.ndarray]]] = {}
+        #: Target columns with held cells, least recently used first.
+        self._target_columns: dict[str, None] = {}
         self._reference_views_reused = 0
+        self._target_views_reused = 0
 
     # ------------------------------------------------------------------ #
     # public API
@@ -434,6 +455,11 @@ class ExecutionEngine:
 
         # NO_OPT is two queries per view by definition: its reference is never held.
         held = not config.combine_target_reference and strategy != "no_opt"
+        # A held target cell equals the query it replaces only where that query
+        # groups one dimension: bin-packed target plans marginalize, and stay.
+        targets_held = (
+            held and not config.use_binpacking and config.max_group_bys_per_query <= 1
+        )
         live: list[_LiveRequest] = []
         for request in requests:
             # The workload optimizer never touches NO_OPT: that strategy *is*
@@ -449,6 +475,7 @@ class ExecutionEngine:
                 )
             pruner = self.make_pruner(strategy, request.pruner)
             pruner.initialize([v.key for v in request.views], request.k, len(ranges))
+            reference_held = held and request.reference_mode == "all"
             live.append(
                 _LiveRequest(
                     request,
@@ -456,7 +483,12 @@ class ExecutionEngine:
                     optimizer,
                     self._make_states(request.views),
                     {v.key: v for v in request.views},
-                    held=held and request.reference_mode == "all",
+                    held=reference_held,
+                    target=(
+                        self._one_category(request.target_predicate)
+                        if reference_held and targets_held
+                        else None
+                    ),
                 )
             )
 
@@ -501,9 +533,9 @@ class ExecutionEngine:
                 first_slot: dict[str, int] = {}
                 #: (request, its plan, the plan's queries + its fills, their slots)
                 submitted: list[tuple[_LiveRequest, SharingPlan, list, list]] = []
-                # The reference state's lock is held while a phase plans and,
-                # only if it has cells to fill, until the fills are stored.
-                claimed: set[tuple[str, str]] = set()
+                # The held state's lock is held while a phase plans and, only if
+                # it has cells to fill, until the fills are stored.
+                claimed: set[tuple[tuple[str, ...], str]] = set()
                 locked = any(entry.held for entry in running)
                 if locked:
                     self._reference_lock.acquire()
@@ -512,23 +544,26 @@ class ExecutionEngine:
                     for entry in running:
                         request = entry.request
                         entry.active_per_phase.append(len(entry.active))
-                        plan = plan_queries(
-                            list(entry.active.values()),
-                            meta,
-                            config,
-                            request.target_predicate,
-                            request.reference_mode,
-                            request.reference_predicate,
-                            entry.held,
-                            skeletons,
-                        )
-                        if entry.optimizer is not None:
-                            plan = entry.optimizer.transform(plan)
+                        views, fills = list(entry.active.values()), []
+                        if entry.held:
+                            views, fills = self._held_cells(entry, held_range, claimed)
+                        plan = SharingPlan(())
+                        if views:
+                            plan = plan_queries(
+                                views,
+                                meta,
+                                config,
+                                request.target_predicate,
+                                request.reference_mode,
+                                request.reference_predicate,
+                                entry.held,
+                                skeletons,
+                            )
+                            if entry.optimizer is not None:
+                                plan = entry.optimizer.transform(plan)
                         # Fills join the batch past the optimizer: a cell's bits
                         # must not depend on what one request could fuse it with.
-                        queries = list(plan.queries)
-                        if entry.held:
-                            queries += self._reference_fills(entry, held_range, claimed)
+                        queries = list(plan.queries) + fills
                         slots: list[tuple[int, bool]] = []
                         for planned in queries:
                             query = planned.query.with_range(start, stop)
@@ -568,9 +603,15 @@ class ExecutionEngine:
                                 union[i : i + width], cache, union_keys[i : i + width]
                             )
                         )
+                    pairs_filled = False
                     for _, plan, queries, slots in submitted:
                         for planned, (position, _) in zip(queries[len(plan) :], slots[len(plan) :]):
                             self._hold_reference(held_range, planned, outcomes[position][0])
+                            pairs_filled |= len(planned.query.group_by) == 2
+                    if pairs_filled:
+                        self._evict_target_columns(
+                            {entry.target[0] for entry in running if entry.target is not None}
+                        )
                 finally:
                     if locked:
                         self._reference_lock.release()
@@ -612,7 +653,7 @@ class ExecutionEngine:
                     for planned, (result, _) in zip(plan.queries, own):
                         self._route_result(planned, result, entry.states, request.reference_mode)
                     if entry.held:
-                        self._fold_reference(entry, held_range)
+                        self._fold_held(entry, held_range)
                     if entry.optimizer is not None:
                         entry.optimizer.observe_phase(
                             plan, [result for result, _ in own[: len(plan)]]
@@ -718,13 +759,14 @@ class ExecutionEngine:
             return self.config
         raise RecommendationError(f"unknown strategy {strategy!r}")
 
-    def _held_range(self, start: int, stop: int) -> dict[str, dict[str, np.ndarray]]:
+    def _held_range(self, start: int, stop: int) -> dict[tuple[str, ...], dict[str, np.ndarray]]:
         """State of rows ``[start, stop)`` (lock held); all is dropped first if
         the table's identity moved.  Callers keep the dict: eviction-safe."""
         table = self.store.table
         identity = (table.version, table.nrows, table.source_digest)
         if identity != self._reference_identity:
             self._reference_identity, self._reference = identity, {}
+            self._target_columns = {}
         held_range = self._reference.get((start, stop))
         if held_range is None:
             while len(self._reference) >= _MAX_REFERENCE_RANGES:
@@ -732,55 +774,178 @@ class ExecutionEngine:
             held_range = self._reference[(start, stop)] = {}
         return held_range
 
-    def _reference_fills(self, entry: _LiveRequest, held_range: dict, claimed: set) -> list:
-        """One fill per dimension for the cells of ``entry``'s active views that
-        are neither held nor ``claimed`` earlier in this phase (lock held)."""
-        missing: dict[str, list[AggregateView]] = {}
+    def _one_category(self, predicate: Expression) -> tuple[str, int | None, int] | None:
+        """``(X, code, |X|)`` if ``predicate`` selects at most one category of a
+        dictionary-coded column ``X`` (a string column or a dimension), decided
+        per category like a code-space filter; ``code`` is ``None`` for none."""
+        columns = predicate.referenced_columns()
+        if len(columns) != 1:
+            return None
+        (column,) = columns
+        schema = self.store.table.schema
+        if column not in schema or (
+            schema[column].ctype is not ColumnType.STR and column not in self.meta.dimensions
+        ):
+            return None
+        categories = self.store.table.categories(column)
+        selected = predicate.category_hits({column: categories})
+        if selected is None or len(selected[1]) > 1:
+            return None
+        hits = selected[1].tolist()
+        return column, hits[0] if hits else None, len(categories)
+
+    def _target_cell(
+        self, target: tuple[str, int | None, int] | None, dimension: str
+    ) -> tuple[str, ...] | None:
+        """The cell a one-category ``target`` reads for views on ``dimension``:
+        ``(X,)`` for a view on ``X`` itself, ``(X, dimension)`` while ``|X|·|d|``
+        fits the dense grouping domain, ``()`` (nothing) when no category is
+        selected; ``None`` leaves the views to a filter-first target query."""
+        if target is None:
+            return None
+        column, code, n_column = target
+        if code is None:
+            return ()
+        if dimension == column:
+            return (column,)
+        if n_column * len(self.store.table.categories(dimension)) <= _DENSE_GROUP_LIMIT:
+            return (column, dimension)
+        return None
+
+    def _held_cells(
+        self, entry: _LiveRequest, held_range: dict, claimed: set
+    ) -> tuple[list[AggregateView], list[PlannedQuery]]:
+        """Split ``entry``'s active views between held cells and target queries
+        (lock held): every view reads its reference side from ``(d,)`` and, where
+        :meth:`_target_cell` names one, its target side from that cell.  Returns
+        the views left to target queries and one fill per cell with a column
+        that is neither held nor ``claimed`` earlier in this phase."""
+        missing: dict[tuple[str, ...], list[AggregateView]] = {}
+        mine: set[tuple[tuple[str, ...], str]] = set()
+
+        def read(key: tuple[str, ...], view: AggregateView) -> int:
+            """1 if ``view``'s column of cell ``key`` is read, not filled, here."""
+            cell = (key, view.agg_alias)
+            if cell in mine:
+                return 0
+            if cell in claimed or view.agg_alias in held_range.get(key, ()):
+                return 1
+            claimed.add(cell)
+            mine.add(cell)
+            missing.setdefault(key, []).append(view)
+            return 0
+
+        queried: list[AggregateView] = []
+        reused = target_reused = 0
         for view in entry.active.values():
-            cell = (view.dimension, view.agg_alias)
-            if cell not in claimed and cell[1] not in held_range.get(cell[0], ()):
-                claimed.add(cell)
-                missing.setdefault(view.dimension, []).append(view)
-        reused = len(entry.active) - sum(map(len, missing.values()))
+            reused += read((view.dimension,), view)
+            key = self._target_cell(entry.target, view.dimension)
+            if key is None:
+                queried.append(view)
+            elif key:
+                target_reused += read(key, view)
+        if entry.target is not None:
+            self._target_columns.pop(entry.target[0], None)
+            self._target_columns[entry.target[0]] = None
         entry.stats.reference_views_reused += reused
+        entry.stats.target_views_reused += target_reused
         self._reference_views_reused += reused
+        self._target_views_reused += target_reused
         name, budget = self.meta.name, self.config.group_budget()
-        return [plan_reference_fill(views, name, budget) for views in missing.values()]
+        return queried, [plan_fill(key, views, name, budget) for key, views in missing.items()]
 
     def _hold_reference(self, held_range: dict, fill: PlannedQuery, result: QueryResult) -> None:
-        """Keep one fill's columns (lock held); group keys are decoded once."""
-        (dimension,) = fill.query.group_by
-        columns = held_range.setdefault(dimension, {})
+        """Keep one fill's columns (lock held); group keys are decoded once.
+        Groups come sorted by their first key, so ``__offsets__`` bound each
+        of its categories' slice."""
+        key = fill.query.group_by
+        columns = held_range.setdefault(key, {})
         if not columns:
-            categories = self.store.table.categories(dimension)
-            columns["__codes__"] = np.searchsorted(categories, np.asarray(result.groups[dimension]))
+            table = self.store.table
+            codes = [
+                np.searchsorted(table.categories(name), np.asarray(result.groups[name]))
+                for name in key
+            ]
+            columns["__codes__"] = codes[-1]
+            columns["__offsets__"] = np.searchsorted(
+                codes[0], np.arange(len(table.categories(key[0])) + 1)
+            )
         for name, values in result.values.items():
             columns[name] = np.asarray(values, dtype=np.float64)
 
-    def _fold_reference(self, entry: _LiveRequest, held_range: dict) -> None:
-        """The split path's reference update for ``entry``'s active views, one
-        stack per state table, from state instead of a query result."""
+    def _evict_target_columns(self, keep: set[str]) -> None:
+        """Drop whole target columns, least recently used first and never one in
+        ``keep``, until the held pair cells fit ``_MAX_TARGET_BYTES`` (lock held).
+        Range dicts are replaced, not mutated: a reader keeps the one it planned on."""
+        sizes: dict[str, int] = {}
+        for held_range in self._reference.values():
+            for key, columns in held_range.items():
+                if len(key) == 2:
+                    sizes[key[0]] = sizes.get(key[0], 0) + _nbytes(columns)
+        total = sum(sizes.values())
+        evicted = set()
+        for column in list(self._target_columns):
+            if total <= _MAX_TARGET_BYTES:
+                break
+            if column not in keep:
+                total -= sizes.get(column, 0)
+                evicted.add(column)
+                del self._target_columns[column]
+        if evicted:
+            self._reference = {
+                row_range: {
+                    key: columns
+                    for key, columns in held_range.items()
+                    if len(key) == 1 or key[0] not in evicted
+                }
+                for row_range, held_range in self._reference.items()
+            }
+
+    def _fold_held(self, entry: _LiveRequest, held_range: dict) -> None:
+        """The split path's updates for ``entry``'s active views from held cells,
+        one stack per state table: the reference side from ``(d,)``, and the
+        target side from :meth:`_target_cell`'s cell sliced at ``x``'s code."""
         grouped: dict[ViewState, list[AggregateView]] = {}
         for view in entry.active.values():
             grouped.setdefault(entry.states[view.key], []).append(view)
         for state, views in grouped.items():
-            columns = held_range[views[0].dimension]
+            rows = np.array([state.rows[view.key] for view in views])
+            dimension = views[0].dimension
+            columns = held_range[(dimension,)]
             state.reference.update(
-                np.array([state.rows[view.key] for view in views]),
+                rows,
                 columns["__codes__"],
                 np.array([columns[view.agg_alias] for view in views]),
                 columns["__group_count__"],
             )
+            key = self._target_cell(entry.target, dimension)
+            if key:
+                columns = held_range[key]
+                code = entry.target[1]
+                lo, hi = columns["__offsets__"][code : code + 2]
+                state.target.update(
+                    rows,
+                    columns["__codes__"][lo:hi],
+                    np.array([columns[view.agg_alias][lo:hi] for view in views]),
+                    columns["__group_count__"][lo:hi],
+                )
 
     def reference_state(self) -> dict[str, int]:
-        """What the reference state holds and has saved (``GET /v1/stats``).
-        Lock-free — a fill holds the lock for a scan: each ``list`` is an atomic copy."""
+        """What the held group-bys hold and have saved (``GET /v1/stats``):
+        ``bytes`` of reference cells, ``target_bytes`` of (target column,
+        dimension) cells.  Lock-free — a fill holds the lock for a scan: each
+        ``list`` is an atomic copy."""
         ranges = list(self._reference.values())
-        held = [columns for held_range in ranges for columns in list(held_range.values())]
+        sizes = [0, 0]
+        for held_range in ranges:
+            for key, columns in list(held_range.items()):
+                sizes[len(key) - 1] += _nbytes(columns)
         return {
             "ranges": len(ranges),
-            "bytes": sum(column.nbytes for columns in held for column in list(columns.values())),
+            "bytes": sizes[0],
             "views_reused": self._reference_views_reused,
+            "target_bytes": sizes[1],
+            "target_views_reused": self._target_views_reused,
         }
 
     def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:

@@ -18,7 +18,9 @@ sharing optimizations:
    query adds a derived flag column (``CASE WHEN <target> THEN 1 ELSE 0
    END``) and groups by it.  Off, each view set gets a filter-first target
    query and a reference query — or the target query alone where the engine
-   holds the reference side as state, filled by :func:`plan_reference_fill`.
+   holds the reference side as state, and no query at all for the views whose
+   target side it holds too (a one-category target): the engine plans only
+   the views left over, and fills held cells with :func:`plan_fill`.
 4. **Parallelism** is not planned here — the engine batches the emitted
    queries ``n_parallel_queries`` at a time.
 
@@ -100,7 +102,8 @@ def plan_queries(
     whole dataset ("all", the default D_R = D), the complement
     ("complement", D - D_Q), or an arbitrary query ("query", D_Q' — needs
     ``reference_predicate``).  ``reference_held`` plans the split path's
-    target queries only: the caller keeps the reference side as state.
+    target queries only: the caller keeps the reference side as state (and
+    passes only the views whose target side it does not hold).
 
     ``skeletons`` keeps the target-free half of a plan (:func:`_skeleton`) per
     (view keys, config, sides); the caller owns it and drops it with ``meta``.
@@ -184,15 +187,16 @@ def _skeleton(
     )
 
 
-def plan_reference_fill(views: Sequence[AggregateView], table: str, budget: int) -> PlannedQuery:
-    """The canonical reference query of ``views``' one dimension: target-free,
-    single group-by whatever the config would bin-pack.  Aggregate columns are
-    computed independently, so a cell's bits depend on table and range alone."""
-    query = AggregateQuery(
-        table, (views[0].dimension,), _aggregate_specs(views), group_budget=budget
-    )
-    routes = tuple(ViewRoute(view, view.dimension, view.agg_alias, "reference") for view in views)
-    return PlannedQuery(query, routes, None, None)
+def plan_fill(
+    group_by: tuple[str, ...], views: Sequence[AggregateView], table: str, budget: int
+) -> PlannedQuery:
+    """The canonical query of one held cell: ``views``' aggregates over every row,
+    grouped by their dimension alone (the reference side) or under a target
+    column ``X`` (the target side of every ``X = x``), whatever the config would
+    bin-pack.  Aggregate columns are computed independently, so a cell's bits
+    depend on table and range alone.  The engine stores the result: no routes."""
+    query = AggregateQuery(table, group_by, _aggregate_specs(views), group_budget=budget)
+    return PlannedQuery(query, (), None, None)
 
 
 # --------------------------------------------------------------------------- #

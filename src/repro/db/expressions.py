@@ -116,6 +116,16 @@ class Expression(abc.ABC):
             return test[0], *entry
         return None
 
+    def category_hits(self, categories: Mapping[str, np.ndarray]) -> tuple[str, np.ndarray] | None:
+        """``(column, codes)`` of the categories this test selects, if it is decided
+        per category (:meth:`_dictionary`, given each column's sorted categories):
+        the decision :meth:`_on_codes` carries to the rows."""
+        coded = self._dictionary({name: (None, values) for name, values in categories.items()})
+        if coded is None:
+            return None
+        name, _, values = coded
+        return name, np.flatnonzero(self.evaluate({name: values}))
+
     def _on_codes(self, dictionaries: Dictionaries) -> np.ndarray | None:
         """This test decided per category, carried to the rows by the codes."""
         coded = self._dictionary(dictionaries)

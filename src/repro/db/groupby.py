@@ -147,25 +147,38 @@ def _dense_group_result(
     ``np.bincount`` instead of a sort; occupied slots come out ascending,
     which is exactly the composite-key order the sorted path produces, and
     the per-key codes are recovered arithmetically (mixed-radix decode)
-    rather than via representative-row indexing.
+    rather than via representative-row indexing.  COUNT, SUM and AVG are
+    finalized on the occupied slots only; MIN/MAX keep the full-domain form.
     """
+    # ``bincount`` casts its ids to intp on every call: cast once per key set.
+    composite = composite.astype(np.intp, copy=False)
     counts_full = np.bincount(composite, minlength=product)
     occupied = np.flatnonzero(counts_full)
+    counts = counts_full[occupied]
     key_values: dict[str, np.ndarray] = {}
     stride = product
     for kc in key_columns:
         card = max(kc.n_categories, 1)
         stride //= card
         key_values[kc.name] = kc.categories[(occupied // stride) % card]
+    aggregate_values = []
+    for func, values in aggregate_inputs:
+        if func is AggregateFunction.COUNT:
+            aggregate_values.append(counts.astype(np.float64))
+        elif func in (AggregateFunction.SUM, AggregateFunction.AVG):
+            if values is None:
+                raise QueryError(f"{func.value} requires a value array")
+            weights = np.asarray(values, dtype=np.float64)
+            sums = np.bincount(composite, weights=weights, minlength=product)[occupied]
+            aggregate_values.append(sums if func is AggregateFunction.SUM else sums / counts)
+        else:
+            aggregate_values.append(
+                compute_group_aggregate(func, composite, product, values, counts_full)[occupied]
+            )
     return GroupResult(
         key_values=key_values,
-        aggregate_values=[
-            compute_group_aggregate(func, composite, product, values, counts_full)[
-                occupied
-            ]
-            for func, values in aggregate_inputs
-        ],
-        group_counts=counts_full[occupied],
+        aggregate_values=aggregate_values,
+        group_counts=counts,
         n_groups=len(occupied),
         spill_passes=spill_passes,
         estimated_groups=estimate,

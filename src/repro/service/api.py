@@ -376,6 +376,9 @@ class StepStats:
     coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
+    #: (view, row range) target rows of a one-category target read from engine
+    #: state, not computed.
+    target_views_reused: int = 0
 
     @classmethod
     def from_payload(cls, payload: Mapping[str, Any]) -> "StepStats":
@@ -393,6 +396,7 @@ class StepStats:
             ),
             coalesced_queries=int(payload.get("coalesced_queries", 0)),
             reference_views_reused=int(payload.get("reference_views_reused", 0)),
+            target_views_reused=int(payload.get("target_views_reused", 0)),
         )
 
 

@@ -439,6 +439,7 @@ class RecommendationService:
             "delta_hits": run.stats.delta_hits,
             "rows_scanned": run.stats.rows_scanned,
             "reference_views_reused": run.stats.reference_views_reused,
+            "target_views_reused": run.stats.target_views_reused,
             "wall_seconds": run.wall_seconds,
             "modeled_latency_seconds": run.modeled_latency,
         }

@@ -32,14 +32,15 @@ from repro import SeeDB
 from repro.core import engine as engine_module
 from repro.core import recommender as recommender_module
 from repro.core.engine import UnionRequest
-from repro.core.recommender import tuned_config
+from repro.core.recommender import serving_config, tuned_config
 from repro.core.sharing import plan_queries
 from repro.data import build_info, registry
 from repro.db.catalog import TableMeta
 from repro.db.chunks import append_rows, open_table, write_table
-from repro.db.expressions import eq
+from repro.db.expressions import Col, Comparison, Lit, eq, true
 from repro.db.query import AggregateFunction
 from repro.db.sql import generate_sql
+from repro.service import RecommendationService
 
 GOLDEN = Path(__file__).with_name("golden_reference_state.json")
 K = 5
@@ -148,18 +149,21 @@ def census():
 
 
 def _asks(table, spec):
-    """Requests differing in target, view subset, k, strategy and pruner."""
+    """Requests differing in target, view subset, k, strategy and pruner.  Two
+    targets select one category (of a non-dimension column, of a dimension),
+    whose target side is held too; one has two clauses and queries its own."""
     meta = TableMeta.of(table)
     dims, measures = meta.dimensions, meta.measures
-    a, b = spec.target_predicate(), _most_frequent(table, dims[3])
+    a, c = spec.target_predicate(), _most_frequent(table, dims[3])
+    b = c.and_(_most_frequent(table, dims[5]))
     return [
         (a, None, None, 5, "comb", "ci"),
         (b, dims[:4], measures[:2], 3, "comb", "ci"),
-        (a, dims[2:7], measures[1:], 4, "sharing", "none"),
+        (c, dims[2:7], measures[1:], 4, "sharing", "none"),
         (b, None, measures[:1], 2, "comb", "mab"),
         (a, dims[5:], None, 3, "comb_early", "ci"),
         (b, None, None, 6, "sharing", "none"),
-        (a, dims[:2], measures[2:], 2, "comb", "ci"),
+        (c, dims[:2], measures[2:], 2, "comb", "ci"),
         (b, dims[1:5], None, 5, "comb", "ci"),
     ]
 
@@ -204,13 +208,15 @@ def test_answers_do_not_depend_on_request_history(census, seed):
 
         with SeeDB.over_table(table, store="col", funcs=funcs) as full:
             for strategy in ("sharing", "comb"):
-                full.run_engine(asks[0][0], k=5, strategy=strategy, pruner="none")
+                for target in (asks[0][0], asks[2][0]):
+                    full.run_engine(target, k=5, strategy=strategy, pruner="none")
             for row_range, held_range in seedb.engine._reference.items():
-                for dimension, columns in held_range.items():
-                    whole = full.engine._reference[row_range][dimension]
-                    assert {"__codes__", "__group_count__"} < set(columns) <= set(whole)
+                for group_by, columns in held_range.items():
+                    whole = full.engine._reference[row_range][group_by]
+                    assert {"__codes__", "__offsets__", "__group_count__"} < set(columns)
+                    assert set(columns) <= set(whole)
                     for name, column in columns.items():
-                        assert column.tobytes() == whole[name].tobytes(), (dimension, name)
+                        assert column.tobytes() == whole[name].tobytes(), (group_by, name)
 
 
 def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch):
@@ -264,8 +270,9 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
         held_bytes = [snapshot["bytes"] for snapshot in snapshots]
         assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
         assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]
-        # 40 views x (10 phase ranges + the full range), each filled once.
-        assert len(filled) <= 40 * 11
+        # 40 views x (10 phase ranges + the full range) x (the reference side
+        # and two target columns), each filled once.
+        assert len(filled) <= 40 * 11 * 3
 
 
 def test_a_new_table_identity_drops_the_state(census, tmp_path):
@@ -337,7 +344,9 @@ def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
             assert run.stats.reference_views_reused == 0
             return seedb.engine.reference_state()
 
-        assert no_opt() == {"ranges": 0, "bytes": 0, "views_reused": 0}
+        assert no_opt() == dict.fromkeys(
+            ("ranges", "bytes", "views_reused", "target_bytes", "target_views_reused"), 0
+        )
         seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
         held = seedb.engine.reference_state()
         assert held["ranges"] == 1 and held["bytes"] > 0
@@ -360,6 +369,283 @@ def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
             ]
             assert run.stats.reference_views_reused == 0
         assert seedb.engine.reference_state() == held
+
+
+# --------------------------------------------------------------------------- #
+# held target cells: a one-category target reads GROUP BY (X, d) sliced at x
+# --------------------------------------------------------------------------- #
+
+
+def _filter_first(target):
+    """The same rows behind two clauses: always filter-first target queries."""
+    return target.and_(true())
+
+
+def _value(table, column: str, rank: int):
+    """The ``rank``-th most frequent category of ``column``."""
+    codes, categories = table.dictionary(column)
+    return categories[np.argsort(-np.bincount(codes), kind="stable")[rank]].item()
+
+
+def _run_with_states(seedb, target, strategy, pruner, **kwargs):
+    """``run_engine`` plus the bytes of every state table it finalized on."""
+    captured: dict = {}
+    finalize = seedb.engine._finalize
+
+    def spy(states, *args):
+        captured.update(states)
+        return finalize(states, *args)
+
+    seedb.engine._finalize = spy
+    try:
+        run = seedb.run_engine(target, k=K, strategy=strategy, pruner=pruner, **kwargs)
+    finally:
+        del seedb.engine._finalize
+    tables = list(dict.fromkeys(captured.values()))
+    states = [
+        tuple(
+            array.tobytes()
+            for side in (state.target, state.reference)
+            for array in (side.sums, side.counts, side.extrema)
+            if array is not None
+        )
+        for state in tables
+    ]
+    return run, states
+
+
+def _held_targets(table):
+    meta = TableMeta.of(table)
+    return [
+        eq(registry.spec("census").split_column, _value(table, "marital_status", 1)),
+        eq(meta.dimensions[3], _value(table, meta.dimensions[3], 0)),
+    ]
+
+
+@pytest.mark.parametrize("storage", ["resident", "memmap"])
+@pytest.mark.parametrize("store", ["col", "row"])
+def test_a_held_one_category_target_equals_the_filter_first_path(census, store, storage, tmp_path):
+    """States and ``EngineRun`` of a one-category target read from held cells,
+    cold and warm, equal the filter-first path's bit for bit — over a column
+    that is no dimension and over a dimension (whose own views read ``(X,)``)."""
+    table, _ = census
+    if storage == "memmap":
+        write_table(table, tmp_path / "census", chunk_rows=512)
+        table = open_table(tmp_path / "census")
+    funcs = tuple(AggregateFunction)
+    measures = TableMeta.of(table).measures[:2]
+    config = None if store == "col" else split_config("row")
+    with SeeDB.over_table(table, store=store, config=config, funcs=funcs) as held, SeeDB.over_table(
+        table, store=store, config=config, funcs=funcs
+    ) as oracle:
+        for target in _held_targets(table):
+            for strategy, pruner in (("comb", "ci"), ("sharing", "none")):
+                want, want_states = _run_with_states(
+                    oracle, _filter_first(target), strategy, pruner, measures=measures
+                )
+                assert want.stats.queries_issued > 0 == want.stats.target_views_reused
+                for warm in (False, True):
+                    run, states = _run_with_states(
+                        held, target, strategy, pruner, measures=measures
+                    )
+                    assert (_bits(run), states) == (_bits(want), want_states)
+                    assert (run.stats.queries_issued == 0) == warm
+                    assert run.stats.target_views_reused > 0 or not warm
+        assert held.engine.reference_state()["target_bytes"] > 0
+        assert oracle.engine.reference_state()["target_bytes"] == 0
+
+
+def test_an_unseen_value_of_a_held_column_executes_no_query(census):
+    """Holding a column pays for every value of it: after one value filled its
+    cells, another value nobody asked for is answered from them alone."""
+    table, _ = census
+    with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
+        table, store="col"
+    ) as oracle:
+        for column, (seen, unseen) in (
+            ("marital_status", (0, 1)),
+            (seedb.meta.dimensions[3], (1, 0)),
+        ):
+            # Pruning nothing, the first value fills every view's cells.
+            seedb.run_engine(eq(column, _value(table, column, seen)), k=K, pruner="none")
+            target = eq(column, _value(table, column, unseen))
+            run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
+            assert run.stats.queries_issued == run.stats.rows_scanned == 0
+            assert run.stats.target_views_reused == sum(run.active_per_phase)
+            assert _bits(run) == _bits(
+                oracle.run_engine(_filter_first(target), k=K, strategy="comb", pruner="ci")
+            )
+
+
+def test_a_view_on_the_target_column_reads_the_reference_cell(census):
+    table, _ = census
+    column = TableMeta.of(table).dimensions[0]
+    value = _value(table, column, 0)
+    with SeeDB.over_table(table, store="col") as seedb:
+        run = seedb.run_engine(eq(column, value), k=K, strategy="sharing", pruner="none")
+        held = seedb.engine._reference[(0, table.nrows)]
+        assert (column,) in held and (column, column) not in held
+        assert {key for key in held if len(key) == 2} == {
+            (column, dimension) for dimension in seedb.meta.dimensions if dimension != column
+        }
+        for key, dists in run.distributions.items():
+            if key[0] == column:
+                assert dict(zip(dists.keys, dists.target.tolist()))[value] == 1.0
+                assert dists.target.sum() == 1.0
+
+
+def test_a_literal_missing_from_the_dictionary_reads_an_empty_target(census):
+    table, _ = census
+    target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
+    with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
+        table, store="col"
+    ) as oracle:
+        n_dimensions = len(seedb.meta.dimensions)
+        cold = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+        # The reference fills, one per dimension, and nothing for the target.
+        assert cold.stats.queries_issued == n_dimensions
+        assert seedb.engine.reference_state()["target_bytes"] == 0
+        warm = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+        assert warm.stats.queries_issued == 0 and set(warm.utilities.values()) == {0.0}
+        want = oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
+        assert _bits(cold) == _bits(warm) == _bits(want)
+
+
+def test_other_targets_and_engines_keep_their_target_queries(census):
+    """Two clauses, a column no dictionary codes, another reference, an engine
+    with the rewrite, a bin-packed plan: the second run still queries its target."""
+    table, spec = census
+    meta = TableMeta.of(table)
+    one = eq(meta.dimensions[3], _value(table, meta.dimensions[3], 0))
+    legs = [
+        (None, one.and_(spec.target_predicate()), "all"),
+        (None, Comparison(">", Col(meta.measures[0]), Lit(0.0)), "all"),
+        (None, one, "complement"),
+        (tuned_config("col"), one, "all"),
+        (serving_config("row"), one, "all"),
+    ]
+    for config, target, reference in legs:
+        store = "row" if config is not None and config.store == "row" else "col"
+        with SeeDB.over_table(table, store=store, config=config) as seedb:
+            for _ in range(2):
+                run = seedb.run_engine(
+                    target, k=K, strategy="comb", pruner="ci", reference=reference
+                )
+            assert run.stats.queries_issued > 0 == run.stats.target_views_reused, target
+            assert seedb.engine.reference_state()["target_bytes"] == 0
+
+
+def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
+    table, _ = census
+    column = TableMeta.of(table).dimensions[3]
+    with SeeDB.over_table(table, store="col") as seedb:
+        views = seedb.view_space().views
+        targets = [eq(column, _value(table, column, rank)) for rank in (0, 1)]
+        filled: list[tuple] = []
+        hold = seedb.engine._hold_reference
+
+        def spy(held_range, fill, result):
+            filled.extend(
+                (id(held_range), fill.query.group_by, spec.alias) for spec in fill.query.aggregates
+            )
+            hold(held_range, fill, result)
+
+        seedb.engine._hold_reference = spy
+        before = dict(seedb.engine.executed_totals)
+        runs = seedb.engine.run_union([UnionRequest(views, t, K, "ci") for t in targets], "comb")
+        executed = {
+            name: total - before[name] for name, total in seedb.engine.executed_totals.items()
+        }
+    assert len(filled) == len(set(filled)) and any(len(key) == 2 for _, key, _ in filled)
+    stats = [run.stats for run in runs]
+    assert executed == {
+        "queries_executed": sum(s.queries_issued for s in stats),
+        "rows_scanned": sum(s.rows_scanned for s in stats),
+        "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
+    }
+    # The first value fills phase 0's cells; the second reads every one of them.
+    assert stats[1].target_views_reused >= runs[1].active_per_phase[0]
+    for run, target in zip(runs, targets):
+        assert _bits(run) == _fresh_answer(table, (target, None, None, K, "comb", "ci"))
+
+
+def test_an_append_drops_the_target_cells_with_the_reference_cells(census, tmp_path):
+    """A service without a delta cache holds both sides; an append moves the
+    table's identity, and the next request fills both again."""
+    table, _ = census
+    write_table(table.slice_rows(0, 2_500, name="census_live"), tmp_path / "live", chunk_rows=512)
+    tail = {
+        column.name: table.materialize_range(column.name, 2_500, 3_000).tolist()
+        for column in table.schema
+    }
+    target = {"column": "marital_status", "value": _value(table, "marital_status", 0)}
+    service = RecommendationService(data_dirs=(str(tmp_path / "live"),), delta_cache=False)
+    try:
+        session = service.create_session({"dataset": "census_live"})["session_id"]
+
+        def recommend():
+            return service.recommend(session, {"target": target, "k": K})["stats"]
+
+        def held():
+            return service.stats()["reference_state"]["census_live|col|emd"]
+
+        assert recommend()["target_views_reused"] == 0
+        assert held()["target_bytes"] > 0 and recommend()["queries_issued"] == 0
+        reused = held()["target_views_reused"]
+        assert reused > 0
+        service.append_dataset("census_live", {"rows": tail})
+        refilled = recommend()
+        assert refilled["queries_issued"] > 0 and refilled["delta_hits"] == 0
+        assert refilled["reference_views_reused"] == refilled["target_views_reused"] == 0
+        assert held()["target_bytes"] > 0 and held()["target_views_reused"] == reused
+        assert recommend()["queries_issued"] == 0
+    finally:
+        service.close()
+        registry.unregister_on_disk("census_live")
+
+
+def test_the_byte_bound_evicts_whole_target_columns(census, monkeypatch):
+    table, _ = census
+    dims = TableMeta.of(table).dimensions
+    columns = ("marital_status", dims[3], dims[5])
+    targets = [eq(column, _value(table, column, 0)) for column in columns]
+    with SeeDB.over_table(table, store="col") as seedb:
+        seedb.run_engine(targets[0], k=K, strategy="sharing", pruner="none")
+        one_column = seedb.engine.reference_state()["target_bytes"]
+    monkeypatch.setattr(engine_module, "_MAX_TARGET_BYTES", one_column)
+    with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
+        table, store="col"
+    ) as oracle:
+        for target, column in zip(targets + targets[:1], columns + columns[:1]):
+            run = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+            # Each new column pushes the last one out, whole: what is held is
+            # the column just read, and a column read again is filled again
+            # (only a view on the column itself reads a reference cell).
+            assert run.stats.queries_issued > 0
+            assert run.stats.target_views_reused == sum(
+                view.dimension == column for view in seedb.view_space()
+            )
+            assert list(seedb.engine._target_columns) == [column]
+            held = {key[0] for key in seedb.engine._reference[(0, table.nrows)] if len(key) == 2}
+            assert held == {column}
+            assert _bits(run) == _bits(
+                oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
+            )
+
+
+def test_the_sqlite_backend_fills_the_same_cells(census):
+    table, _ = census
+    for target in _held_targets(table):
+        with SeeDB.over_table(
+            table, store="col", config=serving_config("col").with_(backend="sqlite")
+        ) as sqlite, SeeDB.over_table(table, store="col") as native:
+            want = native.run_engine(target, k=K, strategy="comb", pruner="ci")
+            for warm in (False, True):
+                run = sqlite.run_engine(target, k=K, strategy="comb", pruner="ci")
+                assert (run.stats.queries_issued == 0) == warm
+                assert run.selected == want.selected
+                for key, value in want.utilities.items():
+                    assert run.utilities[key] == pytest.approx(value, rel=1e-9, abs=1e-12)
 
 
 if __name__ == "__main__":
