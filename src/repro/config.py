@@ -379,8 +379,9 @@ class ExecutionStats:
     coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
-    #: (view, row range) target rows of a one-category target read from engine
-    #: state — a held (target column, dimension) group-by — not computed.
+    #: (view, row range) target rows of a conjunction of one-category clauses
+    #: read from engine state — a held (target columns, dimension) group-by —
+    #: not computed.
     target_views_reused: int = 0
     #: Filled in per batch: lists of per-query serial costs, used to model
     #: parallel execution (queries in one batch run concurrently).

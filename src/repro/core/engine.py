@@ -24,9 +24,10 @@ path and the solo path are the same code behind the same tests.
 Held group-bys are table state: with the §4.1 target/reference rewrite off
 (:func:`~repro.core.recommender.serving_config`), reference "all" and any
 strategy but NO_OPT, a phase folds the reference rows of its active views from
-an engine-held ``GROUP BY d`` and — for a target selecting one category ``x`` of
-a column ``X`` — their target rows from a held ``GROUP BY X, d`` sliced at
-``x``; it plans filter-first target queries only for what is left, and fills
+an engine-held ``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose
+clauses each select one category of a distinct column — their target rows from
+a held ``GROUP BY X[, Y …], d`` sliced at ``(x[, y …])``; it plans filter-first
+target queries only for what is left, and fills
 what is missing with one query per cell in the same batch (identity, bounds
 and locking: ``docs/architecture.md``, "Held group-bys").
 
@@ -70,7 +71,7 @@ from repro.core.view import AggregateView, ViewKey
 from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
-from repro.db.expressions import Expression
+from repro.db.expressions import And, Expression
 from repro.db.groupby import _DENSE_GROUP_LIMIT
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.sql import generate_sql
@@ -98,8 +99,8 @@ _MAX_RECORDED_SQL = 64
 _MAX_PLAN_SKELETONS = 32
 #: Row ranges the held state keeps (a run reads ≤ ``n_phases``); oldest out first.
 _MAX_REFERENCE_RANGES = 64
-#: Bytes the held (target column, dimension) cells may take over every range;
-#: past it whole target columns go, least recently used first.  Columns a
+#: Bytes the held (target columns, dimension) cells may take over every range;
+#: past it whole target column sets go, least recently used first.  Sets a
 #: workload rotates through past it refill on every visit, slower than target
 #: queries: AIR's six scoreboard targets with nothing pruned hold 46 MB.
 _MAX_TARGET_BYTES = 64 << 20
@@ -142,9 +143,12 @@ class _LiveRequest:
     active: dict[ViewKey, AggregateView]
     #: The request reads its reference side from the engine's table state.
     held: bool
-    #: ``(X, code of x, |X|)`` when the target selects one category ``x`` of
-    #: ``X`` (code ``None``: none) and reads its target side from state too.
-    target: tuple[str, int | None, int] | None = None
+    #: Dimension -> :meth:`ExecutionEngine._target_cell` when the target is a
+    #: conjunction of one-category clauses and reads its target side from state
+    #: too; empty otherwise.
+    cells: dict[str, tuple[tuple[str, ...], int, int | None] | None] = field(
+        default_factory=dict
+    )
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     queries: list[AggregateQuery] = field(default_factory=list)
     #: The request's target predicate and flag expression, keyed once for all its queries.
@@ -320,14 +324,15 @@ class ExecutionEngine:
             self.delta_cache = delta_cache if delta_cache is not None else DeltaStateCache()
             self.backend.pipeline.delta_cache = self.delta_cache
         # Held group-bys, for one table identity: row range -> group-by columns
-        # (``(d,)`` or ``(X, d)``) -> columns (``__codes__`` of the last key,
-        # ``__offsets__`` of the first, the group count, one per aggregate).  The
-        # lock serialises fills and writes; held cells are read without it.
+        # (``(d,)`` or ``(X[, Y …], d)``) -> columns (``__codes__`` of the last
+        # key, ``__offsets__`` of the others' composite code, the group count,
+        # one per aggregate).  The lock serialises fills and writes; held cells
+        # are read without it.
         self._reference_lock = threading.Lock()
         self._reference_identity: tuple | None = None
         self._reference: dict[tuple[int, int], dict[tuple[str, ...], dict[str, np.ndarray]]] = {}
-        #: Target columns with held cells, least recently used first.
-        self._target_columns: dict[str, None] = {}
+        #: Target column sets (a cell's key less ``d``), least recently used first.
+        self._target_columns: dict[tuple[str, ...], None] = {}
         self._reference_views_reused = 0
         self._target_views_reused = 0
 
@@ -476,6 +481,11 @@ class ExecutionEngine:
             pruner = self.make_pruner(strategy, request.pruner)
             pruner.initialize([v.key for v in request.views], request.k, len(ranges))
             reference_held = held and request.reference_mode == "all"
+            target = (
+                self._category_conjunction(request.target_predicate)
+                if reference_held and targets_held
+                else None
+            )
             live.append(
                 _LiveRequest(
                     request,
@@ -484,10 +494,13 @@ class ExecutionEngine:
                     self._make_states(request.views),
                     {v.key: v for v in request.views},
                     held=reference_held,
-                    target=(
-                        self._one_category(request.target_predicate)
-                        if reference_held and targets_held
-                        else None
+                    cells=(
+                        {}
+                        if target is None
+                        else {
+                            dimension: self._target_cell(target, dimension)
+                            for dimension in {view.dimension for view in request.views}
+                        }
                     ),
                 )
             )
@@ -536,6 +549,7 @@ class ExecutionEngine:
                 # The held state's lock is held while a phase plans and, only if
                 # it has cells to fill, until the fills are stored.
                 claimed: set[tuple[tuple[str, ...], str]] = set()
+                touched: set[tuple[str, ...]] = set()
                 locked = any(entry.held for entry in running)
                 if locked:
                     self._reference_lock.acquire()
@@ -546,7 +560,7 @@ class ExecutionEngine:
                         entry.active_per_phase.append(len(entry.active))
                         views, fills = list(entry.active.values()), []
                         if entry.held:
-                            views, fills = self._held_cells(entry, held_range, claimed)
+                            views, fills = self._held_cells(entry, held_range, claimed, touched)
                         plan = SharingPlan(())
                         if views:
                             plan = plan_queries(
@@ -603,15 +617,13 @@ class ExecutionEngine:
                                 union[i : i + width], cache, union_keys[i : i + width]
                             )
                         )
-                    pairs_filled = False
+                    targets_filled = False
                     for _, plan, queries, slots in submitted:
                         for planned, (position, _) in zip(queries[len(plan) :], slots[len(plan) :]):
                             self._hold_reference(held_range, planned, outcomes[position][0])
-                            pairs_filled |= len(planned.query.group_by) == 2
-                    if pairs_filled:
-                        self._evict_target_columns(
-                            {entry.target[0] for entry in running if entry.target is not None}
-                        )
+                            targets_filled |= len(planned.query.group_by) >= 2
+                    if targets_filled:
+                        self._evict_target_columns(touched)
                 finally:
                     if locked:
                         self._reference_lock.release()
@@ -774,52 +786,72 @@ class ExecutionEngine:
             held_range = self._reference[(start, stop)] = {}
         return held_range
 
-    def _one_category(self, predicate: Expression) -> tuple[str, int | None, int] | None:
-        """``(X, code, |X|)`` if ``predicate`` selects at most one category of a
-        dictionary-coded column ``X`` (a string column or a dimension), decided
-        per category like a code-space filter; ``code`` is ``None`` for none."""
-        columns = predicate.referenced_columns()
-        if len(columns) != 1:
-            return None
-        (column,) = columns
-        schema = self.store.table.schema
-        if column not in schema or (
-            schema[column].ctype is not ColumnType.STR and column not in self.meta.dimensions
-        ):
-            return None
-        categories = self.store.table.categories(column)
-        selected = predicate.category_hits({column: categories})
-        if selected is None or len(selected[1]) > 1:
-            return None
-        hits = selected[1].tolist()
-        return column, hits[0] if hits else None, len(categories)
+    def _category_conjunction(
+        self, predicate: Expression
+    ) -> tuple[tuple[str, int, int], ...] | None:
+        """``((X, code of x, |X|), …)`` sorted by column if ``predicate`` is one
+        test or a top-level ``And`` of tests that each select at most one category
+        of a distinct dictionary-coded column ``X`` (a string column or a
+        dimension), decided per category like a code-space filter; ``()`` when a
+        test selects none."""
+        clauses = predicate.operands if isinstance(predicate, And) else (predicate,)
+        table = self.store.table
+        selected: dict[str, tuple[int, int] | None] = {}
+        for clause in clauses:
+            columns = clause.referenced_columns()
+            if len(columns) != 1:
+                return None
+            (column,) = columns
+            if column in selected or column not in table.schema or (
+                table.schema[column].ctype is not ColumnType.STR
+                and column not in self.meta.dimensions
+            ):
+                return None
+            categories = table.categories(column)
+            hits = clause.category_hits({column: categories})
+            if hits is None or len(hits[1]) > 1:
+                return None
+            selected[column] = (int(hits[1][0]), len(categories)) if len(hits[1]) else None
+        if None in selected.values():
+            return ()
+        return tuple((column, *selected[column]) for column in sorted(selected))
 
     def _target_cell(
-        self, target: tuple[str, int | None, int] | None, dimension: str
-    ) -> tuple[str, ...] | None:
-        """The cell a one-category ``target`` reads for views on ``dimension``:
-        ``(X,)`` for a view on ``X`` itself, ``(X, dimension)`` while ``|X|·|d|``
-        fits the dense grouping domain, ``()`` (nothing) when no category is
-        selected; ``None`` leaves the views to a filter-first target query."""
-        if target is None:
+        self, target: tuple[tuple[str, int, int], ...], dimension: str
+    ) -> tuple[tuple[str, ...], int, int | None] | None:
+        """``(cell, prefix, own)``: the cell ``target`` reads for views on
+        ``dimension`` — grouped by the target's other columns, then ``dimension``:
+        ``(X, d)``, ``(X, Y, d)`` … — sliced at the others' composite code
+        ``prefix`` and narrowed to ``dimension``'s code ``own`` if the target tests
+        it, while its group domain fits the dense grouping limit; a view on a
+        one-clause target's own column reads ``(X,)`` sliced at ``x``'s code.
+        Cell ``()`` (nothing) for a target selecting no row; ``None`` leaves the
+        views to a filter-first query."""
+        if not target:
+            return (), 0, None
+        others, prefix, own = [], 0, None
+        size = len(self.store.table.categories(dimension))
+        for column, code, n in target:
+            if column == dimension:
+                own = code
+            else:
+                others.append(column)
+                prefix, size = prefix * n + code, size * n
+        if not others:
+            return (dimension,), own, None
+        if size > _DENSE_GROUP_LIMIT:
             return None
-        column, code, n_column = target
-        if code is None:
-            return ()
-        if dimension == column:
-            return (column,)
-        if n_column * len(self.store.table.categories(dimension)) <= _DENSE_GROUP_LIMIT:
-            return (column, dimension)
-        return None
+        return (*others, dimension), prefix, own
 
     def _held_cells(
-        self, entry: _LiveRequest, held_range: dict, claimed: set
+        self, entry: _LiveRequest, held_range: dict, claimed: set, touched: set
     ) -> tuple[list[AggregateView], list[PlannedQuery]]:
         """Split ``entry``'s active views between held cells and target queries
         (lock held): every view reads its reference side from ``(d,)`` and, where
         :meth:`_target_cell` names one, its target side from that cell.  Returns
         the views left to target queries and one fill per cell with a column
-        that is neither held nor ``claimed`` earlier in this phase."""
+        that is neither held nor ``claimed`` earlier in this phase; the target
+        column sets read join ``touched``."""
         missing: dict[tuple[str, ...], list[AggregateView]] = {}
         mine: set[tuple[tuple[str, ...], str]] = set()
 
@@ -836,17 +868,22 @@ class ExecutionEngine:
             return 0
 
         queried: list[AggregateView] = []
+        column_sets: dict[tuple[str, ...], None] = {}
         reused = target_reused = 0
         for view in entry.active.values():
             reused += read((view.dimension,), view)
-            key = self._target_cell(entry.target, view.dimension)
-            if key is None:
+            cell = entry.cells.get(view.dimension)
+            if cell is None:
                 queried.append(view)
-            elif key:
+            elif cell[0]:
+                key = cell[0]
                 target_reused += read(key, view)
-        if entry.target is not None:
-            self._target_columns.pop(entry.target[0], None)
-            self._target_columns[entry.target[0]] = None
+                if len(key) > 1:
+                    column_sets[key[:-1]] = None
+        for column_set in column_sets:
+            self._target_columns.pop(column_set, None)
+            self._target_columns[column_set] = None
+        touched.update(column_sets)
         entry.stats.reference_views_reused += reused
         entry.stats.target_views_reused += target_reused
         self._reference_views_reused += reused
@@ -856,8 +893,9 @@ class ExecutionEngine:
 
     def _hold_reference(self, held_range: dict, fill: PlannedQuery, result: QueryResult) -> None:
         """Keep one fill's columns (lock held); group keys are decoded once.
-        Groups come sorted by their first key, so ``__offsets__`` bound each
-        of its categories' slice."""
+        Groups come sorted by their keys, so ``__offsets__`` bound the slice of
+        each composite code of all keys but the last (of a one-key cell's key:
+        one group)."""
         key = fill.query.group_by
         columns = held_range.setdefault(key, {})
         if not columns:
@@ -866,37 +904,42 @@ class ExecutionEngine:
                 np.searchsorted(table.categories(name), np.asarray(result.groups[name]))
                 for name in key
             ]
+            prefix = np.zeros(len(codes[-1]), dtype=np.int64)
+            n_prefixes = 1
+            for name, column_codes in zip(key[:-1] or key, codes):
+                n = len(table.categories(name))
+                prefix = prefix * n + column_codes
+                n_prefixes *= n
             columns["__codes__"] = codes[-1]
-            columns["__offsets__"] = np.searchsorted(
-                codes[0], np.arange(len(table.categories(key[0])) + 1)
-            )
+            columns["__offsets__"] = np.searchsorted(prefix, np.arange(n_prefixes + 1))
         for name, values in result.values.items():
             columns[name] = np.asarray(values, dtype=np.float64)
 
-    def _evict_target_columns(self, keep: set[str]) -> None:
-        """Drop whole target columns, least recently used first and never one in
-        ``keep``, until the held pair cells fit ``_MAX_TARGET_BYTES`` (lock held).
-        Range dicts are replaced, not mutated: a reader keeps the one it planned on."""
-        sizes: dict[str, int] = {}
+    def _evict_target_columns(self, keep: set[tuple[str, ...]]) -> None:
+        """Drop whole target column sets, least recently used first and never one
+        in ``keep``, until the held target cells fit ``_MAX_TARGET_BYTES`` (lock
+        held).  Range dicts are replaced, not mutated: a reader keeps the one it
+        planned on."""
+        sizes: dict[tuple[str, ...], int] = {}
         for held_range in self._reference.values():
             for key, columns in held_range.items():
-                if len(key) == 2:
-                    sizes[key[0]] = sizes.get(key[0], 0) + _nbytes(columns)
+                if len(key) > 1:
+                    sizes[key[:-1]] = sizes.get(key[:-1], 0) + _nbytes(columns)
         total = sum(sizes.values())
         evicted = set()
-        for column in list(self._target_columns):
+        for column_set in list(self._target_columns):
             if total <= _MAX_TARGET_BYTES:
                 break
-            if column not in keep:
-                total -= sizes.get(column, 0)
-                evicted.add(column)
-                del self._target_columns[column]
+            if column_set not in keep:
+                total -= sizes.get(column_set, 0)
+                evicted.add(column_set)
+                del self._target_columns[column_set]
         if evicted:
             self._reference = {
                 row_range: {
                     key: columns
                     for key, columns in held_range.items()
-                    if len(key) == 1 or key[0] not in evicted
+                    if len(key) == 1 or key[:-1] not in evicted
                 }
                 for row_range, held_range in self._reference.items()
             }
@@ -904,7 +947,9 @@ class ExecutionEngine:
     def _fold_held(self, entry: _LiveRequest, held_range: dict) -> None:
         """The split path's updates for ``entry``'s active views from held cells,
         one stack per state table: the reference side from ``(d,)``, and the
-        target side from :meth:`_target_cell`'s cell sliced at ``x``'s code."""
+        target side from :meth:`_target_cell`'s cell sliced at the composite code
+        of the target's other columns — narrowed to ``d``'s own code when the
+        target tests ``d`` too."""
         grouped: dict[ViewState, list[AggregateView]] = {}
         for view in entry.active.values():
             grouped.setdefault(entry.states[view.key], []).append(view)
@@ -918,11 +963,13 @@ class ExecutionEngine:
                 np.array([columns[view.agg_alias] for view in views]),
                 columns["__group_count__"],
             )
-            key = self._target_cell(entry.target, dimension)
-            if key:
+            cell = entry.cells.get(dimension)
+            if cell and cell[0]:
+                key, prefix, own = cell
                 columns = held_range[key]
-                code = entry.target[1]
-                lo, hi = columns["__offsets__"][code : code + 2]
+                lo, hi = columns["__offsets__"][prefix : prefix + 2]
+                if own is not None:
+                    lo, hi = lo + np.searchsorted(columns["__codes__"][lo:hi], (own, own + 1))
                 state.target.update(
                     rows,
                     columns["__codes__"][lo:hi],
@@ -932,14 +979,14 @@ class ExecutionEngine:
 
     def reference_state(self) -> dict[str, int]:
         """What the held group-bys hold and have saved (``GET /v1/stats``):
-        ``bytes`` of reference cells, ``target_bytes`` of (target column,
+        ``bytes`` of reference cells, ``target_bytes`` of (target columns,
         dimension) cells.  Lock-free — a fill holds the lock for a scan: each
         ``list`` is an atomic copy."""
         ranges = list(self._reference.values())
         sizes = [0, 0]
         for held_range in ranges:
             for key, columns in list(held_range.items()):
-                sizes[len(key) - 1] += _nbytes(columns)
+                sizes[len(key) > 1] += _nbytes(columns)
         return {
             "ranges": len(ranges),
             "bytes": sizes[0],

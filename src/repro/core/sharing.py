@@ -19,7 +19,7 @@ sharing optimizations:
    END``) and groups by it.  Off, each view set gets a filter-first target
    query and a reference query — or the target query alone where the engine
    holds the reference side as state, and no query at all for the views whose
-   target side it holds too (a one-category target): the engine plans only
+   target side it holds too (one-category clauses): the engine plans only
    the views left over, and fills held cells with :func:`plan_fill`.
 4. **Parallelism** is not planned here — the engine batches the emitted
    queries ``n_parallel_queries`` at a time.
@@ -191,10 +191,11 @@ def plan_fill(
     group_by: tuple[str, ...], views: Sequence[AggregateView], table: str, budget: int
 ) -> PlannedQuery:
     """The canonical query of one held cell: ``views``' aggregates over every row,
-    grouped by their dimension alone (the reference side) or under a target
-    column ``X`` (the target side of every ``X = x``), whatever the config would
-    bin-pack.  Aggregate columns are computed independently, so a cell's bits
-    depend on table and range alone.  The engine stores the result: no routes."""
+    grouped by their dimension alone (the reference side) or under target
+    columns ``X[, Y …]`` (the target side of every ``X = x [AND Y = y …]``),
+    whatever the config would bin-pack.  Aggregate columns are computed
+    independently, so a cell's bits depend on table and range alone.  The
+    engine stores the result: no routes."""
     query = AggregateQuery(table, group_by, _aggregate_specs(views), group_budget=budget)
     return PlannedQuery(query, (), None, None)
 

@@ -376,8 +376,8 @@ class StepStats:
     coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
-    #: (view, row range) target rows of a one-category target read from engine
-    #: state, not computed.
+    #: (view, row range) target rows of a conjunction of one-category clauses
+    #: read from engine state, not computed.
     target_views_reused: int = 0
 
     @classmethod

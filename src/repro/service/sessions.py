@@ -17,8 +17,10 @@ surprising one, repeat.  This module holds both halves of that loop:
 
 Consecutive steps of one session — and the same step across *different*
 sessions replaying the same exploration — share almost all of their view
-queries, which is exactly the workload the cross-session
-:class:`~repro.core.cache.ViewResultCache` exists for.
+queries, which the cross-session :class:`~repro.core.cache.ViewResultCache`
+serves when the result cache is on.  On the serving default with it off, the
+engine's held group-bys serve them: every step's target side is a slice of a
+held ``GROUP BY`` of the step's target columns and the view's dimension.
 """
 
 from __future__ import annotations

@@ -469,8 +469,8 @@ def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypat
 
     monkeypatch.setattr(engine_module, "plan_queries", checked)
     config = EngineConfig(**{"store": "col", **overrides})
-    # Two clauses each: a held engine plans no view for a one-category target
-    # (its target side is held too).
+    # A clause on no column each: a held engine plans no view for a conjunction
+    # of one-category clauses (its target side is held too).
     targets = tuple(target.and_(true()) for target in (spec.target_predicate(), eq("sex", "sex_0")))
     with SeeDB.over_table(table, store=config.store, config=config) as seedb:
         n_views = len(seedb.view_space())

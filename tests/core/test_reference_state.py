@@ -37,7 +37,7 @@ from repro.core.sharing import plan_queries
 from repro.data import build_info, registry
 from repro.db.catalog import TableMeta
 from repro.db.chunks import append_rows, open_table, write_table
-from repro.db.expressions import Col, Comparison, Lit, eq, true
+from repro.db.expressions import And, Col, Comparison, Lit, eq, true
 from repro.db.query import AggregateFunction
 from repro.db.sql import generate_sql
 from repro.service import RecommendationService
@@ -149,22 +149,24 @@ def census():
 
 
 def _asks(table, spec):
-    """Requests differing in target, view subset, k, strategy and pruner.  Two
-    targets select one category (of a non-dimension column, of a dimension),
-    whose target side is held too; one has two clauses and queries its own."""
+    """Requests differing in target, view subset, k, strategy and pruner.  Three
+    targets have their target side held too — one category of a non-dimension
+    column, of a dimension, and two clauses sharing the latter's cells; an ``Or``
+    queries its own, over three view subsets."""
     meta = TableMeta.of(table)
     dims, measures = meta.dimensions, meta.measures
     a, c = spec.target_predicate(), _most_frequent(table, dims[3])
     b = c.and_(_most_frequent(table, dims[5]))
+    either = a.or_(c)
     return [
         (a, None, None, 5, "comb", "ci"),
         (b, dims[:4], measures[:2], 3, "comb", "ci"),
         (c, dims[2:7], measures[1:], 4, "sharing", "none"),
         (b, None, measures[:1], 2, "comb", "mab"),
-        (a, dims[5:], None, 3, "comb_early", "ci"),
+        (either, dims[5:], None, 3, "comb_early", "ci"),
         (b, None, None, 6, "sharing", "none"),
-        (c, dims[:2], measures[2:], 2, "comb", "ci"),
-        (b, dims[1:5], None, 5, "comb", "ci"),
+        (either, dims[:2], measures[2:], 2, "comb", "ci"),
+        (either, dims[1:5], None, 5, "comb", "ci"),
     ]
 
 
@@ -208,7 +210,7 @@ def test_answers_do_not_depend_on_request_history(census, seed):
 
         with SeeDB.over_table(table, store="col", funcs=funcs) as full:
             for strategy in ("sharing", "comb"):
-                for target in (asks[0][0], asks[2][0]):
+                for target in (asks[0][0], asks[1][0], asks[2][0]):
                     full.run_engine(target, k=5, strategy=strategy, pruner="none")
             for row_range, held_range in seedb.engine._reference.items():
                 for group_by, columns in held_range.items():
@@ -271,8 +273,8 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
         assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
         assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]
         # 40 views x (10 phase ranges + the full range) x (the reference side
-        # and two target columns), each filled once.
-        assert len(filled) <= 40 * 11 * 3
+        # and three target column sets), each filled once.
+        assert len(filled) <= 40 * 11 * 4
 
 
 def test_a_new_table_identity_drops_the_state(census, tmp_path):
@@ -372,12 +374,13 @@ def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
 
 
 # --------------------------------------------------------------------------- #
-# held target cells: a one-category target reads GROUP BY (X, d) sliced at x
+# held target cells: X = x [AND Y = y …] reads GROUP BY (X[, Y …], d) sliced
+# at (x[, y …])
 # --------------------------------------------------------------------------- #
 
 
 def _filter_first(target):
-    """The same rows behind two clauses: always filter-first target queries."""
+    """The same rows behind a nested ``And``: always filter-first target queries."""
     return target.and_(true())
 
 
@@ -414,20 +417,31 @@ def _run_with_states(seedb, target, strategy, pruner, **kwargs):
     return run, states
 
 
+def _conjunction(table, columns, ranks):
+    """``columns[i] = `` its ``ranks[i]``-th most frequent category, ANDed."""
+    clauses = [eq(column, _value(table, column, rank)) for column, rank in zip(columns, ranks)]
+    return clauses[0] if len(clauses) == 1 else And(tuple(clauses))
+
+
 def _held_targets(table):
-    meta = TableMeta.of(table)
+    """One clause on a column that is no dimension, one on a dimension, two, and
+    three out of column order: views on every target column among them."""
+    relationship, sex = TableMeta.of(table).dimensions[3], TableMeta.of(table).dimensions[5]
     return [
-        eq(registry.spec("census").split_column, _value(table, "marital_status", 1)),
-        eq(meta.dimensions[3], _value(table, meta.dimensions[3], 0)),
+        _conjunction(table, ["marital_status"], [1]),
+        _conjunction(table, [relationship], [0]),
+        _conjunction(table, [relationship, "marital_status"], [0, 1]),
+        _conjunction(table, [sex, "marital_status", relationship], [1, 1, 2]),
     ]
 
 
 @pytest.mark.parametrize("storage", ["resident", "memmap"])
 @pytest.mark.parametrize("store", ["col", "row"])
 def test_a_held_one_category_target_equals_the_filter_first_path(census, store, storage, tmp_path):
-    """States and ``EngineRun`` of a one-category target read from held cells,
-    cold and warm, equal the filter-first path's bit for bit — over a column
-    that is no dimension and over a dimension (whose own views read ``(X,)``)."""
+    """States and ``EngineRun`` of a conjunction of one-category clauses read
+    from held cells, cold and warm, equal the filter-first path's bit for bit —
+    one clause over a column that is no dimension and over a dimension (whose own
+    views read ``(X,)``), two clauses and three."""
     table, _ = census
     if storage == "memmap":
         write_table(table, tmp_path / "census", chunk_rows=512)
@@ -456,19 +470,21 @@ def test_a_held_one_category_target_equals_the_filter_first_path(census, store, 
 
 
 def test_an_unseen_value_of_a_held_column_executes_no_query(census):
-    """Holding a column pays for every value of it: after one value filled its
-    cells, another value nobody asked for is answered from them alone."""
+    """Holding a column set pays for every value combination of it: after one
+    filled its cells, another nobody asked for — its clauses in the other order
+    — is answered from them alone."""
     table, _ = census
     with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
         table, store="col"
     ) as oracle:
-        for column, (seen, unseen) in (
-            ("marital_status", (0, 1)),
-            (seedb.meta.dimensions[3], (1, 0)),
+        for columns, (seen, unseen) in (
+            (["marital_status"], (0, 1)),
+            ([seedb.meta.dimensions[3]], (1, 0)),
+            ([seedb.meta.dimensions[3], "marital_status"], (0, 1)),
         ):
-            # Pruning nothing, the first value fills every view's cells.
-            seedb.run_engine(eq(column, _value(table, column, seen)), k=K, pruner="none")
-            target = eq(column, _value(table, column, unseen))
+            # Pruning nothing, the first combination fills every view's cells.
+            seedb.run_engine(_conjunction(table, columns, [seen] * 2), k=K, pruner="none")
+            target = _conjunction(table, columns[::-1], [unseen] * 2)
             run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
             assert run.stats.queries_issued == run.stats.rows_scanned == 0
             assert run.stats.target_views_reused == sum(run.active_per_phase)
@@ -478,54 +494,93 @@ def test_an_unseen_value_of_a_held_column_executes_no_query(census):
 
 
 def test_a_view_on_the_target_column_reads_the_reference_cell(census):
+    """A view on a target column reads the cell of the target's other columns,
+    narrowed to its own category: ``(X,)`` for one clause, ``(Y, X)`` for two."""
     table, _ = census
-    column = TableMeta.of(table).dimensions[0]
-    value = _value(table, column, 0)
+    column, other = TableMeta.of(table).dimensions[0], TableMeta.of(table).dimensions[5]
+    values = {column: _value(table, column, 0), other: _value(table, other, 1)}
     with SeeDB.over_table(table, store="col") as seedb:
-        run = seedb.run_engine(eq(column, value), k=K, strategy="sharing", pruner="none")
-        held = seedb.engine._reference[(0, table.nrows)]
-        assert (column,) in held and (column, column) not in held
-        assert {key for key in held if len(key) == 2} == {
-            (column, dimension) for dimension in seedb.meta.dimensions if dimension != column
-        }
-        for key, dists in run.distributions.items():
-            if key[0] == column:
-                assert dict(zip(dists.keys, dists.target.tolist()))[value] == 1.0
-                assert dists.target.sum() == 1.0
+        for columns in ([column], [column, other]):
+            target = _conjunction(table, columns, [0, 1])
+            run = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+            held = seedb.engine._reference[(0, table.nrows)]
+            assert (column,) in held and all(len(set(key)) == len(key) for key in held)
+            for key, dists in run.distributions.items():
+                if key[0] in columns:
+                    assert dict(zip(dists.keys, dists.target.tolist()))[values[key[0]]] == 1.0
+                    assert dists.target.sum() == 1.0
+            if len(columns) == 1:
+                assert {key for key in held if len(key) == 2} == {
+                    (column, d) for d in seedb.meta.dimensions if d != column
+                }
+        assert (other, column) in held and (column, other) in held
+
+
+def _empty_combination(table):
+    """``education = e AND occupation = o AND workclass = w`` for the first
+    combination of categories with no row."""
+    columns = ("education", "occupation", "workclass")
+    composite = np.zeros(table.nrows, dtype=np.int64)
+    for column in columns:
+        composite = composite * len(table.categories(column)) + table.dictionary(column)[0]
+    sizes = [len(table.categories(column)) for column in columns]
+    counts = np.bincount(composite, minlength=np.prod(sizes))
+    codes = np.unravel_index(np.flatnonzero(counts == 0)[0], sizes)
+    return And(tuple(
+        eq(column, table.categories(column)[code].item()) for column, code in zip(columns, codes)
+    ))
 
 
 def test_a_literal_missing_from_the_dictionary_reads_an_empty_target(census):
+    """A literal missing from the dictionary holds nothing for the target, alone
+    or beside another clause; categories that never occur together read an
+    empty slice of the cells they fill."""
     table, _ = census
-    target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
-    with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
-        table, store="col"
-    ) as oracle:
-        n_dimensions = len(seedb.meta.dimensions)
-        cold = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
-        # The reference fills, one per dimension, and nothing for the target.
-        assert cold.stats.queries_issued == n_dimensions
-        assert seedb.engine.reference_state()["target_bytes"] == 0
-        warm = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
-        assert warm.stats.queries_issued == 0 and set(warm.utilities.values()) == {0.0}
-        want = oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
-        assert _bits(cold) == _bits(warm) == _bits(want)
+    missing = eq(TableMeta.of(table).dimensions[0], "no-such-value")
+    legs = (
+        (missing, False),
+        (missing.and_(_held_targets(table)[0]), False),
+        (_empty_combination(table), True),
+    )
+    for target, cells in legs:
+        with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
+            table, store="col"
+        ) as oracle:
+            n_dimensions = len(seedb.meta.dimensions)
+            cold = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+            # The reference fills, one per dimension, and as many target cells.
+            assert cold.stats.queries_issued == n_dimensions * (1 + cells)
+            assert (seedb.engine.reference_state()["target_bytes"] > 0) == cells
+            warm = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
+            assert warm.stats.queries_issued == 0 and set(warm.utilities.values()) == {0.0}
+            want = oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
+            assert _bits(cold) == _bits(warm) == _bits(want)
 
 
-def test_other_targets_and_engines_keep_their_target_queries(census):
-    """Two clauses, a column no dictionary codes, another reference, an engine
-    with the rewrite, a bin-packed plan: the second run still queries its target."""
+def test_other_targets_and_engines_keep_their_target_queries(census, monkeypatch):
+    """A repeated column, a clause no dictionary codes, an ``Or``, cells past the
+    dense grouping limit, another reference, an engine with the rewrite, a
+    bin-packed plan: the second run still queries its target."""
     table, spec = census
     meta = TableMeta.of(table)
     one = eq(meta.dimensions[3], _value(table, meta.dimensions[3], 0))
+    other = spec.target_predicate()
+    positive = Comparison(">", Col(meta.measures[0]), Lit(0.0))
+    limit = engine_module._DENSE_GROUP_LIMIT
+    # |relationship| x |marital_status| = 12 groups, the smallest cell of the pair.
     legs = [
-        (None, one.and_(spec.target_predicate()), "all"),
-        (None, Comparison(">", Col(meta.measures[0]), Lit(0.0)), "all"),
-        (None, one, "complement"),
-        (tuned_config("col"), one, "all"),
-        (serving_config("row"), one, "all"),
+        (None, one.and_(one), "all", limit),
+        (None, positive, "all", limit),
+        (None, one.and_(positive), "all", limit),
+        (None, one.or_(other), "all", limit),
+        (None, one.and_(other), "all", 11),
+        (None, one, "complement", limit),
+        (tuned_config("col"), one, "all", limit),
+        (serving_config("row"), one, "all", limit),
     ]
-    for config, target, reference in legs:
+    for config, target, reference, dense_limit in legs:
         store = "row" if config is not None and config.store == "row" else "col"
+        monkeypatch.setattr(engine_module, "_DENSE_GROUP_LIMIT", dense_limit)
         with SeeDB.over_table(table, store=store, config=config) as seedb:
             for _ in range(2):
                 run = seedb.run_engine(
@@ -537,36 +592,41 @@ def test_other_targets_and_engines_keep_their_target_queries(census):
 
 def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
     table, _ = census
-    column = TableMeta.of(table).dimensions[3]
-    with SeeDB.over_table(table, store="col") as seedb:
-        views = seedb.view_space().views
-        targets = [eq(column, _value(table, column, rank)) for rank in (0, 1)]
-        filled: list[tuple] = []
-        hold = seedb.engine._hold_reference
+    columns = [TableMeta.of(table).dimensions[3], "marital_status"]
+    for width in (1, 2):
+        with SeeDB.over_table(table, store="col") as seedb:
+            views = seedb.view_space().views
+            targets = [_conjunction(table, columns[:width], [rank] * 2) for rank in (0, 1)]
+            filled: list[tuple] = []
+            hold = seedb.engine._hold_reference
 
-        def spy(held_range, fill, result):
-            filled.extend(
-                (id(held_range), fill.query.group_by, spec.alias) for spec in fill.query.aggregates
+            def spy(held_range, fill, result):
+                filled.extend(
+                    (id(held_range), fill.query.group_by, spec.alias)
+                    for spec in fill.query.aggregates
+                )
+                hold(held_range, fill, result)
+
+            seedb.engine._hold_reference = spy
+            before = dict(seedb.engine.executed_totals)
+            runs = seedb.engine.run_union(
+                [UnionRequest(views, t, K, "ci") for t in targets], "comb"
             )
-            hold(held_range, fill, result)
-
-        seedb.engine._hold_reference = spy
-        before = dict(seedb.engine.executed_totals)
-        runs = seedb.engine.run_union([UnionRequest(views, t, K, "ci") for t in targets], "comb")
-        executed = {
-            name: total - before[name] for name, total in seedb.engine.executed_totals.items()
+            executed = {
+                name: total - before[name] for name, total in seedb.engine.executed_totals.items()
+            }
+        assert len(filled) == len(set(filled))
+        assert any(len(key) == width + 1 for _, key, _ in filled)
+        stats = [run.stats for run in runs]
+        assert executed == {
+            "queries_executed": sum(s.queries_issued for s in stats),
+            "rows_scanned": sum(s.rows_scanned for s in stats),
+            "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
         }
-    assert len(filled) == len(set(filled)) and any(len(key) == 2 for _, key, _ in filled)
-    stats = [run.stats for run in runs]
-    assert executed == {
-        "queries_executed": sum(s.queries_issued for s in stats),
-        "rows_scanned": sum(s.rows_scanned for s in stats),
-        "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
-    }
-    # The first value fills phase 0's cells; the second reads every one of them.
-    assert stats[1].target_views_reused >= runs[1].active_per_phase[0]
-    for run, target in zip(runs, targets):
-        assert _bits(run) == _fresh_answer(table, (target, None, None, K, "comb", "ci"))
+        # The first combination fills phase 0's cells; the second reads every one.
+        assert stats[1].target_views_reused >= runs[1].active_per_phase[0]
+        for run, target in zip(runs, targets):
+            assert _bits(run) == _fresh_answer(table, (target, None, None, K, "comb", "ci"))
 
 
 def test_an_append_drops_the_target_cells_with_the_reference_cells(census, tmp_path):
@@ -606,28 +666,39 @@ def test_an_append_drops_the_target_cells_with_the_reference_cells(census, tmp_p
 
 def test_the_byte_bound_evicts_whole_target_columns(census, monkeypatch):
     table, _ = census
-    dims = TableMeta.of(table).dimensions
-    columns = ("marital_status", dims[3], dims[5])
-    targets = [eq(column, _value(table, column, 0)) for column in columns]
+    relationship, sex = TableMeta.of(table).dimensions[3], TableMeta.of(table).dimensions[5]
+    # (target columns, the dimensions whose views read a held cell, the column
+    # sets held after the run: a cell's key less its dimension).
+    steps = [
+        (["marital_status"], [], [("marital_status",)]),
+        ([relationship], [relationship], [(relationship,)]),
+        # Past the bound on its own, and kept whole: (relationship, sex) is
+        # still held from the step before, a view on sex reads it.
+        ([relationship, sex], [sex], [(relationship,), (relationship, sex), (sex,)]),
+        (["marital_status"], [], [("marital_status",)]),
+    ]
     with SeeDB.over_table(table, store="col") as seedb:
-        seedb.run_engine(targets[0], k=K, strategy="sharing", pruner="none")
+        target = _conjunction(table, steps[0][0], [0])
+        seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
         one_column = seedb.engine.reference_state()["target_bytes"]
     monkeypatch.setattr(engine_module, "_MAX_TARGET_BYTES", one_column)
     with SeeDB.over_table(table, store="col") as seedb, SeeDB.over_table(
         table, store="col"
     ) as oracle:
-        for target, column in zip(targets + targets[:1], columns + columns[:1]):
+        for columns, reads, column_sets in steps:
+            target = _conjunction(table, columns, [0, 0])
             run = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
-            # Each new column pushes the last one out, whole: what is held is
-            # the column just read, and a column read again is filled again
-            # (only a view on the column itself reads a reference cell).
+            # Each new column set pushes the last ones out, whole: what is held
+            # is the sets just read, and a set read again is filled again.
             assert run.stats.queries_issued > 0
             assert run.stats.target_views_reused == sum(
-                view.dimension == column for view in seedb.view_space()
+                view.dimension in reads for view in seedb.view_space()
             )
-            assert list(seedb.engine._target_columns) == [column]
-            held = {key[0] for key in seedb.engine._reference[(0, table.nrows)] if len(key) == 2}
-            assert held == {column}
+            assert sorted(seedb.engine._target_columns) == column_sets
+            if len(columns) > 1:
+                assert seedb.engine.reference_state()["target_bytes"] > one_column
+            held = seedb.engine._reference[(0, table.nrows)]
+            assert sorted({key[:-1] for key in held if len(key) > 1}) == column_sets
             assert _bits(run) == _bits(
                 oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
             )
