@@ -2,9 +2,13 @@
 
 This module is the single place where the HTTP surface's shapes live:
 
-* the version prefix (:data:`API_PREFIX`) and the path-splitting helper
-  (:func:`split_path`) shared by :mod:`repro.service.server` and the
-  front-end router in :mod:`repro.service.frontend`;
+* the route table (:data:`ROUTES`), the one place routes live: every
+  endpoint under :data:`API_PREFIX` is one :class:`Route` row.  Both HTTP
+  tiers dispatch through it (:func:`match_route`) — the worker in
+  :mod:`repro.service.server` calls the service method the row names, the
+  front end in :mod:`repro.service.frontend` applies the row's proxy
+  policy — the worker's latency labels are the rows' labels, and a test
+  holds ``docs/api.md``'s endpoint headings to it;
 * the machine-readable error-code catalogue (:class:`ErrorCode`) and the
   one error envelope every non-2xx response uses
   (:func:`error_envelope` / :class:`ErrorInfo`);
@@ -28,35 +32,8 @@ from repro.exceptions import ServiceError
 
 #: Current (only) API version segment.
 API_VERSION = "v1"
-#: Path prefix every current endpoint lives under.
+#: Path prefix every endpoint lives under.
 API_PREFIX = f"/{API_VERSION}"
-
-#: When the unprefixed legacy paths were declared deprecated
-#: (2026-08-01T00:00:00Z, the release that shipped the ``/v1`` prefix).
-LEGACY_DEPRECATED_UNIX = 1_785_542_400
-#: When the legacy paths stop answering (2026-12-01T00:00:00Z).
-LEGACY_SUNSET_UNIX = 1_796_083_200
-#: RFC 9745 ``Deprecation`` header value: ``@`` + a Unix timestamp.
-LEGACY_DEPRECATION_VALUE = f"@{LEGACY_DEPRECATED_UNIX}"
-#: RFC 8594 ``Sunset`` header value: an HTTP-date.
-LEGACY_SUNSET_VALUE = "Tue, 01 Dec 2026 00:00:00 GMT"
-
-
-def legacy_deprecation_headers() -> list[tuple[str, str]]:
-    """Response headers for the deprecated unprefixed legacy paths.
-
-    RFC 9745 requires ``Deprecation`` to carry an ``@<unix-timestamp>``
-    date (the boolean ``true`` shipped previously is non-conformant), RFC
-    8594's ``Sunset`` announces when the paths stop answering, and the
-    ``Link`` relation points clients at the successor surface.  Shared by
-    the single-process server and the sharded front-end so both emit
-    byte-identical headers.
-    """
-    return [
-        ("Deprecation", LEGACY_DEPRECATION_VALUE),
-        ("Sunset", LEGACY_SUNSET_VALUE),
-        ("Link", '</v1>; rel="successor-version"'),
-    ]
 
 
 class ErrorCode:
@@ -93,7 +70,7 @@ class ErrorCode:
     #: Unexpected server-side failure (the 500 catch-all).
     INTERNAL = "internal"
 
-    #: Catalogue for docs and the deprecation/contract tests.
+    #: Catalogue for docs and the contract tests.
     ALL: tuple[str, ...] = (
         INVALID_REQUEST,
         BAD_JSON,
@@ -129,37 +106,6 @@ def error_envelope(
             "detail": dict(detail) if detail else {},
         }
     }
-
-
-def split_path(path: str) -> tuple[list[str], bool]:
-    """Split a request path into segments, handling the version prefix.
-
-    Returns ``(parts, versioned)`` where ``parts`` excludes the ``v1``
-    segment and any query string, and ``versioned`` says whether the
-    request used the current ``/v1`` prefix.  Unprefixed paths are the
-    deprecated legacy surface — the server still answers them (with a
-    ``Deprecation`` header) for one release.
-    """
-    parts = [part for part in path.split("?")[0].split("/") if part]
-    if parts and parts[0] == API_VERSION:
-        return parts[1:], True
-    return parts, False
-
-
-def route_label(method: str, parts: Sequence[str]) -> str:
-    """The normalized label latency histograms aggregate a request under.
-
-    Path parameters collapse to ``{id}`` — ``("POST", ["sessions", "abc",
-    "recommend"])`` becomes ``"POST /v1/sessions/{id}/recommend"`` — so
-    every session/dataset shares one histogram per endpoint instead of
-    fanning out per identifier.
-    """
-    if not parts:
-        return f"{method} /"
-    normalized = list(parts)
-    if len(normalized) >= 2 and normalized[0] in ("sessions", "datasets"):
-        normalized[1] = "{id}"
-    return f"{method} {API_PREFIX}/" + "/".join(normalized)
 
 
 @dataclass(frozen=True)
@@ -297,6 +243,94 @@ class RegisterDatasetRequest:
         if self.name is not None:
             payload["name"] = self.name
         return payload
+
+
+# ------------------------------------------------------------------ #
+# the route table
+# ------------------------------------------------------------------ #
+
+
+@dataclass(frozen=True)
+class Route:
+    """One row of the route table: one endpoint.
+
+    ``template`` is the path under :data:`API_PREFIX`; a ``{id}`` segment
+    is the endpoint's one path parameter.  ``name`` is the
+    :class:`~repro.service.server.RecommendationService` method a worker
+    calls, with the ``{id}`` and then the body as arguments; ``proxy`` is
+    the front end's policy for the row (its handler runs ``_<proxy>``);
+    ``status`` is the success status; ``request`` is the body's dataclass,
+    or None when the endpoint reads no body.
+    """
+
+    method: str
+    template: str
+    name: str
+    proxy: str
+    status: int = 200
+    request: type | None = None
+
+    @property
+    def label(self) -> str:
+        """The latency-histogram label, e.g. ``POST /v1/sessions/{id}/recommend``."""
+        return f"{self.method} {API_PREFIX}{self.template}"
+
+    def path(self, ident: str | None = None) -> str:
+        """The request path, with ``ident`` in the ``{id}`` segment."""
+        return API_PREFIX + self.template.replace("{id}", ident or "")
+
+
+#: Every endpoint, for both HTTP tiers.  ``docs/api.md`` documents each
+#: row under a ``### `METHOD /v1/...``` heading (``<id>`` for ``{id}``).
+ROUTES: tuple[Route, ...] = (
+    Route("GET", "/healthz", "healthz", "healthz"),
+    Route("GET", "/stats", "stats", "aggregate_stats"),
+    Route("GET", "/datasets", "describe_datasets", "first_live_worker"),
+    Route(
+        "POST", "/datasets", "register_dataset", "broadcast_datasets", 201,
+        RegisterDatasetRequest,
+    ),
+    Route(
+        "POST", "/datasets/{id}/append", "append_dataset", "append_dataset", 200,
+        AppendRequest,
+    ),
+    Route("POST", "/datasets/{id}/refresh", "refresh_dataset", "broadcast_refresh"),
+    Route("POST", "/sessions", "create_session", "create_session", 201, CreateSessionRequest),
+    Route("GET", "/sessions/{id}", "describe_session", "forward_session"),
+    Route(
+        "POST", "/sessions/{id}/recommend", "recommend", "forward_session", 200,
+        RecommendRequest,
+    ),
+)
+
+#: The rows by (method, segment count): a request compares only its shape's.
+_BY_SHAPE: dict[tuple[str, int], list[tuple[Route, list[str]]]] = {}
+for _route in ROUTES:
+    _segments = _route.template.strip("/").split("/")
+    _BY_SHAPE.setdefault((_route.method, len(_segments)), []).append((_route, _segments))
+
+
+def match_route(method: str, path: str) -> tuple[Route | None, str | None]:
+    """The row answering ``method path``, and its ``{id}``.
+
+    The query string and empty segments are ignored.  A path outside
+    :data:`API_PREFIX`, or a method no row lists for the path, matches
+    nothing: ``(None, None)``.
+    """
+    parts = [part for part in path.split("?", 1)[0].split("/") if part]
+    if parts[:1] != [API_VERSION]:
+        return None, None
+    parts = parts[1:]
+    for route, segments in _BY_SHAPE.get((method, len(parts)), ()):
+        ident = None
+        for segment, part in zip(segments, parts):
+            if segment == "{id}":
+                ident = part
+            elif segment != part:
+                break
+        else:
+            return route, ident
+    return None, None
 
 
 # ------------------------------------------------------------------ #

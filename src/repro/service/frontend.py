@@ -6,7 +6,10 @@ recommendation work.  :func:`start_frontend` spawns ``n_workers``
 independent **processes**, each running a full
 :class:`~repro.service.server.RecommendationService` behind its own HTTP
 server on an ephemeral loopback port, and a :class:`FrontendServer` that
-proxies the public ``/v1`` API to them:
+proxies the public ``/v1`` API to them.  Its handler is the worker's
+:class:`~repro.service.server.RouteHandler` routed by the same table
+(:data:`repro.service.api.ROUTES`); what this module adds per endpoint is
+the row's proxy policy:
 
 * **session placement** — what is *owned* and what is *replicated*.  An
   on-disk chunk store (``data_dirs``, ``POST /v1/datasets``) is owned by
@@ -89,22 +92,17 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException
-from http.server import BaseHTTPRequestHandler
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.config import CoalesceConfig
 from repro.data import registry
 from repro.exceptions import ServiceError
-from repro.service.api import (
-    ErrorCode,
-    error_envelope,
-    legacy_deprecation_headers,
-    split_path,
-)
+from repro.service.api import ErrorCode, Route, error_envelope
 from repro.service.monitor import merge_route_payloads
 from repro.service.server import (
     GracefulHTTPServer,
     RecommendationService,
+    RouteHandler,
     SeeDBHTTPServer,
     install_sigterm_handler,
 )
@@ -517,54 +515,30 @@ def _worker_http(
         conn.close()
 
 
-class _FrontendHandler(BaseHTTPRequestHandler):
-    """Routes public API requests to worker processes."""
+class _FrontendHandler(RouteHandler):
+    """The front-end tier: a row runs its proxy policy, ``_<route.proxy>``."""
 
     server: "FrontendServer"
-    protocol_version = "HTTP/1.1"
-    disable_nagle_algorithm = True
-    #: True for legacy unprefixed paths (adds the ``Deprecation`` header).
-    _deprecated = False
 
     #: Per-thread cache of connections to workers (keyed by port) so each
     #: proxy thread reuses TCP connections instead of reconnecting.
     _local = threading.local()
 
-    def log_message(self, format: str, *args: object) -> None:
-        """Silence per-request logging unless the server is verbose."""
-        if self.server.verbose:
-            BaseHTTPRequestHandler.log_message(self, format, *args)
-
-    def _send(
-        self,
-        status: int,
-        payload: Mapping[str, object],
-        retry_after: float | None = None,
-    ) -> None:
-        """Write one JSON response with correct framing."""
-        body = json.dumps(payload).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:g}")
-        if self._deprecated:
-            for name, value in legacy_deprecation_headers():
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-        self.server.count_request(ok=status < 400)
+    def _serve(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        """Run the row's proxy policy."""
+        return getattr(self, f"_{route.proxy}")(route, ident)
 
     def _forward(
-        self, worker: WorkerHandle, method: str, parts: list[str]
+        self, worker: WorkerHandle, route: Route, ident: str | None
     ) -> tuple[int, dict[str, Any]]:
-        """Proxy one request to ``worker``; returns ``(status, body)``.
+        """Proxy this request to ``worker`` as ``route``; returns ``(status, body)``.
 
-        A connection the worker closed between requests is retried once on
-        a fresh one; a dead worker surfaces as :class:`ServiceError` with
-        code ``no_worker``.
+        ``ident`` fills the row's ``{id}`` (the worker's own id of a
+        session).  A connection the worker closed between requests is
+        retried once on a fresh one; a dead worker surfaces as
+        :class:`ServiceError` with code ``no_worker``.
         """
-        path = "/v1/" + "/".join(parts)
+        path = route.path(ident)
         conns = getattr(self._local, "conns", None)
         if conns is None:
             conns = self._local.conns = {}
@@ -577,7 +551,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
                     )
                 try:
                     conn.request(
-                        "POST" if method == "POST" else "GET",
+                        route.method,
                         path,
                         body=self._body or None,
                         headers={"Content-Type": "application/json"}
@@ -601,108 +575,139 @@ class _FrontendHandler(BaseHTTPRequestHandler):
                     ) from None
         raise AssertionError("unreachable")  # pragma: no cover
 
-    def _dispatch(self, method: str) -> None:
-        """Route one request; errors become envelopes with proper status."""
-        parts, versioned = split_path(self.path)
-        self._deprecated = not versioned and bool(parts)
-        self._body = b""
-        if not self.server.request_started():
-            self.close_connection = True
-            self._send(
-                503,
-                error_envelope(ErrorCode.SHUTTING_DOWN, "server is shutting down"),
-            )
-            return
-        try:
-            self._handle_routes(method, parts)
-        finally:
-            self.server.request_finished()
+    def _healthz(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        """The front end's own liveness: 503 ``degraded`` while a slot is down."""
+        payload = self.server.healthz()
+        if payload.get("status") == "ok":
+            return 200, payload
+        # Degraded is reported with the standard envelope so clients branch
+        # on the stable code, while the full health payload rides along for
+        # operators.
+        body = error_envelope(ErrorCode.DEGRADED, "one or more worker slots are down")
+        body.update(payload)
+        return 503, body, self.server.retry_after_hint
 
-    def _handle_routes(self, method: str, parts: list[str]) -> None:
-        """The front-end route table."""
-        try:
+    def _aggregate_stats(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        return 200, self.server.aggregate_stats()
+
+    def _first_live_worker(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        return self._forward(self.server.first_live_worker(), route, ident)
+
+    def _broadcast(
+        self, route: Route, ident: str | None, refusal: str
+    ) -> tuple[int, dict[str, Any], list[int], list[int]]:
+        """Forward this request to every live worker; the first answer wins.
+
+        Returns ``(status, body, reached, missed)``: the first live
+        worker's answer, the slots that answered and the slots skipped —
+        down, or dead mid-broadcast.  A *rejection* (4xx from a live
+        worker) comes back at once, verbatim.  With no live worker at all
+        the answer is 503 ``retry_later`` saying ``refusal``.
+        """
+        server = self.server
+        first: tuple[int, dict[str, Any]] | None = None
+        reached: list[int] = []
+        missed: list[int] = []
+        for worker in server.workers:
+            if not server.slot_up(worker.index):
+                missed.append(worker.index)
+                continue
             try:
-                length = int(self.headers.get("Content-Length") or 0)
-                if length < 0:
-                    raise ValueError("negative")
-            except ValueError:
-                self.close_connection = True
-                raise ServiceError(
-                    "invalid Content-Length header",
-                    code=ErrorCode.INVALID_LENGTH,
-                ) from None
-            if length:
-                self._body = self.rfile.read(length)
-            server = self.server
-            if method == "GET" and parts == ["healthz"]:
-                payload = server.healthz()
-                if payload.get("status") == "ok":
-                    self._send(200, payload)
-                else:
-                    # Degraded is reported with the standard envelope so
-                    # clients branch on the stable code, while the full
-                    # health payload rides along for operators.
-                    body = error_envelope(
-                        ErrorCode.DEGRADED,
-                        "one or more worker slots are down",
-                    )
-                    body.update(payload)
-                    self._send(503, body, retry_after=server.retry_after_hint)
-            elif method == "GET" and parts == ["stats"]:
-                self._send(200, server.aggregate_stats())
-            elif method == "POST" and parts == ["datasets"]:
-                status, body = server.broadcast_datasets(self)
-                self._send(status, body)
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "datasets"
-                and parts[2] == "append"
-            ):
-                status, body = server.append_dataset(self, parts)
-                self._send(status, body)
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "datasets"
-                and parts[2] == "refresh"
-            ):
-                status, body = server.broadcast_refresh(self, parts[1])
-                self._send(status, body)
-            elif method == "GET" and parts == ["datasets"]:
-                status, body = self._forward(
-                    server.first_live_worker(), method, parts
-                )
-                self._send(status, body)
-            elif method == "POST" and parts == ["sessions"]:
-                self._create_session(parts)
-            elif (
-                method in ("GET", "POST")
-                and len(parts) >= 2
-                and parts[0] == "sessions"
-            ):
-                self._forward_session(method, parts)
-            else:
-                self._send(
-                    404,
-                    error_envelope(
-                        ErrorCode.UNKNOWN_ROUTE,
-                        f"no route for {method} {self.path}",
-                    ),
-                )
-        except ServiceError as exc:
-            self._send(
-                exc.status,
-                error_envelope(exc.code, str(exc)),
-                retry_after=exc.retry_after,
+                status, body = self._forward(worker, route, ident)
+            except ServiceError as exc:
+                if exc.code != ErrorCode.NO_WORKER:
+                    raise
+                server.note_worker_failure(worker)
+                missed.append(worker.index)
+                continue
+            if status >= 400:
+                return status, body, reached, missed
+            reached.append(worker.index)
+            if first is None:
+                first = (status, body)
+        if first is None:
+            raise ServiceError(
+                f"{refusal}; retry shortly",
+                status=503,
+                code=ErrorCode.RETRY_LATER,
+                retry_after=server.retry_after_hint,
             )
-        except Exception as exc:  # noqa: BLE001 - a serving loop must not die
-            self._send(
-                500,
-                error_envelope(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"),
-            )
+        return (*first, reached, missed)
 
-    def _create_session(self, parts: list[str]) -> None:
+    def _broadcast_datasets(self, route: Route, ident: None) -> tuple[Any, ...]:
+        """``POST /v1/datasets``: register on every live worker.
+
+        Every worker must know the dataset — any of them may own it on
+        the ring.  A slot that is down or dies mid-broadcast is listed in
+        ``deferred_workers`` rather than failing the whole registration:
+        the accepted payload is recorded, and the supervisor replays it
+        into the slot's replacement.
+        """
+        status, body, _, deferred = self._broadcast(
+            route, None, "no live worker accepted the registration"
+        )
+        if status >= 400:
+            return status, body
+        with self.server._registered_lock:
+            self.server._registered.append(self._json_body())
+        if deferred:
+            body["deferred_workers"] = sorted(deferred)
+        return status, body
+
+    def _append_dataset(self, route: Route, dataset: str) -> tuple[Any, ...]:
+        """``POST /v1/datasets/<id>/append``: write once, refresh everywhere.
+
+        The rows are appended exactly once, by the dataset's (live)
+        ring-owner worker (all workers share the chunk-store directory,
+        so broadcasting the append verb itself would duplicate the rows);
+        the other workers then get a bodyless ``refresh`` broadcast — a
+        manifest digest compare plus memmap re-sync — so every worker
+        serves the extended table without the rows crossing the wire
+        again.  Workers that fail to refresh — unreachable, or answering
+        the broadcast with a 4xx/5xx (a draining 503, a 404 for a dataset
+        they never registered) — are reported in
+        ``stale_workers``; they re-sync on the next append or refresh
+        (and a supervisor-respawned worker re-opens the current manifest
+        anyway).
+        """
+        server = self.server
+        owner = server.worker_for_dataset(dataset)
+        status, body = self._forward(owner, route, dataset)
+        if status >= 400:
+            return status, body
+        refreshed: list[int] = [owner.index]
+        stale: list[int] = []
+        for worker in server.workers:
+            if worker.index == owner.index:
+                continue
+            if not server.slot_up(worker.index):
+                stale.append(worker.index)
+                continue
+            try:
+                _worker_http(
+                    worker.port, "POST", f"/v1/datasets/{dataset}/refresh", None,
+                    timeout=server.proxy_timeout,
+                )
+                refreshed.append(worker.index)
+            except (RuntimeError, HTTPException, ConnectionError, OSError, ValueError):
+                stale.append(worker.index)
+        body["refreshed_workers"] = sorted(refreshed)
+        if stale:
+            body["stale_workers"] = sorted(stale)
+        return status, body
+
+    def _broadcast_refresh(self, route: Route, dataset: str) -> tuple[Any, ...]:
+        """``POST /v1/datasets/<id>/refresh``: re-sync every live worker."""
+        status, body, refreshed, stale = self._broadcast(
+            route, dataset, "no live worker to refresh"
+        )
+        if status < 400:
+            body["refreshed_workers"] = refreshed
+            if stale:
+                body["stale_workers"] = sorted(stale)
+        return status, body
+
+    def _create_session(self, route: Route, ident: None) -> tuple[Any, ...]:
         """Create a session on the worker :meth:`FrontendServer.placement` picks.
 
         Fails over down the placement order when that worker turns out to
@@ -710,17 +715,12 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         worker serves it equally well.
         """
         server = self.server
-        try:
-            payload = json.loads(self._body) if self._body else {}
-        except ValueError:
-            payload = {}  # let the worker produce the canonical bad_json error
-        dataset = "census"
-        if isinstance(payload, dict):
-            dataset = str(payload.get("dataset", "census"))
+        payload = self._json_body()
+        dataset = str(payload.get("dataset", "census"))
         deadline = time.monotonic() + server.request_deadline
         for worker in server.placement(dataset):
             try:
-                status, body = self._forward(worker, "POST", parts)
+                status, body = self._forward(worker, route, None)
             except ServiceError as exc:
                 if exc.code != ErrorCode.NO_WORKER:
                     raise
@@ -733,10 +733,9 @@ class _FrontendHandler(BaseHTTPRequestHandler):
                     str(body["session_id"]),
                     worker,
                     dataset=dataset,
-                    create_payload=payload if isinstance(payload, dict) else {},
+                    create_payload=payload,
                 )
-            self._send(status, body)
-            return
+            return status, body
         raise ServiceError(
             f"no live worker for dataset {dataset!r}; retry shortly",
             status=503,
@@ -744,7 +743,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
             retry_after=server.retry_after_hint,
         )
 
-    def _forward_session(self, method: str, parts: list[str]) -> None:
+    def _forward_session(self, route: Route, external: str) -> tuple[Any, ...]:
         """Forward a session-pinned request, resurrecting if needed.
 
         The external session id is rewritten to the worker's internal id
@@ -753,7 +752,6 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         to the client.
         """
         server = self.server
-        external = parts[1]
         deadline = time.monotonic() + server.request_deadline
         last_error: ServiceError | None = None
         # Workers that already failed THIS request.  ``note_worker_failure``
@@ -766,9 +764,7 @@ class _FrontendHandler(BaseHTTPRequestHandler):
         for _ in range(server.failover_attempts + 1):
             worker, internal = server.resolve_session(external, avoid=failed)
             try:
-                status, body = self._forward(
-                    worker, method, [parts[0], internal, *parts[2:]]
-                )
+                status, body = self._forward(worker, route, internal)
             except ServiceError as exc:
                 if exc.code != ErrorCode.NO_WORKER:
                     raise
@@ -784,22 +780,13 @@ class _FrontendHandler(BaseHTTPRequestHandler):
                 and body.get("session_id") == internal
             ):
                 body["session_id"] = external
-            self._send(status, body)
-            return
+            return status, body
         raise ServiceError(
             f"session {external!r} temporarily unroutable; retry shortly",
             status=503,
             code=ErrorCode.RETRY_LATER,
             retry_after=server.retry_after_hint,
         ) from last_error
-
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract
-        """Handle GET requests."""
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract
-        """Handle POST requests."""
-        self._dispatch("POST")
 
 
 class FrontendServer(GracefulHTTPServer):
@@ -1191,139 +1178,6 @@ class FrontendServer(GracefulHTTPServer):
         if coalesce_blocks:
             payload["coalesce"] = _merge_coalesce_blocks(coalesce_blocks)
         return payload
-
-    def broadcast_datasets(
-        self, handler: _FrontendHandler
-    ) -> tuple[int, dict[str, Any]]:
-        """``POST /v1/datasets``: register on every live worker.
-
-        Every worker must know the dataset — any of them may own it on
-        the ring.  Down slots are skipped (the supervisor replays
-        recorded registrations into their replacements); a worker that
-        dies mid-broadcast is likewise deferred rather than failing the
-        whole registration.  A *rejection* (4xx from a live worker)
-        still short-circuits verbatim.  The accepted payload is recorded
-        for respawn re-sync.
-        """
-        first: tuple[int, dict[str, Any]] | None = None
-        deferred: list[int] = []
-        try:
-            payload = json.loads(handler._body) if handler._body else {}
-        except ValueError:
-            payload = {}
-        for worker in self.workers:
-            if not self.slot_up(worker.index):
-                deferred.append(worker.index)
-                continue
-            try:
-                status, body = handler._forward(worker, "POST", ["datasets"])
-            except ServiceError as exc:
-                if exc.code != ErrorCode.NO_WORKER:
-                    raise
-                self.note_worker_failure(worker)
-                deferred.append(worker.index)
-                continue
-            if status >= 400:
-                return status, body
-            if first is None:
-                first = (status, body)
-        if first is None:
-            raise ServiceError(
-                "no live worker accepted the registration; retry shortly",
-                status=503,
-                code=ErrorCode.RETRY_LATER,
-                retry_after=self.retry_after_hint,
-            )
-        if isinstance(payload, dict) and payload.get("path"):
-            with self._registered_lock:
-                self._registered.append(dict(payload))
-        status, body = first
-        if deferred:
-            body["deferred_workers"] = sorted(deferred)
-        return status, body
-
-    def append_dataset(
-        self, handler: _FrontendHandler, parts: list[str]
-    ) -> tuple[int, dict[str, Any]]:
-        """``POST /v1/datasets/<id>/append``: write once, refresh everywhere.
-
-        The rows are appended exactly once, by the dataset's (live)
-        ring-owner worker (all workers share the chunk-store directory,
-        so broadcasting the append verb itself would duplicate the rows);
-        the other workers then get a bodyless ``refresh`` broadcast — a
-        manifest digest compare plus memmap re-sync — so every worker
-        serves the extended table without the rows crossing the wire
-        again.  Workers that fail to refresh — unreachable, or answering
-        the broadcast with a 4xx/5xx (a draining 503, a 404 for a dataset
-        they never registered) — are reported in
-        ``stale_workers``; they re-sync on the next append or refresh
-        (and a supervisor-respawned worker re-opens the current manifest
-        anyway).
-        """
-        dataset = parts[1]
-        owner = self.worker_for_dataset(dataset)
-        status, body = handler._forward(owner, "POST", parts)
-        if status >= 400:
-            return status, body
-        refreshed: list[int] = [owner.index]
-        stale: list[int] = []
-        for worker in self.workers:
-            if worker.index == owner.index:
-                continue
-            if not self.slot_up(worker.index):
-                stale.append(worker.index)
-                continue
-            try:
-                _worker_http(
-                    worker.port, "POST", f"/v1/datasets/{dataset}/refresh", None,
-                    timeout=self.proxy_timeout,
-                )
-                refreshed.append(worker.index)
-            except (RuntimeError, HTTPException, ConnectionError, OSError, ValueError):
-                stale.append(worker.index)
-        body["refreshed_workers"] = sorted(refreshed)
-        if stale:
-            body["stale_workers"] = sorted(stale)
-        return status, body
-
-    def broadcast_refresh(
-        self, handler: _FrontendHandler, dataset: str
-    ) -> tuple[int, dict[str, Any]]:
-        """``POST /v1/datasets/<id>/refresh``: re-sync every live worker."""
-        first: tuple[int, dict[str, Any]] | None = None
-        refreshed: list[int] = []
-        stale: list[int] = []
-        for worker in self.workers:
-            if not self.slot_up(worker.index):
-                stale.append(worker.index)
-                continue
-            try:
-                status, body = handler._forward(
-                    worker, "POST", ["datasets", dataset, "refresh"]
-                )
-            except ServiceError as exc:
-                if exc.code != ErrorCode.NO_WORKER:
-                    raise
-                self.note_worker_failure(worker)
-                stale.append(worker.index)
-                continue
-            if status >= 400:
-                return status, body
-            refreshed.append(worker.index)
-            if first is None:
-                first = (status, body)
-        if first is None:
-            raise ServiceError(
-                "no live worker to refresh; retry shortly",
-                status=503,
-                code=ErrorCode.RETRY_LATER,
-                retry_after=self.retry_after_hint,
-            )
-        status, body = first
-        body["refreshed_workers"] = refreshed
-        if stale:
-            body["stale_workers"] = sorted(stale)
-        return status, body
 
     # -------------------------------------------------------------- #
     # shutdown

@@ -144,15 +144,13 @@ class LatencyHistogram:
 class RouteLatencyRegistry:
     """Thread-safe per-route :class:`LatencyHistogram` map.
 
-    The HTTP handler records every request under its normalized route
-    label (:func:`repro.service.api.route_label`).  Distinct labels are
-    capped: past ``max_routes`` new labels collapse into ``"other"`` so an
-    unmatched-path scan cannot grow the registry without bound.
+    The worker's HTTP handler records every request under its route-table
+    row's label (:attr:`repro.service.api.Route.label`), and every
+    unmatched request under ``"other"``: the table bounds the labels.
     """
 
-    def __init__(self, max_routes: int = 32) -> None:
-        """Create an empty registry holding at most ``max_routes`` labels."""
-        self.max_routes = max_routes
+    def __init__(self) -> None:
+        """Create an empty registry."""
         self._lock = threading.Lock()
         self._routes: dict[str, LatencyHistogram] = {}
 
@@ -161,9 +159,7 @@ class RouteLatencyRegistry:
         with self._lock:
             hist = self._routes.get(route)
             if hist is None:
-                if len(self._routes) >= self.max_routes:
-                    route = "other"
-                hist = self._routes.setdefault(route, LatencyHistogram())
+                hist = self._routes[route] = LatencyHistogram()
             hist.record(seconds)
 
     @property

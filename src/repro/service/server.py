@@ -6,9 +6,10 @@ metric)`` combination and one shared cross-session
 :class:`~repro.core.cache.ViewResultCache`, and serves concurrent analyst
 sessions.  :class:`SeeDBHTTPServer` exposes it as a JSON API on a stdlib
 ``ThreadingHTTPServer`` (one thread per in-flight request, no third-party
-dependencies).  Endpoints live under the versioned ``/v1`` prefix; the
-legacy unprefixed paths still answer for one release but carry a
-``Deprecation`` header.  Every error response uses the envelope
+dependencies).  Endpoints live under the versioned ``/v1`` prefix, one
+row each in :data:`repro.service.api.ROUTES`; :class:`RouteHandler`, the
+request handler both HTTP tiers share, dispatches through that table.
+Every error response uses the envelope
 ``{"error": {"code", "message", "detail"}}`` (see
 :mod:`repro.service.api` for the code catalogue):
 
@@ -76,7 +77,7 @@ import time
 from concurrent import futures
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -96,13 +97,7 @@ from repro.db.chunks import append_rows as chunk_append_rows
 from repro.db.chunks import read_manifest
 from repro.db.expressions import And, Expression, eq
 from repro.exceptions import ReproError, ServiceError, StorageError
-from repro.service.api import (
-    ErrorCode,
-    error_envelope,
-    legacy_deprecation_headers,
-    route_label,
-    split_path,
-)
+from repro.service.api import ErrorCode, Route, error_envelope, match_route
 from repro.service.coalesce import CoalesceRequest, CoalescingGateway
 from repro.service.monitor import RouteLatencyRegistry
 from repro.service.sessions import (
@@ -867,11 +862,10 @@ class RecommendationService:
                 "objects) or 'csv' (a headered CSV batch)"
             )
         if rows is not None:
-            if isinstance(rows, Mapping):
-                columns = {
-                    str(name): list(values)  # type: ignore[call-overload]
-                    for name, values in rows.items()
-                }
+            if isinstance(rows, Mapping) and all(
+                isinstance(values, list) for values in rows.values()
+            ):
+                columns = {str(name): list(values) for name, values in rows.items()}
             elif isinstance(rows, list) and all(
                 isinstance(row, Mapping) for row in rows
             ):
@@ -1061,39 +1055,117 @@ class RecommendationService:
             self._engines.clear()
 
 
-class _ServiceHandler(BaseHTTPRequestHandler):
-    """Translates HTTP requests into :class:`RecommendationService` calls."""
+class RouteHandler(BaseHTTPRequestHandler):
+    """One request in, one JSON answer out, routed by the route table.
 
-    server: "SeeDBHTTPServer"
+    The request handler both HTTP tiers share: the worker's
+    :class:`SeeDBHTTPServer` and the front end's
+    :class:`~repro.service.frontend.FrontendServer`.  It owns what they
+    have in common — keep-alive framing, the draining 503, the request
+    body, matching :data:`~repro.service.api.ROUTES` (404
+    ``unknown_route`` when no row lists the method + path), the error
+    envelope and request counting — and leaves :meth:`_serve`, the answer
+    to a matched row, to the tier.
+    """
+
+    server: "GracefulHTTPServer"
     #: Keep-alive so session replays reuse one TCP connection.
     protocol_version = "HTTP/1.1"
     #: The headers and the JSON body go out as separate writes; with Nagle
     #: on, the body would sit behind the client's delayed ACK (~40ms per
     #: request on loopback), dwarfing a cache-served recommendation.
     disable_nagle_algorithm = True
-    #: Set per-request in :meth:`_dispatch`; True for legacy unprefixed
-    #: paths, which get a ``Deprecation`` header on the response.
-    _deprecated = False
+
+    def __getattr__(self, name: str) -> Callable[[], None]:
+        """Answer every ``do_<METHOD>`` lookup with :meth:`_dispatch`.
+
+        The stdlib answers a method without a ``do_`` handler with its own
+        501 HTML page; here every method gets the route table's answer.
+        """
+        if name.startswith("do_"):
+            return self._dispatch
+        raise AttributeError(name)
 
     def log_message(self, format: str, *args: object) -> None:
         """Silence per-request stderr logging unless the server is verbose."""
         if self.server.verbose:
-            BaseHTTPRequestHandler.log_message(self, format, *args)
+            super().log_message(format, *args)
 
-    def _send(self, status: int, payload: Mapping[str, object]) -> None:
-        """Write one JSON response with correct framing."""
+    def _send(
+        self,
+        status: int,
+        payload: Mapping[str, object],
+        retry_after: float | None = None,
+    ) -> None:
+        """Count and write one JSON answer (status and headers only for HEAD)."""
         body = json.dumps(payload).encode()
+        self.server.count_request(ok=status < 400)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
-        if self._deprecated:
-            # Legacy unprefixed path: answered until the Sunset date,
-            # flagged per RFC 9745 (Deprecation: @<unix-timestamp>).
-            for name, value in legacy_deprecation_headers():
-                self.send_header(name, value)
+        if retry_after is not None:
+            self.send_header("Retry-After", f"{retry_after:g}")
         self.end_headers()
-        self.wfile.write(body)
-        self.server.service.count_request(ok=status < 400)
+        if self.command != "HEAD":
+            self.wfile.write(body)
+
+    def _dispatch(self) -> None:
+        """Answer one request of any method (every ``do_*`` lands here)."""
+        if not self.server.request_started():
+            # Draining for shutdown: answer kept-alive stragglers cleanly
+            # and drop the connection rather than leaving them hanging.
+            self.close_connection = True
+            self._send(
+                503, error_envelope(ErrorCode.SHUTTING_DOWN, "server is shutting down")
+            )
+            return
+        try:
+            self._handle(*match_route(self.command, self.path))
+        finally:
+            self.server.request_finished()
+
+    def _handle(self, route: Route | None, ident: str | None) -> None:
+        """Read the body, answer the row (404 without one), map errors."""
+        try:
+            self._read_body()
+            if route is None:
+                raise ServiceError(
+                    f"no route for {self.command} {self.path}",
+                    status=404,
+                    code=ErrorCode.UNKNOWN_ROUTE,
+                )
+            self._send(*self._serve(route, ident))
+        except ServiceError as exc:
+            self._send(exc.status, error_envelope(exc.code, str(exc)), exc.retry_after)
+        except ReproError as exc:
+            self._send(400, error_envelope(ErrorCode.INVALID_REQUEST, str(exc)))
+        except Exception as exc:  # noqa: BLE001 - a serving loop must not die
+            self._send(
+                500, error_envelope(ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}")
+            )
+
+    def _read_body(self) -> None:
+        """Drain the request body into ``self._body``.
+
+        Before any answer is written: on a keep-alive connection, unread
+        body bytes (e.g. a POST to an unmatched route) would be parsed as
+        the *next* request line.  A malformed or negative Content-Length is
+        a client error (read(-1) would block forever), not a crash.
+        """
+        self._body = b""
+        try:
+            length = int(self.headers.get("Content-Length") or 0)
+            if length < 0:
+                raise ValueError("negative")
+        except ValueError:
+            # Can't know where this request's body ends, so the
+            # connection cannot be reused either.
+            self.close_connection = True
+            raise ServiceError(
+                "invalid Content-Length header", code=ErrorCode.INVALID_LENGTH
+            ) from None
+        if length:
+            self._body = self.rfile.read(length)
 
     def _json_body(self) -> dict[str, object]:
         """Parse the drained request body as a JSON object ({} when empty)."""
@@ -1111,129 +1183,42 @@ class _ServiceHandler(BaseHTTPRequestHandler):
             )
         return payload
 
-    def _dispatch(self, method: str) -> None:
-        """Route one request; errors become JSON with appropriate status."""
-        service = self.server.service
-        parts, versioned = split_path(self.path)
-        self._deprecated = not versioned and bool(parts)
-        self._body = b""
-        if not self.server.request_started():
-            # Draining for shutdown: answer kept-alive stragglers cleanly
-            # and drop the connection rather than leaving them hanging.
+    def _serve(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        """The answer to a matched row: ``(status, payload[, retry_after])``."""
+        raise NotImplementedError
+
+
+class _ServiceHandler(RouteHandler):
+    """The worker tier: a row calls the service method it names."""
+
+    server: "SeeDBHTTPServer"
+
+    def _handle(self, route: Route | None, ident: str | None) -> None:
+        """Pass the fault points, then time the request under its row's label."""
+        # Fault points (no-ops unless SEEDB_FAULTS is configured; see
+        # repro.testing.faults): die mid-request, hang up without a
+        # response, or stall — the three ways a real worker fails that
+        # the supervisor/failover/retry layers must absorb.
+        faults.maybe_exit("kill_worker", self.path)
+        if faults.maybe_drop(self.path):
             self.close_connection = True
-            self._send(
-                503,
-                error_envelope(
-                    ErrorCode.SHUTTING_DOWN, "server is shutting down"
-                ),
-            )
             return
+        faults.maybe_delay(self.path)
+        started = time.perf_counter()
         try:
-            # Fault points (no-ops unless SEEDB_FAULTS is configured; see
-            # repro.testing.faults): die mid-request, hang up without a
-            # response, or stall — the three ways a real worker fails that
-            # the supervisor/failover/retry layers must absorb.
-            faults.maybe_exit("kill_worker", self.path)
-            if faults.maybe_drop(self.path):
-                self.close_connection = True
-                return
-            faults.maybe_delay(self.path)
-            started = time.perf_counter()
-            try:
-                self._handle_routes(method, service, parts)
-            finally:
-                service.route_latency.record(
-                    route_label(method, parts), time.perf_counter() - started
-                )
+            super()._handle(route, ident)
         finally:
-            self.server.request_finished()
-
-    def _handle_routes(self, method: str, service, parts: list[str]) -> None:
-        """The route table proper (split out of :meth:`_dispatch`)."""
-        try:
-            # Drain the body before any response is written: on a
-            # keep-alive connection, unread body bytes (e.g. a POST to an
-            # unmatched route) would be parsed as the *next* request
-            # line.  A malformed or negative Content-Length is a client
-            # error (read(-1) would block forever), not a crash.
-            try:
-                length = int(self.headers.get("Content-Length") or 0)
-                if length < 0:
-                    raise ValueError("negative")
-            except ValueError:
-                # Can't know where this request's body ends, so the
-                # connection cannot be reused either.
-                self.close_connection = True
-                raise ServiceError(
-                    "invalid Content-Length header",
-                    code=ErrorCode.INVALID_LENGTH,
-                ) from None
-            if length:
-                self._body = self.rfile.read(length)
-            if method == "GET" and parts == ["healthz"]:
-                self._send(200, service.healthz())
-            elif method == "GET" and parts == ["datasets"]:
-                self._send(200, service.describe_datasets())
-            elif method == "POST" and parts == ["datasets"]:
-                self._send(201, service.register_dataset(self._json_body()))
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "datasets"
-                and parts[2] == "append"
-            ):
-                self._send(
-                    200, service.append_dataset(parts[1], self._json_body())
-                )
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "datasets"
-                and parts[2] == "refresh"
-            ):
-                self._send(200, service.refresh_dataset(parts[1]))
-            elif method == "GET" and parts == ["stats"]:
-                self._send(200, service.stats())
-            elif method == "GET" and len(parts) == 2 and parts[0] == "sessions":
-                self._send(200, service.describe_session(parts[1]))
-            elif method == "POST" and parts == ["sessions"]:
-                self._send(201, service.create_session(self._json_body()))
-            elif (
-                method == "POST"
-                and len(parts) == 3
-                and parts[0] == "sessions"
-                and parts[2] == "recommend"
-            ):
-                self._send(200, service.recommend(parts[1], self._json_body()))
-            else:
-                self._send(
-                    404,
-                    error_envelope(
-                        ErrorCode.UNKNOWN_ROUTE,
-                        f"no route for {method} {self.path}",
-                    ),
-                )
-        except ServiceError as exc:
-            self._send(exc.status, error_envelope(exc.code, str(exc)))
-        except ReproError as exc:
-            self._send(
-                400, error_envelope(ErrorCode.INVALID_REQUEST, str(exc))
-            )
-        except Exception as exc:  # noqa: BLE001 - a serving loop must not die
-            self._send(
-                500,
-                error_envelope(
-                    ErrorCode.INTERNAL, f"{type(exc).__name__}: {exc}"
-                ),
+            # One label per row plus one for everything unmatched.
+            self.server.service.route_latency.record(
+                route.label if route else "other", time.perf_counter() - started
             )
 
-    def do_GET(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract
-        """Handle GET requests."""
-        self._dispatch("GET")
-
-    def do_POST(self) -> None:  # noqa: N802 - BaseHTTPRequestHandler contract
-        """Handle POST requests."""
-        self._dispatch("POST")
+    def _serve(self, route: Route, ident: str | None) -> tuple[Any, ...]:
+        """Call ``route.name`` with the ``{id}`` and the JSON body it takes."""
+        args: list[object] = [] if ident is None else [ident]
+        if route.request is not None:
+            args.append(self._json_body())
+        return route.status, getattr(self.server.service, route.name)(*args)
 
 
 class GracefulHTTPServer(ThreadingHTTPServer):
@@ -1291,6 +1276,9 @@ class GracefulHTTPServer(ThreadingHTTPServer):
     def _on_close(self) -> None:
         """Release owned resources; runs once, after the socket closes."""
 
+    def count_request(self, ok: bool) -> None:
+        """Tally one answered request (``ok=False`` for 4xx/5xx answers)."""
+
     def graceful_shutdown(self, timeout: float | None = 10.0) -> bool:
         """Stop accepting, drain in-flight requests, close.  Idempotent.
 
@@ -1334,6 +1322,10 @@ class SeeDBHTTPServer(GracefulHTTPServer):
         """Bind to ``address`` and attach ``service``."""
         super().__init__(address, _ServiceHandler, verbose)
         self.service = service
+
+    def count_request(self, ok: bool) -> None:
+        """Tally one answered request on the service's counters."""
+        self.service.count_request(ok)
 
     def _on_close(self) -> None:
         """Release the service's engines once the socket is closed."""

@@ -1,13 +1,16 @@
 """Contract tests for the typed ``/v1`` wire shapes (`repro.service.api`).
 
-These are pure-Python tests of the version prefix handling, the error
-envelope, and the request/response dataclasses — no server involved.
+These are pure-Python tests of the route table, the error envelope, and
+the request/response dataclasses — no server involved.
 The live end-to-end behaviour is covered by ``test_service.py`` and
 ``test_frontend.py``; this file pins the shapes themselves, which are
 stable API.
 """
 
 from __future__ import annotations
+
+import re
+from pathlib import Path
 
 import pytest
 
@@ -23,32 +26,42 @@ from repro.service.api import (
     RecommendResponse,
     RegisterDatasetRequest,
     SessionInfo,
+    ROUTES,
     error_envelope,
+    match_route,
     raise_for_error,
-    split_path,
 )
 
 
-class TestSplitPath:
-    def test_versioned_paths_strip_the_prefix(self):
-        assert split_path("/v1/sessions/abc/recommend") == (
-            ["sessions", "abc", "recommend"],
-            True,
-        )
-        assert split_path(f"{API_PREFIX}/healthz") == (["healthz"], True)
+def _route(label):
+    return next(route for route in ROUTES if route.label == label)
 
-    def test_legacy_paths_are_flagged_unversioned(self):
-        assert split_path("/healthz") == (["healthz"], False)
-        assert split_path("/sessions/abc") == (["sessions", "abc"], False)
+
+class TestRouteTable:
+    def test_rows_match_with_their_id(self):
+        recommend = _route("POST /v1/sessions/{id}/recommend")
+        assert match_route("POST", "/v1/sessions/abc/recommend") == (recommend, "abc")
+        assert recommend.path("abc") == "/v1/sessions/abc/recommend"
+        assert match_route("GET", f"{API_PREFIX}/healthz") == (_route("GET /v1/healthz"), None)
 
     def test_query_strings_and_empty_segments_drop(self):
-        assert split_path("/v1//stats?verbose=1") == (["stats"], True)
-        assert split_path("/") == ([], False)
+        assert match_route("GET", "/v1//stats?verbose=1") == (_route("GET /v1/stats"), None)
 
-    def test_version_segment_only_counts_as_prefix(self):
-        # "/sessions/v1" is a legacy path whose *second* segment happens
-        # to be the version string — it must not be treated as versioned.
-        assert split_path("/sessions/v1") == (["sessions", API_VERSION], False)
+    def test_unprefixed_paths_and_unlisted_methods_match_nothing(self):
+        assert match_route("GET", "/healthz") == (None, None)
+        assert match_route("GET", "/") == (None, None)
+        # "/sessions/v1": the version string as a later segment is no prefix.
+        assert match_route("GET", f"/sessions/{API_VERSION}") == (None, None)
+        assert match_route("DELETE", "/v1/sessions/abc") == (None, None)
+        assert match_route("GET", "/v1/sessions/abc/recommend") == (None, None)
+
+    def test_docs_headings_match_the_route_table(self):
+        text = (Path(__file__).parents[2] / "docs" / "api.md").read_text()
+        documented = {
+            f"{method} {path.replace('<id>', '{id}')}"
+            for method, path in re.findall(r"^### `([A-Z]+) (/v1/[^`]*)`", text, re.M)
+        }
+        assert documented == {route.label for route in ROUTES}
 
 
 class TestErrorEnvelope:

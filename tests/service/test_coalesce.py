@@ -415,15 +415,28 @@ class TestLatencyHistogram:
         assert rebuilt.count == hist.count
         assert rebuilt.max_seconds == pytest.approx(hist.max_seconds, abs=1e-6)
 
-    def test_registry_caps_distinct_routes(self):
-        registry = RouteLatencyRegistry(max_routes=2)
-        registry.record("GET /a", 0.001)
-        registry.record("GET /b", 0.001)
-        registry.record("GET /c", 0.001)
-        registry.record("GET /d", 0.001)
-        routes = registry.as_dict()
-        assert set(routes) == {"GET /a", "GET /b", "other"}
-        assert routes["other"]["count"] == 2
+    def test_junk_paths_leave_every_real_route_label(self):
+        """The route table bounds the labels: a path scan cannot push real
+        routes out of the latency stats."""
+        svc = _make_service()
+        server, _ = start_server(svc)
+        try:
+            with ServiceClient(*server.server_address[:2]) as client:
+                for i in range(40):
+                    assert client.request("GET", f"/junk{i}")[0] == 404
+                client.healthz()
+                session = client.create_session(dataset="census")
+                client.recommend(session.session_id)
+                routes = client.route_stats()
+        finally:
+            server.graceful_shutdown(timeout=5)
+        assert set(routes) == {
+            "other",
+            "GET /v1/healthz",
+            "POST /v1/sessions",
+            "POST /v1/sessions/{id}/recommend",
+        }
+        assert routes["other"]["count"] == 40
 
     def test_merge_route_payloads_unions_worker_samples(self):
         a, b = RouteLatencyRegistry(), RouteLatencyRegistry()

@@ -199,12 +199,22 @@ class TestFrontendRouting:
         assert excinfo.value.status == 404
         assert excinfo.value.code == ErrorCode.UNKNOWN_SESSION
 
-    def test_unknown_route_envelope(self, frontend):
-        status, _, payload = _raw_request(
-            _address(frontend), "GET", "/v1/nope"
-        )
+    @pytest.mark.parametrize(
+        "method, path",
+        [("GET", "/v1/nope")]
+        + [(m, "/v1/sessions/abc") for m in ("DELETE", "PUT", "PATCH", "OPTIONS", "HEAD")],
+    )
+    def test_unknown_route_envelope(self, frontend, method, path):
+        with ServiceClient(*_address(frontend)) as client:
+            errors = client.stats()["errors"]
+            status, headers, payload = _raw_request(_address(frontend), method, path)
+            assert client.stats()["errors"] == errors + 1
         assert status == 404
-        assert payload["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
+        assert headers["Content-Type"] == "application/json"
+        if method == "HEAD":
+            assert payload == {} and int(headers["Content-Length"]) > 0
+        else:
+            assert payload["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
 
     def test_bad_json_is_the_workers_canonical_error(self, frontend):
         conn = http.client.HTTPConnection(*_address(frontend), timeout=30)
@@ -222,19 +232,14 @@ class TestFrontendRouting:
         assert response.status == 400
         assert payload["error"]["code"] == ErrorCode.BAD_JSON
 
-    def test_legacy_unprefixed_path_carries_deprecation_header(self, frontend):
+    def test_unprefixed_path_is_an_unknown_route(self, frontend):
         status, headers, payload = _raw_request(
             _address(frontend), "GET", "/healthz"
         )
-        assert status == 200 and payload["status"] == "ok"
-        # RFC 9745 form: "@" + Unix timestamp, plus an RFC 8594 Sunset.
-        deprecation = headers.get("Deprecation", "")
-        assert deprecation.startswith("@") and deprecation[1:].isdigit()
-        assert headers.get("Sunset", "").endswith("GMT")
-        assert "successor-version" in headers.get("Link", "")
-        _, v1_headers, _ = _raw_request(_address(frontend), "GET", "/v1/healthz")
-        assert "Deprecation" not in v1_headers
-        assert "Sunset" not in v1_headers
+        assert status == 404
+        assert payload["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
+        assert "Deprecation" not in headers
+        assert "Sunset" not in headers
 
     def test_aggregate_stats_merge_workers_and_cache_tiers(self, frontend):
         with ServiceClient(*_address(frontend)) as client:

@@ -39,13 +39,13 @@ def http_service():
     svc.close()
 
 
-def _call(address, method, path, payload=None, *, versioned=True):
+def _call(address, method, path, payload=None):
     connection = http.client.HTTPConnection(*address)
     try:
         body = json.dumps(payload).encode() if payload is not None else None
         connection.request(
             method,
-            (API_PREFIX + path) if versioned else path,
+            API_PREFIX + path,
             body=body,
             headers={"Content-Type": "application/json"},
         )
@@ -195,9 +195,10 @@ class TestHTTP:
         assert status == 200 and stats["sessions"] >= 1
 
     def test_typed_client_flow(self, http_service):
-        from repro.service.api import RecommendRequest
+        from repro.service.api import ROUTES, RecommendRequest
 
         with ServiceClient(*http_service) as client:
+            before = client.route_stats() or {}
             assert client.healthz()["status"] == "ok"
             session = client.create_session(dataset="census")
             assert session.dataset == "census" and session.n_rows > 0
@@ -216,6 +217,14 @@ class TestHTTP:
             assert len(recorded["steps"]) == 1
             datasets = client.datasets()
             assert datasets[0].name == "census" and datasets[0].loaded
+            after = client.route_stats()
+        # Every endpoint the client called hit a row of the route table.
+        grown = {
+            label
+            for label, hist in after.items()
+            if hist["count"] > before.get(label, {}).get("count", 0)
+        }
+        assert grown and grown <= {route.label for route in ROUTES}
 
     def test_typed_client_raises_service_error(self, http_service):
         with ServiceClient(*http_service) as client:
@@ -224,31 +233,21 @@ class TestHTTP:
             assert excinfo.value.status == 404
             assert excinfo.value.code == ErrorCode.UNKNOWN_DATASET
 
-    def test_legacy_unprefixed_paths_served_with_deprecation(self, http_service):
-        """Pre-/v1 paths still work for one release, flagged as deprecated."""
+    def test_unprefixed_path_is_an_unknown_route(self, http_service):
         connection = http.client.HTTPConnection(*http_service)
         try:
             connection.request("GET", "/healthz")
             response = connection.getresponse()
             body = json.loads(response.read())
-            assert response.status == 200 and body["status"] == "ok"
-            # RFC 9745: Deprecation carries "@" + a Unix timestamp, not a
-            # bare boolean; RFC 8594's Sunset announces the removal date.
-            deprecation = response.headers["Deprecation"]
-            assert deprecation.startswith("@") and deprecation[1:].isdigit()
-            assert response.headers["Sunset"].endswith("GMT")
-            assert "successor-version" in response.headers["Link"]
-            # The versioned path carries no deprecation flag.
-            connection.request("GET", f"{API_PREFIX}/healthz")
-            response = connection.getresponse()
-            response.read()
-            assert response.status == 200
-            assert response.headers.get("Deprecation") is None
-            assert response.headers.get("Sunset") is None
         finally:
             connection.close()
+        assert response.status == 404
+        assert body["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
+        assert response.headers.get("Deprecation") is None
+        assert response.headers.get("Sunset") is None
 
-    def test_error_statuses(self, http_service):
+    @pytest.mark.parametrize("method", ["DELETE", "PUT", "PATCH", "OPTIONS", "HEAD"])
+    def test_error_statuses(self, http_service, method):
         status, body = _call(http_service, "GET", "/nope")
         assert status == 404 and body["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
         status, body = _call(http_service, "GET", "/sessions/missing")
@@ -266,6 +265,23 @@ class TestHTTP:
         assert status == 400
         assert body["error"]["code"] == ErrorCode.INVALID_REQUEST
         assert "bogus" in body["error"]["message"]
+        # A method no row lists: the 404 envelope (HEAD: its headers only),
+        # counted as an error like every other answer.
+        errors = _call(http_service, "GET", "/stats")[1]["errors"]
+        connection = http.client.HTTPConnection(*http_service)
+        try:
+            connection.request(method, f"{API_PREFIX}/sessions/abc")
+            response = connection.getresponse()
+            raw = response.read()
+        finally:
+            connection.close()
+        assert response.status == 404
+        assert response.headers["Content-Type"] == "application/json"
+        if method == "HEAD":
+            assert raw == b"" and int(response.headers["Content-Length"]) > 0
+        else:
+            assert json.loads(raw)["error"]["code"] == ErrorCode.UNKNOWN_ROUTE
+        assert _call(http_service, "GET", "/stats")[1]["errors"] == errors + 1
 
     def test_keepalive_survives_unrouted_post_with_body(self, http_service):
         """The body of an unmatched POST must be drained before responding.
