@@ -47,11 +47,16 @@ class TestRouteTable:
     def test_query_strings_and_empty_segments_drop(self):
         assert match_route("GET", "/v1//stats?verbose=1") == (_route("GET /v1/stats"), None)
 
-    def test_unprefixed_paths_and_unlisted_methods_match_nothing(self):
+    def test_unprefixed_paths_match_nothing(self):
         assert match_route("GET", "/healthz") == (None, None)
         assert match_route("GET", "/") == (None, None)
+
+    def test_version_segment_only_counts_as_prefix(self):
         # "/sessions/v1": the version string as a later segment is no prefix.
         assert match_route("GET", f"/sessions/{API_VERSION}") == (None, None)
+        assert match_route("POST", f"/sessions/{API_VERSION}") == (None, None)
+
+    def test_unlisted_methods_match_nothing(self):
         assert match_route("DELETE", "/v1/sessions/abc") == (None, None)
         assert match_route("GET", "/v1/sessions/abc/recommend") == (None, None)
 
