@@ -26,8 +26,8 @@ def main() -> None:
     result = seedb.recommend(
         target=spec.target_predicate(),
         k=5,
-        strategy="comb",       # sharing + phased execution + pruning
-        pruner="ci",            # Hoeffding-Serfling confidence intervals
+        strategy="comb",       # on this default engine: one exact pass
+        pruner="ci",            # validated; prunes under tuned_config(store)
     )
     print(result.describe())
     print()

@@ -21,10 +21,13 @@ one dispatcher batch.  :meth:`ExecutionEngine.run` is that loop with one
 request — a solo run is a union of one — so the serving tier's coalesced
 path and the solo path are the same code behind the same tests.
 
-Held group-bys are table state: with the §4.1 target/reference rewrite off
-(:func:`~repro.core.recommender.serving_config`), reference "all" and any
-strategy but NO_OPT, a phase folds the reference rows of its active views from
-an engine-held ``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose
+With the §4.1 target/reference rewrite off
+(:func:`~repro.core.recommender.serving_config`) there are no phases: COMB and
+COMB_EARLY are one exact full-range pass, the same bits as SHARING, whatever
+pruner they name.  Phases save the scans of low-utility views, and that engine
+holds its group-bys as table state instead: for reference "all" and any
+strategy but NO_OPT, the pass folds the reference rows of its views from an
+engine-held ``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose
 clauses each select one category of a distinct column — their target rows from
 a held ``GROUP BY X[, Y …], d`` sliced at ``(x[, y …])``; it plans filter-first
 target queries only for what is left, and fills
@@ -90,19 +93,17 @@ Strategy = Literal["no_opt", "sharing", "comb", "comb_early"]
 #: an on-disk table only; see :mod:`repro.core.procpool`).
 Parallelism = Literal["modeled", "real", "process"]
 
-#: The strategies that execute in phases and prune between them.
+#: The strategies that execute in phases and prune between them (rewrite on).
 _PHASED = ("comb", "comb_early")
 #: How many queries a run records for :attr:`EngineRun.sql` (introspection only).
 _MAX_RECORDED_SQL = 64
 #: Plan skeletons an engine keeps (least recently used out): the full view set of
 #: each restriction in use stays, a pruned active set nobody repeats ages out.
 _MAX_PLAN_SKELETONS = 32
-#: Row ranges the held state keeps (a run reads ≤ ``n_phases``); oldest out first.
-_MAX_REFERENCE_RANGES = 64
-#: Bytes the held (target columns, dimension) cells may take over every range;
-#: past it whole target column sets go, least recently used first.  Sets a
+#: Bytes the held (target columns, dimension) cells may take; past it whole
+#: target column sets go, least recently used first.  Sets a
 #: workload rotates through past it refill on every visit, slower than target
-#: queries: AIR's six scoreboard targets with nothing pruned hold 46 MB.
+#: queries: AIR's six scoreboard targets hold 6.3 MB.
 _MAX_TARGET_BYTES = 64 << 20
 
 
@@ -323,14 +324,14 @@ class ExecutionEngine:
         if config.keeps_delta_state() and isinstance(self.backend, NativeBackend):
             self.delta_cache = delta_cache if delta_cache is not None else DeltaStateCache()
             self.backend.pipeline.delta_cache = self.delta_cache
-        # Held group-bys, for one table identity: row range -> group-by columns
+        # Held group-bys over all rows of one table identity: group-by columns
         # (``(d,)`` or ``(X[, Y …], d)``) -> columns (``__codes__`` of the last
         # key, ``__offsets__`` of the others' composite code, the group count,
         # one per aggregate).  The lock serialises fills and writes; held cells
         # are read without it.
         self._reference_lock = threading.Lock()
         self._reference_identity: tuple | None = None
-        self._reference: dict[tuple[int, int], dict[tuple[str, ...], dict[str, np.ndarray]]] = {}
+        self._reference: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
         #: Target column sets (a cell's key less ``d``), least recently used first.
         self._target_columns: dict[tuple[str, ...], None] = {}
         self._reference_views_reused = 0
@@ -445,7 +446,7 @@ class ExecutionEngine:
         # optimizer decisions must not leak into an ablation baseline.
         self.store.stream_chunk_rows = self._static_chunk_rows
         self.store.dense_group_limit = None
-        use_phases = strategy in _PHASED
+        use_phases = self._phased(strategy)
         early = strategy == "comb_early" or config.early_return
         align = None
         if config.chunk_aligned_phases:
@@ -554,13 +555,13 @@ class ExecutionEngine:
                 if locked:
                     self._reference_lock.acquire()
                 try:
-                    held_range = self._held_range(start, stop) if locked else {}
+                    table_cells = self._held_state() if locked else {}
                     for entry in running:
                         request = entry.request
                         entry.active_per_phase.append(len(entry.active))
                         views, fills = list(entry.active.values()), []
                         if entry.held:
-                            views, fills = self._held_cells(entry, held_range, claimed, touched)
+                            views, fills = self._held_cells(entry, table_cells, claimed, touched)
                         plan = SharingPlan(())
                         if views:
                             plan = plan_queries(
@@ -620,7 +621,7 @@ class ExecutionEngine:
                     targets_filled = False
                     for _, plan, queries, slots in submitted:
                         for planned, (position, _) in zip(queries[len(plan) :], slots[len(plan) :]):
-                            self._hold_reference(held_range, planned, outcomes[position][0])
+                            self._hold_reference(table_cells, planned, outcomes[position][0])
                             targets_filled |= len(planned.query.group_by) >= 2
                     if targets_filled:
                         self._evict_target_columns(touched)
@@ -665,7 +666,7 @@ class ExecutionEngine:
                     for planned, (result, _) in zip(plan.queries, own):
                         self._route_result(planned, result, entry.states, request.reference_mode)
                     if entry.held:
-                        self._fold_held(entry, held_range)
+                        self._fold_held(entry, table_cells)
                     if entry.optimizer is not None:
                         entry.optimizer.observe_phase(
                             plan, [result for result, _ in own[: len(plan)]]
@@ -740,21 +741,25 @@ class ExecutionEngine:
     def make_pruner(self, strategy: Strategy, pruner: str | Pruner) -> Pruner:
         """The pruner a ``strategy`` run observes with.
 
-        Unphased strategies never prune, whatever was asked for; a name
-        picks up the engine's ``ci_delta`` / ``seed``.  An unknown name
-        raises :class:`~repro.exceptions.PruningError` — the serving tier
-        calls this before a request joins a coalescing window, so a bad
-        name is that request's error, never its co-travellers'.
+        A name picks up the engine's ``ci_delta`` / ``seed``.  An unknown name
+        raises :class:`~repro.exceptions.PruningError` even where it would go
+        unused — the serving tier calls this before a request joins a
+        coalescing window, so a bad name is that request's error, never its
+        co-travellers'.  Unphased runs (:meth:`_phased`) never prune, whatever
+        was asked for.
         """
-        if strategy not in _PHASED:
-            return make_pruner("none")
-        if isinstance(pruner, Pruner):
-            return pruner
-        if pruner.lower() == "ci":
-            return make_pruner("ci", delta=self.config.ci_delta)
-        if pruner.lower() == "random":
-            return make_pruner("random", seed=self.config.seed)
-        return make_pruner(pruner)
+        if not isinstance(pruner, Pruner):
+            name = pruner.lower()
+            options = {"ci": {"delta": self.config.ci_delta}, "random": {"seed": self.config.seed}}
+            pruner = make_pruner(name, **options.get(name, {}))
+        return pruner if self._phased(strategy) else make_pruner("none")
+
+    def _phased(self, strategy: Strategy) -> bool:
+        """Whether a ``strategy`` run executes in phases and prunes between them.
+        Phases save the scans of low-utility views; without the §4.1 rewrite the
+        engine holds its group-bys, a phase would only re-fold them, and every
+        strategy is one exact full-range pass."""
+        return strategy in _PHASED and self.config.combine_target_reference
 
     def _strategy_config(self, strategy: Strategy) -> EngineConfig:
         """Per-strategy engine knobs, derived from the base config."""
@@ -771,20 +776,15 @@ class ExecutionEngine:
             return self.config
         raise RecommendationError(f"unknown strategy {strategy!r}")
 
-    def _held_range(self, start: int, stop: int) -> dict[tuple[str, ...], dict[str, np.ndarray]]:
-        """State of rows ``[start, stop)`` (lock held); all is dropped first if
-        the table's identity moved.  Callers keep the dict: eviction-safe."""
+    def _held_state(self) -> dict[tuple[str, ...], dict[str, np.ndarray]]:
+        """The held cells (lock held); all is dropped first if the table's
+        identity moved.  Callers keep the dict: eviction replaces it."""
         table = self.store.table
         identity = (table.version, table.nrows, table.source_digest)
         if identity != self._reference_identity:
             self._reference_identity, self._reference = identity, {}
             self._target_columns = {}
-        held_range = self._reference.get((start, stop))
-        if held_range is None:
-            while len(self._reference) >= _MAX_REFERENCE_RANGES:
-                del self._reference[next(iter(self._reference))]
-            held_range = self._reference[(start, stop)] = {}
-        return held_range
+        return self._reference
 
     def _category_conjunction(
         self, predicate: Expression
@@ -844,7 +844,7 @@ class ExecutionEngine:
         return (*others, dimension), prefix, own
 
     def _held_cells(
-        self, entry: _LiveRequest, held_range: dict, claimed: set, touched: set
+        self, entry: _LiveRequest, held: dict, claimed: set, touched: set
     ) -> tuple[list[AggregateView], list[PlannedQuery]]:
         """Split ``entry``'s active views between held cells and target queries
         (lock held): every view reads its reference side from ``(d,)`` and, where
@@ -860,7 +860,7 @@ class ExecutionEngine:
             cell = (key, view.agg_alias)
             if cell in mine:
                 return 0
-            if cell in claimed or view.agg_alias in held_range.get(key, ()):
+            if cell in claimed or view.agg_alias in held.get(key, ()):
                 return 1
             claimed.add(cell)
             mine.add(cell)
@@ -891,13 +891,13 @@ class ExecutionEngine:
         name, budget = self.meta.name, self.config.group_budget()
         return queried, [plan_fill(key, views, name, budget) for key, views in missing.items()]
 
-    def _hold_reference(self, held_range: dict, fill: PlannedQuery, result: QueryResult) -> None:
+    def _hold_reference(self, held: dict, fill: PlannedQuery, result: QueryResult) -> None:
         """Keep one fill's columns (lock held); group keys are decoded once.
         Groups come sorted by their keys, so ``__offsets__`` bound the slice of
         each composite code of all keys but the last (of a one-key cell's key:
         one group)."""
         key = fill.query.group_by
-        columns = held_range.setdefault(key, {})
+        columns = held.setdefault(key, {})
         if not columns:
             table = self.store.table
             codes = [
@@ -918,13 +918,12 @@ class ExecutionEngine:
     def _evict_target_columns(self, keep: set[tuple[str, ...]]) -> None:
         """Drop whole target column sets, least recently used first and never one
         in ``keep``, until the held target cells fit ``_MAX_TARGET_BYTES`` (lock
-        held).  Range dicts are replaced, not mutated: a reader keeps the one it
-        planned on."""
+        held).  The held dict is replaced, not mutated: a request folding without
+        the lock keeps the one it planned on."""
         sizes: dict[tuple[str, ...], int] = {}
-        for held_range in self._reference.values():
-            for key, columns in held_range.items():
-                if len(key) > 1:
-                    sizes[key[:-1]] = sizes.get(key[:-1], 0) + _nbytes(columns)
+        for key, columns in self._reference.items():
+            if len(key) > 1:
+                sizes[key[:-1]] = sizes.get(key[:-1], 0) + _nbytes(columns)
         total = sum(sizes.values())
         evicted = set()
         for column_set in list(self._target_columns):
@@ -936,15 +935,12 @@ class ExecutionEngine:
                 del self._target_columns[column_set]
         if evicted:
             self._reference = {
-                row_range: {
-                    key: columns
-                    for key, columns in held_range.items()
-                    if len(key) == 1 or key[:-1] not in evicted
-                }
-                for row_range, held_range in self._reference.items()
+                key: columns
+                for key, columns in self._reference.items()
+                if len(key) == 1 or key[:-1] not in evicted
             }
 
-    def _fold_held(self, entry: _LiveRequest, held_range: dict) -> None:
+    def _fold_held(self, entry: _LiveRequest, held: dict) -> None:
         """The split path's updates for ``entry``'s active views from held cells,
         one stack per state table: the reference side from ``(d,)``, and the
         target side from :meth:`_target_cell`'s cell sliced at the composite code
@@ -956,7 +952,7 @@ class ExecutionEngine:
         for state, views in grouped.items():
             rows = np.array([state.rows[view.key] for view in views])
             dimension = views[0].dimension
-            columns = held_range[(dimension,)]
+            columns = held[(dimension,)]
             state.reference.update(
                 rows,
                 columns["__codes__"],
@@ -966,7 +962,7 @@ class ExecutionEngine:
             cell = entry.cells.get(dimension)
             if cell and cell[0]:
                 key, prefix, own = cell
-                columns = held_range[key]
+                columns = held[key]
                 lo, hi = columns["__offsets__"][prefix : prefix + 2]
                 if own is not None:
                     lo, hi = lo + np.searchsorted(columns["__codes__"][lo:hi], (own, own + 1))
@@ -982,13 +978,10 @@ class ExecutionEngine:
         ``bytes`` of reference cells, ``target_bytes`` of (target columns,
         dimension) cells.  Lock-free — a fill holds the lock for a scan: each
         ``list`` is an atomic copy."""
-        ranges = list(self._reference.values())
         sizes = [0, 0]
-        for held_range in ranges:
-            for key, columns in list(held_range.items()):
-                sizes[len(key) > 1] += _nbytes(columns)
+        for key, columns in list(self._reference.items()):
+            sizes[len(key) > 1] += _nbytes(columns)
         return {
-            "ranges": len(ranges),
             "bytes": sizes[0],
             "views_reused": self._reference_views_reused,
             "target_bytes": sizes[1],

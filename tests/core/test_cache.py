@@ -659,7 +659,7 @@ class TestTieredViewResultCache:
         requests = [
             (E.eq("marital", "Unmarried"), "comb", "ci"),
             (E.And((E.eq("sex", "F"), E.eq("marital", "Married"))), "sharing", "none"),
-            (E.eq("marital", "Unmarried"), "sharing", "none"),
+            (E.eq("sex", "M"), "sharing", "none"),
         ]
         uncached = _engine(census_like, enabled=False, combine_target_reference=combine)
         tier = FileCacheTier(tmp_path / "l2")

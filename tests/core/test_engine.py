@@ -16,6 +16,7 @@ from repro.core import engine as engine_module
 from repro.core import sharing as sharing_module
 from repro.core.engine import ExecutionEngine, UnionRequest
 from repro.core.phases import phase_ranges
+from repro.core.recommender import tuned_config
 from repro.core.view import AggregateView, ViewSpace
 from repro.data import build_info
 from repro.db.catalog import TableMeta
@@ -217,6 +218,7 @@ class TestPruningIntegration:
 _ALL_TIED = """
 import json
 from repro import SeeDB
+from repro.core.recommender import tuned_config
 from repro.data import build_info
 from repro.db.catalog import TableMeta
 from repro.db.expressions import eq
@@ -224,7 +226,7 @@ from repro.db.expressions import eq
 table, _ = build_info("census", scale="smoke", seed=7)
 target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
 out = {}
-with SeeDB.over_table(table, store="col") as seedb:
+with SeeDB.over_table(table, store="col", config=tuned_config("col")) as seedb:
     for strategy, pruner in (("sharing", "none"), ("comb", "random"), ("comb", "mab")):
         run = seedb.run_engine(target, k=5, strategy=strategy, pruner=pruner)
         assert set(run.utilities.values()) == {0.0}
@@ -240,7 +242,8 @@ class TestTiesRankInViewOrder:
     def test_all_tied_selects_the_first_k_views(self):
         table, _ = build_info("census", scale="smoke", seed=7)
         target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
-        with SeeDB.over_table(table, store="col") as seedb:
+        # The paper's config: only with the rewrite on does COMB prune.
+        with SeeDB.over_table(table, store="col", config=tuned_config("col")) as seedb:
             keys = [view.key for view in seedb.view_space()]
             run = seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
             assert set(run.utilities.values()) == {0.0}
@@ -345,10 +348,11 @@ HELD_LEGS = (("sharing", "none"), ("comb", "ci"))
         for optimizer in (False, True)
         for result_cache in (False, True)
         for rewrite in (True, False)
-        # Held legs (the suite has a ceiling): one unphased and one phased
-        # strategy — NO_OPT never is held, and test_reference_state.py holds
-        # comb+mab and comb_early unions to fresh solo runs — with cache x
-        # optimizer on its diagonal, so each value of both meets the path.
+        # Held legs (the suite has a ceiling): SHARING and COMB — one exact pass
+        # each without the rewrite; NO_OPT never is held, and
+        # test_reference_state.py holds every other pair to SHARING's bits —
+        # with cache x optimizer on its diagonal, so each value of both meets
+        # the path.
         if rewrite or ((strategy, pruner) in HELD_LEGS and result_cache == optimizer)
     ],
 )
@@ -480,8 +484,12 @@ def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypat
         # Two plans, one kept skeleton (each check builds its own from scratch).
         assert planned == [n_views] * 2 and built == [n_views] * 3
         pruned = [seedb.run_engine(target, k=3, strategy="comb", pruner="ci") for target in targets]
-        assert any(len(set(run.active_per_phase)) > 2 for run in pruned)
-        assert len(seedb.engine._planning[1]) == 3 < len(set(built))
+        phased = config.combine_target_reference
+        if phased:
+            assert any(len(set(run.active_per_phase)) > 2 for run in pruned)
+            assert len(seedb.engine._planning[1]) == 3 < len(set(built))
+        else:  # one exact pass: the whole view set's kept plan
+            assert [run.active_per_phase for run in pruned] == [[n_views]] * 2
         for mode, reference in (("complement", None), ("query", targets[1])):
             seedb.run_engine(
                 targets[0], k=3, strategy="sharing", pruner="none",
@@ -490,7 +498,7 @@ def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypat
             )
         kept = seedb.engine._planning[1]
         seedb.engine.meta = TableMeta.of(table)
-        assert len(kept) == 3 and len(seedb.engine._planning[1]) == 0
+        assert len(kept) == (3 if phased else 2) and len(seedb.engine._planning[1]) == 0
 
 
 def _example_metric():
@@ -542,7 +550,9 @@ def test_the_stacked_entry_point_answers_as_one_call_per_view(name):
     for strategy, pruner in (("sharing", "none"), ("comb", "ci")):
         runs = []
         for candidate in (Counted(), _OneCallPerView(metric)):
-            with SeeDB.over_table(table, store="col", metric=candidate) as seedb:
+            with SeeDB.over_table(
+                table, store="col", metric=candidate, config=tuned_config("col")
+            ) as seedb:
                 runs.append(
                     seedb.run_engine(spec.target_predicate(), k=5, strategy=strategy, pruner=pruner)
                 )

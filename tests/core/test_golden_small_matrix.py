@@ -12,7 +12,10 @@ is checked against the run's own utilities under the view-order tie rule.
 The eight ``row/split2`` legs with reference "all" that sharing or pruning
 runs were recorded again when the reference side became table state: their
 bin-packed reference queries became single-dimension fills, which moved
-last bits of the reference distributions and nothing else.
+last bits of the reference distributions and nothing else.  The 32
+``split2`` legs of ``comb`` and ``comb_early`` were recorded again when
+those strategies became one exact pass without the rewrite (no phases, no
+pruning); every other line stayed as it was.
 Regenerate (only when a change is *meant* to move results) with
 ``PYTHONPATH=src python tests/core/test_golden_small_matrix.py``.
 """

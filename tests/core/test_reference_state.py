@@ -3,14 +3,14 @@
 ``golden_reference_state.json`` was recorded at the commit *before* the
 engine kept any reference state, with ``combine_target_reference=False``
 passed explicitly — that commit's split path, one target-free reference
-query per request, phase and dimension, is the oracle: the six
-``engine_resident`` AIR targets at 300 000 rows (``comb`` + CI, k=5) and a
-census/bank matrix at smoke scale (col tuned; row without bin packing; AVG
-and all five functions; sharing, comb+ci, comb+mab, comb_early).  Per leg it
-holds ``selected``, the utilities as float hex (a digest of them for the
-matrix), a digest of the distributions and ``active_per_phase``.  The legs of
-one group share one ``SeeDB``, so at this commit all but the first read
-reference rows another target, strategy or pruning history filled.
+query per request and dimension, is the oracle: a census/bank matrix at smoke
+scale (col tuned; row without bin packing; AVG and all five functions) of
+``sharing`` runs, k=5.  Per leg it holds ``selected``, a digest of the
+utilities as float hex, a digest of the distributions and
+``active_per_phase``.  Its ``comb`` and ``comb_early`` legs went when those
+strategies became one exact pass without the rewrite: on the same ``SeeDB``
+every strategy/pruner pair now answers with the ``sharing`` leg's bits, each
+reading reference rows another strategy filled.
 
 Recording it again at this commit would pin the engine to itself; the
 ``__main__`` block is there to be run from a checkout of that parent.
@@ -46,7 +46,6 @@ GOLDEN = Path(__file__).with_name("golden_reference_state.json")
 K = 5
 #: ``benchmarks/scoreboard/workloads.py``: ENGINE_TARGET_DIMS and its row count.
 AIR_TARGET_DIMS = ("carrier", "month", "dest_state", "day_of_week", "distance_group")
-AIR_ROWS = 300_000
 FUNCS = {"avg": (AggregateFunction.AVG,), "all5": tuple(AggregateFunction)}
 PAIRS = (("sharing", "none"), ("comb", "ci"), ("comb", "mab"), ("comb_early", "ci"))
 
@@ -62,7 +61,7 @@ def _most_frequent(table, column: str):
     return eq(column, categories[int(np.argmax(np.bincount(codes)))].item())
 
 
-def _record(leg: str, run, hex_utilities: bool) -> dict[str, object]:
+def _record(leg: str, run) -> dict[str, object]:
     digest = hashlib.sha256()
     for key in sorted(run.distributions):
         dists = run.distributions[key]
@@ -75,29 +74,18 @@ def _record(leg: str, run, hex_utilities: bool) -> dict[str, object]:
     return {
         "leg": leg,
         "selected": [list(key) for key in run.selected],
-        "utilities": (
-            utilities
-            if hex_utilities
-            else hashlib.sha256(json.dumps(utilities).encode()).hexdigest()
-        ),
+        "utilities": hashlib.sha256(json.dumps(utilities).encode()).hexdigest(),
         "distributions_sha256": digest.hexdigest(),
         "active_per_phase": run.active_per_phase,
     }
 
 
-def records(air_table, config_for) -> list[dict[str, object]]:
-    """Run every leg; ``config_for(store)`` is the config under test."""
-    out = []
-    targets = [registry.spec("air").target_predicate()]
-    targets += [_most_frequent(air_table, dim) for dim in AIR_TARGET_DIMS]
-    with SeeDB.over_table(air_table, store="col", config=config_for("col")) as seedb:
-        for target in targets:
-            run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
-            out.append(_record(f"air/{target.to_sql()}", run, hex_utilities=True))
+def groups(config_for):
+    """``(leg, run(strategy, pruner))`` per group of the matrix, its ``SeeDB``
+    open; ``config_for(store)`` is the config under test."""
     for dataset in ("census", "bank"):
         table, spec = build_info(dataset, scale="smoke", seed=7)
         meta = TableMeta.of(table)
-        targets = (spec.target_predicate(), _most_frequent(table, meta.dimensions[0]))
         for store in ("col", "row"):
             for funcs_name, funcs in FUNCS.items():
                 # Five functions over three measures: 150-165 views, not 385.
@@ -105,24 +93,48 @@ def records(air_table, config_for) -> list[dict[str, object]]:
                 with SeeDB.over_table(
                     table, store=store, config=config_for(store), funcs=funcs
                 ) as seedb:
-                    for i, (strategy, pruner) in enumerate(PAIRS):
-                        run = seedb.run_engine(
-                            targets[i % 2], k=K, strategy=strategy, pruner=pruner,
+
+                    def run(strategy, pruner):
+                        return seedb.run_engine(
+                            spec.target_predicate(), k=K, strategy=strategy, pruner=pruner,
                             measures=measures,
                         )
-                        leg = f"{dataset}/{store}/{funcs_name}/{strategy}/{pruner}/target{i % 2}"
-                        out.append(_record(leg, run, hex_utilities=False))
-    return out
+
+                    yield f"{dataset}/{store}/{funcs_name}/sharing/none/target0", run
 
 
-def test_the_default_matches_the_parents_split_path(air_300k):
+def records(config_for) -> list[dict[str, object]]:
+    """Run every leg."""
+    return [_record(leg, run("sharing", "none")) for leg, run in groups(config_for)]
+
+
+def test_the_default_matches_the_parents_split_path():
     """Col legs run the default config (``config=None``): held reference rows
-    folded from table state equal per-request reference queries bit for bit."""
+    folded from table state equal per-request reference queries bit for bit.
+    Without the rewrite every other strategy/pruner pair is one exact pass: on
+    the same ``SeeDB`` it returns the ``sharing`` leg's bits."""
     expected = json.loads(GOLDEN.read_text())
-    got = records(air_300k, lambda store: None if store == "col" else split_config(store))
+    got = []
+    for leg, run in groups(lambda store: None if store == "col" else split_config(store)):
+        runs = [run(strategy, pruner) for strategy, pruner in PAIRS]
+        got.append(_record(leg, runs[0]))
+        assert [_bits(other) for other in runs[1:]] == [_bits(runs[0])] * 3, leg
+        assert {other.pruner_name for other in runs} == {"none"}
     assert [r["leg"] for r in got] == [r["leg"] for r in expected]
     for want, have in zip(expected, got):
         assert have == want, want["leg"]
+
+
+def test_comb_on_a_held_engine_is_exact(air_300k):
+    """``engine_resident``'s six AIR targets: ``comb`` + CI on the default
+    engine returns the true top-k, which phased pruning missed on one of them."""
+    targets = [registry.spec("air").target_predicate()]
+    targets += [_most_frequent(air_300k, dim) for dim in AIR_TARGET_DIMS]
+    with SeeDB.over_table(air_300k, store="col") as seedb:
+        for target in targets:
+            run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
+            assert run.phases_executed == 1 and run.pruner_name == "none"
+            assert run.selected == seedb.true_top_k(target, K).selected, target
 
 
 # --------------------------------------------------------------------------- #
@@ -209,16 +221,14 @@ def test_answers_do_not_depend_on_request_history(census, seed):
             assert answers[i] == _fresh_answer(table, ask, funcs=funcs), i
 
         with SeeDB.over_table(table, store="col", funcs=funcs) as full:
-            for strategy in ("sharing", "comb"):
-                for target in (asks[0][0], asks[1][0], asks[2][0]):
-                    full.run_engine(target, k=5, strategy=strategy, pruner="none")
-            for row_range, held_range in seedb.engine._reference.items():
-                for group_by, columns in held_range.items():
-                    whole = full.engine._reference[row_range][group_by]
-                    assert {"__codes__", "__offsets__", "__group_count__"} < set(columns)
-                    assert set(columns) <= set(whole)
-                    for name, column in columns.items():
-                        assert column.tobytes() == whole[name].tobytes(), (group_by, name)
+            for target in (asks[0][0], asks[1][0], asks[2][0]):
+                full.run_engine(target, k=5, strategy="sharing", pruner="none")
+            for group_by, columns in seedb.engine._reference.items():
+                whole = full.engine._reference[group_by]
+                assert {"__codes__", "__offsets__", "__group_count__"} < set(columns)
+                assert set(columns) <= set(whole)
+                for name, column in columns.items():
+                    assert column.tobytes() == whole[name].tobytes(), (group_by, name)
 
 
 def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch):
@@ -236,11 +246,9 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
 
         snapshots: list[dict[str, int]] = []
 
-        def spy(held_range, fill, result):
-            filled.extend(
-                (id(held_range), fill.query.group_by, spec.alias) for spec in fill.query.aggregates
-            )
-            hold(held_range, fill, result)
+        def spy(held, fill, result):
+            filled.extend((fill.query.group_by, spec.alias) for spec in fill.query.aggregates)
+            hold(held, fill, result)
             # A fill in flight holds the lock for its whole scan; what
             # ``GET /v1/stats`` reads must not wait for it (the lock is not
             # re-entrant: waiting here would never return).
@@ -272,9 +280,9 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
         held_bytes = [snapshot["bytes"] for snapshot in snapshots]
         assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
         assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]
-        # 40 views x (10 phase ranges + the full range) x (the reference side
-        # and three target column sets), each filled once.
-        assert len(filled) <= 40 * 11 * 4
+        # 40 views x (the reference side and three target column sets), each
+        # filled once.
+        assert len(filled) <= 40 * 4
 
 
 def test_a_new_table_identity_drops_the_state(census, tmp_path):
@@ -311,27 +319,6 @@ def test_a_new_table_identity_drops_the_state(census, tmp_path):
         assert run(seedb).stats.reference_views_reused > 0
 
 
-def test_the_range_cap_evicts_and_refills(census, monkeypatch):
-    table, spec = census
-    target = spec.target_predicate()
-
-    def run(seedb, strategy, pruner):
-        return seedb.run_engine(target, k=5, strategy=strategy, pruner=pruner)
-
-    with SeeDB.over_table(table, store="col") as uncapped:
-        want = [_bits(run(uncapped, "comb", "ci")), _bits(run(uncapped, "sharing", "none"))]
-    monkeypatch.setattr(engine_module, "_MAX_REFERENCE_RANGES", 3)
-    with SeeDB.over_table(table, store="col") as seedb:
-        phased = [run(seedb, "comb", "ci") for _ in range(2)]
-        # Ten phase ranges through a cap of three, oldest first out: each is
-        # gone again before the next run reads it.
-        assert [r.stats.reference_views_reused for r in phased] == [0, 0]
-        assert seedb.engine.reference_state()["ranges"] == 3
-        whole = [run(seedb, "sharing", "none") for _ in range(2)]
-        assert [r.stats.reference_views_reused for r in whole] == [0, 40]
-        assert [_bits(phased[1]), _bits(whole[1])] == want
-
-
 def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
     """Fig. 9's shape — NO_OPT, SHARING, NO_OPT on one ``SeeDB`` — and the
     parent's plans for "complement" and "query"."""
@@ -347,11 +334,11 @@ def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
             return seedb.engine.reference_state()
 
         assert no_opt() == dict.fromkeys(
-            ("ranges", "bytes", "views_reused", "target_bytes", "target_views_reused"), 0
+            ("bytes", "views_reused", "target_bytes", "target_views_reused"), 0
         )
         seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
         held = seedb.engine.reference_state()
-        assert held["ranges"] == 1 and held["bytes"] > 0
+        assert held["bytes"] > 0
         assert no_opt() == held
 
         reference = _most_frequent(table, seedb.meta.dimensions[1])
@@ -453,18 +440,15 @@ def test_a_held_one_category_target_equals_the_filter_first_path(census, store, 
         table, store=store, config=config, funcs=funcs
     ) as oracle:
         for target in _held_targets(table):
-            for strategy, pruner in (("comb", "ci"), ("sharing", "none")):
-                want, want_states = _run_with_states(
-                    oracle, _filter_first(target), strategy, pruner, measures=measures
-                )
-                assert want.stats.queries_issued > 0 == want.stats.target_views_reused
-                for warm in (False, True):
-                    run, states = _run_with_states(
-                        held, target, strategy, pruner, measures=measures
-                    )
-                    assert (_bits(run), states) == (_bits(want), want_states)
-                    assert (run.stats.queries_issued == 0) == warm
-                    assert run.stats.target_views_reused > 0 or not warm
+            want, want_states = _run_with_states(
+                oracle, _filter_first(target), "comb", "ci", measures=measures
+            )
+            assert want.stats.queries_issued > 0 == want.stats.target_views_reused
+            for warm in (False, True):
+                run, states = _run_with_states(held, target, "comb", "ci", measures=measures)
+                assert (_bits(run), states) == (_bits(want), want_states)
+                assert (run.stats.queries_issued == 0) == warm
+                assert run.stats.target_views_reused > 0 or not warm
         assert held.engine.reference_state()["target_bytes"] > 0
         assert oracle.engine.reference_state()["target_bytes"] == 0
 
@@ -503,7 +487,7 @@ def test_a_view_on_the_target_column_reads_the_reference_cell(census):
         for columns in ([column], [column, other]):
             target = _conjunction(table, columns, [0, 1])
             run = seedb.run_engine(target, k=K, strategy="sharing", pruner="none")
-            held = seedb.engine._reference[(0, table.nrows)]
+            held = seedb.engine._reference
             assert (column,) in held and all(len(set(key)) == len(key) for key in held)
             for key, dists in run.distributions.items():
                 if key[0] in columns:
@@ -600,12 +584,9 @@ def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
             filled: list[tuple] = []
             hold = seedb.engine._hold_reference
 
-            def spy(held_range, fill, result):
-                filled.extend(
-                    (id(held_range), fill.query.group_by, spec.alias)
-                    for spec in fill.query.aggregates
-                )
-                hold(held_range, fill, result)
+            def spy(held, fill, result):
+                filled.extend((fill.query.group_by, spec.alias) for spec in fill.query.aggregates)
+                hold(held, fill, result)
 
             seedb.engine._hold_reference = spy
             before = dict(seedb.engine.executed_totals)
@@ -616,15 +597,15 @@ def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
                 name: total - before[name] for name, total in seedb.engine.executed_totals.items()
             }
         assert len(filled) == len(set(filled))
-        assert any(len(key) == width + 1 for _, key, _ in filled)
+        assert any(len(key) == width + 1 for key, _ in filled)
         stats = [run.stats for run in runs]
         assert executed == {
             "queries_executed": sum(s.queries_issued for s in stats),
             "rows_scanned": sum(s.rows_scanned for s in stats),
             "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
         }
-        # The first combination fills phase 0's cells; the second reads every one.
-        assert stats[1].target_views_reused >= runs[1].active_per_phase[0]
+        # The first combination fills the cells; the second reads every one.
+        assert stats[1].target_views_reused == runs[1].active_per_phase[0]
         for run, target in zip(runs, targets):
             assert _bits(run) == _fresh_answer(table, (target, None, None, K, "comb", "ci"))
 
@@ -697,7 +678,7 @@ def test_the_byte_bound_evicts_whole_target_columns(census, monkeypatch):
             assert sorted(seedb.engine._target_columns) == column_sets
             if len(columns) > 1:
                 assert seedb.engine.reference_state()["target_bytes"] > one_column
-            held = seedb.engine._reference[(0, table.nrows)]
+            held = seedb.engine._reference
             assert sorted({key[:-1] for key in held if len(key) > 1}) == column_sets
             assert _bits(run) == _bits(
                 oracle.run_engine(_filter_first(target), k=K, strategy="sharing", pruner="none")
@@ -720,5 +701,5 @@ def test_the_sqlite_backend_fills_the_same_cells(census):
 
 
 if __name__ == "__main__":
-    recorded = records(registry.build("air", n_rows=AIR_ROWS), split_config)
+    recorded = records(split_config)
     GOLDEN.write_text(",\n".join(json.dumps(r) for r in recorded).join(("[\n", "\n]\n")))

@@ -265,6 +265,12 @@ class TestHTTP:
         assert status == 400
         assert body["error"]["code"] == ErrorCode.INVALID_REQUEST
         assert "bogus" in body["error"]["message"]
+        # A pruner name is checked even where the strategy would not use it.
+        status, body = _call(
+            http_service, "POST", f"/sessions/{sid}/recommend",
+            {"strategy": "sharing", "pruner": "bogus"},
+        )
+        assert status == 400 and "unknown pruner" in body["error"]["message"]
         # A method no row lists: the 404 envelope (HEAD: its headers only),
         # counted as an error like every other answer.
         errors = _call(http_service, "GET", "/stats")[1]["errors"]

@@ -12,9 +12,10 @@ Coverage math (the acceptance bar is >= 200 randomized engine runs):
   cases, two engine runs each — 12 x 3 x 3 x 2 = 216 runs (the native
   side runs the shared-scan batch path, its default) — and, for SHARING and
   COMB, two more with the target/reference rewrite off (12 x 2 x 3 x 2 =
-  144): split native vs split SQLite, and split native vs *combined* SQLite,
-  so the engine-held reference side (reference "all") meets an oracle that
-  shares neither its plan nor its fold.
+  144): split native vs split SQLite, and split native vs *combined* SQLite
+  (SHARING: without the rewrite COMB is one exact pass), so the engine-held
+  reference side (reference "all") meets an oracle that shares neither its
+  plan nor its fold.
 * ``test_differential_real_parallelism`` adds 8 x 2 = 16 runs through the
   thread-pool dispatcher (per-thread sqlite connections).
 * ``test_differential_comb_early`` adds 6 x 2 = 12 early-return runs.
@@ -172,14 +173,16 @@ def test_differential_engine_run(seed, strategy, ref_mode):
     # queries, and for reference "all" the engine-held reference side.  SQLite
     # running the same split plan is one oracle; SQLite running the *combined*
     # plan is the other — a planning or fold bug is engine-side, identical on
-    # both backends, and only the second sees it.
+    # both backends, and only the second sees it.  Without the rewrite COMB is
+    # one exact pass, so the combined oracle is SHARING.
     split = _run(table, "native", strategy, ref_mode, combine_target_reference=False)
     _assert_equivalent(
         split, _run(table, "sqlite", strategy, ref_mode, combine_target_reference=False)
     )
-    assert split.selected == sqlite.selected
-    assert split.phases_executed == sqlite.phases_executed
-    for key, value in sqlite.utilities.items():
+    combined = sqlite if strategy == "sharing" else _run(table, "sqlite", "sharing", ref_mode)
+    assert split.selected == combined.selected
+    assert split.phases_executed == combined.phases_executed == 1
+    for key, value in combined.utilities.items():
         assert split.utilities[key] == pytest.approx(value, rel=1e-9, abs=1e-9)
 
 
