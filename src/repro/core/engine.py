@@ -22,17 +22,16 @@ request — a solo run is a union of one — so the serving tier's coalesced
 path and the solo path are the same code behind the same tests.
 
 With the §4.1 target/reference rewrite off
-(:func:`~repro.core.recommender.serving_config`) there are no phases: COMB and
-COMB_EARLY are one exact full-range pass, the same bits as SHARING, whatever
-pruner they name.  Phases save the scans of low-utility views, and that engine
-holds its group-bys as table state instead: for reference "all" and any
-strategy but NO_OPT, the pass folds the reference rows of its views from an
-engine-held ``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose
-clauses each select one category of a distinct column — their target rows from
-a held ``GROUP BY X[, Y …], d`` sliced at ``(x[, y …])``; it plans filter-first
-target queries only for what is left, and fills
-what is missing with one query per cell in the same batch (identity, bounds
-and locking: ``docs/architecture.md``, "Held group-bys").
+(:func:`~repro.core.recommender.serving_config`) there are no phases — COMB
+and COMB_EARLY are one exact pass, SHARING's bits, whatever pruner they name —
+and group-bys are held table state: for reference "all" and any strategy but
+NO_OPT, the pass folds the reference rows of its views from an engine-held
+``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose clauses each
+select one category of a distinct column — their target rows from a held
+``GROUP BY X[, Y …], d`` sliced at ``(x[, y …])``; it plans filter-first target
+queries only for what is left, and fills what is missing with one query per
+cell in the same batch (identity, bounds and locking: ``docs/architecture.md``,
+"Held group-bys").
 
 Every run returns an :class:`EngineRun` carrying the ranked views, their
 distributions, full execution accounting, and the cost model's latency.
@@ -453,6 +452,9 @@ class ExecutionEngine:
             # The same grid stream_ranges() scans on — aligning to anything
             # else would let a phase boundary split a streamed chunk.
             align = self.store.effective_stream_chunk_rows()
+        # Before the row count: a held run is one range (phases need the rewrite)
+        # and holds cells only under the table identity it read.
+        identity = self._table_identity()
         ranges = (
             phase_ranges(self.store.nrows, config.n_phases, align=align)
             if use_phases
@@ -555,7 +557,10 @@ class ExecutionEngine:
                 if locked:
                     self._reference_lock.acquire()
                 try:
-                    table_cells = self._held_state() if locked else {}
+                    table_cells = self._held_state(identity) if locked else {}
+                    if table_cells is None:  # the table moved: split path, hold nothing
+                        for entry in running:
+                            entry.held, entry.cells = False, {}
                     for entry in running:
                         request = entry.request
                         entry.active_per_phase.append(len(entry.active))
@@ -739,14 +744,11 @@ class ExecutionEngine:
     # ------------------------------------------------------------------ #
 
     def make_pruner(self, strategy: Strategy, pruner: str | Pruner) -> Pruner:
-        """The pruner a ``strategy`` run observes with.
-
-        A name picks up the engine's ``ci_delta`` / ``seed``.  An unknown name
-        raises :class:`~repro.exceptions.PruningError` even where it would go
-        unused — the serving tier calls this before a request joins a
-        coalescing window, so a bad name is that request's error, never its
-        co-travellers'.  Unphased runs (:meth:`_phased`) never prune, whatever
-        was asked for.
+        """The pruner a ``strategy`` run observes with: ``"none"`` unless it is
+        :meth:`_phased`; a name picks up the engine's ``ci_delta`` / ``seed``.
+        An unknown name raises :class:`~repro.exceptions.PruningError` even if
+        unused — the serving tier calls this before a request joins a coalescing
+        window, so a bad name is that request's error, never its co-travellers'.
         """
         if not isinstance(pruner, Pruner):
             name = pruner.lower()
@@ -755,10 +757,8 @@ class ExecutionEngine:
         return pruner if self._phased(strategy) else make_pruner("none")
 
     def _phased(self, strategy: Strategy) -> bool:
-        """Whether a ``strategy`` run executes in phases and prunes between them.
-        Phases save the scans of low-utility views; without the §4.1 rewrite the
-        engine holds its group-bys, a phase would only re-fold them, and every
-        strategy is one exact full-range pass."""
+        """Whether a ``strategy`` run executes in phases and prunes between them:
+        without the §4.1 rewrite group-bys are held, and a phase would only re-fold them."""
         return strategy in _PHASED and self.config.combine_target_reference
 
     def _strategy_config(self, strategy: Strategy) -> EngineConfig:
@@ -776,11 +776,17 @@ class ExecutionEngine:
             return self.config
         raise RecommendationError(f"unknown strategy {strategy!r}")
 
-    def _held_state(self) -> dict[tuple[str, ...], dict[str, np.ndarray]]:
-        """The held cells (lock held); all is dropped first if the table's
-        identity moved.  Callers keep the dict: eviction replaces it."""
+    def _table_identity(self) -> tuple:
+        """What held cells are valid for: the table's version, rows and source."""
         table = self.store.table
-        identity = (table.version, table.nrows, table.source_digest)
+        return (table.version, table.nrows, table.source_digest)
+
+    def _held_state(self, identity: tuple) -> dict[tuple[str, ...], dict] | None:
+        """The held cells of ``identity``, the table a run read (lock held);
+        ``None`` if the table moved since.  All is dropped first if the
+        identity is new.  Callers keep the dict: eviction replaces it."""
+        if identity != self._table_identity():
+            return None
         if identity != self._reference_identity:
             self._reference_identity, self._reference = identity, {}
             self._target_columns = {}

@@ -528,17 +528,7 @@ class Table:
             cached = self._dictionaries.get(name)
             if cached is None:
                 values = chunked.values
-                if values.dtype.kind == "U":
-                    # Strings hash faster than they sort: np.unique's sorted
-                    # categories and codes from one pass through a dict, at
-                    # half the time on AIR's 300 000-row string columns.
-                    items = values.tolist()
-                    distinct = sorted(set(items))
-                    index = {value: code for code, value in enumerate(distinct)}
-                    codes = np.fromiter(map(index.__getitem__, items), np.int32, len(items))
-                    categories = np.array(distinct, dtype=values.dtype)
-                else:
-                    categories, codes = np.unique(values, return_inverse=True)
+                categories, codes = np.unique(values, return_inverse=True)
                 cached = (codes.astype(np.int32), categories)
                 self._dictionaries[name] = cached
                 self._categories[name] = categories

@@ -319,6 +319,43 @@ def test_a_new_table_identity_drops_the_state(census, tmp_path):
         assert run(seedb).stats.reference_views_reused > 0
 
 
+def test_rows_appended_under_a_run_are_not_held_as_the_whole_table(census, tmp_path):
+    """An append lands after a run read the table and before it takes the held
+    state's lock: that run answers over the rows it read and keeps nothing, and
+    the next request folds cells of every row."""
+    table, spec = census
+    target = _most_frequent(table, TableMeta.of(table).dimensions[0])
+
+    def run(seedb):
+        return seedb.run_engine(target, k=5, strategy="sharing", pruner="none")
+
+    write_table(table.slice_rows(0, 2_500), tmp_path / "ds", chunk_rows=512)
+    with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as before:
+        read = _bits(run(before))
+    tail = {
+        column.name: table.materialize_range(column.name, 2_500, 3_000).tolist()
+        for column in table.schema
+    }
+    with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as seedb:
+        held_state = seedb.engine._held_state
+
+        def append_first(*args):
+            del seedb.engine._held_state
+            append_rows(tmp_path / "ds", tail)
+            assert seedb.table.refresh_from_disk()
+            seedb.store.sync_layout()
+            return held_state(*args)
+
+        seedb.engine._held_state = append_first
+        raced = run(seedb)
+        assert seedb.engine.reference_state()["bytes"] == 0
+        assert _bits(raced) == read
+        grown = run(seedb)
+        assert grown.stats.reference_views_reused == 0
+        with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as fresh:
+            assert _bits(grown) == _bits(run(fresh))
+
+
 def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
     """Fig. 9's shape — NO_OPT, SHARING, NO_OPT on one ``SeeDB`` — and the
     parent's plans for "complement" and "query"."""

@@ -58,24 +58,6 @@ class TestDictionary:
         reconstructed = categories[codes]
         np.testing.assert_array_equal(reconstructed, tiny_table.column("color"))
 
-    @pytest.mark.parametrize(
-        "values",
-        [
-            ["b", "a", "c", "a", "b"],
-            ["é", "e", "Z", "", "e\x00", "ab", "a"],
-            ["only"] * 4,
-        ],
-        ids=["ascii", "unicode-empty-and-nul", "one-category"],
-    )
-    def test_string_dictionary_equals_np_unique(self, values):
-        table = Table("strings", {"s": np.array(values), "m": np.arange(len(values), dtype=float)})
-        codes, categories = table.dictionary("s")
-        want_categories, want_codes = np.unique(np.array(values), return_inverse=True)
-        assert categories.dtype == want_categories.dtype
-        np.testing.assert_array_equal(categories, want_categories)
-        np.testing.assert_array_equal(codes, want_codes.astype(np.int32))
-        assert codes.dtype == np.int32
-
     def test_dictionary_is_cached(self, tiny_table):
         first = tiny_table.dictionary("size")
         second = tiny_table.dictionary("size")
