@@ -92,10 +92,6 @@ def all_experiments():
          "the dataset: identical top-k, bitwise utilities, near-resident "
          "throughput",
          exp.bench_out_of_core_compare),
-        ("Optimizer ablations", "fusion strictly cuts queries issued; "
-         "adaptive grouping raises the dense limit over the static cap; "
-         "identical top-k and bitwise utilities across every variant",
-         exp.bench_optimizer),
         ("Service throughput", ">=2x requests/sec with the cross-session "
          "result cache on a repeated drill-down workload; identical top-k",
          exp.bench_service_throughput),

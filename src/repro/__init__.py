@@ -16,7 +16,7 @@ Quickstart::
     print(result.describe())
 """
 
-from repro.config import CostModelConfig, EngineConfig, ExecutionStats, OptimizerConfig
+from repro.config import CostModelConfig, EngineConfig, ExecutionStats
 from repro.core.cache import CacheStats, ViewResultCache
 from repro.core.engine import EngineRun, ExecutionEngine
 from repro.core.recommender import SeeDB, tuned_config
@@ -45,7 +45,6 @@ __all__ = [
     "EngineRun",
     "ExecutionEngine",
     "ExecutionStats",
-    "OptimizerConfig",
     "Recommendation",
     "RecommendationSet",
     "SeeDB",

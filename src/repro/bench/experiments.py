@@ -2395,178 +2395,3 @@ def bench_backends_compare(
         )
         table.add(**row)
     return table
-
-
-# --------------------------------------------------------------------------- #
-# workload-level adaptive optimizer (ablation matrix)
-# --------------------------------------------------------------------------- #
-
-
-def _optimizer_rows(scale: str | None = None) -> int:
-    return {"smoke": 60_000, "small": 200_000, "full": 500_000}[
-        scale or current_scale()
-    ]
-
-
-def bench_optimizer(
-    n_rows: int | None = None, out_path: str | None = "BENCH_optimizer.json"
-) -> ResultTable:
-    """Ablation matrix for the workload-level adaptive optimizer.
-
-    Runs an identical SHARING workload — a two-dimension synthetic table
-    whose dimension-pair group-by product (250 x 250 x 2 flag slices)
-    overflows the static dense-grouping limit — under four optimizer
-    configurations: everything off, multi-aggregate fusion only, adaptive
-    dense grouping only, and all decisions on.  Every variant must return
-    the identical top-k and bitwise-equal utilities (the optimizer's
-    contract: it changes *how* queries execute, never *what* they
-    compute).  Fusion's win is discrete and timing-independent — strictly
-    fewer queries issued — while adaptive grouping's wall-clock gain is
-    recorded alongside the dense-limit decision the optimizer actually
-    took.
-
-    When ``out_path`` is set the matrix lands in the perf-trajectory JSON
-    (CI uploads it); the scale-suffix sibling rule applies, so a smoke run
-    never clobbers a bigger committed baseline.
-    """
-    import json
-
-    from repro.config import OptimizerConfig
-
-    n_rows = n_rows or _optimizer_rows()
-    repeats = {"smoke": 2, "small": 3, "full": 3}[current_scale()]
-    distinct = 250
-    syn = synthetic.make_synthetic(
-        synthetic.SyntheticConfig(
-            name="opt",
-            n_rows=n_rows,
-            n_dimensions=2,
-            n_measures=2,
-            distinct_values=distinct,
-            seed=0,
-        )
-    )
-    target = eq(synthetic.SPLIT_COLUMN, synthetic.TARGET_VALUE)
-    # A budget large enough that the dimension-pair product (not the
-    # budget) is what forces the static path sparse; one aggregate per
-    # query so fusion has distinct queries to merge.
-    base = tuned_config("row").with_(
-        row_group_budget=300_000,
-        max_group_bys_per_query=2,
-        max_aggregates_per_query=1,
-    )
-    variants: list[tuple[str, "OptimizerConfig"]] = [
-        ("off", OptimizerConfig(enabled=False)),
-        (
-            "fusion",
-            OptimizerConfig(
-                enabled=True,
-                adaptive_grouping=False,
-                adaptive_chunking=False,
-                prefetch=False,
-            ),
-        ),
-        (
-            "grouping",
-            OptimizerConfig(
-                enabled=True,
-                fuse_aggregates=False,
-                adaptive_chunking=False,
-                prefetch=False,
-            ),
-        ),
-        ("all_on", OptimizerConfig(enabled=True)),
-    ]
-
-    table = ResultTable(
-        f"Adaptive optimizer ablations: {n_rows:,} rows, "
-        f"{distinct}x{distinct} dimension pair (SHARING, ROW)",
-        notes="identical top-k + bitwise utilities enforced across every "
-        "variant; fusion win = fewer queries issued (timing-independent)",
-    )
-    results: list[dict[str, object]] = []
-    baseline: dict[str, object] | None = None
-    for name, opt in variants:
-        config = base.with_(optimizer=opt)
-        seedb = SeeDB.over_table(
-            syn, store="row", config=config,
-            buffer_pool=scaled_buffer_pool(syn),
-        )
-        best_wall = None
-        for _ in range(repeats):
-            seedb.store.buffer_pool.clear()
-            run = seedb.run_engine(target, k=10, strategy="sharing", pruner="none")
-            best_wall = (
-                run.wall_seconds
-                if best_wall is None
-                else min(best_wall, run.wall_seconds)
-            )
-        decisions = run.optimizer_decisions
-        row = dict(
-            variant=name,
-            wall_s=best_wall,
-            queries=run.stats.queries_issued,
-            fused_away=(
-                decisions.get("fusion", {}).get("queries_fused_away", 0)
-                if decisions
-                else 0
-            ),
-            dense_limit=(
-                decisions.get("grouping", {}).get("dense_limit")
-                if decisions
-                else None
-            ),
-        )
-        if baseline is None:
-            baseline = dict(
-                selected=run.selected, utilities=run.utilities, wall=best_wall
-            )
-        else:
-            if run.selected != baseline["selected"]:
-                raise AssertionError(f"variant {name!r} changed the top-k")
-            for key, value in baseline["utilities"].items():  # type: ignore[union-attr]
-                if run.utilities[key] != value:
-                    raise AssertionError(
-                        f"variant {name!r} utility for {key} diverged"
-                    )
-            row["speedup_vs_off"] = float(baseline["wall"]) / max(best_wall, 1e-12)  # type: ignore[arg-type]
-        results.append(row)
-    by_variant = {str(r["variant"]): r for r in results}
-    # Fusion's discrete, timing-independent win: strictly fewer queries.
-    for fused in ("fusion", "all_on"):
-        if int(by_variant[fused]["queries"]) >= int(by_variant["off"]["queries"]):  # type: ignore[arg-type]
-            raise AssertionError(
-                f"variant {fused!r} did not reduce queries issued "
-                f"({by_variant[fused]['queries']} vs {by_variant['off']['queries']})"
-            )
-    for row in results:
-        table.add(**row)
-
-    if out_path:
-        try:
-            with open(out_path) as handle:
-                existing_rows = int(json.load(handle).get("n_rows", 0))
-        except (OSError, ValueError):
-            existing_rows = 0
-        if existing_rows > n_rows:
-            root, ext = os.path.splitext(out_path)
-            out_path = f"{root}.{current_scale()}{ext}"
-        payload = {
-            "bench": "optimizer",
-            "generated_unix": time.time(),
-            "scale": current_scale(),
-            "n_rows": n_rows,
-            "host_cores": os.cpu_count() or 1,
-            "repeats_best_of": repeats,
-            "strategy": "sharing",
-            "store": "row",
-            "distinct_per_dimension": distinct,
-            "group_product_with_flag": distinct * distinct * 2,
-            "queries_off": by_variant["off"]["queries"],
-            "queries_all_on": by_variant["all_on"]["queries"],
-            "speedup_all_on_vs_off": by_variant["all_on"].get("speedup_vs_off"),
-            "rows": results,
-        }
-        with open(out_path, "w") as handle:
-            json.dump(payload, handle, indent=2)
-    return table

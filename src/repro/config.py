@@ -1,12 +1,14 @@
 """Engine-wide configuration objects.
 
-Two dataclasses hold every tunable in the system:
+Three dataclasses hold every tunable in the system:
 
 * :class:`CostModelConfig` — parameters of the deterministic cost model used
   to report simulated latencies (the substitution for the paper's Postgres /
   column-store testbed, see DESIGN.md §2).
 * :class:`EngineConfig` — SeeDB execution-engine knobs: phases, sharing
   limits, memory budgets, pruning parameters.
+* :class:`CoalesceConfig` — the serving tier's cross-request batching
+  gateway.
 
 Defaults mirror the paper's experimental setup: 10 execution phases, 16-way
 parallelism (their 16-core Xeon), row-store group-by memory budget of 10^4
@@ -82,70 +84,6 @@ class CostModelConfig:
         excess = max(0, n_parallel - self.n_cores)
         contention = 1.0 + self.contention_coefficient * excess * excess / self.n_cores
         return capped / contention
-
-
-@dataclass(frozen=True)
-class OptimizerConfig:
-    """Knobs of the workload-level adaptive optimizer (:mod:`repro.core.optimizer`).
-
-    The optimizer sits between the sharing planner and the dispatcher and
-    picks per-phase execution choices from *observed* statistics instead of
-    static guesses.  Each decision has its own ablation toggle so BENCH
-    trajectories keep attributing wins; every decision taken is recorded on
-    :attr:`repro.core.engine.EngineRun.optimizer_decisions`.
-
-    All decisions are bitwise-safe by construction: dense vs sparse grouping
-    and streaming granularity are value-identical execution plans (see
-    :mod:`repro.db.groupby` / :mod:`repro.db.streaming`), aggregate fusion
-    only merges queries whose per-aggregate computations are independent,
-    and prefetch merely warms a cache keyed by exact fingerprints.
-
-    Example::
-
-        from repro import EngineConfig, OptimizerConfig
-
-        config = EngineConfig(store="col", optimizer=OptimizerConfig(enabled=True))
-        ablation = config.with_(
-            optimizer=config.optimizer.with_(fuse_aggregates=False)
-        )
-    """
-
-    #: Master switch.  Default **off** so benchmark ablations keep measuring
-    #: the static plans; the serving layer and ``bench_optimizer`` turn it on.
-    enabled: bool = False
-    #: Pick dense (``np.bincount`` over the stride-encoded domain) vs sparse
-    #: (``np.unique`` sort) grouping from the *measured* key cardinality of
-    #: the first executed phase instead of the static ``_DENSE_GROUP_LIMIT``
-    #: guess in :mod:`repro.db.groupby`.
-    adaptive_grouping: bool = True
-    #: Recompute ``stream_chunk_rows`` after the first phase from
-    #: ``memory_budget_bytes`` minus the observed per-group aggregation-state
-    #: footprint (the static formula ignores group state entirely).
-    adaptive_chunking: bool = True
-    #: Merge :class:`~repro.core.sharing.PlannedQuery`'s that share
-    #: (table, group-by key, predicate) into single multi-aggregate passes —
-    #: §4.1 COMB applied *across* the planner's aggregate chunks.
-    fuse_aggregates: bool = True
-    #: Pre-warm the result cache with the drill-down views a session is
-    #: statistically likely to request next (§6.2 bookmark model via
-    #: :func:`repro.study.sessions.bookmark_probability`).  Only effective
-    #: where a cache is wired in (the serving layer).
-    prefetch: bool = True
-    #: Ceiling for the adaptively raised dense-grouping domain.  Dense
-    #: aggregation allocates O(domain) slots per aggregate, so the optimizer
-    #: never raises the dense cap beyond this many slots (8 MB of float64).
-    dense_limit_max: int = 1 << 20
-    #: Measured occupancy (distinct groups / stride domain) above which the
-    #: dense path is worth its O(domain) allocation even past the static cap.
-    dense_occupancy_threshold: float = 0.05
-    #: Maximum drill-down views prefetched per recommendation.
-    prefetch_limit: int = 4
-    #: Minimum bookmark probability for a view to be prefetched.
-    prefetch_min_probability: float = 0.5
-
-    def with_(self, **changes: object) -> "OptimizerConfig":
-        """Return a copy with ``changes`` applied (convenience for sweeps)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -325,11 +263,6 @@ class EngineConfig:
     early_stability_phases: int = 2
     #: Seed for any stochastic tie-breaking inside the engine.
     seed: int = 0
-    #: Workload-level adaptive optimizer block (:class:`OptimizerConfig`):
-    #: per-decision ablation toggles for measured dense/sparse grouping,
-    #: adaptive streaming granularity, multi-aggregate fusion, and
-    #: session-model cache prefetch.  Master switch defaults **off**.
-    optimizer: OptimizerConfig = field(default_factory=OptimizerConfig)
 
     def group_budget(self) -> int:
         """Distinct-group budget for the configured store."""

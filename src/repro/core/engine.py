@@ -56,7 +56,6 @@ from repro.core.cache import (
     query_fingerprint,
 )
 from repro.core.difference import ViewDistributions
-from repro.core.optimizer import WorkloadOptimizer
 from repro.core.parallel import make_dispatcher
 from repro.core.phases import phase_ranges
 from repro.core.pruning import Pruner, make_pruner
@@ -138,7 +137,6 @@ class _LiveRequest:
 
     request: UnionRequest
     pruner: Pruner
-    optimizer: WorkloadOptimizer | None
     states: dict[ViewKey, ViewState]
     active: dict[ViewKey, AggregateView]
     #: The request reads its reference side from the engine's table state.
@@ -219,10 +217,6 @@ class EngineRun:
     cache_misses: int = 0
     #: Physical bytes the hits avoided re-scanning.
     cache_bytes_saved: int = 0
-    #: Attribution record of the workload optimizer's decisions
-    #: (:meth:`repro.core.optimizer.WorkloadOptimizer.decisions`); empty
-    #: when ``EngineConfig.optimizer.enabled`` was off for this run.
-    optimizer_decisions: dict = field(default_factory=dict)
 
     @property
     def cache_hit_rate(self) -> float:
@@ -286,14 +280,10 @@ class ExecutionEngine:
                 else min(effective_chunk_rows, budget_rows)
             )
         # Assigned unconditionally: a store reused by a second engine must
-        # not inherit the previous config's streaming granularity.  The
-        # static value is kept so every run() can start from it before the
-        # workload optimizer (if enabled) retunes mid-run.
-        self._static_chunk_rows = (
+        # not inherit the previous config's streaming granularity.
+        store.stream_chunk_rows = (
             int(effective_chunk_rows) if effective_chunk_rows is not None else None
         )
-        store.stream_chunk_rows = self._static_chunk_rows
-        store.dense_group_limit = None
         self.backend: Backend = make_backend(config.backend, store)
         self.meta = TableMeta.of(store.table)
         # The cache is consulted iff the config knob is on; passing a
@@ -404,7 +394,7 @@ class ExecutionEngine:
         """The phase loop: N requests × P phase ranges, one batch per phase.
 
         Per phase every still-live request plans its active views exactly
-        as its own :meth:`run` would (own optimizer transform), the
+        as its own :meth:`run` would, the
         requests' ranged queries are concatenated into one dispatcher
         batch, and each request then routes its results, observes its own
         pruner, checks early return and — after the last phase — finalizes
@@ -441,10 +431,6 @@ class ExecutionEngine:
 
         config = self._strategy_config(strategy)
         meta, skeletons = self._planning
-        # Every run starts from the static tuning: a previous run's
-        # optimizer decisions must not leak into an ablation baseline.
-        self.store.stream_chunk_rows = self._static_chunk_rows
-        self.store.dense_group_limit = None
         use_phases = self._phased(strategy)
         early = strategy == "comb_early" or config.early_return
         align = None
@@ -470,17 +456,6 @@ class ExecutionEngine:
         )
         live: list[_LiveRequest] = []
         for request in requests:
-            # The workload optimizer never touches NO_OPT: that strategy *is*
-            # the no-sharing baseline, and fusing its per-view queries would
-            # reintroduce exactly the sharing it exists to ablate.
-            optimizer: WorkloadOptimizer | None = None
-            if config.optimizer.enabled and strategy != "no_opt":
-                optimizer = WorkloadOptimizer(
-                    config.optimizer,
-                    self.store,
-                    meta,
-                    config.memory_budget_bytes,
-                )
             pruner = self.make_pruner(strategy, request.pruner)
             pruner.initialize([v.key for v in request.views], request.k, len(ranges))
             reference_held = held and request.reference_mode == "all"
@@ -493,7 +468,6 @@ class ExecutionEngine:
                 _LiveRequest(
                     request,
                     pruner,
-                    optimizer,
                     self._make_states(request.views),
                     {v.key: v for v in request.views},
                     held=reference_held,
@@ -579,10 +553,6 @@ class ExecutionEngine:
                                 entry.held,
                                 skeletons,
                             )
-                            if entry.optimizer is not None:
-                                plan = entry.optimizer.transform(plan)
-                        # Fills join the batch past the optimizer: a cell's bits
-                        # must not depend on what one request could fuse it with.
                         queries = list(plan.queries) + fills
                         slots: list[tuple[int, bool]] = []
                         for planned in queries:
@@ -672,10 +642,6 @@ class ExecutionEngine:
                         self._route_result(planned, result, entry.states, request.reference_mode)
                     if entry.held:
                         self._fold_held(entry, table_cells)
-                    if entry.optimizer is not None:
-                        entry.optimizer.observe_phase(
-                            plan, [result for result, _ in own[: len(plan)]]
-                        )
                     if not use_phases:
                         continue
                     estimates = self._per_view(
@@ -732,9 +698,6 @@ class ExecutionEngine:
                     cache_hits=stats.cache_hits,
                     cache_misses=stats.queries_issued if cache is not None else 0,
                     cache_bytes_saved=stats.cache_bytes_saved,
-                    optimizer_decisions=(
-                        entry.optimizer.decisions() if entry.optimizer is not None else {}
-                    ),
                 )
             )
         return runs

@@ -187,35 +187,22 @@ def _worker_backend(store_path: str, store_kind: str):
     return backend
 
 
-def _apply_store_overrides(
-    backend, stream_chunk_rows: int | None, dense_group_limit: int | None
-) -> None:
-    """Mirror the parent store's tuning overrides onto the worker's store.
-
-    The workload optimizer adjusts ``stream_chunk_rows`` /
-    ``dense_group_limit`` on the *parent's* store, but workers re-open the
-    store fresh — so every task ships the current values and applies them
-    unconditionally (``None`` resets, keeping reused workers in sync).
-    Both knobs are execution-plan choices that never change a result bit.
-    """
-    backend.store.stream_chunk_rows = stream_chunk_rows
-    backend.store.dense_group_limit = dense_group_limit
-
-
 def _worker_execute_batch(
     store_path: str,
     store_kind: str,
     queries: list[AggregateQuery],
     stream_chunk_rows: int | None = None,
-    dense_group_limit: int | None = None,
 ) -> list[tuple[QueryResult, ExecutionStats]]:
     """Execute one slice of a batch in the worker (module-level for pickling).
 
-    One scan per slice; per-query fan-out ships slices of one.
+    One scan per slice; per-query fan-out ships slices of one.  The worker
+    re-opens the store, so every task ships the parent store's streaming
+    granularity and applies it unconditionally (``None`` resets a reused
+    worker); granularity never changes a result bit.
     """
     faults.maybe_exit("break_pool_worker", store_path)
     backend = _worker_backend(store_path, store_kind)
-    _apply_store_overrides(backend, stream_chunk_rows, dense_group_limit)
+    backend.store.stream_chunk_rows = stream_chunk_rows
     return backend.execute_batch(queries, fanout=None)
 
 
@@ -283,12 +270,10 @@ class ProcessPoolDispatcher(ParallelDispatcher):
         self, pool: ProcessPoolExecutor, batch: list[AggregateQuery]
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """Submit ``batch`` to ``pool``; gather in submission order."""
-        # Ship the parent store's current tuning overrides with every task:
-        # the optimizer may have moved them since the workers opened their
-        # own copies of the store (see :func:`_apply_store_overrides`).
+        # The engine sets the parent store's streaming granularity from its
+        # config; workers opened their own copies of the store without it.
         store = getattr(self.executor, "store", None)
         chunk_rows = getattr(store, "stream_chunk_rows", None)
-        dense_limit = getattr(store, "dense_group_limit", None)
         # Shared-scan batches go out as one contiguous slice per worker;
         # per-query dispatch is the same call on slices of one.
         n_slices = self.n_workers if self.use_batch else len(batch)
@@ -299,7 +284,6 @@ class ProcessPoolDispatcher(ParallelDispatcher):
                 self._store_kind,
                 part,
                 chunk_rows,
-                dense_limit,
             )
             for part in _partition(batch, n_slices)
         ]

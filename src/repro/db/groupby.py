@@ -191,7 +191,6 @@ def group_aggregate(
     budget: int | None = None,
     *,
     allow_dense: bool = True,
-    dense_limit: int | None = None,
 ) -> GroupResult:
     """Group rows by the key columns and compute each aggregate per group.
 
@@ -203,14 +202,12 @@ def group_aggregate(
     the unbudgeted call.
 
     Aggregation picks between two equivalent plans: when the stride-encoded
-    composite key space has at most ``dense_limit`` slots (default
-    ``_DENSE_GROUP_LIMIT``; an in-core table must also fit the budget) rows
-    are aggregated densely in O(n) with ``np.bincount`` — the common SeeDB
-    case of low-cardinality dimensions — otherwise the sparse ``np.unique``
-    sort path runs.  The two plans are bitwise-equal, so the workload
-    optimizer may move ``dense_limit`` from measured cardinalities without
-    changing a result bit.  ``allow_dense=False`` forces the sparse path
-    (regression tests compare the two).
+    composite key space has at most ``_DENSE_GROUP_LIMIT`` slots (an in-core
+    table must also fit the budget) rows are aggregated densely in O(n) with
+    ``np.bincount`` — the common SeeDB case of low-cardinality dimensions —
+    otherwise the sparse ``np.unique`` sort path runs.  The two plans are
+    bitwise-equal.  ``allow_dense=False`` forces the sparse path (regression
+    tests compare the two).
     """
     if not key_columns:
         raise QueryError("grouping requires at least one key column")
@@ -238,7 +235,7 @@ def group_aggregate(
     composite = _encode_composite(key_columns)
     spill_passes = charged_spill_passes(estimate, budget)
     product = math.prod(max(kc.n_categories, 1) for kc in key_columns)
-    dense_cap = dense_limit if dense_limit is not None and dense_limit > 0 else _DENSE_GROUP_LIMIT
+    dense_cap = _DENSE_GROUP_LIMIT
     if budget is not None and budget > 0 and not spill_passes:
         # An in-core table has to fit the budget; a spilled one is charged for.
         dense_cap = min(dense_cap, budget)

@@ -238,7 +238,6 @@ class SharedScanExecutor:
                     entry.aggregator = StreamingGroupAggregator(
                         [spec.func for spec in entry.query.aggregates],
                         entry.query.group_budget,
-                        self.store.dense_group_limit,
                     )
             for sub_start, sub_stop in ranges:
                 for entry, prepared in zip(
@@ -289,12 +288,7 @@ class SharedScanExecutor:
         started = time.perf_counter()
         if entry.aggregator is None:
             key_columns, aggregate_inputs = entry.prepared
-            result = group_aggregate(
-                key_columns,
-                aggregate_inputs,
-                query.group_budget,
-                dense_limit=self.store.dense_group_limit,
-            )
+            result = group_aggregate(key_columns, aggregate_inputs, query.group_budget)
             input_rows = len(key_columns[0].codes)
         else:
             result = entry.aggregator.finalize()

@@ -47,11 +47,6 @@ class StorageEngine(abc.ABC):
         #: ``memory_budget_bytes``); ``None`` defers to the table's own
         #: chunk layout.  See :meth:`stream_ranges`.
         self.stream_chunk_rows: int | None = None
-        #: Dense-grouping domain cap override (set by the workload
-        #: optimizer from *measured* key cardinalities); ``None`` defers to
-        #: the static :data:`repro.db.groupby._DENSE_GROUP_LIMIT`.  Both
-        #: grouping plans are bitwise-equal, so any value is result-safe.
-        self.dense_group_limit: int | None = None
 
     @abc.abstractmethod
     def _columnar(self) -> bool:

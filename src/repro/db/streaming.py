@@ -137,17 +137,9 @@ class StreamingGroupAggregator:
         self,
         funcs: list[AggregateFunction],
         budget: int | None = None,
-        dense_limit: int | None = None,
     ) -> None:
         self.funcs = list(funcs)
         self.budget = budget
-        #: Cap on the dense stride domain; ``None`` = the static
-        #: :data:`~repro.db.groupby._DENSE_GROUP_LIMIT`.  The workload
-        #: optimizer moves this from measured cardinalities — safe at any
-        #: value, since dense and sparse plans are bitwise-equal.
-        self.dense_limit = (
-            dense_limit if dense_limit is not None and dense_limit > 0 else _DENSE_GROUP_LIMIT
-        )
         self.total_rows = 0
         self._key_names: list[str] | None = None
         #: "dense" while the stride-encoded key space fits the dense
@@ -223,7 +215,7 @@ class StreamingGroupAggregator:
 
         if self._mode is None:
             product = math.prod(max(len(kc.categories), 1) for kc in key_columns)
-            if product <= self.dense_limit:
+            if product <= _DENSE_GROUP_LIMIT:
                 self._init_dense(key_columns)
             else:
                 self._mode = "sparse"
@@ -320,7 +312,7 @@ class StreamingGroupAggregator:
                 new_cats.append(union if len(union) != len(cats) else cats)
             new_sizes.append(max(len(new_cats[-1]), 1))
         new_product = math.prod(new_sizes)
-        if new_product > self.dense_limit:
+        if new_product > _DENSE_GROUP_LIMIT:
             return False
         if grew:
             self._rebuild_dense_domain(new_cats, new_sizes, new_product)

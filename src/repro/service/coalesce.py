@@ -308,9 +308,8 @@ class CoalescingGateway:
 
         Requests enqueued before the close are still executed (the stop
         sentinel lands behind them in FIFO order); submissions after it
-        answer 503.  Collector threads are *joined*, not abandoned —
-        deterministic shutdown, same contract as the service's prefetch
-        pool.
+        answer 503.  Collector threads are *joined*, not abandoned:
+        nothing the gateway started still runs when this returns.
         """
         with self._lock:
             if self._closed:

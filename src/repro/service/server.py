@@ -74,21 +74,19 @@ import io
 import json
 import threading
 import time
-from concurrent import futures
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import CoalesceConfig, OptimizerConfig
+from repro.config import CoalesceConfig
 from repro.core.cache import (
     TieredViewResultCache,
     ViewResultCache,
     execution_fingerprint,
 )
 from repro.core.engine import EngineRun, UnionRequest
-from repro.core.optimizer import plan_prefetch
 from repro.core.recommender import SeeDB, serving_config
 from repro.data import registry
 from repro.data.ingest import strict_float, strict_int
@@ -161,7 +159,6 @@ class RecommendationService:
         data_dirs: Sequence[str] = (),
         l2_cache_dir: str | None = None,
         delta_cache: bool = True,
-        optimizer: bool | OptimizerConfig = False,
         coalesce: bool | CoalesceConfig = False,
     ) -> None:
         """Configure the service; engines are built lazily per dataset.
@@ -179,13 +176,7 @@ class RecommendationService:
         share each other's view results); ``delta_cache=False`` disables
         the append-aware delta-state cache (it is on by default in the
         serving layer so a refresh after ``POST /v1/datasets/<id>/append``
-        scans only the new chunks); ``optimizer=True`` (or an explicit
-        :class:`~repro.config.OptimizerConfig`) enables the workload
-        optimizer on every engine — including background drill-down
-        prefetch into the shared cache via the §6.2 bookmark model
-        (:func:`repro.core.optimizer.plan_prefetch`); call
-        :meth:`drain_prefetch` for deterministic cache state in tests;
-        ``coalesce=True`` (or an explicit
+        scans only the new chunks); ``coalesce=True`` (or an explicit
         :class:`~repro.config.CoalesceConfig`) routes concurrent
         recommendation steps through the cross-request batching gateway
         (:mod:`repro.service.coalesce`) so they share one scan — off by
@@ -236,18 +227,6 @@ class RecommendationService:
         self._errors = 0
         self._counter_lock = threading.Lock()
         self._started_unix = time.time()
-        if isinstance(optimizer, OptimizerConfig):
-            self.optimizer_config: OptimizerConfig | None = optimizer
-        elif optimizer:
-            self.optimizer_config = OptimizerConfig(enabled=True)
-        else:
-            self.optimizer_config = None
-        #: Background drill-down prefetch: a single daemon worker warming
-        #: the shared cache (never on the request path), plus counters.
-        self._prefetch_pool: "futures.ThreadPoolExecutor | None" = None
-        self._prefetch_futures: list["futures.Future[None]"] = []
-        self._prefetch_lock = threading.Lock()
-        self._prefetch_counters = {"planned": 0, "completed": 0, "errors": 0}
         #: Cross-request coalescing gateway (None = the direct path).
         if isinstance(coalesce, CoalesceConfig):
             self.coalesce_config: CoalesceConfig | None = (
@@ -302,8 +281,6 @@ class RecommendationService:
                 config = serving_config(  # type: ignore[arg-type]
                     store, self.result_cache_enabled, self.delta_cache_enabled
                 )
-                if self.optimizer_config is not None:
-                    config = config.with_(optimizer=self.optimizer_config)
                 engine = SeeDB.over_table(
                     table,
                     store=store,
@@ -421,9 +398,6 @@ class RecommendationService:
                 wall_seconds=run.wall_seconds,
             )
         )
-        prefetch_planned = self._schedule_prefetch(
-            engine, run, clauses, k, strategy, pruner, parallelism
-        )
         response_stats: dict[str, object] = {
             "queries_issued": run.stats.queries_issued,
             "result_cache": run.result_cache,
@@ -438,9 +412,6 @@ class RecommendationService:
             "wall_seconds": run.wall_seconds,
             "modeled_latency_seconds": run.modeled_latency,
         }
-        if run.optimizer_decisions:
-            response_stats["optimizer"] = run.optimizer_decisions
-            response_stats["prefetch_planned"] = prefetch_planned
         if self._gateway is not None:
             # Only on coalescing services: the off path stays byte-for-byte.
             response_stats["coalesced_queries"] = run.stats.coalesced_queries
@@ -521,126 +492,6 @@ class RecommendationService:
                 ),
             ),
         )
-
-    # -------------------------------------------------------------- #
-    # workload-optimizer prefetch (background cache warming)
-    # -------------------------------------------------------------- #
-
-    def _schedule_prefetch(
-        self,
-        engine: SeeDB,
-        run: EngineRun,
-        clauses: TargetClauses,
-        k: int,
-        strategy: str,
-        pruner: str,
-        parallelism: str,
-    ) -> int:
-        """Queue the bookmark model's likely drill-downs for cache warming.
-
-        Each candidate runs the exact engine request the analyst's next
-        drill-down would issue (same k/strategy/pruner/parallelism, target
-        extended by the view's most deviating group — mirroring
-        :class:`~repro.service.sessions.AnalystDrillDown`), so its results
-        land in the shared cache under the very fingerprints that future
-        request will probe.  Runs on a single background daemon thread,
-        never the request path.  Returns the number of drill-downs queued.
-        """
-        config = self.optimizer_config
-        if (
-            config is None
-            or not config.enabled
-            or not config.prefetch
-            or self.cache is None
-            or run.optimizer_decisions == {}
-        ):
-            return 0
-        taken = {(column, _json_scalar(value)) for column, value in clauses}
-        candidates = [
-            c
-            for c in plan_prefetch(run, config)
-            if c.group is not None
-            and (c.dimension, _json_scalar(c.group)) not in taken
-        ]
-        if not candidates:
-            return 0
-        with self._prefetch_lock:
-            if self._prefetch_pool is None:
-                self._prefetch_pool = futures.ThreadPoolExecutor(
-                    max_workers=1, thread_name_prefix="seedb-prefetch"
-                )
-            pool = self._prefetch_pool
-            self._prefetch_counters["planned"] += len(candidates)
-            for candidate in candidates:
-                drill = list(clauses) + [
-                    (candidate.dimension, _json_scalar(candidate.group))
-                ]
-                self._prefetch_futures.append(
-                    pool.submit(
-                        self._run_prefetch,
-                        engine,
-                        drill,
-                        k,
-                        strategy,
-                        pruner,
-                        parallelism,
-                    )
-                )
-            self._prefetch_futures = [
-                f for f in self._prefetch_futures if not f.done()
-            ]
-        return len(candidates)
-
-    def _run_prefetch(
-        self,
-        engine: SeeDB,
-        clauses: list[tuple[str, object]],
-        k: int,
-        strategy: str,
-        pruner: str,
-        parallelism: str,
-    ) -> None:
-        """Execute one prefetch drill-down (background thread)."""
-        try:
-            engine.run_engine(
-                _predicate(clauses),
-                k=k,
-                strategy=strategy,  # type: ignore[arg-type]
-                pruner=pruner,
-                parallelism=parallelism,  # type: ignore[arg-type]
-            )
-            with self._prefetch_lock:
-                self._prefetch_counters["completed"] += 1
-        except Exception:
-            # Prefetch is best-effort cache warming: a failure (e.g. a
-            # group value no column accepts) must never surface anywhere.
-            with self._prefetch_lock:
-                self._prefetch_counters["errors"] += 1
-
-    def drain_prefetch(self, timeout: float | None = 30.0) -> dict[str, int]:
-        """Wait for queued prefetch work; return the counters.
-
-        Tests and benchmarks call this to make the warmed-cache state
-        deterministic before asserting hit rates.
-        """
-        while True:
-            with self._prefetch_lock:
-                pending = [f for f in self._prefetch_futures if not f.done()]
-                self._prefetch_futures = pending
-            if not pending:
-                break
-            futures.wait(pending, timeout=timeout)
-            with self._prefetch_lock:
-                still = [f for f in self._prefetch_futures if not f.done()]
-            if still == pending:  # timed out without progress
-                break
-        with self._prefetch_lock:
-            return dict(self._prefetch_counters)
-
-    def prefetch_counters(self) -> dict[str, int]:
-        """Snapshot of the background-prefetch counters."""
-        with self._prefetch_lock:
-            return dict(self._prefetch_counters)
 
     def describe_session(self, session_id: str) -> dict[str, object]:
         """Return one session's recorded steps (``GET /sessions/<id>``)."""
@@ -996,9 +847,6 @@ class RecommendationService:
             payload["routes"] = self.route_latency.as_dict()
         if self._gateway is not None:
             payload["coalesce"] = self._gateway.stats_snapshot()
-        if self.optimizer_config is not None:
-            payload["optimizer_enabled"] = self.optimizer_config.enabled
-            payload["prefetch"] = self.prefetch_counters()
         delta_totals: dict[str, int] = {}
         for seedb in engines.values():
             delta = getattr(seedb.engine, "delta_cache", None)
@@ -1036,17 +884,10 @@ class RecommendationService:
     def close(self) -> None:
         """Release every engine's backend resources.  Idempotent.
 
-        Shutdown is deterministic: queued prefetch work is cancelled and
-        the prefetch daemon thread is *joined* (``wait=True``) rather than
-        abandoned mid-run, and the coalescing gateway (when enabled)
+        Shutdown is deterministic: the coalescing gateway (when enabled)
         drains its queues and joins its collector threads — nothing from
         this service is still executing when ``close()`` returns.
         """
-        with self._prefetch_lock:
-            pool, self._prefetch_pool = self._prefetch_pool, None
-            self._prefetch_futures.clear()
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
         if self._gateway is not None:
             self._gateway.close()
         with self._engine_lock:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from repro import SeeDB
-from repro.config import EngineConfig, OptimizerConfig
+from repro.config import EngineConfig
 from repro.core import engine as engine_module
 from repro.core import sharing as sharing_module
 from repro.core.engine import ExecutionEngine, UnionRequest
@@ -327,16 +327,15 @@ HELD_LEGS = (("sharing", "none"), ("comb", "ci"))
 
 
 @pytest.mark.parametrize(
-    "strategy, pruner, result_cache, optimizer, rewrite",
+    "strategy, pruner, result_cache, rewrite",
     [
         pytest.param(
             strategy,
             pruner,
             result_cache,
-            optimizer,
             rewrite,
-            id=f"{strategy}-{pruner}-{'cache' if result_cache else 'nocache'}-"
-            f"{'optimizer' if optimizer else 'static'}{'' if rewrite else '-held'}",
+            id=f"{strategy}-{pruner}-{'cache' if result_cache else 'nocache'}"
+            f"{'' if rewrite else '-held'}",
         )
         for strategy, pruner in [
             ("no_opt", "none"),
@@ -345,18 +344,15 @@ HELD_LEGS = (("sharing", "none"), ("comb", "ci"))
             ("comb", "mab"),
             ("comb_early", "ci"),
         ]
-        for optimizer in (False, True)
         for result_cache in (False, True)
         for rewrite in (True, False)
         # Held legs (the suite has a ceiling): SHARING and COMB — one exact pass
         # each without the rewrite; NO_OPT never is held, and
-        # test_reference_state.py holds every other pair to SHARING's bits —
-        # with cache x optimizer on its diagonal, so each value of both meets
-        # the path.
-        if rewrite or ((strategy, pruner) in HELD_LEGS and result_cache == optimizer)
+        # test_reference_state.py holds every other pair to SHARING's bits.
+        if rewrite or (strategy, pruner) in HELD_LEGS
     ],
 )
-def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimizer, rewrite):
+def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, rewrite):
     """The N-request phase loop under the solo path's oracle.
 
     A union of [A, B, A again, A with another k] returns, per request, the
@@ -370,7 +366,6 @@ def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, optimiz
     table, spec = build_info("census", scale="smoke", seed=7)
     config = EngineConfig(
         result_cache=result_cache,
-        optimizer=OptimizerConfig(enabled=optimizer),
         combine_target_reference=rewrite,
     )
     target_a, target_b = spec.target_predicate(), eq("sex", "sex_0")
@@ -446,13 +441,12 @@ def _hex_utilities(run) -> list[tuple]:
         {"store": "row", "use_binpacking": True},
         {"combine_target_reference": False},
         {"combine_target_reference": False, "max_aggregates_per_query": 2},
-        {"optimizer": OptimizerConfig(enabled=True)},
     ],
-    ids=["combined", "row-binpacked", "held", "held-chunked", "optimizer"],
+    ids=["combined", "row-binpacked", "held", "held-chunked"],
 )
 def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypatch):
     """Every plan a run builds — whole view sets, the shrinking active sets of
-    a pruned run, plans the optimizer then transforms, each reference mode,
+    a pruned run, each reference mode,
     repeats that hit a kept skeleton — equals ``plan_queries`` with nothing
     kept, ``==`` on the frozen dataclasses; the bound holds and evicts."""
     table, spec = build_info("census", scale="smoke", seed=7)

@@ -562,12 +562,12 @@ class TestPoolPlumbing:
         assert _partition(queries, 1) == [queries]
 
     def test_worker_applies_and_resets_store_overrides(self, chunked_census):
-        """The optimizer's tuning overrides ride every shipped task.
+        """The parent store's streaming granularity rides every shipped task.
 
         ``_worker_execute_batch`` runs in-process here (it only needs the store
-        path), exercising the exact override plumbing a worker process
-        runs: explicit values apply to the re-opened store, and a later
-        task without overrides resets a reused worker back to static.
+        path), exercising the exact plumbing a worker process runs: an
+        explicit value applies to the re-opened store, and a later task
+        without one resets a reused worker to the table's own chunk layout.
         """
         from repro.core import procpool
 
@@ -576,25 +576,22 @@ class TestPoolPlumbing:
         ((baseline, _),) = procpool._worker_execute_batch(path, "col", [query])
 
         ((tuned, _),) = procpool._worker_execute_batch(
-            path, "col", [query], stream_chunk_rows=64, dense_group_limit=123
+            path, "col", [query], stream_chunk_rows=64
         )
         backend = procpool._worker_backends[(path, "col")]
         assert backend.store.stream_chunk_rows == 64
-        assert backend.store.dense_group_limit == 123
         assert tuned.to_rows() == baseline.to_rows()
 
         ((again, _),) = procpool._worker_execute_batch(path, "col", [query])
         assert backend.store.stream_chunk_rows is None
-        assert backend.store.dense_group_limit is None
         assert again.to_rows() == baseline.to_rows()
 
     def test_fan_out_ships_parent_store_tuning(self, chunked_census, monkeypatch):
-        """_fan_out reads the parent store's knobs into every submission."""
+        """_fan_out reads the parent store's granularity into every submission."""
         from repro.core import procpool
 
         backend = NativeBackend(make_store("col", chunked_census))
         backend.store.stream_chunk_rows = 512
-        backend.store.dense_group_limit = 9999
         shipped = []
 
         class _FakeFuture:
@@ -620,5 +617,5 @@ class TestPoolPlumbing:
         outcomes = dispatcher._fan_out(_FakePool(), queries)
         assert len(outcomes) == len(queries)
         for args in shipped:
-            assert args[-2:] == (512, 9999)
+            assert args[-1] == 512
         procpool.shutdown_pool()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.db import chunks as C
 from repro.db import expressions as E
+from repro.db import streaming as streaming_module
 from repro.db.executor import QueryExecutor
 from repro.db.query import (
     AggregateFunction,
@@ -433,10 +434,12 @@ class TestSnapshotRoundTrip:
         ids=["dense", "sparse", "converted"],
     )
     def test_restored_state_equals_the_original_field_by_field(
-        self, mode, dense_limit, categories
+        self, mode, dense_limit, categories, monkeypatch
     ):
+        if dense_limit is not None:
+            monkeypatch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", dense_limit)
         rng = np.random.default_rng(23)
-        aggregator = StreamingGroupAggregator(self.FUNCS, budget=3, dense_limit=dense_limit)
+        aggregator = StreamingGroupAggregator(self.FUNCS, budget=3)
         for n_categories in categories:
             aggregator.update(*self._chunk(rng, n_categories))
         assert aggregator._mode == mode

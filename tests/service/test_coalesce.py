@@ -275,25 +275,6 @@ class TestWindowEdges:
 
 
 class TestClose:
-    def test_close_joins_prefetch_and_is_idempotent(self):
-        svc = RecommendationService(
-            datasets=("census",), scale="smoke", optimizer=True
-        )
-        session = svc.create_session({"dataset": "census"})
-        response = svc.recommend(session["session_id"], {"k": 5})
-        assert response["stats"]["prefetch_planned"] >= 1
-        assert svc._prefetch_pool is not None
-
-        svc.close()
-        assert svc._prefetch_pool is None
-        alive = [
-            t.name
-            for t in threading.enumerate()
-            if t.name.startswith("seedb-prefetch")
-        ]
-        assert not alive, alive
-        svc.close()  # idempotent
-
     def test_close_joins_collectors_and_rejects_late_submissions(self):
         from repro.exceptions import ServiceError
         from repro.service.api import ErrorCode

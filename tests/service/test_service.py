@@ -171,6 +171,37 @@ class TestServiceCore:
         finally:
             svc.close()
 
+    def test_serving_defaults_agree_across_the_rewrite(self, service):
+        """The service picks the path per engine (``serving_config``): with the
+        result cache off the reference side is engine-held state, with the
+        default caches it is the combined rewrite — one answer, to the last
+        bits the two accumulation orders share."""
+        held_svc = RecommendationService(
+            datasets=("census",), scale="smoke", result_cache=False
+        )
+        try:
+            assert not held_svc.engine("census", "col", "emd").config.combine_target_reference
+            assert service.engine("census", "col", "emd").config.combine_target_reference
+            held, combined = (
+                svc.recommend(svc.create_session({"dataset": "census"})["session_id"], {"k": 5})
+                for svc in (held_svc, service)
+            )
+            # A first request fills every cell it reads; the repeat reads them all.
+            assert held["stats"]["reference_views_reused"] == 0
+            again = held_svc.recommend(
+                held_svc.create_session({"dataset": "census"})["session_id"], {"k": 5}
+            )
+            assert again["stats"]["reference_views_reused"] > 0
+            assert again["views"] == held["views"]
+            names = [[view[f] for f in ("dimension", "measure", "func")] for view in held["views"]]
+            assert names == [
+                [view[f] for f in ("dimension", "measure", "func")] for view in combined["views"]
+            ]
+            for mine, theirs in zip(held["views"], combined["views"]):
+                assert mine["utility"] == pytest.approx(theirs["utility"], rel=1e-9)
+        finally:
+            held_svc.close()
+
 
 # --------------------------------------------------------------------------- #
 # HTTP layer
@@ -987,124 +1018,3 @@ class TestAppendDatasets:
             thread.join(30)
         assert not errors, errors[0]
         assert svc.describe_datasets()["datasets"][-1]["n_rows"] == 412
-
-
-# --------------------------------------------------------------------------- #
-# the workload optimizer's background prefetch
-# --------------------------------------------------------------------------- #
-
-
-class TestOptimizerPrefetch:
-    @pytest.fixture()
-    def optimizer_service(self):
-        svc = RecommendationService(
-            datasets=("census",), scale="smoke", optimizer=True
-        )
-        yield svc
-        svc.close()
-
-    def test_recommend_reports_decisions_and_warms_cache(self, optimizer_service):
-        svc = optimizer_service
-        session = svc.create_session({"dataset": "census"})
-        response = svc.recommend(session["session_id"], {"k": 5})
-
-        stats = response["stats"]
-        assert stats["optimizer"]["enabled"] is True
-        assert stats["optimizer"]["fusion"]["plans_transformed"] >= 1
-        assert stats["prefetch_planned"] >= 1
-
-        counters = svc.drain_prefetch()
-        assert counters["errors"] == 0
-        assert counters["completed"] == counters["planned"] >= 1
-
-        # The analyst's statistically-likely next step: drill into the top
-        # view's most deviating group.  The prefetcher already ran exactly
-        # that request, so it is served entirely from the warmed cache.
-        top = response["views"][0]
-        drill_target = response["target"] + [
-            {"column": top["dimension"], "value": top["top_group"]}
-        ]
-        drill = svc.recommend(
-            session["session_id"], {"k": 5, "target": drill_target}
-        )
-        assert drill["stats"]["cache_hits"] > 0
-        assert drill["stats"]["cache_misses"] == 0
-        assert drill["stats"]["cache_hit_rate"] == 1.0
-
-    def test_service_stats_expose_prefetch_counters(self, optimizer_service):
-        svc = optimizer_service
-        session = svc.create_session({"dataset": "census"})
-        svc.recommend(session["session_id"], {"k": 3})
-        svc.drain_prefetch()
-        payload = svc.stats()
-        assert payload["optimizer_enabled"] is True
-        assert payload["prefetch"]["planned"] >= 1
-        assert payload["prefetch"]["errors"] == 0
-
-    def test_bitwise_identical_to_optimizer_off_service(self, optimizer_service):
-        # The same engine config but for the optimizer (the rewrite default
-        # follows the caches, and split vs combined differ in the last bit).
-        plain_svc = RecommendationService(datasets=("census",), scale="smoke")
-        try:
-            on = optimizer_service.recommend(
-                optimizer_service.create_session({"dataset": "census"})[
-                    "session_id"
-                ],
-                {"k": 5},
-            )
-            off = plain_svc.recommend(
-                plain_svc.create_session({"dataset": "census"})["session_id"],
-                {"k": 5},
-            )
-            strip = ("utility",)
-            assert [
-                {k: v for k, v in view.items() if k not in strip}
-                for view in on["views"]
-            ] == [
-                {k: v for k, v in view.items() if k not in strip}
-                for view in off["views"]
-            ]
-            for mine, theirs in zip(on["views"], off["views"]):
-                assert mine["utility"] == theirs["utility"]
-        finally:
-            plain_svc.close()
-
-    def test_serving_defaults_agree_across_the_rewrite(self, service):
-        """The service picks the path per engine (``serving_config``): with the
-        result cache off the reference side is engine-held state, with the
-        default caches it is the combined rewrite — one answer, to the last
-        bits the two accumulation orders share."""
-        held_svc = RecommendationService(
-            datasets=("census",), scale="smoke", result_cache=False
-        )
-        try:
-            assert not held_svc.engine("census", "col", "emd").config.combine_target_reference
-            assert service.engine("census", "col", "emd").config.combine_target_reference
-            held, combined = (
-                svc.recommend(svc.create_session({"dataset": "census"})["session_id"], {"k": 5})
-                for svc in (held_svc, service)
-            )
-            # A first request fills every cell it reads; the repeat reads them all.
-            assert held["stats"]["reference_views_reused"] == 0
-            again = held_svc.recommend(
-                held_svc.create_session({"dataset": "census"})["session_id"], {"k": 5}
-            )
-            assert again["stats"]["reference_views_reused"] > 0
-            assert again["views"] == held["views"]
-            names = [[view[f] for f in ("dimension", "measure", "func")] for view in held["views"]]
-            assert names == [
-                [view[f] for f in ("dimension", "measure", "func")] for view in combined["views"]
-            ]
-            for mine, theirs in zip(held["views"], combined["views"]):
-                assert mine["utility"] == pytest.approx(theirs["utility"], rel=1e-9)
-        finally:
-            held_svc.close()
-
-    def test_optimizer_off_service_has_no_prefetch_surface(self, service):
-        payload = service.stats()
-        assert "optimizer_enabled" not in payload
-        assert "prefetch" not in payload
-        session = service.create_session({"dataset": "census"})
-        response = service.recommend(session["session_id"], {"k": 3})
-        assert "optimizer" not in response["stats"]
-        assert "prefetch_planned" not in response["stats"]

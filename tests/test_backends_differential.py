@@ -1,4 +1,4 @@
-"""Differential testing: the whole optimizer stack vs an independent engine.
+"""Differential testing: the whole planning and execution stack vs an independent engine.
 
 Every case builds a seeded random table, runs the full SeeDB engine twice —
 once on the native numpy backend, once on the SQLite backend executing the
@@ -42,15 +42,6 @@ Coverage math (the acceptance bar is >= 200 randomized engine runs):
   and distributions to the resident serial path (and match the SQLite
   oracle) — process fan-out may change I/O accounting, never results or
   the number of queries issued.
-* ``test_differential_optimizer`` adds 5 x 2 x 2 x 2 x 2 = 80 runs
-  growing the oracle a workload-optimizer leg: every case runs the same
-  engine twice — optimizer off, then on with every adaptive decision
-  enabled (multi-aggregate fusion, adaptive dense grouping, adaptive
-  chunking) — across modeled/real parallelism and resident/chunked
-  storage, asserting **bitwise**-identical top-k, utilities, and
-  distributions.  Fusion merges queries, so ``queries_issued`` is
-  deliberately NOT compared across the pair: the optimizer may change
-  accounting and physical plans, never results.
 * ``test_differential_append_refresh`` adds 5 x 2 x 4 = 40 runs growing
   the oracle an append leg: an engine with the delta-state cache runs
   cold over ~90% of the rows, the remaining ~10% are appended to the
@@ -99,7 +90,6 @@ def test_coverage_floor():
     assert len(OUT_OF_CORE_CASES) * 3 >= 48
     assert len(PROCESS_CASES) * 3 >= 24
     assert len(APPEND_CASES) * 4 >= 40
-    assert len(OPTIMIZER_CASES) * 2 >= 40
 
 
 def _random_table(seed: int) -> Table:
@@ -510,82 +500,6 @@ def test_differential_append_refresh(tmp_path, seed, strategy):
 
     # And with the independent SQL engine.
     _assert_equivalent(refreshed, sqlite)
-
-
-OPTIMIZER_CASES = [
-    (seed, strategy, parallelism, storage)
-    for seed in range(5)
-    for strategy in ("sharing", "comb")
-    for parallelism in ("modeled", "real")
-    for storage in ("resident", "chunked")
-]
-
-
-@pytest.mark.parametrize("seed,strategy,parallelism,storage", OPTIMIZER_CASES)
-def test_differential_optimizer(tmp_path, seed, strategy, parallelism, storage):
-    """The workload-optimizer leg: every adaptive decision is bitwise-safe.
-
-    Two runs per case on the same source: optimizer off (the established
-    oracle-validated path) and optimizer on with fusion, adaptive
-    grouping, and adaptive chunking all enabled.  On chunked storage the
-    memory budget is half the dataset so streaming genuinely engages and
-    the chunking decision has something to retune.  Results must match
-    bitwise — selected order, every utility, every distribution array.
-    ``queries_issued`` is deliberately NOT compared: fusion merges
-    queries sharing a (group-by, predicate) signature, so the optimizer
-    changes accounting, never results.
-    """
-    from repro.config import OptimizerConfig
-    from repro.db.chunks import open_table, write_table
-
-    table = _random_table(700 + seed)
-    kwargs: dict[str, object] = {"parallelism": parallelism}
-    if storage == "chunked":
-        write_table(table, tmp_path / "ds", chunk_rows=16)
-        budget = max(table.physical_row_bytes() * table.nrows // 2, 1)
-        source: Table = open_table(tmp_path / "ds", memory_budget_bytes=budget)
-        kwargs["memory_budget_bytes"] = budget
-    else:
-        source = table
-
-    plain = _run(source, "native", strategy, "all", **kwargs)
-    optimized = _run(
-        source,
-        "native",
-        strategy,
-        "all",
-        optimizer=OptimizerConfig(enabled=True),
-        **kwargs,
-    )
-
-    assert plain.optimizer_decisions == {}
-    assert optimized.optimizer_decisions.get("enabled") is True
-    assert optimized.selected == plain.selected
-    assert set(optimized.utilities) == set(plain.utilities)
-    for key, value in plain.utilities.items():
-        assert optimized.utilities[key] == value  # exact, not approx
-    for key, dists in plain.distributions.items():
-        other = optimized.distributions[key]
-        assert np.array_equal(dists.keys, other.keys)
-        assert np.array_equal(dists.target, other.target, equal_nan=True)
-        assert np.array_equal(dists.reference, other.reference, equal_nan=True)
-    assert optimized.phases_executed == plain.phases_executed
-
-
-def test_differential_optimizer_no_opt_bypass():
-    """NO_OPT is the unoptimized baseline, so the optimizer must not touch it."""
-    from repro.config import OptimizerConfig
-
-    table = _random_table(42)
-    plain = _run(table, "native", "no_opt", "all")
-    with_optimizer = _run(
-        table, "native", "no_opt", "all", optimizer=OptimizerConfig(enabled=True)
-    )
-    assert with_optimizer.optimizer_decisions == {}
-    assert with_optimizer.selected == plain.selected
-    for key, value in plain.utilities.items():
-        assert with_optimizer.utilities[key] == value
-    assert with_optimizer.stats.queries_issued == plain.stats.queries_issued
 
 
 def test_differential_with_spilling_group_budget():

@@ -1,5 +1,9 @@
 """Tests for configuration objects and stat accounting."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.config import CostModelConfig, EngineConfig, ExecutionStats
@@ -48,6 +52,17 @@ class TestEngineConfig:
         assert config.n_phases == 10
         assert config.n_parallel_queries == 16
         assert config.ci_delta == 0.05
+
+    def test_docs_knob_table_lists_every_field(self):
+        text = (Path(__file__).parents[1] / "docs" / "api.md").read_text()
+        section = text.split("## `EngineConfig` knobs", 1)[1].split("\n#", 1)[0]
+        documented = {
+            name
+            for row in re.findall(r"^\| (`.*?) \|", section, re.M)
+            # Defaults sit in parentheses, some of them backticked too.
+            for name in re.findall(r"`([^`]+)`", re.sub(r"\([^)]*\)", "", row))
+        }
+        assert documented == {f.name for f in dataclasses.fields(EngineConfig)}
 
 
 class TestExecutionStats:

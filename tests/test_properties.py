@@ -346,7 +346,7 @@ def test_property_phase_count_never_changes_final_utilities(seed, n_phases):
 
 
 # --------------------------------------------------------------------------- #
-# multi-aggregate fusion
+# combined aggregates (§4.1)
 # --------------------------------------------------------------------------- #
 
 
@@ -354,10 +354,9 @@ def test_property_phase_count_never_changes_final_utilities(seed, n_phases):
 def _fusion_case(draw):
     """A table plus a fused multi-aggregate query and its per-aggregate split.
 
-    This is exactly the transformation ``repro.core.optimizer.fuse_plan``
-    performs in reverse: the optimizer merges planned queries sharing a
-    (group-by, predicate) signature into one multi-aggregate pass, so a
-    fused query must be bitwise-equal to executing each aggregate alone.
+    The sharing planner (§4.1) puts every aggregate over one group-by into one
+    query, or into chunks of ``max_aggregates_per_query``, so a view must read
+    the same bits from a multi-aggregate pass as from its aggregate alone.
     """
     table = draw(_random_table())
     dims = list(table.dimension_names())
@@ -406,8 +405,8 @@ def _fusion_case(draw):
 def test_property_fused_aggregates_match_separate_queries(case):
     """A fused multi-aggregate pass is bitwise-equal to per-aggregate queries.
 
-    The optimizer's fusion contract: each aggregate's accumulation is
-    independent and the group set is determined by the keys and predicate
+    The contract combined aggregates rely on: each aggregate's accumulation
+    is independent and the group set is determined by the keys and predicate
     alone, so merging N single-aggregate queries into one multi-aggregate
     query may never change a single bit of any result — for any schema,
     predicate, store layout, or streaming chunk size.

@@ -117,9 +117,12 @@ class TestAnova:
             two_factor_anova(np.zeros((1, 2, 5)))
 
     def test_serving_imports_do_not_load_scipy(self):
-        """The F-test's dependency stays out of every serving process."""
+        """The F-test's dependency stays out of every serving process, and the
+        core library loads none of the user-study package."""
         code = (
-            "import repro, repro.service.frontend, repro.service.server, sys; "
+            "import repro, sys; "
+            "assert not [m for m in sys.modules if m.startswith('repro.study')]; "
+            "import repro.service.frontend, repro.service.server; "
             "assert 'scipy' not in sys.modules"
         )
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
