@@ -25,13 +25,14 @@ With the §4.1 target/reference rewrite off
 (:func:`~repro.core.recommender.serving_config`) there are no phases — COMB
 and COMB_EARLY are one exact pass, SHARING's bits, whatever pruner they name —
 and group-bys are held table state: for reference "all" and any strategy but
-NO_OPT, the pass folds the reference rows of its views from an engine-held
-``GROUP BY d`` and — for a target ``X = x [AND Y = y …]`` whose clauses each
-select one category of a distinct column — their target rows from a held
-``GROUP BY X[, Y …], d`` sliced at ``(x[, y …])``; it plans filter-first target
-queries only for what is left, and fills what is missing with one query per
-cell in the same batch (identity, bounds and locking: ``docs/architecture.md``,
-"Held group-bys").
+NO_OPT, the pass reads the reference rows of its views from an engine-held
+``GROUP BY d``, kept finalized and normalized once per table identity, and —
+for a target ``X = x [AND Y = y …]`` whose clauses each select one category of
+a distinct column — folds their target rows from a held ``GROUP BY X[, Y …],
+d`` sliced at ``(x[, y …])``; it plans filter-first target queries only for
+what is left, and fills what is missing with one query per cell in the same
+batch (identity, bounds and locking: ``docs/architecture.md``, "Held
+group-bys").
 
 Every run returns an :class:`EngineRun` carrying the ranked views, their
 distributions, full execution accounting, and the cost model's latency.
@@ -67,7 +68,7 @@ from repro.core.sharing import (
     plan_fill,
     plan_queries,
 )
-from repro.core.state import ViewState
+from repro.core.state import ViewState, reference_row
 from repro.core.view import AggregateView, ViewKey
 from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
@@ -316,8 +317,9 @@ class ExecutionEngine:
         # Held group-bys over all rows of one table identity: group-by columns
         # (``(d,)`` or ``(X[, Y …], d)``) -> columns (``__codes__`` of the last
         # key, ``__offsets__`` of the others' composite code, the group count,
-        # one per aggregate).  The lock serialises fills and writes; held cells
-        # are read without it.
+        # one per aggregate; ``(d,)`` also its normalized reference rows, see
+        # ``_hold_reference``).  The lock serialises fills and writes; held
+        # cells are read without it.
         self._reference_lock = threading.Lock()
         self._reference_identity: tuple | None = None
         self._reference: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
@@ -468,7 +470,7 @@ class ExecutionEngine:
                 _LiveRequest(
                     request,
                     pruner,
-                    self._make_states(request.views),
+                    self._make_states(request.views, reference_held),
                     {v.key: v for v in request.views},
                     held=reference_held,
                     cells=(
@@ -534,6 +536,8 @@ class ExecutionEngine:
                     table_cells = self._held_state(identity) if locked else {}
                     if table_cells is None:  # the table moved: split path, hold nothing
                         for entry in running:
+                            if entry.held:  # one range: nothing is folded yet
+                                entry.states = self._make_states(entry.request.views)
                             entry.held, entry.cells = False, {}
                     for entry in running:
                         request = entry.request
@@ -864,11 +868,14 @@ class ExecutionEngine:
         """Keep one fill's columns (lock held); group keys are decoded once.
         Groups come sorted by their keys, so ``__offsets__`` bound the slice of
         each composite code of all keys but the last (of a one-key cell's key:
-        one group)."""
+        one group).  A one-key cell also keeps its reference side finalized and
+        normalized (:func:`~repro.core.state.reference_row`): ``__slots__`` and
+        ``__keys__`` of the categories present and ``q:`` + each alias, never
+        mutated."""
         key = fill.query.group_by
         columns = held.setdefault(key, {})
+        table = self.store.table
         if not columns:
-            table = self.store.table
             codes = [
                 np.searchsorted(table.categories(name), np.asarray(result.groups[name]))
                 for name in key
@@ -883,6 +890,20 @@ class ExecutionEngine:
             columns["__offsets__"] = np.searchsorted(prefix, np.arange(n_prefixes + 1))
         for name, values in result.values.items():
             columns[name] = np.asarray(values, dtype=np.float64)
+        if len(key) > 1:
+            return
+        categories = table.categories(key[0])
+        for spec in fill.query.aggregates:
+            slots, columns[f"q:{spec.alias}"] = reference_row(
+                spec.func,
+                len(categories),
+                columns["__codes__"],
+                columns[spec.alias],
+                columns["__group_count__"],
+            )
+        if "__slots__" not in columns:
+            columns["__keys__"] = categories[slots]
+            columns["__slots__"] = slots
 
     def _evict_target_columns(self, keep: set[tuple[str, ...]]) -> None:
         """Drop whole target column sets, least recently used first and never one
@@ -910,24 +931,19 @@ class ExecutionEngine:
             }
 
     def _fold_held(self, entry: _LiveRequest, held: dict) -> None:
-        """The split path's updates for ``entry``'s active views from held cells,
-        one stack per state table: the reference side from ``(d,)``, and the
-        target side from :meth:`_target_cell`'s cell sliced at the composite code
-        of the target's other columns — narrowed to ``d``'s own code when the
-        target tests ``d`` too."""
+        """Read ``entry``'s active views from held cells, one stack per state
+        table: the reference side as ``(d,)``'s finalized, normalized rows
+        (:meth:`~repro.core.state.ViewState.hold`), and the split path's target
+        updates from :meth:`_target_cell`'s cell sliced at the composite code of
+        the target's other columns — narrowed to ``d``'s own code when the target
+        tests ``d`` too.  A slice has one group per code."""
         grouped: dict[ViewState, list[AggregateView]] = {}
         for view in entry.active.values():
             grouped.setdefault(entry.states[view.key], []).append(view)
         for state, views in grouped.items():
             rows = np.array([state.rows[view.key] for view in views])
             dimension = views[0].dimension
-            columns = held[(dimension,)]
-            state.reference.update(
-                rows,
-                columns["__codes__"],
-                np.array([columns[view.agg_alias] for view in views]),
-                columns["__group_count__"],
-            )
+            state.hold(rows, held[(dimension,)], [view.agg_alias for view in views])
             cell = entry.cells.get(dimension)
             if cell and cell[0]:
                 key, prefix, own = cell
@@ -940,6 +956,7 @@ class ExecutionEngine:
                     columns["__codes__"][lo:hi],
                     np.array([columns[view.agg_alias][lo:hi] for view in views]),
                     columns["__group_count__"][lo:hi],
+                    unique=True,
                 )
 
     def reference_state(self) -> dict[str, int]:
@@ -957,15 +974,18 @@ class ExecutionEngine:
             "target_views_reused": self._target_views_reused,
         }
 
-    def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
+    def _make_states(
+        self, views: Sequence[AggregateView], held: bool = False
+    ) -> dict[ViewKey, ViewState]:
         """One state table per (dimension, function); every view's key maps
-        to the table that holds its row."""
+        to the table that holds its row.  ``held``: the reference side is table
+        state, and the tables keep no reference partial."""
         grouped: dict[tuple, list[AggregateView]] = {}
         for view in views:
             grouped.setdefault((view.dimension, view.func), []).append(view)
         states: dict[ViewKey, ViewState] = {}
         for (dimension, _), group in grouped.items():
-            state = ViewState(group, self.store.table.categories(dimension))
+            state = ViewState(group, self.store.table.categories(dimension), held)
             states.update(dict.fromkeys(state.rows, state))
         return states
 

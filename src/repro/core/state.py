@@ -14,10 +14,19 @@ it once) are computed once per stack.
 
 Slot ``i`` is the dimension's i-th global dictionary code (stable across
 phases because :meth:`repro.db.table.Table.dictionary` is computed once over
-the whole table).  Updates are vectorized (``np.add.at`` /
-``np.minimum.at``), which also makes marginalizing a multi-attribute
-group-by back down to the view's single dimension free: duplicate codes
-simply accumulate, per row in group order.
+the whole table).  Updates are vectorized.  Only the results
+:meth:`~repro.core.engine.ExecutionEngine._route_result` routes may repeat a
+code — a multi-attribute group-by marginalized back down to the view's single
+dimension — and they fold with ``np.add.at`` / ``np.minimum.at``, so duplicate
+codes simply accumulate, per row in group order.  A held cell's slice has one
+group per code and folds by fancy indexing: the same arithmetic, element for
+element.
+
+A table whose reference side is held table state (reference "all" on an
+engine without the §4.1 rewrite) has no reference partial: the engine keeps
+each ``(d,)`` cell's reference rows finalized and normalized
+(:func:`reference_row`, once per table identity), and :meth:`ViewState.hold`
+hands them to the table's rows.
 
 Each row keeps its own ``counts`` although live rows receive identical
 ones: a pruned view's row just stops being updated (and is never read
@@ -44,6 +53,20 @@ from repro.metrics.base import DistanceFunction
 from repro.metrics.normalize import normalize_distribution
 
 
+def _fold(ufunc: np.ufunc):
+    """``ufunc.at`` for an index that repeats no element, by fancy indexing."""
+
+    def apply(array: np.ndarray, index: tuple, values: np.ndarray) -> None:
+        array[index] = ufunc(array[index], values)
+
+    return apply
+
+
+#: ``(add, minimum, maximum)`` folds for codes that repeat, and for codes that do not.
+_REPEATED = (np.add.at, np.minimum.at, np.maximum.at)
+_UNIQUE = (_fold(np.add), _fold(np.minimum), _fold(np.maximum))
+
+
 class SidePartial:
     """Mergeable aggregate state of one side (target or reference).
 
@@ -66,24 +89,32 @@ class SidePartial:
             self.extrema = None  # type: ignore[assignment]
 
     def update(
-        self, rows: np.ndarray, codes: np.ndarray, aggregated: np.ndarray, counts: np.ndarray
+        self,
+        rows: np.ndarray,
+        codes: np.ndarray,
+        aggregated: np.ndarray,
+        counts: np.ndarray,
+        unique: bool = False,
     ) -> None:
         """Fold one query result into ``rows``: ``aggregated[i, g]`` is row
         ``rows[i]``'s aggregate over group ``g``, which has dictionary code
-        ``codes[g]`` and ``counts[g]`` rows."""
+        ``codes[g]`` and ``counts[g]`` rows.  ``unique`` promises no code
+        repeats: the fold is then fancy-index arithmetic, the bits of the
+        ``ufunc.at`` it replaces without its per-element loop."""
         if len(codes) == 0:
             return
         index = (rows[:, None], codes)
-        np.add.at(self.counts, index, counts)
+        add, low, high = _UNIQUE if unique else _REPEATED
+        add(self.counts, index, counts)
         func = self.func
         if func in (AggregateFunction.SUM, AggregateFunction.COUNT):
-            np.add.at(self.sums, index, aggregated)
+            add(self.sums, index, aggregated)
         elif func is AggregateFunction.AVG:
-            np.add.at(self.sums, index, aggregated * counts)
+            add(self.sums, index, aggregated * counts)
         elif func is AggregateFunction.MIN:
-            np.minimum.at(self.extrema, index, aggregated)
+            low(self.extrema, index, aggregated)
         elif func is AggregateFunction.MAX:
-            np.maximum.at(self.extrema, index, aggregated)
+            high(self.extrema, index, aggregated)
 
     def values(self, rows: np.ndarray) -> np.ndarray:
         """Finalized per-slot aggregates of ``rows`` (0 where absent)."""
@@ -97,11 +128,36 @@ class SidePartial:
         return np.where(np.isfinite(extrema), extrema, 0.0)
 
 
+def reference_row(
+    func: AggregateFunction,
+    n_slots: int,
+    codes: np.ndarray,
+    aggregated: np.ndarray,
+    counts: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(slots, q)`` of a reference side folded from one held ``(d,)`` cell:
+    the slots present, and the finalized values compacted to them and
+    normalized (empty if none is).  This is the split path's arithmetic for a
+    one-row table, so a stack of these rows has the stack's bits."""
+    partial = SidePartial(func, 1, n_slots)
+    row = np.zeros(1, dtype=np.intp)
+    partial.update(row, codes, aggregated[None], counts, unique=True)
+    slots = np.flatnonzero(partial.counts[0] > 0)
+    if not len(slots):
+        return slots, np.zeros(0)
+    return slots, normalize_distribution(np.take(partial.values(row), slots, axis=1))[0]
+
+
 class ViewState:
     """Running target/reference partials of the views that share one
-    dimension and one aggregate function; ``rows`` maps each to its row."""
+    dimension and one aggregate function; ``rows`` maps each to its row.
 
-    def __init__(self, views: Sequence[AggregateView], categories: np.ndarray) -> None:
+    With ``held`` the reference side is table state: there is no reference
+    partial, and :meth:`hold` gives the rows their held reference rows."""
+
+    def __init__(
+        self, views: Sequence[AggregateView], categories: np.ndarray, held: bool = False
+    ) -> None:
         if len({(view.dimension, view.func) for view in views}) != 1:
             raise RecommendationError(
                 "a state table holds views of one dimension and one aggregate function"
@@ -113,22 +169,41 @@ class ViewState:
         self.categories = categories
         self.rows: dict[ViewKey, int] = {view.key: i for i, view in enumerate(views)}
         self.target = SidePartial(views[0].func, len(views), len(categories))
-        self.reference = SidePartial(views[0].func, len(views), len(categories))
+        self.reference = (
+            None if held else SidePartial(views[0].func, len(views), len(categories))
+        )
+        #: A held reference side: its slots, keys and each row's ``q``.
+        self._slots = self._keys = None
+        self._q: list[np.ndarray | None] = [None] * len(views)
 
     def codes(self, keys: np.ndarray) -> np.ndarray:
         """Map group key values to dictionary codes (categories are sorted)."""
         return np.searchsorted(self.categories, keys)
 
+    def hold(self, rows: Sequence[int], cell: dict[str, np.ndarray], aliases: Sequence[str]) -> None:
+        """Read ``rows``' reference side from the held ``(d,)`` ``cell``: its
+        ``__slots__`` and ``__keys__``, and for ``rows[i]`` the normalized row
+        ``q:`` + ``aliases[i]`` (:func:`reference_row`).  Every target row is a
+        subset of the rows the cell was filled from, so the held slots are the
+        union's."""
+        self._slots, self._keys = cell["__slots__"], cell["__keys__"]
+        for row, alias in zip(rows, aliases):
+            self._q[row] = cell[f"q:{alias}"]
+
     def _stacks(self, rows: Sequence[int]):
-        """``(positions, mask, p, q)`` per distinct presence pattern among
-        ``rows``: the positions in ``rows`` that share it, the slots present
-        on either side, and both sides finalized, compacted to those slots
-        and normalized as one stack — ``None`` while a side is still empty.
+        """``(positions, keys, p, q)`` per distinct presence pattern among
+        ``rows``: the positions in ``rows`` that share it, the categories present
+        on either side, and both sides finalized, compacted to those slots and
+        normalized as one stack — ``None`` while a side is still empty.
         """
         rows = np.asarray(rows)
+        held = self.reference is None
         target_present = self.target.counts[rows] > 0
-        reference_present = self.reference.counts[rows] > 0
-        present = np.concatenate((target_present, reference_present), axis=1)
+        if held:
+            present = target_present
+        else:
+            reference_present = self.reference.counts[rows] > 0
+            present = np.concatenate((target_present, reference_present), axis=1)
         patterns: dict[bytes, list[int]] = {}
         if len(rows) and (present == present[0]).all():  # unless a table is half-empty
             patterns[b""] = list(range(len(rows)))
@@ -137,15 +212,23 @@ class ViewState:
                 patterns.setdefault(present[i].tobytes(), []).append(i)
         for positions in patterns.values():
             first = positions[0]
-            mask = target_present[first] | reference_present[first]
-            if not target_present[first].any() or not reference_present[first].any():
-                yield positions, mask, None, None
-                continue
-            slots = np.flatnonzero(mask)
             stack = rows[positions]
+            if held:
+                keys, slots = self._keys, self._slots
+                reference_any = len(slots) > 0
+            else:
+                mask = target_present[first] | reference_present[first]
+                keys, slots = self.categories[mask], np.flatnonzero(mask)
+                reference_any = reference_present[first].any()
+            if not (target_present[first].any() and reference_any):
+                yield positions, keys, None, None
+                continue
             p = normalize_distribution(np.take(self.target.values(stack), slots, axis=1))
-            q = normalize_distribution(np.take(self.reference.values(stack), slots, axis=1))
-            yield positions, mask, p, q
+            if held:
+                q = np.array([self._q[row] for row in stack])
+            else:
+                q = normalize_distribution(np.take(self.reference.values(stack), slots, axis=1))
+            yield positions, keys, p, q
 
     def utility(
         self, metric: DistanceFunction, rows: Sequence[int]
@@ -159,8 +242,8 @@ class ViewState:
         of deviation yet.
         """
         out: list = [None] * len(rows)
-        for positions, mask, p, q in self._stacks(rows):
-            keys = tuple(self.categories[mask])
+        for positions, keys, p, q in self._stacks(rows):
+            keys = tuple(keys)
             if p is None:
                 keys = keys or ("?",)
                 for position in positions:

@@ -55,7 +55,7 @@ import threading
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping
+from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -700,12 +700,20 @@ def _append_at(path: Path, offset: int, blob: bytes) -> None:
         handle.truncate()
 
 
+#: Cell kinds (numpy's, ``N`` for ``None``) a column of each stored kind takes
+#: from an append: a string column strings, a numeric one numbers and no
+#: booleans, and a float column ``None`` as NaN, as CSV's empty cell.
+_APPENDED_KINDS = {"U": "U", "f": "fiuN", "i": "iu", "u": "iu", "b": "b"}
+
+
 def _encode_appended(
-    root: Path, col: ColumnManifest, values: np.ndarray
+    root: Path, col: ColumnManifest, values: Sequence | np.ndarray
 ) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
     """Coerce one column's appended values to stored bytes; writes nothing.
 
-    Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
+    Cells of a type the column does not take (:data:`_APPENDED_KINDS`) are
+    rejected, never converted: a dict or ``None`` is no category, ``True`` no
+    number.  Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
     holds int32 codes into ``categories`` (the sorted union of the stored
     categories and the new values) and ``remap`` translates stored codes to
     union codes — ``None`` when the dictionary is the one the manifest
@@ -718,19 +726,32 @@ def _encode_appended(
         )
     if not (root / col.file).is_file():
         raise StorageError(f"chunk store {root} is missing column file {col.file}")
+    if col.encoding == "dict32" and not col.categories_file:
+        raise StorageError(f"dict-encoded column {col.name!r} declares no categories file")
+    stored = np.dtype(col.dtype)
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        types = {values.dtype.type}
+    else:
+        types = set(map(type, values))
+    takes = _APPENDED_KINDS.get(stored.kind, stored.kind)
+    wrong = sorted(
+        kind.__name__
+        for kind in types
+        if ("N" if kind is type(None) else np.dtype(kind).kind) not in takes
+    )
+    if wrong:
+        raise StorageError(
+            f"column {col.name!r} rejects appended {', '.join(wrong)} cells ({stored.name})"
+        )
     try:
+        vals = np.asarray(values, dtype=None if stored.kind == "U" else stored)
+        if vals.dtype.kind != stored.kind:  # strings in an object array
+            vals = vals.astype(str)
         if col.encoding == "raw":
-            return np.asarray(values, dtype=np.dtype(col.dtype)).tobytes(), None, None
-        if not col.categories_file:
-            raise StorageError(
-                f"dict-encoded column {col.name!r} declares no categories file"
-            )
-        old_cats = np.fromfile(root / col.categories_file, dtype=np.dtype(col.dtype))
-        vals = np.asarray(values)
-        if vals.dtype.kind != old_cats.dtype.kind:
-            vals = vals.astype(str if old_cats.dtype.kind == "U" else old_cats.dtype)
+            return vals.tobytes(), None, None
+        old_cats = np.fromfile(root / col.categories_file, dtype=stored)
         cats = np.unique(np.concatenate([old_cats, np.unique(vals)]))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise StorageError(
             f"column {col.name!r} rejects appended values: {exc}"
         ) from None
@@ -842,14 +863,18 @@ def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
     missing = sorted(set(names) - set(data))
     if missing:
         raise StorageError(f"append is missing columns: {missing}")
-    converted: dict[str, np.ndarray] = {}
+    converted: dict[str, Sequence | np.ndarray] = {}
     n_new: int | None = None
     for name in names:
-        arr = np.asarray(data[name])
-        if arr.ndim != 1:
-            raise StorageError(
-                f"appended column {name!r} must be 1-D, got shape {arr.shape}"
-            )
+        # A list keeps its cells' Python types for _encode_appended to check:
+        # ``np.asarray(["a", 5])`` would already have made 5 a string.
+        arr = data[name]
+        if not isinstance(arr, (list, tuple)):
+            arr = np.asarray(arr)
+            if arr.ndim != 1:
+                raise StorageError(
+                    f"appended column {name!r} must be 1-D, got shape {arr.shape}"
+                )
         if n_new is None:
             n_new = len(arr)
         elif len(arr) != n_new:

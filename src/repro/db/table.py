@@ -67,6 +67,15 @@ def _infer_role(name: str, arr: np.ndarray, ctype: ColumnType) -> ColumnRole:
     return ColumnRole.MEASURE
 
 
+def _role(column: str, role: ColumnRole | str) -> ColumnRole:
+    """``role`` as a :class:`ColumnRole`, given one or its value."""
+    try:
+        return ColumnRole(role)
+    except ValueError:
+        known = [member.value for member in ColumnRole]
+        raise SchemaError(f"column {column!r}: unknown role {role!r}; known: {known}") from None
+
+
 class Table:
     """An immutable relational table over chunked columns.
 
@@ -78,7 +87,8 @@ class Table:
         Mapping of column name to 1-D array-like.  All columns must have the
         same length.  Arrays may be resident numpy or ``np.memmap``.
     roles:
-        Optional mapping of column name to :class:`ColumnRole`.  Columns not
+        Optional mapping of column name to :class:`ColumnRole` or its value
+        (``"dimension"``, ``"measure"``, ``"other"``).  Columns not
         mentioned get a heuristic role (strings/bools and low-cardinality
         ints are dimensions; floats and high-cardinality ints are measures).
     chunk_rows:
@@ -104,7 +114,7 @@ class Table:
         self,
         name: str,
         data: Mapping[str, object],
-        roles: Mapping[str, ColumnRole] | None = None,
+        roles: Mapping[str, ColumnRole | str] | None = None,
         *,
         chunk_rows: int | None = None,
         source_digest: str | None = None,
@@ -115,7 +125,7 @@ class Table:
             raise SchemaError("table must have at least one column")
         if chunk_rows is not None and chunk_rows <= 0:
             raise SchemaError(f"chunk_rows must be positive, got {chunk_rows}")
-        roles = dict(roles or {})
+        roles = {column: _role(column, role) for column, role in (roles or {}).items()}
         chunked: dict[str, ChunkedColumn] = {}
         columns: list[Column] = []
         nrows: int | None = None

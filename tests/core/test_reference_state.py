@@ -40,6 +40,9 @@ from repro.db.chunks import append_rows, open_table, write_table
 from repro.db.expressions import And, Col, Comparison, Lit, eq, true
 from repro.db.query import AggregateFunction
 from repro.db.sql import generate_sql
+from repro.db.table import Table
+from repro.metrics.base import DistanceFunction
+from repro.metrics.normalize import normalize_distribution
 from repro.service import RecommendationService
 
 GOLDEN = Path(__file__).with_name("golden_reference_state.json")
@@ -398,6 +401,117 @@ def test_no_opt_and_the_other_reference_modes_keep_their_queries(census):
 
 
 # --------------------------------------------------------------------------- #
+# held reference rows: each (d,) cell's reference side finalized and normalized
+# once per table identity
+# --------------------------------------------------------------------------- #
+
+
+class _RowByRow(DistanceFunction):
+    """Half the L1 distance, one row at a time: a metric that is not ``stacked``."""
+
+    name = "row_by_row_l1"
+
+    def compute(self, p, q):
+        return 0.5 * float(np.abs(p - q).sum())
+
+
+@pytest.fixture(scope="module")
+def signed():
+    """``d`` x ``x`` with ``d = "f"`` never beside ``x = "u"``; ``m`` signed, with
+    zeros, and ``z`` zero on ``d = "a"`` and negative elsewhere."""
+    rng = np.random.default_rng(5)
+    n = 900
+    x = rng.choice(["u", "v", "w"], n)
+    d = np.where(x == "u", rng.choice(["a", "b", "c", "e"], n), rng.choice(list("abcef"), n))
+    m = np.where(rng.random(n) < 0.25, 0.0, rng.normal(0.5, 4.0, n))
+    z = np.where(d == "a", 0.0, -rng.random(n))
+    return Table(
+        "signed",
+        {"d": d, "x": x, "m": m, "z": z},
+        {"d": "dimension", "x": "dimension", "m": "measure", "z": "measure"},
+    )
+
+
+@pytest.mark.parametrize("metric", ["emd", _RowByRow()], ids=["stacked", "one_d"])
+def test_held_reference_rows_equal_the_split_path(signed, metric):
+    """Every function over signed measures with zeros, a target missing one of
+    ``d``'s categories, a target on ``d`` itself, an empty held slice and a
+    literal missing from the dictionary: a held run, cold and warm, answers with
+    the bits of NO_OPT, whose reference side is a per-request partial."""
+    funcs = tuple(AggregateFunction)
+    targets = [
+        eq("x", "u"),
+        eq("d", "b"),
+        And((eq("x", "u"), eq("d", "f"))),
+        eq("x", "no-such-value"),
+    ]
+    with SeeDB.over_table(signed, store="col", funcs=funcs, metric=metric) as held, SeeDB.over_table(
+        signed, store="col", funcs=funcs, metric=metric
+    ) as oracle:
+        for target in targets:
+            want, want_states = _run_with_states(oracle, target, "no_opt", "none")
+            assert all(rows for _, rows in want_states)
+            for warm in (False, True):
+                run, states = _run_with_states(held, target, "sharing", "none")
+                assert (_bits(run), states) == (_bits(want), want_states), (target, warm)
+                assert run.stats.queries_issued == 0 or not warm
+        missing = held.run_engine(eq("x", "u"), k=K, strategy="sharing", pruner="none")
+        dists = missing.distributions[("d", "m", "COUNT")]
+        assert dists.target[dists.keys.index("f")] == 0.0 < dists.reference[dists.keys.index("f")]
+        empty = held.run_engine(targets[-1], k=K, strategy="sharing", pruner="none")
+        assert set(empty.utilities.values()) == {0.0}
+        for dists in empty.distributions.values():
+            assert dists.keys and (dists.target == 1.0 / len(dists.keys)).all()
+            assert dists.reference.tobytes() == dists.target.tobytes()
+
+
+def test_a_held_table_keeps_no_reference_partial(census):
+    """A held run's state tables fold the target only; NO_OPT's keep the
+    per-request reference partial."""
+    table, spec = census
+    with SeeDB.over_table(table, store="col") as seedb:
+        captured: dict = {}
+        finalize = seedb.engine._finalize
+
+        def spy(states, *args):
+            captured[args[-1]] = set(states.values())
+            return finalize(states, *args)
+
+        seedb.engine._finalize = spy
+        seedb.run_engine(spec.target_predicate(), k=1, strategy="sharing", pruner="none")
+        seedb.run_engine(spec.target_predicate(), k=2, strategy="no_opt", pruner="none")
+    assert {state.reference for state in captured[1]} == {None}
+    assert None not in {state.reference for state in captured[2]}
+
+
+def test_the_held_bytes_count_the_held_distributions(census):
+    """``reference_state()["bytes"]`` is the ``(d,)`` cells' columns plus, per
+    dimension, the slots and keys of the categories present and one normalized
+    row per aggregate."""
+    table, spec = census
+    funcs = (AggregateFunction.AVG, AggregateFunction.MIN)
+    with SeeDB.over_table(table, store="col", funcs=funcs) as seedb:
+        seedb.run_engine(spec.target_predicate(), k=K, strategy="sharing", pruner="none")
+        held = seedb.engine._reference
+        n_aliases = len(funcs) * len(seedb.meta.measures)
+        columns = distributions = 0
+        for dimension in seedb.meta.dimensions:
+            cell = held[(dimension,)]
+            aliases = [name for name in cell if not name.startswith(("__", "q:"))]
+            assert len(aliases) == n_aliases
+            names = ["__codes__", "__offsets__", "__group_count__", *aliases]
+            columns += sum(cell[name].nbytes for name in names)
+            codes, categories = table.dictionary(dimension)
+            present = np.bincount(codes, minlength=len(categories)) > 0
+            distributions += (
+                int(present.sum()) * (np.dtype(np.intp).itemsize + 8 * n_aliases)
+                + categories[present].nbytes
+            )
+        assert distributions > 0
+        assert seedb.engine.reference_state()["bytes"] == columns + distributions
+
+
+# --------------------------------------------------------------------------- #
 # held target cells: X = x [AND Y = y …] reads GROUP BY (X[, Y …], d) sliced
 # at (x[, y …])
 # --------------------------------------------------------------------------- #
@@ -414,8 +528,26 @@ def _value(table, column: str, rank: int):
     return categories[np.argsort(-np.bincount(codes), kind="stable")[rank]].item()
 
 
+def _reference_rows(state) -> list[tuple]:
+    """``(slots, keys, q)`` of each row's reference side: a held table's held
+    rows, or the split path's per-request partial finalized, compacted to its
+    present slots and normalized."""
+    if state.reference is None:
+        return [
+            (state._slots.tobytes(), tuple(state._keys), state._q[row].tobytes())
+            for row in state.rows.values()
+        ]
+    out = []
+    for row in state.rows.values():
+        slots = np.flatnonzero(state.reference.counts[row] > 0)
+        q = normalize_distribution(np.take(state.reference.values(np.array([row])), slots, axis=1))
+        out.append((slots.tobytes(), tuple(state.categories[slots]), q[0].tobytes()))
+    return out
+
+
 def _run_with_states(seedb, target, strategy, pruner, **kwargs):
-    """``run_engine`` plus the bytes of every state table it finalized on."""
+    """``run_engine`` plus, per state table it finalized on, the bytes of its
+    target partial and each row's reference side (:func:`_reference_rows`)."""
     captured: dict = {}
     finalize = seedb.engine._finalize
 
@@ -430,11 +562,13 @@ def _run_with_states(seedb, target, strategy, pruner, **kwargs):
         del seedb.engine._finalize
     tables = list(dict.fromkeys(captured.values()))
     states = [
-        tuple(
-            array.tobytes()
-            for side in (state.target, state.reference)
-            for array in (side.sums, side.counts, side.extrema)
-            if array is not None
+        (
+            tuple(
+                array.tobytes()
+                for array in (state.target.sums, state.target.counts, state.target.extrema)
+                if array is not None
+            ),
+            _reference_rows(state),
         )
         for state in tables
     ]
@@ -465,7 +599,9 @@ def test_a_held_one_category_target_equals_the_filter_first_path(census, store, 
     """States and ``EngineRun`` of a conjunction of one-category clauses read
     from held cells, cold and warm, equal the filter-first path's bit for bit —
     one clause over a column that is no dimension and over a dimension (whose own
-    views read ``(X,)``), two clauses and three."""
+    views read ``(X,)``), two clauses and three.  The target partials are the
+    split path's; each view's held reference slots, keys and ``q`` are what
+    NO_OPT, whose reference side is a per-request partial, normalizes."""
     table, _ = census
     if storage == "memmap":
         write_table(table, tmp_path / "census", chunk_rows=512)
@@ -477,10 +613,14 @@ def test_a_held_one_category_target_equals_the_filter_first_path(census, store, 
         table, store=store, config=config, funcs=funcs
     ) as oracle:
         for target in _held_targets(table):
-            want, want_states = _run_with_states(
-                oracle, _filter_first(target), "comb", "ci", measures=measures
+            want = oracle.run_engine(
+                _filter_first(target), k=K, strategy="comb", pruner="ci", measures=measures
             )
             assert want.stats.queries_issued > 0 == want.stats.target_views_reused
+            split, want_states = _run_with_states(
+                oracle, _filter_first(target), "no_opt", "none", measures=measures
+            )
+            assert _bits(split) == _bits(want)
             for warm in (False, True):
                 run, states = _run_with_states(held, target, "comb", "ci", measures=measures)
                 assert (_bits(run), states) == (_bits(want), want_states)

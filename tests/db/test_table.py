@@ -3,6 +3,10 @@
 import numpy as np
 import pytest
 
+from repro import SeeDB
+from repro.db.catalog import TableMeta
+from repro.db.chunks import open_table, write_table
+from repro.db.expressions import eq
 from repro.db.table import Table
 from repro.db.types import ColumnRole, ColumnType
 from repro.exceptions import SchemaError
@@ -26,6 +30,30 @@ class TestConstruction:
     def test_roles_for_unknown_column_rejected(self):
         with pytest.raises(SchemaError):
             Table("bad", {"a": [1]}, roles={"zzz": ColumnRole.MEASURE})
+
+    def test_a_role_given_by_name_is_the_role(self, tmp_path):
+        """``"dimension"`` means :attr:`ColumnRole.DIMENSION`: the catalog sees it,
+        a recommendation runs, and the table writes to a chunk store."""
+        table = Table(
+            "named",
+            {"s": ["a", "b", "c"] * 20, "n": np.arange(60.0)},
+            roles={"s": "dimension", "n": "measure"},
+        )
+        assert {c.name: c.role for c in table.schema} == {
+            "s": ColumnRole.DIMENSION,
+            "n": ColumnRole.MEASURE,
+        }
+        meta = TableMeta.of(table)
+        assert (meta.dimensions, meta.measures) == (("s",), ("n",))
+        result = SeeDB.over_table(table, store="col").recommend(eq("s", "a"), k=1)
+        assert [rec.view.dimension for rec in result] == ["s"]
+        write_table(table, tmp_path / "named")
+        reopened = open_table(tmp_path / "named")
+        assert [c.role for c in reopened.schema] == [ColumnRole.DIMENSION, ColumnRole.MEASURE]
+
+    def test_an_unknown_role_name_rejected(self):
+        with pytest.raises(SchemaError, match="unknown role 'dimensoin'"):
+            Table("bad", {"a": [1]}, roles={"a": "dimensoin"})
 
     def test_two_dimensional_column_rejected(self):
         with pytest.raises(SchemaError):

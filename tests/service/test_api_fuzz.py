@@ -3,9 +3,13 @@
 Each row of :data:`repro.service.api.ROUTES` is sent no body, ``[]``,
 ``"x"``, invalid JSON, an unknown ``{id}``, and — drawn with a fixed seed —
 JSON values of the wrong type for each field of the row's request
-dataclass, on the single-process server and on a two-worker front end.
-Every answer must be the row's typed success or the one error envelope
-with a catalogued code: never a 500, never a body that is not JSON.
+dataclass, on the single-process server and on a two-worker front end;
+nested values and ``null`` go into a target clause's value and into each
+appended cell, in the columnar and the row-object form.  Every answer must
+be the row's typed success or the one error envelope with a catalogued code:
+never a 500, never a body that is not JSON.  An appended cell of the wrong
+type is rejected, and whatever is not a success leaves the store's rows and
+categories as they were.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.data import registry
-from repro.db.chunks import write_table
+from repro.db.chunks import open_table, write_table
 from repro.db.table import Table
 from repro.db.types import ColumnRole
 from repro.service import RecommendationService, ServiceClient, start_server
@@ -44,6 +48,10 @@ WRONG = {
 }
 #: The right container with the wrong contents, sent for every collection.
 NESTED = [[5], {"region": 5}]
+#: Nested JSON and ``null``, sent as a target clause's value and as each appended cell.
+DEEP = [[["n"]], {"a": 1}, None]
+#: One valid appended row.
+ROW = {"region": "n", "sales": 1.5, "segment": "t"}
 #: A valid body per row that reads one; the fuzz breaks one field at a time.
 BASES = {
     "create_session": {"dataset": "census"},
@@ -94,8 +102,18 @@ def _chunk_store(path):
 
 
 @pytest.fixture(scope="module")
-def tiers(tmp_path_factory):
-    store = _chunk_store(tmp_path_factory.mktemp("fuzz") / "fuzz")
+def store(tmp_path_factory):
+    return _chunk_store(tmp_path_factory.mktemp("fuzz") / "fuzz")
+
+
+def _contents(store):
+    """The store's row count and its dictionary columns' categories."""
+    table = open_table(store)
+    return table.nrows, [table.categories(name).tolist() for name in ("region", "segment")]
+
+
+@pytest.fixture(scope="module")
+def tiers(store):
     kwargs = dict(datasets=("census",), scale="smoke", data_dirs=(str(store),))
     solo, _ = start_server(RecommendationService(**kwargs))
     workers = [start_server(RecommendationService(**kwargs))[0] for _ in range(2)]
@@ -117,7 +135,8 @@ def _kind(annotation):
 
 
 def _cases(route, ids, rng):
-    """``(case, path, raw body)`` for one row."""
+    """``(case, path, raw body, accepted)`` for one row: ``accepted`` says
+    whether the body must succeed (``None``: either answer will do)."""
     path = route.path(ids.get(route.template.split("/")[1]))
     cases = [
         ("no body", path, None),
@@ -133,6 +152,21 @@ def _cases(route, ids, rng):
             for value in rng.sample(WRONG[kind], 2) + (NESTED if kind == "collection" else []):
                 body = {**BASES[route.name], field.name: value}
                 cases.append((f"{field.name}={value!r}", path, json.dumps(body).encode()))
+    cases = [(*case, None) for case in cases]
+    for value in DEEP:
+        if route.name == "recommend":
+            body = {"target": [{"column": "region", "value": value}], "k": 1}
+            cases.append((f"clause value {value!r}", path, json.dumps(body).encode(), False))
+        if route.name == "append_dataset":
+            for column in ROW:
+                # Only a float column takes null: NaN, as CSV's empty cell.
+                accepted = column == "sales" and value is None
+                for form, rows in (
+                    ("columnar", {name: [value if name == column else cell] for name, cell in ROW.items()}),
+                    ("row objects", [{**ROW, column: value}]),
+                ):
+                    body = json.dumps({"rows": rows}).encode()
+                    cases.append((f"{form} {column}={value!r}", path, body, accepted))
     return cases
 
 
@@ -170,7 +204,7 @@ def _problem(route, status, content_type, raw):
 
 
 @pytest.mark.parametrize("tier", ["server", "front end"])
-def test_every_answer_is_typed_success_or_the_envelope(tiers, tier):
+def test_every_answer_is_typed_success_or_the_envelope(tiers, store, tier):
     address = tiers[tier]
     with ServiceClient(*address) as client:
         ids = {
@@ -179,10 +213,18 @@ def test_every_answer_is_typed_success_or_the_envelope(tiers, tier):
         }
     rng = random.Random(SEED)
     failures = []
+    contents = _contents(store)
     for route in ROUTES:
-        for case, path, body in _cases(route, ids, rng):
+        for case, path, body, accepted in _cases(route, ids, rng):
             status, content_type, raw = _exchange(address, route.method, path, body)
             problem = _problem(route, status, content_type, raw)
+            succeeded = problem is None and status < 400
+            if problem is None and accepted is not None and succeeded != accepted:
+                problem = "accepted" if succeeded else f"rejected: {raw[:120]!r}"
+            if succeeded:
+                contents = _contents(store)
+            elif _contents(store) != contents:
+                problem = (problem or "") + " and changed the store"
             if problem:
                 failures.append(f"{route.label} [{case}] -> {status}: {problem}")
     assert not failures, "\n".join(failures)
