@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.db.groupby import factorize_key
+
 
 def category_labels(prefix: str, n: int) -> np.ndarray:
-    """``n`` deterministic category labels, e.g. ``g00 .. g09``."""
+    """``n`` deterministic category labels, e.g. ``g00 .. g09``, in sort order."""
     width = max(2, len(str(n - 1)))
     return np.asarray([f"{prefix}{i:0{width}d}" for i in range(n)])
 
@@ -35,11 +37,14 @@ def categorical_column(
     rng: np.random.Generator,
     prefix: str = "v",
     skew: float = 0.5,
-) -> np.ndarray:
-    """A string dimension column with ``n_distinct`` values."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """A string dimension column with ``n_distinct`` values, and its codes:
+    the drawn label indices (``rng`` moves as if drawing labels) compacted
+    over the labels present — labels sort in index order — as a sort would."""
     labels = category_labels(prefix, n_distinct)
     weights = zipf_weights(n_distinct, skew, rng)
-    return rng.choice(labels, size=n_rows, p=weights)
+    drawn = rng.choice(n_distinct, size=n_rows, p=weights)
+    return labels[drawn], factorize_key(drawn)[0]
 
 
 def measure_column(

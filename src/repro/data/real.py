@@ -48,9 +48,6 @@ class RealRecipe:
     #: boundary it can actually separate).
     background_deviation: float = 0.10
 
-    def view_count(self) -> int:
-        return len(self.dims) * len(self.measures)
-
 
 def build_real(recipe: RealRecipe, seed: int = 0, n_rows: int | None = None) -> Table:
     """Materialize a recipe as a :class:`Table` (deterministic per seed)."""
@@ -72,12 +69,12 @@ def build_real(recipe: RealRecipe, seed: int = 0, n_rows: int | None = None) -> 
     codes_cache: dict[str, np.ndarray] = {}
     group_counts: dict[str, int] = {}
     for dim_name, distinct, skew in recipe.dims:
-        column = categorical_column(n, distinct, rng, prefix=f"{dim_name}_", skew=skew)
-        data[dim_name] = column
+        data[dim_name], codes = categorical_column(
+            n, distinct, rng, prefix=f"{dim_name}_", skew=skew
+        )
         roles[dim_name] = ColumnRole.DIMENSION
-        _, codes = np.unique(column, return_inverse=True)
         codes_cache[dim_name] = codes
-        group_counts[dim_name] = int(codes.max()) + 1 if n else 0
+        group_counts[dim_name] = int(codes.max()) + 1
 
     by_measure: dict[str, list[PlantedView]] = {}
     for planting in recipe.plantings:

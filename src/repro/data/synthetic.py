@@ -83,10 +83,9 @@ def make_synthetic(config: SyntheticConfig) -> Table:
 
     for i in range(config.n_dimensions):
         name = dimension_name(i)
-        column = categorical_column(
+        data[name], dim_codes[name] = categorical_column(
             n, distinct_counts[i], rng, prefix=f"{name}_", skew=config.dimension_skew
         )
-        data[name] = column
         roles[name] = ColumnRole.DIMENSION
 
     plantings_by_measure: dict[str, list[PlantedView]] = {}
@@ -97,11 +96,11 @@ def make_synthetic(config: SyntheticConfig) -> Table:
         name = measure_name(j)
         values = measure_column(n, rng, kind=config.measure_kind)
         for planting in plantings_by_measure.get(name, ()):
-            if planting.dimension not in data:
+            if planting.dimension not in dim_codes:
                 raise DatasetError(
                     f"planting references unknown dimension {planting.dimension!r}"
                 )
-            codes = _codes_for(planting.dimension, data, dim_codes)
+            codes = dim_codes[planting.dimension]
             n_groups = int(codes.max()) + 1 if len(codes) else 0
             values = apply_planting(
                 values, codes, n_groups, in_target, planting.strength, rng
@@ -121,15 +120,6 @@ def _distinct_counts(config: SyntheticConfig, rng: np.random.Generator) -> list[
         raise DatasetError(f"bad distinct range {config.distinct_values!r}")
     log_draws = rng.uniform(np.log(low), np.log(high), size=config.n_dimensions)
     return [max(int(round(np.exp(x))), 1) for x in log_draws]
-
-
-def _codes_for(
-    dimension: str, data: dict[str, np.ndarray], cache: dict[str, np.ndarray]
-) -> np.ndarray:
-    if dimension not in cache:
-        _, codes = np.unique(data[dimension], return_inverse=True)
-        cache[dimension] = codes
-    return cache[dimension]
 
 
 def make_syn(

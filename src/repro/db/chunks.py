@@ -55,12 +55,12 @@ import threading
 import weakref
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Iterator, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterator, Mapping
 
 import numpy as np
 
 from repro.db.types import ColumnRole, ColumnType
-from repro.exceptions import StorageError
+from repro.exceptions import ReproError, StorageError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.table import Table
@@ -133,7 +133,7 @@ class ResidencyTracker:
 
     @property
     def peak_bytes(self) -> int:
-        """High-water mark of :attr:`current_bytes` since the last reset."""
+        """High-water mark of :attr:`current_bytes` since the tracker was made."""
         with self._lock:
             return self._peak
 
@@ -142,12 +142,6 @@ class ResidencyTracker:
         """How many registrations pushed residency past the budget."""
         with self._lock:
             return self._over_budget
-
-    def reset_peak(self) -> None:
-        """Restart peak tracking from the current residency level."""
-        with self._lock:
-            self._peak = self._current
-            self._over_budget = 0
 
 
 def _is_memmap_backed(array: np.ndarray) -> bool:
@@ -706,14 +700,79 @@ def _append_at(path: Path, offset: int, blob: bytes) -> None:
 _APPENDED_KINDS = {"U": "U", "f": "fiuN", "i": "iu", "u": "iu", "b": "b"}
 
 
-def _encode_appended(
-    root: Path, col: ColumnManifest, values: Sequence | np.ndarray
-) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
-    """Coerce one column's appended values to stored bytes; writes nothing.
+def appended_columns(
+    data: Mapping[str, object], stored: Mapping[str, np.dtype], error: type[ReproError]
+) -> dict[str, np.ndarray]:
+    """A batch of appended rows as one 1-D array per column of ``stored``
+    (name → stored dtype), for :func:`append_rows` and
+    :meth:`~repro.db.table.Table.append` alike; a bad batch raises ``error``.
 
-    Cells of a type the column does not take (:data:`_APPENDED_KINDS`) are
-    rejected, never converted: a dict or ``None`` is no category, ``True`` no
-    number.  Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
+    ``data`` names every column and no other, each with the same number of
+    rows, at least one.  Cells of a type the column does not take
+    (:data:`_APPENDED_KINDS`) are rejected, never converted: a dict or
+    ``None`` is no category, ``True`` no number.
+    """
+    unknown = sorted(set(data) - set(stored))
+    if unknown:
+        raise error(f"append supplies unknown columns: {unknown}")
+    missing = sorted(set(stored) - set(data))
+    if missing:
+        raise error(f"append is missing columns: {missing}")
+    columns = {
+        name: _appended_values(name, data[name], dtype, error)
+        for name, dtype in stored.items()
+    }
+    n_new = len(next(iter(columns.values())))
+    for name, values in columns.items():
+        if len(values) != n_new:
+            raise error(
+                f"appended columns disagree on row count: {name!r} has "
+                f"{len(values)} rows, expected {n_new}"
+            )
+    if not n_new:
+        raise error("append of zero rows")
+    return columns
+
+
+def _appended_values(
+    name: str, values: object, stored: np.dtype, error: type[ReproError]
+) -> np.ndarray:
+    """One column of :func:`appended_columns`.  A list's cells are checked
+    before ``np.asarray(["a", 5])`` could make 5 a string."""
+    if isinstance(values, (list, tuple)):
+        types = set(map(type, values))
+    else:
+        values = np.asarray(values)
+        if values.ndim != 1:
+            raise error(
+                f"appended column {name!r} must be 1-D, got shape {values.shape}"
+            )
+        types = set(map(type, values)) if values.dtype == object else {values.dtype.type}
+    takes = _APPENDED_KINDS.get(stored.kind, stored.kind)
+    wrong = sorted(
+        kind.__name__
+        for kind in types
+        if ("N" if kind is type(None) else np.dtype(kind).kind) not in takes
+    )
+    if wrong:
+        raise error(
+            f"column {name!r} rejects appended {', '.join(wrong)} cells ({stored.name})"
+        )
+    try:
+        vals = np.asarray(values, dtype=None if stored.kind == "U" else stored)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise error(f"column {name!r} rejects appended values: {exc}") from None
+    if vals.dtype.kind != stored.kind:  # strings in an object array
+        vals = vals.astype(str)
+    return vals
+
+
+def _encode_appended(
+    root: Path, col: ColumnManifest, vals: np.ndarray
+) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
+    """Encode one column of :func:`appended_columns` to bytes; writes nothing.
+
+    Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
     holds int32 codes into ``categories`` (the sorted union of the stored
     categories and the new values) and ``remap`` translates stored codes to
     union codes — ``None`` when the dictionary is the one the manifest
@@ -728,33 +787,10 @@ def _encode_appended(
         raise StorageError(f"chunk store {root} is missing column file {col.file}")
     if col.encoding == "dict32" and not col.categories_file:
         raise StorageError(f"dict-encoded column {col.name!r} declares no categories file")
-    stored = np.dtype(col.dtype)
-    if isinstance(values, np.ndarray) and values.dtype != object:
-        types = {values.dtype.type}
-    else:
-        types = set(map(type, values))
-    takes = _APPENDED_KINDS.get(stored.kind, stored.kind)
-    wrong = sorted(
-        kind.__name__
-        for kind in types
-        if ("N" if kind is type(None) else np.dtype(kind).kind) not in takes
-    )
-    if wrong:
-        raise StorageError(
-            f"column {col.name!r} rejects appended {', '.join(wrong)} cells ({stored.name})"
-        )
-    try:
-        vals = np.asarray(values, dtype=None if stored.kind == "U" else stored)
-        if vals.dtype.kind != stored.kind:  # strings in an object array
-            vals = vals.astype(str)
-        if col.encoding == "raw":
-            return vals.tobytes(), None, None
-        old_cats = np.fromfile(root / col.categories_file, dtype=stored)
-        cats = np.unique(np.concatenate([old_cats, np.unique(vals)]))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise StorageError(
-            f"column {col.name!r} rejects appended values: {exc}"
-        ) from None
+    if col.encoding == "raw":
+        return vals.tobytes(), None, None
+    old_cats = np.fromfile(root / col.categories_file, dtype=col.dtype)
+    cats = np.unique(np.concatenate([old_cats, np.unique(vals)]))
     blob = np.searchsorted(cats, vals).astype(np.int32).tobytes()
     if len(cats) == len(old_cats) == col.n_categories and cats.dtype == old_cats.dtype:
         return blob, old_cats, None
@@ -856,35 +892,9 @@ def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
     """
     root = Path(path)
     manifest = read_manifest(root)
-    names = [col.name for col in manifest.columns]
-    unknown = sorted(set(data) - set(names))
-    if unknown:
-        raise StorageError(f"append supplies unknown columns: {unknown}")
-    missing = sorted(set(names) - set(data))
-    if missing:
-        raise StorageError(f"append is missing columns: {missing}")
-    converted: dict[str, Sequence | np.ndarray] = {}
-    n_new: int | None = None
-    for name in names:
-        # A list keeps its cells' Python types for _encode_appended to check:
-        # ``np.asarray(["a", 5])`` would already have made 5 a string.
-        arr = data[name]
-        if not isinstance(arr, (list, tuple)):
-            arr = np.asarray(arr)
-            if arr.ndim != 1:
-                raise StorageError(
-                    f"appended column {name!r} must be 1-D, got shape {arr.shape}"
-                )
-        if n_new is None:
-            n_new = len(arr)
-        elif len(arr) != n_new:
-            raise StorageError(
-                f"appended columns disagree on row count: {name!r} has "
-                f"{len(arr)} rows, expected {n_new}"
-            )
-        converted[name] = arr
-    if not n_new:
-        raise StorageError("append of zero rows")
+    stored = {col.name: np.dtype(col.dtype) for col in manifest.columns}
+    converted = appended_columns(data, stored, StorageError)
+    n_new = len(converted[manifest.columns[0].name])
 
     # Encode every column before the first byte is written: a value a later
     # column rejects must not leave an earlier column already replaced.

@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.config import ExecutionStats
 from repro.db.expressions import Dictionaries, Expression
-from repro.db.groupby import GroupKeyColumn, GroupResult
+from repro.db.groupby import GroupKeyColumn, GroupResult, factorize_key
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
 from repro.db.types import Schema
@@ -94,27 +94,6 @@ def global_group_key(n_rows: int) -> GroupKeyColumn:
     return GroupKeyColumn(
         "__all__", np.zeros(n_rows, dtype=np.int32), np.asarray(["all"])
     )
-
-
-#: Largest flag value :func:`factorize_key` remaps without sorting.
-_FACTORIZE_DENSE_LIMIT = 1 << 10
-
-
-def factorize_key(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(values, return_inverse=True)`` as ``(int32 codes, categories)``.
-
-    A derived group-by key is nearly always the 0/1(/2/3) target/reference
-    flag, which a presence count remaps in O(n) where ``np.unique`` sorts
-    every row; anything but small non-negative integers takes the sort.
-    """
-    if values.dtype.kind in "bi" and values.ndim == 1 and values.size:
-        small = values.view(np.uint8) if values.dtype.kind == "b" else values
-        if small.min() >= 0 and small.max() < _FACTORIZE_DENSE_LIMIT:
-            present = np.bincount(small) > 0
-            remap = (np.cumsum(present) - 1).astype(np.int32)
-            return remap[small], np.flatnonzero(present).astype(values.dtype)
-    categories, codes = np.unique(values, return_inverse=True)
-    return codes.astype(np.int32), categories
 
 
 def group_key_columns(

@@ -95,6 +95,69 @@ class GroupResult:
     estimated_groups: int
 
 
+#: Largest flag value :func:`factorize_key` remaps without sorting.
+_FACTORIZE_DENSE_LIMIT = 1 << 10
+
+#: Rows per block of the string hash pass (a block's hashes stay in cache),
+#: and the 64-bit FNV-1a prime it applies per word of a row.
+_HASH_BLOCK_ROWS = 1 << 14
+_FNV_PRIME = np.uint64(0x100000001B3)
+
+
+def factorize_key(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(values, return_inverse=True)`` as ``(int32 codes, categories)``.
+
+    Bit for bit.  Small non-negative integers (a derived key is nearly always
+    the 0/1(/2/3) target/reference flag) are remapped by a presence count in
+    O(n); a string array (a dimension's dictionary) is grouped by hashing,
+    :func:`_factorize_str`; the rest take ``np.unique``'s sort of every row.
+    """
+    if values.ndim == 1 and values.size:
+        if values.dtype.kind in "bi":
+            small = values.view(np.uint8) if values.dtype.kind == "b" else values
+            if small.min() >= 0 and small.max() < _FACTORIZE_DENSE_LIMIT:
+                present = np.bincount(small) > 0
+                remap = (np.cumsum(present) - 1).astype(np.int32)
+                return remap[small], np.flatnonzero(present).astype(values.dtype)
+        elif values.dtype.kind == "U" and values.dtype.itemsize:
+            found = _factorize_str(np.asarray(values))
+            if found is not None:
+                return found
+    categories, codes = np.unique(values, return_inverse=True)
+    return codes.astype(np.int32), categories
+
+
+def _factorize_str(values: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
+    """:func:`factorize_key` of a 1-D string array, or ``None`` on a collision.
+
+    Rows hash to uint64s (FNV-1a over their UCS4 code points, two to a word
+    at even widths; numpy pads with NULs, so ``"a\\x00"`` is ``"a"``) and are
+    grouped by hash.  Every row is checked against its group's representative
+    — a collision costs the caller's exact sort, never a bit — and only the
+    representatives are sorted.
+    """
+    word = np.uint64 if values.dtype.itemsize % 8 == 0 else np.uint32
+    words = np.ascontiguousarray(values).view(word).reshape(len(values), -1)
+    hashes = np.full(len(values), np.uint64(0xCBF29CE484222325))
+    for start in range(0, len(values), _HASH_BLOCK_ROWS):
+        block = hashes[start : start + _HASH_BLOCK_ROWS]
+        for column in words[start : start + _HASH_BLOCK_ROWS].T:
+            np.bitwise_xor(block, column, out=block)
+            np.multiply(block, _FNV_PRIME, out=block)
+    group_hashes, groups = np.unique(hashes, return_inverse=True)
+    representative = np.empty(len(group_hashes), dtype=np.intp)
+    representative[groups] = np.arange(len(values))
+    labels = values[representative]
+    for start in range(0, len(values), _HASH_BLOCK_ROWS):
+        stop = start + _HASH_BLOCK_ROWS
+        if not np.array_equal(values[start:stop], labels[groups[start:stop]]):
+            return None
+    order = np.argsort(labels)
+    rank = np.empty(len(order), dtype=np.int32)
+    rank[order] = np.arange(len(order), dtype=np.int32)
+    return rank[groups], labels[order]
+
+
 def estimate_group_cardinality(category_sizes: list[int], n_rows: int) -> int:
     """Paper's upper bound on distinct groups: ``min(prod |a_i|, num_rows)``."""
     product = 1

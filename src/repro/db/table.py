@@ -25,8 +25,10 @@ from repro.db.chunks import (
     DictEncodedColumn,
     DictEncodedValues,
     ResidencyTracker,
+    appended_columns,
     chunk_ranges,
 )
+from repro.db.groupby import factorize_key
 from repro.db.types import (
     DIMENSION_DISTINCT_THRESHOLD,
     Column,
@@ -408,39 +410,13 @@ class Table:
                 "disk-backed table: append via repro.db.chunks.append_rows on "
                 f"{self._source_path!r}, then refresh_from_disk()"
             )
-        names = set(self.column_names)
-        unknown = sorted(set(data) - names)
-        if unknown:
-            raise SchemaError(f"append supplies unknown columns: {unknown}")
-        missing = sorted(names - set(data))
-        if missing:
-            raise SchemaError(f"append is missing columns: {missing}")
-        n_new: int | None = None
-        incoming: dict[str, np.ndarray] = {}
-        for col in self.schema:
-            arr = np.asarray(data[col.name])
-            if arr.ndim != 1:
-                raise SchemaError(
-                    f"appended column {col.name!r} must be 1-D, got shape {arr.shape}"
-                )
-            if n_new is None:
-                n_new = len(arr)
-            elif len(arr) != n_new:
-                raise SchemaError(
-                    f"appended columns disagree on row count: {col.name!r} has "
-                    f"{len(arr)} rows, expected {n_new}"
-                )
-            incoming[col.name] = arr
-        if not n_new:
-            raise SchemaError("append of zero rows")
+        stored = {name: column.value_dtype for name, column in self._columns.items()}
+        incoming = appended_columns(data, stored, SchemaError)
         self._record_lineage()
         extended: dict[str, object] = {}
-        for col in self.schema:
-            chunked = self._columns[col.name]
-            vals = incoming[col.name]
+        for name, vals in incoming.items():
+            chunked = self._columns[name]
             if isinstance(chunked, DictEncodedColumn):
-                if vals.dtype.kind != chunked.categories.dtype.kind:
-                    vals = vals.astype(str)
                 union = np.unique(
                     np.concatenate([chunked.categories, np.unique(vals)])
                 )
@@ -451,12 +427,9 @@ class Table:
                         np.searchsorted(union, vals).astype(np.int32),
                     ]
                 )
-                extended[col.name] = DictEncodedValues(codes, union)
+                extended[name] = DictEncodedValues(codes, union)
             else:
-                arr = _coerce_array(col.name, vals)
-                extended[col.name] = np.concatenate(
-                    [np.asarray(chunked.values), arr]
-                )
+                extended[name] = np.concatenate([np.asarray(chunked.values), vals])
         roles = {c.name: c.role for c in self.schema}
         rebuilt = Table(
             self.name,
@@ -517,10 +490,11 @@ class Table:
         """Dictionary encoding ``(codes, categories)`` for a column.
 
         ``codes`` is an int32 array over all rows with values in
-        ``range(len(categories))``; ``categories`` is sorted ascending.  The
-        encoding is computed once and cached — the group-by executor relies
-        on this to factorize dimension columns cheaply per phase.  The cache
-        fill is locked so concurrent query workers share one encoding.
+        ``range(len(categories))``; ``categories`` is sorted ascending: what
+        :func:`~repro.db.groupby.factorize_key` builds — a string column by
+        hashing, sorting only its distinct values.  Computed once per table
+        object (a derived table builds its own) and cached; the fill is
+        locked so concurrent query workers share one encoding.
 
         The full codes array is O(table) resident memory; out-of-core
         callers use :meth:`categories` + :meth:`codes_range` instead, which
@@ -537,11 +511,9 @@ class Table:
         with self._dictionary_lock:
             cached = self._dictionaries.get(name)
             if cached is None:
-                values = chunked.values
-                categories, codes = np.unique(values, return_inverse=True)
-                cached = (codes.astype(np.int32), categories)
+                cached = factorize_key(chunked.values)
                 self._dictionaries[name] = cached
-                self._categories[name] = categories
+                self._categories[name] = cached[1]
         return cached
 
     def categories(self, name: str) -> np.ndarray:
@@ -563,16 +535,10 @@ class Table:
         with self._dictionary_lock:
             cached = self._categories.get(name)
             if cached is None:
-                column = chunked
-                cats: np.ndarray | None = None
+                cached = chunked.values[:0]
                 for start, stop in self.chunk_ranges():
-                    uniq = np.unique(column.values[start:stop])
-                    cats = (
-                        uniq
-                        if cats is None
-                        else np.unique(np.concatenate([cats, uniq]))
-                    )
-                cached = cats if cats is not None else self.column(name)[:0]
+                    chunk = factorize_key(chunked.values[start:stop])[1]
+                    cached = np.union1d(cached, chunk)
                 self._categories[name] = cached
         return cached
 

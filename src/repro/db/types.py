@@ -32,11 +32,6 @@ class ColumnType(enum.Enum):
     BOOL = "bool"
 
     @property
-    def numpy_dtype(self) -> np.dtype:
-        """The canonical numpy dtype used to store this logical type."""
-        return _NUMPY_DTYPES[self]
-
-    @property
     def byte_width(self) -> int:
         """Bytes per value charged by the cost model.
 
@@ -59,13 +54,6 @@ class ColumnType(enum.Enum):
             return cls.STR
         raise SchemaError(f"unsupported numpy dtype: {dtype!r}")
 
-
-_NUMPY_DTYPES = {
-    ColumnType.INT: np.dtype(np.int64),
-    ColumnType.FLOAT: np.dtype(np.float64),
-    ColumnType.STR: np.dtype(object),
-    ColumnType.BOOL: np.dtype(bool),
-}
 
 _BYTE_WIDTHS = {
     ColumnType.INT: 8,

@@ -160,6 +160,7 @@ class TestAppendRows:
         C.write_table(bulk, tmp_path / "bulk", chunk_rows=2)
         assert C.read_manifest(tmp_path / "ds") == C.read_manifest(tmp_path / "bulk")
 
+    @pytest.mark.parametrize("store", ["disk", "memory"])
     @pytest.mark.parametrize(
         "dim, m, wrong",
         [
@@ -174,23 +175,34 @@ class TestAppendRows:
             (np.array(["a"]), np.array([True]), "'m' rejects appended bool"),
         ],
     )
-    def test_a_cell_of_the_wrong_type_is_rejected_not_converted(self, tmp_path, dim, m, wrong):
-        """A dictionary string column takes strings, a float column numbers —
-        no booleans — and ``None`` as NaN; nothing else is converted."""
+    def test_a_cell_of_the_wrong_type_is_rejected_not_converted(
+        self, tmp_path, dim, m, wrong, store
+    ):
+        """A string column takes strings, a float column numbers — no
+        booleans — and ``None`` as NaN; nothing else is converted.  A chunk
+        store and an in-memory table apply the same rule."""
         base = Table(
             "toy",
             {"dim": ["a", "b"], "m": [1.0, 2.0]},
             roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
         )
-        C.write_table(base, tmp_path / "ds", chunk_rows=2)
-        before = C.read_manifest(tmp_path / "ds")
-        with pytest.raises(StorageError, match=wrong):
-            C.append_rows(tmp_path / "ds", {"dim": dim, "m": m})
-        assert C.read_manifest(tmp_path / "ds") == before
-        C.append_rows(tmp_path / "ds", {"dim": ["b", "c"], "m": [None, 3]})
-        reopened = C.open_table(tmp_path / "ds")
-        assert list(np.asarray(reopened.column("dim"))) == ["a", "b", "b", "c"]
-        np.testing.assert_array_equal(reopened.column("m"), [1.0, 2.0, np.nan, 3.0])
+        if store == "disk":
+            C.write_table(base, tmp_path / "ds", chunk_rows=2)
+            before = C.read_manifest(tmp_path / "ds")
+            with pytest.raises(StorageError, match=wrong):
+                C.append_rows(tmp_path / "ds", {"dim": dim, "m": m})
+            assert C.read_manifest(tmp_path / "ds") == before
+            C.append_rows(tmp_path / "ds", {"dim": ["b", "c"], "m": [None, 3]})
+            table = C.open_table(tmp_path / "ds")
+        else:
+            before = base.fingerprint()
+            with pytest.raises(SchemaError, match=wrong):
+                base.append({"dim": dim, "m": m})
+            assert base.fingerprint() == before and base.nrows == 2
+            base.append({"dim": ["b", "c"], "m": [None, 3]})
+            table = base
+        assert list(np.asarray(table.column("dim"))) == ["a", "b", "b", "c"]
+        np.testing.assert_array_equal(table.column("m"), [1.0, 2.0, np.nan, 3.0])
 
     def test_append_table_helper_matches_append_rows(self, tmp_path):
         table = _table(120)

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.db import expressions as E
-from repro.db.executor import QueryExecutor, factorize_key
+from repro.db import groupby
+from repro.db.executor import QueryExecutor
+from repro.db.groupby import factorize_key
 from repro.db.query import (
     AggregateFunction,
     AggregateQuery,
@@ -313,16 +316,64 @@ class TestDerivedGroupKeys:
             np.array(["b", "a", "b"]),
             np.array([], dtype=np.int64),
             np.asarray(1),
+            # Strings take the hash pass: even widths hash two code points
+            # per word, odd widths one.
+            np.array(["carrier_03", "carrier_01", "carrier_03", "carrier_10"]),
+            np.array(["abc", "ab", "abc", "b"]),
+            # Code point order, not little-endian UCS4 byte order: "ÿ" is
+            # U+00FF (bytes ff 00), "ā" U+0101 (bytes 01 01).
+            np.array(["ÿ", "ā", "ÿ", "a", "é"]),
+            np.array(["\U0001F600", "a", "\U0001F600", "\U00010000", "\uffff"]),
+            np.array(["", "a", "", ""]),
+            np.array([""]),
+            np.array(["a\x00", "a", "b\x00", "b"]),  # "a\x00" is "a" to numpy
+            np.array(["only"] * 5),
+            np.array(list("zyxzz")),
+            np.array(["x" * 64, "y" * 70, "x" * 64, "x" * 63]),
+            np.array(["d", "c", "b", "a", "d", "c", "a"])[::2],
+            np.array(["b", "a", "b"], dtype=">U1"),
         ],
         ids=repr,
     )
     def test_factorize_key_is_np_unique(self, values):
+        self._assert_is_np_unique(values)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(st.text(max_size=6), min_size=1, max_size=40))
+    def test_factorize_key_is_np_unique_on_any_strings(self, cells):
+        self._assert_is_np_unique(np.array(cells))
+
+    @staticmethod
+    def _assert_is_np_unique(values):
         categories, codes = np.unique(values, return_inverse=True)
         got_codes, got_categories = factorize_key(values)
         assert got_codes.dtype == np.int32
         assert got_codes.tolist() == codes.tolist()
         assert got_categories.dtype == categories.dtype
         assert got_categories.tolist() == categories.tolist()
+
+    @staticmethod
+    def _labels(n_rows: int) -> np.ndarray:
+        rng = np.random.default_rng(3)
+        pool = np.array([f"origin_airport_{i}" for i in range(300)] + ["", "ā", "ÿ"])
+        return pool[rng.integers(0, len(pool), n_rows)]
+
+    def test_factorize_key_reads_a_memmap(self, tmp_path):
+        values = self._labels(40_000)  # spans several hash blocks
+        mapped = np.memmap(tmp_path / "col", dtype=values.dtype, mode="w+", shape=values.shape)
+        mapped[:] = values
+        mapped.flush()
+        self._assert_is_np_unique(np.memmap(tmp_path / "col", dtype=values.dtype, mode="r"))
+        self._assert_is_np_unique(mapped[1::3])
+
+    def test_a_hash_collision_falls_back_to_the_sort(self, monkeypatch):
+        """Every row hashing alike makes rows disagree with their group's
+        representative: the hash pass gives up and ``np.unique`` answers."""
+        monkeypatch.setattr(groupby, "_FNV_PRIME", np.uint64(0))
+        values = self._labels(20_000)
+        assert groupby._factorize_str(values) is None
+        self._assert_is_np_unique(values)
+        self._assert_is_np_unique(np.array(["one", "one"]))
 
     @staticmethod
     def _age_bucket():

@@ -5,8 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.recommender import SeeDB
-from repro.data import build, build_info, registry, synthetic
-from repro.data.distributions import categorical_column, measure_column, zipf_weights
+from repro.data import build, build_info, real, registry, synthetic
+from repro.data.distributions import (
+    categorical_column,
+    category_labels,
+    measure_column,
+    zipf_weights,
+)
 from repro.data.planting import (
     PlantedView,
     apply_planting,
@@ -31,8 +36,14 @@ class TestDistributions:
 
     def test_categorical_column_distinct(self):
         rng = np.random.default_rng(0)
-        col = categorical_column(10_000, 7, rng, prefix="g")
+        col, codes = categorical_column(10_000, 7, rng, prefix="g")
         assert len(np.unique(col)) == 7
+        assert codes.tolist() == np.unique(col, return_inverse=True)[1].tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 10, 11, 100, 101, 1000])
+    def test_category_labels_sort_in_index_order(self, n):
+        labels = category_labels("d07_", n).tolist()
+        assert labels == sorted(labels) and len(set(labels)) == n
 
     def test_measure_kinds_nonnegative(self):
         rng = np.random.default_rng(0)
@@ -43,6 +54,42 @@ class TestDistributions:
     def test_unknown_measure_kind(self):
         with pytest.raises(ValueError):
             measure_column(10, np.random.default_rng(0), kind="cauchy")
+
+
+class TestGeneratorCodes:
+    """``build_real`` plants the codes it drew, and they are a sort's codes."""
+
+    @pytest.mark.parametrize(
+        "name, n_rows",
+        [
+            ("bank", None), ("diab", None), ("air", None),
+            ("census", None), ("housing", None), ("movies", None),
+            ("air", 50),  # fewer rows than airports: undrawn labels compact away
+        ],
+    )
+    def test_planted_codes_are_np_unique_codes(self, monkeypatch, name, n_rows):
+        drawn: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        planted: list[np.ndarray] = []
+        draw, plant = real.categorical_column, real.apply_plantings
+
+        def spy_draw(n, distinct, rng, prefix, skew):
+            drawn[prefix[:-1]] = draw(n, distinct, rng, prefix=prefix, skew=skew)
+            return drawn[prefix[:-1]]
+
+        def spy_plant(values, plantings, in_target, rng):
+            planted.extend(codes for codes, _, _ in plantings)
+            return plant(values, plantings, in_target, rng)
+
+        monkeypatch.setattr(real, "categorical_column", spy_draw)
+        monkeypatch.setattr(real, "apply_plantings", spy_plant)
+        table = registry.build(name, scale="smoke", n_rows=n_rows)
+        kept = [codes for _, codes in drawn.values()]
+        assert planted and all(any(c is k for k in kept) for c in planted)
+        for dim, (column, codes) in drawn.items():
+            np.testing.assert_array_equal(table.column(dim), column)
+            assert codes.tolist() == np.unique(column, return_inverse=True)[1].tolist()
+        if n_rows == 50:
+            assert table.distinct_count("origin_airport") < 300
 
 
 class TestPlanting:
