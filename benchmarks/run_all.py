@@ -85,23 +85,6 @@ def all_experiments():
          exp.ablation_early_return),
         ("Backends", "native beats sqlite on wall-clock; identical top-k",
          exp.bench_backends_compare),
-        ("Shared scan", ">=2x wall-clock for SHARING with the batch path on; "
-         "identical top-k; shared pages charged once",
-         exp.bench_shared_scan_compare),
-        ("Out of core", "chunked memmap run under a memory cap smaller than "
-         "the dataset: identical top-k, bitwise utilities, near-resident "
-         "throughput",
-         exp.bench_out_of_core_compare),
-        ("Service throughput", ">=2x requests/sec with the cross-session "
-         "result cache on a repeated drill-down workload; identical top-k",
-         exp.bench_service_throughput),
-        ("Load ramp", "sharded multi-worker front-end beats the single "
-         "process on saturation RPS (scale-out bounded by host cores)",
-         exp.bench_load),
-        ("Coalescing", "cross-request batching executes strictly fewer "
-         "queries/rows/bytes than the direct path at equal concurrency; "
-         "bitwise-identical top-k and utilities (serial oracle checked)",
-         exp.bench_coalesce),
     ]
 
 
@@ -127,7 +110,7 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument(
         "--only", action="append", default=[], metavar="PATTERN",
         help="run only experiments whose name matches (glob or substring; "
-        "repeatable, e.g. --only 'figure 7*' --only 'out of core')",
+        "repeatable, e.g. --only 'figure 7*' --only backends)",
     )
     parser.add_argument(
         "--quick", action="store_true",

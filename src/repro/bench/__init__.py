@@ -1,9 +1,12 @@
-"""Benchmark harness: one function per paper table/figure.
+"""Paper harness: one function per paper table/figure, plus ablations.
 
 :mod:`repro.bench.experiments` contains the experiment implementations; the
 ``benchmarks/`` directory wraps them as pytest-benchmark targets, and
 ``benchmarks/run_all.py`` regenerates every series and writes
-EXPERIMENTS.md.
+EXPERIMENTS.md.  The harness measures the engine only.  Serving,
+coalescing and recovery numbers come from the scoreboard
+(``benchmarks/scoreboard/``, declared by ``BENCHMARK.json``), so nothing
+here imports :mod:`repro.service` or :mod:`repro.testing`.
 """
 
 from repro.bench.tables import ResultTable

@@ -42,8 +42,8 @@ from chunk 0 by the same rule.)
 :class:`ResidencyTracker` measures what the streaming path actually
 materializes: every chunk copied out of a memmap registers its bytes and
 releases them when the array is garbage-collected, giving an exact
-current/peak resident-bytes curve that ``benchmarks/bench_out_of_core.py``
-asserts stays under the configured memory budget.
+current/peak resident-bytes curve that the streaming tests hold under the
+configured memory budget.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ from repro.service.frontend import (
 )
 from repro.service.monitor import (
     LatencyHistogram,
-    ProcessMonitor,
     RouteLatencyRegistry,
     merge_route_payloads,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "FrontendServer",
     "GracefulHTTPServer",
     "LatencyHistogram",
-    "ProcessMonitor",
     "RecommendRequest",
     "RecommendResponse",
     "RecommendationService",

@@ -92,7 +92,7 @@ from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 from repro.config import CoalesceConfig
 from repro.data import registry
@@ -211,7 +211,7 @@ class WorkerHandle:
 
     @property
     def pid(self) -> int:
-        """The worker's OS pid (for SIGTERM and the process monitor)."""
+        """The worker's OS pid (for SIGTERM and per-process CPU accounting)."""
         return self.process.pid or -1
 
     @property
@@ -345,7 +345,6 @@ class WorkerSupervisor(threading.Thread):
         max_restarts: int = 3,
         backoff_base: float = 0.5,
         backoff_cap: float = 8.0,
-        on_respawn: Callable[[WorkerHandle], None] | None = None,
     ) -> None:
         """Supervise ``frontend``'s workers; see the class docstring."""
         super().__init__(name="seedb-supervisor", daemon=True)
@@ -354,7 +353,6 @@ class WorkerSupervisor(threading.Thread):
         self.max_restarts = max_restarts
         self.backoff_base = backoff_base
         self.backoff_cap = backoff_cap
-        self.on_respawn = on_respawn
         self._stop_event = threading.Event()
         self._lock = threading.Lock()
         self._slots: dict[int, dict[str, Any]] = {
@@ -452,11 +450,6 @@ class WorkerSupervisor(threading.Thread):
         self.frontend.adopt_worker(handle)
         with self._lock:
             self._slots[dead.index]["state"] = "up"
-        if self.on_respawn is not None:
-            try:
-                self.on_respawn(handle)
-            except Exception:  # noqa: BLE001 - observer errors are not ours
-                pass
 
     def _resync(self, handle: WorkerHandle) -> None:
         """Bring a fresh worker up to date before it takes traffic.
@@ -1267,7 +1260,6 @@ def start_frontend(
     max_restarts: int = 3,
     restart_backoff: float = 0.5,
     supervisor_poll: float = 0.2,
-    on_worker_respawn: Callable[[WorkerHandle], None] | None = None,
     **extra_service_kwargs: Any,
 ) -> tuple[FrontendServer, threading.Thread]:
     """Spawn workers and serve the front-end on a daemon thread.
@@ -1278,9 +1270,7 @@ def start_frontend(
     dir so the workers form one two-tier cache.  ``supervise=True`` (the
     default) starts a :class:`WorkerSupervisor` that respawns dead workers
     with exponential backoff starting at ``restart_backoff`` seconds,
-    giving up after ``max_restarts`` respawns per slot;
-    ``on_worker_respawn`` is called with each adopted replacement handle
-    (e.g. to register its pid with a process monitor).  Returns
+    giving up after ``max_restarts`` respawns per slot.  Returns
     ``(frontend, thread)``; stop with ``frontend.graceful_shutdown()``
     (which also stops the supervisor and the workers).
     """
@@ -1305,7 +1295,6 @@ def start_frontend(
             poll_interval=supervisor_poll,
             max_restarts=max_restarts,
             backoff_base=restart_backoff,
-            on_respawn=on_worker_respawn,
         )
         frontend.supervisor = supervisor
         supervisor.start()

@@ -1,29 +1,22 @@
-"""Service observability: latency histograms + CPU / RSS sampling (stdlib only).
+"""Per-route latency histograms for ``/v1/stats`` (stdlib only).
 
-The load benchmark reports how the sharded front-end spends the machine:
-per-worker CPU utilisation and resident set size over the ramp.  With no
-third-party dependencies available, samples come straight from Linux's
-``/proc/<pid>/stat`` (fields 14/15: utime+stime in clock ticks) and
-``/proc/<pid>/statm`` (resident pages).  On platforms without ``/proc``
-the monitor degrades to empty samples — the harness still measures
-latency and throughput, it just can't attribute CPU.
+Every worker records each request's wall time under its route-table label
+in a :class:`RouteLatencyRegistry`.  The histograms share one fixed
+log-scale bucket grid, so the front-end merges its workers' blocks by
+bucket addition (:func:`merge_route_payloads`) and reports percentiles
+over the union of their samples.
 
 Example::
 
-    monitor = ProcessMonitor([frontend_pid, *worker_pids])
-    monitor.sample()          # prime the CPU deltas
-    ... run load ...
-    for s in monitor.sample():
-        print(s.pid, f"{s.cpu_percent:.0f}%", s.rss_bytes >> 20, "MiB")
+    routes = RouteLatencyRegistry()
+    routes.record("POST /v1/sessions/{id}/recommend", 0.012)
+    print(routes.as_dict()["POST /v1/sessions/{id}/recommend"]["p99_ms"])
 """
 
 from __future__ import annotations
 
 import math
-import os
 import threading
-import time
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 # --------------------------------------------------------------------------- #
@@ -196,116 +189,9 @@ def merge_route_payloads(
     return {route: hist.as_dict() for route, hist in sorted(merged.items())}
 
 
-
-def proc_available() -> bool:
-    """Whether ``/proc/<pid>/stat`` sampling works on this platform."""
-    return os.path.isdir("/proc") and os.path.exists("/proc/self/stat")
-
-
-def cpu_seconds(pid: int) -> float | None:
-    """Cumulative user+system CPU seconds of ``pid``, or None if gone."""
-    try:
-        with open(f"/proc/{pid}/stat", "rb") as handle:
-            raw = handle.read().decode("ascii", "replace")
-    except OSError:
-        return None
-    # comm may contain spaces/parens; fields are counted after the last ')'.
-    fields = raw.rsplit(")", 1)[-1].split()
-    try:
-        utime, stime = int(fields[11]), int(fields[12])
-    except (IndexError, ValueError):  # pragma: no cover - malformed stat
-        return None
-    ticks = os.sysconf("SC_CLK_TCK") or 100
-    return (utime + stime) / ticks
-
-
-def rss_bytes(pid: int) -> int | None:
-    """Resident set size of ``pid`` in bytes, or None if gone."""
-    try:
-        with open(f"/proc/{pid}/statm", "rb") as handle:
-            fields = handle.read().split()
-        resident_pages = int(fields[1])
-    except (OSError, IndexError, ValueError):
-        return None
-    return resident_pages * os.sysconf("SC_PAGE_SIZE")
-
-
-@dataclass(frozen=True)
-class ProcessSample:
-    """One process's resource usage over the last sampling interval."""
-
-    pid: int
-    #: Average CPU utilisation since the previous :meth:`ProcessMonitor.
-    #: sample` call, in percent of one core (can exceed 100 with threads).
-    cpu_percent: float
-    #: Resident set size at sampling time, bytes.
-    rss_bytes: int
-
-    def as_dict(self) -> dict[str, object]:
-        """JSON-ready dict for the benchmark payload."""
-        return {
-            "pid": self.pid,
-            "cpu_percent": round(self.cpu_percent, 1),
-            "rss_bytes": self.rss_bytes,
-        }
-
-
-class ProcessMonitor:
-    """Samples CPU%/RSS for a fixed set of pids via ``/proc``.
-
-    CPU utilisation is a delta against the previous :meth:`sample` call,
-    so call it once before the measured interval to prime the baseline.
-    Dead or unreadable pids are silently dropped from the results.
-    """
-
-    def __init__(self, pids: Sequence[int]) -> None:
-        """Track ``pids`` (typically the front-end and its workers)."""
-        self.pids = list(pids)
-        self._last: dict[int, tuple[float, float]] = {}
-
-    def track(self, pid: int) -> None:
-        """Add ``pid`` to the tracked set (idempotent).
-
-        The chaos harness hooks this up as the front-end's
-        ``on_worker_respawn`` callback so supervisor-respawned workers
-        show up in resource samples alongside the original fleet.
-        """
-        if pid not in self.pids:
-            self.pids.append(pid)
-
-    def sample(self) -> list[ProcessSample]:
-        """One sample per live pid (empty where ``/proc`` is unavailable)."""
-        if not proc_available():
-            return []
-        now = time.monotonic()
-        samples: list[ProcessSample] = []
-        for pid in self.pids:
-            cpu = cpu_seconds(pid)
-            rss = rss_bytes(pid)
-            if cpu is None or rss is None:
-                continue
-            percent = 0.0
-            previous = self._last.get(pid)
-            if previous is not None:
-                last_time, last_cpu = previous
-                elapsed = now - last_time
-                if elapsed > 0:
-                    percent = 100.0 * (cpu - last_cpu) / elapsed
-            self._last[pid] = (now, cpu)
-            samples.append(
-                ProcessSample(pid=pid, cpu_percent=max(percent, 0.0), rss_bytes=rss)
-            )
-        return samples
-
-
 __all__ = [
     "BUCKET_BOUNDS_SECONDS",
     "LatencyHistogram",
-    "ProcessMonitor",
-    "ProcessSample",
     "RouteLatencyRegistry",
-    "cpu_seconds",
     "merge_route_payloads",
-    "proc_available",
-    "rss_bytes",
 ]

@@ -95,6 +95,7 @@ from repro.db.chunks import append_rows as chunk_append_rows
 from repro.db.chunks import read_manifest
 from repro.db.expressions import And, Expression, eq
 from repro.exceptions import ReproError, ServiceError, StorageError
+from repro.metrics import get_metric
 from repro.service.api import ErrorCode, Route, error_envelope, match_route
 from repro.service.coalesce import CoalesceRequest, CoalescingGateway
 from repro.service.monitor import RouteLatencyRegistry
@@ -300,7 +301,9 @@ class RecommendationService:
         """Open a session over one dataset (``POST /sessions``)."""
         dataset = str(payload.get("dataset", "census"))
         store = str(payload.get("store", self.default_store))
-        metric = str(payload.get("metric", self.default_metric))
+        # Canonical before it keys an engine: "EMD" shares the "emd" engine,
+        # and an unknown name is refused before engine() records a lock.
+        metric = get_metric(str(payload.get("metric", self.default_metric))).name
         engine = self.engine(dataset, store, metric)  # validates + warms build
         session = self.sessions.create(
             dataset, store, metric, n_rows=engine.table.nrows

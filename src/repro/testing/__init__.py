@@ -1,10 +1,12 @@
 """Test-support subsystems that ship with the library.
 
 Currently one member: :mod:`repro.testing.faults`, the deterministic
-fault-injection registry the chaos suite, the CI chaos-smoke job, and
-``benchmarks/bench_chaos.py`` use to exercise real failure paths (worker
-crashes, dropped connections, corrupted cache entries, broken process
-pools) without flaky sleeps or real network partitions.
+fault-injection registry the chaos and fault suites (``tests/service/
+test_chaos.py``, ``tests/testing/test_faults.py``) use to exercise real
+failure paths (worker crashes, dropped connections, corrupted cache
+entries, broken process pools) without flaky sleeps or real network
+partitions.  Nothing under :mod:`repro.bench` imports it: fault and
+recovery numbers come from tests, not from a benchmark.
 
 It lives under ``src/`` rather than ``tests/`` because the *production*
 modules carry the instrumented fault points — a worker process spawned by

@@ -152,14 +152,16 @@ class TestPerQueryStreaming:
     def test_memmap_backed_table(self, tmp_path):
         table = _table(seed=3)
         C.write_table(table, tmp_path / "ds", chunk_rows=83)
-        chunked = C.open_table(tmp_path / "ds", memory_budget_bytes=1 << 20)
+        # A quarter of the dataset's bytes: a budget the whole table exceeds.
+        budget = table.physical_row_bytes() * table.nrows // 4
+        chunked = C.open_table(tmp_path / "ds", memory_budget_bytes=budget)
         baseline = QueryExecutor(make_store("col", table))
         streaming = QueryExecutor(make_store("col", chunked))
         for i, query in enumerate(_queries()):
             _assert_bitwise(
                 baseline.execute(query), streaming.execute(query), f"memmap q={i}"
             )
-        assert chunked.residency.peak_bytes > 0
+        assert 0 < chunked.residency.peak_bytes <= budget
         assert chunked.residency.over_budget_events == 0
 
     def test_row_store_streams_too(self):

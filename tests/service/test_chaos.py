@@ -78,9 +78,11 @@ class TestWorkerKillRecovery:
         be answered — the proxy notices the death, resurrects the
         session on the survivor, and forwards there.  The supervisor
         then respawns the slot (new generation, new pid), re-syncs it,
-        and ``healthz`` returns to ``ok``.  The ledger proves the kill
-        fired exactly once fleet-wide: the respawned worker inherits the
-        same ``SEEDB_FAULTS`` but does not re-die.
+        and ``healthz`` returns to ``ok``.  A new session on the respawned
+        worker reads the shared L2 tier, since its L1 died with the old
+        pid.  The ledger proves the kill fired exactly once fleet-wide:
+        the respawned worker inherits the same ``SEEDB_FAULTS`` but does
+        not re-die.
         """
         victim = HashRing(2).lookup("census")
         monkeypatch.setenv(
@@ -141,6 +143,17 @@ class TestWorkerKillRecovery:
                 )
                 assert followup.session_id == session.session_id
                 assert followup.views
+
+                # The respawned worker starts with an empty L1; the shared
+                # L2 tier carries what the fleet paid for before the kill.
+                fresh = client.create_session(dataset="census")
+                assert server.worker_for_session(fresh.session_id).index == victim
+                warm = client.recommend(fresh.session_id, RecommendRequest(k=2))
+                assert [v.key for v in warm.views] == [v.key for v in response.views]
+                respawned = next(
+                    row for row in client.stats()["workers"] if row["worker"] == victim
+                )
+                assert respawned["cache_tiers"]["l2_hits"] > 0
 
             ledger = (tmp_path / "ledger").read_text()
             assert ledger.count("kill_worker") == 1

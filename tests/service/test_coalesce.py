@@ -81,35 +81,43 @@ def _concurrent_recommends(svc, payloads):
 class TestSingleFlight:
     def test_thundering_herd_executes_once(self):
         herd = 6
-        svc = _make_service(
-            coalesce=CoalesceConfig(
-                enabled=True, max_batch_size=herd, max_wait_ms=500.0
+        # result_cache=False serves from held cells; True is the service
+        # default, which keeps the combined rewrite and executes every miss.
+        for result_cache in (False, True):
+            svc = _make_service(
+                result_cache=result_cache,
+                coalesce=CoalesceConfig(
+                    enabled=True, max_batch_size=herd, max_wait_ms=500.0
+                ),
             )
-        )
-        plain = _make_service()
-        try:
-            responses = _concurrent_recommends(svc, [{"k": 5}] * herd)
+            plain = _make_service(result_cache=result_cache)
+            try:
+                responses = _concurrent_recommends(svc, [{"k": 5}] * herd)
 
-            # Exactly one engine execution served all M requests.
-            plain.recommend(
-                plain.create_session({"dataset": "census"})["session_id"],
-                {"k": 5},
-            )
-            solo = plain.stats()["executed"]
-            assert svc.stats()["executed"] == solo
+                # Exactly one engine execution, which scanned real rows, served
+                # all M requests: 1/M of the queries, rows and bytes that M
+                # separate executions charge.
+                plain.recommend(
+                    plain.create_session({"dataset": "census"})["session_id"],
+                    {"k": 5},
+                )
+                solo = plain.stats()["executed"]
+                assert svc.stats()["executed"] == solo
+                assert set(solo) == {"queries_executed", "rows_scanned", "bytes_scanned"}
+                assert all(value > 0 for value in solo.values())
 
-            block = svc.stats()["coalesce"]
-            assert block["requests"] == herd
-            assert block["singleflight_hits"] == herd - 1
+                block = svc.stats()["coalesce"]
+                assert block["requests"] == herd
+                assert block["singleflight_hits"] == herd - 1
 
-            # M bitwise-identical responses (identity fields aside).
-            first = _response_key(responses[0])
-            for response in responses[1:]:
-                assert _response_key(response) == first
-                assert response["stats"] == responses[0]["stats"]
-        finally:
-            svc.close()
-            plain.close()
+                # M bitwise-identical responses (identity fields aside).
+                first = _response_key(responses[0])
+                for response in responses[1:]:
+                    assert _response_key(response) == first
+                    assert response["stats"] == responses[0]["stats"]
+            finally:
+                svc.close()
+                plain.close()
 
     def test_sequential_identical_requests_fly_separately(self):
         # Single-flight only merges *concurrent* requests: once a flight
@@ -206,6 +214,10 @@ class TestWindowEdges:
                     {"k": 4, "target": target, "strategy": strategy},
                 )
                 assert _response_key(response) == _response_key(solo)
+            # And the union executes no more than the same requests one at a
+            # time (on held cells, where the solo runs share fills, no less).
+            union, one_at_a_time = svc.stats()["executed"], plain.stats()["executed"]
+            assert all(union[name] <= one_at_a_time[name] for name in one_at_a_time)
         finally:
             svc.close()
             plain.close()

@@ -641,27 +641,6 @@ class TestWorkerSupervisorEdges:
             ("GET", "/v1/healthz"),
         ]
 
-    def test_on_respawn_observer_errors_are_swallowed(self, monkeypatch):
-        from repro.service import frontend as fe
-
-        dead = _FakeWorker(0, alive=False)
-        front = _FakeFrontend([dead])
-
-        def angry_observer(handle):
-            raise RuntimeError("observer bug")
-
-        supervisor = self._supervisor(front, on_respawn=angry_observer)
-        monkeypatch.setattr(
-            fe, "spawn_worker", lambda *a, **k: _FakeWorker(0, generation=1)
-        )
-        monkeypatch.setattr(
-            fe.WorkerSupervisor, "_resync", lambda self, handle: None
-        )
-        supervisor._mark_dead(dead, now=10.0)
-        supervisor._respawn(dead)  # must not raise
-        assert len(front.adopted) == 1
-        assert supervisor.status()[0]["state"] == "up"
-
     def test_run_loop_skips_sweeps_while_draining_and_survives_errors(
         self, monkeypatch
     ):

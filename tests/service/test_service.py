@@ -9,7 +9,7 @@ import time
 
 import pytest
 
-from repro.exceptions import ServiceError
+from repro.exceptions import ReproError, ServiceError
 from repro.service import (
     AnalystDrillDown,
     ErrorCode,
@@ -119,6 +119,18 @@ class TestServiceCore:
         engine = service.engine("census", service.default_store, service.default_metric)
         assert service.engine("census", "col", "emd") is engine
         assert a["session_id"] != b["session_id"]
+        # A metric name is canonicalized before it keys an engine: case
+        # variants share the one engine, and a name no metric answers to
+        # is refused without leaving a build lock behind.
+        engines, locks = len(service._engines), len(service._build_locks)
+        for spelling in ("EMD", "Emd"):
+            session = service.create_session({"dataset": "census", "metric": spelling})
+            assert session["metric"] == "emd"
+            assert service.describe_session(session["session_id"])["metric"] == "emd"
+        for unknown in ("nope", "nope2", "nope3"):
+            with pytest.raises(ReproError, match="unknown metric"):
+                service.create_session({"dataset": "census", "metric": unknown})
+        assert (len(service._engines), len(service._build_locks)) == (engines, locks)
 
     def test_unknown_dataset_is_404(self, service):
         with pytest.raises(ServiceError) as excinfo:
