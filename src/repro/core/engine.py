@@ -68,7 +68,9 @@ from repro.core.sharing import (
     plan_fill,
     plan_queries,
 )
-from repro.core.state import ViewState, reference_row
+from repro.core.state import (
+    HeldLayout, HeldTable, SidePartial, ViewState, hold_reference_rows, state_tables
+)
 from repro.core.view import AggregateView, ViewKey
 from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
@@ -138,6 +140,7 @@ class _LiveRequest:
 
     request: UnionRequest
     pruner: Pruner
+    #: The split path's state tables (empty while ``held``).
     states: dict[ViewKey, ViewState]
     active: dict[ViewKey, AggregateView]
     #: The request reads its reference side from the engine's table state.
@@ -148,6 +151,10 @@ class _LiveRequest:
     cells: dict[str, tuple[tuple[str, ...], int, int | None] | None] = field(
         default_factory=dict
     )
+    #: Held: the layout, a fresh target partial per table, the answers in view order.
+    layout: HeldLayout | None = None
+    targets: dict[HeldTable, SidePartial] = field(default_factory=dict)
+    answers: dict[ViewKey, tuple[float, ViewDistributions]] = field(default_factory=dict)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     queries: list[AggregateQuery] = field(default_factory=list)
     #: The request's target predicate and flag expression, keyed once for all its queries.
@@ -325,6 +332,8 @@ class ExecutionEngine:
         self._reference: dict[tuple[str, ...], dict[str, np.ndarray]] = {}
         #: Target column sets (a cell's key less ``d``), least recently used first.
         self._target_columns: dict[tuple[str, ...], None] = {}
+        #: View keys -> the :class:`HeldLayout` of that view set, for the held cells' identity.
+        self._layouts = LruMemo(_MAX_PLAN_SKELETONS)
         self._reference_views_reused = 0
         self._target_views_reused = 0
 
@@ -470,7 +479,7 @@ class ExecutionEngine:
                 _LiveRequest(
                     request,
                     pruner,
-                    self._make_states(request.views, reference_held),
+                    {} if reference_held else self._make_states(request.views),
                     {v.key: v for v in request.views},
                     held=reference_held,
                     cells=(
@@ -643,7 +652,7 @@ class ExecutionEngine:
                             entry.stats.merge(query_stats)
                         entry.stats.batch_costs.append(batch_costs)
                     for planned, (result, _) in zip(plan.queries, own):
-                        self._route_result(planned, result, entry.states, request.reference_mode)
+                        self._route_result(planned, result, entry)
                     if entry.held:
                         self._fold_held(entry, table_cells)
                     if not use_phases:
@@ -675,9 +684,7 @@ class ExecutionEngine:
 
         runs: list[EngineRun] = []
         for entry in live:
-            selected, utilities, distributions = self._finalize(
-                entry.states, entry.active, entry.pruner, entry.request.k
-            )
+            selected, utilities, distributions = self._finalize(entry)
             stats = entry.stats
             stats.wall_seconds = time.perf_counter() - started
             runs.append(
@@ -756,7 +763,7 @@ class ExecutionEngine:
             return None
         if identity != self._reference_identity:
             self._reference_identity, self._reference = identity, {}
-            self._target_columns = {}
+            self._target_columns, self._layouts = {}, LruMemo(_MAX_PLAN_SKELETONS)
         return self._reference
 
     def _category_conjunction(
@@ -819,48 +826,53 @@ class ExecutionEngine:
     def _held_cells(
         self, entry: _LiveRequest, held: dict, claimed: set, touched: set
     ) -> tuple[list[AggregateView], list[PlannedQuery]]:
-        """Split ``entry``'s active views between held cells and target queries
-        (lock held): every view reads its reference side from ``(d,)`` and, where
+        """Split ``entry``'s views (one range: this is its only phase) between held
+        cells and target queries (lock held), one table of its layout at a time:
+        every view reads its reference side from ``(d,)`` and, where
         :meth:`_target_cell` names one, its target side from that cell.  Returns
         the views left to target queries and one fill per cell with a column
-        that is neither held nor ``claimed`` earlier in this phase; the target
-        column sets read join ``touched``."""
+        neither held nor ``claimed`` earlier in this phase; the target column
+        sets read join ``touched``."""
+        views = list(entry.active.values())
+        layout = self._layouts.get(
+            tuple(entry.active), lambda: HeldLayout(views, self.store.table.categories)
+        )
+        entry.layout, entry.targets = layout, {
+            t: SidePartial(t.func, len(t.rows), len(t.categories)) for t in layout.tables
+        }
         missing: dict[tuple[str, ...], list[AggregateView]] = {}
         mine: set[tuple[tuple[str, ...], str]] = set()
-
-        def read(key: tuple[str, ...], view: AggregateView) -> int:
-            """1 if ``view``'s column of cell ``key`` is read, not filled, here."""
-            cell = (key, view.agg_alias)
-            if cell in mine:
-                return 0
-            if cell in claimed or view.agg_alias in held.get(key, ()):
-                return 1
-            claimed.add(cell)
-            mine.add(cell)
-            missing.setdefault(key, []).append(view)
-            return 0
-
-        queried: list[AggregateView] = []
+        reused = [0, 0]  # reference, target views read here, not filled
         column_sets: dict[tuple[str, ...], None] = {}
-        reused = target_reused = 0
-        for view in entry.active.values():
-            reused += read((view.dimension,), view)
-            cell = entry.cells.get(view.dimension)
-            if cell is None:
-                queried.append(view)
-            elif cell[0]:
-                key = cell[0]
-                target_reused += read(key, view)
-                if len(key) > 1:
-                    column_sets[key[:-1]] = None
+        for table in layout.tables:
+            keys = [(table.dimension,)]
+            cell = entry.cells.get(table.dimension)
+            if cell is not None and cell[0]:
+                keys.append(cell[0])
+                if len(cell[0]) > 1:
+                    column_sets[cell[0][:-1]] = None
+            for side, key in enumerate(keys):
+                columns = held.get(key, {})
+                if columns.keys() >= table.alias_set:
+                    reused[side] += len(table.views)
+                    continue
+                for view in table.views:
+                    pair = (key, view.agg_alias)
+                    if pair in claimed or view.agg_alias in columns:
+                        reused[side] += pair not in mine  # not read where it is filled
+                        continue
+                    claimed.add(pair)
+                    mine.add(pair)
+                    missing.setdefault(key, []).append(view)
+        queried = [view for view in views if entry.cells.get(view.dimension) is None]
         for column_set in column_sets:
             self._target_columns.pop(column_set, None)
             self._target_columns[column_set] = None
         touched.update(column_sets)
-        entry.stats.reference_views_reused += reused
-        entry.stats.target_views_reused += target_reused
-        self._reference_views_reused += reused
-        self._target_views_reused += target_reused
+        entry.stats.reference_views_reused += reused[0]
+        entry.stats.target_views_reused += reused[1]
+        self._reference_views_reused += reused[0]
+        self._target_views_reused += reused[1]
         name, budget = self.meta.name, self.config.group_budget()
         return queried, [plan_fill(key, views, name, budget) for key, views in missing.items()]
 
@@ -869,9 +881,8 @@ class ExecutionEngine:
         Groups come sorted by their keys, so ``__offsets__`` bound the slice of
         each composite code of all keys but the last (of a one-key cell's key:
         one group).  A one-key cell also keeps its reference side finalized and
-        normalized (:func:`~repro.core.state.reference_row`): ``__slots__`` and
-        ``__keys__`` of the categories present and ``q:`` + each alias, never
-        mutated."""
+        normalized, grown by appending, never mutated
+        (:func:`~repro.core.state.hold_reference_rows`)."""
         key = fill.query.group_by
         columns = held.setdefault(key, {})
         table = self.store.table
@@ -892,18 +903,8 @@ class ExecutionEngine:
             columns[name] = np.asarray(values, dtype=np.float64)
         if len(key) > 1:
             return
-        categories = table.categories(key[0])
-        for spec in fill.query.aggregates:
-            slots, columns[f"q:{spec.alias}"] = reference_row(
-                spec.func,
-                len(categories),
-                columns["__codes__"],
-                columns[spec.alias],
-                columns["__group_count__"],
-            )
-        if "__slots__" not in columns:
-            columns["__keys__"] = categories[slots]
-            columns["__slots__"] = slots
+        funcs = {spec.alias: spec.func for spec in fill.query.aggregates}
+        hold_reference_rows(columns, funcs, table.categories(key[0]))
 
     def _evict_target_columns(self, keep: set[tuple[str, ...]]) -> None:
         """Drop whole target column sets, least recently used first and never one
@@ -931,33 +932,29 @@ class ExecutionEngine:
             }
 
     def _fold_held(self, entry: _LiveRequest, held: dict) -> None:
-        """Read ``entry``'s active views from held cells, one stack per state
-        table: the reference side as ``(d,)``'s finalized, normalized rows
-        (:meth:`~repro.core.state.ViewState.hold`), and the split path's target
-        updates from :meth:`_target_cell`'s cell sliced at the composite code of
-        the target's other columns — narrowed to ``d``'s own code when the target
-        tests ``d`` too.  A slice has one group per code."""
-        grouped: dict[ViewState, list[AggregateView]] = {}
-        for view in entry.active.values():
-            grouped.setdefault(entry.states[view.key], []).append(view)
-        for state, views in grouped.items():
-            rows = np.array([state.rows[view.key] for view in views])
-            dimension = views[0].dimension
-            state.hold(rows, held[(dimension,)], [view.agg_alias for view in views])
-            cell = entry.cells.get(dimension)
+        """Fold and score ``entry``'s views one layout table at a time: into its
+        target partial, :meth:`_target_cell`'s cell sliced at the composite code
+        of the target's other columns (and at ``d``'s own when the target tests
+        ``d`` too: one group per code), then :meth:`HeldTable.utility` on ``(d,)``."""
+        answers: list = []
+        for table, target in entry.targets.items():
+            cell = entry.cells.get(table.dimension)
             if cell and cell[0]:
                 key, prefix, own = cell
                 columns = held[key]
                 lo, hi = columns["__offsets__"][prefix : prefix + 2]
                 if own is not None:
                     lo, hi = lo + np.searchsorted(columns["__codes__"][lo:hi], (own, own + 1))
-                state.target.update(
-                    rows,
+                target.update(
+                    table.every_row,
                     columns["__codes__"][lo:hi],
-                    np.array([columns[view.agg_alias][lo:hi] for view in views]),
+                    np.array([columns[alias][lo:hi] for alias in table.aliases]),
                     columns["__group_count__"][lo:hi],
                     unique=True,
                 )
+            answers += table.utility(self.metric, target, held[(table.dimension,)])
+        views, order = entry.layout.views, entry.layout.order
+        entry.answers = {view.key: answers[i] for view, i in zip(views, order)}
 
     def reference_state(self) -> dict[str, int]:
         """What the held group-bys hold and have saved (``GET /v1/stats``):
@@ -974,20 +971,11 @@ class ExecutionEngine:
             "target_views_reused": self._target_views_reused,
         }
 
-    def _make_states(
-        self, views: Sequence[AggregateView], held: bool = False
-    ) -> dict[ViewKey, ViewState]:
+    def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
         """One state table per (dimension, function); every view's key maps
-        to the table that holds its row.  ``held``: the reference side is table
-        state, and the tables keep no reference partial."""
-        grouped: dict[tuple, list[AggregateView]] = {}
-        for view in views:
-            grouped.setdefault((view.dimension, view.func), []).append(view)
-        states: dict[ViewKey, ViewState] = {}
-        for (dimension, _), group in grouped.items():
-            state = ViewState(group, self.store.table.categories(dimension), held)
-            states.update(dict.fromkeys(state.rows, state))
-        return states
+        to the table that holds its row."""
+        tables = state_tables(ViewState, views, self.store.table.categories)
+        return {key: state for state in tables for key in state.rows}
 
     def _per_view(
         self, states: dict[ViewKey, ViewState], keys: Collection[ViewKey], evaluate: Callable
@@ -1005,18 +993,17 @@ class ExecutionEngine:
         return {key: values[key] for key in keys}
 
     def _route_result(
-        self,
-        planned: PlannedQuery,
-        result: QueryResult,
-        states: dict[ViewKey, ViewState],
-        reference_mode: ReferenceMode,
+        self, planned: PlannedQuery, result: QueryResult, entry: _LiveRequest
     ) -> None:
-        """Feed one query result into every view it serves.
+        """Feed one query result into every view of ``entry`` it serves.
 
         Routes are grouped by the state table they feed: the flags are read
         once, a dimension's keys are decoded once, and a table's routed
-        aggregates are folded as one stack.
+        aggregates are folded as one stack.  Held: the tables are the layout's,
+        their target sides ``entry.targets`` (held plans route no reference side).
         """
+        held, reference_mode = entry.held, entry.request.reference_mode
+        states, targets = (entry.layout.states, entry.targets) if held else (entry.states, None)
         counts = np.asarray(result.values["__group_count__"], dtype=np.float64)
         # Route side -> (state side, positions of the groups that feed it),
         # ``None`` meaning every group.
@@ -1051,7 +1038,8 @@ class ExecutionEngine:
                 [result.values[route.agg_alias] for route in routes], dtype=np.float64
             )
             for name, groups in feeds[side]:
-                partial = getattr(state, name)
+                # A held table has no partials: a held reference route raises here.
+                partial = targets[state] if held and name == "target" else getattr(state, name)
                 if groups is None:
                     partial.update(rows, codes[dimension], agg, counts)
                 else:
@@ -1084,17 +1072,15 @@ class ExecutionEngine:
         return stable_phases >= max(config.early_stability_phases, 1)
 
     def _finalize(
-        self,
-        states: dict[ViewKey, ViewState],
-        active: dict[ViewKey, AggregateView],
-        pruner: Pruner,
-        k: int,
+        self, entry: _LiveRequest
     ) -> tuple[list[ViewKey], dict[ViewKey, float], dict[ViewKey, ViewDistributions]]:
-        accepted = pruner.accepted
+        pruner, active, accepted = entry.pruner, entry.active, entry.pruner.accepted
         # View order, never a set's: exact ties must rank the same under any
-        # PYTHONHASHSEED.
+        # PYTHONHASHSEED.  A held request is one unpruned pass, scored as it folded.
         candidates = list(active) + sorted(accepted.difference(active))
-        results = self._per_view(states, candidates, ViewState.utility)
+        results = entry.answers
+        if not entry.held:
+            results = self._per_view(entry.states, candidates, ViewState.utility)
         utilities = {key: value for key, (value, _) in results.items()}
         distributions = {key: dists for key, (_, dists) in results.items()}
         ranked = (
@@ -1102,5 +1088,5 @@ class ExecutionEngine:
             if pruner.name == "random"
             else candidates
         )
-        selected = sorted(ranked, key=lambda key: -utilities[key])[:k]
+        selected = sorted(ranked, key=lambda key: -utilities[key])[: entry.request.k]
         return selected, utilities, distributions

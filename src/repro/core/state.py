@@ -22,11 +22,12 @@ codes simply accumulate, per row in group order.  A held cell's slice has one
 group per code and folds by fancy indexing: the same arithmetic, element for
 element.
 
-A table whose reference side is held table state (reference "all" on an
-engine without the §4.1 rewrite) has no reference partial: the engine keeps
+A request whose reference side is held table state (reference "all" on an
+engine without the §4.1 rewrite) has no :class:`ViewState`: the engine keeps
 each ``(d,)`` cell's reference rows finalized and normalized
-(:func:`reference_row`, once per table identity), and :meth:`ViewState.hold`
-hands them to the table's rows.
+(:func:`hold_reference_rows`, once per table identity), and a :class:`HeldLayout`
+— the same tables, built once per view set and table identity — scores a
+fresh target partial per table against a stack of them.
 
 Each row keeps its own ``counts`` although live rows receive identical
 ones: a pruned view's row just stops being updated (and is never read
@@ -129,11 +130,7 @@ class SidePartial:
 
 
 def reference_row(
-    func: AggregateFunction,
-    n_slots: int,
-    codes: np.ndarray,
-    aggregated: np.ndarray,
-    counts: np.ndarray,
+    func: AggregateFunction, n_slots: int, codes: np.ndarray, values: np.ndarray, counts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """``(slots, q)`` of a reference side folded from one held ``(d,)`` cell:
     the slots present, and the finalized values compacted to them and
@@ -141,23 +138,40 @@ def reference_row(
     one-row table, so a stack of these rows has the stack's bits."""
     partial = SidePartial(func, 1, n_slots)
     row = np.zeros(1, dtype=np.intp)
-    partial.update(row, codes, aggregated[None], counts, unique=True)
+    partial.update(row, codes, values[None], counts, unique=True)
     slots = np.flatnonzero(partial.counts[0] > 0)
     if not len(slots):
         return slots, np.zeros(0)
     return slots, normalize_distribution(np.take(partial.values(row), slots, axis=1))[0]
 
 
-class ViewState:
-    """Running target/reference partials of the views that share one
-    dimension and one aggregate function; ``rows`` maps each to its row.
+def aggregate_columns(cell: dict[str, np.ndarray]) -> list[str]:
+    """A held cell's aggregate columns in column order (``list`` is an atomic
+    copy): row ``i`` of a one-key cell's ``__q__`` is the ``i``-th's reference row."""
+    return [name for name in list(cell) if not name.startswith("__")]
 
-    With ``held`` the reference side is table state: there is no reference
-    partial, and :meth:`hold` gives the rows their held reference rows."""
 
-    def __init__(
-        self, views: Sequence[AggregateView], categories: np.ndarray, held: bool = False
-    ) -> None:
+def hold_reference_rows(cell: dict, funcs: dict, categories: np.ndarray) -> None:
+    """Append to the one-key ``cell``'s ``__q__`` a :func:`reference_row` for each
+    aggregate column without one (``funcs``: alias -> function) — a column filled
+    again keeps its row — and set ``__slots__`` and ``__keys__`` on the first."""
+    held = len(cell.get("__q__", ()))
+    codes, counts = cell["__codes__"], cell["__group_count__"]
+    rows = [
+        reference_row(funcs[name], len(categories), codes, cell[name], counts)
+        for name in aggregate_columns(cell)[held:]
+    ]
+    if rows:
+        slots, q = rows[0][0], np.array([row for _, row in rows])
+        cell.setdefault("__slots__", slots)
+        cell.setdefault("__keys__", categories[slots])
+        cell["__q__"] = np.concatenate((cell["__q__"], q)) if held else q
+
+
+class _StateTable:
+    """The views of one dimension and aggregate function; ``rows`` maps each to its row."""
+
+    def __init__(self, views: Sequence[AggregateView], categories: np.ndarray) -> None:
         if len({(view.dimension, view.func) for view in views}) != 1:
             raise RecommendationError(
                 "a state table holds views of one dimension and one aggregate function"
@@ -168,27 +182,36 @@ class ViewState:
             )
         self.categories = categories
         self.rows: dict[ViewKey, int] = {view.key: i for i, view in enumerate(views)}
-        self.target = SidePartial(views[0].func, len(views), len(categories))
-        self.reference = (
-            None if held else SidePartial(views[0].func, len(views), len(categories))
-        )
-        #: A held reference side: its slots, keys and each row's ``q``.
-        self._slots = self._keys = None
-        self._q: list[np.ndarray | None] = [None] * len(views)
 
     def codes(self, keys: np.ndarray) -> np.ndarray:
         """Map group key values to dictionary codes (categories are sorted)."""
         return np.searchsorted(self.categories, keys)
 
-    def hold(self, rows: Sequence[int], cell: dict[str, np.ndarray], aliases: Sequence[str]) -> None:
-        """Read ``rows``' reference side from the held ``(d,)`` ``cell``: its
-        ``__slots__`` and ``__keys__``, and for ``rows[i]`` the normalized row
-        ``q:`` + ``aliases[i]`` (:func:`reference_row`).  Every target row is a
-        subset of the rows the cell was filled from, so the held slots are the
-        union's."""
-        self._slots, self._keys = cell["__slots__"], cell["__keys__"]
-        for row, alias in zip(rows, aliases):
-            self._q[row] = cell[f"q:{alias}"]
+
+def state_tables(cls, views: Sequence[AggregateView], categories) -> list:
+    """A ``cls`` table per (dimension, function) of ``views``, in view order."""
+    grouped: dict[tuple, list[AggregateView]] = {}
+    for view in views:
+        grouped.setdefault((view.dimension, view.func), []).append(view)
+    return [cls(group, categories(dimension)) for (dimension, _), group in grouped.items()]
+
+
+def _flat(keys: tuple) -> tuple[float, ViewDistributions]:
+    """A view with an empty side: utility 0 (no evidence yet), uniform sides."""
+    keys = keys or ("?",)
+    flat = np.full(len(keys), 1.0 / len(keys))
+    return 0.0, ViewDistributions(keys, flat, flat.copy())
+
+
+class ViewState(_StateTable):
+    """Running target/reference partials of the views that share one
+    dimension and one aggregate function: the split path's state."""
+
+    def __init__(self, views: Sequence[AggregateView], categories: np.ndarray) -> None:
+        super().__init__(views, categories)
+        self.target, self.reference = (
+            SidePartial(views[0].func, len(views), len(categories)) for _ in range(2)
+        )
 
     def _stacks(self, rows: Sequence[int]):
         """``(positions, keys, p, q)`` per distinct presence pattern among
@@ -197,13 +220,9 @@ class ViewState:
         normalized as one stack — ``None`` while a side is still empty.
         """
         rows = np.asarray(rows)
-        held = self.reference is None
         target_present = self.target.counts[rows] > 0
-        if held:
-            present = target_present
-        else:
-            reference_present = self.reference.counts[rows] > 0
-            present = np.concatenate((target_present, reference_present), axis=1)
+        reference_present = self.reference.counts[rows] > 0
+        present = np.concatenate((target_present, reference_present), axis=1)
         patterns: dict[bytes, list[int]] = {}
         if len(rows) and (present == present[0]).all():  # unless a table is half-empty
             patterns[b""] = list(range(len(rows)))
@@ -213,21 +232,13 @@ class ViewState:
         for positions in patterns.values():
             first = positions[0]
             stack = rows[positions]
-            if held:
-                keys, slots = self._keys, self._slots
-                reference_any = len(slots) > 0
-            else:
-                mask = target_present[first] | reference_present[first]
-                keys, slots = self.categories[mask], np.flatnonzero(mask)
-                reference_any = reference_present[first].any()
-            if not (target_present[first].any() and reference_any):
+            mask = target_present[first] | reference_present[first]
+            keys, slots = self.categories[mask], np.flatnonzero(mask)
+            if not (target_present[first].any() and reference_present[first].any()):
                 yield positions, keys, None, None
                 continue
             p = normalize_distribution(np.take(self.target.values(stack), slots, axis=1))
-            if held:
-                q = np.array([self._q[row] for row in stack])
-            else:
-                q = normalize_distribution(np.take(self.reference.values(stack), slots, axis=1))
+            q = normalize_distribution(np.take(self.reference.values(stack), slots, axis=1))
             yield positions, keys, p, q
 
     def utility(
@@ -245,10 +256,8 @@ class ViewState:
         for positions, keys, p, q in self._stacks(rows):
             keys = tuple(keys)
             if p is None:
-                keys = keys or ("?",)
                 for position in positions:
-                    flat = np.full(len(keys), 1.0 / len(keys))
-                    out[position] = (0.0, ViewDistributions(keys, flat, flat.copy()))
+                    out[position] = _flat(keys)
                 continue
             for i, (position, value) in enumerate(zip(positions, metric(p, q).tolist())):
                 out[position] = (value, ViewDistributions(keys, p[i], q[i]))
@@ -263,3 +272,57 @@ class ViewState:
                 for position, value in zip(positions, metric(p, q).tolist()):
                     out[position] = value
         return out
+
+
+class HeldTable(_StateTable):
+    """A table of a :class:`HeldLayout`: its ``views``, their ``aliases`` and,
+    once read, the ``(d,)`` cell's slots, keys and rows of its ``__q__`` stack."""
+
+    def __init__(self, views: Sequence[AggregateView], categories: np.ndarray) -> None:
+        super().__init__(views, categories)
+        self.dimension, self.func, self.views = views[0].dimension, views[0].func, tuple(views)
+        self.aliases = tuple(view.agg_alias for view in views)
+        self.alias_set, self.every_row = frozenset(self.aliases), np.arange(len(views))
+        self._held: tuple | None = None
+
+    def held(self, cell: dict[str, np.ndarray]) -> tuple[np.ndarray, tuple, np.ndarray]:
+        """``(slots, keys, index)`` of ``cell``: ``index`` picks this table's
+        rows of ``__q__`` (:func:`hold_reference_rows`), which only grows; a
+        racing first read computes the same."""
+        if self._held is None:
+            names = aggregate_columns(cell)
+            index = np.array([names.index(alias) for alias in self.aliases], dtype=np.intp)
+            self._held = (cell["__slots__"], tuple(cell["__keys__"]), index)
+        return self._held
+
+    def utility(
+        self, metric: DistanceFunction, target: SidePartial, cell: dict[str, np.ndarray]
+    ) -> list[tuple[float, ViewDistributions]]:
+        """:meth:`ViewState.utility` of every row against the held ``(d,)``
+        ``cell``: the rows with a target are finalized, compacted to the cell's
+        slots and normalized as one stack, and scored in one metric call against
+        their rows of ``__q__``, taken as one stack.  A target's rows are a
+        subset of the cell's, so the held slots are the union's."""
+        slots, keys, index = self.held(cell)
+        live = np.flatnonzero((target.counts > 0).any(axis=1)) if len(slots) else ()
+        out: list = [None] * len(self.views)
+        if len(live):
+            p = normalize_distribution(np.take(target.values(live), slots, axis=1))
+            q = np.take(cell["__q__"], index[live], axis=0)
+            for row, value, p_row, q_row in zip(live.tolist(), metric(p, q).tolist(), p, q):
+                out[row] = (value, ViewDistributions(keys, p_row, q_row))
+        return [answer or _flat(keys) for answer in out]
+
+
+class HeldLayout:
+    """The request-independent half of a held run over one view set: a
+    :class:`HeldTable` per (dimension, function) in view order, ``states``
+    mapping each view key to its table, and the ``order`` of each view's answer
+    among the tables'.  The engine keeps one per view set and table identity."""
+
+    def __init__(self, views: Sequence[AggregateView], categories) -> None:
+        self.views = tuple(views)
+        self.tables: list[HeldTable] = state_tables(HeldTable, views, categories)
+        self.states = {key: table for table in self.tables for key in table.rows}
+        position = {key: i for i, key in enumerate(self.states)}
+        self.order = [position[view.key] for view in views]

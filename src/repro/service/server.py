@@ -125,9 +125,10 @@ def _predicate(clauses: TargetClauses) -> Expression:
 
 
 def _top_group(run: EngineRun, key: tuple[str, str, str]) -> object:
-    """The view's most deviating group — the analyst's drill-down handle."""
+    """The view's most deviating group — the analyst's drill-down handle;
+    ``None`` when no group deviates (equal sides: a target with no rows)."""
     dists = run.distributions.get(key)
-    if dists is None or not len(dists.keys):
+    if dists is None or np.array_equal(dists.target, dists.reference):
         return None
     index = int(np.argmax(np.abs(dists.target - dists.reference)))
     return _json_scalar(dists.keys[index])

@@ -16,7 +16,7 @@ from repro.core import engine as engine_module
 from repro.core import sharing as sharing_module
 from repro.core.engine import ExecutionEngine, UnionRequest
 from repro.core.phases import phase_ranges
-from repro.core.recommender import tuned_config
+from repro.core.recommender import serving_config, tuned_config
 from repro.core.view import AggregateView, ViewSpace
 from repro.data import build_info
 from repro.db.catalog import TableMeta
@@ -222,6 +222,7 @@ from repro.core.recommender import tuned_config
 from repro.data import build_info
 from repro.db.catalog import TableMeta
 from repro.db.expressions import eq
+from repro.db.query import AggregateFunction
 
 table, _ = build_info("census", scale="smoke", seed=7)
 target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
@@ -231,6 +232,12 @@ with SeeDB.over_table(table, store="col", config=tuned_config("col")) as seedb:
         run = seedb.run_engine(target, k=5, strategy=strategy, pruner=pruner)
         assert set(run.utilities.values()) == {0.0}
         out[pruner] = [run.selected, list(run.utilities), list(run.distributions)]
+# The held engine's layout groups views by dimension and function.
+with SeeDB.over_table(table, store="col", funcs=(AggregateFunction.AVG, AggregateFunction.SUM)) as seedb:
+    run = seedb.run_engine(target, k=5, strategy="comb", pruner="ci")
+    assert set(run.utilities.values()) == {0.0}
+    out["held"] = [run.selected, list(run.utilities), list(run.distributions)]
+    out["held_keys"] = [view.key for view in seedb.view_space()]
 print(json.dumps(out))
 """
 
@@ -253,6 +260,34 @@ class TestTiesRankInViewOrder:
             assert run.selected == [key for key in keys if key in set(run.selected)]
             assert list(run.utilities) == run.selected
 
+    def test_a_held_engine_restores_view_order(self):
+        """The held layout groups views by dimension and function; its answers
+        come back in the request's view order, whatever that order."""
+        table, spec = build_info("census", scale="smoke", seed=7)
+        target = eq(TableMeta.of(table).dimensions[0], "no-such-value")
+        funcs = (AggregateFunction.AVG, AggregateFunction.SUM)
+        with SeeDB.over_table(
+            table, store="col", config=serving_config("col"), funcs=funcs
+        ) as seedb:
+            views = list(seedb.view_space())
+            # The view space's order, reversed, and every AVG view before every SUM view.
+            for order in (views, views[::-1], views[::2] + views[1::2]):
+                keys = [view.key for view in order]
+                run = seedb.engine.run(order, target, k=5, strategy="comb", pruner="ci")
+                assert set(run.utilities.values()) == {0.0}
+                assert run.selected == keys[:5]
+                assert list(run.utilities) == list(run.distributions) == keys
+                # Each view gets its own answer: NO_OPT's, a per-view partial.
+                for predicate in (target, spec.target_predicate()):
+                    held = seedb.engine.run(order, predicate, k=5, strategy="sharing", pruner="none")
+                    split = seedb.engine.run(order, predicate, k=5, strategy="no_opt", pruner="none")
+                    assert held.selected == split.selected
+                    assert held.utilities == split.utilities
+                    for key, dists in split.distributions.items():
+                        assert held.distributions[key].keys == dists.keys
+                        assert held.distributions[key].target.tobytes() == dists.target.tobytes()
+                        assert held.distributions[key].reference.tobytes() == dists.reference.tobytes()
+
     def test_all_tied_is_the_same_under_any_hash_seed(self):
         root = Path(__file__).resolve().parents[2]
         outputs = []
@@ -266,6 +301,8 @@ class TestTiesRankInViewOrder:
             outputs.append(json.loads(done.stdout))
         assert outputs[0] == outputs[1]
         assert len(outputs[0]["none"][0]) == 5
+        held_keys = outputs[0]["held_keys"]
+        assert outputs[0]["held"] == [held_keys[:5], held_keys, held_keys]
 
 
 class TestSharedScan:

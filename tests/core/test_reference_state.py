@@ -34,6 +34,15 @@ from repro.core import recommender as recommender_module
 from repro.core.engine import UnionRequest
 from repro.core.recommender import serving_config, tuned_config
 from repro.core.sharing import plan_queries
+from repro.core.state import (
+    HeldLayout,
+    HeldTable,
+    SidePartial,
+    aggregate_columns,
+    hold_reference_rows,
+    reference_row,
+)
+from repro.core.view import AggregateView
 from repro.data import build_info, registry
 from repro.db.catalog import TableMeta
 from repro.db.chunks import append_rows, open_table, write_table
@@ -231,16 +240,28 @@ def test_answers_do_not_depend_on_request_history(census, seed):
                 assert {"__codes__", "__offsets__", "__group_count__"} < set(columns)
                 assert set(columns) <= set(whole)
                 for name, column in columns.items():
-                    assert column.tobytes() == whole[name].tobytes(), (group_by, name)
+                    if name != "__q__":
+                        assert column.tobytes() == whole[name].tobytes(), (group_by, name)
+                # ``__q__`` stacks a row per column in fill order: compare by column.
+                assert _q_rows(columns).items() <= _q_rows(whole).items(), group_by
+
+
+def _q_rows(cell) -> dict[str, bytes]:
+    """A reference cell's normalized row of each aggregate column, by column."""
+    if "__q__" not in cell:
+        return {}
+    aliases = aggregate_columns(cell)
+    assert len(aliases) == len(cell["__q__"])
+    return {alias: row.tobytes() for alias, row in zip(aliases, cell["__q__"])}
 
 
 def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch):
     table, spec = census
     asks = _asks(table, spec)
     serial = [_fresh_answer(table, ask) for ask in asks]
-    # The other state requests share — kept view spaces and plan skeletons —
-    # at a bound the eight restrictions overrun, so threads evict and rebuild
-    # under each other.
+    # The other state requests share — kept view spaces, plan skeletons and
+    # held layouts — at a bound the eight restrictions overrun, so threads
+    # evict and rebuild under each other.
     monkeypatch.setattr(engine_module, "_MAX_PLAN_SKELETONS", 2)
     monkeypatch.setattr(recommender_module, "_MAX_VIEW_SPACES", 2)
     with SeeDB.over_table(table, store="col") as seedb:
@@ -280,6 +301,7 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
                 assert bits == serial[i], i
         assert len(filled) == len(set(filled)) > 0
         assert len(seedb._view_spaces[1]) == len(seedb.engine._planning[1]) == 2
+        assert len(seedb.engine._layouts) == 2
         held_bytes = [snapshot["bytes"] for snapshot in snapshots]
         assert held_bytes == sorted(held_bytes) and 0 < held_bytes[0]
         assert seedb.engine.reference_state()["bytes"] == held_bytes[-1]
@@ -288,9 +310,25 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
         assert len(filled) <= 40 * 4
 
 
-def test_a_new_table_identity_drops_the_state(census, tmp_path):
+def _count_layouts(monkeypatch) -> list[tuple]:
+    """The view keys of every held layout the engine builds from now on."""
+    built: list[tuple] = []
+
+    class Counted(HeldLayout):
+        def __init__(self, views, categories):
+            built.append(tuple(view.key for view in views))
+            super().__init__(views, categories)
+
+    monkeypatch.setattr(engine_module, "HeldLayout", Counted)
+    return built
+
+
+def test_a_new_table_identity_drops_the_state(census, tmp_path, monkeypatch):
+    """The held cells and the layouts built over them go together: each new
+    identity builds its layout once, and answers as a fresh engine does."""
     table, spec = census
     target = spec.target_predicate()
+    built = _count_layouts(monkeypatch)
 
     def run(seedb):
         return seedb.run_engine(target, k=5, strategy="comb", pruner="ci")
@@ -299,11 +337,13 @@ def test_a_new_table_identity_drops_the_state(census, tmp_path):
         cold, warm = run(seedb), run(seedb)
         assert cold.stats.reference_views_reused == 0 < warm.stats.reference_views_reused
         assert warm.stats.queries_issued < cold.stats.queries_issued
+        assert len(built) == 1
         seedb.table.bump_version()
         again = run(seedb)
         assert again.stats.reference_views_reused == 0
         assert again.stats.queries_issued == cold.stats.queries_issued
-        assert _bits(again) == _bits(cold) == _bits(warm)
+        assert _bits(again) == _bits(cold) == _bits(warm) == _bits(run(seedb))
+        assert len(built) == 2
 
     write_table(table.slice_rows(0, 2_500), tmp_path / "ds", chunk_rows=512)
     with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as seedb:
@@ -315,11 +355,60 @@ def test_a_new_table_identity_drops_the_state(census, tmp_path):
         append_rows(tmp_path / "ds", tail)
         assert seedb.table.refresh_from_disk()
         seedb.store.sync_layout()
+        built.clear()
         refreshed = run(seedb)
         assert refreshed.stats.reference_views_reused == 0
-        with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as fresh:
-            assert _bits(refreshed) == _bits(run(fresh))
         assert run(seedb).stats.reference_views_reused > 0
+        assert len(built) == 1
+        with SeeDB.over_table(open_table(tmp_path / "ds"), store="col") as fresh:
+            assert _bits(refreshed) == _bits(run(fresh)) == _bits(run(seedb))
+
+
+def test_a_layout_is_built_once_per_view_set(census, monkeypatch):
+    """Repeated requests and targets on one view set share its layout; a
+    ``dimensions=`` restriction gets its own, whose views answer with the full
+    set's bits; past the bound the least recently used layout goes."""
+    table, spec = census
+    dimensions = TableMeta.of(table).dimensions
+    restrictions = [dimensions[i : i + 3] for i in range(3)]
+    # Held target cells, a target query (``Or``) and an empty target.
+    targets = [*_held_targets(table)[:2], spec.target_predicate().or_(_held_targets(table)[0])]
+    targets.append(eq(dimensions[0], "no-such-value"))
+    fresh = [_fresh_answer(table, (target, None, None, K, "comb", "ci")) for target in targets]
+    fresh_restricted = [
+        _fresh_answer(table, (targets[1], restriction, None, K, "comb", "ci"))
+        for restriction in restrictions
+    ]
+    built = _count_layouts(monkeypatch)
+    with SeeDB.over_table(table, store="col") as seedb:
+        full = {}
+        for _ in range(2):
+            for i, target in enumerate(targets):
+                full[i] = run = seedb.run_engine(target, k=K, strategy="comb", pruner="ci")
+                assert _bits(run) == fresh[i]
+        assert built == [tuple(view.key for view in seedb.view_space())]
+        for i, target in enumerate(targets):
+            part = seedb.run_engine(
+                target, k=K, strategy="comb", pruner="ci", dimensions=dimensions[2:5]
+            )
+            assert part.utilities and all(key[0] in dimensions[2:5] for key in part.utilities)
+            for key, value in part.utilities.items():
+                assert value.hex() == full[i].utilities[key].hex()
+                want, got = full[i].distributions[key], part.distributions[key]
+                assert got.keys == want.keys
+                assert got.target.tobytes() == want.target.tobytes()
+                assert got.reference.tobytes() == want.reference.tobytes()
+        assert len(built) == 2 and set(built[1]) == set(part.utilities)
+
+    monkeypatch.setattr(engine_module, "_MAX_PLAN_SKELETONS", 2)
+    built.clear()
+    with SeeDB.over_table(table, store="col") as seedb:
+        for i in (0, 1, 2, 2):
+            run = seedb.run_engine(
+                targets[1], k=K, strategy="comb", pruner="ci", dimensions=restrictions[i]
+            )
+            assert _bits(run) == fresh_restricted[i]
+        assert len(built) == 3 and len(seedb.engine._layouts) == 2
 
 
 def test_rows_appended_under_a_run_are_not_held_as_the_whole_table(census, tmp_path):
@@ -466,22 +555,60 @@ def test_held_reference_rows_equal_the_split_path(signed, metric):
 
 
 def test_a_held_table_keeps_no_reference_partial(census):
-    """A held run's state tables fold the target only; NO_OPT's keep the
-    per-request reference partial."""
+    """A held run's layout tables fold the target only, one partial each;
+    NO_OPT's state tables keep the per-request reference partial."""
     table, spec = census
     with SeeDB.over_table(table, store="col") as seedb:
         captured: dict = {}
         finalize = seedb.engine._finalize
 
-        def spy(states, *args):
-            captured[args[-1]] = set(states.values())
-            return finalize(states, *args)
+        def spy(entry):
+            captured[entry.request.k] = entry
+            return finalize(entry)
 
         seedb.engine._finalize = spy
         seedb.run_engine(spec.target_predicate(), k=1, strategy="sharing", pruner="none")
         seedb.run_engine(spec.target_predicate(), k=2, strategy="no_opt", pruner="none")
-    assert {state.reference for state in captured[1]} == {None}
-    assert None not in {state.reference for state in captured[2]}
+    held, split = captured[1], captured[2]
+    assert held.states == {} and list(held.targets) == held.layout.tables
+    assert {type(partial) for partial in held.targets.values()} == {SidePartial}
+    assert not any(hasattr(table, "reference") for table in held.targets)
+    assert split.layout is None and split.targets == {}
+    assert None not in {state.reference for state in split.states.values()}
+
+
+def test_held_reference_rows_are_appended_once_per_column():
+    """``__q__`` gains one ``reference_row`` per new aggregate column, in column
+    order; filling a column again moves no row, and ``HeldTable.held`` finds
+    each view's row by the same rule."""
+    categories = np.array(["a", "b", "c"])
+    low = AggregateFunction.MIN
+    x, y = (AggregateView("d", measure, low) for measure in ("x", "y"))
+    cell = {
+        "__codes__": np.array([0, 2]),
+        "__offsets__": np.array([0, 2]),
+        "__group_count__": np.array([3.0, 1.0]),
+        x.agg_alias: np.array([2.0, 5.0]),
+    }
+    funcs = {x.agg_alias: low, y.agg_alias: low}
+    hold_reference_rows(cell, funcs, categories)
+    cell[y.agg_alias] = np.array([-1.0, 4.0])
+    hold_reference_rows(cell, funcs, categories)
+    q = cell["__q__"].copy()
+    cell[x.agg_alias] = cell[x.agg_alias].copy()  # filled again, same values
+    hold_reference_rows(cell, funcs, categories)
+    assert cell["__q__"].tobytes() == q.tobytes()
+    assert aggregate_columns(cell) == [x.agg_alias, y.agg_alias]
+    for i, view in enumerate((x, y)):
+        slots, row = reference_row(
+            low, 3, cell["__codes__"], cell[view.agg_alias], cell["__group_count__"]
+        )
+        assert slots.tolist() == cell["__slots__"].tolist() == [0, 2]
+        assert row.tobytes() == q[i].tobytes()
+    assert HeldTable([y, x], categories).held(cell)[2].tolist() == [1, 0]
+    cell["z"] = np.array([1.0, 1.0])
+    with pytest.raises(KeyError):  # a new column with no function is not guessed
+        hold_reference_rows(cell, funcs, categories)
 
 
 def test_the_held_bytes_count_the_held_distributions(census):
@@ -497,7 +624,7 @@ def test_the_held_bytes_count_the_held_distributions(census):
         columns = distributions = 0
         for dimension in seedb.meta.dimensions:
             cell = held[(dimension,)]
-            aliases = [name for name in cell if not name.startswith(("__", "q:"))]
+            aliases = aggregate_columns(cell)
             assert len(aliases) == n_aliases
             names = ["__codes__", "__offsets__", "__group_count__", *aliases]
             columns += sum(cell[name].nbytes for name in names)
@@ -528,49 +655,58 @@ def _value(table, column: str, rank: int):
     return categories[np.argsort(-np.bincount(codes), kind="stable")[rank]].item()
 
 
-def _reference_rows(state) -> list[tuple]:
-    """``(slots, keys, q)`` of each row's reference side: a held table's held
-    rows, or the split path's per-request partial finalized, compacted to its
-    present slots and normalized."""
-    if state.reference is None:
-        return [
-            (state._slots.tobytes(), tuple(state._keys), state._q[row].tobytes())
-            for row in state.rows.values()
-        ]
-    out = []
-    for row in state.rows.values():
-        slots = np.flatnonzero(state.reference.counts[row] > 0)
-        q = normalize_distribution(np.take(state.reference.values(np.array([row])), slots, axis=1))
-        out.append((slots.tobytes(), tuple(state.categories[slots]), q[0].tobytes()))
+def _reference_rows(engine, entry) -> dict:
+    """``(slots, keys, q)`` of each row's reference side, per state table: a
+    held layout table's rows of its ``(d,)`` cell, or the split path's
+    per-request partial finalized, compacted to its present slots and
+    normalized."""
+    out: dict = {}
+    if entry.held:
+        for table in entry.layout.tables:
+            cell = engine._reference[(table.dimension,)]
+            slots, keys, index = table.held(cell)
+            out[table] = [(slots.tobytes(), keys, cell["__q__"][i].tobytes()) for i in index]
+        return out
+    for state in dict.fromkeys(entry.states.values()):
+        out[state] = []
+        for row in state.rows.values():
+            slots = np.flatnonzero(state.reference.counts[row] > 0)
+            q = normalize_distribution(
+                np.take(state.reference.values(np.array([row])), slots, axis=1)
+            )
+            out[state].append((slots.tobytes(), tuple(state.categories[slots]), q[0].tobytes()))
     return out
 
 
 def _run_with_states(seedb, target, strategy, pruner, **kwargs):
-    """``run_engine`` plus, per state table it finalized on, the bytes of its
+    """``run_engine`` plus, per state table it finalized on — a held request's
+    layout tables, or the split path's :class:`ViewState` s — the bytes of its
     target partial and each row's reference side (:func:`_reference_rows`)."""
-    captured: dict = {}
+    captured: list = []
     finalize = seedb.engine._finalize
 
-    def spy(states, *args):
-        captured.update(states)
-        return finalize(states, *args)
+    def spy(entry):
+        captured.append(entry)
+        return finalize(entry)
 
     seedb.engine._finalize = spy
     try:
         run = seedb.run_engine(target, k=K, strategy=strategy, pruner=pruner, **kwargs)
     finally:
         del seedb.engine._finalize
-    tables = list(dict.fromkeys(captured.values()))
+    (entry,) = captured
+    references = _reference_rows(seedb.engine, entry)
+    targets = entry.targets if entry.held else {state: state.target for state in references}
     states = [
         (
             tuple(
                 array.tobytes()
-                for array in (state.target.sums, state.target.counts, state.target.extrema)
+                for array in (partial.sums, partial.counts, partial.extrema)
                 if array is not None
             ),
-            _reference_rows(state),
+            references[table],
         )
-        for state in tables
+        for table, partial in targets.items()
     ]
     return run, states
 

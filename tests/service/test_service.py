@@ -492,6 +492,24 @@ class TestAnalystDrillDown:
 
         assert replay() == replay()
 
+    def test_a_target_with_no_rows_offers_no_drill_down(self, service):
+        """Every view of an empty target has equal, uniform sides: no group
+        deviates, so none is a drill-down handle, and a session ends there —
+        on the default service and on a held one."""
+        held = RecommendationService(datasets=("census",), scale="smoke", delta_cache=False)
+        try:
+            for svc in (service, held):
+                session = svc.create_session({"dataset": "census"})
+                analyst = AnalystDrillDown([("sex", "Nope")], k=5, n_steps=3, seed=1)
+                response = svc.recommend(session["session_id"], analyst.first_request())
+                assert len(response["views"]) == 5
+                assert {view["utility"] for view in response["views"]} == {0.0}
+                assert [view["top_group"] for view in response["views"]] == [None] * 5
+                assert analyst.next_request(response) is None
+            assert held.stats()["reference_state"]["census|col|emd"]["bytes"] > 0
+        finally:
+            held.close()
+
     def test_first_request_only_once(self):
         analyst = AnalystDrillDown([("a", 1)])
         analyst.first_request()
