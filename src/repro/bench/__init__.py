@@ -3,10 +3,11 @@
 :mod:`repro.bench.experiments` contains the experiment implementations; the
 ``benchmarks/`` directory wraps them as pytest-benchmark targets, and
 ``benchmarks/run_all.py`` regenerates every series and writes
-EXPERIMENTS.md.  The harness measures the engine only.  Serving,
-coalescing and recovery numbers come from the scoreboard
-(``benchmarks/scoreboard/``, declared by ``BENCHMARK.json``), so nothing
-here imports :mod:`repro.service` or :mod:`repro.testing`.
+EXPERIMENTS.md.  The harness measures the engine only.  Serving numbers
+come from the scoreboard (``benchmarks/scoreboard/``, declared by
+``BENCHMARK.json``); fault recovery is tested, not timed
+(``tests/service/test_chaos.py``).  So nothing here imports
+:mod:`repro.service` or :mod:`repro.testing`.
 """
 
 from repro.bench.tables import ResultTable

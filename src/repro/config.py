@@ -1,14 +1,12 @@
 """Engine-wide configuration objects.
 
-Three dataclasses hold every tunable in the system:
+Two dataclasses hold every tunable in the system:
 
 * :class:`CostModelConfig` — parameters of the deterministic cost model used
   to report simulated latencies (the substitution for the paper's Postgres /
   column-store testbed, see DESIGN.md §2).
 * :class:`EngineConfig` — SeeDB execution-engine knobs: phases, sharing
   limits, memory budgets, pruning parameters.
-* :class:`CoalesceConfig` — the serving tier's cross-request batching
-  gateway.
 
 Defaults mirror the paper's experimental setup: 10 execution phases, 16-way
 parallelism (their 16-core Xeon), row-store group-by memory budget of 10^4
@@ -84,54 +82,6 @@ class CostModelConfig:
         excess = max(0, n_parallel - self.n_cores)
         contention = 1.0 + self.contention_coefficient * excess * excess / self.n_cores
         return capped / contention
-
-
-@dataclass(frozen=True)
-class CoalesceConfig:
-    """Knobs of the serving tier's cross-request batching gateway.
-
-    The gateway (:mod:`repro.service.coalesce`) sits between the HTTP
-    handler threads and the engine: handler threads submit their
-    recommendation step and block on a future, a per-(dataset, store,
-    metric) collector drains the queue under a bounded window and executes
-    the union of all pending requests as ONE workload through the shared
-    scan batch path — so one scan serves many users.  Results are
-    bitwise-identical coalesced vs. not (the deterministic batch-barrier
-    semantics are order-independent); only the accounting moves: shared
-    pages are charged once per batch, to the first request that touches
-    them, and deduplicated queries are marked ``coalesced_queries`` on the
-    sharer's :class:`ExecutionStats`.
-
-    Example::
-
-        from repro import CoalesceConfig
-        from repro.service import RecommendationService
-
-        service = RecommendationService(
-            datasets=("census",),
-            coalesce=CoalesceConfig(enabled=True, max_wait_ms=10.0),
-        )
-    """
-
-    #: Master switch.  Default **off**: a disabled gateway is never
-    #: constructed and ``recommend()`` is byte-for-byte the direct path.
-    enabled: bool = False
-    #: Flush a window as soon as this many requests are pending (the
-    #: collector never waits once the batch is full).
-    max_batch_size: int = 16
-    #: Longest time a request may sit in the window waiting for co-batchers,
-    #: in milliseconds.  ``0`` degenerates to pass-through: the collector
-    #: drains whatever is already queued and never waits.
-    max_wait_ms: float = 5.0
-    #: Attach concurrent *identical* in-flight requests (same result-cache
-    #: fingerprint) to one execution: one compute, N responses — the
-    #: thundering-herd case the result cache only fixes for sequential
-    #: repeats.
-    singleflight: bool = True
-
-    def with_(self, **changes: object) -> "CoalesceConfig":
-        """Return a copy with ``changes`` applied (convenience for sweeps)."""
-        return replace(self, **changes)  # type: ignore[arg-type]
 
 
 @dataclass(frozen=True)
@@ -305,11 +255,6 @@ class ExecutionStats:
     #: Queries whose execution was seeded from a cached partial-aggregation
     #: state (delta cache), so only rows past the cached prefix were scanned.
     delta_hits: int = 0
-    #: Queries this run shared with another request coalesced into the same
-    #: gateway batch: the owner request carries the execution counters, the
-    #: sharer records only this marker — so summing per-request stats still
-    #: charges each executed query (and each scanned page) exactly once.
-    coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
     #: (view, row range) target rows of a conjunction of one-category clauses
@@ -335,7 +280,6 @@ class ExecutionStats:
         self.cache_hits += other.cache_hits
         self.cache_bytes_saved += other.cache_bytes_saved
         self.delta_hits += other.delta_hits
-        self.coalesced_queries += other.coalesced_queries
         self.reference_views_reused += other.reference_views_reused
         self.target_views_reused += other.target_views_reused
         self.batch_costs.extend(other.batch_costs)

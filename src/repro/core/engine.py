@@ -13,13 +13,12 @@ families:
   returns approximate results from the partials accumulated so far
   (Figure 5's COMB_EARLY bars).
 
-All four are parameter values of ONE phase loop,
-:meth:`ExecutionEngine.run_union`, over N requests × P phase ranges: the
-strategy picks the config and the ranges, every request plans, routes,
-prunes and finalizes on its own state, and the requests of a phase share
-one dispatcher batch.  :meth:`ExecutionEngine.run` is that loop with one
-request — a solo run is a union of one — so the serving tier's coalesced
-path and the solo path are the same code behind the same tests.
+All four are parameter values of ONE phase loop, :meth:`ExecutionEngine.run`,
+over one request's P phase ranges: the strategy picks the config and the
+ranges, and per phase the request plans, dispatches one batch, routes,
+prunes and — after the last phase — finalizes on its own state.  Concurrent
+requests on one engine are separate runs: they share table state (held
+cells, plan skeletons, the result cache), never a batch.
 
 With the §4.1 target/reference rewrite off
 (:func:`~repro.core.recommender.serving_config`) there are no phases — COMB
@@ -113,37 +112,17 @@ def _nbytes(columns: dict[str, np.ndarray]) -> int:
     return sum(column.nbytes for column in list(columns.values()))
 
 
-@dataclass(frozen=True)
-class UnionRequest:
-    """One request's inputs to :meth:`ExecutionEngine.run_union`.
-
-    A frozen snapshot of everything a :meth:`ExecutionEngine.run` call
-    takes per request, so the serving tier's coalescing gateway can collect
-    many concurrent requests and execute their union as one workload.
-    Strategy and parallelism are per call, not per request: they pick the
-    config, the phase ranges and the dispatcher the whole union shares.  A
-    :class:`~repro.core.pruning.Pruner` instance is stateful — pass one to
-    a single request only.
-    """
-
-    views: tuple[AggregateView, ...]
-    target_predicate: Expression
-    k: int
-    pruner: str | Pruner = "ci"
-    reference_mode: ReferenceMode = "all"
-    reference_predicate: Expression | None = None
-
-
 @dataclass
-class _LiveRequest:
-    """One request's mutable state across the phases of a union."""
+class _RunState:
+    """One run's mutable state across its phases."""
 
-    request: UnionRequest
+    k: int
     pruner: Pruner
     #: The split path's state tables (empty while ``held``).
     states: dict[ViewKey, ViewState]
     active: dict[ViewKey, AggregateView]
-    #: The request reads its reference side from the engine's table state.
+    reference_mode: ReferenceMode
+    #: The run reads its reference side from the engine's table state.
     held: bool
     #: Dimension -> :meth:`ExecutionEngine._target_cell` when the target is a
     #: conjunction of one-category clauses and reads its target side from state
@@ -156,15 +135,6 @@ class _LiveRequest:
     targets: dict[HeldTable, SidePartial] = field(default_factory=dict)
     answers: dict[ViewKey, tuple[float, ViewDistributions]] = field(default_factory=dict)
     stats: ExecutionStats = field(default_factory=ExecutionStats)
-    queries: list[AggregateQuery] = field(default_factory=list)
-    #: The request's target predicate and flag expression, keyed once for all its queries.
-    keys: dict = field(default_factory=dict)
-    #: Views still active entering each phase this request executed.
-    active_per_phase: list[int] = field(default_factory=list)
-    previous_top_k: frozenset[ViewKey] = frozenset()
-    stable_phases: int = 0
-    #: Early return fired: the request sits out the remaining phases.
-    finished: bool = False
 
 
 @dataclass
@@ -304,10 +274,9 @@ class ExecutionEngine:
         else:
             self.result_cache = None
         #: Lifetime executed-work counters (queries actually dispatched,
-        #: rows/bytes actually scanned — cache hits and coalesced shares
-        #: excluded).  Unlike per-run stats these count each execution
-        #: exactly once regardless of how many requests shared it, so the
-        #: serving tier and benches can measure total physical work.
+        #: rows/bytes actually scanned — cache hits excluded): the sum of
+        #: every run's stats, so the serving tier and benches can measure
+        #: total physical work.
         self.executed_totals: dict[str, int] = {
             "queries_executed": 0,
             "rows_scanned": 0,
@@ -377,10 +346,13 @@ class ExecutionEngine:
         reference_predicate: Expression | None = None,
         parallelism: Parallelism = "modeled",
     ) -> EngineRun:
-        """Execute ``strategy`` and return the top-``k`` views.
+        """Execute ``strategy`` and return the top-``k`` views: the phase loop.
 
-        A solo run is a union of one: this is :meth:`run_union` with a
-        single request, and a single request pays for no deduplication.
+        Per phase the run plans its active views (a held run: the views its
+        held cells leave, plus one fill per missing cell), dispatches the
+        phase's queries (one batch with ``shared_scan``), routes the results
+        into its state tables and — phased — observes its pruner and checks
+        early return; after the last phase it finalizes on its state tables.
 
         ``parallelism="real"`` runs each batch of planned queries on a
         thread pool of ``n_parallel_queries`` workers;
@@ -391,53 +363,10 @@ class ExecutionEngine:
         ``selected`` and ``utilities`` match a serial run exactly (see
         :mod:`repro.core.parallel`).
         """
-        request = UnionRequest(
-            tuple(views), target_predicate, k, pruner, reference_mode, reference_predicate
-        )
-        return self.run_union([request], strategy, parallelism)[0]
-
-    def run_union(
-        self,
-        requests: Sequence[UnionRequest],
-        strategy: Strategy = "comb",
-        parallelism: Parallelism = "modeled",
-    ) -> list[EngineRun]:
-        """The phase loop: N requests × P phase ranges, one batch per phase.
-
-        Per phase every still-live request plans its active views exactly
-        as its own :meth:`run` would, the
-        requests' ranged queries are concatenated into one dispatcher
-        batch, and each request then routes its results, observes its own
-        pruner, checks early return and — after the last phase — finalizes
-        on its own state tables and stats.  The coalescing gateway
-        (:mod:`repro.service.coalesce`) calls this with the requests of one
-        window, so the backend does one pass per phase for the whole union.
-
-        Results are bitwise-identical to per-request solo runs: each
-        query's result is computed from the same frozen column data
-        regardless of which batch carried it, and per-request routing
-        happens on this thread in the request's own plan order — the same
-        floating-point accumulation sequence as an uncoalesced run, so
-        every request prunes, and therefore plans its next phase, exactly
-        as it would alone.
-
-        Only the *accounting* moves.  Queries that appear in more than one
-        request (same result-cache fingerprint) execute once: the first
-        request to submit the query owns its executed
-        :class:`~repro.config.ExecutionStats`; every other request routes
-        the same result but records just a ``coalesced_queries`` marker —
-        extending the shared-scan split-charge scheme (pages charged once
-        per batch, to the first toucher) across requests, so summing
-        per-request stats still charges each executed query and each
-        scanned page exactly once.
-        """
-        if not requests:
-            return []
-        for request in requests:
-            if request.k <= 0:
-                raise RecommendationError(f"k must be positive, got {request.k}")
-            if not request.views:
-                raise RecommendationError("no candidate views to evaluate")
+        if k <= 0:
+            raise RecommendationError(f"k must be positive, got {k}")
+        if not views:
+            raise RecommendationError("no candidate views to evaluate")
         started = time.perf_counter()
 
         config = self._strategy_config(strategy)
@@ -458,40 +387,37 @@ class ExecutionEngine:
             else [(0, self.store.nrows)]
         )
 
+        pruner = self.make_pruner(strategy, pruner)
+        pruner.initialize([v.key for v in views], k, len(ranges))
         # NO_OPT is two queries per view by definition: its reference is never held.
-        held = not config.combine_target_reference and strategy != "no_opt"
+        held = (
+            not config.combine_target_reference
+            and strategy != "no_opt"
+            and reference_mode == "all"
+        )
         # A held target cell equals the query it replaces only where that query
         # groups one dimension: bin-packed target plans marginalize, and stay.
-        targets_held = (
-            held and not config.use_binpacking and config.max_group_bys_per_query <= 1
+        target = (
+            self._category_conjunction(target_predicate)
+            if held and not config.use_binpacking and config.max_group_bys_per_query <= 1
+            else None
         )
-        live: list[_LiveRequest] = []
-        for request in requests:
-            pruner = self.make_pruner(strategy, request.pruner)
-            pruner.initialize([v.key for v in request.views], request.k, len(ranges))
-            reference_held = held and request.reference_mode == "all"
-            target = (
-                self._category_conjunction(request.target_predicate)
-                if reference_held and targets_held
-                else None
-            )
-            live.append(
-                _LiveRequest(
-                    request,
-                    pruner,
-                    {} if reference_held else self._make_states(request.views),
-                    {v.key: v for v in request.views},
-                    held=reference_held,
-                    cells=(
-                        {}
-                        if target is None
-                        else {
-                            dimension: self._target_cell(target, dimension)
-                            for dimension in {view.dimension for view in request.views}
-                        }
-                    ),
-                )
-            )
+        live = _RunState(
+            k,
+            pruner,
+            {} if held else self._make_states(views),
+            {v.key: v for v in views},
+            reference_mode,
+            held=held,
+            cells=(
+                {}
+                if target is None
+                else {
+                    dimension: self._target_cell(target, dimension)
+                    for dimension in {view.dimension for view in views}
+                }
+            ),
+        )
 
         total_rows = max(self.store.nrows, 1)
         # A backend that declares itself unsafe for concurrent execute()
@@ -510,6 +436,12 @@ class ExecutionEngine:
         cache_prefix = (
             execution_fingerprint(self.store, self.backend) if cache is not None else ""
         )
+        recorded: list[AggregateQuery] = []
+        #: The target predicate and flag expression, keyed once for all the run's queries.
+        fingerprints: dict = {}
+        active_per_phase: list[int] = []
+        previous_top_k: frozenset[ViewKey] = frozenset()
+        stable_phases = 0
         with make_dispatcher(
             self.backend,
             parallelism,
@@ -518,74 +450,46 @@ class ExecutionEngine:
             pool_recovery=config.pool_recovery,
         ) as dispatcher:
             for phase_index, (start, stop) in enumerate(ranges):
-                running = [entry for entry in live if not entry.finished]
-                if not running:
-                    break
-                # Fingerprints are computed only for a reader: the result
-                # cache, or — with more than one request in the phase —
-                # deduplication.  run_batch probes the cache per query but
-                # memoizes only *after* the batch executes, so identical
-                # queries submitted together would each execute; the first
-                # (request, position) to submit a fingerprint owns it.
-                dedupe = len(running) > 1
-                keyed = cache is not None or dedupe
-                union: list = []
-                union_keys: list[str | None] = []
-                first_slot: dict[str, int] = {}
-                #: (request, its plan, the plan's queries + its fills, their slots)
-                submitted: list[tuple[_LiveRequest, SharingPlan, list, list]] = []
-                # The held state's lock is held while a phase plans and, only if
-                # it has cells to fill, until the fills are stored.
-                claimed: set[tuple[tuple[str, ...], str]] = set()
+                active_per_phase.append(len(live.active))
+                # The held state's lock is held while the phase plans and, only
+                # if it has cells to fill, until the fills are stored.
                 touched: set[tuple[str, ...]] = set()
-                locked = any(entry.held for entry in running)
+                locked = live.held
                 if locked:
                     self._reference_lock.acquire()
                 try:
                     table_cells = self._held_state(identity) if locked else {}
                     if table_cells is None:  # the table moved: split path, hold nothing
-                        for entry in running:
-                            if entry.held:  # one range: nothing is folded yet
-                                entry.states = self._make_states(entry.request.views)
-                            entry.held, entry.cells = False, {}
-                    for entry in running:
-                        request = entry.request
-                        entry.active_per_phase.append(len(entry.active))
-                        views, fills = list(entry.active.values()), []
-                        if entry.held:
-                            views, fills = self._held_cells(entry, table_cells, claimed, touched)
-                        plan = SharingPlan(())
-                        if views:
-                            plan = plan_queries(
-                                views,
-                                meta,
-                                config,
-                                request.target_predicate,
-                                request.reference_mode,
-                                request.reference_predicate,
-                                entry.held,
-                                skeletons,
-                            )
-                        queries = list(plan.queries) + fills
-                        slots: list[tuple[int, bool]] = []
-                        for planned in queries:
-                            query = planned.query.with_range(start, stop)
-                            if len(entry.queries) < _MAX_RECORDED_SQL:
-                                entry.queries.append(query)
-                            key = None
-                            if keyed:
-                                key = f"{cache_prefix}|{query_fingerprint(query, memo=entry.keys)}"
-                            position = first_slot.get(key) if dedupe else None
-                            owner = position is None
-                            if owner:
-                                position = len(union)
-                                union.append(query)
-                                union_keys.append(key)
-                                if dedupe:
-                                    first_slot[key] = position
-                            slots.append((position, owner))
-                        submitted.append((entry, plan, queries, slots))
-                    if locked and not claimed:
+                        # One range: nothing is folded yet.
+                        live.states = self._make_states(views)
+                        live.held, live.cells = False, {}
+                    planned_views, fills = list(live.active.values()), []
+                    if live.held:
+                        planned_views, fills = self._held_cells(live, table_cells, touched)
+                    plan = SharingPlan(())
+                    if planned_views:
+                        plan = plan_queries(
+                            planned_views,
+                            meta,
+                            config,
+                            target_predicate,
+                            reference_mode,
+                            reference_predicate,
+                            live.held,
+                            skeletons,
+                        )
+                    queries = [
+                        planned.query.with_range(start, stop)
+                        for planned in (*plan.queries, *fills)
+                    ]
+                    recorded += queries[: _MAX_RECORDED_SQL - len(recorded)]
+                    cache_keys = [
+                        f"{cache_prefix}|{query_fingerprint(query, memo=fingerprints)}"
+                        if cache is not None
+                        else None
+                        for query in queries
+                    ]
+                    if locked and not fills:
                         self._reference_lock.release()
                         locked = False
 
@@ -598,120 +502,98 @@ class ExecutionEngine:
                     # reach the backend (they are excluded before shared-scan
                     # batching), misses execute and are memoized; a hit outcome
                     # carries the memoized result with zeroed work counters.
-                    width = max(len(union) if config.shared_scan else batch_size, 1)
+                    width = max(len(queries) if config.shared_scan else batch_size, 1)
                     outcomes: list[tuple[QueryResult, ExecutionStats]] = []
-                    for i in range(0, len(union), width):
+                    for i in range(0, len(queries), width):
                         outcomes.extend(
                             dispatcher.run_batch(
-                                union[i : i + width], cache, union_keys[i : i + width]
+                                queries[i : i + width], cache, cache_keys[i : i + width]
                             )
                         )
-                    targets_filled = False
-                    for _, plan, queries, slots in submitted:
-                        for planned, (position, _) in zip(queries[len(plan) :], slots[len(plan) :]):
-                            self._hold_reference(table_cells, planned, outcomes[position][0])
-                            targets_filled |= len(planned.query.group_by) >= 2
-                    if targets_filled:
+                    for planned, (result, _) in zip(fills, outcomes[len(plan) :]):
+                        self._hold_reference(table_cells, planned, result)
+                    if any(len(planned.query.group_by) >= 2 for planned in fills):
                         self._evict_target_columns(touched)
                 finally:
                     if locked:
                         self._reference_lock.release()
-                # Each outcome is one unique execution — fold its physical work
-                # into the lifetime totals exactly once, no matter how many
-                # requests share it below.
-                for _, executed in outcomes:
-                    self.executed_totals["queries_executed"] += executed.queries_issued
-                    self.executed_totals["rows_scanned"] += executed.rows_scanned
-                    self.executed_totals["bytes_scanned"] += (
-                        executed.bytes_scanned_miss + executed.bytes_scanned_hit
-                    )
-
-                for entry, plan, queries, slots in submitted:
-                    request = entry.request
-                    own = [
-                        outcomes[position]
-                        if owner
-                        else (outcomes[position][0], ExecutionStats(coalesced_queries=1))
-                        for position, owner in slots
-                    ]
-                    # Stats merging and per-view routing happen on this
-                    # thread in plan order — a parallel or coalesced run
-                    # therefore performs the exact floating-point
-                    # accumulation sequence of a serial solo one.  The cost
-                    # model sees concurrency groups of ``n_parallel_queries``
-                    # — the pool's actual width — whatever batch carried the
-                    # queries, so the modeled parallel structure is
-                    # unchanged; only the per-query work (shared pages
-                    # charged once, to the first query) gets cheaper.  A fill
-                    # is charged to the request that asked for it, but routed
-                    # to the table state above: the zip ends with the plan.
-                    for i in range(0, len(own), batch_size):
-                        batch_costs: list[float] = []
-                        for _, query_stats in own[i : i + batch_size]:
-                            batch_costs.append(self.cost_model.query_seconds(query_stats))
-                            entry.stats.merge(query_stats)
-                        entry.stats.batch_costs.append(batch_costs)
-                    for planned, (result, _) in zip(plan.queries, own):
-                        self._route_result(planned, result, entry)
-                    if entry.held:
-                        self._fold_held(entry, table_cells)
-                    if not use_phases:
-                        continue
-                    estimates = self._per_view(
-                        entry.states, entry.active, ViewState.record_estimate
-                    )
-                    decision = entry.pruner.observe(
-                        phase_index,
-                        estimates,
-                        rows_seen=max(stop, 1),
-                        total_rows=total_rows,
-                    )
-                    for key in decision.pruned:
-                        entry.active.pop(key, None)
-                    if early:
-                        current_top_k = frozenset(
-                            sorted(estimates, key=lambda key: -estimates[key])[: request.k]
+                # Stats merging and per-view routing happen on this thread in
+                # plan order — a parallel run therefore performs the exact
+                # floating-point accumulation sequence of a serial one.  The
+                # cost model sees concurrency groups of ``n_parallel_queries``
+                # — the pool's actual width — whatever batch carried the
+                # queries, so the modeled parallel structure is unchanged; only
+                # the per-query work (shared pages charged once, to the first
+                # query) gets cheaper.  A fill is charged to the run, but routed
+                # to the table state above: the zip ends with the plan.  The
+                # lifetime totals take the same outcomes, so a run's stats are
+                # exactly the work it added to them.
+                for i in range(0, len(outcomes), batch_size):
+                    batch_costs: list[float] = []
+                    for _, query_stats in outcomes[i : i + batch_size]:
+                        batch_costs.append(self.cost_model.query_seconds(query_stats))
+                        live.stats.merge(query_stats)
+                        self.executed_totals["queries_executed"] += query_stats.queries_issued
+                        self.executed_totals["rows_scanned"] += query_stats.rows_scanned
+                        self.executed_totals["bytes_scanned"] += (
+                            query_stats.bytes_scanned_miss + query_stats.bytes_scanned_hit
                         )
-                        entry.stable_phases = (
-                            entry.stable_phases + 1
-                            if current_top_k == entry.previous_top_k
-                            else 0
-                        )
-                        entry.previous_top_k = current_top_k
-                        entry.finished = self._top_k_identified(
-                            entry.pruner, entry.active, request.k, entry.stable_phases, config
-                        )
-
-        runs: list[EngineRun] = []
-        for entry in live:
-            selected, utilities, distributions = self._finalize(entry)
-            stats = entry.stats
-            stats.wall_seconds = time.perf_counter() - started
-            runs.append(
-                EngineRun(
-                    strategy=strategy,
-                    pruner_name=entry.pruner.name,
-                    k=entry.request.k,
-                    selected=selected,
-                    utilities=utilities,
-                    distributions=distributions,
-                    stats=stats,
-                    modeled_latency=self.cost_model.latency_seconds(stats),
-                    wall_seconds=stats.wall_seconds,
-                    phases_executed=len(entry.active_per_phase),
-                    active_per_phase=entry.active_per_phase,
-                    queries=entry.queries,
-                    parallelism=parallelism,
-                    n_workers=dispatcher.n_workers,
-                    backend=self.backend.name,
-                    shared_scan=config.shared_scan,
-                    result_cache=cache is not None,
-                    cache_hits=stats.cache_hits,
-                    cache_misses=stats.queries_issued if cache is not None else 0,
-                    cache_bytes_saved=stats.cache_bytes_saved,
+                    live.stats.batch_costs.append(batch_costs)
+                for planned, (result, _) in zip(plan.queries, outcomes):
+                    self._route_result(planned, result, live)
+                if live.held:
+                    self._fold_held(live, table_cells)
+                if not use_phases:
+                    continue
+                estimates = self._per_view(
+                    live.states, live.active, ViewState.record_estimate
                 )
-            )
-        return runs
+                decision = pruner.observe(
+                    phase_index,
+                    estimates,
+                    rows_seen=max(stop, 1),
+                    total_rows=total_rows,
+                )
+                for key in decision.pruned:
+                    live.active.pop(key, None)
+                if early:
+                    current_top_k = frozenset(
+                        sorted(estimates, key=lambda key: -estimates[key])[:k]
+                    )
+                    stable_phases = (
+                        stable_phases + 1 if current_top_k == previous_top_k else 0
+                    )
+                    previous_top_k = current_top_k
+                    if self._top_k_identified(
+                        pruner, live.active, k, stable_phases, config
+                    ):
+                        break
+
+        selected, utilities, distributions = self._finalize(live)
+        stats = live.stats
+        stats.wall_seconds = time.perf_counter() - started
+        return EngineRun(
+            strategy=strategy,
+            pruner_name=pruner.name,
+            k=k,
+            selected=selected,
+            utilities=utilities,
+            distributions=distributions,
+            stats=stats,
+            modeled_latency=self.cost_model.latency_seconds(stats),
+            wall_seconds=stats.wall_seconds,
+            phases_executed=len(active_per_phase),
+            active_per_phase=active_per_phase,
+            queries=recorded,
+            parallelism=parallelism,
+            n_workers=dispatcher.n_workers,
+            backend=self.backend.name,
+            shared_scan=config.shared_scan,
+            result_cache=cache is not None,
+            cache_hits=stats.cache_hits,
+            cache_misses=stats.queries_issued if cache is not None else 0,
+            cache_bytes_saved=stats.cache_bytes_saved,
+        )
 
     # ------------------------------------------------------------------ #
     # internals
@@ -721,8 +603,7 @@ class ExecutionEngine:
         """The pruner a ``strategy`` run observes with: ``"none"`` unless it is
         :meth:`_phased`; a name picks up the engine's ``ci_delta`` / ``seed``.
         An unknown name raises :class:`~repro.exceptions.PruningError` even if
-        unused — the serving tier calls this before a request joins a coalescing
-        window, so a bad name is that request's error, never its co-travellers'.
+        unused, so a bad name fails every strategy alike.
         """
         if not isinstance(pruner, Pruner):
             name = pruner.lower()
@@ -824,15 +705,14 @@ class ExecutionEngine:
         return (*others, dimension), prefix, own
 
     def _held_cells(
-        self, entry: _LiveRequest, held: dict, claimed: set, touched: set
+        self, entry: _RunState, held: dict, touched: set
     ) -> tuple[list[AggregateView], list[PlannedQuery]]:
         """Split ``entry``'s views (one range: this is its only phase) between held
         cells and target queries (lock held), one table of its layout at a time:
         every view reads its reference side from ``(d,)`` and, where
         :meth:`_target_cell` names one, its target side from that cell.  Returns
-        the views left to target queries and one fill per cell with a column
-        neither held nor ``claimed`` earlier in this phase; the target column
-        sets read join ``touched``."""
+        the views left to target queries and one fill per cell with a column not
+        held yet; the target column sets read join ``touched``."""
         views = list(entry.active.values())
         layout = self._layouts.get(
             tuple(entry.active), lambda: HeldLayout(views, self.store.table.categories)
@@ -841,7 +721,6 @@ class ExecutionEngine:
             t: SidePartial(t.func, len(t.rows), len(t.categories)) for t in layout.tables
         }
         missing: dict[tuple[str, ...], list[AggregateView]] = {}
-        mine: set[tuple[tuple[str, ...], str]] = set()
         reused = [0, 0]  # reference, target views read here, not filled
         column_sets: dict[tuple[str, ...], None] = {}
         for table in layout.tables:
@@ -857,13 +736,10 @@ class ExecutionEngine:
                     reused[side] += len(table.views)
                     continue
                 for view in table.views:
-                    pair = (key, view.agg_alias)
-                    if pair in claimed or view.agg_alias in columns:
-                        reused[side] += pair not in mine  # not read where it is filled
-                        continue
-                    claimed.add(pair)
-                    mine.add(pair)
-                    missing.setdefault(key, []).append(view)
+                    if view.agg_alias in columns:
+                        reused[side] += 1
+                    else:
+                        missing.setdefault(key, []).append(view)
         queried = [view for view in views if entry.cells.get(view.dimension) is None]
         for column_set in column_sets:
             self._target_columns.pop(column_set, None)
@@ -931,7 +807,7 @@ class ExecutionEngine:
                 if len(key) == 1 or key[:-1] not in evicted
             }
 
-    def _fold_held(self, entry: _LiveRequest, held: dict) -> None:
+    def _fold_held(self, entry: _RunState, held: dict) -> None:
         """Fold and score ``entry``'s views one layout table at a time: into its
         target partial, :meth:`_target_cell`'s cell sliced at the composite code
         of the target's other columns (and at ``d``'s own when the target tests
@@ -993,7 +869,7 @@ class ExecutionEngine:
         return {key: values[key] for key in keys}
 
     def _route_result(
-        self, planned: PlannedQuery, result: QueryResult, entry: _LiveRequest
+        self, planned: PlannedQuery, result: QueryResult, entry: _RunState
     ) -> None:
         """Feed one query result into every view of ``entry`` it serves.
 
@@ -1002,7 +878,7 @@ class ExecutionEngine:
         aggregates are folded as one stack.  Held: the tables are the layout's,
         their target sides ``entry.targets`` (held plans route no reference side).
         """
-        held, reference_mode = entry.held, entry.request.reference_mode
+        held, reference_mode = entry.held, entry.reference_mode
         states, targets = (entry.layout.states, entry.targets) if held else (entry.states, None)
         counts = np.asarray(result.values["__group_count__"], dtype=np.float64)
         # Route side -> (state side, positions of the groups that feed it),
@@ -1072,11 +948,11 @@ class ExecutionEngine:
         return stable_phases >= max(config.early_stability_phases, 1)
 
     def _finalize(
-        self, entry: _LiveRequest
+        self, entry: _RunState
     ) -> tuple[list[ViewKey], dict[ViewKey, float], dict[ViewKey, ViewDistributions]]:
         pruner, active, accepted = entry.pruner, entry.active, entry.pruner.accepted
         # View order, never a set's: exact ties must rank the same under any
-        # PYTHONHASHSEED.  A held request is one unpruned pass, scored as it folded.
+        # PYTHONHASHSEED.  A held run is one unpruned pass, scored as it folded.
         candidates = list(active) + sorted(accepted.difference(active))
         results = entry.answers
         if not entry.held:
@@ -1088,5 +964,5 @@ class ExecutionEngine:
             if pruner.name == "random"
             else candidates
         )
-        selected = sorted(ranked, key=lambda key: -utilities[key])[: entry.request.k]
+        selected = sorted(ranked, key=lambda key: -utilities[key])[: entry.k]
         return selected, utilities, distributions

@@ -32,7 +32,6 @@ See ``docs/api.md`` for the endpoint reference and client examples, and
 ``examples/service_session.py`` for a full three-step drill-down session.
 """
 
-from repro.config import CoalesceConfig
 from repro.core.cache import (
     CacheEntry,
     CacheStats,
@@ -47,7 +46,6 @@ from repro.service.api import (
     error_envelope,
 )
 from repro.service.client import ServiceClient
-from repro.service.coalesce import CoalesceRequest, CoalescingGateway
 from repro.service.frontend import (
     FrontendServer,
     WorkerSupervisor,
@@ -77,9 +75,6 @@ __all__ = [
     "AnalystDrillDown",
     "CacheEntry",
     "CacheStats",
-    "CoalesceConfig",
-    "CoalesceRequest",
-    "CoalescingGateway",
     "ErrorCode",
     "FrontendServer",
     "GracefulHTTPServer",

@@ -405,9 +405,6 @@ class StepStats:
     cache_bytes_saved: int
     wall_seconds: float
     modeled_latency_seconds: float
-    #: Queries this step shared with a co-batched request (coalescing
-    #: gateway only; absent — 0 — on uncoalesced services).
-    coalesced_queries: int = 0
     #: (view, row range) reference rows read from engine state, not computed.
     reference_views_reused: int = 0
     #: (view, row range) target rows of a conjunction of one-category clauses
@@ -428,7 +425,6 @@ class StepStats:
             modeled_latency_seconds=float(
                 payload.get("modeled_latency_seconds", 0.0)
             ),
-            coalesced_queries=int(payload.get("coalesced_queries", 0)),
             reference_views_reused=int(payload.get("reference_views_reused", 0)),
             target_views_reused=int(payload.get("target_views_reused", 0)),
         )

@@ -334,16 +334,6 @@ class ServiceClient:
         """``GET /v1/stats`` — service counters and cache snapshot."""
         return self.call("GET", "/stats")
 
-    def coalesce_stats(self) -> dict[str, Any] | None:
-        """The ``coalesce`` stats block, or ``None`` when coalescing is off.
-
-        Convenience over :meth:`stats` for benches and operators checking
-        window occupancy / single-flight hit rates (merged across workers
-        when talking to the sharded front-end).
-        """
-        block = self.stats().get("coalesce")
-        return dict(block) if isinstance(block, Mapping) else None
-
     def route_stats(self) -> dict[str, Any] | None:
         """The per-route latency-histogram block, or ``None`` if absent."""
         block = self.stats().get("routes")

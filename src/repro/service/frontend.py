@@ -22,9 +22,7 @@ the row's proxy policy:
   (:meth:`FrontendServer.placement`) — two analysts on ``census`` use two
   cores, at the price of the table being built in each worker that serves
   it.  L1 cache entries are per worker; what a sibling's session hits is
-  the shared L2 tier.  With the coalescing gateway on, same-dataset
-  requests coalesce per worker, and load placement separates them only
-  while a slot is idle;
+  the shared L2 tier;
 * **session affinity** — the front-end records which worker answered each
   ``POST /v1/sessions`` and pins the session's later requests to it;
 * **shared L2 cache** — every worker gets the same ``l2_cache_dir``
@@ -94,7 +92,6 @@ from dataclasses import dataclass, field
 from http.client import HTTPConnection, HTTPException
 from typing import Any, Iterator, Mapping, Sequence
 
-from repro.config import CoalesceConfig
 from repro.data import registry
 from repro.exceptions import ServiceError
 from repro.service.api import ErrorCode, Route, error_envelope
@@ -1115,7 +1112,6 @@ class FrontendServer(GracefulHTTPServer):
         delta_totals: dict[str, int] = {}
         executed_totals: dict[str, int] = {}
         route_payloads: list[dict[str, Any]] = []
-        coalesce_blocks: list[dict[str, Any]] = []
         for worker in self.workers:
             try:
                 stats = _worker_http(
@@ -1145,9 +1141,6 @@ class FrontendServer(GracefulHTTPServer):
             routes = stats.get("routes")
             if isinstance(routes, dict):
                 route_payloads.append(routes)
-            coalesce = stats.get("coalesce")
-            if isinstance(coalesce, dict):
-                coalesce_blocks.append(coalesce)
         payload: dict[str, Any] = {
             "uptime_seconds": time.time() - self._started_unix,
             "requests": requests,
@@ -1168,8 +1161,6 @@ class FrontendServer(GracefulHTTPServer):
             # Exact bucket-level merge: percentiles reflect the union of
             # every worker's samples, not an average of averages.
             payload["routes"] = merge_route_payloads(route_payloads)
-        if coalesce_blocks:
-            payload["coalesce"] = _merge_coalesce_blocks(coalesce_blocks)
         return payload
 
     # -------------------------------------------------------------- #
@@ -1193,59 +1184,6 @@ class FrontendServer(GracefulHTTPServer):
             if worker.alive:  # pragma: no cover - drain timeout
                 worker.process.terminate()
                 worker.process.join(5.0)
-
-
-def _merge_coalesce_blocks(blocks: Sequence[Mapping[str, Any]]) -> dict[str, Any]:
-    """Merge per-worker ``coalesce`` stats blocks into one fleet view.
-
-    Counters add; window occupancy re-derives from the batch-weighted
-    sums (a mean of per-worker means would overweight idle workers); the
-    per-key breakdown merges key-wise since each dataset key may be
-    served by several workers.
-    """
-    merged: dict[str, Any] = {
-        "enabled": True,
-        "requests": 0,
-        "batches": 0,
-        "unions": 0,
-        "requests_coalesced": 0,
-        "singleflight_hits": 0,
-        "window_occupancy_max": 0,
-    }
-    occupancy_weighted = 0.0
-    keys: dict[str, dict[str, int]] = {}
-    for block in blocks:
-        for counter in (
-            "requests",
-            "batches",
-            "unions",
-            "requests_coalesced",
-            "singleflight_hits",
-        ):
-            merged[counter] += int(block.get(counter, 0))
-        merged["window_occupancy_max"] = max(
-            merged["window_occupancy_max"],
-            int(block.get("window_occupancy_max", 0)),
-        )
-        occupancy_weighted += float(
-            block.get("window_occupancy_mean", 0.0)
-        ) * int(block.get("batches", 0))
-        for key, counters in (block.get("keys") or {}).items():
-            if not isinstance(counters, Mapping):
-                continue
-            per_key = keys.setdefault(
-                key, {"batches": 0, "requests": 0, "max_batch": 0}
-            )
-            per_key["batches"] += int(counters.get("batches", 0))
-            per_key["requests"] += int(counters.get("requests", 0))
-            per_key["max_batch"] = max(
-                per_key["max_batch"], int(counters.get("max_batch", 0))
-            )
-    merged["window_occupancy_mean"] = (
-        occupancy_weighted / merged["batches"] if merged["batches"] else 0.0
-    )
-    merged["keys"] = keys
-    return merged
 
 
 def start_frontend(
@@ -1355,37 +1293,7 @@ def main(argv: Sequence[str] | None = None) -> None:
         default=3,
         help="respawns allowed per worker slot before it is given up on",
     )
-    parser.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="coalesce concurrent recommend requests in every worker",
-    )
-    parser.add_argument(
-        "--coalesce-batch",
-        type=int,
-        default=16,
-        help="max requests per coalescing window (with --coalesce)",
-    )
-    parser.add_argument(
-        "--coalesce-wait-ms",
-        type=float,
-        default=5.0,
-        help="max milliseconds a window stays open (with --coalesce)",
-    )
-    parser.add_argument(
-        "--no-singleflight",
-        action="store_true",
-        help="disable identical-request single-flight dedup (with --coalesce)",
-    )
     args = parser.parse_args(argv)
-    coalesce: bool | CoalesceConfig = False
-    if args.coalesce:
-        coalesce = CoalesceConfig(
-            enabled=True,
-            max_batch_size=args.coalesce_batch,
-            max_wait_ms=args.coalesce_wait_ms,
-            singleflight=not args.no_singleflight,
-        )
     datasets = (
         tuple(name.strip() for name in args.datasets.split(",") if name.strip())
         if args.datasets
@@ -1404,7 +1312,6 @@ def main(argv: Sequence[str] | None = None) -> None:
         scale=args.scale,
         result_cache=not args.no_cache,
         data_dirs=tuple(args.data_dir),
-        coalesce=coalesce,
     )
     drained = install_sigterm_handler(frontend, timeout=args.drain_timeout)
     host, port = frontend.server_address[:2]

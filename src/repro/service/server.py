@@ -80,13 +80,8 @@ from typing import Any, Callable, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import CoalesceConfig
-from repro.core.cache import (
-    TieredViewResultCache,
-    ViewResultCache,
-    execution_fingerprint,
-)
-from repro.core.engine import EngineRun, UnionRequest
+from repro.core.cache import TieredViewResultCache, ViewResultCache
+from repro.core.engine import EngineRun
 from repro.core.recommender import SeeDB, serving_config
 from repro.data import registry
 from repro.data.ingest import strict_float, strict_int
@@ -97,7 +92,6 @@ from repro.db.expressions import And, Expression, eq
 from repro.exceptions import ReproError, ServiceError, StorageError
 from repro.metrics import get_metric
 from repro.service.api import ErrorCode, Route, error_envelope, match_route
-from repro.service.coalesce import CoalesceRequest, CoalescingGateway
 from repro.service.monitor import RouteLatencyRegistry
 from repro.service.sessions import (
     SessionStep,
@@ -161,7 +155,6 @@ class RecommendationService:
         data_dirs: Sequence[str] = (),
         l2_cache_dir: str | None = None,
         delta_cache: bool = True,
-        coalesce: bool | CoalesceConfig = False,
     ) -> None:
         """Configure the service; engines are built lazily per dataset.
 
@@ -178,12 +171,7 @@ class RecommendationService:
         share each other's view results); ``delta_cache=False`` disables
         the append-aware delta-state cache (it is on by default in the
         serving layer so a refresh after ``POST /v1/datasets/<id>/append``
-        scans only the new chunks); ``coalesce=True`` (or an explicit
-        :class:`~repro.config.CoalesceConfig`) routes concurrent
-        recommendation steps through the cross-request batching gateway
-        (:mod:`repro.service.coalesce`) so they share one scan — off by
-        default, and when off the request path is byte-for-byte the
-        direct one.
+        scans only the new chunks).
         """
         known = tuple(sorted(registry.DATASETS))
         self.datasets_allowed = tuple(datasets) if datasets else known
@@ -229,20 +217,6 @@ class RecommendationService:
         self._errors = 0
         self._counter_lock = threading.Lock()
         self._started_unix = time.time()
-        #: Cross-request coalescing gateway (None = the direct path).
-        if isinstance(coalesce, CoalesceConfig):
-            self.coalesce_config: CoalesceConfig | None = (
-                coalesce if coalesce.enabled else None
-            )
-        elif coalesce:
-            self.coalesce_config = CoalesceConfig(enabled=True)
-        else:
-            self.coalesce_config = None
-        self._gateway = (
-            CoalescingGateway(self.coalesce_config)
-            if self.coalesce_config is not None
-            else None
-        )
         #: Per-route latency histograms, recorded by the HTTP handler and
         #: served (merged across front-end workers) under ``/v1/stats``.
         self.route_latency = RouteLatencyRegistry()
@@ -364,21 +338,15 @@ class RecommendationService:
                 raise ServiceError(
                     f"{name} must be a list of column names, got {restriction!r}"
                 )
-        if self._gateway is not None:
-            run = self._coalesced_run(
-                session, engine, clauses, k, strategy, pruner,
-                parallelism, dimensions, measures,
-            )
-        else:
-            run = engine.run_engine(
-                _predicate(clauses),
-                k=k,
-                strategy=strategy,  # type: ignore[arg-type]
-                pruner=pruner,
-                dimensions=dimensions,  # type: ignore[arg-type]
-                measures=measures,  # type: ignore[arg-type]
-                parallelism=parallelism,  # type: ignore[arg-type]
-            )
+        run = engine.run_engine(
+            _predicate(clauses),
+            k=k,
+            strategy=strategy,  # type: ignore[arg-type]
+            pruner=pruner,
+            dimensions=dimensions,  # type: ignore[arg-type]
+            measures=measures,  # type: ignore[arg-type]
+            parallelism=parallelism,  # type: ignore[arg-type]
+        )
         views = [
             {
                 "rank": rank,
@@ -416,9 +384,6 @@ class RecommendationService:
             "wall_seconds": run.wall_seconds,
             "modeled_latency_seconds": run.modeled_latency,
         }
-        if self._gateway is not None:
-            # Only on coalescing services: the off path stays byte-for-byte.
-            response_stats["coalesced_queries"] = run.stats.coalesced_queries
         return {
             "session_id": session.session_id,
             "step": step.index,
@@ -432,70 +397,6 @@ class RecommendationService:
             "data": session.data_diff(engine.table.nrows),
             "stats": response_stats,
         }
-
-    # -------------------------------------------------------------- #
-    # cross-request coalescing (the batching gateway)
-    # -------------------------------------------------------------- #
-
-    def _coalesced_run(
-        self,
-        session,
-        seedb: SeeDB,
-        clauses: TargetClauses,
-        k: int,
-        strategy: str,
-        pruner: str,
-        parallelism: str,
-        dimensions,
-        measures,
-    ) -> EngineRun:
-        """Route one validated recommend through the coalescing gateway.
-
-        The single-flight fingerprint extends the result cache's execution
-        fingerprint (table identity + version + backend semantics) with
-        every request parameter, so two requests share a flight only when
-        their responses are guaranteed identical.  Every strategy is
-        submitted as a :class:`~repro.core.engine.UnionRequest`; the
-        requests of one window with the same strategy and parallelism
-        co-execute as one shared scan per phase.
-        """
-        key = (session.dataset, session.store, session.metric)
-        fingerprint = "|".join(
-            [
-                session.dataset,
-                session.store,
-                session.metric,
-                execution_fingerprint(seedb.engine.store, seedb.engine.backend),
-                strategy,
-                pruner,
-                parallelism,
-                str(k),
-                repr([(c, _json_scalar(v)) for c, v in clauses]),
-                repr(dimensions),
-                repr(measures),
-            ]
-        )
-        views = tuple(seedb.view_space(dimensions, measures))
-        if not views:
-            raise ServiceError("empty view space")
-        assert self._gateway is not None
-        return self._gateway.submit(
-            key,
-            CoalesceRequest(
-                fingerprint=fingerprint,
-                engine=seedb.engine,
-                parallelism=parallelism,
-                strategy=strategy,
-                union=UnionRequest(
-                    views=views,
-                    target_predicate=_predicate(clauses),
-                    k=k,
-                    # Resolved here, on the handler thread: a name the engine
-                    # rejects fails this request alone, not its whole window.
-                    pruner=seedb.engine.make_pruner(strategy, pruner),  # type: ignore[arg-type]
-                ),
-            ),
-        )
 
     def describe_session(self, session_id: str) -> dict[str, object]:
         """Return one session's recorded steps (``GET /sessions/<id>``)."""
@@ -849,8 +750,6 @@ class RecommendationService:
             payload["cache_tiers"] = self.cache.tier_counters()
         if self.route_latency.count:
             payload["routes"] = self.route_latency.as_dict()
-        if self._gateway is not None:
-            payload["coalesce"] = self._gateway.stats_snapshot()
         delta_totals: dict[str, int] = {}
         for seedb in engines.values():
             delta = getattr(seedb.engine, "delta_cache", None)
@@ -860,9 +759,9 @@ class RecommendationService:
                 delta_totals[key] = delta_totals.get(key, 0) + int(value)
         if delta_totals:
             payload["delta_cache"] = delta_totals
-        # Physical work actually executed across every engine: each
-        # execution counted once, however many requests shared it (cache
-        # hits and coalesced/single-flight shares excluded by design).
+        # Physical work actually executed across every engine: the sum of
+        # the responses' ``queries_issued`` / ``rows_scanned`` (cache hits
+        # excluded by design).
         executed: dict[str, int] = {}
         for seedb in engines.values():
             for key, value in seedb.engine.executed_totals.items():
@@ -886,14 +785,7 @@ class RecommendationService:
                 self._errors += 1
 
     def close(self) -> None:
-        """Release every engine's backend resources.  Idempotent.
-
-        Shutdown is deterministic: the coalescing gateway (when enabled)
-        drains its queues and joins its collector threads — nothing from
-        this service is still executing when ``close()`` returns.
-        """
-        if self._gateway is not None:
-            self._gateway.close()
+        """Release every engine's backend resources.  Idempotent."""
         with self._engine_lock:
             for engine in self._engines.values():
                 engine.close()
@@ -1260,53 +1152,18 @@ def main(argv: Sequence[str] | None = None) -> None:
         default=10.0,
         help="seconds to wait for in-flight requests on SIGTERM",
     )
-    parser.add_argument(
-        "--coalesce",
-        action="store_true",
-        help="batch concurrent recommends into shared scans "
-        "(the cross-request coalescing gateway)",
-    )
-    parser.add_argument(
-        "--coalesce-batch",
-        type=int,
-        default=16,
-        metavar="N",
-        help="coalescing: flush a window once N requests are pending",
-    )
-    parser.add_argument(
-        "--coalesce-wait-ms",
-        type=float,
-        default=5.0,
-        metavar="MS",
-        help="coalescing: longest wait for co-batchers (0 = pass-through)",
-    )
-    parser.add_argument(
-        "--no-singleflight",
-        action="store_true",
-        help="coalescing: do not attach identical in-flight requests "
-        "to one execution",
-    )
     args = parser.parse_args(argv)
     datasets = (
         tuple(name.strip() for name in args.datasets.split(",") if name.strip())
         if args.datasets
         else None
     )
-    coalesce: bool | CoalesceConfig = False
-    if args.coalesce:
-        coalesce = CoalesceConfig(
-            enabled=True,
-            max_batch_size=args.coalesce_batch,
-            max_wait_ms=args.coalesce_wait_ms,
-            singleflight=not args.no_singleflight,
-        )
     service = RecommendationService(
         datasets=datasets,
         scale=args.scale,
         result_cache=not args.no_cache,
         data_dirs=tuple(args.data_dir),
         l2_cache_dir=args.l2_cache_dir,
-        coalesce=coalesce,
     )
     server = SeeDBHTTPServer((args.host, args.port), service, verbose=True)
     drained = install_sigterm_handler(server, timeout=args.drain_timeout)

@@ -14,7 +14,7 @@ from repro import SeeDB
 from repro.config import EngineConfig
 from repro.core import engine as engine_module
 from repro.core import sharing as sharing_module
-from repro.core.engine import ExecutionEngine, UnionRequest
+from repro.core.engine import ExecutionEngine
 from repro.core.phases import phase_ranges
 from repro.core.recommender import serving_config, tuned_config
 from repro.core.view import AggregateView, ViewSpace
@@ -358,108 +358,6 @@ class TestAggregateFunctions:
             assert phased.utilities[key] == pytest.approx(
                 shared.utilities[key], rel=1e-9, abs=1e-12
             )
-
-
-HELD_LEGS = (("sharing", "none"), ("comb", "ci"))
-
-
-@pytest.mark.parametrize(
-    "strategy, pruner, result_cache, rewrite",
-    [
-        pytest.param(
-            strategy,
-            pruner,
-            result_cache,
-            rewrite,
-            id=f"{strategy}-{pruner}-{'cache' if result_cache else 'nocache'}"
-            f"{'' if rewrite else '-held'}",
-        )
-        for strategy, pruner in [
-            ("no_opt", "none"),
-            ("sharing", "none"),
-            ("comb", "ci"),
-            ("comb", "mab"),
-            ("comb_early", "ci"),
-        ]
-        for result_cache in (False, True)
-        for rewrite in (True, False)
-        # Held legs (the suite has a ceiling): SHARING and COMB — one exact pass
-        # each without the rewrite; NO_OPT never is held, and
-        # test_reference_state.py holds every other pair to SHARING's bits.
-        if rewrite or (strategy, pruner) in HELD_LEGS
-    ],
-)
-def test_union_equals_solo_and_conserves(strategy, pruner, result_cache, rewrite):
-    """The N-request phase loop under the solo path's oracle.
-
-    A union of [A, B, A again, A with another k] returns, per request, the
-    answer that request's own solo ``run`` returns — bit for bit — and the
-    per-request stats sum to the engine's lifetime executed counters: only
-    the accounting moves, and it moves without losing or double-charging.
-    With the rewrite off the reference side is table state: A's fills are
-    A's queries, charged once, and B and the repeats read what they left —
-    in the union, and solo on an engine other requests warmed.
-    """
-    table, spec = build_info("census", scale="smoke", seed=7)
-    config = EngineConfig(
-        result_cache=result_cache,
-        combine_target_reference=rewrite,
-    )
-    target_a, target_b = spec.target_predicate(), eq("sex", "sex_0")
-    asks = [(target_a, 3), (target_b, 3), (target_a, 3), (target_a, 6)]
-    with SeeDB.over_table(table, store="col", config=config) as seedb, SeeDB.over_table(
-        table, store="col", config=config
-    ) as alone:
-        views = tuple(seedb.view_space())
-        before = dict(seedb.engine.executed_totals)
-        runs = seedb.engine.run_union(
-            [UnionRequest(views, target, k, pruner) for target, k in asks], strategy
-        )
-        executed = {
-            name: total - before[name]
-            for name, total in seedb.engine.executed_totals.items()
-        }
-
-        assert len(runs) == len(asks)
-        for run, (target, k) in zip(runs, asks):
-            solo = alone.engine.run(views, target, k, strategy=strategy, pruner=pruner)
-            assert run.selected == solo.selected
-            assert run.utilities == solo.utilities
-            assert list(run.utilities) == list(solo.utilities)
-            assert list(run.distributions) == list(solo.distributions)
-            for key, mine in run.distributions.items():
-                theirs = solo.distributions[key]
-                assert mine.keys == theirs.keys
-                assert np.array_equal(mine.target, theirs.target)
-                assert np.array_equal(mine.reference, theirs.reference)
-            assert run.phases_executed == solo.phases_executed
-            assert run.active_per_phase == solo.active_per_phase
-
-    # Conservation: every executed query and scanned row/byte is charged to
-    # exactly one request.
-    stats = [run.stats for run in runs]
-    assert executed == {
-        "queries_executed": sum(s.queries_issued for s in stats),
-        "rows_scanned": sum(s.rows_scanned for s in stats),
-        "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
-    }
-    assert executed["queries_executed"] > 0
-
-    # Coalescing exactly where requests overlap.  The first submitter owns;
-    # the repeat of A shares everything; A at another k shares at least the
-    # first phase (it prunes differently after); B's queries carry B's
-    # predicate — except under NO_OPT, whose reference queries are
-    # target-free and therefore A's.  Held, both targets select one category:
-    # what the repeat and A at another k share is A's cells, not its queries.
-    first, other_target, repeat, other_k = stats
-    held = not rewrite
-    assert [s.reference_views_reused > 0 for s in stats] == [False, held, held, held]
-    assert [s.target_views_reused > 0 for s in stats] == [False, False, held, held]
-    assert first.coalesced_queries == 0
-    assert (other_target.coalesced_queries > 0) == (strategy == "no_opt")
-    assert (repeat.coalesced_queries > 0) != held
-    assert repeat.queries_issued == repeat.cache_hits == 0
-    assert (other_k.coalesced_queries > 0) != held
 
 
 # --------------------------------------------------------------------------- #

@@ -31,7 +31,6 @@ import pytest
 from repro import SeeDB
 from repro.core import engine as engine_module
 from repro.core import recommender as recommender_module
-from repro.core.engine import UnionRequest
 from repro.core.recommender import serving_config, tuned_config
 from repro.core.sharing import plan_queries
 from repro.core.state import (
@@ -194,40 +193,48 @@ def _asks(table, spec):
     ]
 
 
-def _request(seedb, ask) -> UnionRequest:
-    target, dimensions, measures, k, _, pruner = ask
-    return UnionRequest(seedb.view_space(dimensions, measures).views, target, k, pruner)
+def _run(seedb, ask):
+    target, dimensions, measures, k, strategy, pruner = ask
+    return seedb.run_engine(
+        target, k, strategy=strategy, pruner=pruner, dimensions=dimensions, measures=measures
+    )
 
 
 def _fresh_answer(table, ask, **seedb_kwargs):
     with SeeDB.over_table(table, store="col", **seedb_kwargs) as fresh:
-        return _bits(fresh.engine.run_union([_request(fresh, ask)], ask[4])[0])
+        return _bits(_run(fresh, ask))
+
+
+def _charged(runs) -> dict[str, int]:
+    """What ``runs`` say they executed, in ``executed_totals``' terms."""
+    return {
+        "queries_executed": sum(run.stats.queries_issued for run in runs),
+        "rows_scanned": sum(run.stats.rows_scanned for run in runs),
+        "bytes_scanned": sum(
+            run.stats.bytes_scanned_miss + run.stats.bytes_scanned_hit for run in runs
+        ),
+    }
+
+
+def _executed_since(engine, before: dict[str, int]) -> dict[str, int]:
+    return {name: total - before[name] for name, total in engine.executed_totals.items()}
 
 
 @pytest.mark.parametrize("seed", range(3))
 def test_answers_do_not_depend_on_request_history(census, seed):
-    """Any order, any mix of solo runs and unions, any view subsets: every
-    request gets the bits a fresh engine gives it, and whatever subset fills
-    built the state, its columns equal a full fill's."""
+    """Any order, any view subsets: every request gets the bits a fresh engine
+    gives it, and whatever subset fills built the state, its columns equal a
+    full fill's."""
     table, spec = census
     asks = _asks(table, spec)
-    rng = random.Random(seed)
-    order = rng.sample(range(len(asks)), len(asks))
+    order = random.Random(seed).sample(range(len(asks)), len(asks))
     funcs = tuple(AggregateFunction) if seed == 2 else (AggregateFunction.AVG,)
     with SeeDB.over_table(table, store="col", funcs=funcs) as seedb:
         answers, reused = {}, 0
-        while order:
-            # A union shares one strategy; its size is part of the history.
-            first = order.pop(0)
-            group = [first] + [
-                i for i in order if asks[i][4] == asks[first][4] and rng.random() < 0.5
-            ]
-            order = [i for i in order if i not in group]
-            runs = seedb.engine.run_union(
-                [_request(seedb, asks[i]) for i in group], asks[first][4]
-            )
-            answers.update(zip(group, map(_bits, runs)))
-            reused += sum(run.stats.reference_views_reused for run in runs)
+        for i in order:
+            run = _run(seedb, asks[i])
+            answers[i] = _bits(run)
+            reused += run.stats.reference_views_reused
         assert reused > 0
         for i, ask in enumerate(asks):
             assert answers[i] == _fresh_answer(table, ask, funcs=funcs), i
@@ -283,11 +290,9 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
 
         def worker(offset: int):
             mine = [(i + offset) % len(asks) for i in range(0, len(asks), 2)]
-            return [
-                (i, _bits(seedb.engine.run_union([_request(seedb, asks[i])], asks[i][4])[0]))
-                for i in mine
-            ]
+            return [(i, _run(seedb, asks[i])) for i in mine]
 
+        before = dict(seedb.engine.executed_totals)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -297,8 +302,13 @@ def test_eight_threads_match_serial_and_fill_each_cell_once(census, monkeypatch)
             sys.setswitchinterval(interval)
         assert len(rounds) == 8
         for answers in rounds:
-            for i, bits in answers:
-                assert bits == serial[i], i
+            for i, run in answers:
+                assert _bits(run) == serial[i], i
+        # Conservation under any interleaving: the runs' stats sum to the
+        # engine's lifetime executed counters, each fill charged once.
+        assert _executed_since(seedb.engine, before) == _charged(
+            [run for answers in rounds for _, run in answers]
+        )
         assert len(filled) == len(set(filled)) > 0
         assert len(seedb._view_spaces[1]) == len(seedb.engine._planning[1]) == 2
         assert len(seedb.engine._layouts) == 2
@@ -563,7 +573,7 @@ def test_a_held_table_keeps_no_reference_partial(census):
         finalize = seedb.engine._finalize
 
         def spy(entry):
-            captured[entry.request.k] = entry
+            captured[entry.k] = entry
             return finalize(entry)
 
         seedb.engine._finalize = spy
@@ -887,7 +897,7 @@ def test_other_targets_and_engines_keep_their_target_queries(census, monkeypatch
             assert seedb.engine.reference_state()["target_bytes"] == 0
 
 
-def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
+def test_two_values_of_one_column_share_one_fill_and_conserve(census):
     table, _ = census
     columns = [TableMeta.of(table).dimensions[3], "marital_status"]
     for width in (1, 2):
@@ -903,22 +913,13 @@ def test_coalesced_values_of_one_column_share_one_fill_and_conserve(census):
 
             seedb.engine._hold_reference = spy
             before = dict(seedb.engine.executed_totals)
-            runs = seedb.engine.run_union(
-                [UnionRequest(views, t, K, "ci") for t in targets], "comb"
-            )
-            executed = {
-                name: total - before[name] for name, total in seedb.engine.executed_totals.items()
-            }
+            runs = [seedb.engine.run(views, t, K, "comb", "ci") for t in targets]
+            executed = _executed_since(seedb.engine, before)
         assert len(filled) == len(set(filled))
         assert any(len(key) == width + 1 for key, _ in filled)
-        stats = [run.stats for run in runs]
-        assert executed == {
-            "queries_executed": sum(s.queries_issued for s in stats),
-            "rows_scanned": sum(s.rows_scanned for s in stats),
-            "bytes_scanned": sum(s.bytes_scanned_miss + s.bytes_scanned_hit for s in stats),
-        }
+        assert executed == _charged(runs)
         # The first combination fills the cells; the second reads every one.
-        assert stats[1].target_views_reused == runs[1].active_per_phase[0]
+        assert runs[1].stats.target_views_reused == runs[1].active_per_phase[0]
         for run, target in zip(runs, targets):
             assert _bits(run) == _fresh_answer(table, (target, None, None, K, "comb", "ci"))
 

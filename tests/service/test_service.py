@@ -794,6 +794,74 @@ class TestGracefulShutdown:
 
 
 # --------------------------------------------------------------------------- #
+# accounting: responses conserve the executed work
+# --------------------------------------------------------------------------- #
+
+
+class TestConservation:
+    #: Per session: a repeat, another target and strategy, a drill-down step.
+    STEPS = [
+        {"k": 3},
+        {"k": 3},
+        {"k": 4, "strategy": "comb",
+         "target": [{"column": "marital_status", "value": "Unmarried"}]},
+        {"k": 5, "target": [{"column": "marital_status", "value": "Married"},
+                            {"column": "sex", "value": "sex_0"}]},
+    ]
+
+    @pytest.mark.parametrize("result_cache", [True, False], ids=["default", "no_cache"])
+    def test_concurrent_sessions_sum_to_the_executed_counters(self, result_cache):
+        """Four sessions race the same steps on one service, cold: every
+        request is answered once and alike, and the responses'
+        ``queries_issued`` and ``rows_scanned`` add up to the change in
+        ``/v1/stats`` ``executed`` — whatever the result cache, the delta
+        cache or the held cells served, nothing is lost or charged twice."""
+        sessions = 4
+        svc = RecommendationService(
+            datasets=("census",), scale="smoke", result_cache=result_cache
+        )
+        server, _ = start_server(svc)
+        address = server.server_address[:2]
+        try:
+            ids = [
+                _call(address, "POST", "/sessions", {"dataset": "census"})[1]["session_id"]
+                for _ in range(sessions)
+            ]
+            before = _call(address, "GET", "/stats")[1].get("executed", {})
+            barrier = threading.Barrier(sessions)
+            answers: list[list] = [[] for _ in range(sessions)]
+
+            def analyst(index: int) -> None:
+                barrier.wait(timeout=30)
+                for step in self.STEPS:
+                    answers[index].append(
+                        _call(address, "POST", f"/sessions/{ids[index]}/recommend", step)
+                    )
+
+            threads = [
+                threading.Thread(target=analyst, args=(i,)) for i in range(sessions)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+            assert not any(thread.is_alive() for thread in threads)
+            after = _call(address, "GET", "/stats")[1]["executed"]
+            for session_id, mine in zip(ids, answers):
+                assert [status for status, _ in mine] == [200] * len(self.STEPS)
+                steps = _call(address, "GET", f"/sessions/{session_id}")[1]["steps"]
+                assert [step["index"] for step in steps] == list(range(len(self.STEPS)))
+        finally:
+            server.graceful_shutdown(timeout=5)
+        # Every session is answered the same, whoever paid for the scans.
+        views = [[body["views"] for _, body in mine] for mine in answers]
+        assert views == [views[0]] * sessions
+        stats = [body["stats"] for mine in answers for _, body in mine]
+        for name, field in (("queries_executed", "queries_issued"), ("rows_scanned", "rows_scanned")):
+            assert after[name] - before.get(name, 0) == sum(s[field] for s in stats) > 0, name
+
+
+# --------------------------------------------------------------------------- #
 # the append path: delta-aware maintenance through the service
 # --------------------------------------------------------------------------- #
 
