@@ -48,12 +48,12 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.config import ExecutionStats
-from repro.db.query import AggregateQuery, QueryResult
+from repro.db.query import AggregateQuery, AggregateSpec, QueryResult
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,8 +102,24 @@ def _value_key(value: object, memo: dict | None = None) -> str:
     return repr(value)  # covers inf/nan floats deterministically
 
 
+def plan_fingerprint(
+    table: str, group_by: Sequence[str], aggregates: Sequence[AggregateSpec]
+) -> str:
+    """The target-free head of :func:`query_fingerprint`: table, group-bys and
+    aggregate specs.  A plan skeleton keeps it per query, so a request renders
+    only its predicate and derived columns."""
+    aggs = ";".join(
+        f"{spec.func.value}:{_value_key(spec.argument)}:{spec.alias}" for spec in aggregates
+    )
+    return f"{table}|{','.join(group_by)}|{aggs}"
+
+
 def query_fingerprint(
-    query: AggregateQuery, *, include_row_range: bool = True, memo: dict | None = None
+    query: AggregateQuery,
+    *,
+    include_row_range: bool = True,
+    memo: dict | None = None,
+    head: str | None = None,
 ) -> str:
     """Canonical fingerprint of one logical query plan, row range included.
 
@@ -120,19 +136,16 @@ def query_fingerprint(
 
     ``memo`` is one request's: the queries of a request share their target
     predicate and flag expression, which are then keyed once, to the same string.
+    ``head`` is the query's :func:`plan_fingerprint`, where the caller kept it.
     """
-    aggs = ";".join(
-        f"{spec.func.value}:{_value_key(spec.argument)}:{spec.alias}"
-        for spec in query.aggregates
-    )
+    if head is None:
+        head = plan_fingerprint(query.table, query.group_by, query.aggregates)
     derived = ";".join(
         f"{d.alias}={_value_key(d.expression, memo)}" for d in query.derived
     )
     return "|".join(
         (
-            query.table,
-            ",".join(query.group_by),
-            aggs,
+            head,
             _value_key(query.predicate, memo),
             derived,
             _value_key(query.row_range) if include_row_range else "*",
@@ -438,7 +451,12 @@ DEFAULT_DELTA_MAX_ENTRIES = 4_096
 
 
 def delta_state_key(
-    store: "StorageEngine", query: AggregateQuery, executor_sig: str = "native"
+    store: "StorageEngine",
+    query: AggregateQuery,
+    executor_sig: str = "native",
+    *,
+    memo: dict | None = None,
+    head: str | None = None,
 ) -> str:
     """Cache key for one query's partial-aggregation state.
 
@@ -450,6 +468,7 @@ def delta_state_key(
     *contents* the cached state covers are recorded per entry as
     ``(fingerprint, rows)`` and validated against the table's
     :attr:`~repro.db.table.Table.append_lineage` at lookup time.
+    ``memo`` and ``head`` are :func:`query_fingerprint`'s.
     """
     table = store.table
     anchor = table.source_path or f"mem-{id(table)}"
@@ -460,7 +479,7 @@ def delta_state_key(
             anchor,
             store.kind,
             executor_sig,
-            query_fingerprint(query, include_row_range=False),
+            query_fingerprint(query, include_row_range=False, memo=memo, head=head),
         )
     )
 
@@ -469,8 +488,9 @@ def delta_state_key(
 class DeltaState:
     """One cached partial-aggregation state.
 
-    ``state`` is a :meth:`StreamingGroupAggregator.snapshot` covering rows
-    ``[0, rows)`` of the table whose fingerprint was ``fingerprint`` at
+    ``state`` is a refreshed aggregator's own state
+    (:meth:`~repro.db.streaming.StreamingGroupAggregator.release`), covering
+    rows ``[0, rows)`` of the table whose fingerprint was ``fingerprint`` at
     capture time.  It is valid for a table ``t`` iff ``t`` *is* that
     table (``t.fingerprint() == fingerprint`` and ``rows == t.nrows``) or
     ``t`` append-extends it (``t.append_lineage[fingerprint] == rows``) —
@@ -492,8 +512,10 @@ class DeltaStateCache:
     necessarily reroutes), while this tier keeps the mergeable
     :class:`~repro.db.streaming.StreamingGroupAggregator` state so the
     first run after an append pays O(delta) instead of O(table).  Same
-    locking discipline as :class:`ViewResultCache`; snapshots are deep
-    copies on both ends, so entries are immune to concurrent updates.
+    locking discipline as :class:`ViewResultCache`.  A stored state is never
+    written again: the pipeline puts an aggregator's own state once it feeds
+    it no more rows (nothing it returns shares an array with it), and a
+    restore copies it, so entries are immune to concurrent updates.
     """
 
     def __init__(
@@ -515,6 +537,11 @@ class DeltaStateCache:
         self._misses = 0
         self._insertions = 0
         self._evictions = 0
+
+    def key(self, store: "StorageEngine", query: AggregateQuery) -> str:
+        """:func:`delta_state_key` of ``query`` over ``store``: the key of a query
+        whose batch came without one (a batch of one, ``execute``)."""
+        return delta_state_key(store, query)
 
     def get(self, key: str) -> DeltaState | None:
         """The cached state for ``key`` (LRU-refreshed), or None."""
@@ -882,6 +909,7 @@ __all__ = [
     "ViewResultCache",
     "delta_state_key",
     "execution_fingerprint",
+    "plan_fingerprint",
     "query_fingerprint",
     "DEFAULT_DELTA_MAX_BYTES",
     "DEFAULT_DELTA_MAX_ENTRIES",

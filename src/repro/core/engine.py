@@ -52,6 +52,7 @@ from repro.core.cache import (
     DeltaStateCache,
     LruMemo,
     ViewResultCache,
+    delta_state_key,
     execution_fingerprint,
     query_fingerprint,
 )
@@ -63,12 +64,11 @@ from repro.core.sharing import (
     PlannedQuery,
     ReferenceMode,
     SharingPlan,
-    ViewRoute,
     plan_fill,
     plan_queries,
 )
 from repro.core.state import (
-    HeldLayout, HeldTable, SidePartial, ViewState, hold_reference_rows, state_tables
+    HeldLayout, HeldTable, SidePartial, StateLayout, ViewState, hold_reference_rows
 )
 from repro.core.view import AggregateView, ViewKey
 from repro.db.backends import Backend, NativeBackend, make_backend
@@ -97,8 +97,9 @@ Parallelism = Literal["modeled", "real", "process"]
 _PHASED = ("comb", "comb_early")
 #: How many queries a run records for :attr:`EngineRun.sql` (introspection only).
 _MAX_RECORDED_SQL = 64
-#: Plan skeletons an engine keeps (least recently used out): the full view set of
-#: each restriction in use stays, a pruned active set nobody repeats ages out.
+#: Plan skeletons and state layouts an engine keeps (least recently used out): the
+#: full view set of each restriction in use stays, a pruned active set nobody
+#: repeats ages out.
 _MAX_PLAN_SKELETONS = 32
 #: Bytes the held (target columns, dimension) cells may take; past it whole
 #: target column sets go, least recently used first.  Sets a
@@ -118,8 +119,6 @@ class _RunState:
 
     k: int
     pruner: Pruner
-    #: The split path's state tables (empty while ``held``).
-    states: dict[ViewKey, ViewState]
     active: dict[ViewKey, AggregateView]
     reference_mode: ReferenceMode
     #: The run reads its reference side from the engine's table state.
@@ -130,6 +129,13 @@ class _RunState:
     cells: dict[str, tuple[tuple[str, ...], int, int | None] | None] = field(
         default_factory=dict
     )
+    #: Where the views keep their state: the split path's tables, or the held
+    #: layout's (what the plan skeletons' route tables are grouped against).
+    state_layout: StateLayout | None = None
+    #: The split path's state tables, in ``state_layout``'s order and per view
+    #: (empty while ``held``).
+    tables: list[ViewState] = field(default_factory=list)
+    states: dict[ViewKey, ViewState] = field(default_factory=dict)
     #: Held: the layout, a fresh target partial per table, the answers in view order.
     layout: HeldLayout | None = None
     targets: dict[HeldTable, SidePartial] = field(default_factory=dict)
@@ -322,12 +328,18 @@ class ExecutionEngine:
     @property
     def meta(self) -> TableMeta:
         """The catalog entry plans and bin packing read; assign a new one when the
-        table grew.  The plan skeletons built from the old one go with it."""
+        table grew.  The plan skeletons and state layouts built from the old one
+        stay while the new one :meth:`~repro.db.catalog.TableMeta.plans_like` it,
+        and go when it does not (a dimension gained a category)."""
         return self._planning[0]
 
     @meta.setter
     def meta(self, meta: TableMeta) -> None:
-        self._planning = (meta, LruMemo(_MAX_PLAN_SKELETONS))
+        planning = getattr(self, "_planning", None)
+        if planning is not None and planning[0].plans_like(meta):
+            self._planning = (meta, planning[1])
+        else:
+            self._planning = (meta, LruMemo(_MAX_PLAN_SKELETONS))
 
     def __enter__(self) -> "ExecutionEngine":
         return self
@@ -405,7 +417,6 @@ class ExecutionEngine:
         live = _RunState(
             k,
             pruner,
-            {} if held else self._make_states(views),
             {v.key: v for v in views},
             reference_mode,
             held=held,
@@ -418,6 +429,8 @@ class ExecutionEngine:
                 }
             ),
         )
+        if not held:
+            self._make_states(live, skeletons)
 
         total_rows = max(self.store.nrows, 1)
         # A backend that declares itself unsafe for concurrent execute()
@@ -432,12 +445,13 @@ class ExecutionEngine:
         # One execution fingerprint per run: recomputed here (not cached on
         # the engine) so a Table.bump_version() between runs reroutes every
         # lookup away from stale entries.
-        cache = self.result_cache
+        cache, delta = self.result_cache, self.delta_cache
         cache_prefix = (
             execution_fingerprint(self.store, self.backend) if cache is not None else ""
         )
         recorded: list[AggregateQuery] = []
-        #: The target predicate and flag expression, keyed once for all the run's queries.
+        #: The target predicate and flag expression, keyed once for all the run's
+        #: queries; each query's plan part is its skeleton's ``head``.
         fingerprints: dict = {}
         active_per_phase: list[int] = []
         previous_top_k: frozenset[ViewKey] = frozenset()
@@ -461,7 +475,7 @@ class ExecutionEngine:
                     table_cells = self._held_state(identity) if locked else {}
                     if table_cells is None:  # the table moved: split path, hold nothing
                         # One range: nothing is folded yet.
-                        live.states = self._make_states(views)
+                        self._make_states(live, skeletons)
                         live.held, live.cells = False, {}
                     planned_views, fills = list(live.active.values()), []
                     if live.held:
@@ -478,17 +492,28 @@ class ExecutionEngine:
                             live.held,
                             skeletons,
                         )
-                    queries = [
-                        planned.query.with_range(start, stop)
+                    batch = [
+                        (planned.head, planned.query.with_range(start, stop))
                         for planned in (*plan.queries, *fills)
                     ]
+                    queries = [query for _, query in batch]
                     recorded += queries[: _MAX_RECORDED_SQL - len(recorded)]
                     cache_keys = [
-                        f"{cache_prefix}|{query_fingerprint(query, memo=fingerprints)}"
+                        f"{cache_prefix}|"
+                        f"{query_fingerprint(query, memo=fingerprints, head=head)}"
                         if cache is not None
                         else None
-                        for query in queries
+                        for head, query in batch
                     ]
+                    # The pipeline seeds only a query over the whole table.
+                    delta_keys = (
+                        [
+                            delta_state_key(self.store, query, memo=fingerprints, head=head)
+                            for head, query in batch
+                        ]
+                        if delta is not None and start == 0 and stop == self.store.nrows
+                        else None
+                    )
                     if locked and not fills:
                         self._reference_lock.release()
                         locked = False
@@ -507,7 +532,10 @@ class ExecutionEngine:
                     for i in range(0, len(queries), width):
                         outcomes.extend(
                             dispatcher.run_batch(
-                                queries[i : i + width], cache, cache_keys[i : i + width]
+                                queries[i : i + width],
+                                cache,
+                                cache_keys[i : i + width],
+                                delta_keys and delta_keys[i : i + width],
                             )
                         )
                     for planned, (result, _) in zip(fills, outcomes[len(plan) :]):
@@ -717,7 +745,7 @@ class ExecutionEngine:
         layout = self._layouts.get(
             tuple(entry.active), lambda: HeldLayout(views, self.store.table.categories)
         )
-        entry.layout, entry.targets = layout, {
+        entry.layout, entry.state_layout, entry.targets = layout, layout.state_layout, {
             t: SidePartial(t.func, len(t.rows), len(t.categories)) for t in layout.tables
         }
         missing: dict[tuple[str, ...], list[AggregateView]] = {}
@@ -847,11 +875,15 @@ class ExecutionEngine:
             "target_views_reused": self._target_views_reused,
         }
 
-    def _make_states(self, views: Sequence[AggregateView]) -> dict[ViewKey, ViewState]:
-        """One state table per (dimension, function); every view's key maps
-        to the table that holds its row."""
-        tables = state_tables(ViewState, views, self.store.table.categories)
-        return {key: state for state in tables for key in state.rows}
+    def _make_states(self, entry: _RunState, kept: LruMemo) -> None:
+        """Give ``entry`` the split path's state: one fresh table per table of its
+        views' :class:`StateLayout` (kept with the plan skeletons), and each view
+        key's table."""
+        active = entry.active
+        layout = kept.get(("states", tuple(active)), lambda: StateLayout(list(active.values())))
+        tables = layout.tables(ViewState, self.store.table.categories)
+        entry.state_layout, entry.tables = layout, tables
+        entry.states = {key: tables[table] for key, (table, _) in layout.places.items()}
 
     def _per_view(
         self, states: dict[ViewKey, ViewState], keys: Collection[ViewKey], evaluate: Callable
@@ -873,13 +905,14 @@ class ExecutionEngine:
     ) -> None:
         """Feed one query result into every view of ``entry`` it serves.
 
-        Routes are grouped by the state table they feed: the flags are read
-        once, a dimension's keys are decoded once, and a table's routed
-        aggregates are folded as one stack.  Held: the tables are the layout's,
+        Routes are grouped by the state table they feed, a grouping the plan
+        skeleton keeps per state layout (:class:`~repro.core.sharing.RouteTable`):
+        the flags are read once, a dimension's keys are decoded once, and a
+        table's routed aggregates are folded as one stack.  Held: the tables are the layout's,
         their target sides ``entry.targets`` (held plans route no reference side).
         """
         held, reference_mode = entry.held, entry.reference_mode
-        states, targets = (entry.layout.states, entry.targets) if held else (entry.states, None)
+        tables, targets = (entry.layout.tables, entry.targets) if held else (entry.tables, None)
         counts = np.asarray(result.values["__group_count__"], dtype=np.float64)
         # Route side -> (state side, positions of the groups that feed it),
         # ``None`` meaning every group.
@@ -899,20 +932,12 @@ class ExecutionEngine:
                 )
             feeds["both"] = (("target", target_groups), ("reference", reference_groups))
 
-        grouped: dict[tuple[ViewState, str], list[ViewRoute]] = {}
-        for route in planned.routes:
-            state = states.get(route.view.key)
-            if state is not None:
-                grouped.setdefault((state, route.side), []).append(route)
         codes: dict[str, np.ndarray] = {}
-        for (state, side), routes in grouped.items():
-            dimension = routes[0].dim_column
+        for table, side, dimension, rows, aliases in planned.tables.of(entry.state_layout):
+            state = tables[table]
             if dimension not in codes:
                 codes[dimension] = state.codes(np.asarray(result.groups[dimension]))
-            rows = np.array([state.rows[route.view.key] for route in routes])
-            agg = np.array(
-                [result.values[route.agg_alias] for route in routes], dtype=np.float64
-            )
+            agg = np.array([result.values[alias] for alias in aliases], dtype=np.float64)
             for name, groups in feeds[side]:
                 # A held table has no partials: a held reference route raises here.
                 partial = targets[state] if held and name == "target" else getattr(state, name)

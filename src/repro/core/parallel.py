@@ -49,7 +49,9 @@ class ExecutesQueries(Protocol):
     ``execute_batch(queries, fanout=None)`` (the
     :class:`~repro.db.backends.Backend` batch contract); a dispatcher
     constructed with ``use_batch=True`` routes whole batches through it so
-    a shared-scan backend can serve the batch from one pass.
+    a shared-scan backend can serve the batch from one pass.  A batch that
+    comes with delta-state keys hands them on as ``delta_keys=`` (the native
+    backend's, whose pipeline seeds from a delta cache).
     """
 
     def execute(
@@ -126,6 +128,7 @@ class ParallelDispatcher:
         queries: Sequence[AggregateQuery],
         cache: "ViewResultCache | None" = None,
         cache_keys: Sequence[str] | None = None,
+        delta_keys: Sequence[str] | None = None,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """Execute ``queries`` concurrently; results in submission order.
 
@@ -142,16 +145,20 @@ class ParallelDispatcher:
         outcome carries the memoized :class:`QueryResult` and a fresh stats
         record whose only nonzero counters are ``cache_hits=1`` and
         ``cache_bytes_saved`` — hits cost nothing in the cost model.
+
+        ``delta_keys`` (index-aligned, the engine's under a delta cache) go
+        with the queries that reach a batch-executing backend.
         """
         if cache is not None and cache_keys is not None:
-            return self._run_batch_cached(queries, cache, cache_keys)
-        return self._run_batch_uncached(queries)
+            return self._run_batch_cached(queries, cache, cache_keys, delta_keys)
+        return self._run_batch_uncached(queries, delta_keys)
 
     def _run_batch_cached(
         self,
         queries: Sequence[AggregateQuery],
         cache: "ViewResultCache",
         cache_keys: Sequence[str],
+        delta_keys: Sequence[str] | None = None,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """Serve hits from ``cache``; dispatch and memoize only the misses."""
         if len(cache_keys) != len(queries):
@@ -174,7 +181,9 @@ class ParallelDispatcher:
                 miss_indices.append(index)
                 miss_queries.append(query)
         if miss_queries:
-            executed = self._run_batch_uncached(miss_queries)
+            executed = self._run_batch_uncached(
+                miss_queries, delta_keys and [delta_keys[i] for i in miss_indices]
+            )
             for index, outcome in zip(miss_indices, executed):
                 result, stats = outcome
                 entry = cache.put(cache_keys[index], result, stats)
@@ -184,7 +193,7 @@ class ParallelDispatcher:
         return outcomes  # type: ignore[return-value]
 
     def _run_batch_uncached(
-        self, queries: Sequence[AggregateQuery]
+        self, queries: Sequence[AggregateQuery], delta_keys: Sequence[str] | None = None
     ) -> list[tuple[QueryResult, ExecutionStats]]:
         """The pre-cache dispatch path: batch, pool, or inline serial."""
         if self.use_batch:
@@ -195,6 +204,8 @@ class ParallelDispatcher:
                     if self.n_workers > 1 and len(queries) > 1
                     else None
                 )
+                if delta_keys:
+                    return execute_batch(list(queries), fanout=fanout, delta_keys=delta_keys)
                 return execute_batch(list(queries), fanout=fanout)
         if self.n_workers <= 1 or len(queries) <= 1:
             return [self.executor.execute(query) for query in queries]

@@ -293,15 +293,16 @@ class ProcessPoolDispatcher(ParallelDispatcher):
         return outcomes
 
     def _run_batch_uncached(
-        self, queries: Sequence[AggregateQuery]
+        self, queries: Sequence[AggregateQuery], delta_keys: Sequence[str] | None = None
     ) -> list[tuple[QueryResult, ExecutionStats]]:
-        """Dispatch misses to worker processes (submission-order gather)."""
+        """Dispatch misses to worker processes (submission-order gather).
+        Workers keep no delta state: ``delta_keys`` serve the inline paths."""
         batch = list(queries)
         if self.n_workers <= 1 or len(batch) <= 1:
             # Inline on the parent's own backend: same executor code over
             # the same store bytes, so results are identical and the
             # single-query case skips a pickle round-trip.
-            return super()._run_batch_uncached(batch)
+            return super()._run_batch_uncached(batch, delta_keys)
         pool = get_pool(self.n_workers)
         try:
             return self._fan_out(pool, batch)
@@ -317,7 +318,7 @@ class ProcessPoolDispatcher(ParallelDispatcher):
                 # data path): give up on process parallelism for this
                 # batch and run it inline — correctness over speed.
                 _count_recovery("degraded_batches")
-                return super()._run_batch_uncached(batch)
+                return super()._run_batch_uncached(batch, delta_keys)
             _count_recovery("batches_rerun")
             return outcomes
 

@@ -149,7 +149,9 @@ class SeeDB:
 
     @property
     def meta(self) -> TableMeta:
-        """The one catalog entry: the engine's (assign a new one there after an append)."""
+        """The one catalog entry: the engine's (assign a new one there after an
+        append; what was planned from the old one stays while the planning
+        catalog is the same, :meth:`~repro.db.catalog.TableMeta.plans_like`)."""
         return self.engine.meta
 
     def view_space(
@@ -158,11 +160,13 @@ class SeeDB:
         measures: Sequence[str] | None = None,
     ) -> ViewSpace:
         """Candidate views (A x M x F), optionally analyst-restricted.  The space
-        of a restriction is kept (bounded) for as long as ``meta`` is."""
+        of a restriction is kept (bounded) while ``meta`` is the same planning
+        catalog: an append that brings no new category keeps it."""
         meta = self.meta
         known, spaces = self._view_spaces
         if known is not meta:
-            spaces = LruMemo(_MAX_VIEW_SPACES)
+            if not known.plans_like(meta):
+                spaces = LruMemo(_MAX_VIEW_SPACES)
             self._view_spaces = (meta, spaces)
         key = tuple(None if names is None else tuple(names) for names in (dimensions, measures))
         return spaces.get(key, lambda: ViewSpace.enumerate(meta, self.funcs, dimensions, measures))

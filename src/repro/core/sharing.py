@@ -25,17 +25,23 @@ sharing optimizations:
    queries ``n_parallel_queries`` at a time.
 
 Each emitted :class:`PlannedQuery` carries routes telling the engine which
-result columns feed which view's target/reference partial state.
+result columns feed which view's target/reference partial state.  The half of
+a plan no target predicate enters — group-bys, aggregates, their fingerprint
+head and the routes grouped per state table — is a skeleton the engine keeps
+per view set and planning catalog.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
+
+import numpy as np
 
 from repro.config import EngineConfig
 from repro.core.binpack import pack_dimensions
-from repro.core.cache import LruMemo
+from repro.core.cache import LruMemo, plan_fingerprint
+from repro.core.state import StateLayout
 from repro.core.view import AggregateView
 from repro.db.catalog import TableMeta
 from repro.db.expressions import Arithmetic, CaseWhen, Expression, Lit, Not, Or
@@ -64,6 +70,44 @@ class ViewRoute:
     side: Side
 
 
+class RouteTable:
+    """One skeleton query's ``routes`` of one side, grouped by the state table
+    they feed: per table of a :class:`~repro.core.state.StateLayout`,
+    ``(table, side, dimension, rows, aliases)`` — the routed views' rows of that
+    table and their result columns, in route order.  It keeps the grouping of
+    the layout it was last asked for."""
+
+    __slots__ = ("routes", "_last")
+
+    def __init__(self, routes: tuple[ViewRoute, ...]) -> None:
+        self.routes = routes
+        self._last: tuple | None = None
+
+    def of(self, layout: StateLayout) -> tuple[tuple, ...]:
+        """The grouping against ``layout`` (a view it does not place is skipped)."""
+        last = self._last  # read once: a request on another layout may replace it
+        if last is None or last[0] is not layout:
+            grouped: dict[tuple[int, Side], list[tuple[int, ViewRoute]]] = {}
+            for route in self.routes:
+                place = layout.places.get(route.view.key)
+                if place is not None:
+                    grouped.setdefault((place[0], route.side), []).append((place[1], route))
+            last = self._last = (
+                layout,
+                tuple(
+                    (
+                        table,
+                        side,
+                        routes[0][1].dim_column,
+                        np.array([row for row, _ in routes]),
+                        tuple(route.agg_alias for _, route in routes),
+                    )
+                    for (table, side), routes in grouped.items()
+                ),
+            )
+        return last[1]
+
+
 @dataclass(frozen=True)
 class PlannedQuery:
     """One logical query plus the views it serves."""
@@ -74,6 +118,10 @@ class PlannedQuery:
     flag_alias: str | None
     #: "one_bit" flag (1 = target row) or "two_bit" (2*target + reference).
     flag_kind: str | None
+    #: :func:`~repro.core.cache.plan_fingerprint` of ``query``, kept with the skeleton.
+    head: str
+    #: ``routes`` grouped per state table, kept with the skeleton (none for a fill).
+    tables: RouteTable | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -106,7 +154,8 @@ def plan_queries(
     passes only the views whose target side it does not hold).
 
     ``skeletons`` keeps the target-free half of a plan (:func:`_skeleton`) per
-    (view keys, config, sides); the caller owns it and drops it with ``meta``.
+    (view keys, config, sides); the caller owns it and drops it when the
+    planning catalog (:meth:`~repro.db.catalog.TableMeta.plans_like`) changes.
     """
     if not views:
         return SharingPlan(())
@@ -130,18 +179,15 @@ def plan_queries(
             tuple(
                 PlannedQuery(
                     AggregateQuery(
-                        name,
-                        group_by + (FLAG_ALIAS,),
-                        aggregates,
-                        where,
-                        (derived,),
-                        group_budget=budget,
+                        name, group_by, aggregates, where, (derived,), group_budget=budget
                     ),
-                    routes,
+                    tables.routes,
                     FLAG_ALIAS,
                     flag_kind,
+                    head,
+                    tables,
                 )
-                for group_by, aggregates, (routes,) in skeleton
+                for group_by, aggregates, head, (tables,) in skeleton
             )
         )
     predicates = [target_predicate]
@@ -153,12 +199,14 @@ def plan_queries(
         tuple(
             PlannedQuery(
                 AggregateQuery(name, group_by, aggregates, predicate, group_budget=budget),
-                routes,
+                tables.routes,
                 None,
                 None,
+                head,
+                tables,
             )
-            for group_by, aggregates, routes_by_side in skeleton
-            for predicate, routes in zip(predicates, routes_by_side)
+            for group_by, aggregates, head, by_side in skeleton
+            for predicate, tables in zip(predicates, by_side)
         )
     )
 
@@ -167,24 +215,29 @@ def _skeleton(
     views: Sequence[AggregateView], meta: TableMeta, config: EngineConfig, sides: tuple[Side, ...]
 ) -> tuple[tuple, ...]:
     """The target-free half of a plan: per dimension group and aggregate chunk,
-    the group-by, the aggregate columns and the routes of each of ``sides``."""
+    the group-by (the flag column last when ``sides`` is ``("both",)``), the
+    aggregate columns, their :func:`~repro.core.cache.plan_fingerprint` and a
+    :class:`RouteTable` for each of ``sides``."""
     views_by_dim: dict[str, list[AggregateView]] = {}
     for view in views:
         views_by_dim.setdefault(view.dimension, []).append(view)
-    return tuple(
-        (
-            tuple(dim_group),
-            _aggregate_specs(chunk),
-            tuple(
-                tuple(ViewRoute(view, view.dimension, view.agg_alias, side) for view in chunk)
-                for side in sides
-            ),
-        )
-        for dim_group in _group_dimensions(list(views_by_dim), meta, config)
+    flag = (FLAG_ALIAS,) if sides == ("both",) else ()
+    skeleton = []
+    for dim_group in _group_dimensions(list(views_by_dim), meta, config):
         for chunk in _chunk_aggregates(
             [v for d in dim_group for v in views_by_dim[d]], config.max_aggregates_per_query
-        )
-    )
+        ):
+            group_by, aggregates = (*dim_group, *flag), _aggregate_specs(chunk)
+            tables = tuple(
+                RouteTable(
+                    tuple(ViewRoute(view, view.dimension, view.agg_alias, side) for view in chunk)
+                )
+                for side in sides
+            )
+            skeleton.append(
+                (group_by, aggregates, plan_fingerprint(meta.name, group_by, aggregates), tables)
+            )
+    return tuple(skeleton)
 
 
 def plan_fill(
@@ -197,7 +250,9 @@ def plan_fill(
     independently, so a cell's bits depend on table and range alone.  The
     engine stores the result: no routes."""
     query = AggregateQuery(table, group_by, _aggregate_specs(views), group_budget=budget)
-    return PlannedQuery(query, (), None, None)
+    return PlannedQuery(
+        query, (), None, None, plan_fingerprint(table, query.group_by, query.aggregates)
+    )
 
 
 # --------------------------------------------------------------------------- #

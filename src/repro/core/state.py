@@ -188,12 +188,28 @@ class _StateTable:
         return np.searchsorted(self.categories, keys)
 
 
-def state_tables(cls, views: Sequence[AggregateView], categories) -> list:
-    """A ``cls`` table per (dimension, function) of ``views``, in view order."""
-    grouped: dict[tuple, list[AggregateView]] = {}
-    for view in views:
-        grouped.setdefault((view.dimension, view.func), []).append(view)
-    return [cls(group, categories(dimension)) for (dimension, _), group in grouped.items()]
+class StateLayout:
+    """Where the views of one view set keep their state: one table per
+    (dimension, function) in view order — ``groups`` — and each view key's
+    ``(table, row)`` — ``places``.  It reads no category, so an engine keeps one
+    per view set and planning catalog, and builds a plan skeleton's route tables
+    against it (:class:`~repro.core.sharing.RouteTable`)."""
+
+    def __init__(self, views: Sequence[AggregateView]) -> None:
+        self.views = tuple(views)
+        grouped: dict[tuple, list[AggregateView]] = {}
+        for view in views:
+            grouped.setdefault((view.dimension, view.func), []).append(view)
+        self.groups = tuple(grouped.values())
+        self.places = {
+            view.key: (table, row)
+            for table, group in enumerate(self.groups)
+            for row, view in enumerate(group)
+        }
+
+    def tables(self, cls, categories) -> list:
+        """A ``cls`` table per group, in order: ``categories(d)`` are its slots."""
+        return [cls(group, categories(group[0].dimension)) for group in self.groups]
 
 
 def _flat(keys: tuple) -> tuple[float, ViewDistributions]:
@@ -316,13 +332,15 @@ class HeldTable(_StateTable):
 
 class HeldLayout:
     """The request-independent half of a held run over one view set: a
-    :class:`HeldTable` per (dimension, function) in view order, ``states``
-    mapping each view key to its table, and the ``order`` of each view's answer
-    among the tables'.  The engine keeps one per view set and table identity."""
+    :class:`HeldTable` per table of its :class:`StateLayout` ``state_layout``,
+    ``states`` mapping each view key to its table, and the ``order`` of each
+    view's answer among the tables'.  The engine keeps one per view set and
+    table identity."""
 
     def __init__(self, views: Sequence[AggregateView], categories) -> None:
-        self.views = tuple(views)
-        self.tables: list[HeldTable] = state_tables(HeldTable, views, categories)
+        self.state_layout = StateLayout(views)
+        self.views = self.state_layout.views
+        self.tables: list[HeldTable] = self.state_layout.tables(HeldTable, categories)
         self.states = {key: table for table in self.tables for key in table.rows}
         position = {key: i for i, key in enumerate(self.states)}
-        self.order = [position[view.key] for view in views]
+        self.order = [position[view.key] for view in self.views]

@@ -50,8 +50,11 @@ class NativeBackend(Backend):
         self,
         queries: Sequence[AggregateQuery],
         fanout: Fanout | None = None,
+        delta_keys: Sequence[str] | None = None,
     ) -> list[tuple[QueryResult, ExecutionStats]]:
-        return self.pipeline.execute_batch(queries, fanout=fanout)
+        if delta_keys is None:
+            return self.pipeline.execute_batch(queries, fanout=fanout)
+        return self.pipeline.execute_batch(queries, fanout=fanout, delta_keys=delta_keys)
 
     def capabilities(self) -> BackendCapabilities:
         return _CAPABILITIES

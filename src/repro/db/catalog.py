@@ -37,6 +37,18 @@ class TableMeta:
             size_bytes=table.logical_size_bytes(),
         )
 
+    def plans_like(self, other: "TableMeta") -> bool:
+        """Whether ``other`` is the same *planning catalog*: the name, dimensions,
+        measures and distinct counts — all that view spaces, plans and bin
+        packing read.  Row counts and sizes may differ: an append that brings no
+        new category keeps what was planned from ``self``."""
+        return (
+            self.name == other.name
+            and self.dimensions == other.dimensions
+            and self.measures == other.measures
+            and self.distinct_counts == other.distinct_counts
+        )
+
     @property
     def n_dimensions(self) -> int:
         return len(self.dimensions)

@@ -31,9 +31,12 @@ preparation per chunk-aligned sub-range and folds each into the queries'
 O(chunk + groups) and the result value-identical to the one-shot
 :func:`~repro.db.groupby.group_aggregate`, which stays as the measured
 specialization for one range with no seed.  With a delta cache attached, a
-query over the whole table starts from its cached aggregator state and
-scans only the rows past it; it reads a range of its own, so it is a group
-of one.
+query over the whole table starts from a copy of its cached aggregator state
+and scans only the rows past it; it reads a range of its own, so it is a group
+of one.  The refreshed state goes back to the cache as it is — the one copy is
+the restore's — and a refresh that scanned nothing puts nothing back.  The
+pipeline renders no cache key: a batch brings its queries' delta-state keys,
+or the delta cache keys a query that came without one.
 
 ``execute_batch`` is **stateless per call**: it keeps no mutable state on
 the instance and touches only shared structures that are themselves
@@ -118,6 +121,8 @@ class _Pending:
     """One query between its group's scan and its result."""
 
     query: AggregateQuery
+    #: Its delta-state key, if its batch brought one.
+    delta_key: str | None = None
     stats: ExecutionStats = field(default_factory=ExecutionStats)
     #: One range, no seed: that range, aggregated by ``group_aggregate``.
     prepared: _Prepared | None = None
@@ -156,6 +161,7 @@ class SharedScanExecutor:
         self,
         queries: Sequence[AggregateQuery],
         fanout: Fanout | None = None,
+        delta_keys: Sequence[str] | None = None,
     ) -> list[Outcome]:
         """Run ``queries``; results in submission order.
 
@@ -164,7 +170,9 @@ class SharedScanExecutor:
         stats, so summing the batch's stats charges every shared page
         exactly once while the cost model still sees the scan as pipelined
         across its consumers (not serialized into one query's cost).  A
-        batch of one charges its query the whole scan.
+        batch of one charges its query the whole scan.  ``delta_keys``
+        (index-aligned) are the queries' delta-state keys, where the caller
+        rendered them.
         """
         queries = list(queries)
         table_name = self.store.table.name
@@ -185,7 +193,10 @@ class SharedScanExecutor:
         # Shared groups scan here, on the calling thread, leaving only each
         # query's aggregation to fan out; a seeded group of one is a
         # whole-query job.
-        pending = [_Pending(query) for query in queries]
+        pending = [
+            _Pending(query, delta_keys[i] if delta_keys else None)
+            for i, query in enumerate(queries)
+        ]
         jobs: list[Callable[[], Outcome]] = [None] * len(pending)  # type: ignore[list-item]
         for (start, stop, own), indices in groups.items():
             if own >= 0:
@@ -199,7 +210,7 @@ class SharedScanExecutor:
         return [job() for job in jobs]
 
     def _run_seeded(self, entry: _Pending, stop: int) -> Outcome:
-        """A seeded group of one, whole: restore, scan the tail, fold, snapshot."""
+        """A seeded group of one, whole: restore, scan the tail, fold, put back."""
         self._scan_group([entry], 0, stop, seeded=True)
         return self._finish(entry)
 
@@ -216,7 +227,8 @@ class SharedScanExecutor:
         prefix of the range, in which case only the rows past that prefix
         are scanned: the carry-seeded continuation of the one-shot
         accumulation, bitwise-identical to it.  A seeded scan ends at the
-        table's last row and snapshots its state for the next append.
+        table's last row and hands its state to the delta cache for the next
+        append — unless it scanned nothing, which leaves the cached one.
         """
         started = time.perf_counter()
         scan_stats = ExecutionStats()
@@ -244,11 +256,12 @@ class SharedScanExecutor:
                     group, self._prepare_range(queries, sub_start, sub_stop, scan_stats)
                 ):
                     entry.aggregator.update(*prepared)
-            if seeded:
+            if seeded and ranges:
+                # Fed no more rows from here: its own state is the snapshot.
                 aggregator = group[0].aggregator
                 self.delta_cache.put(
                     cache_key,
-                    aggregator.snapshot(),
+                    aggregator.release(),
                     stop,
                     self.store.table.fingerprint(),
                     aggregator.snapshot_nbytes(),
@@ -257,16 +270,15 @@ class SharedScanExecutor:
         _spread_scan_stats(scan_stats, [entry.stats for entry in group])
 
     def _restore(self, entry: _Pending, stop: int) -> tuple[str, int]:
-        """Seed ``entry`` from the delta cache; ``(cache key, rows covered)``.
+        """Seed ``entry`` from a copy of its cached state; ``(cache key, rows
+        covered)``.
 
         A cached state is usable when the current table either *is* the
         table it was captured over or append-extends it (checked via
         :attr:`~repro.db.table.Table.append_lineage`).
         """
-        from repro.core.cache import delta_state_key
-
         table = self.store.table
-        key = delta_state_key(self.store, entry.query)
+        key = entry.delta_key or self.delta_cache.key(self.store, entry.query)
         cached = self.delta_cache.get(key)
         if cached is not None and cached.rows <= stop:
             current = cached.fingerprint == table.fingerprint() and cached.rows <= table.nrows

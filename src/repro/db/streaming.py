@@ -305,7 +305,8 @@ class StreamingGroupAggregator:
                 len(kc.categories) == len(cats)
                 and np.array_equal(kc.categories, cats)
             ):
-                new_cats.append(cats)
+                # The chunk's own (equal) categories: its codes need no translation.
+                new_cats.append(kc.categories)
             else:
                 union = np.unique(np.concatenate([cats, kc.categories]))
                 grew = grew or len(union) != len(cats)
@@ -316,6 +317,8 @@ class StreamingGroupAggregator:
             return False
         if grew:
             self._rebuild_dense_domain(new_cats, new_sizes, new_product)
+        else:
+            self._dense_cats = new_cats
 
         composite: np.ndarray | None = None
         for cats, size, kc in zip(self._dense_cats, self._dense_sizes, key_columns):
@@ -488,6 +491,12 @@ class StreamingGroupAggregator:
         """
         return _copy_state(vars(self))
 
+    def release(self) -> dict[str, object]:
+        """The running state itself as a snapshot, uncopied, for an aggregator
+        fed no more rows: :meth:`from_snapshot` copies it, and no array
+        :meth:`finalize` returns is one of its arrays."""
+        return dict(vars(self))
+
     @classmethod
     def from_snapshot(cls, state: dict[str, object]) -> "StreamingGroupAggregator":
         """Rebuild an aggregator mid-stream from a :meth:`snapshot`."""
@@ -536,9 +545,10 @@ class StreamingGroupAggregator:
             partials = [partial[occupied] for partial in self._dense_partials]
             n_groups = len(occupied)
         else:
-            key_values = dict(self._key_values)
-            counts = self._counts
-            partials = self._partials
+            # Copies: a released state (see :meth:`release`) outlives the result.
+            key_values = {name: keys.copy() for name, keys in self._key_values.items()}
+            counts = self._counts.copy()
+            partials = [partial.copy() for partial in self._partials]
             n_groups = self._n_groups
         if n_groups == 0:
             return GroupResult(

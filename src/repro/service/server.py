@@ -587,7 +587,9 @@ class RecommendationService:
 
         Returns how many engines actually picked up new rows.  The table
         mutates in place (same object the engine's storage engine holds),
-        so only the page layout and catalog meta need rebuilding.
+        so only the page layout and catalog meta need rebuilding.  View
+        spaces, plan skeletons and state layouts stay unless the append
+        changed the planning catalog (a dimension gained a category).
         """
         with self._engine_lock:
             engines = [e for key, e in self._engines.items() if key[0] == dataset]

@@ -1,5 +1,6 @@
 """Tests for the execution engine: strategies, phases, routing, reference modes."""
 
+import dataclasses
 import importlib.util
 import json
 import os
@@ -12,9 +13,12 @@ import pytest
 
 from repro import SeeDB
 from repro.config import EngineConfig
+from repro.core import cache as cache_module
 from repro.core import engine as engine_module
 from repro.core import sharing as sharing_module
+from repro.core.cache import delta_state_key, execution_fingerprint, query_fingerprint
 from repro.core.engine import ExecutionEngine
+from repro.core.parallel import ParallelDispatcher
 from repro.core.phases import phase_ranges
 from repro.core.recommender import serving_config, tuned_config
 from repro.core.view import AggregateView, ViewSpace
@@ -383,7 +387,9 @@ def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypat
     """Every plan a run builds — whole view sets, the shrinking active sets of
     a pruned run, each reference mode,
     repeats that hit a kept skeleton — equals ``plan_queries`` with nothing
-    kept, ``==`` on the frozen dataclasses; the bound holds and evicts."""
+    kept, ``==`` on the frozen dataclasses; the bound holds and evicts.  A new
+    ``meta`` of the same planning catalog keeps what was planned; one where a
+    dimension gained a category drops it."""
     table, spec = build_info("census", scale="smoke", seed=7)
     monkeypatch.setattr(engine_module, "_MAX_PLAN_SKELETONS", 3)
     plan, skeleton, planned, built = engine_module.plan_queries, sharing_module._skeleton, [], []
@@ -426,8 +432,61 @@ def test_plans_from_kept_skeletons_equal_plans_from_scratch(overrides, monkeypat
                 dimensions=seedb.meta.dimensions[:3],
             )
         kept = seedb.engine._planning[1]
+        # Held: two skeletons and the state layout of the split reference modes.
+        assert len(kept) == 3
         seedb.engine.meta = TableMeta.of(table)
-        assert len(kept) == (3 if phased else 2) and len(seedb.engine._planning[1]) == 0
+        assert seedb.engine._planning[1] is kept and len(kept) == 3
+        grown = dict(seedb.meta.distinct_counts)
+        grown[seedb.meta.dimensions[0]] += 1
+        seedb.engine.meta = dataclasses.replace(seedb.meta, distinct_counts=grown)
+        assert seedb.engine._planning[1] is not kept and len(seedb.engine._planning[1]) == 0
+
+
+@pytest.mark.parametrize("delta_cache", [True, False], ids=["rewrite", "held"])
+def test_keys_joined_from_skeleton_parts_equal_keys_from_scratch(delta_cache, monkeypatch):
+    """A warm request of the service's default config (the §4.1 rewrite under a
+    delta cache; held cells without one) keys each query from its skeleton's
+    ``head`` and the request's rendered predicate: byte for byte the result-cache
+    key and the delta-state key rendered from scratch (file-backed cache tiers
+    outlive the process).  The repeat renders no aggregate spec of the skeleton."""
+    table, spec = build_info("census", scale="smoke", seed=7)
+    config = serving_config("col", result_cache=True, delta_cache=delta_cache)
+    # A clause on no column: a held engine queries the target side of every view.
+    target = spec.target_predicate().and_(true())
+    batches: list[tuple] = []
+    run_batch = ParallelDispatcher.run_batch
+
+    def spy(self, queries, cache=None, cache_keys=None, delta_keys=None):
+        batches.append((list(queries), cache_keys, delta_keys))
+        return run_batch(self, queries, cache, cache_keys, delta_keys)
+
+    monkeypatch.setattr(ParallelDispatcher, "run_batch", spy)
+    rendered: list[object] = []
+    value_key = cache_module._value_key
+
+    def counted(value, memo=None):
+        rendered.append(value)
+        return value_key(value, memo)
+
+    monkeypatch.setattr(cache_module, "_value_key", counted)
+    with SeeDB.over_table(table, store="col", config=config) as seedb:
+        seedb.run_engine(target, k=3, strategy="sharing", pruner="none")
+        cold, rendered[:], batches[:] = list(rendered), [], []
+        seedb.run_engine(target, k=3, strategy="sharing", pruner="none")
+        warm = list(rendered)
+        monkeypatch.setattr(cache_module, "_value_key", value_key)
+
+        ((queries, cache_keys, delta_keys),) = batches
+        arguments = {id(spec.argument) for query in queries for spec in query.aggregates}
+        assert any(id(value) in arguments for value in cold)
+        assert not any(id(value) in arguments for value in warm)
+        engine = seedb.engine
+        prefix = execution_fingerprint(engine.store, engine.backend)
+        assert queries and cache_keys == [f"{prefix}|{query_fingerprint(q)}" for q in queries]
+        if delta_cache:
+            assert delta_keys == [delta_state_key(engine.store, q) for q in queries]
+        else:
+            assert delta_keys is None
 
 
 def _example_metric():

@@ -1,5 +1,6 @@
 """Tests for the SeeDB facade and recommendation results."""
 
+import dataclasses
 import json
 from itertools import product
 
@@ -68,7 +69,12 @@ class TestFacade:
         assert len(seedb._view_spaces[1]) == recommender_module._MAX_VIEW_SPACES == 16
         again = seedb.view_space()
         assert again is not whole and again.views == whole.views  # evicted, enumerated again
+        # A new entry of the same planning catalog keeps the spaces ...
         seedb.engine.meta = TableMeta.of(seedb.table)
+        assert seedb.view_space() is again and len(seedb._view_spaces[1]) == 16
+        # ... one where a dimension gained a category drops them.
+        grown = dict(seedb.meta.distinct_counts, race=seedb.meta.distinct_counts["race"] + 1)
+        seedb.engine.meta = dataclasses.replace(seedb.meta, distinct_counts=grown)
         assert seedb.view_space() is not again and len(seedb._view_spaces[1]) == 1
 
     def test_true_top_k_is_exact(self, seedb):

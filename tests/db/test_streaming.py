@@ -467,6 +467,35 @@ class TestSnapshotRoundTrip:
             assert a.tobytes() == b.tobytes()
 
 
+    @pytest.mark.parametrize("dense_limit", [None, 4], ids=["dense", "sparse"])
+    def test_finalize_shares_no_array_with_a_released_state(self, dense_limit, monkeypatch):
+        """The delta cache keeps a refreshed aggregator's own state
+        (:meth:`release`, uncopied): finalize returns none of its arrays and
+        changes none of them."""
+        if dense_limit is not None:
+            monkeypatch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", dense_limit)
+        rng = np.random.default_rng(29)
+        aggregator = StreamingGroupAggregator(self.FUNCS, budget=3)
+        for _ in range(2):
+            aggregator.update(*self._chunk(rng, 3))
+        state = aggregator.release()
+        before = StreamingGroupAggregator.from_snapshot(state).snapshot()
+        result = aggregator.finalize()
+        returned = [*result.key_values.values(), *result.aggregate_values, result.group_counts]
+        held = [
+            item
+            for value in state.values()
+            for item in (
+                value.values() if isinstance(value, dict)
+                else value if isinstance(value, list) else [value]
+            )
+            if isinstance(item, np.ndarray)
+        ]
+        assert not any(np.shares_memory(a, b) for a in returned for b in held)
+        for name, value in before.items():
+            _assert_equal_unaliased(value, state[name], name)
+
+
 class TestAggregatorContract:
     def test_finalize_before_update_raises(self):
         aggregator = StreamingGroupAggregator([AggregateFunction.COUNT])

@@ -969,6 +969,102 @@ class TestAppendDatasets:
             (key[0], key[1], float(run.utilities[key]).hex()) for key in run.selected
         ]
 
+    def test_an_append_keeps_what_was_planned_until_a_category_is_new(
+        self, toy_service, tmp_path
+    ):
+        """The service default (the §4.1 rewrite under a delta cache) over a chunk
+        store: an append of known categories keeps the engine's plan skeletons
+        and view spaces, and its refresh scans only the appended rows; an append
+        bringing an unseen category drops them, and the next answer equals a
+        freshly opened engine's bit for bit."""
+        from repro import SeeDB
+        from repro.db.chunks import open_table
+        from repro.db.expressions import eq
+
+        svc = toy_service
+        sid = svc.create_session({"dataset": "toy"})["session_id"]
+        svc.recommend(sid, {"k": 2})
+        seedb = svc.engine("toy", "col", "emd")
+        kept, space = seedb.engine._planning[1], seedb.view_space()
+        assert len(kept) > 0
+
+        svc.append_dataset("toy", {"rows": _toy_batch(20)})
+        assert seedb.engine._planning[1] is kept and seedb.view_space() is space
+        stats = svc.recommend(sid, {"k": 2})["stats"]
+        assert stats["delta_hits"] == stats["queries_issued"] > 0
+        assert stats["rows_scanned"] == stats["queries_issued"] * 20
+
+        assert svc.append_dataset("toy", {"rows": {**_toy_batch(5), "flavor": ["z"] * 5}})[
+            "columns_rewritten"
+        ] == 1
+        assert seedb.engine._planning[1] is not kept
+        assert len(seedb.engine._planning[1]) == 0 and seedb.view_space() is not space
+        served = svc.recommend(sid, {"k": 2})
+        with SeeDB.over_table(
+            open_table(tmp_path / "toy"), store="col", config=seedb.config
+        ) as fresh:
+            run = fresh.run_engine(eq("segment", "t"), k=2, strategy="sharing", pruner="none")
+        assert [(v["dimension"], v["measure"], v["utility"].hex()) for v in served["views"]] == [
+            (key[0], key[1], float(run.utilities[key]).hex()) for key in run.selected
+        ]
+
+    def test_a_refresh_with_nothing_to_scan_puts_nothing_back(self, toy_service, monkeypatch):
+        """With the result cache cleared, a repeat restores every query's state,
+        scans no row and puts no state back.  No result a refresh returns —
+        after an append, or with nothing to scan — shares an array with the
+        states the delta cache holds (it keeps a refreshed state uncopied)."""
+        import numpy as np
+
+        from repro.db.shared_scan import SharedScanExecutor
+
+        results = []
+        finish = SharedScanExecutor._finish
+
+        def spy(self, entry):
+            outcome = finish(self, entry)
+            results.append(outcome[0])
+            return outcome
+
+        def assert_unshared(delta):
+            held = [
+                item
+                for state in [entry.state for entry in list(delta._entries.values())]
+                for value in state.values()
+                for item in (
+                    value.values() if isinstance(value, dict)
+                    else value if isinstance(value, list) else [value]
+                )
+                if isinstance(item, np.ndarray)
+            ]
+            returned = [
+                array
+                for result in results
+                for array in (*result.groups.values(), *result.values.values())
+            ]
+            assert held and returned
+            assert not any(np.shares_memory(a, b) for a in returned for b in held)
+            results.clear()
+
+        svc = toy_service
+        sid = svc.create_session({"dataset": "toy"})["session_id"]
+        svc.recommend(sid, {"k": 2})
+        delta = svc.engine("toy", "col", "emd").engine.delta_cache
+        monkeypatch.setattr(SharedScanExecutor, "_finish", spy)
+        svc.append_dataset("toy", {"rows": _toy_batch(20)})
+        refreshed = svc.recommend(sid, {"k": 2})["stats"]
+        assert refreshed["rows_scanned"] == refreshed["queries_issued"] * 20 > 0
+        assert_unshared(delta)
+
+        before = delta.counters()
+        svc.cache.clear()
+        repeat = svc.recommend(sid, {"k": 2})["stats"]
+        assert repeat["delta_hits"] == repeat["queries_issued"] == refreshed["queries_issued"]
+        assert repeat["rows_scanned"] == 0
+        after = delta.counters()
+        assert after["insertions"] == before["insertions"]
+        assert after["bytes"] == before["bytes"] and after["hits"] > before["hits"]
+        assert_unshared(delta)
+
     def test_append_row_objects_and_csv(self, toy_service):
         svc = toy_service
         rows = [
