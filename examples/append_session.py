@@ -1,19 +1,24 @@
 """A growing dataset served live: appends without a cache blowaway.
 
 Builds a small on-disk chunk store, serves it through the recommendation
-service, and interleaves an analyst session with ``POST
-/v1/datasets/<id>/append`` batches.  After every append the session's
-next recommendation reports the dataset grew (``data.changed``), and the
+service, and interleaves an analyst session with three ``POST
+/v1/datasets/<id>/append`` batches.  The first two bring only known
+categories, which the store encodes by lookup in the stored dictionaries
+(``columns_rewritten`` 0); the third brings an unseen ``region``, which
+takes the union path and rewrites that one dictionary column
+(``columns_rewritten`` 1).  After every append the session's next
+recommendation reports the dataset grew (``data.changed``), and the
 engine stats prove the refresh was **delta-maintained**: every view
 query carried its cached partial state forward (``delta_hits``) and
 scanned only the appended rows (``rows_scanned``), instead of recomputing
-the full table — the append-path cache fix, end to end over HTTP.
+the full table — end to end over HTTP, through both encode paths.
 
 Run:  PYTHONPATH=src python examples/append_session.py
 
-Exits non-zero if any request fails, a refresh rescans base rows, or the
-repeat request after an append is not served warm from the result cache
-(CI runs this as the append smoke check).
+Exits non-zero if any request fails, an append rewrites a different
+number of columns than its categories call for, a refresh rescans base
+rows, or the repeat request after an append is not served warm from the
+result cache (CI runs this as the append smoke check).
 """
 
 import sys
@@ -29,6 +34,7 @@ from repro.service.api import AppendRequest
 from repro.service.client import ServiceClient
 
 BASE_ROWS = 400
+REGIONS = ["north", "south", "east", "west"]
 
 
 def make_store(root: str) -> str:
@@ -37,7 +43,7 @@ def make_store(root: str) -> str:
     table = Table(
         "sales",
         {
-            "region": rng.choice(["north", "south", "east", "west"], BASE_ROWS),
+            "region": rng.choice(REGIONS, BASE_ROWS),
             "flavor": rng.choice(["a", "b", "c"], BASE_ROWS),
             "sales": rng.gamma(2.0, 10.0, BASE_ROWS),
             "segment": rng.choice(["t", "r"], BASE_ROWS),
@@ -57,11 +63,11 @@ def make_store(root: str) -> str:
     return path
 
 
-def batch(n: int, seed: int) -> dict[str, list]:
-    """A columnar batch of n new rows, skewed toward one region."""
+def batch(n: int, seed: int, region: str) -> dict[str, list]:
+    """A columnar batch of n new rows, all in one region."""
     rng = np.random.default_rng(seed)
     return {
-        "region": ["north"] * n,
+        "region": [region] * n,
         "flavor": list(rng.choice(["a", "b", "c"], n)),
         "sales": [float(x) for x in rng.gamma(3.0, 14.0, n)],
         "segment": list(rng.choice(["t", "r"], n)),
@@ -96,16 +102,26 @@ def main() -> None:
                       f"{cold['stats']['rows_scanned']:,} rows scanned")
 
                 total = BASE_ROWS
-                for step, n_new in enumerate((40, 80), start=1):
+                steps = ((40, "north"), (80, "north"), (30, "central"))
+                for step, (n_new, region) in enumerate(steps, start=1):
                     response = client.append(
-                        "sales", AppendRequest(rows=batch(n_new, seed=step))
+                        "sales", AppendRequest(rows=batch(n_new, step, region))
                     )
                     total += n_new
                     assert response.n_rows == total and response.appended == n_new
                     assert response.engines_refreshed >= 1
-                    print(f"\nappend #{step}: +{n_new} rows -> {total} "
+                    # Known categories encode by lookup and leave every
+                    # dictionary as it is; an unseen region re-sorts one.
+                    rewritten = int(region not in REGIONS)
+                    if response.columns_rewritten != rewritten:
+                        raise SystemExit(
+                            f"append #{step}: {response.columns_rewritten} "
+                            f"columns rewritten, expected {rewritten}"
+                        )
+                    print(f"\nappend #{step}: +{n_new} {region!r} rows -> {total} "
                           f"(digest {response.digest[:12]}..., "
-                          f"{response.engines_refreshed} engine(s) refreshed)")
+                          f"{response.engines_refreshed} engine(s) refreshed, "
+                          f"{rewritten} column(s) rewritten)")
 
                     refresh = recommend(client, session.session_id)
                     data, stats = refresh["data"], refresh["stats"]

@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import threading
 import time
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Collection, Literal, Sequence
@@ -111,6 +112,34 @@ _MAX_TARGET_BYTES = 64 << 20
 def _nbytes(columns: dict[str, np.ndarray]) -> int:
     """Bytes of one held cell's columns (an atomic copy: readers take no lock)."""
     return sum(column.nbytes for column in list(columns.values()))
+
+
+class _DeltaKeys(abc.Sequence):
+    """The delta-state keys of one batch's ``(head, query)`` pairs, each
+    rendered when it is read.
+
+    The dispatcher reads only the keys of the queries that miss the result
+    cache, so a warm request renders none.  Equal to the list of its keys.
+    """
+
+    __slots__ = ("_store", "_batch", "_memo")
+
+    def __init__(
+        self, store: StorageEngine, batch: Sequence[tuple[str, AggregateQuery]], memo: dict
+    ) -> None:
+        self._store, self._batch, self._memo = store, batch, memo
+
+    def __len__(self) -> int:
+        return len(self._batch)
+
+    def __getitem__(self, index):  # type: ignore[override]
+        if isinstance(index, slice):
+            return _DeltaKeys(self._store, self._batch[index], self._memo)
+        head, query = self._batch[index]
+        return delta_state_key(self._store, query, memo=self._memo, head=head)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, abc.Sequence) and list(self) == list(other)
 
 
 @dataclass
@@ -507,10 +536,7 @@ class ExecutionEngine:
                     ]
                     # The pipeline seeds only a query over the whole table.
                     delta_keys = (
-                        [
-                            delta_state_key(self.store, query, memo=fingerprints, head=head)
-                            for head, query in batch
-                        ]
+                        _DeltaKeys(self.store, batch, fingerprints)
                         if delta is not None and start == 0 and stop == self.store.nrows
                         else None
                     )

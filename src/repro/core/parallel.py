@@ -147,7 +147,8 @@ class ParallelDispatcher:
         ``cache_bytes_saved`` — hits cost nothing in the cost model.
 
         ``delta_keys`` (index-aligned, the engine's under a delta cache) go
-        with the queries that reach a batch-executing backend.
+        with the queries that reach a batch-executing backend; the key of a
+        cache hit is never read (the engine renders each key on read).
         """
         if cache is not None and cache_keys is not None:
             return self._run_batch_cached(queries, cache, cache_keys, delta_keys)

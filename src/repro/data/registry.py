@@ -266,11 +266,18 @@ _ON_DISK: dict[str, OnDiskSpec] = {}
 _ON_DISK_LOCK = threading.Lock()
 
 
-def register_on_disk(path: str | Path, name: str | None = None) -> OnDiskSpec:
+def register_on_disk(
+    path: str | Path,
+    name: str | None = None,
+    *,
+    manifest: ChunkManifest | None = None,
+) -> OnDiskSpec:
     """Register a chunk-store directory as a buildable dataset.
 
     The directory's ``manifest.json`` supplies the dataset name (unless
-    overridden), row count, chunking, and optional split attribute.
+    overridden), row count, chunking, and optional split attribute;
+    ``manifest`` is that manifest when the caller already parsed it (an
+    append returns its new one), otherwise it is read here.
     Re-registering the same name with the same manifest digest is a no-op,
     and the same *directory* with a different digest updates the entry in
     place (the store was appended to — see
@@ -278,7 +285,8 @@ def register_on_disk(path: str | Path, name: str | None = None) -> OnDiskSpec:
     same name (or a clash with a built-in name) is an error.  Returns the
     registered spec.
     """
-    manifest: ChunkManifest = read_manifest(path)
+    if manifest is None:
+        manifest = read_manifest(path)
     key = (name or manifest.name).lower()
     if key in DATASETS:
         raise DatasetError(
@@ -301,6 +309,7 @@ def register_on_disk(path: str | Path, name: str | None = None) -> OnDiskSpec:
         if (
             existing is not None
             and existing.digest != entry.digest
+            and existing.path != entry.path
             and Path(existing.path).resolve() != Path(path).resolve()
         ):
             raise DatasetError(
@@ -311,20 +320,22 @@ def register_on_disk(path: str | Path, name: str | None = None) -> OnDiskSpec:
     return entry
 
 
-def refresh_on_disk(name: str) -> OnDiskSpec:
-    """Re-read a registered on-disk dataset's manifest after an append.
+def refresh_on_disk(name: str, *, manifest: ChunkManifest | None = None) -> OnDiskSpec:
+    """Re-sync a registered on-disk dataset's entry after an append.
 
-    Rebuilds the registry entry from the directory's current
-    ``manifest.json`` (new row count, new digest) without changing which
-    directory the name points at.  Returns the updated spec; raises
-    :class:`DatasetError` if ``name`` has no on-disk registration.
+    Rebuilds the registry entry from the directory's current manifest (new
+    row count, new digest) without changing which directory the name
+    points at: ``manifest`` when the caller holds it (the one the append
+    returned, handed to the engines too), else ``manifest.json`` re-read.
+    Returns the updated spec; raises :class:`DatasetError` if ``name`` has
+    no on-disk registration.
     """
     key = name.lower()
     with _ON_DISK_LOCK:
         existing = _ON_DISK.get(key)
     if existing is None:
         raise DatasetError(f"no on-disk dataset {name!r} is registered")
-    return register_on_disk(existing.path, name=key)
+    return register_on_disk(existing.path, name=key, manifest=manifest)
 
 
 def unregister_on_disk(name: str) -> bool:

@@ -676,19 +676,24 @@ def write_table(
     return writer.finish()
 
 
-def _append_at(path: Path, offset: int, blob: bytes) -> None:
-    """Write ``blob`` at byte ``offset`` and truncate the file right after.
+def _append_at(path: Path, offset: int, blob: bytes, digests: _ChunkDigests, start: int) -> None:
+    """Hash the stored bytes ``[start, offset)`` into ``digests``, then
+    write ``blob`` at byte ``offset`` and truncate the file right after —
+    one open of the file.
 
     Seeking to the manifest-derived offset (instead of appending blindly)
     makes a retried append land at the correct position even if an earlier
     attempt crashed after writing a partial tail.
     """
-    actual = path.stat().st_size
-    if actual < offset:
-        raise StorageError(
-            f"column file {path} is {actual} bytes, expected at least {offset}"
-        )
     with open(path, "r+b") as handle:
+        actual = handle.seek(0, os.SEEK_END)
+        if actual < offset:
+            raise StorageError(
+                f"column file {path} is {actual} bytes, expected at least {offset}"
+            )
+        handle.seek(start)
+        for at in range(start, offset, _WRITE_CHUNK_BYTES):
+            digests.update(handle.read(min(_WRITE_CHUNK_BYTES, offset - at)))
         handle.seek(offset)
         handle.write(blob)
         handle.truncate()
@@ -702,7 +707,7 @@ _APPENDED_KINDS = {"U": "U", "f": "fiuN", "i": "iu", "u": "iu", "b": "b"}
 
 def appended_columns(
     data: Mapping[str, object], stored: Mapping[str, np.dtype], error: type[ReproError]
-) -> dict[str, np.ndarray]:
+) -> dict[str, np.ndarray | list[str]]:
     """A batch of appended rows as one 1-D array per column of ``stored``
     (name → stored dtype), for :func:`append_rows` and
     :meth:`~repro.db.table.Table.append` alike; a bad batch raises ``error``.
@@ -710,7 +715,9 @@ def appended_columns(
     ``data`` names every column and no other, each with the same number of
     rows, at least one.  Cells of a type the column does not take
     (:data:`_APPENDED_KINDS`) are rejected, never converted: a dict or
-    ``None`` is no category, ``True`` no number.
+    ``None`` is no category, ``True`` no number.  A string column given as
+    a list stays a list of its (checked) ``str`` cells: :func:`append_rows`
+    looks each one up in the stored dictionary as it stands.
     """
     unknown = sorted(set(data) - set(stored))
     if unknown:
@@ -736,7 +743,7 @@ def appended_columns(
 
 def _appended_values(
     name: str, values: object, stored: np.dtype, error: type[ReproError]
-) -> np.ndarray:
+) -> np.ndarray | list[str]:
     """One column of :func:`appended_columns`.  A list's cells are checked
     before ``np.asarray(["a", 5])`` could make 5 a string."""
     if isinstance(values, (list, tuple)):
@@ -758,6 +765,8 @@ def _appended_values(
         raise error(
             f"column {name!r} rejects appended {', '.join(wrong)} cells ({stored.name})"
         )
+    if stored.kind == "U" and isinstance(values, (list, tuple)):
+        return list(values)
     try:
         vals = np.asarray(values, dtype=None if stored.kind == "U" else stored)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -768,16 +777,21 @@ def _appended_values(
 
 
 def _encode_appended(
-    root: Path, col: ColumnManifest, vals: np.ndarray
+    root: Path, col: ColumnManifest, vals: np.ndarray | list[str]
 ) -> tuple[bytes, np.ndarray | None, np.ndarray | None]:
     """Encode one column of :func:`appended_columns` to bytes; writes nothing.
 
     Returns ``(blob, categories, remap)``.  For a dict32 column ``blob``
-    holds int32 codes into ``categories`` (the sorted union of the stored
-    categories and the new values) and ``remap`` translates stored codes to
-    union codes — ``None`` when the dictionary is the one the manifest
-    recorded.  (A sidecar that differs from the manifest is what an append
-    that died after its rewrite leaves; remapping again re-hashes it.)
+    holds int32 codes into ``categories`` and ``remap`` translates stored
+    codes to those — ``None`` when the dictionary is the one the manifest
+    recorded.  A batch of known categories is encoded by lookup
+    (:func:`_lookup_codes`): its codes are the stored dictionary's, which it
+    leaves as it is.  Any other batch takes :func:`_union_encoded`: one with
+    an unseen value, one whose string dtype is wider than the stored one
+    (the dictionary is rewritten at that width), and one whose sidecar
+    disagrees with the manifest — what an append that died after its
+    rewrite leaves; remapping again re-hashes it.  Both give the same bytes
+    for a batch the lookup takes.
     """
     if col.encoding not in ("raw", "dict32"):
         raise StorageError(
@@ -788,13 +802,48 @@ def _encode_appended(
     if col.encoding == "dict32" and not col.categories_file:
         raise StorageError(f"dict-encoded column {col.name!r} declares no categories file")
     if col.encoding == "raw":
-        return vals.tobytes(), None, None
-    old_cats = np.fromfile(root / col.categories_file, dtype=col.dtype)
-    cats = np.unique(np.concatenate([old_cats, np.unique(vals)]))
+        return np.asarray(vals).tobytes(), None, None
+    stored = np.fromfile(root / col.categories_file, dtype=col.dtype)
+    if len(stored) == col.n_categories:
+        codes = _lookup_codes(stored, vals)
+        if codes is not None:
+            return codes.tobytes(), stored, None
+    return _union_encoded(stored, col.n_categories, np.asarray(vals))
+
+
+def _lookup_codes(categories: np.ndarray, vals: np.ndarray | list[str]) -> np.ndarray | None:
+    """int32 codes of ``vals`` in the sorted ``categories``, or ``None``
+    unless every cell is one of them as it stands.
+
+    A list's cells go through a dict of the categories, so a cell numpy
+    would change (``"a\\x00"`` becomes ``"a"``) is not found and falls back
+    to the union.  An array's go through ``np.searchsorted`` plus an
+    equality check; an array wider than the categories never matches,
+    because the union rewrites the dictionary at its width.
+    """
+    if isinstance(vals, list):
+        index = dict(zip(categories.tolist(), range(len(categories))))
+        try:
+            return np.fromiter(map(index.__getitem__, vals), np.int32, len(vals))
+        except KeyError:
+            return None
+    if not len(categories) or vals.dtype.itemsize > categories.dtype.itemsize:
+        return None
+    codes = np.searchsorted(categories, vals)
+    known = categories[np.minimum(codes, len(categories) - 1)] == vals
+    return codes.astype(np.int32) if known.all() else None
+
+
+def _union_encoded(
+    stored: np.ndarray, n_categories: int, vals: np.ndarray
+) -> tuple[bytes, np.ndarray, np.ndarray | None]:
+    """:func:`_encode_appended` over the sorted union of the ``stored``
+    categories (``n_categories`` by the manifest) and the batch's values."""
+    cats = np.unique(np.concatenate([stored, np.unique(vals)]))
     blob = np.searchsorted(cats, vals).astype(np.int32).tobytes()
-    if len(cats) == len(old_cats) == col.n_categories and cats.dtype == old_cats.dtype:
-        return blob, old_cats, None
-    return blob, cats, np.searchsorted(cats, old_cats).astype(np.int32)
+    if len(cats) == len(stored) == n_categories and cats.dtype == stored.dtype:
+        return blob, stored, None
+    return blob, cats, np.searchsorted(cats, stored).astype(np.int32)
 
 
 def _append_column(
@@ -810,12 +859,13 @@ def _append_column(
 
     Hashing starts at the first chunk with no valid recorded digest.  In
     place (raw columns, unchanged dictionaries) that is the partial tail
-    chunk — re-read from the file, the only read-back — or chunk 0 for a
-    column whose manifest recorded none (v1).  A grown dictionary re-sorts
-    its categories, so every stored code is streamed through ``remap``
-    into a temp file, hashed from chunk 0 on the way, and swapped in with
-    ``os.replace`` — O(column), but the bytes equal a bulk write of the
-    same rows and readers holding the old memmap keep the old inode.
+    chunk — read back in the one open that writes the batch, the only
+    read-back — or chunk 0 for a column whose manifest recorded none (v1).
+    A grown dictionary re-sorts its categories, so every stored code is
+    streamed through ``remap`` into a temp file, hashed from chunk 0 on the
+    way, and swapped in with ``os.replace`` — O(column), but the bytes
+    equal a bulk write of the same rows and readers holding the old memmap
+    keep the old inode.
     """
     backing = root / col.file
     itemsize = np.dtype(np.int32 if cats is not None else col.dtype).itemsize
@@ -824,12 +874,7 @@ def _append_column(
     if remap is None:
         first = min(len(col.chunk_sha256), old_rows // chunk_rows)
         digests = _ChunkDigests(chunk_bytes, col.chunk_sha256[:first])
-        _append_at(backing, old_rows * itemsize, blob)
-        with open(backing, "rb") as handle:
-            handle.seek(first * chunk_bytes)
-            end = old_rows * itemsize
-            for at in range(first * chunk_bytes, end, _WRITE_CHUNK_BYTES):
-                digests.update(handle.read(min(_WRITE_CHUNK_BYTES, end - at)))
+        _append_at(backing, old_rows * itemsize, blob, digests, first * chunk_bytes)
     else:
         digests = _ChunkDigests(chunk_bytes)
         tmp = backing.with_name(f"{backing.name}.tmp-{os.getpid()}")
@@ -866,16 +911,22 @@ def _append_column(
     )
 
 
-def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
+def append_rows(
+    path: str | Path,
+    data: Mapping[str, object],
+    *,
+    manifest: ChunkManifest | None = None,
+) -> ChunkManifest:
     """Append a batch of rows to an existing on-disk chunk store.
 
     ``data`` maps every manifest column name to a same-length 1-D
     array-like of *logical* values (strings for dict-encoded columns —
-    encoding against the store's category set happens here).  Column files
-    are extended in place — except a dictionary column the batch brings a
-    new category to, whose code file is remapped into a new inode — and
-    the manifest is rewritten last via tmp+rename with a fresh content
-    ``digest``, so:
+    encoding against the store's category set happens here: a batch of
+    known categories by lookup, anything else through the sorted union, see
+    :func:`_encode_appended`).  Column files are extended in place — except
+    a dictionary column the batch brings a new category to, whose code file
+    is remapped into a new inode — and the manifest is rewritten last via
+    tmp+rename with a fresh content ``digest``, so:
 
     * a reader that opened the store before the append keeps a fully
       consistent view (its memmaps were sized by the old manifest and
@@ -888,10 +939,17 @@ def append_rows(path: str | Path, data: Mapping[str, object]) -> ChunkManifest:
     The resulting store is byte-identical to one bulk-written with all
     rows at once (``k`` sequential appends ≡ one ingest, same digest),
     which is what keeps :meth:`Table.fingerprint` — and every cache key —
-    content-addressed.  Returns the new manifest.
+    content-addressed.  Returns the new manifest — what :func:`read_manifest`
+    would parse from the store now — so a caller can refresh the registry
+    and every open table from it without reading the file again.
+
+    ``manifest`` is the store's current manifest when the caller has just
+    parsed it and serializes the store's appends (the service holds its
+    per-dataset append lock); otherwise the manifest is read here.
     """
     root = Path(path)
-    manifest = read_manifest(root)
+    if manifest is None:
+        manifest = read_manifest(root)
     stored = {col.name: np.dtype(col.dtype) for col in manifest.columns}
     converted = appended_columns(data, stored, StorageError)
     n_new = len(converted[manifest.columns[0].name])
@@ -992,6 +1050,8 @@ def open_table(
     memory_budget_bytes: int | None = None,
     name: str | None = None,
     tracker: ResidencyTracker | None = None,
+    manifest: ChunkManifest | None = None,
+    categories: Mapping[str, np.ndarray] | None = None,
 ) -> "Table":
     """Open an on-disk chunk store as a memmap-backed :class:`Table`.
 
@@ -1001,11 +1061,21 @@ def open_table(
     therefore every result-cache key, is stable across processes).  A
     :class:`ResidencyTracker` with ``memory_budget_bytes`` is attached for
     the streaming executors' materialization accounting.
+
+    ``manifest`` is the store's manifest when the caller already holds it
+    (it is then not read again).  ``categories`` maps a column to the
+    dictionary a table opened from the same store holds: a dict32 column
+    whose manifest entry records that dictionary's count and dtype takes
+    it as it is, without reading its sidecar.  A store is append-only and
+    its dictionaries only grow, so an unchanged count and dtype mean an
+    unchanged dictionary (:meth:`Table.refresh_from_disk` passes its own).
     """
     from repro.db.table import Table  # deferred: table.py imports this module
 
     root = Path(path)
-    manifest = read_manifest(root)
+    if manifest is None:
+        manifest = read_manifest(root)
+    kept = categories or {}
     if tracker is None:
         tracker = ResidencyTracker(budget_bytes=memory_budget_bytes)
     data: dict[str, object] = {}
@@ -1029,8 +1099,10 @@ def open_table(
                 f"at least {expected}"
             )
         if manifest.n_rows:
+            # A str path: numpy resolves a Path's symlinks, one lstat per
+            # path component of every column file.
             stored: np.ndarray = np.memmap(
-                backing, dtype=storage_dtype, mode="r", shape=(manifest.n_rows,)
+                str(backing), dtype=storage_dtype, mode="r", shape=(manifest.n_rows,)
             )
         else:
             stored = np.empty(0, dtype=storage_dtype)
@@ -1039,19 +1111,14 @@ def open_table(
                 raise StorageError(
                     f"dict-encoded column {col.name!r} declares no categories file"
                 )
-            cats_path = root / col.categories_file
-            if not cats_path.is_file():
-                raise StorageError(
-                    f"chunk store {root} is missing categories file "
-                    f"{col.categories_file}"
-                )
-            categories = np.fromfile(cats_path, dtype=value_dtype)
-            if len(categories) != col.n_categories:
-                raise StorageError(
-                    f"categories file {cats_path} holds {len(categories)} values, "
-                    f"manifest expects {col.n_categories}"
-                )
-            data[col.name] = DictEncodedValues(stored, categories)
+            dictionary = kept.get(col.name)
+            if (
+                dictionary is None
+                or len(dictionary) != col.n_categories
+                or dictionary.dtype != value_dtype
+            ):
+                dictionary = _read_categories(root, col, value_dtype)
+            data[col.name] = DictEncodedValues(stored, dictionary)
         elif col.encoding == "raw":
             data[col.name] = stored
         else:
@@ -1069,6 +1136,23 @@ def open_table(
         source_path=str(root),
         tracker=tracker,
     )
+
+
+def _read_categories(root: Path, col: ColumnManifest, dtype: np.dtype) -> np.ndarray:
+    """The category sidecar of dict32 column ``col``, checked against its
+    manifest entry."""
+    cats_path = root / str(col.categories_file)
+    if not cats_path.is_file():
+        raise StorageError(
+            f"chunk store {root} is missing categories file {col.categories_file}"
+        )
+    categories = np.fromfile(cats_path, dtype=dtype)
+    if len(categories) != col.n_categories:
+        raise StorageError(
+            f"categories file {cats_path} holds {len(categories)} values, "
+            f"manifest expects {col.n_categories}"
+        )
+    return categories
 
 
 class ChunkStore:

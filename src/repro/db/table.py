@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.db.chunks import (
     ChunkedColumn,
+    ChunkManifest,
     DictEncodedColumn,
     DictEncodedValues,
     ResidencyTracker,
@@ -414,7 +415,8 @@ class Table:
         incoming = appended_columns(data, stored, SchemaError)
         self._record_lineage()
         extended: dict[str, object] = {}
-        for name, vals in incoming.items():
+        for name, cells in incoming.items():
+            vals = np.asarray(cells)
             chunked = self._columns[name]
             if isinstance(chunked, DictEncodedColumn):
                 union = np.unique(
@@ -444,30 +446,45 @@ class Table:
         self.bump_version()
         return self._nrows
 
-    def refresh_from_disk(self) -> bool:
+    def refresh_from_disk(self, *, manifest: ChunkManifest | None = None) -> bool:
         """Re-sync a disk-backed table after its chunk store was appended to.
 
-        Re-reads the manifest at :attr:`source_path`; if the digest is
-        unchanged this is a no-op returning ``False``.  Otherwise the
-        columns are re-memmapped under the new manifest (the same
-        :class:`ResidencyTracker` keeps accounting continuity), the old
-        identity is pushed onto :attr:`append_lineage`, and the table
-        adopts the fresh open's identity wholesale — including its version
-        — so a worker that refreshed in place and one that re-opened the
-        store fingerprint identically and share every cache key (the
-        manifest digest alone reroutes stale entries).  Returns ``True``.
-        Readers holding the old arrays are unaffected — the old memmaps
-        stay valid over the old inodes.
+        Compares the store's manifest with the table's digest; if the
+        digest is unchanged this is a no-op returning ``False``.
+        ``manifest`` is that manifest when the caller already parsed it (the
+        service hands every engine the one its append returned); otherwise
+        it is read from :attr:`source_path`.  On a new digest the column
+        files are re-memmapped under the new manifest (the same
+        :class:`ResidencyTracker` keeps accounting continuity), and each
+        dictionary whose manifest entry keeps its count and dtype is kept
+        as it is — only a column that gained a category re-reads its
+        sidecar (see :func:`~repro.db.chunks.open_table`).  The old identity
+        is pushed onto :attr:`append_lineage`, and the table adopts the
+        fresh open's identity wholesale — including its version — so a
+        worker that refreshed in place and one that re-opened the store
+        fingerprint identically and share every cache key (the manifest
+        digest alone reroutes stale entries).  Returns ``True``.  Readers
+        holding the old arrays are unaffected — the old memmaps stay valid
+        over the old inodes.
         """
         if self._source_path is None:
             raise SchemaError("refresh_from_disk requires a disk-backed table")
         from repro.db.chunks import open_table, read_manifest
 
-        manifest = read_manifest(self._source_path)
+        if manifest is None:
+            manifest = read_manifest(self._source_path)
         if manifest.digest == self._source_digest:
             return False
         fresh = open_table(
-            self._source_path, name=self.name, tracker=self._tracker
+            self._source_path,
+            name=self.name,
+            tracker=self._tracker,
+            manifest=manifest,
+            categories={
+                name: column.categories
+                for name, column in self._columns.items()
+                if isinstance(column, DictEncodedColumn)
+            },
         )
         self._record_lineage()
         self.schema = fresh.schema

@@ -87,7 +87,7 @@ from repro.data import registry
 from repro.data.ingest import strict_float, strict_int
 from repro.db.catalog import TableMeta
 from repro.db.chunks import append_rows as chunk_append_rows
-from repro.db.chunks import read_manifest
+from repro.db.chunks import ChunkManifest, read_manifest
 from repro.db.expressions import And, Expression, eq
 from repro.exceptions import ReproError, ServiceError, StorageError
 from repro.metrics import get_metric
@@ -497,14 +497,18 @@ class RecommendationService:
         [...], ...}}`` or a list of row objects) or a headered CSV batch
         (``{"csv": "col1,col2\\n..."}``).  The rows land in the dataset's
         chunk store (:func:`repro.db.chunks.append_rows` — column files grow
-        in place, a dictionary column that gains a category is rewritten and
-        counted in ``columns_rewritten``, the manifest swap is atomic), the
-        registry entry picks up the new digest, and every loaded engine
-        re-syncs its memory map.  Crucially, **no cache is invalidated**:
-        view-result entries stay keyed under the old fingerprint (still
-        valid for old readers, aged out by LRU) and the delta-state cache
-        carry-merges the cached per-group partials with a scan of only the
-        appended chunks on the next recommend.
+        in place, known categories encode by lookup, a dictionary column
+        that gains a category is rewritten and counted in
+        ``columns_rewritten``, the manifest swap is atomic), the registry
+        entry picks up the new digest, and every loaded engine re-syncs its
+        memory map, keeping each dictionary the batch left unchanged.  The
+        manifest is parsed once per append, under the dataset's append lock:
+        the writer takes that one and returns the new one, which the
+        registry and every engine refresh from.  Crucially, **no cache is
+        invalidated**: view-result entries stay keyed under the old
+        fingerprint (still valid for old readers, aged out by LRU) and the
+        delta-state cache carry-merges the cached per-group partials with a
+        scan of only the appended chunks on the next recommend.
         """
         if dataset not in self.datasets_allowed:
             raise ServiceError(
@@ -518,18 +522,18 @@ class RecommendationService:
                 f"dataset {dataset!r} is not an on-disk chunk store; appends "
                 "require one (register a directory via POST /v1/datasets)"
             )
-        data = self._append_columns(payload, spec.path)
-        n_new = len(next(iter(data.values()))) if data else 0
         with self._engine_lock:
             lock = self._append_locks.setdefault(dataset, threading.Lock())
         with lock:
             try:
                 before = read_manifest(spec.path)
-                after = chunk_append_rows(spec.path, data)
+                data = self._append_columns(payload, before)
+                after = chunk_append_rows(spec.path, data, manifest=before)
             except StorageError as exc:
                 raise ServiceError(f"append rejected: {exc}") from None
-            entry = registry.refresh_on_disk(dataset)
-            refreshed = self._refresh_engines(dataset)
+            entry = registry.refresh_on_disk(dataset, manifest=after)
+            refreshed = self._refresh_engines(dataset, after)
+        n_new = after.n_rows - before.n_rows
         return {
             "dataset": entry.name,
             "n_rows": entry.n_rows,
@@ -552,8 +556,10 @@ class RecommendationService:
         dataset's ring-owner worker: the other workers share the chunk
         store directory, so a cheap manifest re-read (digest compare) plus
         a memmap re-open picks the new rows up without re-sending them.
-        No-op (and harmless) when nothing changed or for in-memory
-        datasets.
+        The manifest is parsed once, under the dataset's append lock, and
+        the registry and every engine refresh from that one, so they agree
+        even when an append lands meanwhile.  No-op (and harmless) when
+        nothing changed or for in-memory datasets.
         """
         if dataset not in self.datasets_allowed:
             raise ServiceError(
@@ -563,13 +569,14 @@ class RecommendationService:
             )
         spec = registry.spec(dataset)
         n_rows: int | None = None
-        if getattr(spec, "on_disk", False):
-            entry = registry.refresh_on_disk(dataset)
-            n_rows = entry.n_rows
         with self._engine_lock:
             lock = self._append_locks.setdefault(dataset, threading.Lock())
         with lock:
-            refreshed = self._refresh_engines(dataset)
+            manifest = None
+            if getattr(spec, "on_disk", False):
+                manifest = read_manifest(spec.path)
+                n_rows = registry.refresh_on_disk(dataset, manifest=manifest).n_rows
+            refreshed = self._refresh_engines(dataset, manifest)
         if n_rows is None:
             with self._engine_lock:
                 engines = [
@@ -582,14 +589,17 @@ class RecommendationService:
             "engines_refreshed": refreshed,
         }
 
-    def _refresh_engines(self, dataset: str) -> int:
+    def _refresh_engines(self, dataset: str, manifest: ChunkManifest | None = None) -> int:
         """Re-sync every loaded engine for ``dataset`` from its chunk store.
 
-        Returns how many engines actually picked up new rows.  The table
-        mutates in place (same object the engine's storage engine holds),
-        so only the page layout and catalog meta need rebuilding.  View
-        spaces, plan skeletons and state layouts stay unless the append
-        changed the planning catalog (a dimension gained a category).
+        ``manifest`` is the store's current one when the caller parsed it
+        (every engine then refreshes from that one, reading no file but a
+        grown dictionary's).  Returns how many engines actually picked up
+        new rows.  The table mutates in place (same object the engine's
+        storage engine holds), so only the page layout and catalog meta need
+        rebuilding.  View spaces, plan skeletons and state layouts stay
+        unless the append changed the planning catalog (a dimension gained a
+        category).
         """
         with self._engine_lock:
             engines = [e for key, e in self._engines.items() if key[0] == dataset]
@@ -597,20 +607,20 @@ class RecommendationService:
         for seedb in engines:
             if seedb.table.source_path is None:
                 continue
-            if seedb.table.refresh_from_disk():
+            if seedb.table.refresh_from_disk(manifest=manifest):
                 seedb.store.sync_layout()
                 seedb.engine.meta = TableMeta.of(seedb.table)
                 refreshed += 1
         return refreshed
 
     def _append_columns(
-        self, payload: Mapping[str, object], store_path: str
+        self, payload: Mapping[str, object], manifest: ChunkManifest
     ) -> dict[str, list[object]]:
         """Normalize an append body into column-name → value-list form.
 
         Accepts columnar ``rows``, a list of row objects, or a headered
         ``csv`` batch (cells converted with the same strict decimal
-        parsing the ingester uses, against the manifest's column types).
+        parsing the ingester uses, against ``manifest``'s column types).
         """
         rows = payload.get("rows")
         text = payload.get("csv")
@@ -653,9 +663,9 @@ class RecommendationService:
             return columns
         if not isinstance(text, str) or not text.strip():
             raise ServiceError("'csv' must be a non-empty CSV string")
-        return self._csv_columns(text, store_path)
+        return self._csv_columns(text, manifest)
 
-    def _csv_columns(self, text: str, store_path: str) -> dict[str, list[object]]:
+    def _csv_columns(self, text: str, manifest: ChunkManifest) -> dict[str, list[object]]:
         """Parse a headered CSV batch against the store's column types."""
         reader = csv_module.reader(io.StringIO(text))
         header = next(reader, None)
@@ -672,7 +682,6 @@ class RecommendationService:
                 raw[name].append(cell.strip())
         if not raw or not next(iter(raw.values())):
             raise ServiceError("csv batch has no data rows")
-        manifest = read_manifest(store_path)
         kinds = {
             col.name: (
                 "U" if col.encoding == "dict32" else np.dtype(col.dtype).kind

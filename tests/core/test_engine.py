@@ -489,6 +489,30 @@ def test_keys_joined_from_skeleton_parts_equal_keys_from_scratch(delta_cache, mo
             assert delta_keys is None
 
 
+def test_a_warm_repeat_renders_no_delta_key(monkeypatch):
+    """Under the service default a query's delta-state key is rendered only
+    when the dispatcher reads it, for a result-cache miss: the cold request
+    renders one per query, its warm repeat (every query a hit) none."""
+    table, spec = build_info("census", scale="smoke", seed=7)
+    config = serving_config("col", result_cache=True, delta_cache=True)
+    rendered: list[object] = []
+    key = engine_module.delta_state_key
+
+    def counted(store, query, *args, **kwargs):
+        rendered.append(query)
+        return key(store, query, *args, **kwargs)
+
+    monkeypatch.setattr(engine_module, "delta_state_key", counted)
+    target = spec.target_predicate()
+    with SeeDB.over_table(table, store="col", config=config) as seedb:
+        cold = seedb.run_engine(target, k=3, strategy="sharing", pruner="none")
+        assert len(rendered) == cold.stats.queries_issued > 0
+        rendered.clear()
+        warm = seedb.run_engine(target, k=3, strategy="sharing", pruner="none")
+        assert warm.stats.cache_hits == cold.stats.queries_issued
+        assert warm.stats.queries_issued == 0 and rendered == []
+
+
 def _example_metric():
     """``examples/custom_metric.py``'s metric: 1-D ``compute``, nothing declared."""
     path = Path(__file__).resolve().parents[2] / "examples" / "custom_metric.py"

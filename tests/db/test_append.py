@@ -217,6 +217,107 @@ class TestAppendRows:
         )
 
 
+class TestEncodeByLookup:
+    """A batch of known categories encodes by lookup; the union stays the
+    fallback.  Both give the same ``(blob, categories, remap)`` for every
+    batch, and the store an append leaves equals a bulk write."""
+
+    BASE = ["a", "", "b'c", "z", "a", "", "z", "b'c", "a"]
+
+    def _store(self, root: Path) -> tuple[C.ColumnManifest, np.ndarray]:
+        base = Table(
+            "toy",
+            {"dim": self.BASE, "m": np.arange(len(self.BASE), dtype=np.float64)},
+            roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
+        )
+        C.write_table(base, root, chunk_rows=4)
+        col = C.read_manifest(root).column("dim")
+        return col, np.fromfile(root / col.categories_file, dtype=col.dtype)
+
+    @staticmethod
+    def _assert_same(got, want) -> None:
+        (blob, cats, remap), (want_blob, want_cats, want_remap) = got, want
+        assert blob == want_blob
+        assert cats.dtype == want_cats.dtype and cats.tolist() == want_cats.tolist()
+        assert (remap is None) == (want_remap is None)
+        if remap is not None:
+            assert remap.dtype == want_remap.dtype
+            assert remap.tobytes() == want_remap.tobytes()
+
+    @pytest.mark.parametrize(
+        "cells, by_lookup, rewrites",
+        [
+            (["z", "a", "b'c", "a"], True, False),
+            (np.array(["z", "a", "b'c", "a"]), True, False),
+            (["", "a", ""], True, False),
+            (np.array(["", "a", ""]), True, False),
+            (["z", "new", "a"], False, True),
+            (np.array(["z", "new", "a"]), False, True),
+            # Wider than the stored ``<U3``, every value known: the union
+            # rewrites the dictionary at the wider dtype.
+            (np.array(["z", "a"], dtype="<U12"), False, True),
+            # numpy drops the NUL: the cell is "a", found only by the union.
+            (["a\x00", "z"], False, False),
+        ],
+        ids=[
+            "list", "array", "empty-list", "empty-array", "unseen-list",
+            "unseen-array", "wider-array", "trailing-nul",
+        ],
+    )
+    def test_lookup_equals_union(self, tmp_path, cells, by_lookup, rewrites):
+        col, stored = self._store(tmp_path / "ds")
+        assert col.n_categories == len(stored) == 4
+        checked = C.appended_columns(
+            {"dim": cells, "m": [1.0] * len(cells)},
+            {"dim": np.dtype(col.dtype), "m": np.dtype(np.float64)},
+            StorageError,
+        )["dim"]
+        assert (C._lookup_codes(stored, checked) is not None) == by_lookup
+        got = C._encode_appended(tmp_path / "ds", col, checked)
+        self._assert_same(got, C._union_encoded(stored, col.n_categories, np.asarray(checked)))
+        assert (got[2] is not None) == rewrites
+        # The append lands what a bulk write of the same rows does.
+        C.append_rows(tmp_path / "ds", {"dim": cells, "m": [1.0] * len(cells)})
+        bulk = Table(
+            "toy",
+            {
+                "dim": np.concatenate([np.asarray(self.BASE), np.asarray(cells)]),
+                "m": np.concatenate(
+                    [np.arange(len(self.BASE), dtype=np.float64), [1.0] * len(cells)]
+                ),
+            },
+            roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
+        )
+        C.write_table(bulk, tmp_path / "bulk", chunk_rows=4)
+        assert C.read_manifest(tmp_path / "ds") == C.read_manifest(tmp_path / "bulk")
+        reopened = C.open_table(tmp_path / "ds")
+        assert list(np.asarray(reopened.column("dim")))[len(self.BASE):] == list(
+            np.asarray(cells)
+        )
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_a_torn_sidecar_takes_the_union(self, tmp_path, monkeypatch, as_array):
+        """An append that died after rewriting a dictionary leaves a sidecar
+        longer than the manifest records: known values still remap, so the
+        retry re-hashes the column from chunk 0."""
+        col, _ = self._store(tmp_path / "ds")
+
+        def refuse(root, payload):
+            raise OSError("disk full")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(C, "_write_manifest_atomic", refuse)
+            with pytest.raises(OSError, match="disk full"):
+                C.append_rows(tmp_path / "ds", {"dim": ["new"], "m": [1.0]})
+        torn = np.fromfile(tmp_path / "ds" / col.categories_file, dtype=col.dtype)
+        assert len(torn) == col.n_categories + 1
+        cells = ["z", "a"]
+        checked = np.array(cells) if as_array else cells
+        got = C._encode_appended(tmp_path / "ds", col, checked)
+        self._assert_same(got, C._union_encoded(torn, col.n_categories, np.asarray(cells)))
+        assert got[2] is not None and got[1].tolist() == ["", "a", "b'c", "new", "z"]
+
+
 class TestAppendEquivalence:
     """k sequential appends ≡ one bulk write ≡ one streamed write."""
 

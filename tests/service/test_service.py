@@ -1065,6 +1065,125 @@ class TestAppendDatasets:
         assert after["bytes"] == before["bytes"] and after["hits"] > before["hits"]
         assert_unshared(delta)
 
+    @staticmethod
+    def _count_manifest_reads(monkeypatch) -> list[object]:
+        """Every ``read_manifest`` call from now on, through each binding."""
+        from repro.data import registry
+        from repro.db import chunks
+        from repro.service import server
+
+        calls: list[object] = []
+        read = chunks.read_manifest
+
+        def counted(path):
+            calls.append(path)
+            return read(path)
+
+        for module in (chunks, registry, server):
+            monkeypatch.setattr(module, "read_manifest", counted)
+        return calls
+
+    @pytest.mark.parametrize("unseen", [False, True], ids=["known", "unseen"])
+    def test_one_append_parses_one_manifest_and_keeps_unchanged_dictionaries(
+        self, toy_service, tmp_path, monkeypatch, unseen
+    ):
+        """A JSON append of known categories parses ``manifest.json`` once,
+        runs no ``np.unique`` and its refresh reads no category file; one that
+        brings an unseen ``flavor`` re-reads only that dictionary.  Either way
+        the refreshed table is a fresh open of the store, and the next answer
+        a fresh engine's, bit for bit."""
+        import numpy as np
+
+        from repro import SeeDB
+        from repro.db import chunks
+        from repro.db.expressions import eq
+
+        svc = toy_service
+        sid = svc.create_session({"dataset": "toy"})["session_id"]
+        svc.recommend(sid, {"k": 2})
+        seedb = svc.engine("toy", "col", "emd")
+        kept = {
+            name: seedb.table.categories(name) for name in ("region", "flavor", "segment")
+        }
+
+        uniques: list[object] = []
+        unique = np.unique
+
+        def counted_unique(*args, **kwargs):
+            uniques.append(args[0])
+            return unique(*args, **kwargs)
+
+        sidecars: list[str] = []
+        read_categories = chunks._read_categories
+
+        def counted_read(root, col, dtype):
+            sidecars.append(col.name)
+            return read_categories(root, col, dtype)
+
+        batch = _toy_batch(20)
+        if unseen:
+            batch["flavor"] = ["a"] * 19 + ["d"]
+        with monkeypatch.context() as patch:
+            manifests = self._count_manifest_reads(patch)
+            patch.setattr(np, "unique", counted_unique)
+            patch.setattr(chunks, "_read_categories", counted_read)
+            result = svc.append_dataset("toy", {"rows": batch})
+
+        assert result["columns_rewritten"] == int(unseen)
+        assert len(manifests) == 1
+        assert sidecars == (["flavor"] if unseen else [])
+        assert len(uniques) == (2 if unseen else 0)  # the union's, for ``flavor``
+        for name, categories in kept.items():
+            assert (seedb.table.categories(name) is categories) == (
+                not unseen or name != "flavor"
+            )
+
+        fresh_table = chunks.open_table(tmp_path / "toy")
+        table = seedb.table
+        assert table.nrows == fresh_table.nrows == 420
+        assert table.source_digest == fresh_table.source_digest == result["digest"]
+        assert table.fingerprint() == fresh_table.fingerprint()
+        for name in kept:
+            got, want = table.categories(name), fresh_table.categories(name)
+            assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+        served = svc.recommend(sid, {"k": 2})
+        assert served["stats"]["rows_scanned"] == served["stats"]["queries_issued"] * 20
+        with SeeDB.over_table(fresh_table, store="col", config=seedb.config) as fresh:
+            run = fresh.run_engine(eq("segment", "t"), k=2, strategy="sharing", pruner="none")
+        assert [(v["dimension"], v["measure"], v["utility"].hex()) for v in served["views"]] == [
+            (key[0], key[1], float(run.utilities[key]).hex()) for key in run.selected
+        ]
+
+    def test_refresh_dataset_hands_one_manifest_to_registry_and_engines(
+        self, toy_service, monkeypatch
+    ):
+        from repro.data import registry
+        from repro.db.chunks import append_rows
+        from repro.db.table import Table
+
+        svc = toy_service
+        svc.create_session({"dataset": "toy"})  # loads the engine
+        append_rows(registry.spec("toy").path, _toy_batch(10))  # a sibling's append
+        manifests = self._count_manifest_reads(monkeypatch)
+        handed: list[object] = []
+        refresh_on_disk, refresh_from_disk = registry.refresh_on_disk, Table.refresh_from_disk
+
+        def spy_registry(name, *, manifest=None):
+            handed.append(manifest)
+            return refresh_on_disk(name, manifest=manifest)
+
+        def spy_table(self, *, manifest=None):
+            handed.append(manifest)
+            return refresh_from_disk(self, manifest=manifest)
+
+        monkeypatch.setattr(registry, "refresh_on_disk", spy_registry)
+        monkeypatch.setattr(Table, "refresh_from_disk", spy_table)
+        result = svc.refresh_dataset("toy")
+        assert result["n_rows"] == 410 and result["engines_refreshed"] == 1
+        assert len(manifests) == 1 and len(handed) == 2
+        assert handed[0] is handed[1] and handed[0].n_rows == 410
+
     def test_append_row_objects_and_csv(self, toy_service):
         svc = toy_service
         rows = [
