@@ -7,9 +7,9 @@ with paged I/O accounting (:mod:`repro.db.storage`), a buffer pool
 (:mod:`repro.db.expressions`), hash aggregation with a memory budget and
 a charged spill (:mod:`repro.db.groupby`), one chunk pipeline serving
 whole phase batches from one pass (:mod:`repro.db.shared_scan`) with a
-per-query entry point (:mod:`repro.db.executor`), a SQL subset front end
-(:mod:`repro.db.sql`),
-pluggable execution backends including a real second SQL engine
+per-query entry point (:mod:`repro.db.executor`), the SQL text a
+deployment would send (:mod:`repro.db.sql`), pluggable execution backends
+including a real second SQL engine that runs that text
 (:mod:`repro.db.backends`), and a deterministic cost model
 (:mod:`repro.db.cost`) that converts I/O and CPU accounting into simulated
 latencies.

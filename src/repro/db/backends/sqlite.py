@@ -56,7 +56,6 @@ from repro.db.query import (
     QueryResult,
 )
 from repro.db.sql import generate_sql
-from repro.db.sql.lexer import KEYWORDS
 from repro.db.storage import StorageEngine
 from repro.db.table import Table
 from repro.db.types import ColumnType
@@ -68,9 +67,15 @@ ROW_COLUMN = "__seedb_row__"
 COUNT_ALIAS = "__seedb_count__"
 
 _IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-#: Words our generator emits bare that SQLite (or our own lexer) would
-#: misread as keywords if used as column/table names: the SQL subset's own
-#: keyword list, plus aggregate function names and SQLite extras.
+#: The keywords of the SQL subset :func:`generate_sql` writes.
+KEYWORDS = {
+    "SELECT", "FROM", "WHERE", "GROUP", "BY", "AS", "AND", "OR", "NOT", "IN",
+    "CASE", "WHEN", "THEN", "ELSE", "END", "TRUE", "FALSE", "ORDER", "ASC",
+    "DESC", "LIMIT", "NULL",
+}
+#: Words SQLite would misread as keywords if our generator emitted them
+#: bare as column/table names: the SQL subset's keyword list, plus
+#: aggregate function names and SQLite extras.
 _RESERVED = frozenset(
     {keyword.lower() for keyword in KEYWORDS}
     | {f.value.lower() for f in AggregateFunction}

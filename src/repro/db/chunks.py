@@ -802,13 +802,30 @@ def _encode_appended(
     if col.encoding == "dict32" and not col.categories_file:
         raise StorageError(f"dict-encoded column {col.name!r} declares no categories file")
     if col.encoding == "raw":
-        return np.asarray(vals).tobytes(), None, None
+        return _raw_encoded(col, np.asarray(vals)), None, None
     stored = np.fromfile(root / col.categories_file, dtype=col.dtype)
     if len(stored) == col.n_categories:
         codes = _lookup_codes(stored, vals)
         if codes is not None:
             return codes.tobytes(), stored, None
     return _union_encoded(stored, col.n_categories, np.asarray(vals))
+
+
+def _raw_encoded(col: ColumnManifest, vals: np.ndarray) -> bytes:
+    """A raw column's bytes at its stored dtype — a batch of strings
+    narrower than the stored width is padded to it.  A cell longer than
+    that width raises rather than being cut."""
+    stored = np.dtype(col.dtype)
+    fitted = vals.astype(stored, copy=False)
+    if stored.kind == "U":
+        cut = fitted != vals
+        if cut.any():
+            raise StorageError(
+                f"column {col.name!r} stores strings of at most "
+                f"{stored.itemsize // 4} characters; appended "
+                f"{str(vals[cut][0])!r} is longer"
+            )
+    return fitted.tobytes()
 
 
 def _lookup_codes(categories: np.ndarray, vals: np.ndarray | list[str]) -> np.ndarray | None:

@@ -1,22 +1,13 @@
 """Logical query → SQL text.
 
-This is the string a SeeDB deployment would ship to the underlying DBMS.
-Derived group-by columns (the target/reference flag of the combined query)
-are rendered as CASE expressions in the select list and referenced by alias
-in GROUP BY (accepted by Postgres, MySQL, SQLite, and this package's own
-parser).
-
-Execution backends (:mod:`repro.db.backends`) use two extra rendering
-options that default off so the plain text stays round-trippable through
-our own parser:
-
-* ``row_bounds_column`` — render the query's ``row_range`` (the phased
-  framework's partition) as a WHERE condition on an explicit row-number
-  column the backend materialized; without it the range is silently a
-  property only the native executor honours.
-* ``order_by_groups`` — append ``ORDER BY <group columns>`` so an external
-  engine returns groups in the native executor's order (ascending by
-  group value, column by column), which keeps results byte-comparable.
+SeeDB is middleware that ships SQL text to the underlying DBMS.  This is
+the string a deployment would send: :func:`generate_sql` renders every
+logical :class:`~repro.db.query.AggregateQuery` as one SELECT, and the
+SQLite backend (:mod:`repro.db.backends.sqlite`) runs that text verbatim,
+so a real SQL engine — not a parser of our own — checks it.  Derived
+group-by columns (the target/reference flag of the combined query) are
+rendered as CASE expressions in the select list and referenced by alias
+in GROUP BY (accepted by Postgres, MySQL and SQLite).
 """
 
 from __future__ import annotations
@@ -30,7 +21,20 @@ def generate_sql(
     row_bounds_column: str | None = None,
     order_by_groups: bool = False,
 ) -> str:
-    """Render ``query`` as a single-line SQL SELECT statement."""
+    """Render ``query`` as a single-line SQL SELECT statement.
+
+    Two rendering options serve execution backends and default off, because
+    the engine records the text a deployment would send:
+
+    * ``row_bounds_column`` — render the query's ``row_range`` (the phased
+      framework's partition) as a WHERE condition on an explicit row-number
+      column the backend materialized; without it the range is silently a
+      property only the native executor honours.
+    * ``order_by_groups`` — append ``ORDER BY <group columns>`` so an
+      external engine returns groups in the native executor's order
+      (ascending by group value, column by column), which keeps results
+      byte-comparable.
+    """
     derived_by_alias = {d.alias: d for d in query.derived}
     select_parts: list[str] = []
     group_parts: list[str] = []

@@ -1,9 +1,9 @@
 """Error hierarchy for the SeeDB reproduction.
 
 All library errors derive from :class:`ReproError` so callers can catch one
-base class.  Sub-hierarchies mirror the package layout: schema/storage errors
-from the DBMS substrate, SQL front-end errors, and recommendation errors from
-the SeeDB core.
+base class.  Sub-hierarchies mirror the package layout: schema/storage/query
+errors from the DBMS substrate, backend errors from the execution backends,
+and recommendation errors from the SeeDB core.
 """
 
 from __future__ import annotations
@@ -23,22 +23,6 @@ class StorageError(ReproError):
 
 class QueryError(ReproError):
     """A logical query is invalid (bad aggregate, bad group-by, type error)."""
-
-
-class SQLError(ReproError):
-    """Base class for SQL front-end errors."""
-
-
-class SQLLexError(SQLError):
-    """The SQL tokenizer hit an unrecognized character sequence."""
-
-
-class SQLParseError(SQLError):
-    """The SQL parser found a syntax error."""
-
-
-class SQLPlanError(SQLError):
-    """A parsed statement cannot be planned against the catalog."""
 
 
 class BackendError(ReproError):

@@ -36,8 +36,8 @@ Every error response uses the envelope
 * ``POST /v1/datasets/<id>/append`` — append rows to an on-disk dataset:
   ``{"rows": {"col": [...], ...}}`` (columnar JSON, or a list of row
   objects) or ``{"csv": "col1,col2\\n..."}``.  Only a dictionary column the
-  batch brings a new category to is rewritten (``columns_rewritten``)
-  and **no cache is invalidated** — the next
+  batch brings a new category or a wider string dtype to is rewritten
+  (``columns_rewritten``) and **no cache is invalidated** — the next
   recommend carry-merges cached per-group partials over only the new
   chunks (the delta-state cache), so warm-path latency scales with the
   delta, not the dataset.
@@ -498,7 +498,7 @@ class RecommendationService:
         (``{"csv": "col1,col2\\n..."}``).  The rows land in the dataset's
         chunk store (:func:`repro.db.chunks.append_rows` — column files grow
         in place, known categories encode by lookup, a dictionary column
-        that gains a category is rewritten and counted in
+        that gains a category or a wider dtype is rewritten and counted in
         ``columns_rewritten``, the manifest swap is atomic), the registry
         entry picks up the new digest, and every loaded engine re-syncs its
         memory map, keeping each dictionary the batch left unchanged.  The
@@ -541,10 +541,11 @@ class RecommendationService:
             "digest": entry.digest,
             "engines_refreshed": refreshed,
             "on_disk": True,
-            # A dictionary that grew was re-sorted: that column's code file
-            # was remapped and replaced, O(column) instead of O(delta).
+            # A dictionary that grew or widened its dtype was rewritten:
+            # that column's code file was remapped and replaced, O(column)
+            # instead of O(delta).
             "columns_rewritten": sum(
-                new.n_categories > old.n_categories
+                (new.n_categories, new.dtype) != (old.n_categories, old.dtype)
                 for old, new in zip(before.columns, after.columns)
             ),
         }

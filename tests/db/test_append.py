@@ -217,6 +217,44 @@ class TestAppendRows:
         )
 
 
+class TestRawStringColumn:
+    """A string column written without a dictionary stores its values at one
+    fixed width; an append lands at that width or is refused whole."""
+
+    def _store(self, root: Path) -> C.ChunkManifest:
+        writer = C.ChunkStoreWriter(root, "toy", chunk_rows=2)
+        writer.add_column("m", np.float64, ColumnRole.MEASURE).append(
+            np.array([1.0, 2.0])
+        )
+        writer.add_column("code", "<U5", ColumnRole.OTHER).append(
+            np.array(["abcde", "xy"])
+        )
+        return writer.finish()
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_a_narrower_batch_lands_at_the_stored_width(self, tmp_path, as_array):
+        self._store(tmp_path / "ds")
+        cells = np.array(["ab"]) if as_array else ["ab"]
+        C.append_rows(tmp_path / "ds", {"m": [3.0], "code": cells})
+        table = C.open_table(tmp_path / "ds")
+        assert list(np.asarray(table.column("code"))) == ["abcde", "xy", "ab"]
+        np.testing.assert_array_equal(table.column("m"), [1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
+    def test_a_longer_cell_is_refused_before_any_write(self, tmp_path, as_array):
+        before = self._store(tmp_path / "ds")
+        files = {
+            col.file: (tmp_path / "ds" / col.file).read_bytes() for col in before.columns
+        }
+        cells = np.array(["ab", "abcdef"]) if as_array else ["ab", "abcdef"]
+        with pytest.raises(StorageError, match="at most 5 characters; appended 'abcdef'"):
+            C.append_rows(tmp_path / "ds", {"m": [3.0, 4.0], "code": cells})
+        assert C.read_manifest(tmp_path / "ds") == before
+        assert {name: (tmp_path / "ds" / name).read_bytes() for name in files} == files
+        table = C.open_table(tmp_path / "ds")
+        assert list(np.asarray(table.column("code"))) == ["abcde", "xy"]
+
+
 class TestEncodeByLookup:
     """A batch of known categories encodes by lookup; the union stays the
     fallback.  Both give the same ``(blob, categories, remap)`` for every

@@ -28,6 +28,10 @@ class TestLeaves:
     def test_sql_literals(self):
         assert E.lit(5).to_sql() == "5"
         assert E.lit(2.5).to_sql() == "2.5"
+        # 17 significant digits, and a float stays a float in SQL.
+        assert E.lit(0.1).to_sql() == "0.10000000000000001"
+        assert E.lit(100.0).to_sql() == "100.0"
+        assert E.lit(1e22).to_sql() == "1e+22"
         assert E.lit("it's").to_sql() == "'it''s'"
         assert E.lit(True).to_sql() == "TRUE"
 

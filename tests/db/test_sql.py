@@ -1,208 +1,12 @@
-"""Tests for the SQL front end: lexer, parser, planner, generator."""
-
-import pytest
+"""Tests for the SQL generator: the text the engine records and backends run."""
 
 from repro.db import expressions as E
-from repro.db.executor import QueryExecutor
-from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec, DerivedColumn
-from repro.db.sql import generate_sql, parse_select, plan_select, sql_to_query
-from repro.db.sql import ast
-from repro.db.sql.lexer import TokenKind, tokenize
-from repro.db.storage import make_store
-from repro.exceptions import SQLLexError, SQLParseError, SQLPlanError
+from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec
+from repro.db.sql import generate_sql
 
 
-class TestLexer:
-    def test_keywords_and_identifiers(self):
-        tokens = tokenize("SELECT foo FROM bar")
-        kinds = [(t.kind, t.text) for t in tokens[:-1]]
-        assert kinds == [
-            (TokenKind.KEYWORD, "SELECT"),
-            (TokenKind.IDENT, "foo"),
-            (TokenKind.KEYWORD, "FROM"),
-            (TokenKind.IDENT, "bar"),
-        ]
-
-    def test_string_with_escaped_quote(self):
-        tokens = tokenize("'it''s'")
-        assert tokens[0].kind is TokenKind.STRING
-        assert tokens[0].text == "it's"
-
-    def test_numbers(self):
-        tokens = tokenize("1 2.5 1e3 2.5e-2")
-        assert [t.text for t in tokens[:-1]] == ["1", "2.5", "1e3", "2.5e-2"]
-
-    def test_symbols_including_two_char(self):
-        tokens = tokenize("<= >= != <> = <")
-        assert [t.text for t in tokens[:-1]] == ["<=", ">=", "!=", "!=", "=", "<"]
-
-    def test_unterminated_string(self):
-        with pytest.raises(SQLLexError):
-            tokenize("SELECT 'oops")
-
-    def test_garbage_character(self):
-        with pytest.raises(SQLLexError):
-            tokenize("SELECT @foo")
-
-    def test_case_insensitive_keywords(self):
-        tokens = tokenize("select Group bY")
-        assert all(t.kind is TokenKind.KEYWORD for t in tokens[:-1])
-
-
-class TestParser:
-    def test_simple_select(self):
-        stmt = parse_select(
-            "SELECT color, AVG(price) AS p FROM tiny WHERE size = 'S' GROUP BY color"
-        )
-        assert stmt.table == "tiny"
-        assert stmt.group_by == ("color",)
-        assert isinstance(stmt.items[1].expression, ast.FuncCall)
-        assert stmt.items[1].alias == "p"
-
-    def test_count_star(self):
-        stmt = parse_select("SELECT COUNT(*) AS n FROM t")
-        call = stmt.items[0].expression
-        assert isinstance(call, ast.FuncCall)
-        assert isinstance(call.argument, ast.Star)
-
-    def test_boolean_precedence(self):
-        stmt = parse_select("SELECT COUNT(*) n FROM t WHERE a = 1 OR b = 2 AND c = 3")
-        where = stmt.where
-        assert isinstance(where, ast.BinaryOp) and where.op == "OR"
-        assert isinstance(where.right, ast.BinaryOp) and where.right.op == "AND"
-
-    def test_in_and_not_in(self):
-        stmt = parse_select("SELECT COUNT(*) n FROM t WHERE a IN (1, 2, 3)")
-        assert isinstance(stmt.where, ast.InList)
-        stmt = parse_select("SELECT COUNT(*) n FROM t WHERE a NOT IN ('x')")
-        assert stmt.where.negated is True
-
-    def test_case_when(self):
-        stmt = parse_select(
-            "SELECT CASE WHEN a = 1 THEN 1 ELSE 0 END AS flag, COUNT(*) AS n "
-            "FROM t GROUP BY flag"
-        )
-        assert isinstance(stmt.items[0].expression, ast.CaseWhen)
-
-    def test_trailing_garbage_rejected(self):
-        with pytest.raises(SQLParseError):
-            parse_select("SELECT COUNT(*) n FROM t GROUP BY a extra stuff(")
-
-    def test_missing_from_rejected(self):
-        with pytest.raises(SQLParseError):
-            parse_select("SELECT a, b")
-
-    def test_unbalanced_parens_rejected(self):
-        with pytest.raises(SQLParseError):
-            parse_select("SELECT COUNT(* FROM t")
-
-    def test_arithmetic_precedence(self):
-        stmt = parse_select("SELECT SUM(a + b * 2) AS s FROM t")
-        call = stmt.items[0].expression
-        add = call.argument
-        assert isinstance(add, ast.BinaryOp) and add.op == "+"
-        assert isinstance(add.right, ast.BinaryOp) and add.right.op == "*"
-
-    def test_negative_literal(self):
-        stmt = parse_select("SELECT COUNT(*) n FROM t WHERE a > -5")
-        comparison = stmt.where
-        assert isinstance(comparison.right, ast.UnaryOp)
-
-
-class TestPlanner:
-    def test_plans_executable_query(self, tiny_table):
-        query = sql_to_query(
-            "SELECT color, AVG(price) AS avg_price FROM tiny GROUP BY color",
-            tiny_table,
-        )
-        assert isinstance(query, AggregateQuery)
-        assert query.group_by == ("color",)
-        assert query.aggregates[0].func is AggregateFunction.AVG
-
-    def test_unknown_column_rejected(self, tiny_table):
-        with pytest.raises(SQLPlanError):
-            sql_to_query("SELECT nope, COUNT(*) AS n FROM tiny GROUP BY nope", tiny_table)
-
-    def test_unknown_function_rejected(self, tiny_table):
-        with pytest.raises(SQLPlanError):
-            sql_to_query("SELECT MEDIAN(price) AS m FROM tiny", tiny_table)
-
-    def test_selected_column_must_be_grouped(self, tiny_table):
-        with pytest.raises(SQLPlanError):
-            sql_to_query("SELECT color, COUNT(*) AS n FROM tiny", tiny_table)
-
-    def test_no_aggregate_rejected(self, tiny_table):
-        with pytest.raises(SQLPlanError):
-            sql_to_query("SELECT color FROM tiny GROUP BY color", tiny_table)
-
-    def test_wrong_table_rejected(self, tiny_table):
-        stmt = parse_select("SELECT COUNT(*) AS n FROM other")
-        with pytest.raises(SQLPlanError):
-            plan_select(stmt, tiny_table)
-
-    def test_star_only_in_count(self, tiny_table):
-        with pytest.raises(SQLPlanError):
-            sql_to_query("SELECT SUM(*) AS s FROM tiny", tiny_table)
-
-    def test_alias_group_by_builds_derived_column(self, tiny_table):
-        query = sql_to_query(
-            "SELECT CASE WHEN size = 'S' THEN 1 ELSE 0 END AS flag, "
-            "COUNT(*) AS n FROM tiny GROUP BY flag",
-            tiny_table,
-        )
-        assert query.derived[0].alias == "flag"
-        assert query.group_by == ("flag",)
-
-
-class TestRoundTrip:
-    def _assert_round_trip(self, table, query):
-        sql = generate_sql(query)
-        reparsed = plan_select(parse_select(sql), table)
-        executor = QueryExecutor(make_store("col", table))
-        original, _ = executor.execute(query)
-        again, _ = executor.execute(reparsed)
-        assert original.to_rows() == again.to_rows()
-
-    def test_simple_round_trip(self, tiny_table):
-        query = AggregateQuery(
-            table="tiny",
-            group_by=("color",),
-            aggregates=(AggregateSpec(AggregateFunction.AVG, "price", "avg_price"),),
-            predicate=E.eq("size", "S"),
-        )
-        self._assert_round_trip(tiny_table, query)
-
-    def test_combined_flag_round_trip(self, tiny_table):
-        flag = DerivedColumn(
-            "seedb_flag", E.CaseWhen(E.eq("size", "S"), E.lit(1), E.lit(0))
-        )
-        query = AggregateQuery(
-            table="tiny",
-            group_by=("color", "seedb_flag"),
-            aggregates=(
-                AggregateSpec(AggregateFunction.SUM, "price", "sum_price"),
-                AggregateSpec(AggregateFunction.COUNT, None, "n"),
-            ),
-            derived=(flag,),
-        )
-        self._assert_round_trip(tiny_table, query)
-
-    def test_complex_predicate_round_trip(self, tiny_table):
-        predicate = E.Or(
-            (
-                E.And((E.eq("size", "S"), E.Comparison(">", E.col("price"), E.lit(20)))),
-                E.isin("color", ["green"]),
-            )
-        )
-        query = AggregateQuery(
-            table="tiny",
-            group_by=("size",),
-            aggregates=(AggregateSpec(AggregateFunction.MAX, "weight", "max_w"),),
-            predicate=predicate,
-        )
-        self._assert_round_trip(tiny_table, query)
-
-    def test_generated_sql_is_stable(self, tiny_table):
+class TestGenerator:
+    def test_generated_sql_is_stable(self):
         query = AggregateQuery(
             table="tiny",
             group_by=("color",),
@@ -214,7 +18,8 @@ class TestRoundTrip:
 
 
 class TestBackendRenderingOptions:
-    """Backend-only rendering knobs default off and stay round-trippable."""
+    """Backend-only rendering knobs default off: the engine records the text
+    a deployment would send, without the backend's row bounds or ordering."""
 
     def _query(self, **kwargs):
         return AggregateQuery(

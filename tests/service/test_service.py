@@ -1224,6 +1224,30 @@ class TestAppendDatasets:
         with pytest.raises(ServiceError, match="append rejected"):
             svc.append_dataset("toy", {"rows": {"region": ["n"]}})
 
+    @pytest.mark.parametrize("body", ["rows", "csv"])
+    def test_a_batch_that_only_widens_a_dictionary_is_counted(self, toy_service, body):
+        """``"n\\u0000"`` is ``"n"`` to numpy but two characters wide: no
+        category is new, yet ``region``'s dictionary is rewritten at
+        ``<U2`` and its code file replaced, so the column is counted.  The
+        body takes JSON lists only, so a JSON cell and a CSV cell are the
+        two ways a batch reaches that rewrite through the service."""
+        from repro.data import registry
+        from repro.db.chunks import read_manifest
+
+        path = registry.spec("toy").path
+        before = read_manifest(path).column("region")
+        batch = {**_toy_batch(2), "region": ["n\x00", "s"]}
+        if body == "rows":
+            payload = {"rows": batch}
+        else:
+            lines = [",".join(batch)] + [",".join(map(str, row)) for row in zip(*batch.values())]
+            payload = {"csv": "\n".join(lines) + "\n"}
+        result = toy_service.append_dataset("toy", payload)
+        after = read_manifest(path).column("region")
+        assert after.n_categories == before.n_categories
+        assert (before.dtype, after.dtype) == ("<U1", "<U2")
+        assert result["columns_rewritten"] == 1
+
     def test_rejected_append_is_a_400_that_changes_nothing(self, toy_service, tmp_path):
         """``sales`` refuses its value after ``region`` would have been rewritten."""
         import numpy as np

@@ -1,16 +1,18 @@
 """Cross-cutting property-based tests over the whole stack.
 
-These are the heavyweight invariants: randomly generated queries must
-survive the SQL round trip and agree with direct numpy computation; EMD must
-agree with scipy's Wasserstein distance; and the engine's utility estimates
-must converge monotonically in expectation as phases accumulate.
+These are the heavyweight invariants: randomly generated queries must agree
+with direct numpy computation, and — with nested AND/OR/NOT/IN/range
+predicates — give the same results on the native executor and on SQLite
+running the generated SQL text; EMD must agree with scipy's Wasserstein
+distance; and the engine's utility estimates must converge monotonically in
+expectation as phases accumulate.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy import stats as scipy_stats
 
 from repro.core.engine import ExecutionEngine
@@ -27,7 +29,6 @@ from repro.db.query import (
     AggregateSpec,
     DerivedColumn,
 )
-from repro.db.sql import generate_sql, parse_select, plan_select
 from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.db.types import ColumnRole
@@ -96,26 +97,6 @@ def _random_query(draw, table: Table) -> AggregateQuery:
 def _table_and_query(draw):
     table = draw(_random_table())
     return table, draw(_random_query(table))
-
-
-@settings(max_examples=40, deadline=None)
-@given(_table_and_query())
-def test_property_sql_round_trip_preserves_results(table_and_query):
-    """generate → parse → plan → execute must equal direct execution."""
-    table, query = table_and_query
-    executor = QueryExecutor(make_store("col", table))
-    direct, _ = executor.execute(query)
-    replanned = plan_select(parse_select(generate_sql(query)), table)
-    reparsed, _ = executor.execute(replanned)
-    assert direct.n_groups == reparsed.n_groups
-    for name in direct.groups:
-        assert direct.groups[name].tolist() == reparsed.groups[name].tolist()
-    for spec in query.aggregates:
-        np.testing.assert_allclose(
-            np.asarray(direct.values[spec.alias], dtype=float),
-            np.asarray(reparsed.values[spec.alias], dtype=float),
-            equal_nan=True,
-        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -194,6 +175,47 @@ def _backend_table(draw) -> Table:
     return Table("rand", data, roles=roles)
 
 
+_COMPARISONS = ("=", "!=", "<", "<=", ">", ">=")
+
+
+@st.composite
+def _backend_predicate(draw, table: Table, depth: int = 2) -> E.Expression:
+    """A nested predicate: AND/OR of 2-3 operands, NOT, ``=`` and IN over
+    quoted dimension values, every comparison and BETWEEN on a measure.
+
+    Dimension literals come from the full value pool (not just present
+    values), so some match zero rows — the empty-group edge case.  Measure
+    literals are stored values, so every comparison hits its boundary.
+    """
+    kinds = ["eq", "in", "compare", "between"]
+    if depth:
+        kinds += ["and", "or", "not"]
+    kind = draw(st.sampled_from(kinds))
+    if kind in ("and", "or"):
+        operands = draw(
+            st.lists(_backend_predicate(table, depth - 1), min_size=2, max_size=3)
+        )
+        return (E.And if kind == "and" else E.Or)(tuple(operands))
+    if kind == "not":
+        return E.Not(draw(_backend_predicate(table, depth - 1)))
+    if kind == "eq":
+        dim = draw(st.sampled_from(list(table.dimension_names())))
+        return E.eq(dim, draw(st.sampled_from(_QUOTEY_VALUES)))
+    if kind == "in":
+        dim = draw(st.sampled_from(list(table.dimension_names())))
+        values = st.lists(
+            st.sampled_from(_QUOTEY_VALUES), min_size=1, max_size=3, unique=True
+        )
+        return E.isin(dim, draw(values))
+    measure = draw(st.sampled_from(list(table.measure_names())))
+    stored = st.sampled_from(table.column(measure).tolist())
+    if kind == "between":
+        low, high = sorted((draw(stored), draw(stored)))
+        return E.between(measure, low, high)
+    op = draw(st.sampled_from(_COMPARISONS))
+    return E.Comparison(op, E.col(measure), E.lit(draw(stored)))
+
+
 @st.composite
 def _backend_query(draw, table: Table) -> AggregateQuery:
     """Random query: quoted predicates, empty groups, derived flag columns."""
@@ -224,15 +246,7 @@ def _backend_query(draw, table: Table) -> AggregateQuery:
             st.sampled_from(measures)
         )
         aggregates.append(AggregateSpec(func, argument, f"agg_{i}"))
-    predicate = None
-    if draw(st.booleans()):
-        dim = draw(st.sampled_from(dims))
-        # Sampling from the full pool (not just present values) produces
-        # predicates that match zero rows — the empty-group edge case.
-        value = draw(st.sampled_from(_QUOTEY_VALUES))
-        predicate = E.eq(dim, value)
-        if draw(st.booleans()):
-            predicate = E.Not(predicate)
+    predicate = draw(_backend_predicate(table)) if draw(st.booleans()) else None
     if not group_by and not aggregates:  # pragma: no cover - unreachable guard
         group_by = (dims[0],)
     return AggregateQuery(
@@ -250,14 +264,68 @@ def _backend_table_and_query(draw):
     return table, draw(_backend_query(table))
 
 
+#: A fixed table for the explicit examples below: dimension values from the
+#: quoted pool, and ``m0`` holds the boundaries the comparisons name plus a
+#: value whose shortest spelling SQLite 3.40 reads as a neighbouring double.
+_EXAMPLE_TABLE = Table(
+    "rand",
+    {
+        "d0": ["a", "b'c", "O'Brien", "a", "x from y", "b'c", "a"],
+        "d1": ["it''s", "a", "it''s", "O'Brien", "a", "it''s", "a"],
+        "m0": [1.5, 2.5, 4.0, 8.0, 16.0, 32.0, 33.18487661462839],
+    },
+    roles={
+        "d0": ColumnRole.DIMENSION,
+        "d1": ColumnRole.DIMENSION,
+        "m0": ColumnRole.MEASURE,
+    },
+)
+
+
+def _example(predicate: E.Expression) -> tuple[Table, AggregateQuery]:
+    """A count and sum by ``d0`` over ``_EXAMPLE_TABLE`` under ``predicate``."""
+    return _EXAMPLE_TABLE, AggregateQuery(
+        table="rand",
+        group_by=("d0",),
+        aggregates=(
+            AggregateSpec(AggregateFunction.COUNT, None, "agg_0"),
+            AggregateSpec(AggregateFunction.SUM, "m0", "agg_1"),
+        ),
+        predicate=predicate,
+    )
+
+
+# Each example below fails for one way of rendering a predicate wrongly,
+# whatever Hypothesis draws: IN read as NOT IN; an AND that loses an
+# operand; ``<=``/``>=`` read as ``<``/``>`` (the boundary rows drop out);
+# a float literal SQLite reads as a neighbouring double.
 @settings(max_examples=60, deadline=None)
+@example(table_and_query=_example(E.isin("d0", ["b'c", "O'Brien"])))
+@example(
+    table_and_query=_example(
+        E.And((E.eq("d0", "a"), E.isin("d1", ["it''s", "a"]), E.Not(E.eq("d1", "a"))))
+    )
+)
+@example(
+    table_and_query=_example(
+        E.Or(
+            (
+                E.Comparison("<=", E.col("m0"), E.lit(2.5)),
+                E.Comparison(">=", E.col("m0"), E.lit(32.0)),
+                E.between("m0", 4.0, 8.0),
+            )
+        )
+    )
+)
+@example(table_and_query=_example(E.eq("m0", 33.18487661462839)))
 @given(table_and_query=_backend_table_and_query())
 def test_property_backends_agree(assert_backends_agree, table_and_query):
     """Every random query yields identical results on native and sqlite.
 
-    Covers quoted-string dimension values, predicates matching zero rows
-    (empty groups / empty global aggregates), and derived CASE flag
-    columns — the combined target/reference query shape.
+    Covers quoted-string dimension values, nested AND/OR/NOT/IN/comparison
+    predicates, predicates matching zero rows (empty groups / empty global
+    aggregates), and derived CASE flag columns — the combined
+    target/reference query shape.
     """
     table, query = table_and_query
     store = make_store("col", table)
