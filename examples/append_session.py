@@ -17,8 +17,9 @@ Run:  PYTHONPATH=src python examples/append_session.py
 
 Exits non-zero if any request fails, an append rewrites a different
 number of columns than its categories call for, a refresh rescans base
-rows, or the repeat request after an append is not served warm from the
-result cache (CI runs this as the append smoke check).
+rows, the repeat request after an append is not served warm from the
+result cache, or the result cache still holds entries of a superseded
+table version after the appends (CI runs this as the append smoke check).
 """
 
 import sys
@@ -157,8 +158,17 @@ def main() -> None:
                             f"(queries={warm['stats']['queries_issued']})"
                         )
                     print(f"  repeat: 0 queries, "
-                          f"{warm['stats']['cache_hits']} result-cache hits — "
-                          f"the append invalidated nothing")
+                          f"{warm['stats']['cache_hits']} result-cache hits")
+
+                # Each version puts one entry per query of the request; the
+                # refresh dropped the superseded versions' entries.
+                entries = client.stats()["cache"]["entries"]
+                if entries > stats["queries_issued"]:
+                    raise SystemExit(
+                        f"result cache holds {entries} entries after the appends, "
+                        f"more than one table version's {stats['queries_issued']}"
+                    )
+                print(f"\nresult cache: {entries} entries, one table version's worth")
 
                 delta = service.stats()["delta_cache"]
                 print(f"\ndelta-state cache: {delta['hits']} hits / "
@@ -170,7 +180,7 @@ def main() -> None:
             server.shutdown()
             server.server_close()
             service.close()
-    print("appends were delta-maintained: new chunks only, caches stayed warm")
+    print("appends were delta-maintained: new chunks only, the current version stayed warm")
 
 
 if __name__ == "__main__":

@@ -6,12 +6,14 @@ from unmarried adults, drill into whatever deviates most) through the
 typed :class:`~repro.service.client.ServiceClient` against the versioned
 ``/v1`` API, and prints the per-step recommendations plus the
 cross-session cache hit-rate — the same session replayed immediately
-afterwards is served entirely from memory.
+afterwards is served entirely from memory, and a third replay reads the
+view scores the cached results kept on their first hit.
 
 Run:  PYTHONPATH=src python examples/service_session.py
 
-Exits non-zero if any request fails or the replayed session does not hit
-the cache (CI runs this as the service smoke check).
+Exits non-zero if any request fails, a replayed session does not hit the
+cache, the third replay's views and utilities differ from the cold pass's,
+or no view score was reused (CI runs this as the service smoke check).
 """
 
 import sys
@@ -20,8 +22,9 @@ from repro.service import AnalystDrillDown, RecommendationService, start_server
 from repro.service.client import ServiceClient
 
 
-def run_session(client: ServiceClient, label: str) -> tuple[int, int]:
-    """Replay the three-step census drill-down; returns total hits/misses."""
+def run_session(client: ServiceClient, label: str) -> tuple[int, int, list]:
+    """Replay the three-step census drill-down; returns total hits/misses
+    and each step's ranked ``(view, utility)`` pairs."""
     session = client.create_session(dataset="census")
     print(f"\n{label}: session {session.session_id} over census "
           f"({session.n_rows:,} rows)")
@@ -30,8 +33,15 @@ def run_session(client: ServiceClient, label: str) -> tuple[int, int]:
     )
     request = analyst.first_request()
     hits = misses = 0
+    ranked = []
     while request is not None:
         response = client.recommend_raw(session.session_id, request)
+        ranked.append(
+            [
+                ((v["func"], v["measure"], v["dimension"]), v["utility"])
+                for v in response["views"]
+            ]
+        )
         stats = response["stats"]
         hits += stats["cache_hits"]
         misses += stats["cache_misses"]
@@ -47,7 +57,7 @@ def run_session(client: ServiceClient, label: str) -> tuple[int, int]:
             f"wall={stats['wall_seconds'] * 1000:.1f}ms]"
         )
         request = analyst.next_request(response)
-    return hits, misses
+    return hits, misses, ranked
 
 
 def main() -> None:
@@ -59,26 +69,45 @@ def main() -> None:
     try:
         with ServiceClient(host, port) as client:
             # 2. A first analyst explores: every view query is a cache miss.
-            first_hits, first_misses = run_session(client, "analyst #1 (cold)")
+            first_hits, first_misses, cold = run_session(client, "analyst #1 (cold)")
 
             # 3. A second analyst retraces the same steps: served from memory.
-            second_hits, second_misses = run_session(client, "analyst #2 (replay)")
+            # Each cached result is scored on this, its first hit, and keeps
+            # the view scores it yields.
+            second_hits, second_misses, _ = run_session(client, "analyst #2 (replay)")
 
-            # 4. The service-wide picture.
+            # 4. A third analyst reads those scores: no routing, no scoring.
+            third_hits, third_misses, memoized = run_session(
+                client, "analyst #3 (scores reused)"
+            )
+
+            # 5. The service-wide picture.
             stats = client.stats()
             cache = stats["cache"]
             print(
                 f"\nservice: {stats['sessions']} sessions, {stats['requests']} "
                 f"requests; cache hit-rate {cache['hit_rate']:.0%} "
                 f"({cache['hits']} hits / {cache['misses']} misses, "
-                f"{cache['bytes_saved'] / 1e6:.1f} MB of scanning avoided)"
+                f"{cache['bytes_saved'] / 1e6:.1f} MB of scanning avoided, "
+                f"{cache['scores_reused']} view scores reused)"
             )
-        if first_hits != 0 or second_misses != 0 or second_hits == 0:
-            raise SystemExit(
-                "expected the replayed session to be served entirely from the "
-                f"cache (got hits={second_hits}, misses={second_misses})"
-            )
-        print("replayed session was served entirely from the cross-session cache")
+        for label, hits, misses in (
+            ("replayed", second_hits, second_misses),
+            ("third", third_hits, third_misses),
+        ):
+            if first_hits != 0 or misses != 0 or hits == 0:
+                raise SystemExit(
+                    f"expected the {label} session to be served entirely from the "
+                    f"cache (got hits={hits}, misses={misses})"
+                )
+        if memoized != cold:
+            raise SystemExit("the third session's views or utilities differ from the cold pass")
+        if cache["scores_reused"] <= 0:
+            raise SystemExit("no view score was reused from a cached result")
+        print(
+            "replayed sessions were served entirely from the cross-session cache; "
+            "the third read its view scores from it, equal to the cold pass"
+        )
     finally:
         server.shutdown()
         server.server_close()

@@ -31,6 +31,10 @@ bytes-saved accounting is carried per run on
 :class:`~repro.config.ExecutionStats` and surfaced on
 :class:`~repro.core.engine.EngineRun`.
 
+An entry also keeps, once hit, the scores of the views its result alone
+feeds (:attr:`CacheEntry.memo`): the engine reads them on later hits
+instead of routing and scoring the result again.
+
 The knob is :attr:`~repro.config.EngineConfig.result_cache` (default
 **off** so the Figure 5-9 benchmark ablations keep measuring real
 execution); the recommendation service (:mod:`repro.service`) turns it on
@@ -46,13 +50,14 @@ import pickle
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 import numpy as np
 
 from repro.config import ExecutionStats
+from repro.core.difference import ViewDistributions
 from repro.db.query import AggregateQuery, AggregateSpec, QueryResult
 from repro.testing import faults
 
@@ -68,6 +73,9 @@ DEFAULT_MAX_ENTRIES = 16_384
 #: Fixed per-entry overhead charged against the byte budget (keys, dict
 #: slots, stats object) so even zero-row results have nonzero weight.
 _ENTRY_OVERHEAD_BYTES = 512
+#: Fixed charge per view answer an entry keeps (its tuple, distributions object,
+#: two array headers and dict slot) beyond its arrays and keys.
+_ANSWER_OVERHEAD_BYTES = 256
 
 
 # --------------------------------------------------------------------------- #
@@ -204,18 +212,24 @@ class LruMemo:
 # --------------------------------------------------------------------------- #
 
 
-@dataclass(frozen=True)
+@dataclass
 class CacheEntry:
     """One memoized query execution.
 
     ``stats`` is the accounting of the execution that produced the result;
     on a hit its byte counters become the run's ``cache_bytes_saved``.
-    ``nbytes`` is the entry's charge against the cache's byte budget.
+    ``nbytes`` is the entry's charge against the cache's byte budget, its
+    ``memo`` included.  ``memo`` keeps, per ``(metric, reference mode)``, the
+    ``(utility, ViewDistributions)`` of each view the result alone fed
+    (:meth:`ViewResultCache.keep_answers`); the cache reads and writes it
+    under its lock, and it lives and dies with the entry (the L2 tier stores
+    results, not entries).
     """
 
     result: QueryResult
     stats: ExecutionStats
     nbytes: int
+    memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def bytes_saved(self) -> int:
         """Bytes of physical scanning a hit on this entry avoids."""
@@ -236,6 +250,8 @@ class CacheStats:
     max_bytes: int
     max_entries: int
     bytes_saved: int
+    #: View scores read from entries' memos instead of being routed and scored.
+    scores_reused: int = 0
 
     @property
     def hit_rate(self) -> float:
@@ -258,6 +274,23 @@ def _result_nbytes(result: QueryResult) -> int:
             arr = np.asarray(array)
             total += arr.nbytes
     return total
+
+
+def _answer_nbytes(answer: tuple[float, ViewDistributions]) -> int:
+    """Byte weight of one kept view answer."""
+    dists = answer[1]
+    return (
+        dists.target.nbytes + dists.reference.nbytes + 8 * len(dists.keys)
+        + _ANSWER_OVERHEAD_BYTES
+    )
+
+
+def _frozen_answer(answer: tuple[float, ViewDistributions]) -> tuple[float, ViewDistributions]:
+    """A read-only copy of one view answer, shared by every later hit."""
+    utility, dists = answer
+    target, reference = dists.target.copy(), dists.reference.copy()
+    target.flags.writeable = reference.flags.writeable = False
+    return utility, ViewDistributions(dists.keys, target, reference)
 
 
 def _freeze(mapping: Mapping[str, object]) -> dict[str, np.ndarray]:
@@ -326,6 +359,7 @@ class ViewResultCache:
         self._evictions = 0
         self._invalidations = 0
         self._bytes_saved = 0
+        self._scores_reused = 0
 
     # -------------------------------------------------------------- #
     # core operations
@@ -365,13 +399,56 @@ class ViewResultCache:
             self._entries[key] = entry
             self._bytes += entry.nbytes
             self._insertions += 1
-            while self._entries and (
-                self._bytes > self.max_bytes or len(self._entries) > self.max_entries
-            ):
-                _, evicted = self._entries.popitem(last=False)
-                self._bytes -= evicted.nbytes
-                self._evictions += 1
+            self._evict()
         return entry
+
+    def _evict(self) -> None:
+        """Drop least recently used entries past the budgets (lock held)."""
+        while self._entries and (
+            self._bytes > self.max_bytes or len(self._entries) > self.max_entries
+        ):
+            _, evicted = self._entries.popitem(last=False)
+            self._bytes -= evicted.nbytes
+            self._evictions += 1
+
+    # -------------------------------------------------------------- #
+    # view answers kept per entry
+    # -------------------------------------------------------------- #
+
+    def answers(self, key: str, memo_key: object, views: Sequence) -> list | None:
+        """The answers the entry under ``key`` keeps for ``memo_key``, one per
+        view key in ``views``, or ``None`` unless it keeps every one (no
+        LRU move: the lookup that found the entry made it)."""
+        with self._lock:
+            entry = self._entries.get(key)
+            kept = entry.memo.get(memo_key) if entry is not None else None
+            if kept is None:
+                return None
+            try:
+                found = [kept[view] for view in views]
+            except KeyError:
+                return None
+            self._scores_reused += len(found)
+            return found
+
+    def keep_answers(self, key: str, memo_key: object, answers: Mapping) -> None:
+        """Keep read-only copies of ``answers`` (view key -> ``(utility,
+        ViewDistributions)``) on the entry under ``key`` for ``memo_key``,
+        charged to its bytes and the budget; nothing if the entry is gone.
+        The caller vouches that each answer is a function of that entry's
+        result, the view and ``memo_key`` alone."""
+        frozen = {view: _frozen_answer(answer) for view, answer in answers.items()}
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                return
+            kept = entry.memo.setdefault(memo_key, {})
+            added = {view: answer for view, answer in frozen.items() if view not in kept}
+            kept.update(added)
+            nbytes = sum(map(_answer_nbytes, added.values()))
+            entry.nbytes += nbytes
+            self._bytes += nbytes
+            self._evict()
 
     # -------------------------------------------------------------- #
     # invalidation
@@ -430,6 +507,7 @@ class ViewResultCache:
                 max_bytes=self.max_bytes,
                 max_entries=self.max_entries,
                 bytes_saved=self._bytes_saved,
+                scores_reused=self._scores_reused,
             )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -166,6 +166,7 @@ class _RunState:
     tables: list[ViewState] = field(default_factory=list)
     states: dict[ViewKey, ViewState] = field(default_factory=dict)
     #: Held: the layout, a fresh target partial per table, the answers in view order.
+    #: Split: the answers read from cached results, then every candidate's.
     layout: HeldLayout | None = None
     targets: dict[HeldTable, SidePartial] = field(default_factory=dict)
     answers: dict[ViewKey, tuple[float, ViewDistributions]] = field(default_factory=dict)
@@ -458,7 +459,16 @@ class ExecutionEngine:
                 }
             ),
         )
-        if not held:
+        # Cached results keep the answers they yield where each is its own: one
+        # range, both sides of a view from one flagged result.  Such a run makes
+        # its states only if a result it reads keeps no answers.
+        cache = self.result_cache
+        memo = (
+            (self.metric, reference_mode)
+            if cache is not None and config.combine_target_reference and not use_phases
+            else None
+        )
+        if not held and memo is None:
             self._make_states(live, skeletons)
 
         total_rows = max(self.store.nrows, 1)
@@ -474,7 +484,7 @@ class ExecutionEngine:
         # One execution fingerprint per run: recomputed here (not cached on
         # the engine) so a Table.bump_version() between runs reroutes every
         # lookup away from stale entries.
-        cache, delta = self.result_cache, self.delta_cache
+        delta = self.delta_cache
         cache_prefix = (
             execution_fingerprint(self.store, self.backend) if cache is not None else ""
         )
@@ -485,6 +495,8 @@ class ExecutionEngine:
         active_per_phase: list[int] = []
         previous_top_k: frozenset[ViewKey] = frozenset()
         stable_phases = 0
+        #: ``(cache key, planned)`` of the hits this run routes and scores.
+        scored: list[tuple[str, PlannedQuery]] = []
         with make_dispatcher(
             self.backend,
             parallelism,
@@ -593,7 +605,19 @@ class ExecutionEngine:
                             query_stats.bytes_scanned_miss + query_stats.bytes_scanned_hit
                         )
                     live.stats.batch_costs.append(batch_costs)
-                for planned, (result, _) in zip(plan.queries, outcomes):
+                # A view fed by two queries is no one result's to keep.
+                routes = sum(len(planned.routes) for planned in plan.queries)
+                if memo is not None and routes != len(live.active):
+                    memo = None
+                for planned, key, (result, query_stats) in zip(
+                    plan.queries, cache_keys, outcomes
+                ):
+                    if memo is not None and query_stats.cache_hits:
+                        if self._read_answers(cache, key, memo, planned, live):
+                            continue
+                        scored.append((key, planned))
+                    if not (live.held or live.states):
+                        self._make_states(live, skeletons)
                     self._route_result(planned, result, live)
                 if live.held:
                     self._fold_held(live, table_cells)
@@ -624,6 +648,9 @@ class ExecutionEngine:
                         break
 
         selected, utilities, distributions = self._finalize(live)
+        for key, planned in scored:
+            views = [route.view.key for route in planned.routes]
+            cache.keep_answers(key, memo, {view: live.answers[view] for view in views})
         stats = live.stats
         stats.wall_seconds = time.perf_counter() - started
         return EngineRun(
@@ -926,6 +953,21 @@ class ExecutionEngine:
             values.update(zip(group, evaluate(state, self.metric, rows)))
         return {key: values[key] for key in keys}
 
+    @staticmethod
+    def _read_answers(
+        cache: ViewResultCache, key: str, memo: tuple, planned: PlannedQuery, entry: _RunState
+    ) -> bool:
+        """Take the answers the cached result under ``key`` keeps for ``memo``
+        for every view ``planned`` routes, if it keeps them all, into
+        ``entry.answers``: row ``r`` of a state table scores what a one-row
+        table would (:mod:`repro.core.state`), so an answer is its result's."""
+        views = [route.view.key for route in planned.routes]
+        answers = cache.answers(key, memo, views)
+        if answers is None:
+            return False
+        entry.answers.update(zip(views, answers))
+        return True
+
     def _route_result(
         self, planned: PlannedQuery, result: QueryResult, entry: _RunState
     ) -> None:
@@ -1007,7 +1049,13 @@ class ExecutionEngine:
         candidates = list(active) + sorted(accepted.difference(active))
         results = entry.answers
         if not entry.held:
-            results = self._per_view(entry.states, candidates, ViewState.utility)
+            # Answers read from cached results are scored already.
+            scored = self._per_view(
+                entry.states, [key for key in candidates if key not in results], ViewState.utility
+            )
+            results = entry.answers = {
+                key: results[key] if key in results else scored[key] for key in candidates
+            }
         utilities = {key: value for key, (value, _) in results.items()}
         distributions = {key: dists for key, (_, dists) in results.items()}
         ranked = (

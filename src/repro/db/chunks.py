@@ -715,7 +715,8 @@ def appended_columns(
     ``data`` names every column and no other, each with the same number of
     rows, at least one.  Cells of a type the column does not take
     (:data:`_APPENDED_KINDS`) are rejected, never converted: a dict or
-    ``None`` is no category, ``True`` no number.  A string column given as
+    ``None`` is no category, ``True`` no number, and a string ending in NUL,
+    which numpy would store without it, no string.  A string column given as
     a list stays a list of its (checked) ``str`` cells: :func:`append_rows`
     looks each one up in the stored dictionary as it stands.
     """
@@ -765,6 +766,11 @@ def _appended_values(
         raise error(
             f"column {name!r} rejects appended {', '.join(wrong)} cells ({stored.name})"
         )
+    if stored.kind == "U" and (isinstance(values, (list, tuple)) or values.dtype == object):
+        # numpy stores "n\x00" as "n": the cell would land as another value.
+        nul = next((cell for cell in set(values) if cell.endswith("\x00")), None)
+        if nul is not None:
+            raise error(f"column {name!r} rejects appended cell {nul!r}: it ends in NUL")
     if stored.kind == "U" and isinstance(values, (list, tuple)):
         return list(values)
     try:
@@ -832,11 +838,10 @@ def _lookup_codes(categories: np.ndarray, vals: np.ndarray | list[str]) -> np.nd
     """int32 codes of ``vals`` in the sorted ``categories``, or ``None``
     unless every cell is one of them as it stands.
 
-    A list's cells go through a dict of the categories, so a cell numpy
-    would change (``"a\\x00"`` becomes ``"a"``) is not found and falls back
-    to the union.  An array's go through ``np.searchsorted`` plus an
-    equality check; an array wider than the categories never matches,
-    because the union rewrites the dictionary at its width.
+    A list's cells go through a dict of the categories.  An array's go
+    through ``np.searchsorted`` plus an equality check; an array wider than
+    the categories never matches, because the union rewrites the dictionary
+    at its width.
     """
     if isinstance(vals, list):
         index = dict(zip(categories.tolist(), range(len(categories))))

@@ -32,7 +32,8 @@ the row's proxy policy:
   rows exactly once (on the dataset's ring-owner worker; all workers
   share the chunk-store directory) and then broadcasts a bodyless
   ``refresh`` to the other workers, whose tables re-sync via a manifest
-  digest compare — appends never invalidate the shared caches;
+  digest compare — an append invalidates no shared L2 entry, and each
+  worker drops the superseded version's entries from its own L1;
 * **aggregated observability** — ``GET /v1/stats`` fans out and merges
   per-worker counters (including per-tier L1/L2 cache hits);
 * **graceful drain** — SIGTERM (or :meth:`FrontendServer.

@@ -37,10 +37,11 @@ Every error response uses the envelope
   ``{"rows": {"col": [...], ...}}`` (columnar JSON, or a list of row
   objects) or ``{"csv": "col1,col2\\n..."}``.  Only a dictionary column the
   batch brings a new category or a wider string dtype to is rewritten
-  (``columns_rewritten``) and **no cache is invalidated** — the next
-  recommend carry-merges cached per-group partials over only the new
-  chunks (the delta-state cache), so warm-path latency scales with the
-  delta, not the dataset.
+  (``columns_rewritten``); the result cache's entries under the old
+  fingerprint leave its in-process tier, and the next recommend
+  carry-merges cached per-group partials over only the new chunks (the
+  delta-state cache), so warm-path latency scales with the delta, not the
+  dataset.
 * ``POST /v1/datasets/<id>/refresh`` — re-sync a dataset from its chunk
   store (manifest digest compare + memmap re-open); used by the sharded
   front-end to propagate appends to sibling workers.
@@ -504,11 +505,12 @@ class RecommendationService:
         memory map, keeping each dictionary the batch left unchanged.  The
         manifest is parsed once per append, under the dataset's append lock:
         the writer takes that one and returns the new one, which the
-        registry and every engine refresh from.  Crucially, **no cache is
-        invalidated**: view-result entries stay keyed under the old
-        fingerprint (still valid for old readers, aged out by LRU) and the
-        delta-state cache carry-merges the cached per-group partials with a
-        scan of only the appended chunks on the next recommend.
+        registry and every engine refresh from.  The view-result entries
+        keyed under the old fingerprint, which no new request keys again,
+        leave the in-process cache (:meth:`_refresh_engines`); the
+        delta-state cache is kept, and carry-merges the cached per-group
+        partials with a scan of only the appended chunks on the next
+        recommend.
         """
         if dataset not in self.datasets_allowed:
             raise ServiceError(
@@ -601,6 +603,11 @@ class RecommendationService:
         rebuilding.  View spaces, plan skeletons and state layouts stay
         unless the append changed the planning catalog (a dimension gained a
         category).
+
+        A refreshed table has a new fingerprint, so no new request keys the
+        result cache's entries under the old one again: they are dropped from
+        the in-process L1.  A shared file-backed L2 keeps them under its own
+        byte budget (a sibling worker may not have refreshed yet).
         """
         with self._engine_lock:
             engines = [e for key, e in self._engines.items() if key[0] == dataset]
@@ -608,10 +615,13 @@ class RecommendationService:
         for seedb in engines:
             if seedb.table.source_path is None:
                 continue
+            superseded = seedb.table.fingerprint()
             if seedb.table.refresh_from_disk(manifest=manifest):
                 seedb.store.sync_layout()
                 seedb.engine.meta = TableMeta.of(seedb.table)
                 refreshed += 1
+                if self.cache is not None:
+                    ViewResultCache.invalidate_table(self.cache, superseded)
         return refreshed
 
     def _append_columns(

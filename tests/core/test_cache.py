@@ -32,7 +32,7 @@ from repro.db.catalog import TableMeta
 from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec, DerivedColumn
 from repro.db.storage import make_store
 from repro.db.table import Table
-from repro.metrics import get_metric
+from repro.metrics import get_metric, list_metrics
 
 
 def _query(**overrides) -> AggregateQuery:
@@ -698,3 +698,154 @@ class TestLruMemo:
         with pytest.raises(KeyError):
             memo.get("z", lambda: {}["z"])  # a build that raises keeps nothing
         assert len(memo) == 2
+
+
+# --------------------------------------------------------------------------- #
+# view answers kept on entries
+# --------------------------------------------------------------------------- #
+
+
+def _assert_same_bits(run_a, run_b):
+    """:func:`_assert_bitwise_identical`, and the utilities' order and the
+    distributions' bytes too."""
+    _assert_bitwise_identical(run_a, run_b)
+    assert list(run_a.utilities) == list(run_b.utilities)
+    for key, dists in run_a.distributions.items():
+        other = run_b.distributions[key]
+        assert dists.target.tobytes() == other.target.tobytes()
+        assert dists.reference.tobytes() == other.reference.tobytes()
+
+
+def _memos(cache: ViewResultCache) -> list[dict]:
+    return [entry.memo for entry in cache._entries.values()]
+
+
+class TestKeptAnswers:
+    """A hit result keeps the scores of the views it alone feeds; a later hit
+    reads them instead of routing and scoring, to the same bits."""
+
+    def test_kept_answers_equal_cold_and_cache_off_runs(self, census_like):
+        """Every registered metric x reference mode, through one shared cache:
+        "all" and "complement" issue the same flagged queries, so their
+        answers differ only by the memo's key, and so do the metrics'."""
+        cache = ViewResultCache()
+        for metric in list_metrics():
+            for reference in ("all", "complement", "query"):
+                kwargs = {"reference_mode": reference}
+                if reference == "query":
+                    kwargs["reference_predicate"] = E.eq("sex", "M")
+
+                def engine(enabled):
+                    config = EngineConfig(store="col", result_cache=enabled)
+                    return ExecutionEngine(
+                        make_store("col", census_like), get_metric(metric), config,
+                        result_cache=cache,
+                    )
+
+                off = _run(engine(False), census_like, **kwargs)
+                cached = engine(True)
+                first, hit = _run(cached, census_like, **kwargs), _run(cached, census_like, **kwargs)
+                reused = cache.snapshot().scores_reused
+                kept = _run(cached, census_like, **kwargs)
+                assert cache.snapshot().scores_reused - reused == len(kept.utilities)
+                assert hit.cache_misses == kept.cache_misses == 0, (metric, reference)
+                for run in (first, hit, kept):
+                    _assert_same_bits(off, run)
+
+    def test_a_fully_kept_request_routes_and_scores_nothing(self, census_like, monkeypatch):
+        from repro.core.state import ViewState
+
+        calls: list[str] = []
+        route, utility = ExecutionEngine._route_result, ViewState.utility
+
+        def spy_route(self, *args):
+            calls.append("route")
+            return route(self, *args)
+
+        def spy_utility(self, *args):
+            calls.append("utility")
+            return utility(self, *args)
+
+        monkeypatch.setattr(ExecutionEngine, "_route_result", spy_route)
+        monkeypatch.setattr(ViewState, "utility", spy_utility)
+        engine = _engine(census_like)
+        counts = []
+        for _ in range(3):  # cold, first hit, kept
+            calls.clear()
+            _run(engine, census_like)
+            counts.append((calls.count("route"), calls.count("utility")))
+        assert counts[0] == counts[1] and min(counts[0]) > 0
+        assert counts[2] == (0, 0)
+
+    def test_only_a_hit_one_range_flagged_run_keeps_answers(self, census_like):
+        """``comb`` (phases) and held runs neither read nor fill a memo, and an
+        entry that is put but never hit keeps none."""
+        from repro.core.recommender import serving_config
+
+        engine = _engine(census_like)
+        cache = engine.result_cache
+        for _ in range(2):
+            _run(engine, census_like, strategy="comb", pruner="ci")
+            _run(engine, census_like, strategy="no_opt")
+        _run(engine, census_like)  # put, never hit
+        assert len(cache) and not any(_memos(cache))
+        held = ExecutionEngine(
+            make_store("col", census_like),
+            get_metric("emd"),
+            serving_config("col", result_cache=True),
+            result_cache=cache,
+        )
+        # An OR is no held target cell: the held run queries its target side.
+        target = E.eq("marital", "Unmarried").or_(E.eq("sex", "F"))
+        runs = [_run(held, census_like, target=target) for _ in range(2)]
+        assert runs[1].cache_hits > 0 and runs[1].stats.queries_issued == 0
+        assert not any(_memos(cache)) and cache.snapshot().scores_reused == 0
+
+    def test_kept_answers_are_read_only_and_charged(self, census_like):
+        engine = _engine(census_like)
+        cache = engine.result_cache
+        _run(engine, census_like)
+        before = cache.nbytes
+        _run(engine, census_like)
+        kept = [answer for memo in _memos(cache) for answers in memo.values()
+                for answer in answers.values()]
+        assert kept and cache.nbytes > before
+        assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+        for _, dists in kept:
+            for array in (dists.target, dists.reference):
+                with pytest.raises(ValueError):
+                    array[0] = 1.0
+
+    def test_concurrent_first_hits_keep_exact_bytes_and_bits(self, census_like):
+        """Threads racing to fill and read one result's answers: every run has
+        the cache-off bits and the budget holds exactly what the entries keep."""
+        import sys
+
+        reference = _run(_engine(census_like, enabled=False), census_like)
+        engine = _engine(census_like)
+        _run(engine, census_like)
+        runs, errors = [], []
+
+        def session() -> None:
+            try:
+                runs.extend(_run(engine, census_like) for _ in range(4))
+            except Exception as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=session) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert len(runs) == 32
+        for run in runs:
+            _assert_same_bits(reference, run)
+        cache = engine.result_cache
+        assert cache.nbytes == sum(entry.nbytes for entry in cache._entries.values())
+        assert cache.snapshot().scores_reused > 0

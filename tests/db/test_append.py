@@ -294,8 +294,8 @@ class TestEncodeByLookup:
             # Wider than the stored ``<U3``, every value known: the union
             # rewrites the dictionary at the wider dtype.
             (np.array(["z", "a"], dtype="<U12"), False, True),
-            # numpy drops the NUL: the cell is "a", found only by the union.
-            (["a\x00", "z"], False, False),
+            # An array holds no trailing NUL: numpy dropped it, the cell is "a".
+            (np.array(["a\x00", "z"]), True, False),
         ],
         ids=[
             "list", "array", "empty-list", "empty-array", "unseen-list",
@@ -332,6 +332,27 @@ class TestEncodeByLookup:
         assert list(np.asarray(reopened.column("dim")))[len(self.BASE):] == list(
             np.asarray(cells)
         )
+
+    @pytest.mark.parametrize(
+        "cells", [["a\x00", "z"], np.array(["a\x00", "z"], dtype=object)], ids=["list", "object"]
+    )
+    def test_a_cell_ending_in_nul_is_refused(self, tmp_path, cells):
+        """numpy would store ``"a\\x00"`` as ``"a"``: on disk and in memory the
+        append is refused before anything is written."""
+        self._store(tmp_path / "ds")
+        before = C.read_manifest(tmp_path / "ds")
+        batch = {"dim": cells, "m": [1.0, 2.0]}
+        with pytest.raises(StorageError, match="ends in NUL"):
+            C.append_rows(tmp_path / "ds", batch)
+        assert C.read_manifest(tmp_path / "ds") == before
+        table = Table(
+            "toy",
+            {"dim": self.BASE, "m": np.arange(len(self.BASE), dtype=np.float64)},
+            roles={"dim": ColumnRole.DIMENSION, "m": ColumnRole.MEASURE},
+        )
+        with pytest.raises(SchemaError, match="ends in NUL"):
+            table.append(batch)
+        assert table.nrows == len(self.BASE)
 
     @pytest.mark.parametrize("as_array", [False, True], ids=["list", "array"])
     def test_a_torn_sidecar_takes_the_union(self, tmp_path, monkeypatch, as_array):

@@ -1226,27 +1226,53 @@ class TestAppendDatasets:
 
     @pytest.mark.parametrize("body", ["rows", "csv"])
     def test_a_batch_that_only_widens_a_dictionary_is_counted(self, toy_service, body):
-        """``"n\\u0000"`` is ``"n"`` to numpy but two characters wide: no
-        category is new, yet ``region``'s dictionary is rewritten at
-        ``<U2`` and its code file replaced, so the column is counted.  The
-        body takes JSON lists only, so a JSON cell and a CSV cell are the
-        two ways a batch reaches that rewrite through the service."""
+        """``"n\\u0000"`` is ``"n"`` to numpy but two characters wide: it used to
+        land as ``"n"`` and rewrite ``region``'s dictionary at ``<U2``.  A JSON
+        cell and a CSV cell, the two ways a batch reaches that through the
+        service, are now a 400 that changes nothing.  A batch that only widens
+        a dictionary — known values in a wider numpy array, which only
+        ``append_rows`` takes — still rewrites it, and the next service append
+        counts nothing more."""
+        import numpy as np
+
         from repro.data import registry
-        from repro.db.chunks import read_manifest
+        from repro.db.chunks import append_rows, read_manifest
 
         path = registry.spec("toy").path
-        before = read_manifest(path).column("region")
+        before = read_manifest(path)
         batch = {**_toy_batch(2), "region": ["n\x00", "s"]}
         if body == "rows":
             payload = {"rows": batch}
         else:
             lines = [",".join(batch)] + [",".join(map(str, row)) for row in zip(*batch.values())]
             payload = {"csv": "\n".join(lines) + "\n"}
-        result = toy_service.append_dataset("toy", payload)
-        after = read_manifest(path).column("region")
-        assert after.n_categories == before.n_categories
-        assert (before.dtype, after.dtype) == ("<U1", "<U2")
-        assert result["columns_rewritten"] == 1
+        with pytest.raises(ServiceError, match="ends in NUL") as excinfo:
+            toy_service.append_dataset("toy", payload)
+        assert excinfo.value.status == 400
+        assert read_manifest(path) == before
+        wide = {**_toy_batch(2), "region": np.array(["n", "s"], dtype="<U2")}
+        after = append_rows(path, wide).column("region")
+        assert after.n_categories == before.column("region").n_categories
+        assert (before.column("region").dtype, after.dtype) == ("<U1", "<U2")
+        assert toy_service.append_dataset("toy", {"rows": _toy_batch(1)})["columns_rewritten"] == 0
+
+    def test_the_cache_keeps_no_superseded_table_version(self, toy_service):
+        """An append changes the table's fingerprint: no new request keys the
+        old entries again, and the refresh drops them from the cache."""
+        svc = toy_service
+        sid = svc.create_session({"dataset": "toy"})["session_id"]
+        table = next(seedb.table for key, seedb in svc._engines.items() if key[0] == "toy")
+        superseded = []
+        for _ in range(3):
+            svc.recommend(sid, {"k": 2})
+            svc.recommend(sid, {"k": 2})
+            superseded.append(table.fingerprint())
+            svc.append_dataset("toy", {"rows": _toy_batch(10)})
+        current = svc.recommend(sid, {"k": 2})
+        keys = list(svc.cache._entries)
+        assert len(keys) == current["stats"]["queries_issued"] > 0
+        assert all(key.startswith(table.fingerprint() + "|") for key in keys)
+        assert not any(key.startswith(old) for key in keys for old in superseded)
 
     def test_rejected_append_is_a_400_that_changes_nothing(self, toy_service, tmp_path):
         """``sales`` refuses its value after ``region`` would have been rewritten."""
