@@ -7,13 +7,17 @@ typed :class:`~repro.service.client.ServiceClient` against the versioned
 ``/v1`` API, and prints the per-step recommendations plus the
 cross-session cache hit-rate — the same session replayed immediately
 afterwards is served entirely from memory, and a third replay reads the
-view scores the cached results kept on their first hit.
+view scores the cached results kept on their first hit.  A last session
+asks the first step under the KL metric: the engine is the dataset's, not
+the metric's, so it runs on the same engine and reads the same cached
+results.
 
 Run:  PYTHONPATH=src python examples/service_session.py
 
 Exits non-zero if any request fails, a replayed session does not hit the
 cache, the third replay's views and utilities differ from the cold pass's,
-or no view score was reused (CI runs this as the service smoke check).
+no view score was reused, the KL step issued a query or ``/v1/stats``
+lists more than one engine (CI runs this as the service smoke check).
 """
 
 import sys
@@ -81,7 +85,18 @@ def main() -> None:
                 client, "analyst #3 (scores reused)"
             )
 
-            # 5. The service-wide picture.
+            # 5. An analyst on another metric: the same engine, the same results.
+            kl = client.create_session(dataset="census", metric="kl")
+            first_request = AnalystDrillDown(
+                [("marital_status", "Unmarried")], k=5, n_steps=1
+            ).first_request()
+            kl_stats = client.recommend_raw(kl.session_id, first_request)["stats"]
+            print(
+                f"\nanalyst #4 (kl): session {kl.session_id}, first step issued "
+                f"{kl_stats['queries_issued']} queries [hits={kl_stats['cache_hits']}]"
+            )
+
+            # 6. The service-wide picture.
             stats = client.stats()
             cache = stats["cache"]
             print(
@@ -104,9 +119,16 @@ def main() -> None:
             raise SystemExit("the third session's views or utilities differ from the cold pass")
         if cache["scores_reused"] <= 0:
             raise SystemExit("no view score was reused from a cached result")
+        if kl_stats["queries_issued"] != 0 or len(stats["engines_loaded"]) != 1:
+            raise SystemExit(
+                f"expected the kl session to issue no query on the one census engine "
+                f"(got {kl_stats['queries_issued']} queries, engines "
+                f"{stats['engines_loaded']})"
+            )
         print(
             "replayed sessions were served entirely from the cross-session cache; "
-            "the third read its view scores from it, equal to the cold pass"
+            "the third read its view scores from it, equal to the cold pass; the kl "
+            "session ran on the same engine and issued no query"
         )
     finally:
         server.shutdown()

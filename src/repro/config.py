@@ -176,13 +176,6 @@ class EngineConfig:
     #: Only effective together with ``result_cache``; default **off** for
     #: the same ablation-fidelity reason.  The serving layer turns it on.
     delta_cache: bool = False
-    #: ``parallelism="process"`` only: when a worker process dies mid-phase
-    #: and poisons the shared pool (``BrokenProcessPool``), rebuild the
-    #: pool once and re-run the failed batch — bitwise identical, since
-    #: whole queries fan out — then degrade to inline execution if the
-    #: rebuilt pool breaks again.  Off = propagate the exception (the
-    #: pre-recovery behavior, useful when a crash should be loud).
-    pool_recovery: bool = True
     #: Rows per streamed chunk for out-of-core execution.  ``None`` (the
     #: default) defers to the table's own chunk layout: in-memory tables
     #: are single-chunk and keep the classic one-shot path; tables opened
@@ -205,14 +198,6 @@ class EngineConfig:
     chunk_aligned_phases: bool = False
     #: Confidence parameter for Hoeffding–Serfling intervals (CI pruning).
     ci_delta: float = 0.05
-    #: Return approximate results as soon as top-k is identified (COMB_EARLY).
-    early_return: bool = False
-    #: COMB_EARLY also returns once the top-k ranked by running estimates has
-    #: been unchanged for this many consecutive phase boundaries (a practical
-    #: stability check alongside the pruner's formal certification).
-    early_stability_phases: int = 2
-    #: Seed for any stochastic tie-breaking inside the engine.
-    seed: int = 0
 
     def group_budget(self) -> int:
         """Distinct-group budget for the configured store."""

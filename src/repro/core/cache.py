@@ -330,8 +330,7 @@ class ViewResultCache:
     Example::
 
         cache = ViewResultCache(max_bytes=64 << 20)
-        engine = ExecutionEngine(store, metric, config.with_(result_cache=True),
-                                 result_cache=cache)
+        engine = ExecutionEngine(store, config.with_(result_cache=True), result_cache=cache)
         first = engine.run(views, target, k=5, strategy="sharing", pruner="none")
         again = engine.run(views, target, k=5, strategy="sharing", pruner="none")
         assert again.selected == first.selected

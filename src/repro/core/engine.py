@@ -82,7 +82,7 @@ from repro.db.sql import generate_sql
 from repro.db.storage import StorageEngine
 from repro.db.types import ColumnType
 from repro.exceptions import QueryError, RecommendationError
-from repro.metrics.base import DistanceFunction
+from repro.metrics.base import DistanceFunction, get_metric
 
 Strategy = Literal["no_opt", "sharing", "comb", "comb_early"]
 #: "modeled" runs queries serially and models parallel speedup in the cost
@@ -107,6 +107,9 @@ _MAX_PLAN_SKELETONS = 32
 #: workload rotates through past it refill on every visit, slower than target
 #: queries: AIR's six scoreboard targets hold 6.3 MB.
 _MAX_TARGET_BYTES = 64 << 20
+#: COMB_EARLY also returns once its estimate-ranked top-k has stood unchanged
+#: for this many consecutive phase boundaries.
+_EARLY_STABLE_PHASES = 2
 
 
 def _nbytes(columns: dict[str, np.ndarray]) -> int:
@@ -147,6 +150,7 @@ class _RunState:
     """One run's mutable state across its phases."""
 
     k: int
+    metric: DistanceFunction
     pruner: Pruner
     active: dict[ViewKey, AggregateView]
     reference_mode: ReferenceMode
@@ -210,8 +214,7 @@ class EngineRun:
     active_per_phase: list[int]
     #: The run's first ``_MAX_RECORDED_SQL`` ranged queries, in submission order.
     queries: list[AggregateQuery] = field(default_factory=list, repr=False)
-    #: Execution mode the run used ("modeled" = serial queries, parallel
-    #: speedup in the cost model only; "real" = thread-pool execution).
+    #: Execution mode the run used (:data:`Parallelism`).
     parallelism: Parallelism = "modeled"
     #: Worker threads the dispatcher used (1 in modeled mode).
     n_workers: int = 1
@@ -257,27 +260,28 @@ class EngineRun:
 
 
 class ExecutionEngine:
-    """Runs one strategy over one table's view space.
+    """Runs one strategy over one table's view space, under any metric.
 
     The engine is backend-agnostic middleware: it plans logical queries,
     ships them to the :class:`~repro.db.backends.Backend` selected by
     ``EngineConfig.backend`` ("native" numpy executor by default, "sqlite"
     for an independent SQL engine), and routes the per-group results into
-    view state.  All four strategies and both parallelism modes produce
-    identical ``selected``/utilities on any conforming backend.
+    view state.  What it keeps across runs — held cells, plan skeletons,
+    cached results and delta states — is metric-free; the metric is an
+    argument of each :meth:`run`.  All four strategies and all three
+    parallelism modes produce identical ``selected``/utilities on any
+    conforming backend.
     """
 
     def __init__(
         self,
         store: StorageEngine,
-        metric: DistanceFunction,
         config: EngineConfig,
         cost_model: CostModel | None = None,
         result_cache: ViewResultCache | None = None,
         delta_cache: "DeltaStateCache | None" = None,
     ) -> None:
         self.store = store
-        self.metric = metric
         self.config = config
         self.cost_model = cost_model or CostModel()
         # Out-of-core knobs: a pinned streaming granularity, or a memory
@@ -387,8 +391,11 @@ class ExecutionEngine:
         reference_mode: ReferenceMode = "all",
         reference_predicate: Expression | None = None,
         parallelism: Parallelism = "modeled",
+        metric: str | DistanceFunction = "emd",
     ) -> EngineRun:
-        """Execute ``strategy`` and return the top-``k`` views: the phase loop.
+        """Execute ``strategy`` and return the top-``k`` views by ``metric``
+        (a registered name or a :class:`~repro.metrics.base.DistanceFunction`):
+        the phase loop.
 
         Per phase the run plans its active views (a held run: the views its
         held cells leave, plus one fill per missing cell), dispatches the
@@ -414,7 +421,8 @@ class ExecutionEngine:
         config = self._strategy_config(strategy)
         meta, skeletons = self._planning
         use_phases = self._phased(strategy)
-        early = strategy == "comb_early" or config.early_return
+        if isinstance(metric, str):
+            metric = get_metric(metric)
         align = None
         if config.chunk_aligned_phases:
             # The same grid stream_ranges() scans on — aligning to anything
@@ -446,6 +454,7 @@ class ExecutionEngine:
         )
         live = _RunState(
             k,
+            metric,
             pruner,
             {v.key: v for v in views},
             reference_mode,
@@ -464,7 +473,7 @@ class ExecutionEngine:
         # its states only if a result it reads keeps no answers.
         cache = self.result_cache
         memo = (
-            (self.metric, reference_mode)
+            (metric, reference_mode)
             if cache is not None and config.combine_target_reference and not use_phases
             else None
         )
@@ -502,7 +511,6 @@ class ExecutionEngine:
             parallelism,
             n_workers,
             use_batch=config.shared_scan,
-            pool_recovery=config.pool_recovery,
         ) as dispatcher:
             for phase_index, (start, stop) in enumerate(ranges):
                 active_per_phase.append(len(live.active))
@@ -623,9 +631,7 @@ class ExecutionEngine:
                     self._fold_held(live, table_cells)
                 if not use_phases:
                     continue
-                estimates = self._per_view(
-                    live.states, live.active, ViewState.record_estimate
-                )
+                estimates = self._per_view(live, live.active, ViewState.record_estimate)
                 decision = pruner.observe(
                     phase_index,
                     estimates,
@@ -634,7 +640,7 @@ class ExecutionEngine:
                 )
                 for key in decision.pruned:
                     live.active.pop(key, None)
-                if early:
+                if strategy == "comb_early":
                     current_top_k = frozenset(
                         sorted(estimates, key=lambda key: -estimates[key])[:k]
                     )
@@ -642,9 +648,7 @@ class ExecutionEngine:
                         stable_phases + 1 if current_top_k == previous_top_k else 0
                     )
                     previous_top_k = current_top_k
-                    if self._top_k_identified(
-                        pruner, live.active, k, stable_phases, config
-                    ):
+                    if self._top_k_identified(pruner, live.active, k, stable_phases):
                         break
 
         selected, utilities, distributions = self._finalize(live)
@@ -682,14 +686,13 @@ class ExecutionEngine:
 
     def make_pruner(self, strategy: Strategy, pruner: str | Pruner) -> Pruner:
         """The pruner a ``strategy`` run observes with: ``"none"`` unless it is
-        :meth:`_phased`; a name picks up the engine's ``ci_delta`` / ``seed``.
+        :meth:`_phased`; ``"ci"`` picks up the engine's ``ci_delta``.
         An unknown name raises :class:`~repro.exceptions.PruningError` even if
         unused, so a bad name fails every strategy alike.
         """
         if not isinstance(pruner, Pruner):
             name = pruner.lower()
-            options = {"ci": {"delta": self.config.ci_delta}, "random": {"seed": self.config.seed}}
-            pruner = make_pruner(name, **options.get(name, {}))
+            pruner = make_pruner(name, **({"delta": self.config.ci_delta} if name == "ci" else {}))
         return pruner if self._phased(strategy) else make_pruner("none")
 
     def _phased(self, strategy: Strategy) -> bool:
@@ -909,7 +912,7 @@ class ExecutionEngine:
                     columns["__group_count__"][lo:hi],
                     unique=True,
                 )
-            answers += table.utility(self.metric, target, held[(table.dimension,)])
+            answers += table.utility(entry.metric, target, held[(table.dimension,)])
         views, order = entry.layout.views, entry.layout.order
         entry.answers = {view.key: answers[i] for view, i in zip(views, order)}
 
@@ -938,19 +941,18 @@ class ExecutionEngine:
         entry.state_layout, entry.tables = layout, tables
         entry.states = {key: tables[table] for key, (table, _) in layout.places.items()}
 
-    def _per_view(
-        self, states: dict[ViewKey, ViewState], keys: Collection[ViewKey], evaluate: Callable
-    ) -> dict:
-        """``evaluate(state, metric, rows)`` once per state table, answered
-        per view in ``keys`` order — the order is part of the contract: the
-        pruners' and the ranking's stable sorts break exact ties by it."""
+    @staticmethod
+    def _per_view(entry: _RunState, keys: Collection[ViewKey], evaluate: Callable) -> dict:
+        """``evaluate(state, metric, rows)`` once per state table of ``entry``,
+        answered per view in ``keys`` order — the order is part of the contract:
+        the pruners' and the ranking's stable sorts break exact ties by it."""
         grouped: dict[ViewState, list[ViewKey]] = {}
         for key in keys:
-            grouped.setdefault(states[key], []).append(key)
+            grouped.setdefault(entry.states[key], []).append(key)
         values: dict = {}
         for state, group in grouped.items():
             rows = [state.rows[key] for key in group]
-            values.update(zip(group, evaluate(state, self.metric, rows)))
+            values.update(zip(group, evaluate(state, entry.metric, rows)))
         return {key: values[key] for key in keys}
 
     @staticmethod
@@ -1021,24 +1023,20 @@ class ExecutionEngine:
 
     @staticmethod
     def _top_k_identified(
-        pruner: Pruner,
-        active: dict[ViewKey, AggregateView],
-        k: int,
-        stable_phases: int,
-        config: EngineConfig,
+        pruner: Pruner, active: dict[ViewKey, AggregateView], k: int, stable_phases: int
     ) -> bool:
         """Early-return condition (COMB_EARLY): top-k already determined.
 
         Any of: the pruner formally certifies a top-k set (CI interval
         separation, or k MAB accepts); only k candidates remain active; or
         the estimate-ranked top-k has been stable for
-        ``early_stability_phases`` consecutive boundaries.
+        ``_EARLY_STABLE_PHASES`` consecutive boundaries.
         """
         if pruner.top_k_set() is not None:
             return True
         if len(active) <= k:
             return True
-        return stable_phases >= max(config.early_stability_phases, 1)
+        return stable_phases >= _EARLY_STABLE_PHASES
 
     def _finalize(
         self, entry: _RunState
@@ -1051,7 +1049,7 @@ class ExecutionEngine:
         if not entry.held:
             # Answers read from cached results are scored already.
             scored = self._per_view(
-                entry.states, [key for key in candidates if key not in results], ViewState.utility
+                entry, [key for key in candidates if key not in results], ViewState.utility
             )
             results = entry.answers = {
                 key: results[key] if key in results else scored[key] for key in candidates

@@ -226,7 +226,6 @@ def make_dispatcher(
     mode: str,
     n_workers: int,
     use_batch: bool = False,
-    pool_recovery: bool = True,
 ) -> ParallelDispatcher:
     """Dispatcher factory for the engine's ``parallelism`` mode.
 
@@ -237,10 +236,9 @@ def make_dispatcher(
     (:mod:`repro.core.procpool`; requires the native backend over an
     on-disk table).  ``use_batch`` (the engine's ``shared_scan`` knob)
     applies in every mode: a modeled run still shares the scan, it just
-    runs the per-query grouping inline.  ``pool_recovery`` (the engine's
-    knob of the same name, "process" mode only) rebuilds a broken process
-    pool once and re-runs the failed batch — bitwise identical — before
-    degrading to inline execution.
+    runs the per-query grouping inline.  A broken process pool is rebuilt
+    once and the failed batch re-run — bitwise identical — before the batch
+    degrades to inline execution (:mod:`repro.core.procpool`).
     """
     if mode == "real":
         return ParallelDispatcher(executor, max(n_workers, 1), use_batch=use_batch)
@@ -250,7 +248,5 @@ def make_dispatcher(
         # Deferred import: procpool imports this module.
         from repro.core.procpool import process_dispatcher
 
-        return process_dispatcher(
-            executor, n_workers, use_batch=use_batch, pool_recovery=pool_recovery
-        )
+        return process_dispatcher(executor, n_workers, use_batch=use_batch)
     raise ValueError(f"unknown parallelism mode {mode!r}")

@@ -237,10 +237,9 @@ class ProcessPoolDispatcher(ParallelDispatcher):
     pool is shared and persistent (see :func:`get_pool`); use
     :func:`shutdown_pool` to reclaim it.
 
-    **Crash recovery** (``pool_recovery=True``, the default): a worker
-    dying mid-phase — OOM kill, segfaulting native code, an injected
-    ``break_pool_worker`` fault — poisons the whole executor with
-    ``BrokenProcessPool``.  The dispatcher then rebuilds the pool once and
+    **Crash recovery**: a worker dying mid-phase — OOM kill, segfaulting
+    native code, an injected ``break_pool_worker`` fault — poisons the
+    whole executor with ``BrokenProcessPool``.  The dispatcher then rebuilds the pool once and
     re-runs the failed phase batch from scratch; whole-query fan-out means
     the re-run is bitwise identical to an undisturbed run (each query is a
     complete left-to-right accumulation wherever it executes).  If the
@@ -258,13 +257,11 @@ class ProcessPoolDispatcher(ParallelDispatcher):
         *,
         store_path: str,
         store_kind: str,
-        pool_recovery: bool = True,
     ) -> None:
         """Wrap ``executor``; workers re-open ``store_path`` as ``store_kind``."""
         super().__init__(executor, n_workers, use_batch)
         self._store_path = store_path
         self._store_kind = store_kind
-        self.pool_recovery = pool_recovery
 
     def _fan_out(
         self, pool: ProcessPoolExecutor, batch: list[AggregateQuery]
@@ -307,8 +304,6 @@ class ProcessPoolDispatcher(ParallelDispatcher):
         try:
             return self._fan_out(pool, batch)
         except BrokenProcessPool:
-            if not self.pool_recovery:
-                raise
             _count_recovery("broken_pools")
             fresh = _rebuild_pool(pool, self.n_workers)
             try:
@@ -327,7 +322,6 @@ def process_dispatcher(
     executor: "ExecutesQueries",
     n_workers: int,
     use_batch: bool = False,
-    pool_recovery: bool = True,
 ) -> ProcessPoolDispatcher:
     """Build a :class:`ProcessPoolDispatcher` for ``executor`` or fail clearly.
 
@@ -359,7 +353,6 @@ def process_dispatcher(
         use_batch=use_batch,
         store_path=str(source_path),
         store_kind=str(getattr(store, "kind", "col")),
-        pool_recovery=pool_recovery,
     )
 
 

@@ -92,7 +92,8 @@ class SeeDB:
 
     Construction knobs: ``config`` (an :class:`~repro.config.EngineConfig`
     — backend, sharing, pruning, ``result_cache``), ``metric`` (name or
-    :class:`~repro.metrics.base.DistanceFunction`), ``funcs`` (aggregate
+    :class:`~repro.metrics.base.DistanceFunction`; the default of a call,
+    which may name another), ``funcs`` (aggregate
     set F), ``buffer_pool``/``cost_model`` (I/O accounting), and
     ``result_cache`` (a shared
     :class:`~repro.core.cache.ViewResultCache` for cross-session reuse —
@@ -121,9 +122,7 @@ class SeeDB:
         self.funcs = tuple(funcs)
         self.store = make_store(store, self.table, buffer_pool)
         self.cost_model = cost_model or CostModel.for_store(store)
-        self.engine = ExecutionEngine(
-            self.store, self.metric, self.config, self.cost_model, result_cache
-        )
+        self.engine = ExecutionEngine(self.store, self.config, self.cost_model, result_cache)
         self._view_spaces = (self.engine.meta, LruMemo(_MAX_VIEW_SPACES))
 
     @classmethod
@@ -186,8 +185,11 @@ class SeeDB:
         dimensions: Sequence[str] | None = None,
         measures: Sequence[str] | None = None,
         parallelism: Parallelism = "modeled",
+        metric: str | DistanceFunction | None = None,
     ) -> RecommendationSet:
-        """Recommend the top-``k`` visualizations for target query ``target``."""
+        """Recommend the top-``k`` visualizations for target query ``target``
+        by ``metric`` (default: the one this ``SeeDB`` was built with)."""
+        metric = self._metric(metric)
         space = self.view_space(dimensions, measures)
         run = self.run_engine(
             target,
@@ -198,8 +200,9 @@ class SeeDB:
             pruner=pruner,
             views=space.views,
             parallelism=parallelism,
+            metric=metric,
         )
-        return self._to_recommendations(run, space)
+        return self._to_recommendations(run, space, metric)
 
     def run_engine(
         self,
@@ -213,8 +216,10 @@ class SeeDB:
         measures: Sequence[str] | None = None,
         views: Sequence[AggregateView] | None = None,
         parallelism: Parallelism = "modeled",
+        metric: str | DistanceFunction | None = None,
     ) -> EngineRun:
-        """Lower-level entry point returning the raw :class:`EngineRun`."""
+        """Lower-level entry point returning the raw :class:`EngineRun`; the
+        table state the engine keeps serves every ``metric`` alike."""
         space = list(views) if views is not None else list(self.view_space(dimensions, measures))
         if not space:
             raise RecommendationError("empty view space")
@@ -227,7 +232,14 @@ class SeeDB:
             reference_mode=reference,
             reference_predicate=reference_predicate,
             parallelism=parallelism,
+            metric=self._metric(metric),
         )
+
+    def _metric(self, metric: str | DistanceFunction | None) -> DistanceFunction:
+        """A call's metric: the constructor's unless the call names one."""
+        if metric is None:
+            return self.metric
+        return get_metric(metric) if isinstance(metric, str) else metric
 
     def true_top_k(
         self,
@@ -250,7 +262,9 @@ class SeeDB:
             measures=measures,
         )
 
-    def _to_recommendations(self, run: EngineRun, space: ViewSpace) -> RecommendationSet:
+    def _to_recommendations(
+        self, run: EngineRun, space: ViewSpace, metric: DistanceFunction
+    ) -> RecommendationSet:
         recommendations = []
         for rank, key in enumerate(run.selected, start=1):
             recommendations.append(
@@ -266,7 +280,7 @@ class SeeDB:
             k=run.k,
             strategy=run.strategy,
             pruner=run.pruner_name,
-            metric=self.metric.name,
+            metric=metric.name,
             modeled_latency=run.modeled_latency,
             wall_seconds=run.wall_seconds,
             queries_issued=run.stats.queries_issued,

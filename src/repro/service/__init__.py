@@ -3,7 +3,8 @@
 SeeDB is middleware between analysts and the DBMS (paper §1); this package
 is the middleware made long-running.  A
 :class:`~repro.service.server.RecommendationService` keeps one engine per
-dataset alive across analyst sessions and routes every view query through
+``(dataset, store)`` alive across analyst sessions, whatever their metric,
+over one table per dataset, and routes every view query through
 a shared :class:`~repro.core.cache.ViewResultCache`, so the repeated work
 of interactive drill-down exploration — the dominant workload shape — is
 served from memory.  :func:`~repro.service.server.start_server` wraps it

@@ -1,10 +1,11 @@
 """The recommendation service: SeeDB as an actual middleware server.
 
 A :class:`RecommendationService` holds one lazily-built
-:class:`~repro.core.recommender.SeeDB` engine per ``(dataset, store,
-metric)`` combination and one shared cross-session
-:class:`~repro.core.cache.ViewResultCache`, and serves concurrent analyst
-sessions.  :class:`SeeDBHTTPServer` exposes it as a JSON API on a stdlib
+:class:`~repro.core.recommender.SeeDB` engine per ``(dataset, store)`` pair,
+the two stores of a dataset over one table built once, and one shared
+cross-session :class:`~repro.core.cache.ViewResultCache`, and serves
+concurrent analyst sessions; a session's metric is an argument of each of
+its runs.  :class:`SeeDBHTTPServer` exposes it as a JSON API on a stdlib
 ``ThreadingHTTPServer`` (one thread per in-flight request, no third-party
 dependencies).  Endpoints live under the versioned ``/v1`` prefix, one
 row each in :data:`repro.service.api.ROUTES`; :class:`RouteHandler`, the
@@ -106,6 +107,11 @@ _STRATEGIES = ("no_opt", "sharing", "comb", "comb_early")
 _STORES = ("row", "col")
 _PARALLELISM = ("modeled", "real", "process")
 _MAX_K = 100
+#: What a session gets when its ``POST /sessions`` body names no store / metric.
+_DEFAULT_STORE = "col"
+_DEFAULT_METRIC = "emd"
+#: The seed every built-in dataset is generated with.
+_DATASET_SEED = 0
 
 
 def _json_scalar(value: object) -> object:
@@ -148,11 +154,7 @@ class RecommendationService:
         self,
         datasets: Sequence[str] | None = None,
         scale: str | None = None,
-        default_store: str = "col",
-        default_metric: str = "emd",
         result_cache: bool = True,
-        cache: ViewResultCache | None = None,
-        seed: int = 0,
         data_dirs: Sequence[str] = (),
         l2_cache_dir: str | None = None,
         delta_cache: bool = True,
@@ -162,11 +164,11 @@ class RecommendationService:
         ``datasets`` restricts what clients may open sessions on (default:
         the whole registry); ``scale`` pins the dataset build scale
         (default: ``SEEDB_SCALE``/small); ``result_cache=False`` disables
-        the cross-session cache (the benchmark's ablation leg); ``cache``
-        substitutes a shared externally-owned cache; ``data_dirs`` lists
-        on-disk chunked dataset directories (see :mod:`repro.data.ingest`)
-        to register and serve alongside the built-ins — these open as
-        memory-mapped tables the engine streams, so they may exceed RAM;
+        the cross-session cache (the benchmark's ablation leg);
+        ``data_dirs`` lists on-disk chunked dataset directories (see
+        :mod:`repro.data.ingest`) to register and serve alongside the
+        built-ins — these open as memory-mapped tables the engine streams,
+        so they may exceed RAM;
         ``l2_cache_dir`` adds a file-backed cross-process L2 tier under
         that directory (used by the sharded front-end so sibling workers
         share each other's view results); ``delta_cache=False`` disables
@@ -190,30 +192,27 @@ class RecommendationService:
             Path(path).resolve().parent for path in data_dirs
         )
         self.scale = scale
-        self.default_store = default_store
-        self.default_metric = default_metric
-        self.seed = seed
         self.result_cache_enabled = result_cache
-        if cache is not None:
-            self.cache: ViewResultCache | None = cache
-        elif not result_cache:
-            self.cache = None
+        if not result_cache:
+            self.cache: ViewResultCache | None = None
         elif l2_cache_dir is not None:
             self.cache = TieredViewResultCache(l2_dir=l2_cache_dir)
         else:
             self.cache = ViewResultCache()
         self.delta_cache_enabled = delta_cache
         self.sessions = SessionStore()
-        self._engines: dict[tuple[str, str, str], SeeDB] = {}
+        #: ``(dataset, store)`` -> engine: at most two per dataset.
+        self._engines: dict[tuple[str, str], SeeDB] = {}
         #: One lock per dataset serializing appends (and the registry /
         #: engine refresh that follows); guarded by ``_engine_lock``.
         self._append_locks: dict[str, threading.Lock] = {}
         #: Guards reads/writes of the ``_engines`` dict itself (held only
         #: for dict operations, never across a dataset build).
         self._engine_lock = threading.Lock()
-        #: One lock per engine key so a cold multi-second dataset build
-        #: never stalls traffic to engines that are already serving.
-        self._build_locks: dict[tuple[str, str, str], threading.Lock] = {}
+        #: One lock per dataset so a cold multi-second dataset build never
+        #: stalls traffic to engines that are already serving, and a dataset's
+        #: second store waits for the first's table instead of building one.
+        self._build_locks: dict[str, threading.Lock] = {}
         self._requests = 0
         self._errors = 0
         self._counter_lock = threading.Lock()
@@ -226,12 +225,13 @@ class RecommendationService:
     # engine pool
     # -------------------------------------------------------------- #
 
-    def engine(self, dataset: str, store: str, metric: str) -> SeeDB:
-        """The (lazily built) engine for one dataset/store/metric combo.
+    def engine(self, dataset: str, store: str) -> SeeDB:
+        """The (lazily built) engine for one dataset and store.
 
-        Engines are shared by every session on that combination — the
-        whole point of a serving layer — and wired to the shared cache, so
-        session B's queries hit results session A already paid for.
+        Engines are shared by every session on that pair, whatever its
+        metric — the whole point of a serving layer — and wired to the
+        shared cache, so session B's queries hit results session A already
+        paid for.  Both stores of a dataset run over one table, built once.
         """
         if dataset not in self.datasets_allowed:
             raise ServiceError(
@@ -241,29 +241,26 @@ class RecommendationService:
             )
         if store not in _STORES:
             raise ServiceError(f"store must be one of {_STORES}, got {store!r}")
-        key = (dataset, store, metric)
+        key = (dataset, store)
         with self._engine_lock:
             engine = self._engines.get(key)
             if engine is not None:
                 return engine
-            build_lock = self._build_locks.setdefault(key, threading.Lock())
-        # Build outside the global lock: only same-key requests wait.
+            build_lock = self._build_locks.setdefault(dataset, threading.Lock())
+        # Build outside the global lock: only requests on this dataset wait.
         with build_lock:
             with self._engine_lock:
                 engine = self._engines.get(key)
+                tables = [e.table for (name, _), e in self._engines.items() if name == dataset]
             if engine is None:
-                table, _ = registry.build_info(
-                    dataset, seed=self.seed, scale=self.scale
-                )
+                table = tables[0] if tables else registry.build_info(
+                    dataset, seed=_DATASET_SEED, scale=self.scale
+                )[0]
                 config = serving_config(  # type: ignore[arg-type]
                     store, self.result_cache_enabled, self.delta_cache_enabled
                 )
                 engine = SeeDB.over_table(
-                    table,
-                    store=store,
-                    config=config,
-                    metric=metric,
-                    result_cache=self.cache,
+                    table, store=store, config=config, result_cache=self.cache
                 )
                 with self._engine_lock:
                     self._engines[key] = engine
@@ -276,11 +273,10 @@ class RecommendationService:
     def create_session(self, payload: Mapping[str, object]) -> dict[str, object]:
         """Open a session over one dataset (``POST /sessions``)."""
         dataset = str(payload.get("dataset", "census"))
-        store = str(payload.get("store", self.default_store))
-        # Canonical before it keys an engine: "EMD" shares the "emd" engine,
-        # and an unknown name is refused before engine() records a lock.
-        metric = get_metric(str(payload.get("metric", self.default_metric))).name
-        engine = self.engine(dataset, store, metric)  # validates + warms build
+        store = str(payload.get("store", _DEFAULT_STORE))
+        # Canonical, and an unknown name is refused before engine() records a lock.
+        metric = get_metric(str(payload.get("metric", _DEFAULT_METRIC))).name
+        engine = self.engine(dataset, store)  # validates + warms build
         session = self.sessions.create(
             dataset, store, metric, n_rows=engine.table.nrows
         )
@@ -299,7 +295,7 @@ class RecommendationService:
     ) -> dict[str, object]:
         """Run one recommendation step (``POST /sessions/<id>/recommend``)."""
         session = self.sessions.get(session_id)
-        engine = self.engine(session.dataset, session.store, session.metric)
+        engine = self.engine(session.dataset, session.store)
         spec = registry.spec(session.dataset)
         raw_target = payload.get("target")
         if raw_target is None:
@@ -347,6 +343,7 @@ class RecommendationService:
             dimensions=dimensions,  # type: ignore[arg-type]
             measures=measures,  # type: ignore[arg-type]
             parallelism=parallelism,  # type: ignore[arg-type]
+            metric=session.metric,
         )
         views = [
             {
@@ -501,16 +498,16 @@ class RecommendationService:
         in place, known categories encode by lookup, a dictionary column
         that gains a category or a wider dtype is rewritten and counted in
         ``columns_rewritten``, the manifest swap is atomic), the registry
-        entry picks up the new digest, and every loaded engine re-syncs its
-        memory map, keeping each dictionary the batch left unchanged.  The
-        manifest is parsed once per append, under the dataset's append lock:
-        the writer takes that one and returns the new one, which the
-        registry and every engine refresh from.  The view-result entries
-        keyed under the old fingerprint, which no new request keys again,
-        leave the in-process cache (:meth:`_refresh_engines`); the
-        delta-state cache is kept, and carry-merges the cached per-group
-        partials with a scan of only the appended chunks on the next
-        recommend.
+        entry picks up the new digest, and the dataset's table re-syncs its
+        memory map once for every loaded engine over it, keeping each
+        dictionary the batch left unchanged.  The manifest is parsed once per
+        append, under the dataset's append lock: the writer takes that one
+        and returns the new one, which the registry and the table refresh
+        from.  The view-result entries keyed under the old fingerprint,
+        which no new request keys again, leave the in-process cache
+        (:meth:`_refresh_engines`); the delta-state cache is kept, and
+        carry-merges the cached per-group partials with a scan of only the
+        appended chunks on the next recommend.
         """
         if dataset not in self.datasets_allowed:
             raise ServiceError(
@@ -560,7 +557,7 @@ class RecommendationService:
         store directory, so a cheap manifest re-read (digest compare) plus
         a memmap re-open picks the new rows up without re-sending them.
         The manifest is parsed once, under the dataset's append lock, and
-        the registry and every engine refresh from that one, so they agree
+        the registry and the table refresh from that one, so they agree
         even when an append lands meanwhile.  No-op (and harmless) when
         nothing changed or for in-memory datasets.
         """
@@ -593,16 +590,16 @@ class RecommendationService:
         }
 
     def _refresh_engines(self, dataset: str, manifest: ChunkManifest | None = None) -> int:
-        """Re-sync every loaded engine for ``dataset`` from its chunk store.
+        """Re-sync ``dataset``'s table from its chunk store, then every loaded
+        engine over it.
 
         ``manifest`` is the store's current one when the caller parsed it
-        (every engine then refreshes from that one, reading no file but a
-        grown dictionary's).  Returns how many engines actually picked up
-        new rows.  The table mutates in place (same object the engine's
-        storage engine holds), so only the page layout and catalog meta need
-        rebuilding.  View spaces, plan skeletons and state layouts stay
-        unless the append changed the planning catalog (a dimension gained a
-        category).
+        (the table then refreshes from that one, reading no file but a grown
+        dictionary's).  The engines share the table, which mutates in place,
+        so it refreshes once and each engine rebuilds only its page layout
+        and catalog meta; returns how many engines did.  View spaces, plan
+        skeletons and state layouts stay unless the append changed the
+        planning catalog (a dimension gained a category).
 
         A refreshed table has a new fingerprint, so no new request keys the
         result cache's entries under the old one again: they are dropped from
@@ -611,18 +608,19 @@ class RecommendationService:
         """
         with self._engine_lock:
             engines = [e for key, e in self._engines.items() if key[0] == dataset]
-        refreshed = 0
+        if not engines or engines[0].table.source_path is None:
+            return 0
+        table = engines[0].table
+        superseded = table.fingerprint()
+        if not table.refresh_from_disk(manifest=manifest):
+            return 0
+        meta = TableMeta.of(table)
         for seedb in engines:
-            if seedb.table.source_path is None:
-                continue
-            superseded = seedb.table.fingerprint()
-            if seedb.table.refresh_from_disk(manifest=manifest):
-                seedb.store.sync_layout()
-                seedb.engine.meta = TableMeta.of(seedb.table)
-                refreshed += 1
-                if self.cache is not None:
-                    ViewResultCache.invalidate_table(self.cache, superseded)
-        return refreshed
+            seedb.store.sync_layout()
+            seedb.engine.meta = meta
+        if self.cache is not None:
+            ViewResultCache.invalidate_table(self.cache, superseded)
+        return len(engines)
 
     def _append_columns(
         self, payload: Mapping[str, object], manifest: ChunkManifest

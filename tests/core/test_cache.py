@@ -32,7 +32,7 @@ from repro.db.catalog import TableMeta
 from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec, DerivedColumn
 from repro.db.storage import make_store
 from repro.db.table import Table
-from repro.metrics import get_metric, list_metrics
+from repro.metrics import list_metrics
 
 
 def _query(**overrides) -> AggregateQuery:
@@ -267,7 +267,7 @@ def _engine(table, cache=None, enabled=True, **config_overrides):
         store="col", n_phases=4, result_cache=enabled, n_parallel_queries=4
     ).with_(**config_overrides)
     return ExecutionEngine(
-        make_store("col", table), get_metric("emd"), config, result_cache=cache
+        make_store("col", table), config, result_cache=cache
     )
 
 
@@ -725,25 +725,24 @@ class TestKeptAnswers:
     reads them instead of routing and scoring, to the same bits."""
 
     def test_kept_answers_equal_cold_and_cache_off_runs(self, census_like):
-        """Every registered metric x reference mode, through one shared cache:
-        "all" and "complement" issue the same flagged queries, so their
+        """Every registered metric x reference mode, on one engine and one
+        cache: "all" and "complement" issue the same flagged queries, so their
         answers differ only by the memo's key, and so do the metrics'."""
         cache = ViewResultCache()
+        plain, cached = (
+            ExecutionEngine(
+                make_store("col", census_like),
+                EngineConfig(store="col", result_cache=enabled),
+                result_cache=cache,
+            )
+            for enabled in (False, True)
+        )
         for metric in list_metrics():
             for reference in ("all", "complement", "query"):
-                kwargs = {"reference_mode": reference}
+                kwargs = {"reference_mode": reference, "metric": metric}
                 if reference == "query":
                     kwargs["reference_predicate"] = E.eq("sex", "M")
-
-                def engine(enabled):
-                    config = EngineConfig(store="col", result_cache=enabled)
-                    return ExecutionEngine(
-                        make_store("col", census_like), get_metric(metric), config,
-                        result_cache=cache,
-                    )
-
-                off = _run(engine(False), census_like, **kwargs)
-                cached = engine(True)
+                off = _run(plain, census_like, **kwargs)
                 first, hit = _run(cached, census_like, **kwargs), _run(cached, census_like, **kwargs)
                 reused = cache.snapshot().scores_reused
                 kept = _run(cached, census_like, **kwargs)
@@ -791,7 +790,6 @@ class TestKeptAnswers:
         assert len(cache) and not any(_memos(cache))
         held = ExecutionEngine(
             make_store("col", census_like),
-            get_metric("emd"),
             serving_config("col", result_cache=True),
             result_cache=cache,
         )

@@ -39,7 +39,6 @@ from repro.db.query import (
 from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.db.types import ColumnRole
-from repro.metrics import get_metric
 
 
 def _full_table(n: int = 300, seed: int = 0) -> Table:
@@ -265,7 +264,6 @@ def _engine(chunked, result_cache=None, page_rows=4096):
     ).with_(result_cache=True, delta_cache=True)
     return ExecutionEngine(
         make_store("col", chunked, page_rows=page_rows),
-        get_metric("emd"),
         config,
         CostModel(),
         result_cache=result_cache,
@@ -390,7 +388,7 @@ class TestEngineDeltaRefresh:
                 result_cache=True, delta_cache=delta_cache
             )
             engine = ExecutionEngine(
-                make_store("col", chunked), get_metric("emd"), config, CostModel()
+                make_store("col", chunked), config, CostModel()
             )
             return engine.run(views, E.eq("part", "t"), k=3, strategy="comb", pruner="none")
 

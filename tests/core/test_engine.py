@@ -38,7 +38,7 @@ TARGET = eq("marital", "Unmarried")
 def engine(census_like):
     store = make_store("col", census_like)
     return ExecutionEngine(
-        store, get_metric("emd"), EngineConfig(store="col"), CostModel.for_store("col")
+        store, EngineConfig(store="col"), CostModel.for_store("col")
     )
 
 
@@ -102,7 +102,6 @@ class TestStrategyEquivalence:
             store = make_store(store_kind, census_like)
             engine = ExecutionEngine(
                 store,
-                get_metric("emd"),
                 EngineConfig(store=store_kind),
                 CostModel.for_store(store_kind),
             )
@@ -150,11 +149,10 @@ class TestReferenceModes:
     def test_uncombined_engine_matches_combined(self, census_like, views):
         store = make_store("col", census_like)
         config = EngineConfig(store="col", combine_target_reference=False)
-        engine = ExecutionEngine(store, get_metric("emd"), config, CostModel())
+        engine = ExecutionEngine(store, config, CostModel())
         split = engine.run(views, TARGET, k=3, strategy="sharing", pruner="none")
         combined_engine = ExecutionEngine(
             make_store("col", census_like),
-            get_metric("emd"),
             EngineConfig(store="col"),
             CostModel(),
         )
@@ -318,7 +316,6 @@ class TestSharedScan:
             store = make_store("col", census_like)
             engine = ExecutionEngine(
                 store,
-                get_metric("emd"),
                 EngineConfig(store="col", shared_scan=shared),
                 CostModel.for_store("col"),
             )

@@ -479,31 +479,6 @@ class TestPoolCrashRecovery:
         for (pr, _), (sr, _) in zip(outcomes, serial):
             assert pr.to_rows() == sr.to_rows()
 
-    def test_pool_recovery_can_be_disabled(self, chunked_census, monkeypatch):
-        """``pool_recovery=False`` preserves the old fail-fast contract."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        from repro.core import procpool
-
-        backend = NativeBackend(make_store("col", chunked_census))
-
-        def always_broken(self, pool, batch):
-            raise BrokenProcessPool("injected")
-
-        monkeypatch.setattr(
-            procpool.ProcessPoolDispatcher, "_fan_out", always_broken
-        )
-        with procpool.process_dispatcher(
-            backend, 2, pool_recovery=False
-        ) as dispatcher:
-            with pytest.raises(BrokenProcessPool):
-                dispatcher.run_batch(
-                    [
-                        _count_query("census_like", "sex", i * 500, i * 500 + 400)
-                        for i in range(4)
-                    ]
-                )
-
 
 class TestPoolPlumbing:
     """The pool lifecycle and worker-side plumbing the dispatcher rides on."""

@@ -86,7 +86,6 @@ class TestChunkAlignedMode:
         from repro.db.storage import make_store
         from repro.db.table import Table
         from repro.db.types import ColumnRole
-        from repro.metrics import get_metric
 
         rng = np.random.default_rng(0)
         n = 400
@@ -109,7 +108,7 @@ class TestChunkAlignedMode:
         )
         views = list(ViewSpace.enumerate(TableMeta.of(table)))
         with ExecutionEngine(
-            make_store("col", table), get_metric("emd"), config
+            make_store("col", table), config
         ) as engine:
             run = engine.run(
                 views, E.eq("part", "t"), k=1, strategy="comb", pruner="none"

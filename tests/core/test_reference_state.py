@@ -942,7 +942,7 @@ def test_an_append_drops_the_target_cells_with_the_reference_cells(census, tmp_p
             return service.recommend(session, {"target": target, "k": K})["stats"]
 
         def held():
-            return service.stats()["reference_state"]["census_live|col|emd"]
+            return service.stats()["reference_state"]["census_live|col"]
 
         assert recommend()["target_views_reused"] == 0
         assert held()["target_bytes"] > 0 and recommend()["queries_issued"] == 0

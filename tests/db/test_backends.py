@@ -36,7 +36,6 @@ from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.db.types import ColumnRole
 from repro.exceptions import BackendError, QueryError, StorageError
-from repro.metrics import get_metric
 
 
 def _avg(alias: str = "a", measure: str = "price") -> AggregateSpec:
@@ -67,7 +66,6 @@ class TestRegistry:
             store = make_store("col", tiny_table)
             engine = ExecutionEngine(
                 store,
-                get_metric("emd"),
                 EngineConfig(store="col", backend="recording"),
                 CostModel(),
             )
@@ -84,7 +82,6 @@ class TestRegistry:
         store = make_store("col", tiny_table)
         engine = ExecutionEngine(
             store,
-            get_metric("emd"),
             EngineConfig(store="col", backend="sqlite", n_phases=2),
             CostModel(),
         )
@@ -377,7 +374,6 @@ class TestSQLiteConcurrency:
         try:
             engine = ExecutionEngine(
                 make_store("col", tiny_table),
-                get_metric("emd"),
                 EngineConfig(store="col", backend="unsafe", n_parallel_queries=8),
                 CostModel(),
             )
@@ -402,7 +398,6 @@ class TestSQLiteConcurrency:
 
         engine = ExecutionEngine(
             make_store("col", tiny_table),
-            get_metric("emd"),
             EngineConfig(store="col"),
             CostModel(),
         )
@@ -420,7 +415,6 @@ class TestSQLiteConcurrency:
     def test_engine_close_releases_backend(self, tiny_table):
         engine = ExecutionEngine(
             make_store("col", tiny_table),
-            get_metric("emd"),
             EngineConfig(store="col", backend="sqlite"),
             CostModel(),
         )

@@ -10,6 +10,7 @@ import time
 import pytest
 
 from repro.exceptions import ReproError, ServiceError
+from repro.metrics import get_metric, list_metrics
 from repro.service import (
     AnalystDrillDown,
     ErrorCode,
@@ -115,14 +116,14 @@ class TestServiceCore:
 
     def test_engines_are_shared_across_sessions(self, service):
         a = service.create_session({"dataset": "census"})
-        b = service.create_session({"dataset": "census"})
-        engine = service.engine("census", service.default_store, service.default_metric)
-        assert service.engine("census", "col", "emd") is engine
-        assert a["session_id"] != b["session_id"]
-        # A metric name is canonicalized before it keys an engine: case
-        # variants share the one engine, and a name no metric answers to
-        # is refused without leaving a build lock behind.
         engines, locks = len(service._engines), len(service._build_locks)
+        b = service.create_session({"dataset": "census", "metric": "kl"})
+        assert a["store"] == b["store"] == "col"  # the default store
+        assert service._engines[("census", "col")] is service.engine("census", "col")
+        assert a["session_id"] != b["session_id"]
+        # Every metric shares the one engine.  A metric name is canonicalized
+        # before a session records it, and a name no metric answers to is
+        # refused without leaving a build lock behind.
         for spelling in ("EMD", "Emd"):
             session = service.create_session({"dataset": "census", "metric": spelling})
             assert session["metric"] == "emd"
@@ -192,8 +193,8 @@ class TestServiceCore:
             datasets=("census",), scale="smoke", result_cache=False
         )
         try:
-            assert not held_svc.engine("census", "col", "emd").config.combine_target_reference
-            assert service.engine("census", "col", "emd").config.combine_target_reference
+            assert not held_svc.engine("census", "col").config.combine_target_reference
+            assert service.engine("census", "col").config.combine_target_reference
             held, combined = (
                 svc.recommend(svc.create_session({"dataset": "census"})["session_id"], {"k": 5})
                 for svc in (held_svc, service)
@@ -213,6 +214,60 @@ class TestServiceCore:
                 assert mine["utility"] == pytest.approx(theirs["utility"], rel=1e-9)
         finally:
             held_svc.close()
+
+
+class TestOneEnginePerStore:
+    """An engine is its table, store and config: a session on any metric runs
+    on the engine an ``emd`` session warmed, reads what that one computed, and
+    answers what an engine built for its metric alone answers."""
+
+    @pytest.fixture(scope="class", params=[False, True], ids=["held", "rewrite"])
+    def warmed(self, request):
+        svc = RecommendationService(
+            datasets=("census",), scale="smoke", result_cache=request.param
+        )
+        svc.recommend(svc.create_session({"dataset": "census"})["session_id"], {"k": 5})
+        yield svc
+        svc.close()
+
+    @pytest.mark.parametrize("metric", list_metrics())
+    def test_a_metric_session_equals_a_dedicated_engine(self, warmed, metric, monkeypatch):
+        from repro import SeeDB
+        from repro.data import registry
+
+        builds, runs = [], []
+        build_info, run_engine = registry.build_info, SeeDB.run_engine
+        monkeypatch.setattr(
+            registry, "build_info", lambda *a, **kw: builds.append(a) or build_info(*a, **kw)
+        )
+        monkeypatch.setattr(
+            SeeDB, "run_engine", lambda *a, **kw: runs.append(run_engine(*a, **kw)) or runs[-1]
+        )
+        session = warmed.create_session({"dataset": "census", "metric": metric})
+        response = warmed.recommend(session["session_id"], {"k": 5})
+        assert (builds, list(warmed._engines)) == ([], [("census", "col")])
+        # Held: the emd session filled every cell this one reads.  Rewrite:
+        # every query it makes, the emd session made and cached.
+        assert response["stats"]["queries_issued"] == 0
+
+        seedb = warmed.engine("census", "col")
+        table, spec = build_info("census", scale="smoke", seed=0)
+        with SeeDB.over_table(table, store="col", config=seedb.config, metric=metric) as own:
+            expected = run_engine(own, spec.target_predicate(), k=5, strategy="sharing",
+                                  pruner="none")
+        (served,) = runs
+        assert served.selected == expected.selected
+        assert [v["utility"] for v in response["views"]] == [
+            expected.utilities[key] for key in expected.selected
+        ]
+        assert served.utilities.keys() == expected.utilities.keys()
+        for key, utility in expected.utilities.items():
+            assert served.utilities[key].hex() == utility.hex()
+            mine, theirs = served.distributions[key], expected.distributions[key]
+            assert mine.target.tobytes() == theirs.target.tobytes()
+            assert mine.reference.tobytes() == theirs.reference.tobytes()
+            # And it is this metric's score, not the one the engine was warmed by.
+            assert utility == get_metric(metric)(mine.target, mine.reference)
 
 
 # --------------------------------------------------------------------------- #
@@ -506,7 +561,7 @@ class TestAnalystDrillDown:
                 assert {view["utility"] for view in response["views"]} == {0.0}
                 assert [view["top_group"] for view in response["views"]] == [None] * 5
                 assert analyst.next_request(response) is None
-            assert held.stats()["reference_state"]["census|col|emd"]["bytes"] > 0
+            assert held.stats()["reference_state"]["census|col"]["bytes"] > 0
         finally:
             held.close()
 
@@ -901,6 +956,48 @@ class TestAppendDatasets:
         yield svc
         svc.close()
 
+    def test_row_and_col_sessions_share_one_table_and_one_append(
+        self, toy_service, tmp_path, monkeypatch
+    ):
+        """A dataset is opened once: its ``row`` and ``col`` engines run over one
+        ``Table``, one append refreshes it for both, and each store's next
+        answer equals a freshly opened table's bit for bit."""
+        from repro import SeeDB
+        from repro.data import registry
+        from repro.db.chunks import open_table
+        from repro.db.expressions import eq
+
+        builds = []
+        build_info = registry.build_info
+        monkeypatch.setattr(
+            registry, "build_info", lambda *a, **kw: builds.append(a) or build_info(*a, **kw)
+        )
+        svc = toy_service
+        sids = {
+            store: svc.create_session({"dataset": "toy", "store": store})["session_id"]
+            for store in ("col", "row")
+        }
+        for sid in sids.values():
+            svc.recommend(sid, {"k": 2})
+        assert len(builds) == 1
+        assert svc.engine("toy", "row").table is svc.engine("toy", "col").table
+
+        result = svc.append_dataset("toy", {"rows": _toy_batch(20)})
+        assert result["engines_refreshed"] == 2 and len(builds) == 1
+        for store, sid in sids.items():
+            served = svc.recommend(sid, {"k": 2})
+            assert served["data"] == {"n_rows": 420, "new_rows": 20, "changed": True}
+            seedb = svc.engine("toy", store)
+            assert seedb.store.layout.nrows == seedb.meta.n_rows == 420
+            with SeeDB.over_table(
+                open_table(tmp_path / "toy"), store=store, config=seedb.config
+            ) as fresh:
+                run = fresh.run_engine(eq("segment", "t"), k=2, strategy="sharing", pruner="none")
+            views = [(v["dimension"], v["measure"], v["utility"].hex()) for v in served["views"]]
+            assert views == [
+                (key[0], key[1], float(run.utilities[key]).hex()) for key in run.selected
+            ], store
+
     def test_append_refreshes_engines_without_cache_blowaway(self, toy_service):
         svc = toy_service
         session = svc.create_session({"dataset": "toy"})
@@ -943,7 +1040,7 @@ class TestAppendDatasets:
         svc = toy_service
         sid = svc.create_session({"dataset": "toy", "store": "row"})["session_id"]
         svc.recommend(sid, {"k": 2})
-        seedb = svc.engine("toy", "row", "emd")
+        seedb = svc.engine("toy", "row")
         stale, space = seedb.meta, seedb.view_space()
 
         # 4 x 3 groups become 164 x 100: past the row store's 10^4 budget, so a
@@ -984,7 +1081,7 @@ class TestAppendDatasets:
         svc = toy_service
         sid = svc.create_session({"dataset": "toy"})["session_id"]
         svc.recommend(sid, {"k": 2})
-        seedb = svc.engine("toy", "col", "emd")
+        seedb = svc.engine("toy", "col")
         kept, space = seedb.engine._planning[1], seedb.view_space()
         assert len(kept) > 0
 
@@ -1048,7 +1145,7 @@ class TestAppendDatasets:
         svc = toy_service
         sid = svc.create_session({"dataset": "toy"})["session_id"]
         svc.recommend(sid, {"k": 2})
-        delta = svc.engine("toy", "col", "emd").engine.delta_cache
+        delta = svc.engine("toy", "col").engine.delta_cache
         monkeypatch.setattr(SharedScanExecutor, "_finish", spy)
         svc.append_dataset("toy", {"rows": _toy_batch(20)})
         refreshed = svc.recommend(sid, {"k": 2})["stats"]
@@ -1101,7 +1198,7 @@ class TestAppendDatasets:
         svc = toy_service
         sid = svc.create_session({"dataset": "toy"})["session_id"]
         svc.recommend(sid, {"k": 2})
-        seedb = svc.engine("toy", "col", "emd")
+        seedb = svc.engine("toy", "col")
         kept = {
             name: seedb.table.categories(name) for name in ("region", "flavor", "segment")
         }

@@ -68,7 +68,6 @@ from repro.db.cost import CostModel
 from repro.db.storage import make_store
 from repro.db.table import Table
 from repro.db.types import ColumnRole
-from repro.metrics import get_metric
 
 SEEDS = range(12)
 STRATEGIES = ("no_opt", "sharing", "comb")
@@ -124,7 +123,6 @@ def _run(table: Table, backend: str, strategy: str, ref_mode: str, **overrides):
     pruner = "ci" if strategy.startswith("comb") else "none"
     with ExecutionEngine(
         make_store("col", table),
-        get_metric("emd"),
         config,
         CostModel(),
         result_cache=result_cache,
@@ -447,7 +445,7 @@ def test_differential_append_refresh(tmp_path, seed, strategy):
     ).with_(result_cache=True, delta_cache=True)
     views = list(ViewSpace.enumerate(TableMeta.of(chunked)))
     with ExecutionEngine(
-        make_store("col", chunked), get_metric("emd"), config, CostModel()
+        make_store("col", chunked), config, CostModel()
     ) as engine:
 
         def run_once():

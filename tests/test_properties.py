@@ -403,7 +403,7 @@ def test_property_phase_count_never_changes_final_utilities(seed, n_phases):
 
     def run(config):
         engine = ExecutionEngine(
-            make_store("col", table), get_metric("emd"), config, CostModel()
+            make_store("col", table), config, CostModel()
         )
         return engine.run(views, target, k=1, strategy="comb", pruner="none")
 
