@@ -87,12 +87,8 @@ from repro.metrics.base import DistanceFunction, get_metric
 Strategy = Literal["no_opt", "sharing", "comb", "comb_early"]
 #: "modeled" runs queries serially and models parallel speedup in the cost
 #: model only (the historical behaviour); "real" dispatches each batch onto
-#: a thread pool of ``n_parallel_queries`` workers for true concurrency;
-#: "process" fans the batch out to worker *processes* that re-open the
-#: table's on-disk chunk store via ``np.memmap`` — true multi-core
-#: execution with no GIL and no pickled column data (native backend over
-#: an on-disk table only; see :mod:`repro.core.procpool`).
-Parallelism = Literal["modeled", "real", "process"]
+#: a thread pool of ``n_parallel_queries`` workers for true concurrency.
+Parallelism = Literal["modeled", "real"]
 
 #: The strategies that execute in phases and prune between them (rewrite on).
 _PHASED = ("comb", "comb_early")
@@ -268,7 +264,7 @@ class ExecutionEngine:
     for an independent SQL engine), and routes the per-group results into
     view state.  What it keeps across runs — held cells, plan skeletons,
     cached results and delta states — is metric-free; the metric is an
-    argument of each :meth:`run`.  All four strategies and all three
+    argument of each :meth:`run`.  All four strategies and both
     parallelism modes produce identical ``selected``/utilities on any
     conforming backend.
     """
@@ -404,9 +400,7 @@ class ExecutionEngine:
         early return; after the last phase it finalizes on its state tables.
 
         ``parallelism="real"`` runs each batch of planned queries on a
-        thread pool of ``n_parallel_queries`` workers;
-        ``parallelism="process"`` fans them out to worker processes over
-        the table's on-disk chunk store (:mod:`repro.core.procpool`).
+        thread pool of ``n_parallel_queries`` workers.
         Results are deterministic regardless of mode and worker count:
         batches are barriered and routed in submission order, so
         ``selected`` and ``utilities`` match a serial run exactly (see

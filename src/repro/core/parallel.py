@@ -231,22 +231,13 @@ def make_dispatcher(
 
     "modeled" pins one worker — queries run inline on the calling thread
     and parallel speedup exists only inside the cost model, exactly as
-    before this subsystem existed.  "process" fans whole queries out to
-    worker *processes* that re-open the table's chunk store
-    (:mod:`repro.core.procpool`; requires the native backend over an
-    on-disk table).  ``use_batch`` (the engine's ``shared_scan`` knob)
-    applies in every mode: a modeled run still shares the scan, it just
-    runs the per-query grouping inline.  A broken process pool is rebuilt
-    once and the failed batch re-run — bitwise identical — before the batch
-    degrades to inline execution (:mod:`repro.core.procpool`).
+    before this subsystem existed.  "real" runs ``n_workers`` threads.
+    ``use_batch`` (the engine's ``shared_scan`` knob) applies in both
+    modes: a modeled run still shares the scan, it just runs the per-query
+    grouping inline.  Any other mode is a ``ValueError``.
     """
     if mode == "real":
         return ParallelDispatcher(executor, max(n_workers, 1), use_batch=use_batch)
     if mode == "modeled":
         return ParallelDispatcher(executor, 1, use_batch=use_batch)
-    if mode == "process":
-        # Deferred import: procpool imports this module.
-        from repro.core.procpool import process_dispatcher
-
-        return process_dispatcher(executor, n_workers, use_batch=use_batch)
     raise ValueError(f"unknown parallelism mode {mode!r}")

@@ -7,8 +7,8 @@ does it — scan → derive → filter → key → aggregate over *(row-range gr
 query is a parameter value of it, not a path of its own (the table is in
 ``docs/architecture.md``, "The chunk pipeline"): a phase batch, a batch of
 one (:meth:`~repro.db.executor.QueryExecutor.execute`,
-``EngineConfig(shared_scan=False)``), a process-pool slice, a range that
-streams chunk by chunk, a query seeded from the delta cache.
+``EngineConfig(shared_scan=False)``), a range that streams chunk by
+chunk, a query seeded from the delta cache.
 
 The batch is grouped by row range and each group's rows are read once:
 

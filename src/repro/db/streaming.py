@@ -38,13 +38,6 @@ like the one-shot dense/sparse choice — never changes a result bit.
 Group ordering also matches: both paths sort groups ascending by composite
 key, which — categories being sorted — is plain lexicographic order of the
 group key *values*, independent of how rows were chunked.
-
-The same exactness argument dictates the shape of process-parallel
-execution (:mod:`repro.core.procpool`): worker processes execute *whole
-queries* — each streaming its range chunk-at-a-time through this
-aggregator, yielding the exact one-shot accumulation — rather than
-returning per-chunk partials for the parent to merge, which would
-re-parenthesize the sums exactly as described above.
 """
 
 from __future__ import annotations

@@ -105,9 +105,11 @@ class Table:
         re-reading the data.
     source_path:
         Filesystem path of the chunk-store directory this table was opened
-        from (set by :func:`repro.db.chunks.open_table`).  Worker processes
-        use it to re-open the same store via ``np.memmap`` instead of
-        pickling column data (``parallelism="process"``).
+        from (set by :func:`repro.db.chunks.open_table`).
+        :meth:`refresh_from_disk` re-reads its manifest, the service
+        refreshes only disk-backed datasets after an append, and the delta
+        cache anchors its keys on it
+        (:func:`repro.core.cache.delta_state_key`).
     tracker:
         :class:`~repro.db.chunks.ResidencyTracker` charged by chunk
         materializations (attached by :func:`repro.db.chunks.open_table`).

@@ -78,12 +78,13 @@ import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence, get_args
 
 import numpy as np
 
+from repro.config import StoreKind
 from repro.core.cache import TieredViewResultCache, ViewResultCache
-from repro.core.engine import EngineRun
+from repro.core.engine import EngineRun, Parallelism, Strategy
 from repro.core.recommender import SeeDB, serving_config
 from repro.data import registry
 from repro.data.ingest import strict_float, strict_int
@@ -103,9 +104,9 @@ from repro.service.sessions import (
 )
 from repro.testing import faults
 
-_STRATEGIES = ("no_opt", "sharing", "comb", "comb_early")
-_STORES = ("row", "col")
-_PARALLELISM = ("modeled", "real", "process")
+_STRATEGIES = get_args(Strategy)
+_STORES = get_args(StoreKind)
+_PARALLELISM = get_args(Parallelism)
 _MAX_K = 100
 #: What a session gets when its ``POST /sessions`` body names no store / metric.
 _DEFAULT_STORE = "col"

@@ -4,7 +4,7 @@ Currently one member: :mod:`repro.testing.faults`, the deterministic
 fault-injection registry the chaos and fault suites (``tests/service/
 test_chaos.py``, ``tests/testing/test_faults.py``) use to exercise real
 failure paths (worker crashes, dropped connections, corrupted cache
-entries, broken process pools) without flaky sleeps or real network
+entries) without flaky sleeps or real network
 partitions.  Nothing under :mod:`repro.bench` imports it: fault and
 recovery numbers come from tests, not from a benchmark.
 

@@ -4,7 +4,7 @@ Chaos testing a multi-process serving stack with ad-hoc ``kill -9`` calls
 and sleeps produces exactly the flaky suites it is meant to prevent.  This
 module gives the repository one structured alternative: **fault points**
 compiled into the production code (the worker HTTP handler, the L2 file
-cache, the process-pool worker) that are no-ops unless a
+cache) that are no-ops unless a
 :class:`FaultInjector` is installed — either programmatically
 (:func:`install`) or via the ``SEEDB_FAULTS`` environment variable, which
 spawned worker processes inherit.
@@ -44,8 +44,6 @@ The known points (sites live in the named modules):
 ``drop_connection``  :mod:`repro.service.server` — close without replying
 ``delay_response``   :mod:`repro.service.server` — sleep before handling
 ``truncate_l2_entry`` :mod:`repro.core.cache` — corrupt an L2 file on write
-``break_pool_worker`` :mod:`repro.core.procpool` — ``os._exit`` in a pool
-                      worker, breaking the whole ``ProcessPoolExecutor``
 ==================== =====================================================
 
 Cross-process budgets: because every worker parses the same spec, a
@@ -76,8 +74,8 @@ ENV_STATE = "SEEDB_FAULTS_STATE"
 #: Environment variable seeding the injector's RNG (default 0).
 ENV_SEED = "SEEDB_FAULTS_SEED"
 
-#: The exit code a ``kill_worker`` / ``break_pool_worker`` firing dies
-#: with — distinguishable from a normal crash in supervisor logs.
+#: The exit code a ``kill_worker`` firing dies with — distinguishable from
+#: a normal crash in supervisor logs.
 KILL_EXIT_CODE = 117
 
 #: The complete fault-point catalogue; a spec naming anything else is a
@@ -87,7 +85,6 @@ POINTS = (
     "drop_connection",
     "delay_response",
     "truncate_l2_entry",
-    "break_pool_worker",
 )
 
 

@@ -147,13 +147,13 @@ class TestRequestShapes:
             k=3,
             strategy="comb",
             pruner="ci",
-            parallelism="process",
+            parallelism="real",
             dimensions=("sex",),
             measures=("capital_gain",),
         )
         payload = full.to_payload()
         assert payload["target"] == [{"column": "sex", "value": "F"}]
-        assert payload["parallelism"] == "process"
+        assert payload["parallelism"] == "real"
         assert payload["dimensions"] == ["sex"]
 
     def test_register_dataset_payload(self):

@@ -153,6 +153,7 @@ class TestServiceCore:
             {"k": True},
             {"strategy": "magic"},
             {"parallelism": "imaginary"},
+            {"parallelism": "process"},
             {"dimensions": 5},
             {"dimensions": "sex"},
             {"measures": {"age": 1}},
