@@ -215,6 +215,156 @@ class TestEngineDeterminism:
         assert serial.n_workers == 1
 
 
+class TestChunkStoreDispatch:
+    """The thread dispatcher over a memmapped chunk store, no memory budget.
+
+    Worker threads read the same ``np.memmap`` columns and stream them at
+    the store's chunk granularity; whole queries per thread must stay
+    bitwise-identical to the serial run (carry-seeded accumulation makes
+    the chunk walk irrelevant to results).
+    """
+
+    @pytest.fixture(scope="class")
+    def chunked_census(self, census_like, tmp_path_factory):
+        from repro.db.chunks import open_table, write_table
+
+        root = tmp_path_factory.mktemp("chunked_dispatch") / "census_like"
+        write_table(census_like, root, chunk_rows=4096)
+        return open_table(root)
+
+    def test_run_batch_preserves_submission_order(self, chunked_census):
+        backend = NativeBackend(make_store("col", chunked_census))
+        queries = [
+            _count_query("census_like", "sex", i * 1000, i * 1000 + 500)
+            for i in range(8)
+        ]
+        with make_dispatcher(backend, "real", 4) as dispatcher:
+            outcomes = dispatcher.run_batch(queries)
+        assert len(outcomes) == len(queries)
+        serial = [backend.execute(q) for q in queries]
+        for (pr, _), (sr, _) in zip(outcomes, serial):
+            assert pr.input_rows == 500
+            assert pr.to_rows() == sr.to_rows()
+
+    def test_batch_mode_matches_serial(self, chunked_census):
+        backend = NativeBackend(make_store("col", chunked_census))
+        queries = [
+            _count_query("census_like", "race", i * 500, i * 500 + 400)
+            for i in range(6)
+        ]
+        with make_dispatcher(backend, "real", 3, use_batch=True) as dispatcher:
+            outcomes = dispatcher.run_batch(queries)
+        serial = [backend.execute(q) for q in queries]
+        for (pr, _), (sr, _) in zip(outcomes, serial):
+            assert pr.to_rows() == sr.to_rows()
+
+    def test_single_worker_runs_inline(self, chunked_census):
+        backend = NativeBackend(make_store("col", chunked_census))
+        dispatcher = make_dispatcher(backend, "real", 1)
+        outcomes = dispatcher.run_batch(
+            [_count_query("census_like", "sex", 0, 600) for _ in range(3)]
+        )
+        assert len(outcomes) == 3
+        assert all(stats.queries_issued == 1 for _, stats in outcomes)
+        assert dispatcher._pool is None
+        dispatcher.close()
+
+    @pytest.mark.parametrize("use_batch", [False, True])
+    def test_stream_granularity_does_not_change_results(
+        self, chunked_census, use_batch
+    ):
+        """A finer ``stream_chunk_rows`` on the store changes the walk only."""
+        backend = NativeBackend(make_store("col", chunked_census))
+        queries = [
+            _count_query("census_like", "sex", i * 1000, i * 1000 + 2500)
+            for i in range(4)
+        ]
+        baseline = [backend.execute(q) for q in queries]
+        backend.store.stream_chunk_rows = 512
+        assert backend.store.effective_stream_chunk_rows() == 512
+        with make_dispatcher(backend, "real", 2, use_batch=use_batch) as dispatcher:
+            outcomes = dispatcher.run_batch(queries)
+        for (pr, _), (sr, _) in zip(outcomes, baseline):
+            assert pr.to_rows() == sr.to_rows()
+
+    def test_close_is_idempotent_and_pool_reopens(self, chunked_census):
+        backend = NativeBackend(make_store("col", chunked_census))
+        queries = [_count_query("census_like", "sex", 0, 1000) for _ in range(2)]
+        dispatcher = make_dispatcher(backend, "real", 2)
+        first = dispatcher.run_batch(queries)
+        dispatcher.close()
+        dispatcher.close()  # second call: nothing to do, no raise
+        assert dispatcher._pool is None
+        again = dispatcher.run_batch(queries)  # a fresh pool on demand
+        assert dispatcher._pool is not None
+        dispatcher.close()
+        assert [r.to_rows() for r, _ in again] == [r.to_rows() for r, _ in first]
+
+    def test_worker_exception_leaves_dispatcher_usable(self, chunked_census):
+        backend = NativeBackend(make_store("col", chunked_census))
+        good = _count_query("census_like", "sex", 0, 1000)
+        bad = AggregateQuery(
+            table="other",
+            group_by=("sex",),
+            aggregates=(AggregateSpec(AggregateFunction.COUNT, None, "n"),),
+        )
+        with make_dispatcher(backend, "real", 2) as dispatcher:
+            with pytest.raises(Exception):
+                dispatcher.run_batch([good, bad])
+            ((result, _), _) = dispatcher.run_batch([good, good])
+        assert result.to_rows() == backend.execute(good)[0].to_rows()
+
+    @pytest.mark.parametrize("on_disk", [False, True])
+    def test_engine_rejects_process_mode(self, census_like, chunked_census, on_disk):
+        """``"process"`` is not a mode, whatever the table lives on."""
+        with pytest.raises(ValueError, match="unknown parallelism mode"):
+            _engine_run(
+                chunked_census if on_disk else census_like,
+                eq("marital", "Unmarried"),
+                parallelism="process", n_parallel=2,
+                strategy="sharing", pruner="none",
+            )
+
+    @pytest.mark.parametrize("strategy,pruner", [
+        ("sharing", "none"),
+        ("comb", "ci"),
+    ])
+    def test_real_matches_modeled_bitwise(self, chunked_census, strategy, pruner):
+        target = eq("marital", "Unmarried")
+        serial = _engine_run(
+            chunked_census, target,
+            parallelism="modeled", n_parallel=4,
+            strategy=strategy, pruner=pruner,
+        )
+        parallel = _engine_run(
+            chunked_census, target,
+            parallelism="real", n_parallel=4,
+            strategy=strategy, pruner=pruner,
+        )
+        assert parallel.selected == serial.selected
+        assert set(parallel.utilities) == set(serial.utilities)
+        for key, value in serial.utilities.items():
+            assert parallel.utilities[key] == value  # bitwise, not approx
+        assert parallel.stats.queries_issued == serial.stats.queries_issued
+        assert parallel.parallelism == "real"
+
+    def test_determinism_across_worker_counts(self, chunked_census):
+        target = eq("marital", "Unmarried")
+        runs = [
+            _engine_run(
+                chunked_census, target,
+                parallelism="real", n_parallel=n,
+                strategy="sharing", pruner="none",
+            )
+            for n in (1, 2, 4)
+        ]
+        baseline = runs[0]
+        for run in runs[1:]:
+            assert run.selected == baseline.selected
+            for key, value in baseline.utilities.items():
+                assert run.utilities[key] == value  # bitwise across counts
+
+
 class TestSharedStructureThreadSafety:
     def test_buffer_pool_concurrent_access_keeps_totals_exact(self):
         pool = BufferPool(capacity_bytes=64 * 1024)

@@ -6,9 +6,11 @@ import json
 import http.client
 import threading
 import time
+from typing import get_args
 
 import pytest
 
+from repro.core.engine import Parallelism
 from repro.exceptions import ReproError, ServiceError
 from repro.metrics import get_metric, list_metrics
 from repro.service import (
@@ -162,6 +164,31 @@ class TestServiceCore:
             with pytest.raises(ServiceError) as excinfo:
                 service.recommend(sid, payload)
             assert excinfo.value.status == 400
+
+    @pytest.fixture()
+    def uncached_service(self):
+        svc = RecommendationService(
+            datasets=("census",), scale="smoke", result_cache=False
+        )
+        yield svc
+        svc.close()
+
+    @pytest.mark.parametrize("parallelism", get_args(Parallelism))
+    def test_every_accepted_parallelism_serves_the_default_views(
+        self, uncached_service, parallelism
+    ):
+        """Each accepted mode executes and ranks as the default request does.
+
+        The chosen mode goes first, on a fresh service, so it runs the
+        queries; the default repeat is then served from the held state.
+        """
+        session = uncached_service.create_session({"dataset": "census"})
+        sid = session["session_id"]
+        payload = {"k": 3, "target": [{"column": "sex", "value": "F"}]}
+        chosen = uncached_service.recommend(sid, {**payload, "parallelism": parallelism})
+        default = uncached_service.recommend(sid, payload)
+        assert chosen["stats"]["queries_issued"] > 0
+        assert chosen["views"] == default["views"]
 
     def test_stats_and_datasets(self, service):
         stats = service.stats()

@@ -35,6 +35,13 @@ Coverage math (the acceptance bar is >= 200 randomized engine runs):
   match the SQLite oracle), for SHARING and COMB, serial and
   ``parallelism="real"`` — streaming may change peak memory and
   accounting, never results.
+* ``test_differential_memmap_threads`` adds 4 x 2 x 3 = 24 runs growing
+  the oracle a whole-query thread leg: ``parallelism="real"`` with the
+  shared scan off, so each worker thread executes whole queries over one
+  memmapped chunk store opened without a memory budget.  It must produce
+  **bitwise**-identical top-k, utilities, and distributions to the
+  resident serial path (and match the SQLite oracle) — thread fan-out may
+  change I/O accounting, never results or the number of queries issued.
 * ``test_differential_append_refresh`` adds 5 x 2 x 4 = 40 runs growing
   the oracle an append leg: an engine with the delta-state cache runs
   cold over ~90% of the rows, the remaining ~10% are appended to the
@@ -80,6 +87,7 @@ def test_coverage_floor():
     assert len(SHARED_SCAN_CASES) * 3 >= 48
     assert len(RESULT_CACHE_CASES) * 4 >= 32
     assert len(OUT_OF_CORE_CASES) * 3 >= 48
+    assert len(MEMMAP_THREAD_CASES) * 3 >= 24
     assert len(APPEND_CASES) * 4 >= 40
 
 
@@ -352,6 +360,55 @@ def test_differential_out_of_core_with_spill(tmp_path):
     assert out_of_core.selected == resident.selected
     for key, value in resident.utilities.items():
         assert out_of_core.utilities[key] == value
+
+
+MEMMAP_THREAD_CASES = [
+    (seed, strategy)
+    for seed in range(4)
+    for strategy in ("sharing", "comb")
+]
+
+
+@pytest.mark.parametrize("seed,strategy", MEMMAP_THREAD_CASES)
+def test_differential_memmap_threads(tmp_path, seed, strategy):
+    """The whole-query thread leg over a memmapped store is bitwise-exact.
+
+    Three runs per table: the resident serial native path, a
+    ``parallelism="real"`` run with the shared scan off over the on-disk
+    chunk store (worker threads each execute whole queries against the
+    same ``np.memmap`` columns; the dispatcher gathers in submission
+    order), and the SQLite oracle.  The threaded run must match the
+    resident run bitwise — selected order, every utility, every
+    distribution array, and the query count — and agree with the oracle.
+    I/O accounting is deliberately NOT compared.
+    """
+    from repro.db.chunks import open_table, write_table
+
+    table = _random_table(900 + seed)
+    write_table(table, tmp_path / "ds", chunk_rows=16)
+    chunked = open_table(tmp_path / "ds")
+
+    resident = _run(table, "native", strategy, "all")
+    threaded = _run(
+        chunked, "native", strategy, "all", parallelism="real", shared_scan=False
+    )
+    sqlite = _run(table, "sqlite", strategy, "all")
+
+    # Bitwise agreement with the resident serial path.
+    assert threaded.selected == resident.selected
+    assert set(threaded.utilities) == set(resident.utilities)
+    for key, value in resident.utilities.items():
+        assert threaded.utilities[key] == value  # exact, not approx
+    for key, dists in resident.distributions.items():
+        other = threaded.distributions[key]
+        assert np.array_equal(dists.keys, other.keys)
+        assert np.array_equal(dists.target, other.target, equal_nan=True)
+        assert np.array_equal(dists.reference, other.reference, equal_nan=True)
+    assert threaded.stats.queries_issued == resident.stats.queries_issued
+    assert threaded.phases_executed == resident.phases_executed
+
+    # And with the independent SQL engine.
+    _assert_equivalent(threaded, sqlite)
 
 
 APPEND_CASES = [

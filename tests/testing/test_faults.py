@@ -8,6 +8,11 @@ here without any server in the loop.
 
 from __future__ import annotations
 
+import ast
+import inspect
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.testing import faults
@@ -50,8 +55,9 @@ class TestParseSpec:
         assert [r.point for r in rules] == ["kill_worker", "drop_connection"]
 
     def test_unknown_point_raises(self):
-        with pytest.raises(FaultError, match="unknown fault point"):
-            parse_spec("explode_everything")
+        for point in ("explode_everything", "break_pool_worker"):
+            with pytest.raises(FaultError, match="unknown fault point"):
+                parse_spec(point)
 
     def test_unknown_key_raises(self):
         with pytest.raises(FaultError, match="unknown rule key"):
@@ -196,3 +202,45 @@ class TestEffectHelpers:
     def test_rules_constructed_directly_validate(self):
         with pytest.raises(FaultError):
             FaultRule("kill_worker", times=-1)
+
+
+def _fired_points() -> dict[str, set[str]]:
+    """Map each point to the modules under ``repro`` whose code fires it.
+
+    A site is a ``faults.fire(...)`` or ``faults.maybe_*(...)`` call.
+    ``fire`` and ``maybe_exit`` name the point as their first argument; the
+    other helpers fire the one point their own source names.
+    """
+    package = Path(faults.__file__).resolve().parent.parent
+    sites: dict[str, set[str]] = {}
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package.parent).with_suffix("").parts)
+        if module == faults.__name__:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "faults"
+            ):
+                continue
+            helper = node.func.attr
+            if helper != "fire" and not helper.startswith("maybe_"):
+                continue  # set_identity, install, ...: not a site
+            if helper in ("fire", "maybe_exit"):
+                point = node.args[0].value
+            else:
+                point = re.search(
+                    r'fire\("(\w+)"', inspect.getsource(getattr(faults, helper))
+                ).group(1)
+            sites.setdefault(point, set()).add(module)
+    return sites
+
+
+@pytest.mark.parametrize("point", faults.POINTS)
+def test_every_point_fires_in_the_module_the_catalogue_names(point):
+    """A catalogued point has a live site where the docstring table says."""
+    row = re.search(rf"``{point}``\s+:mod:`([\w.]+)`", faults.__doc__)
+    assert row is not None, f"{point} has no row in the catalogue table"
+    assert row.group(1) in _fired_points().get(point, set())
