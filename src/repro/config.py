@@ -92,8 +92,8 @@ class EngineConfig:
     number of execution phases, how many aggregates may be combined into a
     single query, the group-by memory budgets per store, the degree of
     parallelism, pruning parameters — plus this reproduction's own levers:
-    ``backend`` (execution engine), ``shared_scan`` (batch physical
-    sharing), and ``result_cache`` (cross-session memoization).
+    ``backend`` (execution engine) and ``result_cache`` (cross-session
+    memoization).
 
     The dataclass is frozen; derive variants with :meth:`with_`.
 
@@ -102,8 +102,8 @@ class EngineConfig:
         from repro import EngineConfig
 
         config = EngineConfig(store="col", backend="sqlite")
-        ablation = config.with_(shared_scan=False, result_cache=False)
-        assert ablation.group_budget() == config.col_group_budget
+        serial = config.with_(n_parallel_queries=1, result_cache=False)
+        assert serial.group_budget() == config.col_group_budget
 
     Out-of-core streaming (chunked / memory-mapped tables, see
     :mod:`repro.db.chunks`) is controlled by three knobs::
@@ -153,13 +153,6 @@ class EngineConfig:
     combine_target_reference: bool = True
     #: Number of view queries issued concurrently (paper finds ~n_cores best).
     n_parallel_queries: int = DEFAULT_N_CORES
-    #: Serve each phase's whole query batch from one shared scan (§4.1 taken
-    #: to the physical layer): distinct base columns scanned once, derived
-    #: flag / predicate expressions evaluated once, buffer-pool pages charged
-    #: once per batch.  Off = per-query dispatch (the ablation baseline).
-    #: The NO_OPT strategy always runs per-query regardless — it *is* the
-    #: no-sharing baseline.
-    shared_scan: bool = True
     #: Memoize executed view-query results in a
     #: :class:`~repro.core.cache.ViewResultCache` keyed by (table
     #: identity+version, query plan, row range, backend semantics) and
@@ -178,7 +171,7 @@ class EngineConfig:
     delta_cache: bool = False
     #: Rows per streamed chunk for out-of-core execution.  ``None`` (the
     #: default) defers to the table's own chunk layout: in-memory tables
-    #: are single-chunk and keep the classic one-shot path; tables opened
+    #: are scanned as one chunk; tables opened
     #: from an on-disk chunk store stream at their manifest's chunk size.
     #: Setting this forces chunk-at-a-time execution at the given
     #: granularity even on resident tables (exact same results — the

@@ -76,10 +76,10 @@ from repro.db.backends import Backend, NativeBackend, make_backend
 from repro.db.catalog import TableMeta
 from repro.db.cost import CostModel
 from repro.db.expressions import And, Expression
-from repro.db.groupby import _DENSE_GROUP_LIMIT
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.sql import generate_sql
 from repro.db.storage import StorageEngine
+from repro.db.streaming import _DENSE_GROUP_LIMIT
 from repro.db.types import ColumnType
 from repro.exceptions import QueryError, RecommendationError
 from repro.metrics.base import DistanceFunction, get_metric
@@ -181,8 +181,8 @@ class EngineRun:
     the ranked ``selected`` view keys, per-view ``utilities`` and aligned
     ``distributions``, full :class:`~repro.config.ExecutionStats`
     accounting, the cost model's ``modeled_latency``, and how the run
-    executed (``backend``, ``parallelism``, ``shared_scan``,
-    ``result_cache`` and its hit/miss/bytes-saved counters).
+    executed (``backend``, ``parallelism``, ``result_cache`` and its
+    hit/miss/bytes-saved counters).
 
     Example::
 
@@ -216,9 +216,6 @@ class EngineRun:
     n_workers: int = 1
     #: Execution backend the queries ran on ("native", "sqlite", ...).
     backend: str = "native"
-    #: Whether phase batches were routed through the backend's shared-scan
-    #: batch path (always False for NO_OPT, the no-sharing baseline).
-    shared_scan: bool = False
     #: Whether this run consulted a view-result cache
     #: (``EngineConfig.result_cache``).
     result_cache: bool = False
@@ -395,7 +392,7 @@ class ExecutionEngine:
 
         Per phase the run plans its active views (a held run: the views its
         held cells leave, plus one fill per missing cell), dispatches the
-        phase's queries (one batch with ``shared_scan``), routes the results
+        phase's queries (one batch; NO_OPT's batches of one), routes the results
         into its state tables and — phased — observes its pruner and checks
         early return; after the last phase it finalizes on its state tables.
 
@@ -500,12 +497,7 @@ class ExecutionEngine:
         stable_phases = 0
         #: ``(cache key, planned)`` of the hits this run routes and scores.
         scored: list[tuple[str, PlannedQuery]] = []
-        with make_dispatcher(
-            self.backend,
-            parallelism,
-            n_workers,
-            use_batch=config.shared_scan,
-        ) as dispatcher:
+        with make_dispatcher(self.backend, parallelism, n_workers) as dispatcher:
             for phase_index, (start, stop) in enumerate(ranges):
                 active_per_phase.append(len(live.active))
                 # The held state's lock is held while the phase plans and, only
@@ -559,15 +551,15 @@ class ExecutionEngine:
                         locked = False
 
                     # Each batch is a barrier: the dispatcher returns per-query
-                    # outcomes in submission order.  With ``shared_scan`` the
-                    # **whole phase** is one dispatcher batch, so the backend's
-                    # shared-scan path does exactly one pass over the phase's
-                    # row range; otherwise batches are ``n_parallel_queries``
-                    # wide.  The dispatcher probes the cache first: hits never
-                    # reach the backend (they are excluded before shared-scan
-                    # batching), misses execute and are memoized; a hit outcome
-                    # carries the memoized result with zeroed work counters.
-                    width = max(len(queries) if config.shared_scan else batch_size, 1)
+                    # outcomes in submission order.  The **whole phase** is one
+                    # dispatcher batch, so the backend's shared scan does
+                    # exactly one pass over the phase's row range; NO_OPT, the
+                    # no-sharing baseline, sends batches of one.  The
+                    # dispatcher probes the cache first: hits never reach the
+                    # backend (they are excluded before shared-scan batching),
+                    # misses execute and are memoized; a hit outcome carries
+                    # the memoized result with zeroed work counters.
+                    width = 1 if strategy == "no_opt" else max(len(queries), 1)
                     outcomes: list[tuple[QueryResult, ExecutionStats]] = []
                     for i in range(0, len(queries), width):
                         outcomes.extend(
@@ -667,7 +659,6 @@ class ExecutionEngine:
             parallelism=parallelism,
             n_workers=dispatcher.n_workers,
             backend=self.backend.name,
-            shared_scan=config.shared_scan,
             result_cache=cache is not None,
             cache_hits=stats.cache_hits,
             cache_misses=stats.queries_issued if cache is not None else 0,
@@ -703,7 +694,6 @@ class ExecutionEngine:
                 use_binpacking=False,
                 combine_target_reference=False,
                 n_parallel_queries=1,
-                shared_scan=False,
             )
         if strategy in ("sharing", "comb", "comb_early"):
             return self.config

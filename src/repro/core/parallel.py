@@ -4,20 +4,22 @@ The paper finds that issuing view queries concurrently — up to roughly the
 number of cores — is one of the two biggest levers on latency.  The cost
 model has always *modeled* that effect (:meth:`CostModelConfig.
 effective_parallelism`); this module makes it real: a
-:class:`ParallelDispatcher` runs each phase's batch of planned queries on a
-thread pool.  Dispatch is backend-agnostic — anything satisfying the
-:class:`~repro.db.backends.Backend` execute contract works, including a bare
-:class:`~repro.db.executor.QueryExecutor`.  On the native backend the hot
-paths (``np.unique``, ``np.argsort``, fancy indexing, ``np.add.at``)
-release the GIL; the sqlite backend opens one connection per worker thread,
-so both deliver genuine concurrency.
+:class:`ParallelDispatcher` hands each batch of planned queries to the
+backend's ``execute_batch`` in one call, with a ``fanout`` onto its thread
+pool.  Dispatch is backend-agnostic — anything satisfying the
+:class:`~repro.db.backends.Backend` batch contract works, including a bare
+:class:`~repro.db.shared_scan.SharedScanExecutor`.  The native backend
+scans shared ranges on the calling thread and fans out each query's
+aggregation, whose hot paths (``np.bincount``, ``np.unique``, fancy
+indexing) release the GIL; the sqlite backend fans out whole queries on one
+connection per worker thread, so both deliver genuine concurrency.
 
 Determinism is a hard requirement: a run with any worker count must produce
 byte-identical ``selected`` views and utilities within 1e-9 of a serial run.
 The dispatcher guarantees this by construction —
 
-* each backend ``execute`` call is stateless-per-call and computes its
-  result independently of every other in-flight query (sqlite workers use
+* each job a backend fans out is stateless-per-call and computes its
+  result independently of every other in-flight job (sqlite workers use
   per-thread connections to one read-only shared-cache database);
 * results are gathered **in submission order** at a batch barrier, so the
   engine routes per-view updates and merges per-query
@@ -43,20 +45,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 
 
 class ExecutesQueries(Protocol):
-    """Structural type the dispatcher drives: one execute() per query.
+    """Structural type the dispatcher drives: the
+    :class:`~repro.db.backends.Backend` batch contract.
 
-    Executors may additionally expose
-    ``execute_batch(queries, fanout=None)`` (the
-    :class:`~repro.db.backends.Backend` batch contract); a dispatcher
-    constructed with ``use_batch=True`` routes whole batches through it so
-    a shared-scan backend can serve the batch from one pass.  A batch that
-    comes with delta-state keys hands them on as ``delta_keys=`` (the native
-    backend's, whose pipeline seeds from a delta cache).
+    A batch that comes with delta-state keys hands them on as
+    ``delta_keys=`` (the native backend's, whose pipeline seeds from a
+    delta cache).
     """
 
-    def execute(
-        self, query: AggregateQuery
-    ) -> tuple[QueryResult, ExecutionStats]: ...
+    def execute_batch(
+        self, queries: Sequence[AggregateQuery], fanout: Callable | None = None
+    ) -> list[tuple[QueryResult, ExecutionStats]]: ...
 
 
 class ParallelDispatcher:
@@ -67,28 +66,18 @@ class ParallelDispatcher:
     allocation-free.  Use as a context manager (or call :meth:`close`) to
     release the worker threads.
 
-    With ``use_batch=True`` the whole batch is routed to the executor's
-    ``execute_batch`` in one call: the backend does its shared work (the
-    native backend's single scan) on the calling thread and fans the
-    per-query remainder back out through the dispatcher's pool via the
-    ``fanout`` callable.  Otherwise (or when the executor has no
-    ``execute_batch``) each query is its own ``execute`` call — on the
-    native backend the same pipeline on a batch of one, nothing shared.
-    Submission-order gathering — the determinism barrier — is preserved
-    either way.
+    Every batch is routed to the executor's ``execute_batch`` in one call:
+    the backend does its shared work (the native backend's single scan) on
+    the calling thread and fans the per-query remainder back out through
+    the dispatcher's pool via the ``fanout`` callable.  Submission-order
+    gathering — the determinism barrier — is the backend's contract.
     """
 
-    def __init__(
-        self,
-        executor: ExecutesQueries,
-        n_workers: int,
-        use_batch: bool = False,
-    ) -> None:
+    def __init__(self, executor: ExecutesQueries, n_workers: int) -> None:
         if n_workers < 1:
             raise ValueError(f"n_workers must be >= 1, got {n_workers}")
         self.executor = executor
         self.n_workers = n_workers
-        self.use_batch = use_batch
         self._pool: ThreadPoolExecutor | None = None
 
     # ------------------------------------------------------------------ #
@@ -147,8 +136,8 @@ class ParallelDispatcher:
         ``cache_bytes_saved`` — hits cost nothing in the cost model.
 
         ``delta_keys`` (index-aligned, the engine's under a delta cache) go
-        with the queries that reach a batch-executing backend; the key of a
-        cache hit is never read (the engine renders each key on read).
+        with the queries that reach the backend; the key of a cache hit is
+        never read (the engine renders each key on read).
         """
         if cache is not None and cache_keys is not None:
             return self._run_batch_cached(queries, cache, cache_keys, delta_keys)
@@ -196,23 +185,14 @@ class ParallelDispatcher:
     def _run_batch_uncached(
         self, queries: Sequence[AggregateQuery], delta_keys: Sequence[str] | None = None
     ) -> list[tuple[QueryResult, ExecutionStats]]:
-        """The pre-cache dispatch path: batch, pool, or inline serial."""
-        if self.use_batch:
-            execute_batch = getattr(self.executor, "execute_batch", None)
-            if execute_batch is not None:
-                fanout = (
-                    self._fanout
-                    if self.n_workers > 1 and len(queries) > 1
-                    else None
-                )
-                if delta_keys:
-                    return execute_batch(list(queries), fanout=fanout, delta_keys=delta_keys)
-                return execute_batch(list(queries), fanout=fanout)
-        if self.n_workers <= 1 or len(queries) <= 1:
-            return [self.executor.execute(query) for query in queries]
-        pool = self._ensure_pool()
-        futures = [pool.submit(self.executor.execute, query) for query in queries]
-        return [future.result() for future in futures]
+        """The pre-cache dispatch path: one ``execute_batch`` call, fanned
+        out onto the pool when there is more than one worker and query."""
+        fanout = self._fanout if self.n_workers > 1 and len(queries) > 1 else None
+        if delta_keys:
+            return self.executor.execute_batch(
+                list(queries), fanout=fanout, delta_keys=delta_keys
+            )
+        return self.executor.execute_batch(list(queries), fanout=fanout)
 
     def _fanout(self, fn: Callable, items: Sequence) -> list:
         """Run ``fn`` over ``items`` on the pool; results in item order."""
@@ -222,22 +202,17 @@ class ParallelDispatcher:
 
 
 def make_dispatcher(
-    executor: ExecutesQueries,
-    mode: str,
-    n_workers: int,
-    use_batch: bool = False,
+    executor: ExecutesQueries, mode: str, n_workers: int
 ) -> ParallelDispatcher:
     """Dispatcher factory for the engine's ``parallelism`` mode.
 
     "modeled" pins one worker — queries run inline on the calling thread
-    and parallel speedup exists only inside the cost model, exactly as
-    before this subsystem existed.  "real" runs ``n_workers`` threads.
-    ``use_batch`` (the engine's ``shared_scan`` knob) applies in both
-    modes: a modeled run still shares the scan, it just runs the per-query
-    grouping inline.  Any other mode is a ``ValueError``.
+    and parallel speedup exists only inside the cost model; a modeled run
+    still shares the scan, it just runs the per-query grouping inline.
+    "real" runs ``n_workers`` threads.  Any other mode is a ``ValueError``.
     """
     if mode == "real":
-        return ParallelDispatcher(executor, max(n_workers, 1), use_batch=use_batch)
+        return ParallelDispatcher(executor, max(n_workers, 1))
     if mode == "modeled":
-        return ParallelDispatcher(executor, 1, use_batch=use_batch)
+        return ParallelDispatcher(executor, 1)
     raise ValueError(f"unknown parallelism mode {mode!r}")

@@ -9,10 +9,11 @@ meaningful modeled latency.
 It is also the only backend that shares work across a batch:
 :meth:`NativeBackend.execute_batch` serves every query of a row range from
 **one** scan (shared pages charged once, shared expressions evaluated once)
-and fans only the per-query aggregation out to the dispatcher's pool.
-``execute`` is the same pipeline on a batch of one — the query pays for its
-whole scan — so ``EngineConfig(shared_scan=False)`` is an exact ablation
-baseline.
+and fans only the per-query aggregation — each query's last fold into its
+:class:`~repro.db.streaming.StreamingGroupAggregator` and the finalize —
+out to the dispatcher's pool.  ``execute`` is the same pipeline on a batch
+of one — the query pays for its whole scan — which is how NO_OPT's batches
+of one stay an exact no-sharing baseline.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ _CAPABILITIES = BackendCapabilities(
     supports_group_budget=True,
     accounts_io=True,
     parallel_safe=True,
-    result_fingerprint="native-v1",
+    result_fingerprint="native-v2",
     notes="in-process numpy executor; stats feed the paper's cost model",
 )
 

@@ -1,9 +1,11 @@
 """The operators of the chunk pipeline, and its per-query entry point.
 
 The pipeline itself — scan → derive → filter → key → aggregate over a query
-batch — is :meth:`repro.db.shared_scan.SharedScanExecutor.execute_batch`.
-This module holds the steps it is built from (key columns, aggregate
-inputs, the accounting tally, the result adapter) and
+batch — is :meth:`repro.db.shared_scan.SharedScanExecutor.execute_batch`,
+and its one group-by kernel is
+:class:`~repro.db.streaming.StreamingGroupAggregator`.  This module holds
+the steps between them (key columns, aggregate inputs, the accounting
+tally, the result adapter) and
 :class:`QueryExecutor`, which runs one logical
 :class:`~repro.db.query.AggregateQuery` as a batch of one and returns the
 result together with a fresh :class:`~repro.config.ExecutionStats`
@@ -245,9 +247,9 @@ class QueryExecutor:
     """Executes logical aggregate queries, one at a time, on one storage engine.
 
     A batch of one through the chunk pipeline: nothing is shared, so the
-    query's stats charge its whole scan — the per-query baseline that
-    ``EngineConfig(shared_scan=False)`` and NO_OPT measure.  Safe for
-    concurrent use from multiple threads (see module docstring).
+    query's stats charge its whole scan — the per-query baseline NO_OPT
+    measures.  Safe for concurrent use from multiple threads (see module
+    docstring).
     """
 
     def __init__(self, store: StorageEngine, delta_cache=None) -> None:

@@ -12,7 +12,11 @@ budget, the result reports the passes a Grace-style spill would re-read
 model's latency shows the cliff.  The aggregation itself always runs once:
 range partitions keep key order and each group's row order, so partitioning
 for real would return the same arrays bit for bit, only later.
-:class:`~repro.db.streaming.StreamingGroupAggregator` charges the same way.
+
+Rows are grouped by :class:`~repro.db.streaming.StreamingGroupAggregator`,
+the one group-by kernel; this module holds what it is built from — key
+columns, composite-key encoding, key factorization, the cardinality estimate
+and the spill charge — and :func:`group_aggregate`, the kernel fed one chunk.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.db.aggregates import compute_group_aggregate
 from repro.db.query import AggregateFunction
 from repro.exceptions import QueryError
 
@@ -34,14 +37,6 @@ _MAX_STRIDE_PRODUCT = 2**62
 #: level splits the key space 32 ways and re-reads its input once (write +
 #: read charged as two data passes per level).
 _SPILL_FANOUT = 32
-
-#: Cap on the dense-grouping fast path: when the stride-encoded composite
-#: key space has at most this many slots (and an in-core table fits the
-#: group budget), rows are aggregated with O(n) ``np.bincount`` over the
-#: dense domain instead of the O(n log n) ``np.unique`` sort.  The
-#: low-cardinality dimensions of the SeeDB view space land here almost always.
-_DENSE_GROUP_LIMIT = 1 << 16
-
 
 def spill_data_passes(n_partitions: int) -> int:
     """Extra input passes charged for a spill into ``n_partitions``.
@@ -196,64 +191,10 @@ def _encode_composite(key_columns: list[GroupKeyColumn]) -> np.ndarray:
     return composite
 
 
-def _dense_group_result(
-    key_columns: list[GroupKeyColumn],
-    aggregate_inputs: list[tuple[AggregateFunction, np.ndarray | None]],
-    composite: np.ndarray,
-    product: int,
-    estimate: int,
-    spill_passes: int,
-) -> GroupResult:
-    """O(n) dense aggregation over the full stride-encoded key domain.
-
-    Every row's composite code *is* its hash-table slot, so grouping is one
-    ``np.bincount`` instead of a sort; occupied slots come out ascending,
-    which is exactly the composite-key order the sorted path produces, and
-    the per-key codes are recovered arithmetically (mixed-radix decode)
-    rather than via representative-row indexing.  COUNT, SUM and AVG are
-    finalized on the occupied slots only; MIN/MAX keep the full-domain form.
-    """
-    # ``bincount`` casts its ids to intp on every call: cast once per key set.
-    composite = composite.astype(np.intp, copy=False)
-    counts_full = np.bincount(composite, minlength=product)
-    occupied = np.flatnonzero(counts_full)
-    counts = counts_full[occupied]
-    key_values: dict[str, np.ndarray] = {}
-    stride = product
-    for kc in key_columns:
-        card = max(kc.n_categories, 1)
-        stride //= card
-        key_values[kc.name] = kc.categories[(occupied // stride) % card]
-    aggregate_values = []
-    for func, values in aggregate_inputs:
-        if func is AggregateFunction.COUNT:
-            aggregate_values.append(counts.astype(np.float64))
-        elif func in (AggregateFunction.SUM, AggregateFunction.AVG):
-            if values is None:
-                raise QueryError(f"{func.value} requires a value array")
-            weights = np.asarray(values, dtype=np.float64)
-            sums = np.bincount(composite, weights=weights, minlength=product)[occupied]
-            aggregate_values.append(sums if func is AggregateFunction.SUM else sums / counts)
-        else:
-            aggregate_values.append(
-                compute_group_aggregate(func, composite, product, values, counts_full)[occupied]
-            )
-    return GroupResult(
-        key_values=key_values,
-        aggregate_values=aggregate_values,
-        group_counts=counts,
-        n_groups=len(occupied),
-        spill_passes=spill_passes,
-        estimated_groups=estimate,
-    )
-
-
 def group_aggregate(
     key_columns: list[GroupKeyColumn],
     aggregate_inputs: list[tuple[AggregateFunction, np.ndarray | None]],
     budget: int | None = None,
-    *,
-    allow_dense: bool = True,
 ) -> GroupResult:
     """Group rows by the key columns and compute each aggregate per group.
 
@@ -262,61 +203,12 @@ def group_aggregate(
     the estimated cardinality exceeds it, ``spill_passes`` reports the extra
     input passes a spill into ``ceil(estimate / budget)`` partitions is
     charged (see the module docstring) — the arrays returned are those of
-    the unbudgeted call.
-
-    Aggregation picks between two equivalent plans: when the stride-encoded
-    composite key space has at most ``_DENSE_GROUP_LIMIT`` slots (an in-core
-    table must also fit the budget) rows are aggregated densely in O(n) with
-    ``np.bincount`` — the common SeeDB case of low-cardinality dimensions —
-    otherwise the sparse ``np.unique`` sort path runs.  The two plans are
-    bitwise-equal.  ``allow_dense=False`` forces the sparse path (regression
-    tests compare the two).
+    the unbudgeted call.  This is the one group-by kernel,
+    :class:`~repro.db.streaming.StreamingGroupAggregator`, fed one chunk.
     """
-    if not key_columns:
-        raise QueryError("grouping requires at least one key column")
-    n_rows = len(key_columns[0].codes)
-    for kc in key_columns:
-        if len(kc.codes) != n_rows:
-            raise QueryError("group key columns must be row-aligned")
-    for _, values in aggregate_inputs:
-        if values is not None and len(values) != n_rows:
-            raise QueryError("aggregate input not row-aligned with keys")
+    # Deferred import: the aggregator is built from this module's helpers.
+    from repro.db.streaming import StreamingGroupAggregator
 
-    estimate = estimate_group_cardinality(
-        [kc.n_categories for kc in key_columns], n_rows
-    )
-    if n_rows == 0:
-        return GroupResult(
-            key_values={kc.name: kc.categories[:0] for kc in key_columns},
-            aggregate_values=[np.empty(0) for _ in aggregate_inputs],
-            group_counts=np.empty(0, dtype=np.int64),
-            n_groups=0,
-            spill_passes=0,
-            estimated_groups=0,
-        )
-
-    composite = _encode_composite(key_columns)
-    spill_passes = charged_spill_passes(estimate, budget)
-    product = math.prod(max(kc.n_categories, 1) for kc in key_columns)
-    dense_cap = _DENSE_GROUP_LIMIT
-    if budget is not None and budget > 0 and not spill_passes:
-        # An in-core table has to fit the budget; a spilled one is charged for.
-        dense_cap = min(dense_cap, budget)
-    if allow_dense and product <= dense_cap:
-        return _dense_group_result(
-            key_columns, aggregate_inputs, composite, product, estimate, spill_passes
-        )
-    uniq, rep_rows, inverse = np.unique(composite, return_index=True, return_inverse=True)
-    n_groups = len(uniq)
-    counts = np.bincount(inverse, minlength=n_groups)
-    return GroupResult(
-        key_values={kc.name: kc.categories[kc.codes[rep_rows]] for kc in key_columns},
-        aggregate_values=[
-            compute_group_aggregate(func, inverse, n_groups, values, counts)
-            for func, values in aggregate_inputs
-        ],
-        group_counts=counts,
-        n_groups=n_groups,
-        spill_passes=spill_passes,
-        estimated_groups=estimate,
-    )
+    aggregator = StreamingGroupAggregator([func for func, _ in aggregate_inputs], budget)
+    aggregator.update(key_columns, aggregate_inputs)
+    return aggregator.finalize()

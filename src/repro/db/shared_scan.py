@@ -7,8 +7,8 @@ does it — scan → derive → filter → key → aggregate over *(row-range gr
 query is a parameter value of it, not a path of its own (the table is in
 ``docs/architecture.md``, "The chunk pipeline"): a phase batch, a batch of
 one (:meth:`~repro.db.executor.QueryExecutor.execute`,
-``EngineConfig(shared_scan=False)``), a range that streams chunk by
-chunk, a query seeded from the delta cache.
+NO_OPT's per-query baseline), a range that streams chunk by chunk, a
+query seeded from the delta cache.
 
 The batch is grouped by row range and each group's rows are read once:
 
@@ -22,15 +22,17 @@ The batch is grouped by row range and each group's rows are read once:
   arrays, and factorized derived group keys are cached and shared by every
   query in the group that uses them;
 * grouping and aggregation — the only genuinely per-query work — run over
-  the shared arrays, optionally fanned out onto the parallel dispatcher's
-  thread pool.
+  the shared arrays in each query's
+  :class:`~repro.db.streaming.StreamingGroupAggregator`, the one group-by
+  kernel, optionally fanned out onto the parallel dispatcher's thread pool.
 
-A range the store streams (``StorageEngine.stream_ranges``) repeats that
-preparation per chunk-aligned sub-range and folds each into the queries'
-:class:`~repro.db.streaming.StreamingGroupAggregator`: peak memory is
-O(chunk + groups) and the result value-identical to the one-shot
-:func:`~repro.db.groupby.group_aggregate`, which stays as the measured
-specialization for one range with no seed.  With a delta cache attached, a
+A range is scanned as the chunk-aligned sub-ranges the store streams
+(``StorageEngine.stream_ranges``; a resident range is one): each goes
+through that preparation and is folded, in row order, into the queries'
+aggregators, so peak memory is O(chunk + groups) and the result the same
+bits at any chunking.  Every sub-range but the last is folded on the
+calling thread; the last one's fold and the finalize are the query's job,
+so a resident range's aggregation is what fans out.  With a delta cache attached, a
 query over the whole table starts from a copy of its cached aggregator state
 and scans only the rows past it; it reads a range of its own, so it is a group
 of one.  The refreshed state goes back to the cache as it is — the one copy is
@@ -67,7 +69,7 @@ from repro.db.executor import (
     tally_aggregation,
 )
 from repro.db.expressions import Expression
-from repro.db.groupby import GroupKeyColumn, group_aggregate
+from repro.db.groupby import GroupKeyColumn
 from repro.db.query import AggregateQuery, QueryResult
 from repro.db.storage import StorageEngine
 from repro.db.streaming import StreamingGroupAggregator
@@ -124,9 +126,8 @@ class _Pending:
     #: Its delta-state key, if its batch brought one.
     delta_key: str | None = None
     stats: ExecutionStats = field(default_factory=ExecutionStats)
-    #: One range, no seed: that range, aggregated by ``group_aggregate``.
-    prepared: _Prepared | None = None
-    #: Otherwise: the running state each sub-range was folded into.
+    #: The running state each sub-range is folded into: a fresh one, or one
+    #: restored from the delta cache.
     aggregator: StreamingGroupAggregator | None = None
     #: Filtered rows a restored aggregator had folded before this execution.
     restored_rows: int = 0
@@ -149,8 +150,8 @@ class SharedScanExecutor:
         # stats_a + stats_b charge each page the batch shares exactly once
 
     Engines reach this through the dispatcher →
-    :meth:`NativeBackend.execute_batch` (whole phase batches under
-    ``EngineConfig(shared_scan=True)``, batches of one otherwise).
+    :meth:`NativeBackend.execute_batch` (whole phase batches; NO_OPT's
+    batches of one).
     """
 
     def __init__(self, store: StorageEngine, delta_cache=None) -> None:
@@ -190,8 +191,8 @@ class SharedScanExecutor:
             seeded = self.delta_cache is not None and 0 == start < stop == self.store.nrows
             groups.setdefault((start, stop, i if seeded else -1), []).append(i)
 
-        # Shared groups scan here, on the calling thread, leaving only each
-        # query's aggregation to fan out; a seeded group of one is a
+        # Shared groups scan here, on the calling thread, leaving each query's
+        # last fold and its finalize to fan out; a seeded group of one is a
         # whole-query job.
         pending = [
             _Pending(query, delta_keys[i] if delta_keys else None)
@@ -202,63 +203,61 @@ class SharedScanExecutor:
             if own >= 0:
                 jobs[own] = partial(self._run_seeded, pending[own], stop)
                 continue
-            self._scan_group([pending[i] for i in indices], start, stop)
-            for i in indices:
-                jobs[i] = partial(self._finish, pending[i])
+            tails = self._scan_group([pending[i] for i in indices], start, stop)
+            for i, tail in zip(indices, tails):
+                jobs[i] = partial(self._finish, pending[i], tail)
         if fanout is not None and len(jobs) > 1:
             return fanout(_run_job, jobs)  # type: ignore[return-value]
         return [job() for job in jobs]
 
     def _run_seeded(self, entry: _Pending, stop: int) -> Outcome:
         """A seeded group of one, whole: restore, scan the tail, fold, put back."""
-        self._scan_group([entry], 0, stop, seeded=True)
-        return self._finish(entry)
+        (tail,) = self._scan_group([entry], 0, stop, seeded=True)
+        return self._finish(entry, tail)
 
     def _scan_group(
         self, group: list[_Pending], start: int, stop: int, seeded: bool = False
-    ) -> None:
+    ) -> list[_Prepared | None]:
         """Read rows ``[start, stop)`` once for every query of ``group``.
 
-        One range and no seed leaves each query its prepared range for the
-        one-shot ``group_aggregate``.  Otherwise every chunk-aligned
-        sub-range goes through the same shared preparation and is folded,
-        in row order, into the query's aggregator — a fresh one, or for a
-        ``seeded`` group of one the state the delta cache holds for a
-        prefix of the range, in which case only the rows past that prefix
-        are scanned: the carry-seeded continuation of the one-shot
-        accumulation, bitwise-identical to it.  A seeded scan ends at the
-        table's last row and hands its state to the delta cache for the next
-        append — unless it scanned nothing, which leaves the cached one.
+        Every chunk-aligned sub-range goes through the same shared
+        preparation.  All but the last are folded here, in row order, into
+        each query's aggregator — a fresh one, or for a ``seeded`` group of
+        one the state the delta cache holds for a prefix of the range, in
+        which case only the rows past that prefix are scanned: the
+        carry-seeded continuation, bitwise-identical to a scan from row 0.
+        The last sub-range's prepared inputs are returned, one per query,
+        for :meth:`_finish` to fold; ``None`` where nothing is left to fold.
+        A seeded scan (its whole job already) folds the last sub-range too,
+        ends at the table's last row and hands its state to the delta cache
+        for the next append — unless it scanned nothing, which leaves the
+        cached one.
         """
         started = time.perf_counter()
         scan_stats = ExecutionStats()
         queries = [entry.query for entry in group]
         if seeded:
             cache_key, start = self._restore(group[0], stop)
-        if seeded and start == stop:
-            ranges = []  # the restored state already covers the range
-        else:
-            ranges = self.store.stream_ranges(start, stop)
-        if len(ranges) == 1 and not seeded:
-            for entry, prepared in zip(
-                group, self._prepare_range(queries, start, stop, scan_stats)
-            ):
-                entry.prepared = prepared
-        else:
-            for entry in group:
-                if entry.aggregator is None:
-                    entry.aggregator = StreamingGroupAggregator(
-                        [spec.func for spec in entry.query.aggregates],
-                        entry.query.group_budget,
-                    )
-            for sub_start, sub_stop in ranges:
+        for entry in group:
+            if entry.aggregator is None:
+                entry.aggregator = StreamingGroupAggregator(
+                    [spec.func for spec in entry.query.aggregates],
+                    entry.query.group_budget,
+                )
+        tails: list[_Prepared | None] = [None] * len(group)
+        if not (seeded and start == stop):  # else the restored state covers it
+            *head, last = self.store.stream_ranges(start, stop)
+            for sub_start, sub_stop in head:
                 for entry, prepared in zip(
                     group, self._prepare_range(queries, sub_start, sub_stop, scan_stats)
                 ):
                     entry.aggregator.update(*prepared)
-            if seeded and ranges:
+            tails = self._prepare_range(queries, *last, scan_stats)
+            if seeded:
                 # Fed no more rows from here: its own state is the snapshot.
                 aggregator = group[0].aggregator
+                aggregator.update(*tails[0])
+                tails = [None]
                 self.delta_cache.put(
                     cache_key,
                     aggregator.release(),
@@ -268,6 +267,7 @@ class SharedScanExecutor:
                 )
         scan_stats.wall_seconds = time.perf_counter() - started
         _spread_scan_stats(scan_stats, [entry.stats for entry in group])
+        return tails
 
     def _restore(self, entry: _Pending, stop: int) -> tuple[str, int]:
         """Seed ``entry`` from a copy of its cached state; ``(cache key, rows
@@ -290,26 +290,27 @@ class SharedScanExecutor:
                 return key, cached.rows
         return key, 0
 
-    def _finish(self, entry: _Pending) -> Outcome:
-        """Aggregate what the scan left ``entry``; tally it; adapt the result.
+    def _finish(self, entry: _Pending, tail: _Prepared | None) -> Outcome:
+        """Fold the scan's last sub-range into ``entry``'s aggregator, finalize,
+        tally it and adapt the result.
 
         ``agg_rows_processed`` and spill bytes charge the rows folded in
         *this* execution; ``QueryResult.input_rows`` stays cumulative.
         """
-        query, stats = entry.query, entry.stats
+        query, stats, aggregator = entry.query, entry.stats, entry.aggregator
         started = time.perf_counter()
-        if entry.aggregator is None:
-            key_columns, aggregate_inputs = entry.prepared
-            result = group_aggregate(key_columns, aggregate_inputs, query.group_budget)
-            input_rows = len(key_columns[0].codes)
-        else:
-            result = entry.aggregator.finalize()
-            input_rows = entry.aggregator.total_rows
+        if tail is not None:
+            aggregator.update(*tail)
+        result = aggregator.finalize()
         tally_aggregation(
-            stats, self.store.table.schema, query, result, input_rows - entry.restored_rows
+            stats,
+            self.store.table.schema,
+            query,
+            result,
+            aggregator.total_rows - entry.restored_rows,
         )
         stats.wall_seconds += time.perf_counter() - started
-        return build_query_result(query, result, input_rows), stats
+        return build_query_result(query, result, aggregator.total_rows), stats
 
     def _prepare_range(
         self,

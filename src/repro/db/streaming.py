@@ -1,43 +1,42 @@
-"""Chunk-at-a-time group aggregation with exact partial-state merge.
+"""The group-by kernel: chunk-at-a-time aggregation with exact carry-seeding.
 
-When a range streams, or continues from a delta-cache snapshot, the chunk
-pipeline (:mod:`repro.db.shared_scan`) feeds one chunk of (key codes,
-aggregate inputs) at a time into a :class:`StreamingGroupAggregator`; after
-the last chunk, :meth:`~StreamingGroupAggregator.finalize` yields a
-:class:`~repro.db.groupby.GroupResult` **value-identical** to running
-:func:`~repro.db.groupby.group_aggregate` over the whole range at once.
+Every native aggregate query is grouped here.  The chunk pipeline
+(:mod:`repro.db.shared_scan`) feeds a :class:`StreamingGroupAggregator`
+one chunk of (key codes, aggregate inputs) at a time — a resident range is
+a stream of one chunk, a streamed range one chunk per sub-range, a query
+seeded from the delta cache continues a restored state — and after the
+last chunk :meth:`~StreamingGroupAggregator.finalize` yields the
+:class:`~repro.db.groupby.GroupResult`.
+:func:`~repro.db.groupby.group_aggregate` is the same kernel fed one chunk.
 Peak memory is O(chunk + groups), never O(range).
 
-Why the result is exact rather than merely close: numpy's ``bincount``
-accumulates weights sequentially in array-index order, so a one-shot
-per-group SUM is the left-to-right sequence ``((v1 + v2) + v3) + ...``
+Why the result does not depend on the chunking: numpy's ``bincount``
+accumulates weights sequentially in array-index order, so a per-group SUM
+over one chunk is the left-to-right sequence ``((v1 + v2) + v3) + ...``
 over that group's rows.  Merging *independently computed* chunk sums would
 re-parenthesize that sequence — ``(v1 + v2) + (v3 + v4)`` — which differs
 in the last ulp.  The aggregator instead **carry-seeds** each chunk: the
 accumulated per-group partials enter the chunk's ``bincount`` as pseudo
 rows placed *before* the chunk's real rows, so each group's accumulation
-remains the exact left-to-right sequence of the one-shot computation.
-COUNT and the group row counts are integer-exact; MIN/MAX are
-order-independent (NaN poisoning included); AVG is carried as (sum, count)
-and finalized with the same ``sums / max(counts, 1)`` expression the
-one-shot path uses.  The differential oracle and
-``tests/db/test_streaming.py`` enforce this equality bitwise across chunk
-sizes, predicates, derived keys, and the spill path.
+remains the exact left-to-right row-order sequence at any chunking.
+COUNT and the group row counts are integer-exact (COUNT is the row count
+as float64, taken from the one counts pass); MIN/MAX are order-independent
+(NaN poisoning included, ±inf kept); AVG is carried as (sum, count) and
+finalized as ``sum / count``.  ``tests/db/test_streaming.py`` holds every
+chunking and both plans bitwise to a row-order Python reference.
 
-Like :func:`~repro.db.groupby.group_aggregate`, the aggregator keeps two
-equivalent plans.  While the stride-encoded composite key space stays
-within :data:`~repro.db.groupby._DENSE_GROUP_LIMIT`, state lives in
-**dense** arrays over that domain and each chunk folds in with O(n)
-``bincount`` — no sorting, which is what keeps streaming at near-resident
-throughput (the resident fast path is the same dense bincount).  When the
-key space outgrows the limit (or category sets explode), the dense state
-converts once to the sparse per-group representation and merging proceeds
-via ``np.unique``.  Both plans carry-seed identically, so the choice —
-like the one-shot dense/sparse choice — never changes a result bit.
+The aggregator keeps two equivalent plans.  While the stride-encoded
+composite key space stays within :data:`_DENSE_GROUP_LIMIT`, state lives
+in **dense** arrays over that domain and each chunk folds in with O(n)
+``bincount`` — no sorting, the common SeeDB case of low-cardinality
+dimensions.  When the key space outgrows the limit (or category sets
+explode), the dense state converts once to the sparse per-group
+representation and merging proceeds via ``np.unique``.  Both plans
+carry-seed identically, so the choice never changes a result bit.
 
-Group ordering also matches: both paths sort groups ascending by composite
-key, which — categories being sorted — is plain lexicographic order of the
-group key *values*, independent of how rows were chunked.
+Groups come out sorted ascending by composite key, which — categories
+being sorted — is plain lexicographic order of the group key *values*,
+independent of how rows were chunked.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ import math
 import numpy as np
 
 from repro.db.groupby import (
-    _DENSE_GROUP_LIMIT,
     GroupKeyColumn,
     GroupResult,
     _encode_composite,
@@ -57,16 +55,14 @@ from repro.db.groupby import (
 from repro.db.query import AggregateFunction
 from repro.exceptions import QueryError
 
-#: Aggregates accumulated as running per-group float64 sums.
-_SUM_LIKE = (AggregateFunction.COUNT, AggregateFunction.SUM, AggregateFunction.AVG)
+#: Cap on the dense plan: while the stride-encoded composite key space has
+#: at most this many slots, rows fold with O(n) ``np.bincount`` over the
+#: dense domain instead of the O(n log n) ``np.unique`` sort.
+_DENSE_GROUP_LIMIT = 1 << 16
 
-
-def _chunk_weights(
-    func: AggregateFunction, values: np.ndarray | None, n_chunk: int
-) -> np.ndarray:
-    if func is AggregateFunction.COUNT:
-        return np.ones(n_chunk, dtype=np.float64)
-    return np.asarray(values, dtype=np.float64)
+#: Aggregates accumulated as carry-seeded per-group float64 sums (COUNT is
+#: the group row counts, which every chunk counts anyway).
+_SUM_LIKE = (AggregateFunction.SUM, AggregateFunction.AVG)
 
 
 def _copy_state(state: dict[str, object]) -> dict[str, object]:
@@ -109,7 +105,7 @@ def _state_nbytes(state: dict[str, object]) -> int:
 
 
 class StreamingGroupAggregator:
-    """Merges per-chunk group partials into the exact one-shot result.
+    """Groups a query's rows chunk by chunk; the result is the same at any chunking.
 
     One instance serves one logical query over one row range.  Feed chunks
     in row order with :meth:`update` (each call gets that chunk's
@@ -123,7 +119,7 @@ class StreamingGroupAggregator:
         for start, stop in table.chunk_ranges(*query.row_range):
             key_cols, inputs, n = prepare_chunk(query, start, stop)
             agg.update(key_cols, inputs)
-        result = agg.finalize()   # == group_aggregate(...) over the full range
+        result = agg.finalize()   # the same bits at any chunking
     """
 
     def __init__(
@@ -170,7 +166,7 @@ class StreamingGroupAggregator:
         ``key_columns`` and ``aggregate_inputs`` follow the
         :func:`~repro.db.groupby.group_aggregate` contract (row-aligned,
         pre-filtered); chunks must arrive in row order for the carry-seeded
-        sums to reproduce the one-shot accumulation sequence.
+        sums to reproduce the row-order accumulation sequence.
         """
         if not key_columns:
             raise QueryError("grouping requires at least one key column")
@@ -212,13 +208,11 @@ class StreamingGroupAggregator:
                 self._init_dense(key_columns)
             else:
                 self._mode = "sparse"
-        if self._mode == "dense" and not self._update_dense(
-            key_columns, aggregate_inputs, n_chunk
-        ):
+        if self._mode == "dense" and not self._update_dense(key_columns, aggregate_inputs):
             self._dense_to_sparse()
-            self._update_sparse(key_columns, aggregate_inputs, n_chunk)
+            self._update_sparse(key_columns, aggregate_inputs)
         elif self._mode == "sparse":
-            self._update_sparse(key_columns, aggregate_inputs, n_chunk)
+            self._update_sparse(key_columns, aggregate_inputs)
         self.total_rows += n_chunk
 
     # ------------------------------------------------------------------ #
@@ -287,7 +281,6 @@ class StreamingGroupAggregator:
         self,
         key_columns: list[GroupKeyColumn],
         aggregate_inputs: list[tuple[AggregateFunction, np.ndarray | None]],
-        n_chunk: int,
     ) -> bool:
         """Fold a chunk into the dense state; False = domain outgrew dense."""
         new_cats: list[np.ndarray] = []
@@ -328,13 +321,16 @@ class StreamingGroupAggregator:
         assert composite is not None
 
         occupied = self._dense_occupied()
+        self._dense_counts += np.bincount(composite, minlength=self._dense_product)
         for j, (func, values) in enumerate(aggregate_inputs):
-            if func in _SUM_LIKE:
-                weights = _chunk_weights(func, values, n_chunk)
+            if func is AggregateFunction.COUNT:
+                self._dense_partials[j] = self._dense_counts.astype(np.float64)
+            elif func in _SUM_LIKE:
+                weights = np.asarray(values, dtype=np.float64)
                 partial = self._dense_partials[j]
                 if len(occupied):
                     # Carry rows first: each group's sum continues the
-                    # exact left-to-right one-shot accumulation sequence.
+                    # exact left-to-right row-order accumulation sequence.
                     ids = np.concatenate([occupied, composite])
                     weights = np.concatenate([partial[occupied], weights])
                 else:
@@ -354,9 +350,6 @@ class StreamingGroupAggregator:
                     composite,
                     np.asarray(values, dtype=np.float64),
                 )
-        self._dense_counts += np.bincount(
-            composite, minlength=self._dense_product
-        ).astype(np.int64)
         for i, cats in enumerate(self._dense_cats):
             self._category_counts[i] = len(cats)
             self._last_categories[i] = cats
@@ -390,7 +383,6 @@ class StreamingGroupAggregator:
         self,
         key_columns: list[GroupKeyColumn],
         aggregate_inputs: list[tuple[AggregateFunction, np.ndarray | None]],
-        n_chunk: int,
     ) -> None:
         n_acc = self._n_groups
         combined_columns: list[GroupKeyColumn] = []
@@ -421,18 +413,19 @@ class StreamingGroupAggregator:
         acc_ids = inverse[:n_acc]
         chunk_ids = inverse[n_acc:]
 
-        new_counts = np.zeros(new_n, dtype=np.int64)
+        new_counts = np.bincount(chunk_ids, minlength=new_n)
         if n_acc:
-            new_counts[acc_ids] = self._counts
-        new_counts += np.bincount(chunk_ids, minlength=new_n).astype(np.int64)
+            new_counts[acc_ids] += self._counts
 
         new_partials: list[np.ndarray] = []
         for j, (func, values) in enumerate(aggregate_inputs):
-            if func in _SUM_LIKE:
-                chunk_weights = _chunk_weights(func, values, n_chunk)
+            if func is AggregateFunction.COUNT:
+                new_partials.append(new_counts.astype(np.float64))
+            elif func in _SUM_LIKE:
+                chunk_weights = np.asarray(values, dtype=np.float64)
                 # Carry rows come first: bincount accumulates in index
                 # order, so each group's running sum continues the exact
-                # left-to-right sequence of a one-shot bincount.
+                # left-to-right row-order sequence.
                 weights = (
                     np.concatenate([self._partials[j], chunk_weights])
                     if n_acc
@@ -478,7 +471,7 @@ class StreamingGroupAggregator:
         cannot be forgotten here.  Restoring it via :meth:`from_snapshot`
         and feeding the *next* chunks produces bitwise the same state as
         one aggregator that saw every chunk, because carry-seeding already
-        makes accumulated partials order-exact prefixes of the one-shot
+        makes accumulated partials order-exact prefixes of the row-order
         sequence.  Arrays are copied on capture (and again on restore), so
         a cached snapshot is immune to later updates on either side.
         """
@@ -505,24 +498,8 @@ class StreamingGroupAggregator:
     # finalize
     # ------------------------------------------------------------------ #
 
-    def _finalize_aggregates(self, counts: np.ndarray, partials: list[np.ndarray]):
-        aggregate_values: list[np.ndarray] = []
-        for func, partial in zip(self.funcs, partials):
-            if func is AggregateFunction.AVG:
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    aggregate_values.append(
-                        np.where(counts > 0, partial / np.maximum(counts, 1), np.nan)
-                    )
-            elif func in (AggregateFunction.MIN, AggregateFunction.MAX):
-                out = partial.copy()
-                out[np.isinf(out)] = np.nan
-                aggregate_values.append(out)
-            else:
-                aggregate_values.append(partial)
-        return aggregate_values
-
     def finalize(self) -> GroupResult:
-        """The merged :class:`GroupResult`, identical to the one-shot path."""
+        """The merged :class:`GroupResult` of every row fed so far."""
         if self._key_names is None:
             raise QueryError("finalize() before any update()")
         if self._mode == "dense":
@@ -555,13 +532,18 @@ class StreamingGroupAggregator:
                 spill_passes=0,
                 estimated_groups=0,
             )
-        # Accounting parity with the one-shot path: same cardinality
-        # estimate (global counts for physical dims, the range's distinct
-        # set for derived keys), hence the same spill-pass charge.
+        # The same estimate at any chunking (global counts for physical
+        # dims, the range's distinct set for derived keys), hence the same
+        # spill-pass charge.
         estimate = estimate_group_cardinality(self._category_counts, self.total_rows)
         return GroupResult(
             key_values=key_values,
-            aggregate_values=self._finalize_aggregates(counts, partials),
+            # Every group here holds rows: MIN/MAX are the extrema, ±inf
+            # included, and AVG divides by a count of at least one.
+            aggregate_values=[
+                partial / counts if func is AggregateFunction.AVG else partial
+                for func, partial in zip(self.funcs, partials)
+            ],
             group_counts=counts,
             n_groups=n_groups,
             spill_passes=charged_spill_passes(estimate, self.budget),

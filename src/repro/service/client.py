@@ -30,8 +30,10 @@ from typing import Any, Mapping
 from repro.exceptions import ServiceError
 from repro.service.api import (
     API_PREFIX,
+    ROUTES,
     AppendRequest,
     AppendResponse,
+    CreateSessionRequest,
     DatasetInfo,
     ErrorCode,
     ErrorInfo,
@@ -49,6 +51,10 @@ _TRANSPORT_ERRORS = (
     ConnectionError,
     BrokenPipeError,
 )
+
+
+#: The route table's rows by ``Route.name``: each typed method sends its row.
+_ROUTES = {route.name: route for route in ROUTES}
 
 
 class _Outcome:
@@ -242,9 +248,22 @@ class ServiceClient:
     # typed endpoints
     # -------------------------------------------------------------- #
 
+    def _send(
+        self,
+        name: str,
+        ident: str | None = None,
+        payload: Mapping[str, Any] | None = None,
+        idempotent: bool | None = None,
+    ) -> dict[str, Any]:
+        """:meth:`call` the ``ROUTES`` row named ``name``: its method, and its
+        path with ``ident`` in the ``{id}`` segment."""
+        route = _ROUTES[name]
+        path = route.template if ident is None else route.template.replace("{id}", ident)
+        return self.call(route.method, path, payload, idempotent)
+
     def healthz(self) -> dict[str, Any]:
         """``GET /v1/healthz``."""
-        return self.call("GET", "/healthz")
+        return self._send("healthz")
 
     def create_session(
         self,
@@ -253,12 +272,8 @@ class ServiceClient:
         metric: str | None = None,
     ) -> SessionInfo:
         """``POST /v1/sessions`` — open a session; returns its info."""
-        from repro.service.api import CreateSessionRequest
-
-        body = self.call(
-            "POST",
-            "/sessions",
-            CreateSessionRequest(dataset, store, metric).to_payload(),
+        body = self._send(
+            "create_session", payload=CreateSessionRequest(dataset, store, metric).to_payload()
         )
         return SessionInfo.from_payload(body)
 
@@ -289,28 +304,23 @@ class ServiceClient:
         recommend only records an extra session step when re-run — the
         right trade for load generators riding through worker respawns).
         """
-        return self.call(
-            "POST",
-            f"/sessions/{session_id}/recommend",
-            payload,
-            idempotent=idempotent,
-        )
+        return self._send("recommend", session_id, payload, idempotent)
 
     def describe_session(self, session_id: str) -> dict[str, Any]:
         """``GET /v1/sessions/<id>`` — the session's recorded steps."""
-        return self.call("GET", f"/sessions/{session_id}")
+        return self._send("describe_session", session_id)
 
     def datasets(self) -> list[DatasetInfo]:
         """``GET /v1/datasets`` — typed registry rows."""
-        body = self.call("GET", "/datasets")
+        body = self._send("describe_datasets")
         return [DatasetInfo.from_payload(row) for row in body["datasets"]]
 
     def register_dataset(
         self, path: str, name: str | None = None
     ) -> dict[str, Any]:
         """``POST /v1/datasets`` — register an on-disk chunk store."""
-        return self.call(
-            "POST", "/datasets", RegisterDatasetRequest(path, name).to_payload()
+        return self._send(
+            "register_dataset", payload=RegisterDatasetRequest(path, name).to_payload()
         )
 
     def append(
@@ -321,18 +331,16 @@ class ServiceClient:
         ``AppendRequest`` carries either columnar JSON rows or a headered
         CSV batch; the response reports the new row count and digest.
         """
-        body = self.call(
-            "POST", f"/datasets/{dataset}/append", request.to_payload()
-        )
+        body = self._send("append_dataset", dataset, request.to_payload())
         return AppendResponse.from_payload(body)
 
     def refresh_dataset(self, dataset: str) -> dict[str, Any]:
         """``POST /v1/datasets/<id>/refresh`` — re-sync from the chunk store."""
-        return self.call("POST", f"/datasets/{dataset}/refresh")
+        return self._send("refresh_dataset", dataset)
 
     def stats(self) -> dict[str, Any]:
         """``GET /v1/stats`` — service counters and cache snapshot."""
-        return self.call("GET", "/stats")
+        return self._send("stats")
 
     def route_stats(self) -> dict[str, Any] | None:
         """The per-route latency-histogram block, or ``None`` if absent."""

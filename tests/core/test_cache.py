@@ -322,7 +322,7 @@ class TestEngineWiring:
         _assert_bitwise_identical(first, second)
 
     def test_no_opt_and_per_query_paths_cache_too(self, census_like):
-        engine = _engine(census_like, shared_scan=False)
+        engine = _engine(census_like)
         cold = _run(engine, census_like, strategy="no_opt")
         warm = _run(engine, census_like, strategy="no_opt")
         assert warm.cache_hits == cold.cache_misses > 0

@@ -308,37 +308,23 @@ class TestTiesRankInViewOrder:
 
 
 class TestSharedScan:
-    """The batch path changes accounting only; NO_OPT stays unoptimized."""
+    """Every strategy hands the backend whole phases but NO_OPT, which sends
+    batches of one: the no-sharing baseline."""
 
-    def test_shared_scan_changes_accounting_not_results(self, census_like, views):
-        runs = {}
-        for shared in (True, False):
-            store = make_store("col", census_like)
-            engine = ExecutionEngine(
-                store,
-                EngineConfig(store="col", shared_scan=shared),
-                CostModel.for_store("col"),
-            )
-            runs[shared] = engine.run(
-                views, TARGET, k=3, strategy="sharing", pruner="none"
-            )
-        on, off = runs[True], runs[False]
-        assert on.shared_scan and not off.shared_scan
-        assert on.selected == off.selected
-        for key, value in off.utilities.items():
-            assert on.utilities[key] == pytest.approx(value, rel=1e-9, abs=1e-12)
-        assert on.stats.queries_issued == off.stats.queries_issued
-        # The shared scan never re-touches a page within a phase batch.
-        on_bytes = on.stats.bytes_scanned_miss + on.stats.bytes_scanned_hit
-        off_bytes = off.stats.bytes_scanned_miss + off.stats.bytes_scanned_hit
-        assert on_bytes < off_bytes
-        assert on.modeled_latency < off.modeled_latency
+    def test_no_opt_sends_batches_of_one(self, engine, views):
+        sizes: list[int] = []
+        execute_batch = engine.backend.execute_batch
 
-    def test_no_opt_never_uses_shared_scan(self, engine, views):
+        def spy(queries, **kwargs):
+            sizes.append(len(queries))
+            return execute_batch(queries, **kwargs)
+
+        engine.backend.execute_batch = spy
         run = engine.run(views, TARGET, k=2, strategy="no_opt", pruner="none")
-        assert run.shared_scan is False
+        assert sizes == [1] * run.stats.queries_issued
+        sizes.clear()
         run = engine.run(views, TARGET, k=2, strategy="sharing", pruner="none")
-        assert run.shared_scan is True
+        assert sizes == [run.stats.queries_issued] and sizes[0] > 1
 
 
 class TestAggregateFunctions:

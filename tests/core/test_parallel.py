@@ -18,7 +18,6 @@ from repro.core.parallel import ParallelDispatcher, make_dispatcher
 from repro.core.recommender import SeeDB, tuned_config
 from repro.db.backends import NativeBackend
 from repro.db.buffer import BufferPool
-from repro.db.executor import QueryExecutor
 from repro.db.query import AggregateFunction, AggregateQuery, AggregateSpec
 from repro.db.storage import make_store
 from repro.db.table import Table
@@ -36,7 +35,7 @@ def _count_query(table: str, dim: str, lo: int, hi: int) -> AggregateQuery:
 
 class TestDispatcher:
     def test_run_batch_preserves_submission_order(self, census_like):
-        executor = QueryExecutor(make_store("col", census_like))
+        executor = NativeBackend(make_store("col", census_like))
         # Distinct row ranges make each result identify its query.
         queries = [
             _count_query("census_like", "sex", i * 1000, i * 1000 + 500)
@@ -53,7 +52,7 @@ class TestDispatcher:
             assert pr.to_rows() == sr.to_rows()
 
     def test_single_worker_runs_inline_without_pool(self, tiny_table):
-        executor = QueryExecutor(make_store("col", tiny_table))
+        executor = NativeBackend(make_store("col", tiny_table))
         dispatcher = make_dispatcher(executor, "modeled", 8)
         outcomes = dispatcher.run_batch(
             [_count_query("tiny", "color", 0, 6) for _ in range(3)]
@@ -63,7 +62,7 @@ class TestDispatcher:
         dispatcher.close()
 
     def test_worker_exception_propagates(self, tiny_table):
-        executor = QueryExecutor(make_store("col", tiny_table))
+        executor = NativeBackend(make_store("col", tiny_table))
         bad = AggregateQuery(
             table="other",  # wrong table -> QueryError inside the worker
             group_by=("color",),
@@ -75,7 +74,7 @@ class TestDispatcher:
                 dispatcher.run_batch(queries)
 
     def test_make_dispatcher_modes(self, tiny_table):
-        executor = QueryExecutor(make_store("col", tiny_table))
+        executor = NativeBackend(make_store("col", tiny_table))
         assert make_dispatcher(executor, "real", 4).n_workers == 4
         assert make_dispatcher(executor, "modeled", 4).n_workers == 1
         for mode in ("async", "process"):
@@ -85,7 +84,7 @@ class TestDispatcher:
             ParallelDispatcher(executor, 0)
 
     def test_batch_mode_routes_through_execute_batch(self, census_like):
-        """use_batch hands the whole batch to the executor's batch method."""
+        """The whole batch goes to the executor's batch method in one call."""
         backend = NativeBackend(make_store("col", census_like))
         calls: list[tuple[int, bool]] = []
         original = backend.execute_batch
@@ -96,27 +95,17 @@ class TestDispatcher:
 
         backend.execute_batch = spying_execute_batch  # type: ignore[method-assign]
         queries = [_count_query("census_like", "sex", 0, 1000) for _ in range(6)]
-        with ParallelDispatcher(backend, n_workers=3, use_batch=True) as dispatcher:
+        with ParallelDispatcher(backend, n_workers=3) as dispatcher:
             outcomes = dispatcher.run_batch(queries)
         assert calls == [(6, True)]  # one batch call, fanout provided
         serial = [backend.execute(q) for q in queries]
         for (pr, _), (sr, _) in zip(outcomes, serial):
             assert pr.to_rows() == sr.to_rows()
 
-    def test_batch_mode_falls_back_without_execute_batch(self, tiny_table):
-        """A bare QueryExecutor (no batch method) keeps the per-query path."""
-        executor = QueryExecutor(make_store("col", tiny_table))
-        with ParallelDispatcher(executor, n_workers=2, use_batch=True) as dispatcher:
-            outcomes = dispatcher.run_batch(
-                [_count_query("tiny", "color", 0, 6) for _ in range(3)]
-            )
-        assert len(outcomes) == 3
-        assert all(stats.queries_issued == 1 for _, stats in outcomes)
-
     def test_batch_mode_single_worker_runs_inline(self, census_like):
-        """Modeled mode + shared scan: batch call, no pool, no fanout."""
+        """Modeled mode: one batch call, no pool, no fanout."""
         backend = NativeBackend(make_store("col", census_like))
-        dispatcher = make_dispatcher(backend, "modeled", 8, use_batch=True)
+        dispatcher = make_dispatcher(backend, "modeled", 8)
         outcomes = dispatcher.run_batch(
             [_count_query("census_like", "race", 0, 2000) for _ in range(4)]
         )
@@ -252,7 +241,7 @@ class TestChunkStoreDispatch:
             _count_query("census_like", "race", i * 500, i * 500 + 400)
             for i in range(6)
         ]
-        with make_dispatcher(backend, "real", 3, use_batch=True) as dispatcher:
+        with make_dispatcher(backend, "real", 3) as dispatcher:
             outcomes = dispatcher.run_batch(queries)
         serial = [backend.execute(q) for q in queries]
         for (pr, _), (sr, _) in zip(outcomes, serial):
@@ -269,10 +258,7 @@ class TestChunkStoreDispatch:
         assert dispatcher._pool is None
         dispatcher.close()
 
-    @pytest.mark.parametrize("use_batch", [False, True])
-    def test_stream_granularity_does_not_change_results(
-        self, chunked_census, use_batch
-    ):
+    def test_stream_granularity_does_not_change_results(self, chunked_census):
         """A finer ``stream_chunk_rows`` on the store changes the walk only."""
         backend = NativeBackend(make_store("col", chunked_census))
         queries = [
@@ -282,7 +268,7 @@ class TestChunkStoreDispatch:
         baseline = [backend.execute(q) for q in queries]
         backend.store.stream_chunk_rows = 512
         assert backend.store.effective_stream_chunk_rows() == 512
-        with make_dispatcher(backend, "real", 2, use_batch=use_batch) as dispatcher:
+        with make_dispatcher(backend, "real", 2) as dispatcher:
             outcomes = dispatcher.run_batch(queries)
         for (pr, _), (sr, _) in zip(outcomes, baseline):
             assert pr.to_rows() == sr.to_rows()

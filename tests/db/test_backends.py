@@ -186,6 +186,31 @@ class TestSQLiteSemantics:
         assert sqlite_stats.spill_passes == 0  # no spill simulation
         assert_backends_agree(native_result, sqlite_result)
 
+    def test_infinite_extrema_match(self, assert_backends_agree):
+        """MIN/MAX of a group holding ±inf is that infinity on both backends."""
+        inf = float("inf")
+        table = Table(
+            "inf",
+            {"g": ["a", "a", "b", "b", "c"], "x": [1.0, inf, -inf, 2.0, 3.0]},
+            roles={"g": ColumnRole.DIMENSION, "x": ColumnRole.MEASURE},
+        )
+        query = AggregateQuery(
+            "inf",
+            ("g",),
+            (
+                AggregateSpec(AggregateFunction.MIN, "x", "lo"),
+                AggregateSpec(AggregateFunction.MAX, "x", "hi"),
+                AggregateSpec(AggregateFunction.COUNT, None, "n"),
+            ),
+        )
+        store = make_store("col", table)
+        with SQLiteBackend(store) as sqlite:
+            expected, _ = sqlite.execute(query)
+        got, _ = NativeBackend(store).execute(query)
+        assert expected.values["lo"].tolist() == [1.0, -inf, 3.0]
+        assert expected.values["hi"].tolist() == [inf, 2.0, 3.0]
+        assert_backends_agree(expected, got)
+
     def test_wrong_table_raises(self, backends):
         _, sqlite = backends
         with pytest.raises(QueryError):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.db import streaming as streaming_module
 from repro.db.groupby import (
     GroupKeyColumn,
     estimate_group_cardinality,
@@ -109,7 +110,7 @@ class TestBudgetAndSpill:
 
 
 class TestDenseFastPath:
-    """The O(n) bincount path must be indistinguishable from the sort path."""
+    """The O(n) bincount plan must be indistinguishable from the sort plan."""
 
     def _random_inputs(self, seed, n=2_000, n_keys=2, card=8):
         rng = np.random.default_rng(seed)
@@ -129,10 +130,11 @@ class TestDenseFastPath:
 
     @pytest.mark.parametrize("seed", range(5))
     @pytest.mark.parametrize("n_keys", [1, 2, 3])
-    def test_dense_matches_sparse_exactly(self, seed, n_keys):
+    def test_dense_matches_sparse_exactly(self, seed, n_keys, monkeypatch):
         keys, inputs = self._random_inputs(seed, n_keys=n_keys)
         dense = group_aggregate(keys, inputs, budget=10_000)
-        sparse = group_aggregate(keys, inputs, budget=10_000, allow_dense=False)
+        monkeypatch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", 0)
+        sparse = group_aggregate(keys, inputs, budget=10_000)
         assert dense.n_groups == sparse.n_groups
         assert dense.spill_passes == sparse.spill_passes == 0
         for name in sparse.key_values:
@@ -143,7 +145,7 @@ class TestDenseFastPath:
             np.testing.assert_array_equal(d, s)  # bitwise, not approx
         np.testing.assert_array_equal(dense.group_counts, sparse.group_counts)
 
-    def test_dense_skipped_when_key_space_exceeds_budget_cap(self):
+    def test_key_space_over_budget_is_charged_a_spill(self):
         """product > budget is charged as a spill, whichever plan computes it."""
         rng = np.random.default_rng(0)
         keys = [_key("k", rng.integers(0, 50, 1_000).astype(str))]
@@ -165,23 +167,20 @@ class TestSinglePartitionOrder:
     """Sparse results come out of ``np.unique`` sorted; order must hold."""
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_single_partition_sorted_by_composite_key(self, seed):
+    def test_single_partition_sorted_by_composite_key(self, seed, monkeypatch):
+        monkeypatch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", 0)
         rng = np.random.default_rng(seed)
         keys = [
             _key("x", rng.integers(0, 5, 500).astype(str)),
             _key("y", rng.integers(0, 4, 500).astype(str)),
         ]
         vals = rng.random(500)
-        result = group_aggregate(
-            keys, [(AggregateFunction.SUM, vals)], allow_dense=False
-        )
+        result = group_aggregate(keys, [(AggregateFunction.SUM, vals)])
         assert result.spill_passes == 0
         pairs = list(zip(result.key_values["x"], result.key_values["y"]))
         assert pairs == sorted(pairs)
         # And a budget that charges a spill changes no group.
-        spilled = group_aggregate(
-            keys, [(AggregateFunction.SUM, vals)], budget=3, allow_dense=False
-        )
+        spilled = group_aggregate(keys, [(AggregateFunction.SUM, vals)], budget=3)
         assert spilled.spill_passes > 0
         assert pairs == list(
             zip(spilled.key_values["x"], spilled.key_values["y"])
@@ -196,10 +195,10 @@ class TestSinglePartitionOrder:
     n=st.integers(1, 300),
     n_keys=st.integers(1, 3),
     budget=st.one_of(st.none(), st.integers(1, 20)),
-    allow_dense=st.booleans(),
+    dense=st.booleans(),
     seed=st.integers(0, 1000),
 )
-def test_property_budget_never_changes_results(n, n_keys, budget, allow_dense, seed):
+def test_property_budget_never_changes_results(n, n_keys, budget, dense, seed):
     """Property: a budget only ever changes what the result is charged.
 
     Under either plan every array equals the unbudgeted call's bit for bit,
@@ -214,8 +213,11 @@ def test_property_budget_never_changes_results(n, n_keys, budget, allow_dense, s
     inputs = [
         (func, vals if func.needs_argument else None) for func in AggregateFunction
     ]
-    base = group_aggregate(keys, inputs, budget=None, allow_dense=allow_dense)
-    other = group_aggregate(keys, inputs, budget=budget, allow_dense=allow_dense)
+    with pytest.MonkeyPatch.context() as patch:
+        if not dense:
+            patch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", 0)
+        base = group_aggregate(keys, inputs, budget=None)
+        other = group_aggregate(keys, inputs, budget=budget)
     assert base.n_groups == other.n_groups
     for name in base.key_values:
         np.testing.assert_array_equal(base.key_values[name], other.key_values[name])

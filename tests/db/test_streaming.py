@@ -1,11 +1,12 @@
-"""Streaming (chunk-at-a-time) execution is bitwise-identical to one-shot.
+"""Streaming (chunk-at-a-time) execution is bitwise-identical at any chunking.
 
-The carry-seeded partial-state merge (:mod:`repro.db.streaming`) promises
-*value-identical* results at any chunk granularity — these tests enforce
-it bitwise (``tobytes()`` equality on every aggregate array) across
-aggregate functions, predicates, derived CASE keys, the spill path, and
-memmap-backed tables, for both the per-query executor and the shared-scan
-batch executor.
+The carry-seeded partial-state merge (:mod:`repro.db.streaming`, the one
+group-by kernel) promises *value-identical* results at any chunk
+granularity — these tests enforce it bitwise (``tobytes()`` equality on
+every aggregate array) across aggregate functions, predicates, derived CASE
+keys, the spill path, and memmap-backed tables, for both the per-query
+executor and the shared-scan batch executor, and hold the kernel itself to a
+row-order Python reference.
 """
 
 from __future__ import annotations
@@ -199,7 +200,7 @@ class TestSharedScanStreaming:
         baseline = SharedScanExecutor(make_store("col", table))
         base_query = _queries()[0]
         batch = [
-            base_query.with_range(0, 150),   # single chunk: one-shot path
+            base_query.with_range(0, 150),   # single chunk
             base_query.with_range(0, 997),   # streams
             base_query.with_range(100, 900),  # streams
         ]
@@ -345,7 +346,7 @@ class TestPipelineParameterValues:
 
 
 class TestSpillAccountingParity:
-    """Both paths charge a budget-forced spill; neither partitions for it."""
+    """Any chunking charges a budget-forced spill alike; none partitions for it."""
 
     @pytest.mark.parametrize("chunk_rows", (7, 250))
     def test_aggregator_charges_what_group_aggregate_charges(self, chunk_rows):
@@ -523,3 +524,106 @@ class TestAggregatorContract:
         assert result.n_groups == 0
         assert result.key_values["a"].dtype == cats.dtype
         assert len(result.aggregate_values[0]) == 0
+
+
+def _row_order_reference(keys, inputs):
+    """Per group in key order: ``(key, rows, aggregates)``, every aggregate
+    folded row by row in Python — a SUM is ``((0.0 + v1) + v2) + ...``."""
+    rows_of: dict[tuple, list[int]] = {}
+    for row in range(len(keys[0].codes)):
+        key = tuple(kc.categories[kc.codes[row]].item() for kc in keys)
+        rows_of.setdefault(key, []).append(row)
+    out = []
+    for key in sorted(rows_of):
+        rows = rows_of[key]
+        aggregates = []
+        for func, values in inputs:
+            if func is AggregateFunction.COUNT:
+                aggregates.append(float(len(rows)))
+                continue
+            column = [float(values[row]) for row in rows]
+            if func is AggregateFunction.MIN:
+                aggregates.append(min(column))
+            elif func is AggregateFunction.MAX:
+                aggregates.append(max(column))
+            else:
+                total = 0.0
+                for value in column:
+                    total += value
+                aggregates.append(total / len(rows) if func is AggregateFunction.AVG else total)
+        out.append((key, len(rows), aggregates))
+    return out
+
+
+class TestRowOrderReference:
+    """The one kernel, at every chunking and in both plans, against Python.
+
+    Keys come with the column's own categories (a physical dimension) or
+    with the categories of each chunk's rows (a derived key, whose union
+    grows chunk by chunk and can push the dense plan over its limit
+    mid-stream).  MIN/MAX read a measure holding ±inf.
+    """
+
+    N = 613
+
+    def _inputs(self, seed: int):
+        from repro.db.groupby import GroupKeyColumn
+
+        rng = np.random.default_rng(seed)
+        keys = [
+            GroupKeyColumn(
+                name, rng.integers(0, len(categories), self.N).astype(np.int32), categories
+            )
+            for name, categories in (
+                ("k0", np.asarray(["a", "b'c", "d", "e", "f"])),
+                ("k1", np.arange(7) * 10),
+            )
+        ]
+        finite = rng.normal(0.0, 1e3, self.N)
+        extreme = rng.gamma(2.0, 10.0, self.N)
+        extreme[rng.integers(0, self.N, 9)] = np.inf
+        extreme[rng.integers(0, self.N, 9)] = -np.inf
+        inputs = [
+            (AggregateFunction.SUM, finite),
+            (AggregateFunction.AVG, finite),
+            (AggregateFunction.COUNT, None),
+            (AggregateFunction.MIN, extreme),
+            (AggregateFunction.MAX, extreme),
+        ]
+        return keys, inputs
+
+    @pytest.mark.parametrize("dense_limit", [None, 12, 0], ids=["dense", "converts", "sparse"])
+    @pytest.mark.parametrize("per_chunk_categories", [False, True], ids=["global", "derived"])
+    @pytest.mark.parametrize("chunk_rows", (1, 7, 64, 250, 613))
+    def test_bitwise_equal_to_python(
+        self, chunk_rows, per_chunk_categories, dense_limit, monkeypatch
+    ):
+        from repro.db.groupby import GroupKeyColumn
+
+        if dense_limit is not None:
+            monkeypatch.setattr(streaming_module, "_DENSE_GROUP_LIMIT", dense_limit)
+        keys, inputs = self._inputs(chunk_rows)
+        aggregator = StreamingGroupAggregator([func for func, _ in inputs])
+        for start in range(0, self.N, chunk_rows):
+            rows = slice(start, start + chunk_rows)
+            chunk_keys = []
+            for kc in keys:
+                codes, categories = kc.codes[rows], kc.categories
+                if per_chunk_categories:
+                    categories, codes = np.unique(categories[codes], return_inverse=True)
+                chunk_keys.append(GroupKeyColumn(kc.name, codes.astype(np.int32), categories))
+            aggregator.update(
+                chunk_keys, [(func, None if v is None else v[rows]) for func, v in inputs]
+            )
+        result = aggregator.finalize()
+
+        want = _row_order_reference(keys, inputs)
+        assert result.n_groups == len(want)
+        got_keys = list(zip(*(result.key_values[kc.name].tolist() for kc in keys)))
+        assert got_keys == [key for key, _, _ in want]
+        assert result.group_counts.tolist() == [n for _, n, _ in want]
+        for j in range(len(inputs)):
+            expected = np.array([aggregates[j] for _, _, aggregates in want])
+            assert result.aggregate_values[j].tobytes() == expected.tobytes(), inputs[j][0]
+        assert np.isinf(result.aggregate_values[3]).any()
+        assert np.isinf(result.aggregate_values[4]).any()

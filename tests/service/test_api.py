@@ -18,6 +18,7 @@ from repro.exceptions import ServiceError
 from repro.service.api import (
     API_PREFIX,
     API_VERSION,
+    AppendRequest,
     CreateSessionRequest,
     DatasetInfo,
     ErrorCode,
@@ -59,6 +60,36 @@ class TestRouteTable:
     def test_unlisted_methods_match_nothing(self):
         assert match_route("DELETE", "/v1/sessions/abc") == (None, None)
         assert match_route("GET", "/v1/sessions/abc/recommend") == (None, None)
+
+    def test_every_row_is_sent_by_a_typed_client_method(self):
+        """Each ``ROUTES`` row has a typed :class:`ServiceClient` method that
+        sends that row's method and path, ``{id}`` filled in."""
+        from repro.service.client import ServiceClient
+
+        class Sent(Exception):
+            pass
+
+        class Recording(ServiceClient):
+            def _once(self, method, path, payload):
+                raise Sent(method, path)
+
+        sends = {
+            "healthz": lambda client: client.healthz(),
+            "stats": lambda client: client.route_stats(),
+            "describe_datasets": lambda client: client.datasets(),
+            "register_dataset": lambda client: client.register_dataset("/data/x"),
+            "append_dataset": lambda client: client.append("x", AppendRequest(csv="a\n1\n")),
+            "refresh_dataset": lambda client: client.refresh_dataset("x"),
+            "create_session": lambda client: client.create_session(),
+            "describe_session": lambda client: client.describe_session("x"),
+            "recommend": lambda client: client.recommend("x"),
+        }
+        assert set(sends) == {route.name for route in ROUTES}
+        client = Recording("127.0.0.1", 1)
+        for route in ROUTES:
+            with pytest.raises(Sent) as sent:
+                sends[route.name](client)
+            assert sent.value.args == (route.method, route.path("x")), route.label
 
     def test_docs_headings_match_the_route_table(self):
         text = (Path(__file__).parents[2] / "docs" / "api.md").read_text()

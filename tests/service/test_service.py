@@ -1145,8 +1145,8 @@ class TestAppendDatasets:
         results = []
         finish = SharedScanExecutor._finish
 
-        def spy(self, entry):
-            outcome = finish(self, entry)
+        def spy(self, *args):
+            outcome = finish(self, *args)
             results.append(outcome[0])
             return outcome
 

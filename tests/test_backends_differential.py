@@ -19,10 +19,12 @@ Coverage math (the acceptance bar is >= 200 randomized engine runs):
 * ``test_differential_real_parallelism`` adds 8 x 2 = 16 runs through the
   thread-pool dispatcher (per-thread sqlite connections).
 * ``test_differential_comb_early`` adds 6 x 2 = 12 early-return runs.
-* ``test_differential_shared_scan_sweep`` adds 5 x 2 x 2 x 3 = 60 runs
-  sweeping shared_scan on/off x batch (modeled/real) dispatch: for each
-  table, native-with-shared-scan, native-per-query, and the sqlite oracle
-  must agree on top-k and utilities within 1e-9.
+* ``test_differential_shared_scan_sweep`` adds 5 x 2 x 2 x 2 = 40 runs
+  over modeled/real dispatch: the native run and the sqlite oracle agree
+  on top-k and utilities within 1e-9, and the queries the native run
+  planned, run once as one batch and once a query at a time through the
+  native pipeline, give bit-equal results while the batch reads no more
+  bytes.
 * ``test_differential_result_cache_sweep`` adds 4 x 2 x 4 = 32 runs
   growing the oracle a result-cache leg: a cold cache-on native run, a
   fully-warm rerun (zero queries executed), and a cache-on sqlite run must
@@ -36,12 +38,13 @@ Coverage math (the acceptance bar is >= 200 randomized engine runs):
   ``parallelism="real"`` — streaming may change peak memory and
   accounting, never results.
 * ``test_differential_memmap_threads`` adds 4 x 2 x 3 = 24 runs growing
-  the oracle a whole-query thread leg: ``parallelism="real"`` with the
-  shared scan off, so each worker thread executes whole queries over one
-  memmapped chunk store opened without a memory budget.  It must produce
-  **bitwise**-identical top-k, utilities, and distributions to the
-  resident serial path (and match the SQLite oracle) — thread fan-out may
-  change I/O accounting, never results or the number of queries issued.
+  the oracle a thread leg: ``parallelism="real"`` batches fanned out over
+  one memmapped chunk store opened without a memory budget, so worker
+  threads fold and finalize the queries' aggregations over the same
+  ``np.memmap`` columns.  It must produce **bitwise**-identical top-k,
+  utilities, and distributions to the resident serial path (and match the
+  SQLite oracle) — thread fan-out may change I/O accounting, never results
+  or the number of queries issued.
 * ``test_differential_append_refresh`` adds 5 x 2 x 4 = 40 runs growing
   the oracle an append leg: an engine with the delta-state cache runs
   cold over ~90% of the rows, the remaining ~10% are appended to the
@@ -84,7 +87,7 @@ CASES = [
 def test_coverage_floor():
     """The parametrization below performs >= 200 randomized engine runs."""
     assert len(CASES) * 2 + 8 * 2 + 6 * 2 >= 200
-    assert len(SHARED_SCAN_CASES) * 3 >= 48
+    assert len(SHARED_SCAN_CASES) * 2 >= 40
     assert len(RESULT_CACHE_CASES) * 4 >= 32
     assert len(OUT_OF_CORE_CASES) * 3 >= 48
     assert len(MEMMAP_THREAD_CASES) * 3 >= 24
@@ -200,36 +203,49 @@ SHARED_SCAN_CASES = [
 ]
 
 
+def _thread_fanout(fn, items):
+    from concurrent.futures import ThreadPoolExecutor
+
+    with ThreadPoolExecutor(max_workers=4) as pool:
+        return list(pool.map(fn, items, timeout=60))
+
+
 @pytest.mark.parametrize("seed,strategy,parallelism", SHARED_SCAN_CASES)
 def test_differential_shared_scan_sweep(seed, strategy, parallelism):
-    """Batch (shared-scan) vs per-query dispatch vs the SQLite oracle.
+    """One batch vs a query at a time through the native pipeline, and the
+    SQLite oracle.
 
-    Three-way agreement pins the whole batch path: the shared scan must
-    change accounting only, never results, under both dispatch modes.
+    The queries a native run planned, run as one batch (fanned out onto
+    threads under ``"real"``) and as batches of one, must give bit-equal
+    results and issue as many queries: the shared scan changes accounting
+    only, and never reads a byte the loop does not.
     """
+    from repro.db.shared_scan import SharedScanExecutor
+
     table = _random_table(300 + seed)
-    batched = _run(
-        table, "native", strategy, "all", shared_scan=True, parallelism=parallelism
-    )
-    per_query = _run(
-        table, "native", strategy, "all", shared_scan=False, parallelism=parallelism
-    )
-    sqlite = _run(
-        table, "sqlite", strategy, "all", shared_scan=True, parallelism=parallelism
-    )
-    assert batched.shared_scan and not per_query.shared_scan
-    _assert_equivalent(batched, per_query)
-    _assert_equivalent(batched, sqlite)
-    # Identical logical work, shared physical work: queries match while the
-    # batch path never re-reads a page the batch already touched.
-    assert batched.stats.queries_issued == per_query.stats.queries_issued
-    total_batched = (
-        batched.stats.bytes_scanned_miss + batched.stats.bytes_scanned_hit
-    )
-    total_loop = (
-        per_query.stats.bytes_scanned_miss + per_query.stats.bytes_scanned_hit
-    )
-    assert total_batched <= total_loop
+    native = _run(table, "native", strategy, "all", parallelism=parallelism)
+    _assert_equivalent(native, _run(table, "sqlite", strategy, "all", parallelism=parallelism))
+
+    queries = native.queries
+    assert queries
+    fanout = _thread_fanout if parallelism == "real" else None
+    batch = SharedScanExecutor(make_store("col", table)).execute_batch(queries, fanout=fanout)
+    one_by_one = SharedScanExecutor(make_store("col", table))
+    loop = [one_by_one.execute_batch([query])[0] for query in queries]
+    for (want, _), (got, _) in zip(loop, batch):
+        assert got.n_groups == want.n_groups and got.input_rows == want.input_rows
+        for name, keys in want.groups.items():
+            assert np.array_equal(got.groups[name], keys)
+        for name, values in want.values.items():
+            assert np.asarray(got.values[name]).tobytes() == np.asarray(values).tobytes()
+
+    def total(outcomes, field):
+        return sum(getattr(stats, field) for _, stats in outcomes)
+
+    assert total(batch, "queries_issued") == total(loop, "queries_issued") == len(queries)
+    batch_bytes = total(batch, "bytes_scanned_miss") + total(batch, "bytes_scanned_hit")
+    loop_bytes = total(loop, "bytes_scanned_miss") + total(loop, "bytes_scanned_hit")
+    assert batch_bytes <= loop_bytes
 
 
 RESULT_CACHE_CASES = [
@@ -371,13 +387,13 @@ MEMMAP_THREAD_CASES = [
 
 @pytest.mark.parametrize("seed,strategy", MEMMAP_THREAD_CASES)
 def test_differential_memmap_threads(tmp_path, seed, strategy):
-    """The whole-query thread leg over a memmapped store is bitwise-exact.
+    """The thread leg over a memmapped store is bitwise-exact.
 
     Three runs per table: the resident serial native path, a
-    ``parallelism="real"`` run with the shared scan off over the on-disk
-    chunk store (worker threads each execute whole queries against the
-    same ``np.memmap`` columns; the dispatcher gathers in submission
-    order), and the SQLite oracle.  The threaded run must match the
+    ``parallelism="real"`` run over the on-disk chunk store (each phase is
+    one batch whose queries' aggregations fan out onto worker threads,
+    reading the same ``np.memmap`` columns; the dispatcher gathers in
+    submission order), and the SQLite oracle.  The threaded run must match the
     resident run bitwise — selected order, every utility, every
     distribution array, and the query count — and agree with the oracle.
     I/O accounting is deliberately NOT compared.
@@ -389,9 +405,7 @@ def test_differential_memmap_threads(tmp_path, seed, strategy):
     chunked = open_table(tmp_path / "ds")
 
     resident = _run(table, "native", strategy, "all")
-    threaded = _run(
-        chunked, "native", strategy, "all", parallelism="real", shared_scan=False
-    )
+    threaded = _run(chunked, "native", strategy, "all", parallelism="real")
     sqlite = _run(table, "sqlite", strategy, "all")
 
     # Bitwise agreement with the resident serial path.
